@@ -25,6 +25,17 @@ pub enum ClientDecision {
     Rediscover,
 }
 
+impl ClientDecision {
+    /// The decision's name in `probe.round.done` trace events.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ClientDecision::Stay => "stay",
+            ClientDecision::AttemptJoin { .. } => "join",
+            ClientDecision::Rediscover => "rediscover",
+        }
+    }
+}
+
 /// What the client does after hearing back from a `Join()` attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JoinFollowup {
@@ -309,8 +320,27 @@ impl EdgeClient {
     /// (unreachable, dead, or timed out) — in predictive mode this feeds
     /// the node's reliability score; in reactive mode it is a no-op.
     pub fn on_probe_failure(&mut self, node: NodeId, now: SimTime) {
+        self.observe_failure(node, |p| p.probe_failure_weight, now);
+    }
+
+    /// Records that `node` answered `Busy`: it is up but shedding load,
+    /// a lighter reliability signal than a probe that never answered.
+    /// Only a live node ever says so (the simulated one never sheds);
+    /// in reactive mode it is a no-op.
+    pub fn on_busy(&mut self, node: NodeId, now: SimTime) {
+        self.observe_failure(node, |p| p.busy_weight, now);
+    }
+
+    /// Scores one failure signal against `node` in predictive mode, with
+    /// the weight picked from the selector's own tuning.
+    fn observe_failure(
+        &mut self,
+        node: NodeId,
+        weight: impl Fn(&PredictorParams) -> f64,
+        now: SimTime,
+    ) {
         if let Some(sel) = self.selector.as_mut() {
-            let weight = sel.params().probe_failure_weight;
+            let weight = weight(sel.params());
             sel.observe_failure(node, weight, now);
         }
     }
@@ -365,11 +395,10 @@ impl EdgeClient {
         now: SimTime,
         mut is_alive: impl FnMut(NodeId) -> bool,
     ) -> FailoverDecision {
-        if let (Some(failed), Some(sel)) = (self.current, self.selector.as_mut()) {
+        if let Some(failed) = self.current {
             // A crash while serving us is the strongest reliability
             // signal the client ever sees.
-            let weight = sel.params().crash_weight;
-            sel.observe_failure(failed, weight, now);
+            self.observe_failure(failed, |p| p.crash_weight, now);
         }
         self.current = None;
         while let Some(backup) = first_nonempty(&mut self.backups) {
@@ -766,6 +795,53 @@ mod tests {
         );
         let score = c.selector().unwrap().score(NodeId::new(1), now);
         assert!(score < 1.0, "failures must depress the score, got {score}");
+    }
+
+    #[test]
+    fn busy_demotes_less_than_a_probe_failure_and_decays() {
+        let mut c = predictive_client();
+        let now = SimTime::from_secs(10);
+        c.on_busy(NodeId::new(1), now);
+        c.on_probe_failure(NodeId::new(2), now);
+        let score =
+            |c: &EdgeClient, id: u64, at: SimTime| c.selector().unwrap().score(NodeId::new(id), at);
+        let (shed, silent) = (score(&c, 1, now), score(&c, 2, now));
+        assert!(shed < 1.0, "Busy must depress the score, got {shed}");
+        assert!(
+            silent < shed,
+            "shedding ({shed}) is a lighter signal than silence ({silent})"
+        );
+        // Equal measurements break away from the node that shed us.
+        let d = c.on_probe_round(vec![probe(1, 10, 24, 3), probe(3, 10, 24, 7)], now);
+        assert_eq!(
+            d,
+            ClientDecision::AttemptJoin {
+                target: NodeId::new(3),
+                seq: 7
+            }
+        );
+        let later = SimTime::from_secs(70);
+        assert!(score(&c, 1, later) > shed, "the penalty decays");
+        assert!(score(&c, 1, later) > 0.99, "six half-lives on: near 1");
+    }
+
+    #[test]
+    fn busy_is_a_no_op_for_the_reactive_selector() {
+        let mut c = client();
+        c.on_busy(NodeId::new(1), SimTime::ZERO);
+        assert!(c.selector().is_none());
+        // Node 1 still wins the id tie-break it would have won anyway.
+        let d = c.on_probe_round(
+            vec![probe(1, 10, 24, 3), probe(2, 10, 24, 7)],
+            SimTime::ZERO,
+        );
+        assert_eq!(
+            d,
+            ClientDecision::AttemptJoin {
+                target: NodeId::new(1),
+                seq: 3
+            }
+        );
     }
 
     #[test]

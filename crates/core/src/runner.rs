@@ -390,15 +390,10 @@ fn conclude_probe_round(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, round: u
     };
     let decision = client.on_probe_round(results, now);
     let prediction = client.last_prediction().copied();
-    let decision_name = match decision {
-        ClientDecision::Stay => "stay",
-        ClientDecision::AttemptJoin { .. } => "join",
-        ClientDecision::Rediscover => "rediscover",
-    };
     trace_event!(w, ctx, Severity::Debug, "probe.round.done",
         "user" => u(user.as_u64()), "round" => u(round),
         "replies" => u(replies as u64), "failed" => u(failed as u64),
-        "decision" => s(decision_name));
+        "decision" => s(decision.name()));
     if let Some(p) = prediction {
         trace_event!(w, ctx, Severity::Debug, "sel.predict",
             "user" => u(user.as_u64()), "round" => u(round),

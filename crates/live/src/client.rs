@@ -1,5 +1,9 @@
-//! The live client: concurrent probing, `GO` ranking, warm backups,
-//! frame streaming with failover.
+//! The live client: a blocking-socket driver around one [`EdgeClient`],
+//! the Algorithm 2 core the simulator drives in virtual time. The core
+//! ranks, decides stay-or-switch, keeps and walks the warm backups and
+//! paces frames; this file owns I/O and I/O policy only — sockets and
+//! timeouts, UDP-first probing, the manager route walk under breakers,
+//! the degraded-mode candidate cache, trace emission.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -7,10 +11,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use armada_chaos::{Backoff, BreakerState, CircuitBreaker, Transition};
-use armada_client::{rank_candidates, PredictiveSelector, PredictorParams, ProbeResult};
+use armada_client::{ClientDecision, EdgeClient, FailoverDecision, JoinFollowup, ProbeResult};
 use armada_trace::{s, u, Severity, Tracer};
-use armada_types::{ClientConfig, GeoPoint, NodeId, SelectorMode, SimDuration, SimTime};
-use armada_workload::AimdController;
+use armada_types::{ClientConfig, GeoPoint, NodeId, SimDuration, SimTime, UserId};
 
 use armada_wire::{
     read_response, recv_response, send_request, write_request, Codec, Request, Response,
@@ -24,10 +27,9 @@ use armada_wire::{
 const RPC_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Sleep schedule between session attempts: capped jittered exponential
-/// backoff. The old linear `50 ms × attempt` both grew too slowly to
-/// ride out a real outage and synchronised colliding clients into
-/// retry herds; this one doubles per attempt, never exceeds the cap,
-/// and jitters deterministically per client.
+/// backoff — doubles per attempt, never exceeds the cap, and jitters
+/// deterministically per client so colliding clients do not retry in
+/// herds.
 const RETRY_BACKOFF: Backoff = Backoff::from_millis(50, 1_000);
 
 /// Consecutive discovery failures before a manager's circuit breaker
@@ -38,9 +40,9 @@ const BREAKER_THRESHOLD: u32 = 3;
 /// single half-open probe through.
 const BREAKER_COOLDOWN: Duration = Duration::from_millis(500);
 
-/// Connect/read budget for the mid-session candidate-cache refresh.
-/// Kept far below [`RPC_TIMEOUT`] so a black-holed manager cannot
-/// stall the frame loop for the full RPC budget every probing period.
+/// Connect/read budget for a mid-session discovery. Kept far below
+/// [`RPC_TIMEOUT`] so a black-holed manager cannot stall the frame
+/// loop for the full RPC budget every probing period.
 const REFRESH_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// What a [`LiveClient`] session measured.
@@ -52,7 +54,7 @@ pub struct SessionReport {
     pub initial_node: u64,
     /// Per-frame end-to-end latencies, in send order.
     pub latencies: Vec<Duration>,
-    /// Probing outcomes: `(node_id, rtt, whatif_µs)`.
+    /// First-round probing outcomes: `(node_id, rtt, whatif_µs)`.
     pub probed: Vec<(u64, Duration, u64)>,
     /// Failovers to a backup performed mid-session.
     pub failovers: u64,
@@ -90,11 +92,11 @@ pub struct LiveClient {
     degraded_since: Arc<Mutex<Option<Instant>>>,
     /// One circuit breaker per manager address.
     breakers: Arc<Mutex<HashMap<SocketAddr, CircuitBreaker>>>,
-    /// Per-node reliability scores and RTT forecasts, present iff
-    /// `config.selector == SelectorMode::Predictive`. Shared across
-    /// clones so a node's history survives session retries.
-    predictor: Option<Arc<Mutex<PredictiveSelector>>>,
-    /// Time base for the breakers' (and predictor's) microsecond clock.
+    /// The protocol core, shared across clones and sessions so the
+    /// selector's per-node history survives retries; locked once per
+    /// session attempt, never per frame.
+    core: Arc<Mutex<EdgeClient>>,
+    /// Time base of the breakers' clock and the core's [`SimTime`].
     epoch: Instant,
     /// Outbound codec and probe-backend selection.
     wire: WireConfig,
@@ -108,18 +110,12 @@ struct CandidateCache {
     fetched: Instant,
 }
 
-struct Candidate {
-    stream: TcpStream,
-}
+/// A session's open connections by node id: serving node and backups.
+type Connections = HashMap<u64, TcpStream>;
 
 impl LiveClient {
     /// Creates a client.
     pub fn new(id: u64, location: GeoPoint, config: ClientConfig) -> Self {
-        let predictor = (config.selector == SelectorMode::Predictive).then(|| {
-            Arc::new(Mutex::new(PredictiveSelector::new(
-                PredictorParams::default(),
-            )))
-        });
         LiveClient {
             id,
             location,
@@ -128,7 +124,11 @@ impl LiveClient {
             cache: Arc::new(Mutex::new(None)),
             degraded_since: Arc::new(Mutex::new(None)),
             breakers: Arc::new(Mutex::new(HashMap::new())),
-            predictor,
+            core: Arc::new(Mutex::new(EdgeClient::new(
+                UserId::new(id),
+                location,
+                config,
+            ))),
             epoch: Instant::now(),
             wire: WireConfig::from_env(),
         }
@@ -171,7 +171,8 @@ impl LiveClient {
     }
 
     /// Runs one full session: discovery → concurrent probing → ranked
-    /// join → stream `frames` frames (with failover) → leave.
+    /// join → stream `frames` frames (re-probing every `T_probing`,
+    /// failing over to warm backups) → leave.
     ///
     /// # Errors
     ///
@@ -198,15 +199,19 @@ impl LiveClient {
         managers: &[SocketAddr],
         frames: usize,
     ) -> std::io::Result<SessionReport> {
-        // A rejected join (sequence conflict with a concurrent user)
-        // repeats the probing process from the edge-discovery step
-        // (Algorithm 2, line 14).
+        // An attempt left with no serving node (a rejected first join,
+        // a round nobody answered, every backup dead) fails; the next
+        // repeats from edge discovery (Algorithm 2, line 14).
         let mut last_err = None;
         for attempt in 0..5u32 {
             if attempt > 0 {
                 std::thread::sleep(RETRY_BACKOFF.delay(attempt - 1, self.id));
             }
-            match self.try_session(managers, frames, u64::from(attempt)) {
+            let mut core = self.core.lock().expect("core lock");
+            let outcome = self.try_session(&mut core, managers, frames);
+            // Ends the attachment, keeps the selector's per-node models.
+            core.detach();
+            match outcome {
                 Ok(report) => return Ok(report),
                 Err(e) => last_err = Some(e),
             }
@@ -217,74 +222,14 @@ impl LiveClient {
     /// One discovery → probe → join → stream attempt.
     fn try_session(
         &self,
+        core: &mut EdgeClient,
         managers: &[SocketAddr],
         frames: usize,
-        round: u64,
     ) -> std::io::Result<SessionReport> {
-        // --- Edge discovery ------------------------------------------
-        // Walk the route order under per-manager breakers; if the whole
-        // tier is unreachable, degrade to the last-known candidate list
-        // rather than failing the session outright.
-        let candidates = match self.discover(managers, RPC_TIMEOUT) {
-            Ok(nodes) => nodes,
-            Err(e) => self.cached_candidates().ok_or(e)?,
-        };
-
-        // --- Concurrent probing ---------------------------------------
-        // One scoped thread per candidate: all RTT/process probes are in
-        // flight simultaneously, exactly like the async version.
-        self.tracer.emit(Severity::Debug, "probe.round.start", || {
-            vec![
-                ("user", u(self.id)),
-                ("round", u(round)),
-                ("candidates", u(candidates.len() as u64)),
-            ]
-        });
-        let outcomes: Vec<Option<(ProbeResult, Candidate)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = candidates
-                .iter()
-                .map(|(id, addr)| scope.spawn(move || probe_candidate(*id, addr, self.wire)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().ok().flatten())
-                .collect()
-        });
-        let mut results = Vec::new();
-        let mut connections: HashMap<u64, Candidate> = HashMap::new();
-        for ((id, _), slot) in candidates.iter().zip(outcomes) {
-            match slot {
-                Some((result, candidate)) => {
-                    self.predictor_observe_probe(&result);
-                    connections.insert(result.node.as_u64(), candidate);
-                    results.push(result);
-                }
-                // A probe that never answered is the live analogue of a
-                // heartbeat gap: it counts against the node's
-                // reliability score.
-                None => self.predictor_observe_failure(*id, |p| p.probe_failure_weight),
-            }
-        }
-        self.tracer.emit(Severity::Debug, "probe.round.done", || {
-            vec![
-                ("user", u(self.id)),
-                ("round", u(round)),
-                ("replies", u(results.len() as u64)),
-                ("failed", u((candidates.len() - results.len()) as u64)),
-                (
-                    "decision",
-                    s(if results.is_empty() {
-                        "rediscover"
-                    } else {
-                        "join"
-                    }),
-                ),
-            ]
-        });
-        if results.is_empty() {
-            return Err(protocol_error("every candidate failed probing".into()));
-        }
-        let probed: Vec<(u64, Duration, u64)> = results
+        let before = core.stats();
+        let mut connections = Connections::new();
+        let probed = self
+            .select(core, &mut connections, managers, RPC_TIMEOUT)?
             .iter()
             .map(|r| {
                 (
@@ -294,125 +239,24 @@ impl LiveClient {
                 )
             })
             .collect();
+        let initial_node = serving_node(core)?;
 
-        // --- Local selection + synchronised join ----------------------
-        let ranked = self.rank_probes(results);
-        let mut order: Vec<(u64, u64)> = ranked
-            .iter()
-            .map(|r| (r.node.as_u64(), r.seq_num))
-            .collect();
-        let (initial_node, _) = order[0];
-        let mut serving = None;
-        while let Some((node, seq)) = pop_front(&mut order) {
-            let Some(candidate) = connections.get_mut(&node) else {
-                continue;
-            };
-            match rpc(
-                &mut candidate.stream,
-                self.wire.codec,
-                &Request::Join { user: self.id, seq },
-            ) {
-                Ok(Response::JoinResult { accepted: true }) => {
-                    serving = Some(node);
-                    break;
-                }
-                // Rejected (sequence conflict) or shedding: a load
-                // signal, not a crash — the busy weight demotes the
-                // node in future predictive rankings without
-                // blacklisting it. Either way: next-ranked candidate
-                // (a rejected-join client would normally re-discover;
-                // for a bounded session the next candidate is
-                // equivalent).
-                Ok(Response::JoinResult { accepted: false }) | Ok(Response::Busy { .. }) => {
-                    self.predictor_observe_failure(node, |p| p.busy_weight);
-                }
-                Ok(_) => continue,
-                // Dead mid-join: a hard failure.
-                Err(_) => {
-                    self.predictor_observe_failure(node, |p| p.probe_failure_weight);
-                }
-            }
-        }
-        let Some(mut serving) = serving else {
-            return Err(protocol_error("no candidate accepted the join".into()));
-        };
-        self.tracer.emit(Severity::Info, "client.join", || {
-            vec![("user", u(self.id)), ("node", u(serving))]
-        });
-        let mut backups: Vec<u64> = ranked
-            .iter()
-            .map(|r| r.node.as_u64())
-            .filter(|&n| n != serving)
-            .collect();
-
-        // --- Frame streaming with failover and periodic re-probing -----
-        let mut rate = AimdController::new(self.config.max_fps, self.config.target_latency);
         let mut latencies = Vec::with_capacity(frames);
-        let mut failovers = 0u64;
-        let mut switches = 0u64;
-        let mut seq = 0u64;
         let probing_period = Duration::from_micros(self.config.probing_period.as_micros());
         let mut last_probe = Instant::now();
         while latencies.len() < frames {
-            // Periodic re-probing (`T_probing`): re-evaluate the open
-            // candidate connections and switch when a meaningfully
-            // better node appears (Algorithm 2 over live sockets).
             if last_probe.elapsed() >= probing_period {
                 last_probe = Instant::now();
-                if let Some(better) =
-                    self.find_better_candidate(&mut connections, serving, &mut backups)
-                {
-                    let previous = serving;
-                    serving = better;
-                    switches += 1;
-                    rate.reset();
-                    self.tracer.emit(Severity::Info, "client.switch", || {
-                        vec![
-                            ("user", u(self.id)),
-                            ("from", u(previous)),
-                            ("to", u(serving)),
-                        ]
-                    });
-                    if self.predictor.is_some() {
-                        self.tracer.emit(Severity::Info, "sel.switch", || {
-                            vec![
-                                ("user", u(self.id)),
-                                ("from", u(previous)),
-                                ("to", u(serving)),
-                            ]
-                        });
-                    }
-                    if let Some(old) = connections.get_mut(&previous) {
-                        let _ = rpc(
-                            &mut old.stream,
-                            self.wire.codec,
-                            &Request::Leave { user: self.id },
-                        );
-                    }
-                    backups.retain(|&n| n != serving);
-                    if !backups.contains(&previous) {
-                        backups.push(previous);
-                    }
-                }
-                // Opportunistic cache refresh: this is what notices a
-                // manager partition (entering degraded mode) and its
-                // recovery, even while frames keep flowing to already
-                // connected nodes.
-                if self.discover(managers, REFRESH_TIMEOUT).is_err() {
-                    let _ = self.cached_candidates();
-                }
+                self.select(core, &mut connections, managers, REFRESH_TIMEOUT)?;
             }
+            let serving = serving_node(core)?;
             let frame = Request::Frame {
                 user: self.id,
-                seq,
+                seq: core.next_frame_seq(),
                 payload_len: 20_000,
             };
             let started = Instant::now();
-            let outcome = match connections.get_mut(&serving) {
-                Some(candidate) => rpc(&mut candidate.stream, self.wire.codec, &frame),
-                None => Err(protocol_error("serving connection lost".into())),
-            };
-            match outcome {
+            match self.exchange(&mut connections, serving, &frame) {
                 Ok(Response::FrameResult { .. }) => {
                     let latency = started.elapsed();
                     latencies.push(latency);
@@ -422,82 +266,259 @@ impl LiveClient {
                             ("latency_us", u(latency.as_micros() as u64)),
                         ]
                     });
-                    rate.on_latency(SimDuration::from_micros(latency.as_micros() as u64));
-                    seq += 1;
-                    std::thread::sleep(Duration::from_micros(rate.frame_interval().as_micros()));
+                    core.on_frame_latency(SimDuration::from_micros(latency.as_micros() as u64));
+                    std::thread::sleep(Duration::from_micros(core.frame_interval().as_micros()));
                 }
                 other => {
-                    // Serving node failed: immediate switch to the best
-                    // warm backup (Unexpected_join cannot be rejected).
-                    // A Busy reply is shedding (lighter penalty); any
-                    // other outcome is treated as a crash.
+                    // Shedding or dead, this node no longer serves us.
                     if matches!(other, Ok(Response::Busy { .. })) {
-                        self.predictor_observe_failure(serving, |p| p.busy_weight);
-                    } else {
-                        self.predictor_observe_failure(serving, |p| p.crash_weight);
+                        core.on_busy(NodeId::new(serving), self.now_sim());
                     }
-                    let failed_node = serving;
-                    self.tracer.emit(Severity::Warn, "client.failure", || {
-                        vec![
-                            ("user", u(self.id)),
-                            ("mode", s("live")),
-                            ("node", u(failed_node)),
-                        ]
-                    });
-                    connections.remove(&serving);
-                    let mut switched = false;
-                    while let Some(backup) = pop_front(&mut backups) {
-                        if let Some(candidate) = connections.get_mut(&backup) {
-                            if let Ok(Response::Ack) = rpc(
-                                &mut candidate.stream,
-                                self.wire.codec,
-                                &Request::UnexpectedJoin { user: self.id },
-                            ) {
-                                serving = backup;
-                                failovers += 1;
-                                rate.reset();
-                                switched = true;
-                                self.tracer.emit(Severity::Warn, "client.failover", || {
-                                    vec![
-                                        ("user", u(self.id)),
-                                        ("action", s("backup")),
-                                        ("from", u(failed_node)),
-                                        ("target", u(backup)),
-                                    ]
-                                });
-                                break;
-                            }
-                            connections.remove(&backup);
-                        }
-                    }
-                    if !switched {
-                        return Err(protocol_error("all backups failed simultaneously".into()));
-                    }
+                    self.fail_over(core, &mut connections, serving)?;
                 }
             }
         }
 
-        // --- Graceful leave -------------------------------------------
-        if let Some(candidate) = connections.get_mut(&serving) {
-            let _ = rpc(
-                &mut candidate.stream,
-                self.wire.codec,
-                &Request::Leave { user: self.id },
-            );
-        }
-
+        let final_node = serving_node(core)?;
+        let leave = Request::Leave { user: self.id };
+        let _ = self.exchange(&mut connections, final_node, &leave);
+        let stats = core.stats();
         Ok(SessionReport {
-            final_node: serving,
+            final_node,
             initial_node,
             latencies,
             probed,
-            failovers,
-            switches,
+            failovers: stats.backup_failovers - before.backup_failovers,
+            switches: stats.switches - before.switches,
         })
     }
-}
 
-impl LiveClient {
+    /// One pass of Algorithm 2, the same for a session's first round
+    /// and every `T_probing` round: discover, probe the shortlist plus
+    /// the serving node, let the core decide, carry the decision out,
+    /// close what fell out of `current ∪ backups`. Returns the probes.
+    fn select(
+        &self,
+        core: &mut EdgeClient,
+        connections: &mut Connections,
+        managers: &[SocketAddr],
+        timeout: Duration,
+    ) -> std::io::Result<Vec<ProbeResult>> {
+        // If the whole manager tier is unreachable, degrade to the
+        // last-known candidate list. Mid-session this is also what
+        // notices a manager partition and its recovery while frames
+        // keep flowing to already connected nodes.
+        let mut candidates = self
+            .discover(managers, timeout)
+            .or_else(|e| self.cached_candidates().ok_or(e))?;
+        // Always re-probe the serving node too (over its open
+        // connection), so stay-or-switch compares fresh measurements
+        // even when the manager's shortlist has moved on.
+        if let Some(current) = core.current_node().map(NodeId::as_u64) {
+            if !candidates.iter().any(|(id, _)| *id == current) {
+                candidates.push((current, String::new()));
+            }
+        }
+        let round = core.stats().probe_rounds;
+        self.tracer.emit(Severity::Debug, "probe.round.start", || {
+            vec![
+                ("user", u(self.id)),
+                ("round", u(round)),
+                ("candidates", u(candidates.len() as u64)),
+            ]
+        });
+        core.note_probes_sent(candidates.len());
+        let results = self.probe_round(core, connections, &candidates);
+        let decision = core.on_probe_round(results.clone(), self.now_sim());
+        self.tracer.emit(Severity::Debug, "probe.round.done", || {
+            vec![
+                ("user", u(self.id)),
+                ("round", u(round)),
+                ("replies", u(results.len() as u64)),
+                ("failed", u((candidates.len() - results.len()) as u64)),
+                ("decision", s(decision.name())),
+            ]
+        });
+        if let Some(p) = core.last_prediction().copied() {
+            let predicted_us = (p.predicted_best_ms * 1_000.0) as u64;
+            self.tracer.emit(Severity::Debug, "sel.predict", || {
+                vec![
+                    ("user", u(self.id)),
+                    ("round", u(round)),
+                    ("best", u(p.best.as_u64())),
+                    ("predicted_best_us", u(predicted_us)),
+                    ("best_score_milli", u((p.best_score * 1_000.0) as u64)),
+                    ("vetoed", u(u64::from(p.vetoed))),
+                ]
+            });
+        }
+        self.apply(core, connections, decision);
+        // Neither serving nor a backup: closed, so open sockets ≤ TopN.
+        connections.retain(|&id, _| {
+            let node = NodeId::new(id);
+            core.current_node() == Some(node) || core.backups().contains(&node)
+        });
+        Ok(results)
+    }
+
+    /// One request/response exchange with `node` over its open
+    /// connection; a node without one fails like a dead one.
+    fn exchange(
+        &self,
+        connections: &mut Connections,
+        node: u64,
+        request: &Request,
+    ) -> std::io::Result<Response> {
+        match connections.get_mut(&node) {
+            Some(stream) => rpc(stream, self.wire.codec, request),
+            None => Err(protocol_error(format!("no open connection to node {node}"))),
+        }
+    }
+
+    /// The probe fan-out, a scoped thread per candidate so all probes
+    /// are in flight at once and dead candidates cost the round one
+    /// timeout, not one each. An open connection is re-probed in place,
+    /// anything else is dialled; a candidate that answers keeps its
+    /// connection, a silent one loses it and is reported to the core.
+    fn probe_round(
+        &self,
+        core: &mut EdgeClient,
+        connections: &mut Connections,
+        candidates: &[(u64, String)],
+    ) -> Vec<ProbeResult> {
+        let wire = self.wire;
+        let outcomes: Vec<Option<(ProbeResult, TcpStream)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = candidates
+                .iter()
+                .map(|(id, addr)| {
+                    let open = connections.remove(id);
+                    scope.spawn(move || match open {
+                        Some(mut stream) => reprobe_connection(*id, &mut stream, wire.codec)
+                            .map(|result| (result, stream)),
+                        None => probe_candidate_with(*id, addr, RPC_TIMEOUT, wire),
+                    })
+                })
+                .collect();
+            // A probe thread that died is a failed probe, not a panic.
+            handles
+                .into_iter()
+                .map(|h| h.join().ok().flatten())
+                .collect()
+        });
+        let now = self.now_sim();
+        let mut results = Vec::with_capacity(candidates.len());
+        for ((id, _), slot) in candidates.iter().zip(outcomes) {
+            match slot {
+                Some((result, stream)) => {
+                    connections.insert(*id, stream);
+                    results.push(result);
+                }
+                // A probe that never answered is the live analogue of a
+                // heartbeat gap: it counts against the node's score.
+                None => core.on_probe_failure(NodeId::new(*id), now),
+            }
+        }
+        results
+    }
+
+    /// Carries out a round's decision: `AttemptJoin` becomes the
+    /// synchronised `Join` RPC, whose outcome the core turns into a
+    /// completed switch or a re-discovery. The latter needs no action
+    /// here: while a node is serving, the next `T_probing` round is the
+    /// repeat; with none, [`serving_node`] fails the attempt.
+    fn apply(
+        &self,
+        core: &mut EdgeClient,
+        connections: &mut Connections,
+        decision: ClientDecision,
+    ) {
+        let ClientDecision::AttemptJoin { target, seq } = decision else {
+            return;
+        };
+        let join = Request::Join { user: self.id, seq };
+        let reply = self.exchange(connections, target.as_u64(), &join);
+        let now = self.now_sim();
+        if matches!(reply, Ok(Response::Busy { .. })) {
+            core.on_busy(target, now);
+        }
+        // Shed, dead mid-join or out of sequence: the join did not
+        // happen, and only the first says anything about the node.
+        let accepted = matches!(reply, Ok(Response::JoinResult { accepted: true }));
+        match core.on_join_result(target, accepted, now) {
+            JoinFollowup::SwitchComplete { leave: None } => {
+                self.tracer.emit(Severity::Info, "client.join", || {
+                    vec![("user", u(self.id)), ("node", u(target.as_u64()))]
+                });
+            }
+            JoinFollowup::SwitchComplete {
+                leave: Some(previous),
+            } => {
+                let switch = || {
+                    vec![
+                        ("user", u(self.id)),
+                        ("from", u(previous.as_u64())),
+                        ("to", u(target.as_u64())),
+                    ]
+                };
+                self.tracer.emit(Severity::Info, "client.switch", switch);
+                if core.selector().is_some() {
+                    self.tracer.emit(Severity::Info, "sel.switch", switch);
+                }
+                let leave = Request::Leave { user: self.id };
+                let _ = self.exchange(connections, previous.as_u64(), &leave);
+            }
+            // (No stale replies: a blocking driver abandons no join.)
+            JoinFollowup::Rediscover | JoinFollowup::Stale => {}
+        }
+    }
+
+    /// The failure monitor (paper §IV-E): the core promotes the first
+    /// backup whose warm connection answers `Unexpected_join` (which
+    /// cannot be rejected, Table I); with none left the attempt fails.
+    fn fail_over(
+        &self,
+        core: &mut EdgeClient,
+        connections: &mut Connections,
+        failed: u64,
+    ) -> std::io::Result<()> {
+        self.tracer.emit(Severity::Warn, "client.failure", || {
+            vec![
+                ("user", u(self.id)),
+                ("mode", s("live")),
+                ("node", u(failed)),
+            ]
+        });
+        connections.remove(&failed);
+        let takeover = Request::UnexpectedJoin { user: self.id };
+        let decision = core.on_node_failure(self.now_sim(), |backup| {
+            let id = backup.as_u64();
+            let alive = matches!(self.exchange(connections, id, &takeover), Ok(Response::Ack));
+            if !alive {
+                connections.remove(&id);
+            }
+            alive
+        });
+        match decision {
+            FailoverDecision::SwitchToBackup { target } => {
+                self.tracer.emit(Severity::Warn, "client.failover", || {
+                    vec![
+                        ("user", u(self.id)),
+                        ("action", s("backup")),
+                        ("from", u(failed)),
+                        ("target", u(target.as_u64())),
+                    ]
+                });
+                Ok(())
+            }
+            FailoverDecision::Rediscover => {
+                self.tracer.emit(Severity::Warn, "client.failover", || {
+                    vec![("user", u(self.id)), ("action", s("rediscover"))]
+                });
+                Err(protocol_error("all backups failed simultaneously".into()))
+            }
+        }
+    }
+
     /// Walks the manager route order (home first) under per-manager
     /// circuit breakers. A success refreshes the candidate cache and
     /// ends any degraded episode; total failure leaves the cache for
@@ -617,48 +638,10 @@ impl LiveClient {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// The predictor's clock: wall microseconds since the client's
-    /// epoch, viewed as a simulated timestamp (the predictor itself is
-    /// clock-agnostic).
+    /// The core's clock: wall microseconds since the client's epoch,
+    /// viewed as a simulated timestamp (the core is clock-agnostic).
     fn now_sim(&self) -> SimTime {
         SimTime::from_micros(self.breaker_now_us())
-    }
-
-    /// Feeds one probe result into the predictor's RTT forecast, when
-    /// the predictive selector is active.
-    fn predictor_observe_probe(&self, result: &ProbeResult) {
-        if let Some(predictor) = &self.predictor {
-            let now = self.now_sim();
-            predictor
-                .lock()
-                .expect("predictor lock")
-                .observe_probe(result, now);
-        }
-    }
-
-    /// Records a failure signal against `node`, with the weight picked
-    /// from the predictor's own tuning (probe failure, Busy, crash).
-    fn predictor_observe_failure(&self, node: u64, weight: impl Fn(&PredictorParams) -> f64) {
-        if let Some(predictor) = &self.predictor {
-            let now = self.now_sim();
-            let mut sel = predictor.lock().expect("predictor lock");
-            let w = weight(sel.params());
-            sel.observe_failure(NodeId::new(node), w, now);
-        }
-    }
-
-    /// Ranks probe results under the configured selector: predicted
-    /// overhead (predictive mode) or this round's raw measurement.
-    fn rank_probes(&self, results: Vec<ProbeResult>) -> Vec<ProbeResult> {
-        match &self.predictor {
-            Some(predictor) => predictor.lock().expect("predictor lock").rank(
-                results,
-                self.config.policy,
-                self.config.qos,
-                self.now_sim(),
-            ),
-            None => rank_candidates(results, self.config.policy, self.config.qos),
-        }
     }
 
     /// Should discovery try this manager now? Traces the open →
@@ -718,107 +701,14 @@ impl LiveClient {
             ]
         });
     }
+}
 
-    /// Re-probes the open candidate connections and returns a strictly
-    /// better serving node, if one exists past the hysteresis margin.
-    fn find_better_candidate(
-        &self,
-        connections: &mut HashMap<u64, Candidate>,
-        serving: u64,
-        backups: &mut Vec<u64>,
-    ) -> Option<u64> {
-        // Concurrent re-probing, one scoped thread per open connection,
-        // mirroring the initial probe fan-out. Probing sequentially
-        // would stack the full read timeout of every dead candidate
-        // onto a single round, stalling frame streaming for its
-        // duration.
-        let mut entries: Vec<(u64, Candidate)> = connections.drain().collect();
-        entries.sort_by_key(|&(id, _)| id);
-        // Ids are recorded up front so a probe thread that dies still
-        // maps back to its candidate: one bad socket drops that
-        // candidate through the ordinary failure path instead of
-        // panicking the whole round (the join used to `.expect`).
-        let ids: Vec<u64> = entries.iter().map(|&(id, _)| id).collect();
-        let codec = self.wire.codec;
-        let probed: Vec<Option<(Candidate, Option<ProbeResult>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = entries
-                .into_iter()
-                .map(|(id, mut candidate)| {
-                    scope.spawn(move || {
-                        let result = reprobe_connection(id, &mut candidate.stream, codec);
-                        (candidate, result)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().ok()).collect()
-        });
-        let mut results = Vec::new();
-        for (id, slot) in ids.into_iter().zip(probed) {
-            match slot {
-                Some((candidate, Some(r))) => {
-                    self.predictor_observe_probe(&r);
-                    connections.insert(id, candidate);
-                    results.push(r);
-                }
-                // Dead connection (or a probe thread that died)
-                // discovered during probing: drop it so failover never
-                // tries it, and score the silence.
-                _ => {
-                    self.predictor_observe_failure(id, |p| p.probe_failure_weight);
-                    backups.retain(|&n| n != id);
-                }
-            }
-        }
-        let ranked = self.rank_probes(results);
-        let best = ranked.first()?;
-        if best.node.as_u64() == serving {
-            return None;
-        }
-        let current = ranked.iter().find(|r| r.node.as_u64() == serving)?;
-        let best_overhead = best.overhead(self.config.policy).as_millis_f64();
-        let current_overhead = current.overhead(self.config.policy).as_millis_f64();
-        let measured_stay = best_overhead > current_overhead * (1.0 - self.config.switch_margin);
-        // Predictive hysteresis: a switch must clear the margin on both
-        // the raw measurement and the predicted overhead, so a
-        // predicted-transient dip does not trigger a migration.
-        let predicted_stay = self.predictor.as_ref().is_some_and(|predictor| {
-            predictor.lock().expect("predictor lock").should_stay(
-                best,
-                current,
-                self.config.switch_margin,
-                self.config.policy,
-                self.now_sim(),
-            )
-        });
-        if measured_stay || predicted_stay {
-            if !measured_stay {
-                self.tracer.emit(Severity::Debug, "sel.predict", || {
-                    vec![
-                        ("user", u(self.id)),
-                        ("best", u(best.node.as_u64())),
-                        ("current", u(serving)),
-                        ("vetoed", u(1)),
-                    ]
-                });
-            }
-            return None;
-        }
-        // Synchronised join on the better node; a rejection simply means
-        // the state moved — stay put until the next round.
-        let target = best.node.as_u64();
-        let candidate = connections.get_mut(&target)?;
-        match rpc(
-            &mut candidate.stream,
-            self.wire.codec,
-            &Request::Join {
-                user: self.id,
-                seq: best.seq_num,
-            },
-        ) {
-            Ok(Response::JoinResult { accepted: true }) => Some(target),
-            _ => None,
-        }
-    }
+/// The node streaming this session, or the error that sends the
+/// attempt back to edge discovery.
+fn serving_node(core: &EdgeClient) -> std::io::Result<u64> {
+    core.current_node()
+        .map(NodeId::as_u64)
+        .ok_or_else(|| protocol_error("no node is serving: re-discover".into()))
 }
 
 /// Connects with `timeout` bounding both the TCP handshake and every
@@ -835,35 +725,28 @@ fn connect_with(addr: SocketAddr, timeout: Duration) -> std::io::Result<TcpStrea
     Ok(stream)
 }
 
-/// Probes one discovered candidate: connect, RTT probe, process probe.
-fn probe_candidate(id: u64, addr: &str, wire: WireConfig) -> Option<(ProbeResult, Candidate)> {
-    probe_candidate_with(id, addr, RPC_TIMEOUT, wire)
-}
-
-/// [`probe_candidate`] with an explicit timeout (tests shrink it).
+/// Probes one discovered candidate within `timeout` (tests shrink it):
+/// connect, RTT probe, process probe.
 fn probe_candidate_with(
     id: u64,
     addr: &str,
     timeout: Duration,
     wire: WireConfig,
-) -> Option<(ProbeResult, Candidate)> {
+) -> Option<(ProbeResult, TcpStream)> {
     let addr = addr.to_socket_addrs().ok()?.next()?;
-    let stream = connect_with(addr, timeout).ok()?;
-    let mut candidate = Candidate { stream };
+    let mut stream = connect_with(addr, timeout).ok()?;
     // UDP first: no handshake, no Nagle, so the measured RTT is the
     // network, not the transport. Half the budget bounds the attempt;
     // any failure (no responder, datagram loss, setsockopt) falls back
     // to in-stream TCP probes so old nodes and lossy paths still work.
-    let result = if wire.udp_probes {
-        probe_udp(id, addr, timeout / 2, wire.codec)
-    } else {
-        None
-    };
-    let result = match result {
+    let udp = wire
+        .udp_probes
+        .then(|| probe_udp(id, addr, timeout / 2, wire.codec));
+    let result = match udp.flatten() {
         Some(r) => r,
-        None => reprobe_connection(id, &mut candidate.stream, wire.codec)?,
+        None => reprobe_connection(id, &mut stream, wire.codec)?,
     };
-    Some((result, candidate))
+    Some((result, stream))
 }
 
 /// Issues the RTT + process probes as UDP datagrams against the node's
@@ -879,26 +762,8 @@ fn probe_udp(id: u64, addr: SocketAddr, timeout: Duration, codec: Codec) -> Opti
     send_request(&mut transport, codec, &Request::RttProbe).ok()?;
     let (pong, _) = recv_response(&mut transport).ok()?;
     let rtt = started.elapsed();
-    if pong != Response::RttPong {
-        return None;
-    }
     send_request(&mut transport, codec, &Request::ProcessProbe).ok()?;
-    match recv_response(&mut transport).ok()?.0 {
-        Response::ProbeReply {
-            whatif_us,
-            current_us,
-            attached,
-            seq,
-        } => Some(ProbeResult {
-            node: NodeId::new(id),
-            rtt: SimDuration::from_micros(rtt.as_micros() as u64),
-            whatif_proc: SimDuration::from_micros(whatif_us),
-            current_proc: SimDuration::from_micros(current_us),
-            attached_users: attached,
-            seq_num: seq,
-        }),
-        _ => None,
-    }
+    probe_result(id, rtt, pong, recv_response(&mut transport).ok()?.0)
 }
 
 /// Issues the RTT + process probes over an already-open connection
@@ -907,16 +772,27 @@ fn reprobe_connection(id: u64, stream: &mut TcpStream, codec: Codec) -> Option<P
     let started = Instant::now();
     let pong = rpc(stream, codec, &Request::RttProbe).ok()?;
     let rtt = started.elapsed();
-    if pong != Response::RttPong {
-        return None;
-    }
-    match rpc(stream, codec, &Request::ProcessProbe).ok()? {
-        Response::ProbeReply {
-            whatif_us,
-            current_us,
-            attached,
-            seq,
-        } => Some(ProbeResult {
+    probe_result(
+        id,
+        rtt,
+        pong,
+        rpc(stream, codec, &Request::ProcessProbe).ok()?,
+    )
+}
+
+/// Combines the two probe replies into the core's [`ProbeResult`];
+/// anything but a pong and a probe reply is a failed probe.
+fn probe_result(id: u64, rtt: Duration, pong: Response, reply: Response) -> Option<ProbeResult> {
+    match (pong, reply) {
+        (
+            Response::RttPong,
+            Response::ProbeReply {
+                whatif_us,
+                current_us,
+                attached,
+                seq,
+            },
+        ) => Some(ProbeResult {
             node: NodeId::new(id),
             rtt: SimDuration::from_micros(rtt.as_micros() as u64),
             whatif_proc: SimDuration::from_micros(whatif_us),
@@ -942,20 +818,12 @@ fn protocol_error(message: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, message)
 }
 
-fn pop_front<T>(v: &mut Vec<T>) -> Option<T> {
-    if v.is_empty() {
-        None
-    } else {
-        Some(v.remove(0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::manager::LiveManager;
     use crate::node::{LiveNode, NodeConfig};
-    use armada_types::{HardwareProfile, NodeClass};
+    use armada_types::{HardwareProfile, NodeClass, SelectorMode};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -1134,6 +1002,34 @@ mod tests {
         );
     }
 
+    /// Regression: the periodic discovery result used to be thrown away
+    /// and only first-round connections re-probed, so a session could
+    /// never migrate to a node that registered after it started — the
+    /// elasticity the paper's Figs. 5/6 are about.
+    #[test]
+    fn live_client_migrates_to_a_node_that_registers_mid_session() {
+        let (_mgr, mgr_addr) = LiveManager::bind().unwrap();
+        let (_n1, _) = LiveNode::bind(node_config(1, 4, 20.0, 15), Some(mgr_addr)).unwrap();
+        let (_n2, _) = LiveNode::bind(node_config(2, 4, 20.0, 25), Some(mgr_addr)).unwrap();
+        let config = ClientConfig::default()
+            .with_top_n(3)
+            .with_probing_period(SimDuration::from_millis(200));
+        let client = LiveClient::new(6, GeoPoint::new(44.98, -93.26), config);
+        let (report, _n3) = std::thread::scope(|scope| {
+            let session = scope.spawn(|| client.run_session(mgr_addr, 30));
+            // Well into the streaming phase (~100 ms a frame on node 1).
+            std::thread::sleep(Duration::from_millis(600));
+            let n3 = LiveNode::bind(node_config(3, 4, 5.0, 1), Some(mgr_addr)).unwrap();
+            (session.join().expect("session thread"), n3)
+        });
+        let report = report.unwrap();
+        assert_eq!(report.initial_node, 1, "the better of the two slow nodes");
+        assert_eq!(report.switches, 1, "one migration, to the late joiner");
+        assert_eq!(report.final_node, 3);
+        assert_eq!(report.failovers, 0);
+        assert_eq!(report.latencies.len(), 30);
+    }
+
     /// Regression: re-probing used to walk the open connections one by
     /// one, so each dead candidate stalled the round for a full read
     /// timeout before the next was even tried.
@@ -1145,19 +1041,20 @@ mod tests {
             .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
             .collect();
         let timeout = Duration::from_millis(300);
-        let mut connections = HashMap::new();
+        let mut connections = Connections::new();
+        let mut candidates = Vec::new();
         for (i, listener) in deads.iter().enumerate() {
             let stream = connect_with(listener.local_addr().unwrap(), timeout).unwrap();
-            connections.insert(10 + i as u64, Candidate { stream });
+            connections.insert(10 + i as u64, stream);
+            candidates.push((10 + i as u64, String::new()));
         }
-        let mut backups: Vec<u64> = vec![11, 12];
         let client = LiveClient::new(1, GeoPoint::new(44.98, -93.26), ClientConfig::default());
         let started = Instant::now();
-        let better = client.find_better_candidate(&mut connections, 10, &mut backups);
+        let mut core = client.core.lock().unwrap();
+        let replies = client.probe_round(&mut core, &mut connections, &candidates);
         let elapsed = started.elapsed();
-        assert_eq!(better, None);
+        assert!(replies.is_empty());
         assert!(connections.is_empty(), "dead connections must be dropped");
-        assert!(backups.is_empty(), "dead nodes must leave the backup list");
         // Sequentially the three read timeouts would stack (≥ 900 ms);
         // concurrently the round pays roughly one.
         assert!(

@@ -147,7 +147,8 @@ struct NodeState {
     whatif_us: AtomicU64,
     /// Most recent live-frame processing time, µs.
     current_us: AtomicU64,
-    /// A test workload is already queued/running (triggers coalesce).
+    /// A refresh thread is alive: sleeping out the post-join delay,
+    /// queued on the cores or running (further triggers coalesce).
     refresh_pending: AtomicBool,
     test_invocations: AtomicU64,
     frames_processed: AtomicU64,
@@ -618,14 +619,32 @@ fn execute_frame(state: &NodeState) -> Duration {
     started.elapsed()
 }
 
-/// Runs the synthetic test workload and refreshes the what-if cache.
-/// Concurrent triggers coalesce into one invocation.
-fn run_test_workload(state: Arc<NodeState>) {
+/// Schedules a what-if refresh `after` from now. The claim on
+/// `refresh_pending` is taken *before* spawning, so at most one refresh
+/// thread is alive per node: triggers that land while one is sleeping
+/// out its post-join delay, queued on the cores or running coalesce
+/// into it, and a join/leave storm costs one thread, not one per RPC.
+fn trigger_refresh(state: &Arc<NodeState>, after: Duration) {
     if state.refresh_pending.swap(true, Ordering::AcqRel) {
         return;
     }
+    let refresh_state = Arc::clone(state);
+    let spawned = std::thread::Builder::new().spawn(move || {
+        std::thread::sleep(after);
+        run_test_workload(&refresh_state);
+    });
+    if spawned.is_err() {
+        // Out of threads: skip this refresh rather than panic the
+        // handler, and release the claim so a later trigger can retry.
+        state.refresh_pending.store(false, Ordering::Release);
+    }
+}
+
+/// Runs the synthetic test workload and refreshes the what-if cache,
+/// then releases the claim [`trigger_refresh`] took.
+fn run_test_workload(state: &NodeState) {
     state.test_invocations.fetch_add(1, Ordering::Relaxed);
-    let elapsed = execute_frame(&state);
+    let elapsed = execute_frame(state);
     state
         .whatif_us
         .store(elapsed.as_micros() as u64, Ordering::Relaxed);
@@ -689,27 +708,20 @@ fn handle_request(request: Request, state: &Arc<NodeState>) -> Response {
             state.attached.lock().expect("not poisoned").insert(user);
             // Refresh the what-if after the new user's traffic starts
             // (the paper delays by ~2× the common RTT).
-            let refresh_state = Arc::clone(state);
-            let delay = state.cfg.one_way_delay * 4;
-            std::thread::spawn(move || {
-                std::thread::sleep(delay);
-                run_test_workload(refresh_state);
-            });
+            trigger_refresh(state, state.cfg.one_way_delay * 4);
             Response::JoinResult { accepted: true }
         }
         Request::UnexpectedJoin { user } => {
             *state.seq.lock().expect("not poisoned") += 1;
             state.attached.lock().expect("not poisoned").insert(user);
-            let refresh_state = Arc::clone(state);
-            std::thread::spawn(move || run_test_workload(refresh_state));
+            trigger_refresh(state, Duration::ZERO);
             Response::Ack
         }
         Request::Leave { user } => {
             let removed = state.attached.lock().expect("not poisoned").remove(&user);
             if removed {
                 *state.seq.lock().expect("not poisoned") += 1;
-                let refresh_state = Arc::clone(state);
-                std::thread::spawn(move || run_test_workload(refresh_state));
+                trigger_refresh(state, Duration::ZERO);
             }
             Response::Ack
         }
@@ -726,8 +738,7 @@ fn handle_request(request: Request, state: &Arc<NodeState>) -> Response {
                 let drift = (elapsed_us as f64 - whatif as f64).abs() / whatif as f64;
                 if drift > 0.25 {
                     *state.seq.lock().expect("not poisoned") += 1;
-                    let refresh_state = Arc::clone(state);
-                    std::thread::spawn(move || run_test_workload(refresh_state));
+                    trigger_refresh(state, Duration::ZERO);
                 }
             }
             Response::FrameResult {
@@ -881,6 +892,55 @@ mod tests {
         // the registration fresh.
         std::thread::sleep(window + Duration::from_millis(100));
         assert_eq!(mgr.alive_count(), 1, "node must have re-registered");
+    }
+
+    /// OS threads in this process, from `/proc/self/status`.
+    fn process_threads() -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+        line["Threads:".len()..].trim().parse().unwrap()
+    }
+
+    /// Regression: every `Join`, `UnexpectedJoin`, `Leave` and drifted
+    /// `Frame` used to spawn an OS thread and only coalesce inside it,
+    /// so a join/leave storm was a thread bomb outside the blocking
+    /// pool's accounting (here: a hundred threads asleep in their
+    /// post-join delay at once). Requests go straight to the handler;
+    /// the wire adds nothing to what is checked.
+    #[test]
+    fn a_join_leave_storm_costs_one_refresh_thread() {
+        let (node, _) = LiveNode::bind(config(1, 2, 5.0, 50), None).unwrap();
+        let state = &node.state;
+        // Every core permit held: a refresh that starts cannot finish.
+        let _cores: Vec<_> = (0..2).map(|_| state.execution.acquire()).collect();
+        let before = process_threads();
+        for user in 0..100u64 {
+            let seq = *state.seq.lock().unwrap();
+            assert_eq!(
+                handle_request(Request::Join { user, seq }, state),
+                Response::JoinResult { accepted: true }
+            );
+            assert_eq!(
+                handle_request(Request::Leave { user }, state),
+                Response::Ack
+            );
+        }
+        // Other tests of this binary run in parallel, so "flat" has to
+        // leave them room; the storm alone used to add a hundred.
+        let after = process_threads();
+        assert!(
+            after < before + 50,
+            "200 triggers grew the process from {before} to {after} threads"
+        );
+        // The one claimed refresh sleeps out the post-join delay, counts
+        // itself and queues on the held cores; nothing else ever starts.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while node.test_invocations() == 0 {
+            assert!(Instant::now() < deadline, "the claimed refresh never ran");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(node.test_invocations(), 1);
     }
 
     #[test]
