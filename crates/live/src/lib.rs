@@ -10,9 +10,10 @@
 //! and per-node artificial delays stand in for geographic distance when
 //! everything runs on localhost.
 //!
-//! The node really executes its workload (a core-bounded busy interval
-//! behind a semaphore sized to the hardware profile's core count), so
-//! probing observes genuine queueing and contention; clients probe
+//! The node is the simulator's `armada_node::EdgeNode` on a wall clock:
+//! frames share the hardware profile's cores in its processor-sharing
+//! ledger and complete on reactor timers, so probing observes genuine
+//! queueing and contention; clients probe
 //! candidates concurrently, rank them with the same `LO`/`GO` policies
 //! as the simulator (`armada-client` is shared code), hold warm backup
 //! connections, and fail over without re-discovery.

@@ -1,25 +1,37 @@
-//! The live edge-node server, served by the `armada-reactor` event
-//! loops instead of a thread per connection.
+//! The live edge-node server: a reactor **driver** around the sans-IO
+//! [`armada_node::EdgeNode`], the state machine the simulator runs.
+//!
+//! Everything the paper's node decides (Table I, Algorithm 1, the
+//! what-if cache and its triggers, processor-shared frame execution)
+//! lives in `armada-node`. This file moves bytes and time: it calls
+//! the core method a request names with `Instant` mapped to
+//! [`SimTime`] and interprets the [`NodeAction`]s that come back, as
+//! `armada-core`'s runner does in virtual time. No thread is parked or
+//! spawned per request: waits are reactor timers.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use armada_chaos::Backoff;
+use armada_node::{EdgeNode, NodeAction};
 use armada_reactor::{
-    AcceptFactory, Conn, ConnCtx, Handle, Reactor, ReactorConfig, Source, UdpHandler,
+    AcceptFactory, Conn, ConnCtx, ConnId, Handle, Reactor, ReactorConfig, Source, UdpHandler,
 };
 use armada_trace::{u, Severity, Tracer};
-use armada_types::{GeoPoint, HardwareProfile, NodeClass};
-use armada_workload::offered_load;
+use armada_types::{
+    GeoPoint, HardwareProfile, NodeClass, NodeId, SimDuration, SimTime, SystemConfig, UserId,
+};
+use armada_workload::Frame;
 
 use armada_wire::{
-    decode_request, decode_response, read_response, write_request, Request, Response, WireConfig,
-    WireNodeStatus,
+    decode_request, read_response, write_request, Codec, Request, Response, WireConfig,
 };
 
 use crate::manager::ServeFaults;
+
+mod heartbeat;
+use heartbeat::{status_of, HbConn, HbPhase};
 
 /// Default heartbeat period toward the manager.
 const HEARTBEAT_PERIOD: Duration = Duration::from_secs(2);
@@ -29,16 +41,19 @@ const HEARTBEAT_PERIOD: Duration = Duration::from_secs(2);
 /// forever.
 const HEARTBEAT_RPC_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Backoff between manager reconnect attempts after the heartbeat link
-/// drops. Without reconnection a single manager restart permanently
-/// orphans the node: its registration ages past the liveness window
-/// and discovery never offers it again.
-const HEARTBEAT_RECONNECT: Backoff = Backoff::from_millis(100, 2_000);
-
 /// Write budget on accepted client connections: a stalled/zero-window
 /// client must lose its connection, not pin a loop's write buffer
 /// forever. Reads stay unbounded — idle client connections are normal.
 const SERVE_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The kernel's default timer slack: the finest step a blocking wait
+/// resolves, and the step this node watches its ledger in. A reply due
+/// sooner than one step is waited for on the loop thread, re-reading
+/// the clock until the next multiple of the step, not until the exact
+/// microsecond: a short frame then takes a wall-clock time, as a timer
+/// wait would, where stopping at the microsecond makes it cost whatever
+/// speed the host's CPU happens to run at.
+const SPIN_BELOW: Duration = Duration::from_micros(50);
 
 /// Configuration of one live edge node.
 #[derive(Debug, Clone)]
@@ -47,8 +62,9 @@ pub struct NodeConfig {
     pub id: u64,
     /// Node class.
     pub class: NodeClass,
-    /// Hardware profile: the frame concurrency sizes the execution
-    /// semaphore, the base frame time is the per-frame busy interval.
+    /// Hardware profile: the frame concurrency is the number of cores
+    /// frames share, the base frame time is one frame's work on a core
+    /// of its own.
     pub hw: HardwareProfile,
     /// Advertised position.
     pub location: GeoPoint,
@@ -61,9 +77,7 @@ pub struct NodeConfig {
 ///
 /// The defaults reproduce the paper deployment's constants (2 s
 /// heartbeat period, 5 s heartbeat RPC budget); tests shrink them so
-/// heartbeat-driven transitions happen in milliseconds. The old 250 ms
-/// UDP poll tick has no replacement knob: the probe responder is
-/// driven by socket readiness now, so there is no tick left to tune.
+/// heartbeat-driven transitions happen in milliseconds.
 #[derive(Clone)]
 pub struct LiveNodeConfig {
     /// Heartbeat period toward the manager.
@@ -74,13 +88,12 @@ pub struct LiveNodeConfig {
     pub threads: usize,
     /// Optional fault injection on accepted connections.
     pub serve_faults: Option<ServeFaults>,
-    /// Worker-thread cap of the blocking pool serving heavy requests
-    /// (frames, delayed-geography requests).
-    pub pool_workers: usize,
-    /// Bound on queued heavy requests once every pool worker is busy:
-    /// past it the node answers `Busy` instead of queueing without
-    /// bound (`0` = unbounded, the pre-overload-control behaviour).
-    pub pool_queue_cap: usize,
+    /// Bound on requests admitted and not yet answered — executing or
+    /// inside a simulated-geography delay. At or above it a heavy
+    /// request (a frame, or anything on a node with a delay) is
+    /// answered `Busy` at once instead of being admitted (`0` =
+    /// unbounded).
+    pub max_in_flight: usize,
     /// `retry_after_ms` suggested in `Busy` responses.
     pub busy_retry_ms: u64,
 }
@@ -92,74 +105,276 @@ impl Default for LiveNodeConfig {
             heartbeat_rpc_timeout: HEARTBEAT_RPC_TIMEOUT,
             threads: 1,
             serve_faults: None,
-            pool_workers: 256,
-            pool_queue_cap: 0,
+            max_in_flight: 0,
             busy_retry_ms: 250,
         }
     }
 }
 
-/// A counting semaphore built on `Mutex` + `Condvar`: frames queue on
-/// the node's core permits so probing observes real contention.
-struct Semaphore {
-    permits: Mutex<u32>,
-    available: Condvar,
+/// Where a request's answer goes.
+enum ReplyTo {
+    Tcp(ConnId, Codec),
+    Udp(Arc<UdpSocket>, SocketAddr, Codec),
 }
 
-impl Semaphore {
-    fn new(permits: u32) -> Self {
-        Semaphore {
-            permits: Mutex::new(permits),
-            available: Condvar::new(),
-        }
-    }
+/// A response ready to leave the core.
+type Due = (ReplyTo, Response);
 
-    fn acquire(&self) -> SemaphoreGuard<'_> {
-        let mut permits = self.permits.lock().expect("not poisoned");
-        while *permits == 0 {
-            permits = self.available.wait(permits).expect("not poisoned");
-        }
-        *permits -= 1;
-        SemaphoreGuard { sem: self }
-    }
+/// What enters the core: a request (its inbound delay leg behind it),
+/// a what-if refresh come due, or the ledger wake-up armed for an epoch.
+enum Entry {
+    Request(Request, ReplyTo),
+    Refresh,
+    Wakeup(u64),
 }
 
-struct SemaphoreGuard<'a> {
-    sem: &'a Semaphore,
-}
-
-impl Drop for SemaphoreGuard<'_> {
-    fn drop(&mut self) {
-        let mut permits = self.sem.permits.lock().expect("not poisoned");
-        *permits += 1;
-        self.sem.available.notify_one();
-    }
+/// The protocol core plus what the driver must remember about it.
+struct Core {
+    node: EdgeNode,
+    /// Frames inside the ledger and who sent each: `(user, seq)`, the
+    /// key [`NodeAction::Respond`] names a completion by.
+    waiting: Vec<(u64, u64, ReplyTo)>,
+    /// The ledger epoch a wake-up timer is pending for, so a burst of
+    /// requests against one state arms one timer, not one each.
+    armed: Option<u64>,
 }
 
 struct NodeState {
     cfg: NodeConfig,
-    /// `cores` permits: frames queue here, so probing observes real
-    /// contention.
-    execution: Semaphore,
-    seq: Mutex<u64>,
-    attached: Mutex<std::collections::HashSet<u64>>,
-    /// Cached what-if measurement, µs (0 = not yet measured).
-    whatif_us: AtomicU64,
-    /// Most recent live-frame processing time, µs.
-    current_us: AtomicU64,
-    /// A refresh thread is alive: sleeping out the post-join delay,
-    /// queued on the cores or running (further triggers coalesce).
-    refresh_pending: AtomicBool,
-    test_invocations: AtomicU64,
-    frames_processed: AtomicU64,
-    /// Heavy requests refused with `Busy` because the blocking pool
-    /// was saturated.
+    core: Mutex<Core>,
+    /// The wall instant of the core's `SimTime::ZERO`.
+    epoch: Instant,
+    /// Requests admitted and not yet answered.
+    in_flight: AtomicUsize,
+    max_in_flight: usize,
+    /// Heavy requests refused with `Busy` at the in-flight bound.
     sheds: AtomicU64,
     /// `retry_after_ms` suggested in `Busy` responses.
     busy_retry_ms: u64,
     tracer: Tracer,
     /// Outbound codec for the manager link (inbound auto-detects).
     wire: WireConfig,
+}
+
+impl NodeState {
+    /// The core's clock: wall microseconds since the node's epoch,
+    /// floored — so the core never sees an instant before it happens.
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
+    }
+
+    fn core(&self) -> std::sync::MutexGuard<'_, Core> {
+        self.core.lock().expect("no panic while the core is held")
+    }
+
+    /// Emits `kind` with this node's id and `fields`.
+    fn trace(&self, severity: Severity, kind: &str, fields: &[(&'static str, u64)]) {
+        self.tracer.emit(severity, kind, || {
+            let node = [("node", self.cfg.id)];
+            let all = node.iter().chain(fields);
+            all.map(|&(key, value)| (key, u(value))).collect()
+        });
+    }
+
+    /// Every entry into the core: one [`EdgeNode`] method is called at
+    /// a fresh clock reading, its effects are interpreted, the next
+    /// completion is settled, and whatever became answerable is
+    /// returned.
+    fn drive(self: &Arc<Self>, handle: &Handle, entry: Entry) -> Vec<Due> {
+        let mut guard = self.core();
+        let core = &mut *guard;
+        let mut due = Vec::new();
+        let now = self.now();
+        let mut actions = match entry {
+            Entry::Request(request, from) => self.apply(core, request, from, now, &mut due),
+            Entry::Refresh => core.node.invoke_test_workload(now),
+            Entry::Wakeup(epoch) => {
+                // The core drops a stale epoch: whatever changed the
+                // ledger armed a timer of its own. A current one that
+                // finds nothing due is re-armed below.
+                if core.armed == Some(epoch) {
+                    core.armed = None;
+                }
+                core.node.on_wakeup(epoch, now)
+            }
+        };
+        loop {
+            let mut more = Vec::new();
+            for action in actions {
+                match action {
+                    NodeAction::Respond(done) => {
+                        let key = (done.user.as_u64(), done.seq);
+                        if let Some(at) = core.waiting.iter().position(|w| (w.0, w.1) == key) {
+                            // Frames are created at admission, so this
+                            // is the ledger's `completed_at − admitted`.
+                            let processing = done.completed_at.saturating_since(done.created_at);
+                            let processing_us = processing.as_micros();
+                            let response = Response::FrameResult {
+                                seq: done.seq,
+                                processing_us,
+                            };
+                            due.push((core.waiting.remove(at).2, response));
+                        }
+                    }
+                    NodeAction::InvokeTestWorkload { after } => {
+                        let after_us = after.as_micros();
+                        let fields = [("after_us", after_us)];
+                        self.trace(Severity::Debug, "node.whatif.refresh", &fields);
+                        if after_us == 0 {
+                            more.extend(core.node.invoke_test_workload(self.now()));
+                        } else {
+                            let state = Arc::clone(self);
+                            let after = Duration::from_micros(after_us);
+                            handle.timer_after(after, move |h| state.wake(h, Entry::Refresh));
+                        }
+                    }
+                }
+            }
+            actions = more;
+            if !actions.is_empty() {
+                continue;
+            }
+            // The ledger's next completion is never answered early and
+            // at most one reactor tick late: a reply due within
+            // SPIN_BELOW is waited for here, anything later — or that
+            // nobody is waiting for, a what-if refresh — arms a timer.
+            let now = self.now();
+            let Some((epoch, at)) = core.node.next_wakeup(now) else {
+                return due;
+            };
+            let wait = Duration::from_micros(at.saturating_since(now).as_micros());
+            if wait >= SPIN_BELOW || core.waiting.is_empty() {
+                if core.armed != Some(epoch) {
+                    core.armed = Some(epoch);
+                    let state = Arc::clone(self);
+                    handle.timer_after(wait, move |h| state.wake(h, Entry::Wakeup(epoch)));
+                }
+                return due;
+            }
+            // Back-to-back frames lock onto these boundaries and take
+            // one step each, whatever the host's speed.
+            let step = SPIN_BELOW.as_micros() as u64;
+            let boundary = SimTime::from_micros(at.as_micros().div_ceil(step) * step);
+            while self.now() < boundary {
+                std::hint::spin_loop();
+            }
+            actions = core.node.on_wakeup(epoch, self.now());
+        }
+    }
+
+    /// [`NodeState::drive`] from a reactor timer: no connection to
+    /// answer inline, so everything due takes the reply path.
+    fn wake(self: &Arc<Self>, handle: &Handle, entry: Entry) {
+        for (to, response) in self.drive(handle, entry) {
+            self.answer(handle, to, response);
+        }
+    }
+
+    /// One request, routed to the core method of the same name.
+    fn apply(
+        &self,
+        core: &mut Core,
+        request: Request,
+        from: ReplyTo,
+        now: SimTime,
+        due: &mut Vec<Due>,
+    ) -> Vec<NodeAction> {
+        let member = |kind: &str, user: u64, node: &EdgeNode| {
+            let fields = [("user", user), ("seq", node.seq_num())];
+            self.trace(Severity::Info, kind, &fields);
+        };
+        let (response, actions) = match request {
+            Request::RttProbe => (Response::RttPong, Vec::new()),
+            Request::ProcessProbe => {
+                let (reply, actions) = core.node.process_probe(now);
+                let response = Response::ProbeReply {
+                    whatif_us: reply.whatif_proc.as_micros(),
+                    current_us: reply.current_proc.as_micros(),
+                    attached: reply.attached_users,
+                    seq: reply.seq_num,
+                };
+                (response, actions)
+            }
+            Request::Join { user, seq } => {
+                let (result, actions) = core.node.join(UserId::new(user), seq, now);
+                let accepted = result.is_ok();
+                let kind = if accepted {
+                    "node.join"
+                } else {
+                    "node.join.rejected"
+                };
+                member(kind, user, &core.node);
+                (Response::JoinResult { accepted }, actions)
+            }
+            Request::UnexpectedJoin { user } => {
+                let actions = core.node.unexpected_join(UserId::new(user), now);
+                member("node.unexpected_join", user, &core.node);
+                (Response::Ack, actions)
+            }
+            Request::Leave { user } => {
+                let attached = core.node.is_attached(UserId::new(user));
+                let actions = core.node.leave(UserId::new(user), now);
+                if attached {
+                    member("node.detach", user, &core.node);
+                }
+                (Response::Ack, actions)
+            }
+            Request::Frame { user, seq, .. } => {
+                // Answered by the `Respond` its completion produces.
+                core.waiting.push((user, seq, from));
+                let frame = Frame::live(UserId::new(user), seq, now);
+                return core.node.offload(frame, now);
+            }
+            other => {
+                let message = format!("node cannot serve {other:?}");
+                (Response::Error { message }, Vec::new())
+            }
+        };
+        due.push((from, response));
+        actions
+    }
+
+    /// Takes a request in: counted in flight, then through the inbound
+    /// leg of the artificial geographic delay (if any) into the core.
+    /// Returns what can be answered at once.
+    fn admit(self: &Arc<Self>, handle: &Handle, request: Request, from: ReplyTo) -> Vec<Due> {
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        let entry = Entry::Request(request, from);
+        let delay = self.cfg.one_way_delay;
+        if delay.is_zero() {
+            return self.drive(handle, entry);
+        }
+        let state = Arc::clone(self);
+        handle.timer_after(delay, move |h| state.wake(h, entry));
+        Vec::new()
+    }
+
+    /// Sends a response on its way: the outbound leg of the artificial
+    /// geographic delay, then the wire.
+    fn answer(self: &Arc<Self>, handle: &Handle, to: ReplyTo, response: Response) {
+        let delay = self.cfg.one_way_delay;
+        if delay.is_zero() {
+            self.transmit(handle, to, &response);
+        } else {
+            let state = Arc::clone(self);
+            handle.timer_after(delay, move |h| state.transmit(h, to, &response));
+        }
+    }
+
+    fn transmit(&self, handle: &Handle, to: ReplyTo, response: &Response) {
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        match to {
+            ReplyTo::Tcp(id, codec) => {
+                handle.send(id, codec.encode_response(response));
+                // The connection stopped reading when this request was
+                // admitted; its next one may be dispatched now.
+                handle.resume(id);
+            }
+            ReplyTo::Udp(socket, peer, codec) => {
+                let _ = socket.send_to(&codec.encode_response(response), peer);
+            }
+        }
+    }
 }
 
 /// A running live edge node.
@@ -189,7 +404,8 @@ impl LiveNode {
     }
 
     /// [`LiveNode::bind`] with a structured-event tracer attached;
-    /// what-if cache refreshes are emitted with wall-clock timestamps.
+    /// joins, leaves and what-if refreshes are emitted with wall-clock
+    /// timestamps.
     ///
     /// # Errors
     ///
@@ -217,15 +433,27 @@ impl LiveNode {
     ) -> std::io::Result<(LiveNode, SocketAddr)> {
         let (listener, udp) = bind_paired()?;
         let addr = listener.local_addr()?;
+        // The paper refreshes the what-if ~2× the common RTT after a
+        // join, so the new user's traffic is already flowing.
+        let join_refresh_delay =
+            SimDuration::from_micros((cfg.one_way_delay * 4).as_micros() as u64);
+        let node = EdgeNode::new(
+            NodeId::new(cfg.id),
+            cfg.class,
+            cfg.hw.clone(),
+            cfg.location,
+            join_refresh_delay,
+            SystemConfig::default().perf_drift_threshold,
+        );
         let state = Arc::new(NodeState {
-            execution: Semaphore::new(cfg.hw.concurrency()),
-            seq: Mutex::new(0),
-            attached: Mutex::new(Default::default()),
-            whatif_us: AtomicU64::new(0),
-            current_us: AtomicU64::new(0),
-            refresh_pending: AtomicBool::new(false),
-            test_invocations: AtomicU64::new(0),
-            frames_processed: AtomicU64::new(0),
+            core: Mutex::new(Core {
+                node,
+                waiting: Vec::new(),
+                armed: None,
+            }),
+            epoch: Instant::now(),
+            in_flight: AtomicUsize::new(0),
+            max_in_flight: live.max_in_flight,
             sheds: AtomicU64::new(0),
             busy_retry_ms: live.busy_retry_ms,
             tracer,
@@ -235,8 +463,6 @@ impl LiveNode {
         let reactor = Reactor::new(ReactorConfig {
             threads: live.threads.max(1),
             write_stall_timeout: SERVE_WRITE_TIMEOUT,
-            pool_max: live.pool_workers.max(1),
-            pool_queue_cap: live.pool_queue_cap,
             ..ReactorConfig::default()
         })?;
         let handle = reactor.handle();
@@ -256,12 +482,19 @@ impl LiveNode {
         });
         handle.add_listener(listener, factory)?;
 
-        // The probe responder is purely readiness-driven: a datagram
-        // wakes the loop, zero-delay probes answer inline, simulated
-        // geography offloads its sleeps to the pool. No poll tick.
+        // A datagram wakes the loop and is served like any request, in
+        // its arrival codec and through the same two delay legs — so a
+        // UDP RTT measures the same simulated geography. Corrupt ones
+        // are dropped and none is refused: probes are best-effort and
+        // there is no connection to push back on.
         let udp_state = Arc::clone(&state);
         let udp_handler: UdpHandler = Box::new(move |datagram, peer, socket, handle| {
-            serve_datagram(datagram, peer, socket, handle, &udp_state);
+            if let Ok((request, codec)) = decode_request(datagram) {
+                let from = ReplyTo::Udp(Arc::clone(socket), peer, codec);
+                for (to, response) in udp_state.admit(handle, request, from) {
+                    udp_state.answer(handle, to, response);
+                }
+            }
         });
         handle.add_udp(udp, udp_handler)?;
 
@@ -304,23 +537,23 @@ impl LiveNode {
 
     /// Number of test-workload invocations so far.
     pub fn test_invocations(&self) -> u64 {
-        self.state.test_invocations.load(Ordering::Relaxed)
+        self.state.core().node.stats().test_invocations
     }
 
     /// Number of live frames fully processed.
     pub fn frames_processed(&self) -> u64 {
-        self.state.frames_processed.load(Ordering::Relaxed)
+        self.state.core().node.stats().frames_processed
     }
 
-    /// Heavy requests refused with `Busy` because the blocking pool
-    /// was saturated.
+    /// Heavy requests refused with `Busy` because the node was at its
+    /// in-flight bound.
     pub fn busy_count(&self) -> u64 {
         self.state.sheds.load(Ordering::Relaxed)
     }
 
     /// Currently attached users.
     pub fn attached_count(&self) -> usize {
-        self.state.attached.lock().expect("not poisoned").len()
+        self.state.core().node.attached_count()
     }
 
     /// Abruptly terminates the node: the event loops stop, severing the
@@ -331,12 +564,12 @@ impl LiveNode {
     }
 }
 
-/// One accepted connection's protocol state. Cheap requests (probes,
-/// joins, leaves on a zero-delay node) are answered inline on the loop
-/// thread; frames — which hold a core for the base frame time — and
-/// any request on a node with simulated geographic delay offload to
-/// the blocking pool, with reads paused so per-connection request
-/// order is preserved.
+/// One accepted connection. A request on a zero-delay node is handed
+/// to the core on the loop thread and, unless it is a frame whose
+/// completion lies a timer away, answered before `on_frame` returns. A
+/// frame that has to wait and every request on a node with simulated
+/// geography stop the connection's reads until the reply leaves, so
+/// per-connection request order is preserved.
 struct NodeConn {
     state: Arc<NodeState>,
 }
@@ -349,43 +582,35 @@ impl Conn for NodeConn {
             ctx.close();
             return;
         };
-        let delay = self.state.cfg.one_way_delay;
-        let heavy = !delay.is_zero() || matches!(request, Request::Frame { .. });
-        if !heavy {
-            let response = handle_request(request, &self.state);
-            ctx.send(codec.encode_response(&response));
+        let state = &self.state;
+        let heavy = !state.cfg.one_way_delay.is_zero() || matches!(request, Request::Frame { .. });
+        let bound = state.max_in_flight;
+        if heavy && bound > 0 && state.in_flight.load(Ordering::Relaxed) >= bound {
+            // Refuse instead of queueing without bound. No pause — the
+            // reply goes out now and the connection keeps reading, so
+            // a refusal can never hang the peer.
+            state.sheds.fetch_add(1, Ordering::Relaxed);
+            let retry_after_ms = state.busy_retry_ms;
+            let fields = [("retry_after_ms", retry_after_ms)];
+            state.trace(Severity::Debug, "node.shed", &fields);
+            ctx.send(codec.encode_response(&Response::Busy { retry_after_ms }));
             return;
         }
-        let state = Arc::clone(&self.state);
         let id = ctx.conn_id();
-        let handle = ctx.handle().clone();
-        let queued = ctx.handle().pool().try_spawn(move || {
-            // Inbound leg of the artificial geographic delay.
-            std::thread::sleep(delay);
-            let response = handle_request(request, &state);
-            // Outbound leg.
-            std::thread::sleep(delay);
-            handle.send(id, codec.encode_response(&response));
-            handle.resume(id);
-        });
-        if queued.is_ok() {
-            // Pause only once the job is accepted: the connection's
-            // later frames wait their turn, preserving per-connection
-            // request order through the offload.
+        let mut answered = false;
+        for (to, response) in state.admit(ctx.handle(), request, ReplyTo::Tcp(id, codec)) {
+            match to {
+                ReplyTo::Tcp(to, codec) if to == id => {
+                    state.in_flight.fetch_sub(1, Ordering::Relaxed);
+                    ctx.send(codec.encode_response(&response));
+                    answered = true;
+                }
+                // Another connection's frame completed meanwhile.
+                to => state.answer(ctx.handle(), to, response),
+            }
+        }
+        if !answered {
             ctx.pause();
-        } else {
-            // Pool saturated: refuse instead of queueing without bound.
-            // No pause — the reply goes out now and the connection
-            // keeps reading, so a refusal can never hang the peer.
-            self.state.sheds.fetch_add(1, Ordering::Relaxed);
-            let retry_after_ms = self.state.busy_retry_ms;
-            self.state.tracer.emit(Severity::Debug, "node.shed", || {
-                vec![
-                    ("node", u(self.state.cfg.id)),
-                    ("retry_after_ms", u(retry_after_ms)),
-                ]
-            });
-            ctx.send(codec.encode_response(&Response::Busy { retry_after_ms }));
         }
     }
 
@@ -401,262 +626,6 @@ impl Conn for NodeConn {
                 });
         }
     }
-}
-
-/// Serves one probe datagram: decoded, answered through
-/// [`handle_request`] in its arrival codec, and delayed by the same
-/// two [`NodeConfig::one_way_delay`] legs as the TCP path — so a UDP
-/// RTT measures the same simulated geography, minus the transport
-/// overhead. Zero-delay probes answer inline on the loop thread;
-/// delayed ones offload so a far node's sleep never queues behind
-/// another client's probe.
-fn serve_datagram(
-    datagram: &[u8],
-    peer: SocketAddr,
-    socket: &Arc<UdpSocket>,
-    handle: &Handle,
-    state: &Arc<NodeState>,
-) {
-    let Ok((request, codec)) = decode_request(datagram) else {
-        return; // corrupt datagram: probes are best-effort
-    };
-    let delay = state.cfg.one_way_delay;
-    if delay.is_zero() && !matches!(request, Request::Frame { .. }) {
-        let response = handle_request(request, state);
-        let _ = socket.send_to(&codec.encode_response(&response), peer);
-        return;
-    }
-    let state = Arc::clone(state);
-    let socket = Arc::clone(socket);
-    handle.pool().spawn(move || {
-        std::thread::sleep(delay);
-        let response = handle_request(request, &state);
-        std::thread::sleep(delay);
-        let _ = socket.send_to(&codec.encode_response(&response), peer);
-    });
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum HbPhase {
-    /// Between heartbeats; the pending timer is the period.
-    Idle,
-    /// A heartbeat is in flight; the pending timer is the RPC budget.
-    AwaitingHeartbeat,
-    /// An in-place re-registration is in flight (the manager answered
-    /// a heartbeat with an error: restart, eviction).
-    AwaitingReregister,
-    /// A fresh-link registration is in flight (reconnect after loss).
-    AwaitingRegister,
-}
-
-/// Keeps the manager link alive for the node's lifetime: heartbeats
-/// every period off the timer wheel, re-registers in place when the
-/// manager answers with an error (a restarted manager has forgotten
-/// us), and redials under [`HEARTBEAT_RECONNECT`] backoff when the
-/// link dies outright. Reactor shutdown tears connections down without
-/// callbacks, so reconnection never fights a node shutdown.
-struct HbConn {
-    state: Arc<NodeState>,
-    manager: SocketAddr,
-    listen_addr: SocketAddr,
-    period: Duration,
-    rpc_timeout: Duration,
-    phase: HbPhase,
-    /// The link has served at least one successful registration; loss
-    /// of an established link traces `node.heartbeat.lost` (once per
-    /// outage, not once per failed redial).
-    established: bool,
-    /// Redial attempt index within the current outage.
-    attempt: u32,
-}
-
-impl HbConn {
-    fn register_body(&self) -> Vec<u8> {
-        self.state.wire.codec.encode_request(&Request::Register {
-            status: status_of(&self.state),
-            listen_addr: self.listen_addr.to_string(),
-        })
-    }
-
-    fn heartbeat_body(&self) -> Vec<u8> {
-        self.state.wire.codec.encode_request(&Request::Heartbeat {
-            status: status_of(&self.state),
-        })
-    }
-}
-
-impl Conn for HbConn {
-    fn on_connected(&mut self, ctx: &mut ConnCtx) {
-        if self.established {
-            // The adopted initial link is already registered: first
-            // heartbeat one period from now.
-            ctx.set_timer(self.period);
-        } else {
-            // A redialed link registers before anything else.
-            ctx.send(self.register_body());
-            self.phase = HbPhase::AwaitingRegister;
-            ctx.set_timer(self.rpc_timeout);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut ConnCtx) {
-        match self.phase {
-            HbPhase::Idle => {
-                ctx.send(self.heartbeat_body());
-                self.phase = HbPhase::AwaitingHeartbeat;
-                ctx.set_timer(self.rpc_timeout);
-            }
-            // An RPC blew its budget: a silently partitioned manager
-            // must fail the heartbeat rather than hang it forever.
-            _ => ctx.close(),
-        }
-    }
-
-    fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut ConnCtx) {
-        let Ok((response, _)) = decode_response(&frame) else {
-            ctx.close();
-            return;
-        };
-        match self.phase {
-            HbPhase::AwaitingHeartbeat => {
-                if matches!(response, Response::Error { .. }) {
-                    // The manager is up but no longer knows this node
-                    // (restart, eviction): re-register on the same
-                    // link.
-                    self.state
-                        .tracer
-                        .emit(Severity::Warn, "node.heartbeat.reregister", || {
-                            vec![("node", u(self.state.cfg.id))]
-                        });
-                    ctx.send(self.register_body());
-                    self.phase = HbPhase::AwaitingReregister;
-                    ctx.set_timer(self.rpc_timeout);
-                } else {
-                    self.phase = HbPhase::Idle;
-                    ctx.set_timer(self.period);
-                }
-            }
-            // The in-place re-registration outcome is not inspected
-            // (matching the original loop): the next heartbeat probes
-            // the result either way.
-            HbPhase::AwaitingReregister => {
-                self.phase = HbPhase::Idle;
-                ctx.set_timer(self.period);
-            }
-            HbPhase::AwaitingRegister => {
-                self.state
-                    .tracer
-                    .emit(Severity::Info, "node.heartbeat.reconnected", || {
-                        vec![
-                            ("node", u(self.state.cfg.id)),
-                            ("attempts", u(u64::from(self.attempt) + 1)),
-                        ]
-                    });
-                self.established = true;
-                self.attempt = 0;
-                self.phase = HbPhase::Idle;
-                ctx.set_timer(self.period);
-            }
-            HbPhase::Idle => {} // stray frame: ignore
-        }
-    }
-
-    fn on_close(&mut self, _err: Option<&std::io::Error>, handle: &Handle) {
-        if handle.is_shutdown() {
-            return;
-        }
-        let attempt = if self.established {
-            self.state
-                .tracer
-                .emit(Severity::Warn, "node.heartbeat.lost", || {
-                    vec![("node", u(self.state.cfg.id))]
-                });
-            0
-        } else {
-            self.attempt.saturating_add(1)
-        };
-        // Redial under capped jittered backoff until the manager
-        // answers a fresh registration.
-        let delay = HEARTBEAT_RECONNECT.delay(attempt, self.state.cfg.id);
-        let next = HbConn {
-            state: Arc::clone(&self.state),
-            manager: self.manager,
-            listen_addr: self.listen_addr,
-            period: self.period,
-            rpc_timeout: self.rpc_timeout,
-            phase: HbPhase::Idle,
-            established: false,
-            attempt,
-        };
-        let manager = self.manager;
-        let rpc_timeout = self.rpc_timeout;
-        handle.timer_after(delay, move |h| {
-            h.connect(manager, rpc_timeout, Box::new(next));
-        });
-    }
-}
-
-fn status_of(state: &NodeState) -> WireNodeStatus {
-    let attached = state.attached.lock().expect("not poisoned").len();
-    WireNodeStatus {
-        id: state.cfg.id,
-        class: state.cfg.class,
-        location: state.cfg.location,
-        attached_users: attached,
-        load_score: offered_load(&state.cfg.hw, attached, 20.0),
-    }
-}
-
-/// Executes one frame's worth of work: queue on the core semaphore,
-/// then hold a core for the base frame time. Returns total elapsed
-/// (queueing + execution).
-fn execute_frame(state: &NodeState) -> Duration {
-    let started = Instant::now();
-    let _permit = state.execution.acquire();
-    std::thread::sleep(Duration::from_micros(
-        state.cfg.hw.base_frame_time().as_micros(),
-    ));
-    started.elapsed()
-}
-
-/// Schedules a what-if refresh `after` from now. The claim on
-/// `refresh_pending` is taken *before* spawning, so at most one refresh
-/// thread is alive per node: triggers that land while one is sleeping
-/// out its post-join delay, queued on the cores or running coalesce
-/// into it, and a join/leave storm costs one thread, not one per RPC.
-fn trigger_refresh(state: &Arc<NodeState>, after: Duration) {
-    if state.refresh_pending.swap(true, Ordering::AcqRel) {
-        return;
-    }
-    let refresh_state = Arc::clone(state);
-    let spawned = std::thread::Builder::new().spawn(move || {
-        std::thread::sleep(after);
-        run_test_workload(&refresh_state);
-    });
-    if spawned.is_err() {
-        // Out of threads: skip this refresh rather than panic the
-        // handler, and release the claim so a later trigger can retry.
-        state.refresh_pending.store(false, Ordering::Release);
-    }
-}
-
-/// Runs the synthetic test workload and refreshes the what-if cache,
-/// then releases the claim [`trigger_refresh`] took.
-fn run_test_workload(state: &NodeState) {
-    state.test_invocations.fetch_add(1, Ordering::Relaxed);
-    let elapsed = execute_frame(state);
-    state
-        .whatif_us
-        .store(elapsed.as_micros() as u64, Ordering::Relaxed);
-    state.refresh_pending.store(false, Ordering::Release);
-    state
-        .tracer
-        .emit(Severity::Debug, "node.whatif.refresh", || {
-            vec![
-                ("node", u(state.cfg.id)),
-                ("after_us", u(elapsed.as_micros() as u64)),
-            ]
-        });
 }
 
 /// Binds the TCP listener and a UDP socket on the *same* port, so one
@@ -679,82 +648,10 @@ fn bind_paired() -> std::io::Result<(TcpListener, UdpSocket)> {
     }))
 }
 
-fn handle_request(request: Request, state: &Arc<NodeState>) -> Response {
-    match request {
-        Request::RttProbe => Response::RttPong,
-        Request::ProcessProbe => {
-            let seq = *state.seq.lock().expect("not poisoned");
-            let attached = state.attached.lock().expect("not poisoned").len();
-            let base_us = state.cfg.hw.base_frame_time().as_micros();
-            let whatif = state.whatif_us.load(Ordering::Relaxed);
-            let current = state.current_us.load(Ordering::Relaxed);
-            Response::ProbeReply {
-                whatif_us: if whatif == 0 { base_us } else { whatif },
-                current_us: if current == 0 { base_us } else { current },
-                attached,
-                seq,
-            }
-        }
-        Request::Join {
-            user,
-            seq: presented,
-        } => {
-            let mut seq = state.seq.lock().expect("not poisoned");
-            if *seq != presented {
-                return Response::JoinResult { accepted: false };
-            }
-            *seq += 1;
-            drop(seq);
-            state.attached.lock().expect("not poisoned").insert(user);
-            // Refresh the what-if after the new user's traffic starts
-            // (the paper delays by ~2× the common RTT).
-            trigger_refresh(state, state.cfg.one_way_delay * 4);
-            Response::JoinResult { accepted: true }
-        }
-        Request::UnexpectedJoin { user } => {
-            *state.seq.lock().expect("not poisoned") += 1;
-            state.attached.lock().expect("not poisoned").insert(user);
-            trigger_refresh(state, Duration::ZERO);
-            Response::Ack
-        }
-        Request::Leave { user } => {
-            let removed = state.attached.lock().expect("not poisoned").remove(&user);
-            if removed {
-                *state.seq.lock().expect("not poisoned") += 1;
-                trigger_refresh(state, Duration::ZERO);
-            }
-            Response::Ack
-        }
-        Request::Frame { seq, .. } => {
-            let elapsed = execute_frame(state);
-            let elapsed_us = elapsed.as_micros() as u64;
-            state.current_us.store(elapsed_us, Ordering::Relaxed);
-            state.frames_processed.fetch_add(1, Ordering::Relaxed);
-            // The paper's third test-workload trigger: the performance
-            // monitor notices live processing drifting away from the
-            // cached what-if (e.g. competing host load) and refreshes it.
-            let whatif = state.whatif_us.load(Ordering::Relaxed);
-            if whatif > 0 {
-                let drift = (elapsed_us as f64 - whatif as f64).abs() / whatif as f64;
-                if drift > 0.25 {
-                    *state.seq.lock().expect("not poisoned") += 1;
-                    trigger_refresh(state, Duration::ZERO);
-                }
-            }
-            Response::FrameResult {
-                seq,
-                processing_us: elapsed_us,
-            }
-        }
-        other => Response::Error {
-            message: format!("node cannot serve {other:?}"),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use armada_wire::decode_response;
 
     fn config(id: u64, cores: u32, frame_ms: f64, delay_ms: u64) -> NodeConfig {
         NodeConfig {
@@ -892,55 +789,6 @@ mod tests {
         // the registration fresh.
         std::thread::sleep(window + Duration::from_millis(100));
         assert_eq!(mgr.alive_count(), 1, "node must have re-registered");
-    }
-
-    /// OS threads in this process, from `/proc/self/status`.
-    fn process_threads() -> usize {
-        let status = std::fs::read_to_string("/proc/self/status").unwrap();
-        let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
-        line["Threads:".len()..].trim().parse().unwrap()
-    }
-
-    /// Regression: every `Join`, `UnexpectedJoin`, `Leave` and drifted
-    /// `Frame` used to spawn an OS thread and only coalesce inside it,
-    /// so a join/leave storm was a thread bomb outside the blocking
-    /// pool's accounting (here: a hundred threads asleep in their
-    /// post-join delay at once). Requests go straight to the handler;
-    /// the wire adds nothing to what is checked.
-    #[test]
-    fn a_join_leave_storm_costs_one_refresh_thread() {
-        let (node, _) = LiveNode::bind(config(1, 2, 5.0, 50), None).unwrap();
-        let state = &node.state;
-        // Every core permit held: a refresh that starts cannot finish.
-        let _cores: Vec<_> = (0..2).map(|_| state.execution.acquire()).collect();
-        let before = process_threads();
-        for user in 0..100u64 {
-            let seq = *state.seq.lock().unwrap();
-            assert_eq!(
-                handle_request(Request::Join { user, seq }, state),
-                Response::JoinResult { accepted: true }
-            );
-            assert_eq!(
-                handle_request(Request::Leave { user }, state),
-                Response::Ack
-            );
-        }
-        // Other tests of this binary run in parallel, so "flat" has to
-        // leave them room; the storm alone used to add a hundred.
-        let after = process_threads();
-        assert!(
-            after < before + 50,
-            "200 triggers grew the process from {before} to {after} threads"
-        );
-        // The one claimed refresh sleeps out the post-join delay, counts
-        // itself and queues on the held cores; nothing else ever starts.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while node.test_invocations() == 0 {
-            assert!(Instant::now() < deadline, "the claimed refresh never ran");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        std::thread::sleep(Duration::from_millis(300));
-        assert_eq!(node.test_invocations(), 1);
     }
 
     #[test]

@@ -1,0 +1,181 @@
+//! The node's link to its manager: registration, heartbeats off the
+//! reactor's timer wheel, and reconnection.
+
+use std::net::SocketAddr;
+use std::sync::Arc;
+use std::time::Duration;
+
+use armada_chaos::Backoff;
+use armada_reactor::{Conn, ConnCtx, Handle};
+use armada_trace::Severity;
+use armada_wire::{decode_response, Request, Response, WireNodeStatus};
+
+use super::NodeState;
+
+/// Backoff between manager reconnect attempts after the heartbeat link
+/// drops. Without reconnection a single manager restart permanently
+/// orphans the node: its registration ages past the liveness window
+/// and discovery never offers it again.
+const HEARTBEAT_RECONNECT: Backoff = Backoff::from_millis(100, 2_000);
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum HbPhase {
+    /// Between heartbeats; the pending timer is the period.
+    Idle,
+    /// A heartbeat is in flight; the pending timer is the RPC budget.
+    AwaitingHeartbeat,
+    /// An in-place re-registration is in flight (the manager answered
+    /// a heartbeat with an error: restart, eviction).
+    AwaitingReregister,
+    /// A fresh-link registration is in flight (reconnect after loss).
+    AwaitingRegister,
+}
+
+/// Keeps the manager link alive for the node's lifetime: heartbeats
+/// every period off the timer wheel, re-registers in place when the
+/// manager answers with an error (a restarted manager has forgotten
+/// us), and redials under [`HEARTBEAT_RECONNECT`] backoff when the
+/// link dies outright. Reactor shutdown tears connections down without
+/// callbacks, so reconnection never fights a node shutdown.
+pub(super) struct HbConn {
+    pub(super) state: Arc<NodeState>,
+    pub(super) manager: SocketAddr,
+    pub(super) listen_addr: SocketAddr,
+    pub(super) period: Duration,
+    pub(super) rpc_timeout: Duration,
+    pub(super) phase: HbPhase,
+    /// The link has served at least one successful registration; loss
+    /// of an established link traces `node.heartbeat.lost` (once per
+    /// outage, not once per failed redial).
+    pub(super) established: bool,
+    /// Redial attempt index within the current outage.
+    pub(super) attempt: u32,
+}
+
+impl HbConn {
+    fn register_body(&self) -> Vec<u8> {
+        self.state.wire.codec.encode_request(&Request::Register {
+            status: status_of(&self.state),
+            listen_addr: self.listen_addr.to_string(),
+        })
+    }
+
+    fn heartbeat_body(&self) -> Vec<u8> {
+        self.state.wire.codec.encode_request(&Request::Heartbeat {
+            status: status_of(&self.state),
+        })
+    }
+}
+
+impl Conn for HbConn {
+    fn on_connected(&mut self, ctx: &mut ConnCtx) {
+        if self.established {
+            // The adopted initial link is already registered: first
+            // heartbeat one period from now.
+            ctx.set_timer(self.period);
+        } else {
+            // A redialed link registers before anything else.
+            ctx.send(self.register_body());
+            self.phase = HbPhase::AwaitingRegister;
+            ctx.set_timer(self.rpc_timeout);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut ConnCtx) {
+        match self.phase {
+            HbPhase::Idle => {
+                ctx.send(self.heartbeat_body());
+                self.phase = HbPhase::AwaitingHeartbeat;
+                ctx.set_timer(self.rpc_timeout);
+            }
+            // An RPC blew its budget: a silently partitioned manager
+            // must fail the heartbeat rather than hang it forever.
+            _ => ctx.close(),
+        }
+    }
+
+    fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut ConnCtx) {
+        let Ok((response, _)) = decode_response(&frame) else {
+            ctx.close();
+            return;
+        };
+        match self.phase {
+            HbPhase::AwaitingHeartbeat => {
+                if matches!(response, Response::Error { .. }) {
+                    // The manager is up but no longer knows this node
+                    // (restart, eviction): re-register on the same
+                    // link.
+                    self.state
+                        .trace(Severity::Warn, "node.heartbeat.reregister", &[]);
+                    ctx.send(self.register_body());
+                    self.phase = HbPhase::AwaitingReregister;
+                    ctx.set_timer(self.rpc_timeout);
+                } else {
+                    self.phase = HbPhase::Idle;
+                    ctx.set_timer(self.period);
+                }
+            }
+            // The in-place re-registration outcome is not inspected
+            // (matching the original loop): the next heartbeat probes
+            // the result either way.
+            HbPhase::AwaitingReregister => {
+                self.phase = HbPhase::Idle;
+                ctx.set_timer(self.period);
+            }
+            HbPhase::AwaitingRegister => {
+                let attempts = u64::from(self.attempt) + 1;
+                self.state.trace(
+                    Severity::Info,
+                    "node.heartbeat.reconnected",
+                    &[("attempts", attempts)],
+                );
+                self.established = true;
+                self.attempt = 0;
+                self.phase = HbPhase::Idle;
+                ctx.set_timer(self.period);
+            }
+            HbPhase::Idle => {} // stray frame: ignore
+        }
+    }
+
+    fn on_close(&mut self, _err: Option<&std::io::Error>, handle: &Handle) {
+        if handle.is_shutdown() {
+            return;
+        }
+        let attempt = if self.established {
+            self.state.trace(Severity::Warn, "node.heartbeat.lost", &[]);
+            0
+        } else {
+            self.attempt.saturating_add(1)
+        };
+        // Redial under capped jittered backoff until the manager
+        // answers a fresh registration.
+        let delay = HEARTBEAT_RECONNECT.delay(attempt, self.state.cfg.id);
+        let next = HbConn {
+            state: Arc::clone(&self.state),
+            manager: self.manager,
+            listen_addr: self.listen_addr,
+            period: self.period,
+            rpc_timeout: self.rpc_timeout,
+            phase: HbPhase::Idle,
+            established: false,
+            attempt,
+        };
+        let manager = self.manager;
+        let rpc_timeout = self.rpc_timeout;
+        handle.timer_after(delay, move |h| {
+            h.connect(manager, rpc_timeout, Box::new(next));
+        });
+    }
+}
+
+pub(super) fn status_of(state: &NodeState) -> WireNodeStatus {
+    let status = state.core().node.status();
+    WireNodeStatus {
+        id: state.cfg.id,
+        class: status.class,
+        location: status.location,
+        attached_users: status.attached_users,
+        load_score: status.load_score,
+    }
+}

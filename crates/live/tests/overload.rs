@@ -116,8 +116,7 @@ fn manager_sheds_queries_but_serves_liveness_traffic() {
 #[test]
 fn node_pool_saturation_refuses_with_busy_instead_of_hanging() {
     let live = LiveNodeConfig {
-        pool_workers: 1,
-        pool_queue_cap: 1,
+        max_in_flight: 2,
         busy_retry_ms: 99,
         ..LiveNodeConfig::default()
     };
@@ -221,8 +220,7 @@ fn client_backs_off_on_busy_and_fails_over_to_the_peer_shard() {
 #[test]
 fn read_gating_preserves_request_order_at_the_pool_bound() {
     let live = LiveNodeConfig {
-        pool_workers: 1,
-        pool_queue_cap: 1,
+        max_in_flight: 2,
         ..LiveNodeConfig::default()
     };
     let (_node, addr) =

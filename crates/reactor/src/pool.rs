@@ -264,9 +264,12 @@ mod tests {
     /// Blocks `n` workers of `pool` on a gate; returns the gate opener.
     fn saturate(pool: &BlockingPool, n: usize) -> Arc<(Mutex<bool>, Condvar)> {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let (started, running) = std::sync::mpsc::channel();
         for _ in 0..n {
             let gate = Arc::clone(&gate);
+            let started = started.clone();
             pool.spawn(move || {
+                started.send(()).unwrap();
                 let (open, cv) = &*gate;
                 let mut open = open.lock().unwrap();
                 while !*open {
@@ -274,11 +277,14 @@ mod tests {
                 }
             });
         }
-        // Wait until the workers actually hold the jobs, so the queue
-        // is observably empty-but-busy.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while pool.workers() < n && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
+        // Wait until each gate job is running, so the queue is
+        // observably empty-but-busy. `pool.workers()` cannot tell: it
+        // counts a worker from the decision to spawn it, while its job
+        // still sits in the queue and counts against the bound.
+        for _ in 0..n {
+            running
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a gate job starts");
         }
         gate
     }

@@ -46,8 +46,12 @@ fn token(kind: u64, key: Key) -> u64 {
     (kind << KIND_SHIFT) | key.to_bits()
 }
 
+/// A period in whole wheel ticks, rounded up: a timer may fire late
+/// by less than a tick, never early.
 fn ticks(d: Duration) -> u64 {
-    u64::try_from(d.as_millis()).unwrap_or(u64::MAX).max(1)
+    u64::try_from(d.as_nanos().div_ceil(1_000_000))
+        .unwrap_or(u64::MAX)
+        .max(1)
 }
 
 /// A byte source the reactor can drive: non-blocking reads/writes plus
@@ -710,6 +714,15 @@ impl EventLoop {
         u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
+    /// The wheel tick at which a timer armed now for `after` is due:
+    /// the first tick boundary at or past the real instant. The clock
+    /// the wheel advances by ([`EventLoop::now_tick`]) is floored, so
+    /// flooring here as well would let any unrelated wake-up fire the
+    /// timer up to a tick (for fractional delays, almost two) early.
+    fn deadline(&self, after: Duration) -> u64 {
+        ticks(self.epoch.elapsed().saturating_add(after))
+    }
+
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
         let mut fired: Vec<(u64, TimerTask)> = Vec::new();
@@ -807,13 +820,13 @@ impl EventLoop {
             Cmd::Resume(key) => self.resume(key),
             Cmd::Close(key) => self.request_close(key),
             Cmd::TimerOnce(delay, f) => {
-                let deadline = self.now_tick() + ticks(delay);
+                let deadline = self.deadline(delay);
                 self.wheel.insert(deadline, TimerTask::Once(f));
             }
             Cmd::TimerEvery(period, f) => {
-                let p = ticks(period);
-                let deadline = self.now_tick() + p;
-                self.wheel.insert(deadline, TimerTask::Every(p, f));
+                let deadline = self.deadline(period);
+                self.wheel
+                    .insert(deadline, TimerTask::Every(ticks(period), f));
             }
         }
     }
@@ -888,7 +901,7 @@ impl EventLoop {
             Err(e) => conn.on_close(Some(&e), &self.handle),
             Ok((fd, in_progress)) => {
                 if in_progress {
-                    let deadline = self.now_tick() + ticks(timeout);
+                    let deadline = self.deadline(timeout);
                     if let Some(key) = self.install_conn(ConnIo::Connecting(fd), conn) {
                         let tk = self.wheel.insert(deadline, TimerTask::ConnectTimeout(key));
                         if let Some(c) = self.conns.get_mut(key) {
@@ -930,7 +943,7 @@ impl EventLoop {
             match action {
                 CtxAction::Send(body) => self.queue_frame(key, body),
                 CtxAction::SetTimer(after) => {
-                    let deadline = self.now_tick() + ticks(after);
+                    let deadline = self.deadline(after);
                     if let Some(c) = self.conns.get_mut(key) {
                         if let Some(old) = c.timer.take() {
                             self.wheel.cancel(old);
@@ -976,7 +989,6 @@ impl EventLoop {
     }
 
     fn flush_conn(&mut self, key: Key) {
-        let now = self.now_tick();
         let (outcome, before, after) = {
             let Some(c) = self.conns.get_mut(key) else {
                 return;
@@ -1009,7 +1021,7 @@ impl EventLoop {
                 }
             }
             Ok(false) => {
-                let stall_at = now + ticks(self.stall_timeout);
+                let stall_at = self.deadline(self.stall_timeout);
                 if let Some(c) = self.conns.get_mut(key) {
                     if c.stall.is_none() {
                         c.stall = Some(self.wheel.insert(stall_at, TimerTask::WriteStall(key)));
@@ -1102,7 +1114,7 @@ impl EventLoop {
         if self.progress_timeout.is_zero() {
             return;
         }
-        let deadline = self.now_tick() + ticks(self.progress_timeout);
+        let deadline = self.deadline(self.progress_timeout);
         let Some(c) = self.conns.get_mut(key) else {
             return;
         };
@@ -1346,7 +1358,7 @@ impl EventLoop {
             let _ = self.poller.deregister(fd, token(KIND_LISTENER, key));
         }
         eprintln!("armada-reactor: accept paused on loop {}: {why}; retrying every {}ms until a connection closes", self.idx, ACCEPT_RETRY.as_millis());
-        let deadline = self.now_tick() + ticks(ACCEPT_RETRY);
+        let deadline = self.deadline(ACCEPT_RETRY);
         self.wheel.insert(deadline, TimerTask::AcceptRetry(key));
     }
 
@@ -1433,7 +1445,7 @@ impl EventLoop {
                 if stalled && paused {
                     // We gated reads ourselves (backpressure), so the
                     // stall is self-inflicted: re-arm, don't evict.
-                    let deadline = self.now_tick() + ticks(self.progress_timeout);
+                    let deadline = self.deadline(self.progress_timeout);
                     let timer = self.wheel.insert(deadline, TimerTask::ReadProgress(key));
                     if let Some(c) = self.conns.get_mut(key) {
                         c.progress = Some(timer);
@@ -1450,7 +1462,7 @@ impl EventLoop {
             }
             TimerTask::AcceptRetry(key) => {
                 if self.handle.inner.budgets.conns_full() {
-                    let deadline = self.now_tick() + ticks(ACCEPT_RETRY);
+                    let deadline = self.deadline(ACCEPT_RETRY);
                     self.wheel.insert(deadline, TimerTask::AcceptRetry(key));
                     return;
                 }
@@ -1473,7 +1485,7 @@ impl EventLoop {
                     eprintln!("armada-reactor: accept resumed on loop {}", self.idx);
                     self.accept_ready(key);
                 } else {
-                    let deadline = self.now_tick() + ticks(ACCEPT_RETRY);
+                    let deadline = self.deadline(ACCEPT_RETRY);
                     self.wheel.insert(deadline, TimerTask::AcceptRetry(key));
                 }
             }

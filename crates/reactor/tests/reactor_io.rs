@@ -8,7 +8,7 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use armada_chaos::{FaultyTransport, LinkFaults};
 use armada_reactor::{Conn, ConnCtx, FdIo, Handle, Reactor, ReactorConfig, Source};
@@ -392,5 +392,90 @@ fn handle_timers_fire_once_and_repeatedly() {
     for _ in 0..3 {
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), "tick");
     }
+    reactor.shutdown();
+}
+
+/// Arms its protocol timer on every frame and reports how long the
+/// timer really took.
+struct TimerProbe {
+    after: Duration,
+    armed: Option<Instant>,
+    waits: mpsc::Sender<Duration>,
+}
+
+impl Conn for TimerProbe {
+    fn on_frame(&mut self, _frame: Vec<u8>, ctx: &mut ConnCtx) {
+        self.armed = Some(Instant::now());
+        ctx.set_timer(self.after);
+    }
+
+    fn on_timer(&mut self, _ctx: &mut ConnCtx) {
+        let armed = self.armed.take().expect("armed by a frame");
+        self.waits.send(armed.elapsed()).unwrap();
+    }
+}
+
+/// A timer may fire late, never early. The wheel advances by a floored
+/// millisecond clock, so a floored deadline fired up to a tick before
+/// its real instant (a fractional delay almost two) whenever something
+/// else woke the loop in that window; an idle loop hid it, because the
+/// poll timeout is measured from the real now. Echo traffic keeps this
+/// loop awake throughout.
+#[test]
+fn timers_never_fire_early_on_a_busy_loop() {
+    let (reactor, addr) = echo_reactor(ReactorConfig {
+        threads: 1,
+        ..ReactorConfig::default()
+    });
+    let stop = Arc::new(AtomicBool::new(false));
+    let traffic = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut client = TcpStream::connect(addr).unwrap();
+            while !stop.load(Ordering::Relaxed) {
+                write_frame(&mut client, b"noise").unwrap();
+                read_frame(&mut client).unwrap();
+            }
+        })
+    };
+
+    let conn_delay = Duration::from_micros(1_900);
+    let (waits, conn_waits) = mpsc::channel();
+    let (mut ours, theirs) = {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let ours = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (ours, listener.accept().unwrap().0)
+    };
+    theirs.set_nonblocking(true).unwrap();
+    reactor.handle().add_source(
+        Box::new(theirs),
+        Box::new(TimerProbe {
+            after: conn_delay,
+            armed: None,
+            waits,
+        }),
+    );
+
+    let handle_delay = Duration::from_millis(5);
+    for round in 0..200 {
+        let (fired, handle_wait) = mpsc::channel();
+        let armed = Instant::now();
+        reactor.handle().timer_after(handle_delay, move |_| {
+            fired.send(armed.elapsed()).unwrap();
+        });
+        write_frame(&mut ours, b"arm").unwrap();
+        let waited = conn_waits.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(
+            waited >= conn_delay,
+            "round {round}: set_timer({conn_delay:?}) fired after {waited:?}"
+        );
+        let waited = handle_wait.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(
+            waited >= handle_delay,
+            "round {round}: timer_after({handle_delay:?}) fired after {waited:?}"
+        );
+    }
+    stop.store(true, Ordering::Relaxed);
+    traffic.join().unwrap();
     reactor.shutdown();
 }

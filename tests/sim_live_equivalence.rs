@@ -15,6 +15,14 @@
 //! is a matter of clock (virtual seconds against wall milliseconds),
 //! so runs of the same round decision count once.
 //!
+//! Each node's side is compared as well: who it let in or turned away,
+//! its `seqNum` after every join, leave and unexpected join, and every
+//! what-if refresh it scheduled (at once, or after the post-join
+//! delay). The live node traces these itself. The simulator's runner
+//! does not, so its rows are read off what the client was told and the
+//! runner's `node.whatif.refresh` — and the sequence numbers counted
+//! that way must be the ones the simulated nodes end the run with.
+//!
 //! Reads captured traces, so it only runs with the `trace` feature
 //! (the default) compiled in.
 
@@ -29,8 +37,8 @@ use armada::live::{LiveClient, LiveManager, LiveNode, NodeConfig};
 use armada::net::LatencyModelParams;
 use armada::trace::{inspect, MemorySink, Severity, Tracer};
 use armada::types::{
-    AccessNetwork, ClientConfig, GeoPoint, HardwareProfile, NodeClass, SelectorMode, SimDuration,
-    SimTime, SystemConfig,
+    AccessNetwork, ClientConfig, GeoPoint, HardwareProfile, NodeClass, NodeId, SelectorMode,
+    SimDuration, SimTime, SystemConfig,
 };
 
 /// The cast, `(user↔node RTT ms, frame ms)` by node id: A wins the
@@ -53,6 +61,26 @@ const EXPECTED: [&str; 10] = [
     "failover rediscover",
     "round rediscover",
 ];
+
+/// What every node must have decided, in order, in both runtimes.
+fn expected_nodes() -> [NodeStream; 3] {
+    let stream = |members: &[&str], refreshes: &[&str]| NodeStream {
+        members: members.iter().map(|m| m.to_string()).collect(),
+        refreshes: refreshes.iter().map(|r| r.to_string()).collect(),
+    };
+    [
+        stream(
+            &[
+                "join 0 accepted, seq 1",
+                "leave 0, seq 2",
+                "unexpected_join 0, seq 3",
+            ],
+            &["delayed", "now", "delayed"],
+        ),
+        stream(&[], &[]),
+        stream(&["join 0 accepted, seq 1"], &["delayed"]),
+    ]
+}
 
 fn spot() -> GeoPoint {
     GeoPoint::new(44.98, -93.26)
@@ -117,10 +145,96 @@ fn decisions(trace: &str) -> Vec<String> {
     out
 }
 
+/// One node's decisions: membership changes with the sequence number
+/// each left behind, and the what-if refreshes it scheduled.
+#[derive(Debug, Default, Clone, PartialEq)]
+struct NodeStream {
+    members: Vec<String>,
+    refreshes: Vec<String>,
+}
+
+/// Every node's stream out of a captured trace, from either runtime.
+///
+/// A live node reports its own `node.join` / `node.join.rejected` /
+/// `node.unexpected_join` / `node.detach` with the sequence number
+/// after it. In a simulated run the same decisions show as what the
+/// client was told — a join accepted or rejected, a switch (joined
+/// `to`, left `from`), a failover onto a backup (unexpected join) —
+/// and the sequence number is counted here, one per change of
+/// membership. Runs of equal entries count once, as for the client.
+fn node_streams(trace: &str) -> [NodeStream; 3] {
+    let mut out: [NodeStream; 3] = Default::default();
+    let mut counted = [0u64; 3];
+    for e in inspect::parse_jsonl(trace).expect("trace parses") {
+        let field = |key: &str| {
+            e.field_u64(key)
+                .unwrap_or_else(|| panic!("{}: {key}", e.kind))
+        };
+        let mut member = |node: u64, what: String, bumps: bool| {
+            let seq = match e.field_u64("seq") {
+                Some(reported) => reported,
+                None => {
+                    counted[node as usize] += u64::from(bumps);
+                    counted[node as usize]
+                }
+            };
+            let token = format!("{what}, seq {seq}");
+            let members = &mut out[node as usize].members;
+            if members.last() != Some(&token) {
+                members.push(token);
+            }
+        };
+        match e.kind.as_str() {
+            "node.join" | "client.join" => member(
+                field("node"),
+                format!("join {} accepted", field("user")),
+                true,
+            ),
+            "node.join.rejected" | "client.join.rejected" => member(
+                field("node"),
+                format!("join {} rejected", field("user")),
+                false,
+            ),
+            "client.switch" => {
+                member(
+                    field("to"),
+                    format!("join {} accepted", field("user")),
+                    true,
+                );
+                member(field("from"), format!("leave {}", field("user")), true);
+            }
+            "node.detach" => member(field("node"), format!("leave {}", field("user")), true),
+            "node.unexpected_join" => member(
+                field("node"),
+                format!("unexpected_join {}", field("user")),
+                true,
+            ),
+            "client.failover" if e.field_str("action") == Some("backup") => member(
+                field("target"),
+                format!("unexpected_join {}", field("user")),
+                true,
+            ),
+            "node.whatif.refresh" => {
+                let when = if field("after_us") == 0 {
+                    "now"
+                } else {
+                    "delayed"
+                };
+                let refreshes = &mut out[field("node") as usize].refreshes;
+                if refreshes.last().map(String::as_str) != Some(when) {
+                    refreshes.push(when.to_string());
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
 /// The script in virtual time: C is down until 20 s and from 30 s on,
 /// the user arrives at 10 s (C's boot-time registration has aged out of
 /// discovery by then), B and A die at 40 s.
-fn sim_decisions(selector: SelectorMode) -> Vec<String> {
+fn sim_decisions(selector: SelectorMode) -> (Vec<String>, [NodeStream; 3]) {
     let node = |id: u64| NodeSpec {
         label: format!("node-{id}"),
         class: NodeClass::Volunteer,
@@ -147,7 +261,7 @@ fn sim_decisions(selector: SelectorMode) -> Vec<String> {
         .crash(PeerId::node(C), SimTime::ZERO, secs(20))
         .crash(PeerId::node(C), secs(30), SimTime::MAX);
     let (tracer, buffer) = memory_tracer();
-    Scenario::new(env, Strategy::client_centric_with(client_config(selector)))
+    let run = Scenario::new(env, Strategy::client_centric_with(client_config(selector)))
         .with_fault_plan(plan)
         .users_join_at(vec![secs(10)])
         .kill_node(B as usize, secs(40))
@@ -158,7 +272,15 @@ fn sim_decisions(selector: SelectorMode) -> Vec<String> {
         .run();
     tracer.flush();
     let trace = buffer.lock().expect("trace buffer").clone();
-    decisions(&trace)
+    let nodes = node_streams(&trace);
+    // The sequence numbers counted off the client's events are the
+    // simulated nodes' own.
+    for (id, stream) in nodes.iter().enumerate() {
+        let node = run.world().node(NodeId::new(id as u64)).expect("node");
+        let counted = stream.members.iter().filter(|m| !m.contains("rejected"));
+        assert_eq!(node.seq_num(), counted.count() as u64, "node {id}");
+    }
+    (decisions(&trace), nodes)
 }
 
 /// Blocks until the captured trace satisfies `ready`; every script step
@@ -186,8 +308,9 @@ fn settle_after(buffer: &Mutex<String>, event: &str) {
 
 /// The same script on loopback, each step triggered by the previous
 /// one's outcome showing up in the client's trace.
-fn live_decisions(selector: SelectorMode) -> Vec<String> {
+fn live_decisions(selector: SelectorMode) -> (Vec<String>, [NodeStream; 3]) {
     let (_mgr, mgr_addr) = LiveManager::bind().unwrap();
+    let (node_tracer, node_buffer) = memory_tracer();
     let bind = |id: u64| {
         let cfg = NodeConfig {
             id,
@@ -196,7 +319,9 @@ fn live_decisions(selector: SelectorMode) -> Vec<String> {
             location: spot(),
             one_way_delay: Duration::from_millis(NODES[id as usize].0 / 2),
         };
-        LiveNode::bind(cfg, Some(mgr_addr)).unwrap().0
+        LiveNode::bind_traced(cfg, Some(mgr_addr), node_tracer.clone())
+            .unwrap()
+            .0
     };
     let (a, b) = (bind(A), bind(B));
     let (tracer, buffer) = memory_tracer();
@@ -216,14 +341,24 @@ fn live_decisions(selector: SelectorMode) -> Vec<String> {
         assert!(outcome.is_err(), "no node is left to serve the session");
     });
     let trace = buffer.lock().expect("trace buffer").clone();
-    decisions(&trace)
+    let node_trace = node_buffer.lock().expect("trace buffer").clone();
+    (decisions(&trace), node_streams(&node_trace))
 }
 
 fn assert_equivalent(selector: SelectorMode) {
-    let sim = sim_decisions(selector);
+    let (sim, sim_nodes) = sim_decisions(selector);
     assert_eq!(sim, EXPECTED, "the simulated run left the script");
-    let live = live_decisions(selector);
+    assert_eq!(
+        sim_nodes,
+        expected_nodes(),
+        "the simulated nodes left the script"
+    );
+    let (live, live_nodes) = live_decisions(selector);
     assert_eq!(live, sim, "live and simulated decisions diverge");
+    assert_eq!(
+        live_nodes, sim_nodes,
+        "live and simulated nodes decide differently"
+    );
 }
 
 #[test]
