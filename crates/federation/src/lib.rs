@@ -11,7 +11,12 @@
 //! The design goal is *behavioural equivalence*: with every shard up
 //! and synced, a federated discovery ranks exactly the candidates the
 //! single-manager baseline would — sharding changes where control-plane
-//! load lands, not which node a user selects.
+//! load lands, not which node a user selects. It holds by construction:
+//! a [`FederatedShard`] *is* an `armada_manager::CentralManager` whose
+//! merged registry also takes the peers' summaries, so liveness,
+//! own-over-peer precedence, the index and the published
+//! `DiscoverySnapshot` are that crate's; this one adds routing, delta
+//! extraction and the counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,13 +24,11 @@
 mod cluster;
 mod map;
 mod shard;
-mod snapshot;
 mod summary;
 
 pub use cluster::{FederatedCluster, RoutedDiscovery, SyncStats};
 pub use map::{ShardMap, ShardSite};
 pub use shard::{FederatedShard, ShardCounters};
-pub use snapshot::ShardSnapshot;
 pub use summary::{NodeSummary, SyncDelta};
 
 pub use armada_types::ShardId;

@@ -1,16 +1,14 @@
-//! One manager shard: an authoritative registry for its own region plus
-//! a synced view of every peer's nodes.
+//! One manager shard: a [`CentralManager`] whose registry is
+//! authoritative for its own region and also holds what every peer
+//! advertises, plus the delta extraction and load counters that are
+//! federation-specific.
 
 use std::sync::Arc;
 
-use armada_geo::ProximityIndex;
-use armada_manager::{
-    alive_at, discover_shortlist, CowTable, GlobalSelectionPolicy, NodeRegistry, ScoredCandidate,
-};
+use armada_manager::{CentralManager, DiscoverySnapshot, GlobalSelectionPolicy, ScoredCandidate};
 use armada_node::NodeStatus;
 use armada_types::{GeoPoint, NodeId, ShardId, SimDuration, SimTime, SystemConfig};
 
-use crate::snapshot::ShardSnapshot;
 use crate::summary::{NodeSummary, SyncDelta};
 
 /// Per-shard operation counters — the registry-load surface the
@@ -41,30 +39,18 @@ impl ShardCounters {
 
 /// One geo-federated manager shard.
 ///
-/// The shard owns registration, heartbeats and liveness for the nodes
-/// whose home region it anchors, exactly as the single
-/// [`CentralManager`](armada_manager::CentralManager) does globally.
-/// Peer state arrives as [`NodeSummary`] deltas; discovery merges both
-/// views through the *same* widening + ranking procedure the central
-/// manager uses, so a shard with a fresh view produces the identical
-/// shortlist.
+/// The shard *is* a [`CentralManager`] — registration, heartbeats,
+/// liveness, own-over-peer precedence, the proximity index and the
+/// published snapshot are that type's, not copies of them. Peer state
+/// arrives as [`NodeSummary`] deltas and lands in the same merged
+/// registry, so a shard with a fresh view produces the identical
+/// shortlist the single manager would.
 #[derive(Debug, Clone)]
 pub struct FederatedShard {
     id: ShardId,
-    config: SystemConfig,
-    policy: GlobalSelectionPolicy,
-    registry: NodeRegistry,
-    /// Spatial index over own *and* remote nodes; behind an `Arc` so
-    /// snapshots share it and mutations copy only touched shards.
-    index: Arc<ProximityIndex>,
-    remote: CowTable<NodeSummary>,
+    manager: CentralManager,
     /// Departures since the epoch, for delta extraction.
     removed_log: Vec<(SimTime, NodeId)>,
-    /// Bumped on every own/remote/index mutation; published snapshots
-    /// carry the epoch they froze.
-    epoch: u64,
-    /// The memoised published snapshot; valid while its epoch matches.
-    published: Option<Arc<ShardSnapshot>>,
     counters: ShardCounters,
 }
 
@@ -73,14 +59,8 @@ impl FederatedShard {
     pub fn new(id: ShardId, config: SystemConfig, policy: GlobalSelectionPolicy) -> Self {
         FederatedShard {
             id,
-            config,
-            policy,
-            registry: NodeRegistry::new(config.heartbeat_period, config.heartbeat_miss_limit),
-            index: Arc::new(ProximityIndex::new()),
-            remote: CowTable::new(),
+            manager: CentralManager::new(config, policy),
             removed_log: Vec::new(),
-            epoch: 0,
-            published: None,
             counters: ShardCounters::default(),
         }
     }
@@ -95,102 +75,64 @@ impl FederatedShard {
         self.counters
     }
 
-    /// Registers one of this shard's own nodes.
+    /// Registers one of this shard's own nodes. A node can only have
+    /// one home: the registration supersedes any stale peer summary.
     pub fn register(&mut self, status: NodeStatus, now: SimTime) {
         self.counters.registrations += 1;
-        self.epoch += 1;
-        // A node can only have one home; a registration here supersedes
-        // any stale peer summary.
-        self.remote.remove(status.node);
-        Arc::make_mut(&mut self.index).insert(status.node, status.location);
-        self.registry.register(status, now);
+        self.manager.register(status, now);
     }
 
     /// Records a heartbeat from one of this shard's own nodes. Unknown
-    /// senders re-register, mirroring the central manager.
+    /// senders re-register, as at the central manager.
     pub fn heartbeat(&mut self, status: NodeStatus, now: SimTime) {
         self.counters.heartbeats += 1;
-        self.epoch += 1;
-        if !self.registry.heartbeat(status, now) {
-            self.remote.remove(status.node);
-            self.registry.register(status, now);
-        }
-        // A stationary heartbeat leaves the spatial index untouched —
-        // no copy-on-write churn for the overwhelmingly common case.
-        if self.index.position(status.node) != Some(status.location) {
-            Arc::make_mut(&mut self.index).insert(status.node, status.location);
-        }
+        self.manager.heartbeat(status, now);
     }
 
     /// Handles a graceful departure of an own node.
     pub fn node_left(&mut self, node: NodeId, now: SimTime) {
-        if self.registry.deregister(node).is_some() {
-            self.epoch += 1;
-            Arc::make_mut(&mut self.index).remove(node);
+        if self.manager.registry().owns(node) {
+            self.manager.node_left(node);
             self.removed_log.push((now, node));
         }
     }
 
     /// Nodes registered at this shard (its authoritative slice).
     pub fn own_count(&self) -> usize {
-        self.registry.len()
-    }
-
-    /// Own nodes alive at `now`.
-    pub fn own_alive_count(&self, now: SimTime) -> usize {
-        self.registry.alive_count(now)
+        self.manager.registry().own_len()
     }
 
     /// Alive nodes across the merged view (own + synced summaries).
     ///
-    /// O(nodes) — a diagnostics/observability surface. The discovery
-    /// hot path no longer needs it: `discover_shortlist` terminates on
-    /// scan exhaustion instead of an up-front alive census.
+    /// O(nodes) — a diagnostics/observability surface; the discovery
+    /// hot path terminates on scan exhaustion, not an alive census.
     pub fn merged_alive_count(&self, now: SimTime) -> usize {
-        self.registry.alive_count(now)
-            + self
-                .remote
-                .values()
-                .filter(|s| self.summary_alive(s, now))
-                .count()
-    }
-
-    /// The liveness rule applied to a synced summary: identical to the
-    /// registry's own heartbeat deadline, evaluated on the heartbeat
-    /// time the home shard advertised.
-    fn summary_alive(&self, summary: &NodeSummary, now: SimTime) -> bool {
-        let budget = self.config.heartbeat_period * u64::from(self.config.heartbeat_miss_limit);
-        alive_at(summary.last_heartbeat, now, budget)
+        self.manager.alive_count(now)
     }
 
     /// Extracts the outbound delta: own-node summaries refreshed at or
     /// after `since`, plus departures recorded at or after `since`.
     pub fn delta_since(&mut self, since: SimTime) -> SyncDelta {
-        let updated: Vec<NodeSummary> = {
-            let mut v: Vec<NodeSummary> = self
-                .registry
-                .records()
-                .filter(|r| r.last_heartbeat >= since)
-                .map(|r| NodeSummary {
-                    status: r.status,
-                    home: self.id,
-                    last_heartbeat: r.last_heartbeat,
-                })
-                .collect();
-            v.sort_by_key(|s| s.status.node);
-            v
-        };
-        let removed: Vec<NodeId> = {
-            let mut v: Vec<NodeId> = self
-                .removed_log
-                .iter()
-                .filter(|(t, _)| *t >= since)
-                .map(|(_, n)| *n)
-                .collect();
-            v.sort();
-            v.dedup();
-            v
-        };
+        let mut updated: Vec<NodeSummary> = self
+            .manager
+            .registry()
+            .own_records()
+            .filter(|r| r.last_heartbeat >= since)
+            .map(|r| NodeSummary {
+                status: r.status,
+                home: self.id,
+                last_heartbeat: r.last_heartbeat,
+            })
+            .collect();
+        updated.sort_by_key(|s| s.status.node);
+        let mut removed: Vec<NodeId> = self
+            .removed_log
+            .iter()
+            .filter(|(t, _)| *t >= since)
+            .map(|(_, n)| *n)
+            .collect();
+        removed.sort();
+        removed.dedup();
         self.counters.summaries_sent += updated.len() as u64;
         SyncDelta {
             from: self.id,
@@ -199,26 +141,19 @@ impl FederatedShard {
         }
     }
 
-    /// Applies a peer's delta to the remote view. Own nodes are never
-    /// overwritten — the local registry is authoritative for them.
+    /// Applies a peer's delta to the merged registry. Own nodes are
+    /// never overwritten — the local registration is authoritative.
     pub fn apply_delta(&mut self, delta: &SyncDelta) {
         for summary in &delta.updated {
-            let node = summary.status.node;
-            if self.registry.record(node).is_some() {
-                continue;
+            if self
+                .manager
+                .apply_peer(summary.status, summary.last_heartbeat)
+            {
+                self.counters.summaries_applied += 1;
             }
-            self.epoch += 1;
-            if self.index.position(node) != Some(summary.status.location) {
-                Arc::make_mut(&mut self.index).insert(node, summary.status.location);
-            }
-            self.remote.insert(node, *summary);
-            self.counters.summaries_applied += 1;
         }
         for node in &delta.removed {
-            if self.remote.remove(*node).is_some() {
-                self.epoch += 1;
-                Arc::make_mut(&mut self.index).remove(*node);
-            }
+            self.manager.remove_peer(*node);
         }
     }
 
@@ -227,38 +162,18 @@ impl FederatedShard {
         self.counters.sync_rounds += 1;
     }
 
-    /// The current mutation epoch (bumps on every state change).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Takes a fresh point-in-time snapshot of the merged view.
     ///
     /// O(shards) reference-count bumps — no record or bucket is copied.
-    pub fn snapshot(&self) -> ShardSnapshot {
-        ShardSnapshot::new(
-            self.epoch,
-            self.config,
-            self.policy,
-            self.registry.view(),
-            self.remote.view(),
-            Arc::clone(&self.index),
-            self.config.heartbeat_period * u64::from(self.config.heartbeat_miss_limit),
-        )
+    pub fn snapshot(&self) -> DiscoverySnapshot {
+        self.manager.snapshot()
     }
 
     /// The published snapshot for the current epoch, memoised: repeated
     /// calls between mutations return the same `Arc`, and each mutation
     /// invalidates it so the next call republishes at O(shards) cost.
-    pub fn published(&mut self) -> Arc<ShardSnapshot> {
-        match &self.published {
-            Some(snap) if snap.epoch() == self.epoch => Arc::clone(snap),
-            _ => {
-                let snap = Arc::new(self.snapshot());
-                self.published = Some(Arc::clone(&snap));
-                snap
-            }
-        }
+    pub fn published(&mut self) -> Arc<DiscoverySnapshot> {
+        self.manager.published()
     }
 
     /// Serves a discovery query from the merged view. Same widening +
@@ -274,8 +189,7 @@ impl FederatedShard {
         now: SimTime,
     ) -> Vec<NodeId> {
         self.counters.discoveries += 1;
-        self.published()
-            .discover(user_loc, affiliations, top_n, now)
+        self.manager.discover(user_loc, affiliations, top_n, now)
     }
 
     /// Like [`FederatedShard::discover`] but returns scores, for tests
@@ -287,51 +201,16 @@ impl FederatedShard {
         top_n: usize,
         now: SimTime,
     ) -> Vec<ScoredCandidate> {
-        discover_shortlist(
-            &self.config,
-            &self.policy,
-            &self.index,
-            |id| {
-                if self.registry.is_alive(id, now) {
-                    return self.registry.record(id).map(|r| r.status);
-                }
-                if self.registry.record(id).is_some() {
-                    return None; // own node, dead: never fall through to a stale summary
-                }
-                self.remote
-                    .get(id)
-                    .filter(|s| self.summary_alive(s, now))
-                    .map(|s| s.status)
-            },
-            user_loc,
-            affiliations,
-            top_n,
-        )
+        self.manager
+            .ranked_candidates(user_loc, affiliations, top_n, now)
     }
 
     /// Housekeeping: drops own registrations dead longer than `grace`
     /// (recording their departure for the next delta) and remote
     /// summaries equally stale.
     pub fn prune(&mut self, now: SimTime, grace: SimDuration) -> Vec<NodeId> {
-        let pruned = self.registry.prune(now, grace);
-        for id in &pruned {
-            self.epoch += 1;
-            Arc::make_mut(&mut self.index).remove(*id);
-            self.removed_log.push((now, *id));
-        }
-        let budget = self.config.heartbeat_period * u64::from(self.config.heartbeat_miss_limit);
-        let cutoff = now - budget - grace;
-        let stale: Vec<NodeId> = self
-            .remote
-            .values()
-            .filter(|s| s.last_heartbeat < cutoff)
-            .map(|s| s.status.node)
-            .collect();
-        for id in stale {
-            self.epoch += 1;
-            self.remote.remove(id);
-            Arc::make_mut(&mut self.index).remove(id);
-        }
+        let pruned = self.manager.prune_dead(now, grace);
+        self.removed_log.extend(pruned.iter().map(|id| (now, *id)));
         pruned
     }
 }

@@ -10,13 +10,15 @@
 //! and per-node artificial delays stand in for geographic distance when
 //! everything runs on localhost.
 //!
-//! The node is the simulator's `armada_node::EdgeNode` on a wall clock:
-//! frames share the hardware profile's cores in its processor-sharing
-//! ledger and complete on reactor timers, so probing observes genuine
-//! queueing and contention; clients probe
-//! candidates concurrently, rank them with the same `LO`/`GO` policies
-//! as the simulator (`armada-client` is shared code), hold warm backup
-//! connections, and fail over without re-discovery.
+//! The manager's registry and ranking are the simulator's
+//! (`armada_manager::NodeRegistry`, `GlobalSelectionPolicy`) on a wall
+//! clock, and the node is its `armada_node::EdgeNode`: frames share the
+//! hardware profile's cores in its processor-sharing ledger and
+//! complete on reactor timers, so probing observes genuine queueing and
+//! contention; clients probe candidates concurrently, rank them with the
+//! same `LO`/`GO` policies as the simulator (`armada-client` is shared
+//! code), hold warm backup connections, and fail over without
+//! re-discovery.
 //!
 //! # Examples
 //!

@@ -10,10 +10,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use armada_chaos::{Backoff, FaultyTransport, LinkFaults};
-use armada_manager::partial_select_by;
+use armada_manager::{CowTable, GlobalSelectionPolicy, NodeRegistry};
+use armada_node::NodeStatus;
 use armada_reactor::{AcceptFactory, Conn, ConnCtx, FdIo, Handle, Reactor, ReactorConfig, Source};
 use armada_trace::{s, u, Severity, Tracer};
-use armada_types::GeoPoint;
+use armada_types::{GeoPoint, NodeId, SimDuration, SimTime};
 
 use armada_wire::{
     decode_request, decode_response, Request, Response, WireConfig, WireNodeStatus, WireSummary,
@@ -21,6 +22,10 @@ use armada_wire::{
 
 /// Default liveness window: heartbeats older than this mark a node dead.
 pub(crate) const LIVENESS_WINDOW: Duration = Duration::from_secs(6);
+
+/// Liveness windows a record stays dead before housekeeping forgets it
+/// (the node's next heartbeat then errors and it re-registers in place).
+const PRUNE_GRACE_WINDOWS: u64 = 1;
 
 /// Default bound on each peer-sync RPC (connect + ack read). A dead
 /// peer must cost at most this per round, not an OS connect timeout —
@@ -92,7 +97,7 @@ impl ServeFaults {
 /// seconds.
 #[derive(Clone)]
 pub struct LiveManagerConfig {
-    /// Heartbeats older than this mark a node dead.
+    /// Heartbeats older than this mark a node dead (at least 1 µs).
     pub liveness_window: Duration,
     /// Bound on each outbound peer-sync RPC (connect + ack read).
     pub sync_rpc_timeout: Duration,
@@ -155,11 +160,26 @@ impl OverloadPolicy {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Registration {
-    status: WireNodeStatus,
-    listen_addr: String,
-    last_seen: Instant,
+/// The registry's form of a status off the wire.
+fn core_status(wire: &WireNodeStatus) -> NodeStatus {
+    NodeStatus {
+        node: NodeId::new(wire.id),
+        class: wire.class,
+        location: wire.location,
+        attached_users: wire.attached_users,
+        load_score: wire.load_score,
+    }
+}
+
+/// The wire's form of a registry status.
+fn wire_status(status: &NodeStatus) -> WireNodeStatus {
+    WireNodeStatus {
+        id: status.node.as_u64(),
+        class: status.class,
+        location: status.location,
+        attached_users: status.attached_users,
+        load_score: status.load_score,
+    }
 }
 
 /// Sync-link health of one federation peer, kept by the sync rounds.
@@ -177,23 +197,44 @@ struct PeerHealth {
 struct ManagerState {
     /// This shard's identity within a federation (0 when standalone).
     shard: u64,
-    /// Heartbeats older than this mark a node dead (from config).
-    liveness_window: Duration,
     /// Nodes registered directly with this manager (it owns their
-    /// liveness). Copy-on-write: discovery clones the `Arc` under the
-    /// lock and ranks outside it, so heartbeat writes never wait on a
-    /// query (and pay one clone only when a query is in flight).
-    nodes: Arc<HashMap<u64, Registration>>,
-    /// Nodes owned by peer shards, learned through `SyncSummaries`.
-    /// `last_seen` is reconstructed from the wire age, so the same
-    /// liveness window applies to both maps.
-    remote: Arc<HashMap<u64, Registration>>,
+    /// liveness) merged with those peer shards advertise through
+    /// `SyncSummaries`; the configured liveness window is its budget.
+    /// Copy-on-write by shard: discovery freezes a view under the lock
+    /// and ranks outside it, so heartbeat writes never wait on a query
+    /// (and copy one shard only when a query is in flight).
+    registry: NodeRegistry,
+    /// Where each known node accepts client connections — the one thing
+    /// the wire carries that the core does not store.
+    addrs: CowTable<String>,
+    /// The wall instant the registry's clock started at.
+    epoch: Instant,
     /// Health of each outbound sync peer.
     peers: HashMap<SocketAddr, PeerHealth>,
     discoveries: u64,
     sync_rounds: u64,
     syncs_applied: u64,
     tracer: Tracer,
+}
+
+impl ManagerState {
+    /// The registry's clock: wall microseconds since bind, started just
+    /// past one liveness budget. A synced summary's `now − age_us` and
+    /// the liveness deadline both saturate at `SimTime::ZERO`, so on a
+    /// younger clock a summary of any age would read alive.
+    fn now(&self) -> SimTime {
+        let elapsed = self.epoch.elapsed().as_micros() as u64;
+        SimTime::from_micros(1 + elapsed) + self.registry.liveness_budget()
+    }
+
+    /// Housekeeping: forgets records dead longer than the grace, own
+    /// and synced, and their addresses.
+    fn prune(&mut self) {
+        let grace = self.registry.liveness_budget() * PRUNE_GRACE_WINDOWS;
+        for id in self.registry.prune(self.now(), grace).ids() {
+            self.addrs.remove(id);
+        }
+    }
 }
 
 /// A running Central Manager: accepts node registrations/heartbeats and
@@ -266,11 +307,12 @@ impl LiveManager {
     ) -> std::io::Result<(LiveManager, SocketAddr)> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
+        let window = SimDuration::from_micros(cfg.liveness_window.as_micros() as u64);
         let state = Arc::new(Mutex::new(ManagerState {
             shard,
-            liveness_window: cfg.liveness_window,
-            nodes: Arc::default(),
-            remote: Arc::default(),
+            registry: NodeRegistry::new(window, 1),
+            addrs: CowTable::new(),
+            epoch: Instant::now(),
             peers: HashMap::new(),
             discoveries: 0,
             sync_rounds: 0,
@@ -311,6 +353,9 @@ impl LiveManager {
             Some((io, Box::new(conn) as Box<dyn Conn>))
         });
         reactor.handle().add_listener(listener, factory)?;
+        let prune_state = Arc::clone(&state);
+        let prune = move |_: &Handle| lock_recover(&prune_state).prune();
+        reactor.handle().timer_every(cfg.liveness_window, prune);
 
         let manager = LiveManager {
             state,
@@ -354,30 +399,19 @@ impl LiveManager {
     /// Number of nodes currently considered alive, own and synced.
     pub fn alive_count(&self) -> usize {
         let state = lock_recover(&self.state);
-        let now = Instant::now();
-        state
-            .nodes
-            .values()
-            .chain(
-                state
-                    .remote
-                    .iter()
-                    .filter(|(id, _)| !state.nodes.contains_key(id))
-                    .map(|(_, r)| r),
-            )
-            .filter(|r| now.duration_since(r.last_seen) < state.liveness_window)
-            .count()
+        state.registry.alive_count(state.now())
     }
 
     /// Number of peer-owned nodes currently alive in the synced view.
     pub fn synced_count(&self) -> usize {
         let state = lock_recover(&self.state);
-        let now = Instant::now();
-        state
-            .remote
-            .values()
-            .filter(|r| now.duration_since(r.last_seen) < state.liveness_window)
-            .count()
+        state.registry.peer_alive_count(state.now())
+    }
+
+    /// Number of nodes in the registry, own and synced, alive or not:
+    /// what housekeeping has not yet forgotten.
+    pub fn registered_count(&self) -> usize {
+        lock_recover(&self.state).registry.len()
     }
 
     /// Completed outbound peer-sync rounds.
@@ -521,14 +555,14 @@ fn sync_round(
 ) {
     let (from, summaries) = {
         let s = lock_recover(state);
-        let now = Instant::now();
+        let now = s.now();
         let summaries: Vec<WireSummary> = s
-            .nodes
-            .values()
+            .registry
+            .own_records()
             .map(|r| WireSummary {
-                status: r.status.clone(),
-                listen_addr: r.listen_addr.clone(),
-                age_us: now.duration_since(r.last_seen).as_micros() as u64,
+                status: wire_status(&r.status),
+                listen_addr: s.addrs.get(r.status.node).cloned().unwrap_or_default(),
+                age_us: now.saturating_since(r.last_heartbeat).as_micros(),
             })
             .collect();
         (s.shard, summaries)
@@ -683,31 +717,26 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
         } => {
             let mut s = lock_recover(state);
             let id = status.id;
-            Arc::make_mut(&mut s.nodes).insert(
-                id,
-                Registration {
-                    status,
-                    listen_addr,
-                    last_seen: Instant::now(),
-                },
-            );
+            let now = s.now();
+            s.registry.register(core_status(&status), now);
+            s.addrs.insert(NodeId::new(id), listen_addr);
             s.tracer
                 .emit(Severity::Info, "node.register", || vec![("node", u(id))]);
             Response::Registered
         }
         Request::Heartbeat { status } => {
             let mut s = lock_recover(state);
-            if !s.nodes.contains_key(&status.id) {
-                return Response::Error {
+            let now = s.now();
+            // The registry's own `heartbeat`, not the central manager's
+            // re-registering one: a heartbeat carries no listen address,
+            // so an unknown (or forgotten) node is told to register.
+            if s.registry.heartbeat(core_status(&status), now) {
+                Response::HeartbeatAck
+            } else {
+                Response::Error {
                     message: format!("heartbeat from unregistered node {}", status.id),
-                };
+                }
             }
-            let reg = Arc::make_mut(&mut s.nodes)
-                .get_mut(&status.id)
-                .expect("checked above");
-            reg.status = status;
-            reg.last_seen = Instant::now();
-            Response::HeartbeatAck
         }
         Request::Discover {
             user,
@@ -715,53 +744,30 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
             lon,
             top_n,
         } => {
-            // Snapshot the registries under the lock (two refcount
-            // bumps), then rank outside it: discovery never blocks a
-            // heartbeat or sync write, which at most pays one
-            // copy-on-write clone while this query holds the maps.
-            let (own, remote, tracer, window) = {
+            // Freeze registry and addresses under the lock (O(shards)
+            // refcount bumps), then rank outside it: discovery never
+            // blocks a heartbeat or sync write, which at most copies the
+            // one shard it touches while this query holds the view.
+            let (view, addrs, tracer, now) = {
                 let mut s = lock_recover(state);
                 s.discoveries += 1;
                 #[cfg(test)]
                 test_hooks::maybe_panic_in_discover(user);
-                (
-                    Arc::clone(&s.nodes),
-                    Arc::clone(&s.remote),
-                    s.tracer.clone(),
-                    s.liveness_window,
-                )
+                (s.registry.view(), s.addrs.view(), s.tracer.clone(), s.now())
             };
-            let user_loc = GeoPoint::new(lat, lon);
-            let now = Instant::now();
-            // Own registrations are authoritative; synced summaries fill
-            // in the rest of the federation (and keep discovery alive
-            // for border users or when this shard serves as a fallback).
-            let alive = own
-                .values()
-                .chain(
-                    remote
-                        .iter()
-                        .filter(|(id, _)| !own.contains_key(id))
-                        .map(|(_, r)| r),
-                )
-                .filter(|r| now.duration_since(r.last_seen) < window);
-            // Same coarse ranking as the simulated manager: load first,
-            // distance as the tiebreaker scale. The bounded partial
-            // select equals full sort + take(top_n) because the id
-            // tie-break makes the order strict and total.
-            let scored = alive.map(|r| {
-                let score =
-                    10.0 * r.status.load_score + 0.2 * user_loc.distance_km(r.status.location);
-                (score, r)
-            });
-            let best = partial_select_by(scored, top_n, |a, b| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.1.status.id.cmp(&b.1.status.id))
-            });
+            // The core's ranking over every alive record, own and
+            // synced — no proximity filter, unlike the simulated
+            // manager's `discover_shortlist` (DESIGN §9 says why).
+            let best = GlobalSelectionPolicy::default().rank_top_n(
+                GeoPoint::new(lat, lon),
+                view.alive(now).map(|r| r.status),
+                &[],
+                top_n,
+            );
+            let addr_of = |id| addrs.get(id).cloned().unwrap_or_default();
             let nodes: Vec<(u64, String)> = best
                 .into_iter()
-                .map(|(_, r)| (r.status.id, r.listen_addr.clone()))
+                .map(|c| (c.node.as_u64(), addr_of(c.node)))
                 .collect();
             tracer.emit(Severity::Debug, "mgr.discover", || {
                 vec![("user", u(user)), ("returned", u(nodes.len() as u64))]
@@ -770,27 +776,19 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
         }
         Request::SyncSummaries { from, summaries } => {
             let mut s = lock_recover(state);
-            let now = Instant::now();
+            let now = s.now();
             let mut applied = 0u64;
-            let st = &mut *s;
-            let remote = Arc::make_mut(&mut st.remote);
             for summary in summaries {
-                // A direct registration outranks a synced summary: the
-                // owner's heartbeat is first-hand.
-                if st.nodes.contains_key(&summary.status.id) {
+                // A direct registration outranks a synced summary (the
+                // owner's heartbeat is first-hand): the registry refuses it.
+                let heard = now - SimDuration::from_micros(summary.age_us);
+                if !s.registry.apply_peer(core_status(&summary.status), heard) {
                     continue;
                 }
-                let last_seen = now
-                    .checked_sub(Duration::from_micros(summary.age_us))
-                    .unwrap_or(now);
-                remote.insert(
-                    summary.status.id,
-                    Registration {
-                        status: summary.status,
-                        listen_addr: summary.listen_addr,
-                        last_seen,
-                    },
-                );
+                let id = NodeId::new(summary.status.id);
+                if s.addrs.get(id) != Some(&summary.listen_addr) {
+                    s.addrs.insert(id, summary.listen_addr);
+                }
                 applied += 1;
             }
             s.syncs_applied += applied;

@@ -51,7 +51,7 @@ mod table;
 pub use discovery::discover_shortlist;
 pub use manager::CentralManager;
 pub use reference::widen_and_rank;
-pub use registry::{alive_at, NodeRecord, NodeRegistry};
+pub use registry::{NodeRecord, NodeRegistry, Pruned, RegistryView};
 pub use selection::{partial_select_by, GlobalSelectionPolicy, ScoredCandidate};
 pub use serve::{serve_ranked, DiscoveryQuery};
 pub use snapshot::DiscoverySnapshot;

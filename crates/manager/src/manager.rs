@@ -12,6 +12,11 @@ use crate::snapshot::DiscoverySnapshot;
 
 /// The Central Manager: registry + proximity index + global selection.
 ///
+/// The registry is the merged one — a standalone manager simply never
+/// hears from a peer, while a federated shard feeds it the records its
+/// peers advertise ([`CentralManager::apply_peer`]); the proximity
+/// index covers both.
+///
 /// Discovery is served off epoch-numbered, incrementally-maintained
 /// snapshots ([`CentralManager::snapshot`]): the registry's record
 /// table and the proximity index are both *sharded* copy-on-write
@@ -65,6 +70,11 @@ impl CentralManager {
         self.epoch
     }
 
+    /// Read access to the merged registry.
+    pub fn registry(&self) -> &NodeRegistry {
+        &self.registry
+    }
+
     /// Registers a node (or refreshes it after downtime).
     pub fn register(&mut self, status: NodeStatus, now: SimTime) {
         self.epoch += 1;
@@ -80,22 +90,47 @@ impl CentralManager {
             self.register(status, now);
         } else {
             self.epoch += 1;
-            // Keep the spatial index in sync with mobile nodes — but a
-            // stationary heartbeat (the overwhelmingly common case)
-            // must not touch the index at all: writing it would clone
-            // index shards pointlessly whenever a snapshot is
-            // outstanding.
-            if self.index.position(status.node) != Some(status.location) {
-                Arc::make_mut(&mut self.index).insert(status.node, status.location);
-            }
+            self.index_position(status);
         }
     }
 
-    /// Handles a graceful departure notification.
+    /// Handles a graceful departure notification from an own node.
     pub fn node_left(&mut self, node: NodeId) {
         self.epoch += 1;
-        self.registry.deregister(node);
-        Arc::make_mut(&mut self.index).remove(node);
+        if self.registry.deregister(node).is_some() {
+            Arc::make_mut(&mut self.index).remove(node);
+        }
+    }
+
+    /// Records what a peer manager advertised about one of its nodes;
+    /// returns `false` (and changes nothing) if this manager owns the
+    /// node — its own registry is authoritative.
+    pub fn apply_peer(&mut self, status: NodeStatus, last_heartbeat: SimTime) -> bool {
+        let applied = self.registry.apply_peer(status, last_heartbeat);
+        if applied {
+            self.epoch += 1;
+            self.index_position(status);
+        }
+        applied
+    }
+
+    /// Drops a peer-advertised node its home manager reported gone.
+    pub fn remove_peer(&mut self, node: NodeId) {
+        if self.registry.remove_peer(node).is_some() {
+            self.epoch += 1;
+            Arc::make_mut(&mut self.index).remove(node);
+        }
+    }
+
+    /// Keeps the spatial index in sync with a (possibly mobile) node —
+    /// but a report from where the node already is (the overwhelmingly
+    /// common case) must not touch the index at all: writing it would
+    /// clone index shards pointlessly whenever a snapshot is
+    /// outstanding.
+    fn index_position(&mut self, status: NodeStatus) {
+        if self.index.position(status.node) != Some(status.location) {
+            Arc::make_mut(&mut self.index).insert(status.node, status.location);
+        }
     }
 
     /// Freezes the current discovery state into an epoch-numbered
@@ -103,14 +138,13 @@ impl CentralManager {
     /// stays fully mutable and later writes never show through the
     /// snapshot.
     pub fn snapshot(&self) -> DiscoverySnapshot {
-        DiscoverySnapshot::new(
-            self.epoch,
-            self.config,
-            self.policy,
-            self.registry.view(),
-            Arc::clone(&self.index),
-            self.registry.liveness_budget(),
-        )
+        DiscoverySnapshot {
+            epoch: self.epoch,
+            config: self.config,
+            policy: self.policy,
+            records: self.registry.view(),
+            index: Arc::clone(&self.index),
+        }
     }
 
     /// The published snapshot for the current epoch, memoised: repeated
@@ -130,7 +164,7 @@ impl CentralManager {
         }
     }
 
-    /// Number of nodes alive at `now`.
+    /// Number of nodes alive at `now`, own and peer-advertised.
     pub fn alive_count(&self, now: SimTime) -> usize {
         self.registry.alive_count(now)
     }
@@ -146,18 +180,20 @@ impl CentralManager {
     }
 
     /// Housekeeping: drops registry records (and spatial-index entries)
-    /// for nodes dead longer than `grace`, returning the pruned ids.
-    /// Volunteers that reappear simply re-register via heartbeat.
+    /// for nodes dead longer than `grace`, own and peer-advertised,
+    /// returning the pruned *own* ids. Volunteers that reappear simply
+    /// re-register via heartbeat; a peer's node reappears with its next
+    /// advertisement.
     pub fn prune_dead(&mut self, now: SimTime, grace: armada_types::SimDuration) -> Vec<NodeId> {
         let pruned = self.registry.prune(now, grace);
         if !pruned.is_empty() {
             self.epoch += 1;
             let index = Arc::make_mut(&mut self.index);
-            for id in &pruned {
-                index.remove(*id);
+            for id in pruned.ids() {
+                index.remove(id);
             }
         }
-        pruned
+        pruned.own
     }
 
     /// Total nodes in the registry, alive or not (housekeeping metric).
@@ -188,8 +224,9 @@ impl CentralManager {
             .discover(user_loc, affiliations, top_n, now)
     }
 
-    /// Like [`CentralManager::discover`] but returns scores, for
-    /// diagnostics and tests.
+    /// Like [`CentralManager::discover`] but returns scores and leaves
+    /// the served count alone, for diagnostics and tests (it freezes a
+    /// snapshot of its own per call).
     pub fn ranked_candidates(
         &self,
         user_loc: GeoPoint,
@@ -197,21 +234,7 @@ impl CentralManager {
         top_n: usize,
         now: SimTime,
     ) -> Vec<ScoredCandidate> {
-        crate::discovery::discover_shortlist(
-            &self.config,
-            &self.policy,
-            &self.index,
-            |id| {
-                if self.registry.is_alive(id, now) {
-                    self.registry.record(id).map(|r| r.status)
-                } else {
-                    None
-                }
-            },
-            user_loc,
-            affiliations,
-            top_n,
-        )
+        self.snapshot().ranked(user_loc, affiliations, top_n, now)
     }
 }
 

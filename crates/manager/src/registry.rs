@@ -1,16 +1,20 @@
-//! The node registry with heartbeat-based liveness.
+//! The node registry with heartbeat-based liveness: a manager's own
+//! registrations merged with the records its peers advertise.
+
+use std::ops::Deref;
 
 use armada_node::NodeStatus;
 use armada_types::{NodeId, SimDuration, SimTime};
 
-use crate::table::{CowTable, CowView};
+use crate::table::CowTable;
 
 /// One registered node's latest state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeRecord {
     /// The most recent heartbeat payload.
     pub status: NodeStatus,
-    /// When the node first registered.
+    /// When the node first registered (for a peer-advertised record:
+    /// the heartbeat time it was last advertised with).
     pub registered_at: SimTime,
     /// When the last heartbeat arrived.
     pub last_heartbeat: SimTime,
@@ -23,29 +27,72 @@ pub struct NodeRecord {
 /// Centralised here because the deadline `now - budget` saturates at
 /// [`SimTime::ZERO`] (`SimTime - SimDuration` is saturating): early in
 /// a run, while `now < budget`, *every* registered record is alive, and
-/// the registry, snapshots and federated shards must all agree on that
-/// — including exactly at `now == budget`, where a heartbeat from
-/// `t = 0` is still within the budget.
-pub fn alive_at(last_heartbeat: SimTime, now: SimTime, budget: SimDuration) -> bool {
+/// every reader of the registry must agree on that — including exactly
+/// at `now == budget`, where a heartbeat from `t = 0` is still within
+/// the budget.
+fn alive_at(last_heartbeat: SimTime, now: SimTime, budget: SimDuration) -> bool {
     last_heartbeat >= now - budget
 }
 
-/// The manager's view of every known edge node.
+/// What one [`NodeRegistry::prune`] pass dropped, each list sorted by
+/// id.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Pruned {
+    /// Own registrations dropped.
+    pub own: Vec<NodeId>,
+    /// Peer-advertised records dropped.
+    pub peers: Vec<NodeId>,
+}
+
+impl Pruned {
+    /// `true` if the pass dropped nothing.
+    pub fn is_empty(&self) -> bool {
+        self.own.is_empty() && self.peers.is_empty()
+    }
+
+    /// Every dropped id, own first.
+    pub fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.own.iter().chain(&self.peers).copied()
+    }
+}
+
+/// A manager's view of every known edge node: the registrations it
+/// owns plus the records peer managers advertise to it.
 ///
 /// Liveness is heartbeat-driven: a node that misses
 /// `miss_limit × heartbeat_period` of heartbeats is considered dead and
 /// excluded from discovery until it reappears — volunteer nodes "can
-/// join and leave the system anytime without notifications".
+/// join and leave the system anytime without notifications". A peer
+/// record is judged by the same rule on the heartbeat time its home
+/// manager advertised.
 ///
-/// The record table is a sharded [`CowTable`], so discovery can take a
+/// Own records are authoritative, so an id is never in both tables:
+/// [`NodeRegistry::apply_peer`] refuses an id this registry owns and
+/// [`NodeRegistry::register`] drops the peer record it shadows. A dead
+/// own record therefore never falls through to a fresher-looking peer
+/// record.
+///
+/// Both tables are sharded [`CowTable`]s, so discovery can freeze a
 /// copy-on-write view ([`NodeRegistry::view`]) in O(shards) without
 /// cloning a million records — and writers mutating while a view is
 /// outstanding copy only the one shard they touch, never the table.
 #[derive(Debug, Clone)]
 pub struct NodeRegistry {
-    nodes: CowTable<NodeRecord>,
-    heartbeat_period: SimDuration,
-    miss_limit: u32,
+    own: CowTable<NodeRecord>,
+    peers: CowTable<NodeRecord>,
+    budget: SimDuration,
+}
+
+/// A frozen [`NodeRegistry`]: every read the registry offers, on the
+/// state it held when [`NodeRegistry::view`] was called.
+#[derive(Debug, Clone)]
+pub struct RegistryView(NodeRegistry);
+
+impl Deref for RegistryView {
+    type Target = NodeRegistry;
+    fn deref(&self) -> &NodeRegistry {
+        &self.0
+    }
 }
 
 impl NodeRegistry {
@@ -61,134 +108,182 @@ impl NodeRegistry {
             "heartbeat period must be positive"
         );
         NodeRegistry {
-            nodes: CowTable::new(),
-            heartbeat_period,
-            miss_limit,
+            own: CowTable::new(),
+            peers: CowTable::new(),
+            budget: heartbeat_period * u64::from(miss_limit),
         }
     }
 
-    /// A copy-on-write view of the record table. Cheap (O(shards)
-    /// refcount bumps); the registry stays mutable and later writes do
-    /// not show through.
-    pub fn view(&self) -> CowView<NodeRecord> {
-        self.nodes.view()
+    /// Freezes both tables. Cheap (O(shards) refcount bumps); the
+    /// registry stays mutable and later writes do not show through.
+    pub fn view(&self) -> RegistryView {
+        RegistryView(self.clone())
     }
 
-    /// The liveness budget: a heartbeat older than this at query time
-    /// means the node is dead. Exactly
-    /// `heartbeat_period × miss_limit`, exposed so snapshot views apply
-    /// the *same* deadline rule as the registry itself.
+    /// The liveness budget, `heartbeat_period × miss_limit`: a heartbeat
+    /// older than this at query time means the node is dead.
     pub fn liveness_budget(&self) -> SimDuration {
-        self.heartbeat_period * u64::from(self.miss_limit)
+        self.budget
     }
 
-    /// Registers a node or refreshes an existing registration.
+    fn fresh(&self, record: &NodeRecord, now: SimTime) -> bool {
+        alive_at(record.last_heartbeat, now, self.budget)
+    }
+
+    /// Registers a node or refreshes an existing registration, dropping
+    /// the peer record it shadows (a node has one home).
     ///
     /// A node re-registering after it was declared dead starts a *new*
     /// registration: `registered_at` resets to `now` instead of carrying
     /// over from the expired incarnation.
     pub fn register(&mut self, status: NodeStatus, now: SimTime) {
-        let budget = self.liveness_budget();
-        match self.nodes.get(status.node).copied() {
-            Some(mut r) => {
-                if !alive_at(r.last_heartbeat, now, budget) {
-                    r.registered_at = now;
-                }
-                r.status = status;
-                r.last_heartbeat = now;
-                self.nodes.insert(status.node, r);
-            }
-            None => {
-                self.nodes.insert(
-                    status.node,
-                    NodeRecord {
-                        status,
-                        registered_at: now,
-                        last_heartbeat: now,
-                    },
-                );
-            }
-        }
+        self.peers.remove(status.node);
+        let registered_at = match self.own.get(status.node) {
+            Some(r) if self.fresh(r, now) => r.registered_at,
+            _ => now,
+        };
+        self.own.insert(
+            status.node,
+            NodeRecord {
+                status,
+                registered_at,
+                last_heartbeat: now,
+            },
+        );
     }
 
     /// Records a heartbeat; returns `false` (and ignores it) if the node
-    /// was never registered.
+    /// was never registered here.
     pub fn heartbeat(&mut self, status: NodeStatus, now: SimTime) -> bool {
-        match self.nodes.get(status.node).copied() {
+        match self.own.get(status.node).copied() {
             Some(mut r) => {
                 r.status = status;
                 r.last_heartbeat = now;
-                self.nodes.insert(status.node, r);
+                self.own.insert(status.node, r);
                 true
             }
             None => false,
         }
     }
 
-    /// Explicitly removes a node (graceful departure).
+    /// Records what a peer manager advertised about one of *its* nodes;
+    /// returns `false` (and ignores it) if this registry owns the node.
+    pub fn apply_peer(&mut self, status: NodeStatus, last_heartbeat: SimTime) -> bool {
+        if self.owns(status.node) {
+            return false;
+        }
+        self.peers.insert(
+            status.node,
+            NodeRecord {
+                status,
+                registered_at: last_heartbeat,
+                last_heartbeat,
+            },
+        );
+        true
+    }
+
+    /// Drops a peer record (its home manager advertised the departure).
+    pub fn remove_peer(&mut self, node: NodeId) -> Option<NodeRecord> {
+        self.peers.remove(node)
+    }
+
+    /// Explicitly removes an own node (graceful departure).
     pub fn deregister(&mut self, node: NodeId) -> Option<NodeRecord> {
-        self.nodes.remove(node)
+        self.own.remove(node)
     }
 
-    /// `true` if the node is registered and fresh at `now`.
-    pub fn is_alive(&self, node: NodeId, now: SimTime) -> bool {
-        let budget = self.liveness_budget();
-        self.nodes
-            .get(node)
-            .is_some_and(|r| alive_at(r.last_heartbeat, now, budget))
+    /// `true` if `node` is registered here (alive or not).
+    pub fn owns(&self, node: NodeId) -> bool {
+        self.own.contains_key(node)
     }
 
-    /// The record for `node`, if registered (regardless of liveness).
+    /// The record for `node`, own before peer, regardless of liveness.
     pub fn record(&self, node: NodeId) -> Option<&NodeRecord> {
-        self.nodes.get(node)
+        self.own.get(node).or_else(|| self.peers.get(node))
     }
 
-    /// Iterates over every record, alive or not (no defined order).
-    pub fn records(&self) -> impl Iterator<Item = &NodeRecord> {
-        self.nodes.values()
+    /// The node's status iff it is alive at `now`. An own record, alive
+    /// or dead, decides alone.
+    pub fn alive_status(&self, node: NodeId, now: SimTime) -> Option<NodeStatus> {
+        self.record(node)
+            .filter(|r| self.fresh(r, now))
+            .map(|r| r.status)
     }
 
-    /// Iterates over records considered alive at `now`.
+    /// `true` if the node is known and fresh at `now`.
+    pub fn is_alive(&self, node: NodeId, now: SimTime) -> bool {
+        self.alive_status(node, now).is_some()
+    }
+
+    /// Iterates every `(id, record)` pair, alive or not, own first.
+    pub fn records(&self) -> impl Iterator<Item = (NodeId, &NodeRecord)> {
+        self.own.iter().chain(self.peers.iter())
+    }
+
+    /// Iterates the records this registry owns, alive or not.
+    pub fn own_records(&self) -> impl Iterator<Item = &NodeRecord> {
+        self.own.values()
+    }
+
+    /// Iterates records considered alive at `now`, own first.
     pub fn alive(&self, now: SimTime) -> impl Iterator<Item = &NodeRecord> {
-        let budget = self.liveness_budget();
-        self.nodes
+        self.own
             .values()
-            .filter(move |r| alive_at(r.last_heartbeat, now, budget))
+            .chain(self.peers.values())
+            .filter(move |r| self.fresh(r, now))
     }
 
-    /// Number of alive nodes at `now`.
+    /// Number of alive nodes at `now`, own and peer-advertised.
     pub fn alive_count(&self, now: SimTime) -> usize {
         self.alive(now).count()
     }
 
-    /// Total registered nodes (alive or not).
+    /// Number of peer-advertised nodes alive at `now`.
+    pub fn peer_alive_count(&self, now: SimTime) -> usize {
+        self.peers.values().filter(|r| self.fresh(r, now)).count()
+    }
+
+    /// Total known nodes (alive or not).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.own.len() + self.peers.len()
     }
 
-    /// `true` if nothing is registered.
+    /// Nodes registered here (alive or not).
+    pub fn own_len(&self) -> usize {
+        self.own.len()
+    }
+
+    /// `true` if nothing is known.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len() == 0
     }
 
-    /// Drops records that have been dead longer than `grace`, returning
-    /// the pruned ids.
-    pub fn prune(&mut self, now: SimTime, grace: SimDuration) -> Vec<NodeId> {
-        let cutoff = (now - self.liveness_budget()) - grace;
-        let mut dead: Vec<NodeId> = self
-            .nodes
-            .iter()
-            .filter(|(_, r)| r.last_heartbeat < cutoff)
-            .map(|(id, _)| id)
-            .collect();
-        // Shard iteration order is an implementation detail; callers
-        // (and the sim's event stream) get a deterministic id order.
-        dead.sort_unstable();
-        for id in &dead {
-            self.nodes.remove(*id);
+    /// Drops records, own and peer-advertised, that have been dead
+    /// longer than `grace`.
+    pub fn prune(&mut self, now: SimTime, grace: SimDuration) -> Pruned {
+        let cutoff = (now - self.budget) - grace;
+        Pruned {
+            own: prune_table(&mut self.own, cutoff),
+            peers: prune_table(&mut self.peers, cutoff),
         }
-        dead
     }
+}
+
+/// Removes every record last heard from before `cutoff`, returning the
+/// ids sorted: shard iteration order is an implementation detail, and
+/// callers (and the sim's event stream) get a deterministic order.
+fn prune_table(table: &mut CowTable<NodeRecord>, cutoff: SimTime) -> Vec<NodeId> {
+    let mut dead: Vec<NodeId> = table
+        .iter()
+        .filter(|(_, r)| r.last_heartbeat < cutoff)
+        .map(|(id, _)| id)
+        .collect();
+    dead.sort_unstable();
+    for id in &dead {
+        table.remove(*id);
+    }
+    dead
 }
 
 #[cfg(test)]
@@ -321,7 +416,7 @@ mod tests {
         r.register(status(1), SimTime::ZERO);
         r.register(status(2), SimTime::from_secs(29));
         let pruned = r.prune(SimTime::from_secs(30), SimDuration::from_secs(10));
-        assert_eq!(pruned, vec![NodeId::new(1)]);
+        assert_eq!(pruned.own, vec![NodeId::new(1)]);
         assert_eq!(r.len(), 1);
     }
 
@@ -370,31 +465,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_view_agrees_with_registry_liveness_at_the_boundary() {
-        // The COW view (frozen records + liveness_budget + `alive_at`)
-        // must give the same alive/dead answer as the registry itself,
-        // including exactly on the deadline edge.
+    fn view_judges_liveness_on_the_frozen_heartbeat() {
         let mut r = registry();
         r.register(status(1), SimTime::ZERO);
         let view = r.view();
-        let budget = r.liveness_budget();
-        assert_eq!(budget, SimDuration::from_secs(6));
-        for now in [
-            SimTime::ZERO,
-            SimTime::from_secs(3),
-            SimTime::from_secs(6),
-            SimTime::from_secs(6) + SimDuration::from_micros(1),
-            SimTime::from_secs(60),
-        ] {
-            let via_view = view
-                .get(NodeId::new(1))
-                .is_some_and(|rec| alive_at(rec.last_heartbeat, now, budget));
-            assert_eq!(
-                via_view,
-                r.is_alive(NodeId::new(1), now),
-                "view and registry disagree at {now:?}"
-            );
-        }
+        r.heartbeat(status(1), SimTime::from_secs(60));
+        // The view still holds the t = 0 heartbeat: alive exactly on the
+        // 6 s deadline, dead one microsecond past it.
+        let edge = SimTime::from_secs(6);
+        assert!(view.is_alive(NodeId::new(1), edge));
+        assert!(!view.is_alive(NodeId::new(1), edge + SimDuration::from_micros(1)));
+        assert!(r.is_alive(NodeId::new(1), SimTime::from_secs(60)));
     }
 
     #[test]
@@ -405,7 +486,7 @@ mod tests {
         r.register(status(2), SimTime::from_secs(1));
         r.deregister(NodeId::new(1));
         assert_eq!(view.len(), 1, "view must not see later writes");
-        assert!(view.contains_key(NodeId::new(1)));
+        assert!(view.record(NodeId::new(1)).is_some());
         assert_eq!(r.len(), 1);
         assert!(r.record(NodeId::new(2)).is_some());
     }
@@ -452,7 +533,7 @@ mod tests {
         r.register(status(1), SimTime::from_secs(29));
         let pruned = r.prune(SimTime::from_secs(30), SimDuration::from_secs(10));
         assert_eq!(
-            pruned,
+            pruned.own,
             vec![
                 NodeId::new(2),
                 NodeId::new(4),
@@ -461,5 +542,103 @@ mod tests {
             ]
         );
         assert_eq!(r.len(), 1);
+    }
+    #[test]
+    fn own_records_shadow_peer_records() {
+        let mut r = registry();
+        // Unknown here: the peer's advertisement is taken.
+        assert!(r.apply_peer(status(5), SimTime::from_secs(1)));
+        assert!(r.is_alive(NodeId::new(5), SimTime::from_secs(2)));
+        assert_eq!((r.len(), r.own_len()), (1, 0));
+        // A later registration drops the record it shadows…
+        r.register(status(5), SimTime::from_secs(2));
+        assert_eq!((r.len(), r.own_len()), (1, 1));
+        assert_eq!(r.peer_alive_count(SimTime::from_secs(2)), 0);
+        // …and an own record refuses the peer's word, alive…
+        assert!(!r.apply_peer(status(5), SimTime::from_secs(3)));
+        // …or dead: a fresher-looking advertisement must not revive it.
+        let late = SimTime::from_secs(30);
+        assert!(!r.is_alive(NodeId::new(5), late));
+        assert!(!r.apply_peer(status(5), late));
+        assert!(!r.is_alive(NodeId::new(5), late));
+        assert_eq!(r.alive_status(NodeId::new(5), late), None);
+        // Once the node leaves, the peer's word counts again.
+        r.deregister(NodeId::new(5));
+        assert!(r.apply_peer(status(5), late));
+        assert!(r.is_alive(NodeId::new(5), late));
+        assert!(r.remove_peer(NodeId::new(5)).is_some());
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn alive_yields_each_id_once_with_own_first() {
+        let mut r = registry();
+        let now = SimTime::from_secs(1);
+        for id in [7u64, 8, 9] {
+            r.apply_peer(status(id), now);
+        }
+        for id in [1u64, 2, 8] {
+            r.register(status(id), now);
+        }
+        r.apply_peer(status(3), SimTime::ZERO);
+        let alive: Vec<u64> = r.alive(now).map(|rec| rec.status.node.as_u64()).collect();
+        let (own, peers) = alive.split_at(3);
+        let sorted = |ids: &[u64]| {
+            let mut v = ids.to_vec();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(sorted(own), vec![1, 2, 8], "own records come first");
+        assert_eq!(sorted(peers), vec![3, 7, 9], "node 8 is listed once");
+        assert_eq!(r.alive_count(now), 6);
+        // Node 3's advertised heartbeat ages out by the same deadline.
+        let later = SimTime::from_secs(7);
+        assert_eq!(r.alive_count(later), 5);
+        assert_eq!(r.peer_alive_count(later), 2);
+    }
+
+    #[test]
+    fn prune_drops_long_dead_records_on_both_sides() {
+        let mut r = registry();
+        for id in [9u64, 2] {
+            r.register(status(id), SimTime::ZERO);
+        }
+        for id in [8u64, 3] {
+            r.apply_peer(status(id), SimTime::ZERO);
+        }
+        r.register(status(1), SimTime::from_secs(29));
+        r.apply_peer(status(4), SimTime::from_secs(29));
+        let pruned = r.prune(SimTime::from_secs(30), SimDuration::from_secs(10));
+        assert_eq!(pruned.own, vec![NodeId::new(2), NodeId::new(9)]);
+        assert_eq!(pruned.peers, vec![NodeId::new(3), NodeId::new(8)]);
+        assert_eq!(pruned.ids().count(), 4);
+        assert_eq!((r.len(), r.own_len()), (2, 1));
+        assert!(r
+            .prune(SimTime::from_secs(30), SimDuration::from_secs(10))
+            .is_empty());
+    }
+
+    /// The property a whole-map `Arc::make_mut` lacks: a write while a
+    /// view is outstanding copies the one shard it touches, on the one
+    /// side it touches.
+    #[test]
+    fn a_write_under_a_view_copies_one_shard() {
+        let mut r = registry();
+        for id in 0..2_000u64 {
+            r.register(status(id), SimTime::ZERO);
+            r.apply_peer(status(10_000 + id), SimTime::ZERO);
+        }
+        let view = r.view();
+        let shards = r.own.shards_shared_with(&view.own);
+        assert_eq!(shards, r.peers.shards_shared_with(&view.peers));
+        r.heartbeat(status(17), SimTime::from_secs(1));
+        assert_eq!(r.own.shards_shared_with(&view.own), shards - 1);
+        assert_eq!(r.peers.shards_shared_with(&view.peers), shards);
+        r.apply_peer(status(10_017), SimTime::from_secs(1));
+        assert_eq!(r.peers.shards_shared_with(&view.peers), shards - 1);
+        assert_eq!(
+            view.record(NodeId::new(17)).unwrap().last_heartbeat,
+            SimTime::ZERO
+        );
     }
 }

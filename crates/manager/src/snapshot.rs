@@ -1,13 +1,13 @@
 //! Epoch-numbered, incrementally-maintained discovery snapshots.
 //!
 //! A [`DiscoverySnapshot`] freezes everything a discovery query reads —
-//! the record table, the proximity index, the config and ranking policy
-//! — behind shared [`Arc`]s. Both the record table ([`CowView`]) and
-//! the proximity index are *sharded* copy-on-write structures, so
-//! taking a snapshot is O(shards) reference bumps and a mutation
-//! performed while a snapshot is outstanding copies only the one
-//! shard/segment it touches — publishing epoch `N+1` costs O(changes),
-//! never O(fleet). Queries served off a snapshot therefore never
+//! the merged registry (own and peer-advertised records), the proximity
+//! index, the config and ranking policy — behind shared [`Arc`]s. Both
+//! the registry ([`RegistryView`]) and the proximity index are
+//! *sharded* copy-on-write structures, so taking a snapshot is
+//! O(shards) reference bumps and a mutation performed while a snapshot
+//! is outstanding copies only the one shard/segment it touches —
+//! publishing epoch `N+1` costs O(changes), never O(fleet). Queries served off a snapshot therefore never
 //! contend with heartbeat writes: a live manager can clone the `Arc`s
 //! under its lock, drop the lock, and rank outside it (or fan queries
 //! across a worker pool; see [`crate::serve_ranked`]).
@@ -20,46 +20,27 @@ use std::sync::Arc;
 
 use armada_geo::ProximityIndex;
 use armada_node::NodeStatus;
-use armada_types::{GeoPoint, NodeId, SimDuration, SimTime, SystemConfig};
+use armada_types::{GeoPoint, NodeId, SimTime, SystemConfig};
 
-use crate::registry::{alive_at, NodeRecord};
+use crate::registry::{NodeRecord, RegistryView};
 use crate::selection::{GlobalSelectionPolicy, ScoredCandidate};
-use crate::table::CowView;
 
 /// An immutable, epoch-numbered view of one manager's discovery state.
 ///
-/// Produced by [`CentralManager::snapshot`](crate::CentralManager::snapshot).
+/// Produced by [`CentralManager::snapshot`](crate::CentralManager::snapshot)
+/// — for a standalone manager and for a federated shard alike.
 /// All query methods are `&self` and allocation-free outside the result
 /// vector, so snapshots can be fanned out across threads.
 #[derive(Debug, Clone)]
 pub struct DiscoverySnapshot {
-    epoch: u64,
-    config: SystemConfig,
-    policy: GlobalSelectionPolicy,
-    records: CowView<NodeRecord>,
-    index: Arc<ProximityIndex>,
-    liveness_budget: SimDuration,
+    pub(crate) epoch: u64,
+    pub(crate) config: SystemConfig,
+    pub(crate) policy: GlobalSelectionPolicy,
+    pub(crate) records: RegistryView,
+    pub(crate) index: Arc<ProximityIndex>,
 }
 
 impl DiscoverySnapshot {
-    pub(crate) fn new(
-        epoch: u64,
-        config: SystemConfig,
-        policy: GlobalSelectionPolicy,
-        records: CowView<NodeRecord>,
-        index: Arc<ProximityIndex>,
-        liveness_budget: SimDuration,
-    ) -> Self {
-        DiscoverySnapshot {
-            epoch,
-            config,
-            policy,
-            records,
-            index,
-            liveness_budget,
-        }
-    }
-
     /// The registry mutation epoch this snapshot froze.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -75,16 +56,11 @@ impl DiscoverySnapshot {
         self.records.is_empty()
     }
 
-    /// The node's status iff it is alive at `now` — the shared
-    /// [`alive_at`] rule, exactly as
-    /// [`NodeRegistry::is_alive`](crate::NodeRegistry::is_alive)
-    /// applies it, evaluated on the frozen records. (The deadline
-    /// saturates at `t = 0`, so early-clock queries agree too.)
+    /// The node's status iff it is alive at `now`:
+    /// [`NodeRegistry::alive_status`](crate::NodeRegistry::alive_status)
+    /// evaluated on the frozen records.
     pub fn alive_status(&self, node: NodeId, now: SimTime) -> Option<NodeStatus> {
-        self.records
-            .get(node)
-            .filter(|r| alive_at(r.last_heartbeat, now, self.liveness_budget))
-            .map(|r| r.status)
+        self.records.alive_status(node, now)
     }
 
     /// `true` iff `node` is alive in the frozen view at `now`.
@@ -96,22 +72,19 @@ impl DiscoverySnapshot {
     /// liveness). Exposed so differential suites can compare snapshots
     /// record by record.
     pub fn record(&self, node: NodeId) -> Option<&NodeRecord> {
-        self.records.get(node)
+        self.records.record(node)
     }
 
     /// Iterates every frozen `(id, record)` pair in unspecified order.
     pub fn records(&self) -> impl Iterator<Item = (NodeId, &NodeRecord)> {
-        self.records.iter()
+        self.records.records()
     }
 
     /// Number of alive nodes in the frozen view at `now`. O(records);
     /// the fast query path never needs it — it exists for diagnostics
     /// and for feeding the reference oracle.
     pub fn alive_count(&self, now: SimTime) -> usize {
-        self.records
-            .values()
-            .filter(|r| alive_at(r.last_heartbeat, now, self.liveness_budget))
-            .count()
+        self.records.alive_count(now)
     }
 
     /// Serves one discovery query off the frozen view via the fast

@@ -151,6 +151,14 @@ impl<V: Clone> CowTable<V> {
         self.shards.iter().flat_map(|s| s.values())
     }
 
+    /// Number of shards still shared with `other` (a clone or an
+    /// earlier state of this table).
+    #[cfg(test)]
+    pub(crate) fn shards_shared_with(&self, other: &CowTable<V>) -> usize {
+        let shared = |(a, b): &(&Arc<Shard<V>>, &Arc<Shard<V>>)| Arc::ptr_eq(a, b);
+        self.shards.iter().zip(&other.shards).filter(shared).count()
+    }
+
     /// Freezes the current contents into an immutable [`CowView`]:
     /// O(shards) reference bumps, no record is copied. Later mutations
     /// of the table never show through the view.

@@ -23,18 +23,41 @@
 //! runner's `node.whatif.refresh` — and the sequence numbers counted
 //! that way must be the ones the simulated nodes end the run with.
 //!
+//! The manager has rows of its own (ROADMAP open item 2's gate), which
+//! need no trace: the same fleet and the same queries answered by
+//! `CentralManager::discover` and by a `LiveManager` over the wire must
+//! give the same ids in the same order, and the same peer summaries
+//! applied through `FederatedShard::apply_delta` and through a
+//! `SyncSummaries` RPC must leave the same merged view. Both drive one
+//! `NodeRegistry` and one ranking; what still differs is candidate
+//! *generation* — the simulator ranks what lies within
+//! `proximity_radius_km` (80 km, widening only when that is too few),
+//! the live manager ranks every alive record — so the rows' domain is a
+//! fleet that lies inside the radius of every query. Outside it a node
+//! beyond the radius that out-scores a near one is offered live and
+//! not in the simulator; the PR that moves the live scan onto the
+//! engine widens `fleet()` instead of writing a new test.
+//!
 //! Reads captured traces, so it only runs with the `trace` feature
 //! (the default) compiled in.
 
 #![cfg(feature = "trace")]
 
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use armada::chaos::{FaultPlan, PeerId};
 use armada::core::{EnvSpec, NodeSpec, Scenario, Strategy, UserSpec};
-use armada::live::{LiveClient, LiveManager, LiveNode, NodeConfig};
+use armada::federation::{FederatedShard, NodeSummary, ShardId, SyncDelta};
+use armada::live::{
+    Codec, LiveClient, LiveManager, LiveNode, NodeConfig, Request, Response, WireConfig,
+    WireNodeStatus, WireSummary,
+};
+use armada::manager::{CentralManager, GlobalSelectionPolicy};
 use armada::net::LatencyModelParams;
+use armada::node::NodeStatus;
+use armada::sim::SimRng;
 use armada::trace::{inspect, MemorySink, Severity, Tracer};
 use armada::types::{
     AccessNetwork, ClientConfig, GeoPoint, HardwareProfile, NodeClass, NodeId, SelectorMode,
@@ -369,4 +392,204 @@ fn reactive_selector_decides_alike_in_sim_and_live() {
 #[test]
 fn predictive_selector_decides_alike_in_sim_and_live() {
     assert_equivalent(SelectorMode::Predictive);
+}
+
+/// A held connection to a live manager, speaking the codec the
+/// environment selects (so each CI row covers its own).
+struct ManagerConn {
+    stream: TcpStream,
+    codec: Codec,
+}
+
+impl ManagerConn {
+    fn open(addr: SocketAddr) -> ManagerConn {
+        let stream = TcpStream::connect(addr).expect("manager accepts");
+        stream.set_nodelay(true).expect("nodelay");
+        let codec = WireConfig::from_env().codec;
+        ManagerConn { stream, codec }
+    }
+
+    fn rpc(&mut self, request: &Request) -> Response {
+        armada_wire::write_request(&mut self.stream, self.codec, request).expect("request sent");
+        armada_wire::read_response(&mut self.stream)
+            .expect("request answered")
+            .0
+    }
+
+    fn register(&mut self, status: &NodeStatus) {
+        let request = Request::Register {
+            status: wire_status(status),
+            listen_addr: listen_addr(status),
+        };
+        assert_eq!(self.rpc(&request), Response::Registered);
+    }
+
+    fn discover(&mut self, at: GeoPoint, top_n: usize) -> Vec<NodeId> {
+        let request = Request::Discover {
+            user: 0,
+            lat: at.lat(),
+            lon: at.lon(),
+            top_n,
+        };
+        match self.rpc(&request) {
+            Response::Candidates { nodes } => {
+                nodes.iter().map(|(id, _)| NodeId::new(*id)).collect()
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+}
+
+fn wire_status(status: &NodeStatus) -> WireNodeStatus {
+    WireNodeStatus {
+        id: status.node.as_u64(),
+        class: status.class,
+        location: status.location,
+        attached_users: status.attached_users,
+        load_score: status.load_score,
+    }
+}
+
+fn listen_addr(status: &NodeStatus) -> String {
+    format!("127.0.0.1:{}", 10_000 + status.node.as_u64())
+}
+
+/// 300 nodes inside a 60 km box, loads in `[0, 2)`; every tenth node
+/// sits exactly where its predecessor does with the same load, so its
+/// score ties for every query and the id decides.
+fn fleet() -> Vec<NodeStatus> {
+    let mut rng = SimRng::seed_from(17);
+    let mut nodes: Vec<NodeStatus> = Vec::new();
+    for id in 0..300u64 {
+        let (location, load_score) = match nodes.last() {
+            Some(twin) if id % 10 == 9 => (twin.location, twin.load_score),
+            _ => (
+                spot().offset_km(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0)),
+                rng.uniform(0.0, 2.0),
+            ),
+        };
+        nodes.push(NodeStatus {
+            node: NodeId::new(id),
+            class: NodeClass::Volunteer,
+            location,
+            attached_users: 0,
+            load_score,
+        });
+    }
+    nodes
+}
+
+/// 200 users in the middle 30 km of the box: at most 64 km from any
+/// node, inside the simulator's 80 km proximity radius.
+fn queries() -> Vec<GeoPoint> {
+    let mut rng = SimRng::seed_from(23);
+    (0..200)
+        .map(|_| spot().offset_km(rng.uniform(-15.0, 15.0), rng.uniform(-15.0, 15.0)))
+        .collect()
+}
+
+const TOP_NS: [usize; 3] = [1, 3, 8];
+
+#[test]
+fn manager_shortlists_are_alike_in_sim_and_live() {
+    let fleet = fleet();
+    let mut sim = CentralManager::new(SystemConfig::default(), GlobalSelectionPolicy::default());
+    let (_live, addr) = LiveManager::bind().unwrap();
+    let mut conn = ManagerConn::open(addr);
+    for status in &fleet {
+        sim.register(*status, SimTime::ZERO);
+        conn.register(status);
+    }
+    let now = SimTime::from_secs(1);
+    let mut tie_breaks = 0;
+    for (q, at) in queries().into_iter().enumerate() {
+        for top_n in TOP_NS {
+            let expected = sim.discover(at, &[], top_n, now);
+            assert_eq!(expected.len(), top_n);
+            assert_eq!(conn.discover(at, top_n), expected, "query {q}, top {top_n}");
+            let twins = |pair: &[NodeId]| {
+                pair[0].as_u64() % 10 == 8 && pair[1].as_u64() == pair[0].as_u64() + 1
+            };
+            tie_breaks += expected.windows(2).filter(|pair| twins(pair)).count();
+        }
+    }
+    assert!(
+        tie_breaks > 0,
+        "no shortlist was decided by the id tie-break"
+    );
+}
+
+/// The peer's word on `peers`, as of `now`: every fifth node's last
+/// heartbeat is a second older than the 6 s budget, the rest are half a
+/// second old. Given to the shard as a delta and to the live manager as
+/// a `SyncSummaries` RPC, which must take the same `applied` of them.
+fn sync(
+    sim: &mut FederatedShard,
+    conn: &mut ManagerConn,
+    peers: &[NodeStatus],
+    now: SimTime,
+    applied: u64,
+) {
+    let age = |status: &NodeStatus| match status.node.as_u64() % 5 {
+        0 => SimDuration::from_secs(7),
+        _ => SimDuration::from_millis(500),
+    };
+    let before = sim.counters().summaries_applied;
+    sim.apply_delta(&SyncDelta {
+        from: ShardId::new(0),
+        updated: peers
+            .iter()
+            .map(|status| NodeSummary {
+                status: *status,
+                home: ShardId::new(0),
+                last_heartbeat: now - age(status),
+            })
+            .collect(),
+        removed: Vec::new(),
+    });
+    assert_eq!(sim.counters().summaries_applied - before, applied);
+    let summaries = peers
+        .iter()
+        .map(|status| WireSummary {
+            status: wire_status(status),
+            listen_addr: listen_addr(status),
+            age_us: age(status).as_micros(),
+        })
+        .collect();
+    let request = Request::SyncSummaries { from: 0, summaries };
+    assert_eq!(conn.rpc(&request), Response::SyncAck { applied });
+}
+
+#[test]
+fn merged_views_are_alike_in_sim_and_live() {
+    let fleet = fleet();
+    let mut sim = FederatedShard::new(
+        ShardId::new(1),
+        SystemConfig::default(),
+        GlobalSelectionPolicy::default(),
+    );
+    let (live, addr) = LiveManager::bind_federated(1, Tracer::disabled()).unwrap();
+    let mut conn = ManagerConn::open(addr);
+    // The peer advertises nodes 50..250 and this manager owns 0..100:
+    // 50..75 register after the peer's word arrived and must drop it,
+    // 75..100 before and must refuse it.
+    let now = SimTime::from_secs(100);
+    sync(&mut sim, &mut conn, &fleet[50..75], now, 25);
+    for status in &fleet[..100] {
+        sim.register(*status, now);
+        conn.register(status);
+    }
+    sync(&mut sim, &mut conn, &fleet[75..250], now, 150);
+
+    // 100 own + 150 synced, of which 30 arrived dead.
+    assert_eq!(sim.merged_alive_count(now), 220);
+    assert_eq!(live.alive_count(), sim.merged_alive_count(now));
+    assert_eq!(live.synced_count(), 120);
+    assert_eq!(live.registered_count(), 250);
+    for (q, at) in queries().into_iter().enumerate() {
+        for top_n in TOP_NS {
+            let expected = sim.discover(at, &[], top_n, now);
+            assert_eq!(conn.discover(at, top_n), expected, "query {q}, top {top_n}");
+        }
+    }
 }
