@@ -27,6 +27,10 @@ pub(crate) const LIVENESS_WINDOW: Duration = Duration::from_secs(6);
 /// (the node's next heartbeat then errors and it re-registers in place).
 const PRUNE_GRACE_WINDOWS: u64 = 1;
 
+/// Longest shortlist a `Discover` is answered with, whatever `top_n` came
+/// off the wire: a client holds at most TopN (≤ 8 in this tree) sockets.
+const MAX_TOP_N: usize = 64;
+
 /// Default bound on each peer-sync RPC (connect + ack read). A dead
 /// peer must cost at most this per round, not an OS connect timeout —
 /// this is the dead-peer budget: a peer that cannot complete the
@@ -160,15 +164,21 @@ impl OverloadPolicy {
     }
 }
 
-/// The registry's form of a status off the wire.
-fn core_status(wire: &WireNodeStatus) -> NodeStatus {
-    NodeStatus {
+/// The registry's form of a status off the wire, or the refusal of one
+/// whose load no honest node reports (`users·fps / capacity ≥ 0`): a
+/// negative load would head every shortlist, a NaN unorders the ranking.
+fn core_status(wire: &WireNodeStatus) -> Result<NodeStatus, Response> {
+    if !(0.0..f64::INFINITY).contains(&wire.load_score) {
+        let message = format!("node {}: load_score {}", wire.id, wire.load_score);
+        return Err(Response::Error { message });
+    }
+    Ok(NodeStatus {
         node: NodeId::new(wire.id),
         class: wire.class,
         location: wire.location,
         attached_users: wire.attached_users,
         load_score: wire.load_score,
-    }
+    })
 }
 
 /// The wire's form of a registry status.
@@ -715,22 +725,30 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
             status,
             listen_addr,
         } => {
+            let core = match core_status(&status) {
+                Ok(core) => core,
+                Err(refusal) => return refusal,
+            };
             let mut s = lock_recover(state);
             let id = status.id;
             let now = s.now();
-            s.registry.register(core_status(&status), now);
+            s.registry.register(core, now);
             s.addrs.insert(NodeId::new(id), listen_addr);
             s.tracer
                 .emit(Severity::Info, "node.register", || vec![("node", u(id))]);
             Response::Registered
         }
         Request::Heartbeat { status } => {
+            let core = match core_status(&status) {
+                Ok(core) => core,
+                Err(refusal) => return refusal,
+            };
             let mut s = lock_recover(state);
             let now = s.now();
             // The registry's own `heartbeat`, not the central manager's
             // re-registering one: a heartbeat carries no listen address,
             // so an unknown (or forgotten) node is told to register.
-            if s.registry.heartbeat(core_status(&status), now) {
+            if s.registry.heartbeat(core, now) {
                 Response::HeartbeatAck
             } else {
                 Response::Error {
@@ -762,7 +780,7 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
                 GeoPoint::new(lat, lon),
                 view.alive(now).map(|r| r.status),
                 &[],
-                top_n,
+                top_n.min(MAX_TOP_N),
             );
             let addr_of = |id| addrs.get(id).cloned().unwrap_or_default();
             let nodes: Vec<(u64, String)> = best
@@ -781,8 +799,10 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
             for summary in summaries {
                 // A direct registration outranks a synced summary (the
                 // owner's heartbeat is first-hand): the registry refuses it.
+                // A summary with a refused load is skipped the same way.
                 let heard = now - SimDuration::from_micros(summary.age_us);
-                if !s.registry.apply_peer(core_status(&summary.status), heard) {
+                let status = core_status(&summary.status);
+                if !status.is_ok_and(|core| s.registry.apply_peer(core, heard)) {
                     continue;
                 }
                 let id = NodeId::new(summary.status.id);

@@ -10,21 +10,44 @@ use armada_types::{GeoPoint, NodeId};
 /// `truncate(n)`, provided `cmp` is a *strict* total order (no two
 /// distinct elements compare `Equal`), but costs O(N log n) instead of
 /// O(N log N).
+pub fn partial_select_by<T>(
+    items: impl IntoIterator<Item = T>,
+    n: usize,
+    cmp: impl FnMut(&T, &T) -> Ordering,
+) -> Vec<T> {
+    partial_select_filter_map(items, n, |item, _| Some(item), cmp)
+}
+
+/// [`partial_select_by`] over elements that are dear to build: `make`
+/// turns each raw item into an element, or into `None` when it can tell
+/// more cheaply that the element would not be selected. To tell, it is
+/// shown `worst`, the largest element currently kept — `Some` only once
+/// `n` are kept, so nothing can be skipped while there is still room.
+///
+/// The result is `partial_select_by` over every element `make` *could*
+/// have built, provided it returns `None` only for an item whose
+/// element would not compare `Less` than `worst`.
 ///
 /// Internally a bounded max-heap of the best `n` seen so far: each
 /// further element either loses to the heap root (worst survivor) and
 /// is dropped, or replaces it.
-pub fn partial_select_by<T>(
-    items: impl IntoIterator<Item = T>,
+fn partial_select_filter_map<R, T>(
+    raw: impl IntoIterator<Item = R>,
     n: usize,
+    mut make: impl FnMut(R, Option<&T>) -> Option<T>,
     mut cmp: impl FnMut(&T, &T) -> Ordering,
 ) -> Vec<T> {
     if n == 0 {
         return Vec::new();
     }
     let mut heap: Vec<T> = Vec::with_capacity(n.min(1024));
-    for item in items {
-        if heap.len() < n {
+    for raw in raw {
+        let full = heap.len() == n;
+        let worst = if full { heap.first() } else { None };
+        let Some(item) = make(raw, worst) else {
+            continue;
+        };
+        if !full {
             heap.push(item);
             let mut i = heap.len() - 1;
             while i > 0 {
@@ -159,10 +182,33 @@ impl GlobalSelectionPolicy {
     }
 
     /// Ranks `candidates` and keeps only the best `top_n` — exactly
-    /// [`GlobalSelectionPolicy::rank`] + `truncate(top_n)` (the ranking
-    /// comparator is a strict total order because node ids are unique,
-    /// so the partial select is byte-identical to the full sort), but
-    /// without sorting candidates that cannot make the shortlist.
+    /// [`GlobalSelectionPolicy::rank`] + `truncate(top_n)` for every
+    /// input in any arrival order (the ranking comparator is a strict
+    /// total order because node ids are unique, so the partial select is
+    /// byte-identical to the full sort), but without sorting candidates
+    /// that cannot make the shortlist and without measuring the distance
+    /// to most of them.
+    ///
+    /// Once `top_n` candidates are kept, the next one is first scored at
+    /// a **floor**: the policy's own formula at a distance the candidate
+    /// cannot be nearer than — 0 km (enough to drop a loaded node behind
+    /// idle ones), then its latitude gap to the user
+    /// ([`GeoPoint::lat_gap_km`]` <= distance_km`, which drops an idle
+    /// node behind nearer idle ones). Only a candidate whose floors do
+    /// not already place it behind the worst one kept pays a haversine:
+    /// on a dense metro fleet (20 000 nodes in a 100 km box, loads in
+    /// `[0, 2)`, `top_n` 3) about 150 of the 20 000 do, and about 520
+    /// when every node is idle.
+    ///
+    /// * `floor <= score` because the same arithmetic on a smaller
+    ///   distance rounds to a smaller-or-equal result — if the score
+    ///   grows with distance. With a negative (or NaN)
+    ///   `distance_weight_per_km` nothing is skipped.
+    /// * A candidate is skipped only when a floor is *strictly* worse
+    ///   than the worst kept score: at an equal floor it may still tie
+    ///   and win on `NodeId`.
+    /// * A NaN load, weight or kept score fails that comparison, and the
+    ///   candidate is scored in full, as without floors.
     pub fn rank_top_n(
         &self,
         user_loc: GeoPoint,
@@ -170,14 +216,36 @@ impl GlobalSelectionPolicy {
         affiliations: &[NodeId],
         top_n: usize,
     ) -> Vec<ScoredCandidate> {
-        partial_select_by(
-            candidates.into_iter().map(|status| {
-                let affiliated = affiliations.contains(&status.node);
-                self.score(user_loc, &status, affiliated)
-            }),
+        partial_select_filter_map(
+            candidates,
             top_n,
+            |status, worst| {
+                let affiliated = affiliations.contains(&status.node);
+                self.score_unless_beaten(user_loc, &status, affiliated, worst)
+            },
             rank_order,
         )
+    }
+
+    /// [`GlobalSelectionPolicy::score`], or `None` — and no haversine —
+    /// when a score floor (see [`GlobalSelectionPolicy::rank_top_n`])
+    /// already places the candidate behind `worst`, the last entry of a
+    /// full shortlist.
+    fn score_unless_beaten(
+        &self,
+        user_loc: GeoPoint,
+        status: &NodeStatus,
+        affiliated: bool,
+        worst: Option<&ScoredCandidate>,
+    ) -> Option<ScoredCandidate> {
+        if let Some(worst) = worst.filter(|_| self.distance_weight_per_km >= 0.0) {
+            let beaten_at =
+                |km: f64| self.score_with_distance(status, km, affiliated).score > worst.score;
+            if beaten_at(0.0) || beaten_at(user_loc.lat_gap_km(status.location)) {
+                return None;
+            }
+        }
+        Some(self.score(user_loc, status, affiliated))
     }
 
     /// [`GlobalSelectionPolicy::rank_top_n`] over candidates whose
@@ -401,5 +469,198 @@ mod tests {
             let got = p.rank_top_n(user(), pool.clone(), &affiliations, top_n);
             assert_eq!(got, expected, "top_n={top_n}");
         }
+    }
+
+    /// SplitMix64, as `perfbench/src/gen.rs` draws `fleet_mixed` from.
+    struct Rng(u64);
+
+    impl Rng {
+        fn unit(&mut self) -> f64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// A point in a 100 km box centred on the metro anchor.
+        fn point(&mut self) -> GeoPoint {
+            let (east, north) = (100.0 * self.unit() - 50.0, 100.0 * self.unit() - 50.0);
+            user().offset_km(east, north)
+        }
+    }
+
+    /// The `fleet_mixed` shape: ids `1..=n`, seeded positions over a
+    /// 100 km box, loads drawn by `load` (the benchmark's: `[0, 2)`).
+    fn metro_fleet(seed: u64, n: u64, mut load: impl FnMut(&mut Rng) -> f64) -> Vec<NodeStatus> {
+        let mut rng = Rng(seed);
+        (1..=n)
+            .map(|id| NodeStatus {
+                node: NodeId::new(id),
+                class: NodeClass::Volunteer,
+                location: rng.point(),
+                attached_users: 0,
+                load_score: load(&mut rng),
+            })
+            .collect()
+    }
+
+    fn users(seed: u64, n: usize) -> Vec<GeoPoint> {
+        let mut rng = Rng(seed);
+        (0..n).map(|_| rng.point()).collect()
+    }
+
+    /// A shortlist bit for bit (and so that a NaN score equals itself).
+    fn bits(list: &[ScoredCandidate]) -> Vec<(NodeId, u64, u64)> {
+        list.iter()
+            .map(|c| (c.node, c.score.to_bits(), c.distance_km.to_bits()))
+            .collect()
+    }
+
+    /// Holds `rank_top_n` to `rank` + `truncate` for every user and
+    /// `top_n`, over three rotations of the arrival order.
+    fn assert_exact(
+        p: &GlobalSelectionPolicy,
+        fleet: &[NodeStatus],
+        users: &[GeoPoint],
+        affiliations: &[NodeId],
+        top_ns: &[usize],
+        case: &str,
+    ) {
+        let mut arrival = fleet.to_vec();
+        for rotation in 0..3 {
+            for (u, &user) in users.iter().enumerate() {
+                let full = p.rank(user, fleet.iter().copied(), affiliations);
+                for &top_n in top_ns {
+                    let got = p.rank_top_n(user, arrival.iter().copied(), affiliations, top_n);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&full[..top_n.min(full.len())]),
+                        "{case}: user {u}, top_n {top_n}, rotation {rotation}"
+                    );
+                }
+            }
+            arrival.rotate_left(fleet.len() / 3 + 1);
+        }
+    }
+
+    #[test]
+    fn score_floors_never_change_the_shortlist() {
+        let p = GlobalSelectionPolicy::default();
+        let top_ns = [1usize, 3, 8, 64];
+        let users = users(11, 100);
+        let mixed = metro_fleet(7, 2_000, |rng| 2.0 * rng.unit());
+        assert_exact(&p, &mixed, &users, &[], &top_ns, "mixed loads");
+        // All idle: the 0 km floor is 0 for everyone, the latitude floor
+        // does all the work. All one load: the same, off zero.
+        let idle = metro_fleet(7, 2_000, |_| 0.0);
+        assert_exact(&p, &idle, &users, &[], &top_ns, "all idle");
+        let level = metro_fleet(7, 2_000, |_| 0.7);
+        assert_exact(&p, &level, &users, &[], &top_ns, "all one load");
+
+        // Exact ties at the cut: four nodes to a site, one load a site
+        // (a multiple of 1/4, so `10 × load` is exact), ids dealt so a
+        // site's four are far apart in arrival order; users stand on
+        // sites, where distance is 0 and a floor *equals* the kept score.
+        let sites = metro_fleet(3, 500, |rng| (8.0 * rng.unit()).floor() / 4.0);
+        let tied: Vec<NodeStatus> = (0..4)
+            .flat_map(|copy| {
+                sites.iter().map(move |site| NodeStatus {
+                    node: NodeId::new(site.node.as_u64() + 500 * copy),
+                    ..*site
+                })
+            })
+            .collect();
+        let on_sites: Vec<GeoPoint> = sites.iter().step_by(5).map(|s| s.location).collect();
+        let idle_site = sites.iter().find(|s| s.load_score == 0.0).unwrap();
+        let at_home = p.rank_top_n(idle_site.location, tied.iter().rev().copied(), &[], 3);
+        assert!(
+            at_home
+                .iter()
+                .all(|c| c.score == 0.0 && c.distance_km == 0.0),
+            "fixture must tie a floor with the kept score: {at_home:?}"
+        );
+        assert_exact(&p, &tied, &on_sites, &[], &top_ns, "exact ties");
+
+        // The affinity bonus rides along in the floor (scores go negative).
+        let affiliations: Vec<NodeId> = [17, 400, 401, 1_203, 1_999].map(NodeId::new).to_vec();
+        assert_exact(&p, &mixed, &users, &affiliations, &top_ns, "affiliations");
+
+        // `top_n` above the fleet size: the heap never fills.
+        assert_exact(
+            &p,
+            &mixed[..50],
+            &users,
+            &[],
+            &[50, 55, 64],
+            "top_n over fleet",
+        );
+
+        // Farther is *better*: no floor is a floor, nothing may be skipped.
+        let away = GlobalSelectionPolicy {
+            distance_weight_per_km: -0.2,
+            ..p
+        };
+        assert_exact(&away, &mixed, &users[..20], &[], &top_ns, "negative weight");
+        assert_eq!(
+            full_scores_per_query(&away, &mixed, &users[..1]),
+            mixed.len()
+        );
+    }
+
+    #[test]
+    fn a_nan_load_is_ranked_as_without_floors() {
+        // A NaN score compares by id alone, so on the lowest or highest
+        // id `rank_order` is still an order (the node is simply first,
+        // or last) and `rank` is the reference as everywhere else. On
+        // any other id it is not one — `rank`'s sort and the select's
+        // may disagree or panic, with floors or without — which is why
+        // the live manager refuses such a load at the door.
+        let p = GlobalSelectionPolicy::default();
+        let users = users(11, 100);
+        let mut fleet = metro_fleet(7, 2_000, |rng| 2.0 * rng.unit());
+        let honest = std::mem::replace(&mut fleet[0].load_score, f64::NAN);
+        assert_exact(&p, &fleet, &users, &[], &[1, 3, 8, 64], "NaN first");
+        fleet[0].load_score = honest;
+        fleet[1_999].load_score = f64::NAN;
+        assert_exact(&p, &fleet, &users, &[], &[1, 3, 8, 64], "NaN last");
+    }
+
+    /// Full scores (haversines) `rank_top_n` pays per query, counted
+    /// through the select's constructor: a count, so it repeats exactly.
+    fn full_scores_per_query(
+        p: &GlobalSelectionPolicy,
+        fleet: &[NodeStatus],
+        users: &[GeoPoint],
+    ) -> usize {
+        let mut scored = 0;
+        for &user in users {
+            let got = partial_select_filter_map(
+                fleet.iter(),
+                3,
+                |status, worst| {
+                    let candidate = p.score_unless_beaten(user, status, false, worst);
+                    scored += usize::from(candidate.is_some());
+                    candidate
+                },
+                rank_order,
+            );
+            assert_eq!(got, p.rank_top_n(user, fleet.iter().copied(), &[], 3));
+        }
+        scored / users.len()
+    }
+
+    #[test]
+    fn score_floors_spare_most_of_a_dense_fleet_its_haversines() {
+        let p = GlobalSelectionPolicy::default();
+        let users = users(11, 25);
+        // `fleet_mixed`'s registry: 20 000 per query without floors.
+        let mixed = metro_fleet(7, 20_000, |rng| 2.0 * rng.unit());
+        let scored = full_scores_per_query(&p, &mixed, &users);
+        assert!(scored <= 400, "{scored} full scores per query");
+        // All idle the 0 km floor drops nobody; the latitude floor must.
+        let idle = metro_fleet(7, 20_000, |_| 0.0);
+        let scored = full_scores_per_query(&p, &idle, &users);
+        assert!(scored <= 1_000, "{scored} full scores per query");
     }
 }
