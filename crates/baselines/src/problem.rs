@@ -184,14 +184,6 @@ impl AssignmentProblem {
         self.rtt_ms[user][node]
     }
 
-    /// One user's end-to-end latency under `assignment`:
-    /// `D_prop + D_trans + D_proc(node, |S_node|)`.
-    pub fn user_latency_ms(&self, assignment: &Assignment, user: usize) -> f64 {
-        let node = assignment.node_of(user);
-        let load = assignment.loads(self.nodes.len())[node];
-        self.latency_with_load_ms(user, node, load)
-    }
-
     /// The objective `P(EA)`: mean end-to-end latency over all users.
     ///
     /// # Panics

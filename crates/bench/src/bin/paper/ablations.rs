@@ -11,12 +11,13 @@ use armada_core::{EnvSpec, Scenario, Strategy};
 use armada_metrics::BenchReport;
 use armada_types::{ClientConfig, LocalSelectionPolicy, SimDuration, SimTime};
 
+/// Names the run report, and the trace files under `ARMADA_TRACE`.
+pub const NAME: &str = "ablations";
+
 const DURATION_S: u64 = 60;
 
-fn main() {
-    let harness = Harness::from_env();
-    let mut report = BenchReport::start("ablations", harness.threads());
-
+/// Runs the experiment, recording each unit in `report`.
+pub fn run(harness: &Harness, report: &mut BenchReport) {
     let base = ClientConfig::default();
     let variants: Vec<(&str, ClientConfig)> = vec![
         ("default (GO, 10% hysteresis, T=10s, window 4)", base),
@@ -121,13 +122,5 @@ fn main() {
         "\nreading guide: GO should not lose to LO under load; removing hysteresis\n\
          inflates switches; very slow probing hurts adaptation; a deep pipeline\n\
          inflates queueing latency on saturated nodes."
-    );
-
-    let path = report.write().expect("write bench report");
-    println!(
-        "\nbench report: {} ({} runs, {:.0} ms wall)",
-        path.display(),
-        report.run_count(),
-        report.wall_ms()
     );
 }

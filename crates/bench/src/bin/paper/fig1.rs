@@ -13,12 +13,13 @@ use armada_net::{Addr, MeasurementCampaign};
 use armada_sim::SimRng;
 use armada_types::{NodeClass, NodeId, UserId};
 
+/// Names the run report, and the trace files under `ARMADA_TRACE`.
+pub const NAME: &str = "fig1_rtt_measurements";
+
 const PROBES_PER_PAIR: usize = 100;
 
-fn main() {
-    let harness = Harness::from_env();
-    let mut report = BenchReport::start("fig1_rtt_measurements", harness.threads());
-
+/// Runs the experiment, recording each unit in `report`.
+pub fn run(harness: &Harness, report: &mut BenchReport) {
     let env = EnvSpec::realworld(15);
     let net = env.to_network();
 
@@ -99,13 +100,5 @@ fn main() {
         dur_ms(lz),
         dur_ms(cloud),
         volunteer_best < lz && lz < cloud
-    );
-
-    let path = report.write().expect("write bench report");
-    println!(
-        "\nbench report: {} ({} runs, {:.0} ms wall)",
-        path.display(),
-        report.run_count(),
-        report.wall_ms()
     );
 }

@@ -12,6 +12,9 @@ use armada_core::{EnvSpec, RunResult, Scenario, Strategy};
 use armada_metrics::BenchReport;
 use armada_types::{ClientConfig, SimDuration, SimTime};
 
+/// Names the run report, and the trace files under `ARMADA_TRACE`.
+pub const NAME: &str = "fig10_fault_tolerance";
+
 const DURATION_S: u64 = 180;
 
 fn churn_env() -> EnvSpec {
@@ -21,7 +24,7 @@ fn churn_env() -> EnvSpec {
     env
 }
 
-fn run(strategy: Strategy) -> RunResult {
+fn run_churn(strategy: Strategy) -> RunResult {
     Scenario::new(churn_env(), strategy)
         .with_churn(ChurnTrace::paper_fig8())
         .duration(SimDuration::from_secs(DURATION_S))
@@ -62,10 +65,8 @@ fn recovery_gaps(result: &RunResult) -> (f64, f64, usize) {
     (mean, max, n)
 }
 
-fn main() {
-    let harness = Harness::from_env();
-    let mut report = BenchReport::start("fig10_fault_tolerance", harness.threads());
-
+/// Runs the experiment, recording each unit in `report`.
+pub fn run(harness: &Harness, report: &mut BenchReport) {
     // One batch of 7 independent units: the two part-(a) modes plus the
     // five part-(b) TopN variants.
     let units: Vec<(&str, Strategy)> = vec![
@@ -92,7 +93,7 @@ fn main() {
             Strategy::client_centric_with(ClientConfig::default().with_top_n(5)),
         ),
     ];
-    let runs = harness.run(units, |(name, strategy)| (name, run(strategy)));
+    let runs = harness.run(units, |(name, strategy)| (name, run_churn(strategy)));
     for (name, result) in &runs {
         report.record(*name, DURATION_S as f64, result.recorder().len() as u64);
     }
@@ -171,13 +172,5 @@ fn main() {
         hard[1],
         &hard[2..],
         hard[0] > hard[1] && hard[2..].iter().all(|&h| h <= hard[1])
-    );
-
-    let path = report.write().expect("write bench report");
-    println!(
-        "\nbench report: {} ({} runs, {:.0} ms wall)",
-        path.display(),
-        report.run_count(),
-        report.wall_ms()
     );
 }

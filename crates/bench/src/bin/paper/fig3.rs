@@ -14,12 +14,13 @@ use armada_sim::SimRng;
 use armada_types::{NodeId, SimDuration, UserId};
 use armada_workload::{FRAME_SIZE, RESPONSE_SIZE};
 
+/// Names the run report, and the trace files under `ARMADA_TRACE`.
+pub const NAME: &str = "fig3_latency_cdf";
+
 const SAMPLES_PER_SERVER: usize = 500;
 
-fn main() {
-    let harness = Harness::from_env();
-    let mut report = BenchReport::start("fig3_latency_cdf", harness.threads());
-
+/// Runs the experiment, recording each unit in `report`.
+pub fn run(harness: &Harness, report: &mut BenchReport) {
     let env = EnvSpec::realworld(15);
     let net = env.to_network();
     let user = Addr::User(UserId::new(0));
@@ -74,12 +75,4 @@ fn main() {
         &summary_rows,
     );
     print_csv("fig3_cdf", &["server", "latency_ms", "cum_prob"], &all_rows);
-
-    let path = report.write().expect("write bench report");
-    println!(
-        "\nbench report: {} ({} runs, {:.0} ms wall)",
-        path.display(),
-        report.run_count(),
-        report.wall_ms()
-    );
 }

@@ -6,15 +6,18 @@
 //! failure while the client re-discovers; the proactive line continues
 //! with at most a small blip.
 
-use armada_bench::{dur_ms, print_csv, print_table, tracer_for, Harness};
+use armada_bench::{dur_ms, print_csv, print_table, trace_path, tracer_for, Harness};
 use armada_core::{EnvSpec, RunResult, Scenario, Strategy};
 use armada_metrics::BenchReport;
 use armada_types::{SimDuration, SimTime, UserId};
 
+/// Names the run report, and the trace files under `ARMADA_TRACE`.
+pub const NAME: &str = "fig4_failover_trace";
+
 const KILL_AT_S: u64 = 10;
 const DURATION_S: u64 = 20;
 
-fn run(name: &str, strategy: Strategy) -> RunResult {
+fn run_mode(name: &str, strategy: Strategy) -> RunResult {
     let mut env = EnvSpec::realworld(15);
     env.users.truncate(1);
     // Find the serving node first, then rerun with that node killed.
@@ -27,7 +30,7 @@ fn run(name: &str, strategy: Strategy) -> RunResult {
         .client(UserId::new(0))
         .and_then(|c| c.current_node())
         .expect("pilot run attaches the user");
-    let tracer = tracer_for("fig4_failover_trace", name);
+    let tracer = tracer_for(NAME, name);
     let result = Scenario::new(env, strategy)
         .duration(SimDuration::from_secs(DURATION_S))
         .seed(11)
@@ -55,19 +58,17 @@ fn worst_gap_ms(result: &RunResult) -> f64 {
     worst
 }
 
-fn main() {
-    let harness = Harness::from_env();
-    let mut report = BenchReport::start("fig4_failover_trace", harness.threads());
-
+/// Runs the experiment, recording each unit in `report`.
+pub fn run(harness: &Harness, report: &mut BenchReport) {
     // Each mode is one independent unit (pilot + kill run).
     let modes: Vec<(&str, Strategy)> = vec![
         ("proactive", Strategy::client_centric()),
         ("reactive", Strategy::client_centric_reactive()),
     ];
-    let runs = harness.run(modes, |(name, strategy)| (name, run(name, strategy)));
+    let runs = harness.run(modes, |(name, strategy)| (name, run_mode(name, strategy)));
     for (name, result) in &runs {
         report.record(*name, DURATION_S as f64, result.recorder().len() as u64);
-        if let Some(path) = armada_bench::trace_path("fig4_failover_trace", name) {
+        if let Some(path) = trace_path(NAME, name) {
             report.record_trace(path.display().to_string());
         }
     }
@@ -119,13 +120,5 @@ fn main() {
         worst_gap_ms(reactive).round(),
         worst_gap_ms(proactive).round(),
         worst_gap_ms(reactive) > 1.5 * worst_gap_ms(proactive)
-    );
-
-    let path = report.write().expect("write bench report");
-    println!(
-        "\nbench report: {} ({} runs, {:.0} ms wall)",
-        path.display(),
-        report.run_count(),
-        report.wall_ms()
     );
 }

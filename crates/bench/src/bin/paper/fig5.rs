@@ -12,14 +12,15 @@ use armada_core::{EnvSpec, Scenario, Strategy};
 use armada_metrics::BenchReport;
 use armada_types::{SimDuration, SimTime};
 
+/// Names the run report, and the trace files under `ARMADA_TRACE`.
+pub const NAME: &str = "fig5_elasticity";
+
 const DURATION_S: u64 = 40;
 
 type StrategyMaker = fn() -> Strategy;
 
-fn main() {
-    let harness = Harness::from_env();
-    let mut report = BenchReport::start("fig5_elasticity", harness.threads());
-
+/// Runs the experiment, recording each unit in `report`.
+pub fn run(harness: &Harness, report: &mut BenchReport) {
     let strategies: Vec<(&str, StrategyMaker)> = vec![
         ("client-centric", Strategy::client_centric),
         ("geo-proximity", || Strategy::GeoProximity),
@@ -103,12 +104,4 @@ fn main() {
         last[3] > last[4]
     );
     println!("  latency reduction vs best edge baseline: {reduction:.0}% (paper: 18-46%)");
-
-    let path = report.write().expect("write bench report");
-    println!(
-        "\nbench report: {} ({} runs, {:.0} ms wall)",
-        path.display(),
-        report.run_count(),
-        report.wall_ms()
-    );
 }

@@ -12,12 +12,15 @@ use armada_core::{EnvSpec, RunResult, Scenario, Strategy};
 use armada_metrics::BenchReport;
 use armada_types::{SimDuration, SimTime};
 
+/// Names the run report, and the trace files under `ARMADA_TRACE`.
+pub const NAME: &str = "fig6_join_trace";
+
 const USERS: usize = 15;
 const SEED: u64 = 21;
 const DURATION_S: u64 = 180;
 
-fn run((name, strategy): (&'static str, Strategy)) -> (&'static str, RunResult) {
-    let tracer = tracer_for("fig6_join_trace", name);
+fn run_method((name, strategy): (&'static str, Strategy)) -> (&'static str, RunResult) {
+    let tracer = tracer_for(NAME, name);
     let result = Scenario::new(EnvSpec::emulation(USERS, SEED), strategy)
         .users_joining_every(SimDuration::from_secs(10))
         .duration(SimDuration::from_secs(DURATION_S))
@@ -28,21 +31,19 @@ fn run((name, strategy): (&'static str, Strategy)) -> (&'static str, RunResult) 
     (name, result)
 }
 
-fn main() {
-    let harness = Harness::from_env();
-    let mut report = BenchReport::start("fig6_join_trace", harness.threads());
-
+/// Runs the experiment, recording each unit in `report`.
+pub fn run(harness: &Harness, report: &mut BenchReport) {
     let methods: Vec<(&str, Strategy)> = vec![
         ("locality", Strategy::GeoProximity),
         ("resource-aware", Strategy::ResourceAwareWrr),
         ("client-centric", Strategy::client_centric()),
     ];
-    let runs = harness.run(methods, run);
+    let runs = harness.run(methods, run_method);
 
     let mut summary = Vec::new();
     for (name, result) in &runs {
         report.record(*name, DURATION_S as f64, result.recorder().len() as u64);
-        if let Some(path) = trace_path("fig6_join_trace", name) {
+        if let Some(path) = trace_path(NAME, name) {
             report.record_trace(path.display().to_string());
         }
         let mut csv = Vec::new();
@@ -107,13 +108,5 @@ fn main() {
             "switches",
         ],
         &summary,
-    );
-
-    let path = report.write().expect("write bench report");
-    println!(
-        "\nbench report: {} ({} runs, {:.0} ms wall)",
-        path.display(),
-        report.run_count(),
-        report.wall_ms()
     );
 }

@@ -15,14 +15,15 @@ use armada_core::{to_assignment_problem, EnvSpec, Scenario, Strategy};
 use armada_metrics::BenchReport;
 use armada_types::{SimDuration, SimTime};
 
+/// Names the run report, and the trace files under `ARMADA_TRACE`.
+pub const NAME: &str = "fig7_vs_optimal";
+
 const USERS: usize = 15;
 const SEED: u64 = 21;
 const DURATION_S: u64 = 180;
 
-fn main() {
-    let harness = Harness::from_env();
-    let mut report = BenchReport::start("fig7_vs_optimal", harness.threads());
-
+/// Runs the experiment, recording each unit in `report`.
+pub fn run(harness: &Harness, report: &mut BenchReport) {
     // Solve the static optimal assignment from a snapshot (application
     // profiles + emulated network, as the paper does), then *simulate*
     // that assignment under the same dynamics as every other strategy
@@ -92,13 +93,5 @@ fn main() {
     println!(
         "shape check: |client-centric - optimal| <= 15% and cc < resource-aware < locality : {}",
         (cc - optimal_ms).abs() <= 0.15 * optimal_ms && cc < wrr && wrr < geo
-    );
-
-    let path = report.write().expect("write bench report");
-    println!(
-        "\nbench report: {} ({} runs, {:.0} ms wall)",
-        path.display(),
-        report.run_count(),
-        report.wall_ms()
     );
 }

@@ -12,12 +12,13 @@ use armada_core::{EnvSpec, Scenario, Strategy};
 use armada_metrics::BenchReport;
 use armada_types::{SimDuration, SimTime};
 
+/// Names the run report, and the trace files under `ARMADA_TRACE`.
+pub const NAME: &str = "fig8_churn_trace";
+
 const DURATION_S: u64 = 180;
 
-fn main() {
-    let harness = Harness::from_env();
-    let mut report = BenchReport::start("fig8_churn_trace", harness.threads());
-
+/// Runs the experiment, recording each unit in `report`.
+pub fn run(harness: &Harness, report: &mut BenchReport) {
     let trace = ChurnTrace::paper_fig8();
     println!(
         "churn trace: {} nodes over {:.0}s, {} alive at t=0",
@@ -35,7 +36,7 @@ fn main() {
     let run_trace = trace.clone();
     let result = harness
         .run(vec![(env, run_trace)], |(env, trace)| {
-            let tracer = tracer_for("fig8_churn_trace", "churn/top_n=3");
+            let tracer = tracer_for(NAME, "churn/top_n=3");
             let result = Scenario::new(env, Strategy::client_centric())
                 .with_churn(trace)
                 .duration(SimDuration::from_secs(DURATION_S))
@@ -52,7 +53,7 @@ fn main() {
         DURATION_S as f64,
         result.recorder().len() as u64,
     );
-    if let Some(path) = trace_path("fig8_churn_trace", "churn/top_n=3") {
+    if let Some(path) = trace_path(NAME, "churn/top_n=3") {
         report.record_trace(path.display().to_string());
     }
 
@@ -112,13 +113,5 @@ fn main() {
     println!(
         "shape check: more alive nodes => lower latency : {}",
         avg(&rich) < avg(&poor)
-    );
-
-    let path = report.write().expect("write bench report");
-    println!(
-        "\nbench report: {} ({} runs, {:.0} ms wall)",
-        path.display(),
-        report.run_count(),
-        report.wall_ms()
     );
 }

@@ -14,12 +14,13 @@ use armada_core::{EnvSpec, Scenario, Strategy};
 use armada_metrics::BenchReport;
 use armada_types::{ClientConfig, SimDuration, SimTime};
 
+/// Names the run report, and the trace files under `ARMADA_TRACE`.
+pub const NAME: &str = "fig9_topn_sweep";
+
 const DURATION_S: u64 = 180;
 
-fn main() {
-    let harness = Harness::from_env();
-    let mut report = BenchReport::start("fig9_topn_sweep", harness.threads());
-
+/// Runs the experiment, recording each unit in `report`.
+pub fn run(harness: &Harness, report: &mut BenchReport) {
     let trace = ChurnTrace::paper_fig8();
     // The paper runs the experiment "multiple times" per TopN; average
     // over several seeds likewise. Every (TopN, seed) run is
@@ -127,13 +128,5 @@ fn main() {
         "  fairness: best stddev at TopN>=3 ({best_high:.1}) <= TopN=1 ({:.1}) : {}",
         fairness[0],
         best_high <= fairness[0]
-    );
-
-    let path = report.write().expect("write bench report");
-    println!(
-        "\nbench report: {} ({} runs, {:.0} ms wall)",
-        path.display(),
-        report.run_count(),
-        report.wall_ms()
     );
 }

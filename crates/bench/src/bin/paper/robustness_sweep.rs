@@ -10,16 +10,17 @@ use armada_core::{EnvSpec, Strategy};
 use armada_metrics::{mean, percentile, stddev, BenchReport};
 use armada_types::{SimDuration, SimTime};
 
+/// Names the run report, and the trace files under `ARMADA_TRACE`.
+pub const NAME: &str = "robustness_sweep";
+
 const USERS: usize = 15;
 const SEEDS: u64 = 10;
 const DURATION_S: u64 = 40;
 
 type NamedStrategy = (&'static str, fn() -> Strategy);
 
-fn main() {
-    let harness = Harness::from_env();
-    let mut report = BenchReport::start("robustness_sweep", harness.threads());
-
+/// Runs the experiment, recording each unit in `report`.
+pub fn run(harness: &Harness, report: &mut BenchReport) {
     let strategies: &[NamedStrategy] = &[
         ("client-centric", Strategy::client_centric),
         ("geo-proximity", || Strategy::GeoProximity),
@@ -108,12 +109,4 @@ fn main() {
         })
         .count();
     println!("client-centric wins in {wins}/{SEEDS} seeds");
-
-    let path = report.write().expect("write bench report");
-    println!(
-        "\nbench report: {} ({} runs, {:.0} ms wall)",
-        path.display(),
-        report.run_count(),
-        report.wall_ms()
-    );
 }

@@ -3,18 +3,19 @@
 //!
 //! The "Processing" column is *measured* by running one synthetic frame
 //! through each node's executor, not just echoed from configuration —
-//! so this binary also validates that the contention model's base case
-//! matches the paper's profile numbers exactly.
+//! so this experiment also validates that the contention model's base
+//! case matches the paper's profile numbers exactly.
 
 use armada_bench::{print_table, Harness};
 use armada_metrics::BenchReport;
 use armada_types::{table2_profiles, SimTime};
 use armada_workload::PsExecutor;
 
-fn main() {
-    let harness = Harness::from_env();
-    let mut report = BenchReport::start("table2_hardware", harness.threads());
+/// Names the run report, and the trace files under `ARMADA_TRACE`.
+pub const NAME: &str = "table2_hardware";
 
+/// Runs the experiment, recording each unit in `report`.
+pub fn run(harness: &Harness, report: &mut BenchReport) {
     let measured = harness.run(table2_profiles(), |(label, class, hw)| {
         // Measure one frame on an idle executor.
         let mut exec = PsExecutor::new(&hw);
@@ -42,12 +43,4 @@ fn main() {
         &rows,
     );
     println!("\npaper: V1=24ms V2=32ms V3=31ms V4=45ms V5=49ms D6-D9=30ms Cloud=30ms");
-
-    let path = report.write().expect("write bench report");
-    println!(
-        "\nbench report: {} ({} runs, {:.0} ms wall)",
-        path.display(),
-        report.run_count(),
-        report.wall_ms()
-    );
 }

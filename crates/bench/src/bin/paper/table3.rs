@@ -13,12 +13,13 @@ use armada_net::Addr;
 use armada_types::{ClientConfig, NodeId, SimDuration, UserId};
 use armada_workload::FRAME_SIZE;
 
+/// Names the run report, and the trace files under `ARMADA_TRACE`.
+pub const NAME: &str = "table3_pairwise";
+
 const DURATION_S: u64 = 10;
 
-fn main() {
-    let harness = Harness::from_env();
-    let mut report = BenchReport::start("table3_pairwise", harness.threads());
-
+/// Runs the experiment, recording each unit in `report`.
+pub fn run(harness: &Harness, report: &mut BenchReport) {
     let full = EnvSpec::realworld(15);
     let columns = ["V1", "V2", "V3", "V4", "V5", "D6", "Cloud"];
 
@@ -90,12 +91,4 @@ fn main() {
     );
     println!("\npaper shape: each user's selected cell is its row minimum;");
     println!("U1 -> V1 (38), U2 -> V2 (35), U3 -> D6 (42) in the paper's instance.");
-
-    let path = report.write().expect("write bench report");
-    println!(
-        "\nbench report: {} ({} runs, {:.0} ms wall)",
-        path.display(),
-        report.run_count(),
-        report.wall_ms()
-    );
 }

@@ -1,8 +1,8 @@
 //! A shared worker-pool harness for running independent experiment
 //! units in parallel.
 //!
-//! Every figure/table binary reduces to a list of *independent* units —
-//! usually full [`Scenario`] runs over different `(environment,
+//! Every figure/table experiment reduces to a list of *independent*
+//! units — usually full [`Scenario`] runs over different `(environment,
 //! strategy, seed, duration)` combinations. The harness executes such a
 //! list across a pool of OS threads and returns the results **in spec
 //! order**, so aggregation code is identical to the serial version and

@@ -1,20 +1,21 @@
 //! Shared plumbing for the experiment harness.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` §3 for the index and `EXPERIMENTS.md` for the
-//! recorded outcomes). Run them with, e.g.:
+//! The `paper` binary regenerates the tables and figures of the paper,
+//! one module each (see `DESIGN.md` §3 for the index and
+//! `EXPERIMENTS.md` for the recorded outcomes); the other binaries in
+//! `src/bin/` are the scale sweeps and soaks. Run one with, e.g.:
 //!
 //! ```text
-//! cargo run --release -p armada-bench --bin fig5_elasticity -- --threads 4
+//! cargo run --release -p armada-bench --bin paper -- fig5 --threads 4
 //! ```
 //!
-//! The binaries print both a human-readable table and (where a figure is
-//! a line/CDF plot) CSV series ready for any plotting tool. Independent
-//! experiment units run on the shared [`Harness`] worker pool
-//! (`--threads N` / `ARMADA_BENCH_THREADS`, default all cores) with
+//! An experiment prints both a human-readable table and (where a figure
+//! is a line/CDF plot) CSV series ready for any plotting tool.
+//! Independent experiment units run on the shared [`Harness`] worker
+//! pool (`--threads N` / `ARMADA_BENCH_THREADS`, default all cores) with
 //! results returned in spec order, so stdout is identical at every
-//! thread count; each binary also writes a machine-readable
-//! `BENCH_<name>.json` run report (see `EXPERIMENTS.md` for the schema).
+//! thread count; each also writes a machine-readable `BENCH_<name>.json`
+//! run report (see `EXPERIMENTS.md` for the schema).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

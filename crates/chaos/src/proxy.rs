@@ -108,11 +108,6 @@ impl ChaosProxy {
             }
         }
     }
-
-    /// `true` while the link is cut.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned.load(Ordering::Acquire)
-    }
 }
 
 fn register(conns: &Arc<Mutex<Vec<TcpStream>>>, stream: &TcpStream) {

@@ -146,12 +146,6 @@ impl StormPlan {
         self
     }
 
-    /// Replaces the stagger window for flood/loris openings.
-    pub fn with_ramp_us(mut self, ramp_us: u64) -> Self {
-        self.ramp_us = ramp_us;
-        self
-    }
-
     /// `true` if the storm opens no connections at all: running it is
     /// then provably a no-op (and consumes no randomness).
     pub fn is_noop(&self) -> bool {

@@ -107,11 +107,6 @@ impl FederatedCluster {
         !self.down.contains(&id)
     }
 
-    /// Number of shards currently down.
-    pub fn down_count(&self) -> usize {
-        self.down.len()
-    }
-
     /// Takes shard `id` down: it stops serving, syncing, and accepting
     /// registrations. Returns `false` if it was already down.
     pub fn kill(&mut self, id: ShardId) -> bool {

@@ -9,9 +9,9 @@
 //!
 //! Two query paths coexist:
 //!
-//! * the original full-scan helpers ([`ProximityIndex::within_km`],
-//!   [`ProximityIndex::nearest`]) — exact, O(N) per call, retained as
-//!   the *reference* the differential test suite compares against, and
+//! * the original full scan ([`ProximityIndex::within_km`]) — exact,
+//!   O(N) per call, retained as the *reference* the differential test
+//!   suite compares against, and
 //! * the incremental [`DiskScan`] — an expanding cell-ring search over
 //!   multi-resolution GeoHash buckets that visits each cell at most
 //!   once across widening rounds and emits neighbors in deterministic
@@ -276,7 +276,7 @@ impl CellRect {
 /// let mut idx = ProximityIndex::new();
 /// idx.insert(NodeId::new(1), origin.offset_km(1.0, 0.0));
 /// idx.insert(NodeId::new(2), origin.offset_km(30.0, 0.0));
-/// let ranked = idx.nearest(origin, 2);
+/// let ranked = idx.within_km(origin, 50.0);
 /// assert_eq!(ranked[0].id, NodeId::new(1));
 /// assert!(ranked[0].distance_km < ranked[1].distance_km);
 /// ```
@@ -526,42 +526,6 @@ impl ProximityIndex {
             .collect();
         sort_ranked(&mut out);
         out
-    }
-
-    /// The `count` nearest nodes to `from` regardless of distance, sorted
-    /// nearest-first.
-    pub fn nearest(&self, from: GeoPoint, count: usize) -> Vec<RankedNeighbor> {
-        let mut out: Vec<RankedNeighbor> = self
-            .positions_iter()
-            .map(|(id, &(p, _))| RankedNeighbor {
-                id,
-                distance_km: from.distance_km(p),
-            })
-            .collect();
-        sort_ranked(&mut out);
-        out.truncate(count);
-        out
-    }
-
-    /// The paper's widening proximity search: returns nodes within
-    /// `radius_km`, but if fewer than `min_candidates` are found, widens
-    /// the radius (doubling each step) until either enough candidates are
-    /// found or every indexed node is included. Remote nodes therefore
-    /// remain discoverable as a last resort.
-    pub fn widening_search(
-        &self,
-        from: GeoPoint,
-        radius_km: f64,
-        min_candidates: usize,
-    ) -> Vec<RankedNeighbor> {
-        let mut radius = radius_km.max(0.1);
-        loop {
-            let found = self.within_km(from, radius);
-            if found.len() >= min_candidates || found.len() == self.len() {
-                return found;
-            }
-            radius *= 2.0;
-        }
     }
 
     /// Starts an incremental expanding-disk scan centred on `from`.
@@ -857,35 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_orders_by_distance() {
-        let idx = build(&[(30.0, 0.0), (1.0, 0.0), (10.0, 0.0)]);
-        let ranked = idx.nearest(origin(), 3);
-        assert_eq!(
-            ranked.iter().map(|n| n.id).collect::<Vec<_>>(),
-            vec![NodeId::new(1), NodeId::new(2), NodeId::new(0)]
-        );
-    }
-
-    #[test]
-    fn widening_search_reaches_remote_nodes() {
-        // Only one local node, but the caller wants three candidates:
-        // the search must widen until the two remote ones appear.
-        let idx = build(&[(2.0, 0.0), (300.0, 0.0), (500.0, 100.0)]);
-        let found = idx.widening_search(origin(), 10.0, 3);
-        assert_eq!(found.len(), 3);
-        // Still sorted nearest-first.
-        assert!(found[0].distance_km <= found[1].distance_km);
-        assert!(found[1].distance_km <= found[2].distance_km);
-    }
-
-    #[test]
-    fn widening_search_stops_at_population() {
-        let idx = build(&[(2.0, 0.0)]);
-        let found = idx.widening_search(origin(), 1.0, 5);
-        assert_eq!(found.len(), 1, "cannot find more nodes than exist");
-    }
-
-    #[test]
     fn remove_then_query_excludes_node() {
         let mut idx = build(&[(1.0, 0.0), (2.0, 0.0)]);
         assert_eq!(idx.len(), 2);
@@ -922,8 +857,6 @@ mod tests {
         let idx = ProximityIndex::new();
         assert!(idx.is_empty());
         assert!(idx.within_km(origin(), 1000.0).is_empty());
-        assert!(idx.nearest(origin(), 3).is_empty());
-        assert!(idx.widening_search(origin(), 1.0, 1).is_empty());
         let mut scan = idx.disk_scan(origin());
         assert!(scan.extend_to(500.0).is_empty());
         assert!(scan.exhausted());
@@ -1168,17 +1101,6 @@ mod tests {
         }
 
         #[test]
-        fn nearest_is_prefix_of_full_sort(
-            seeds in proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 1..20),
-            k in 1usize..10,
-        ) {
-            let idx = build(&seeds);
-            let all = idx.nearest(origin(), seeds.len());
-            let some = idx.nearest(origin(), k);
-            prop_assert_eq!(&all[..k.min(seeds.len())], &some[..]);
-        }
-
-        #[test]
         fn within_results_respect_radius_and_order(
             seeds in proptest::collection::vec((-200.0f64..200.0, -200.0f64..200.0), 0..30),
             radius in 1.0f64..300.0,
@@ -1191,16 +1113,6 @@ mod tests {
             for n in &found {
                 prop_assert!(n.distance_km <= radius);
             }
-        }
-
-        #[test]
-        fn widening_always_meets_demand_or_exhausts(
-            seeds in proptest::collection::vec((-400.0f64..400.0, -400.0f64..400.0), 0..25),
-            want in 1usize..10,
-        ) {
-            let idx = build(&seeds);
-            let found = idx.widening_search(origin(), 5.0, want);
-            prop_assert!(found.len() >= want.min(seeds.len()));
         }
 
         #[test]

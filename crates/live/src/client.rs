@@ -130,7 +130,7 @@ impl LiveClient {
                 config,
             ))),
             epoch: Instant::now(),
-            wire: WireConfig::from_env(),
+            wire: WireConfig::default(),
         }
     }
 
@@ -142,7 +142,8 @@ impl LiveClient {
     }
 
     /// Overrides the wire configuration (outbound codec, probe
-    /// backend) picked up from the environment by [`LiveClient::new`].
+    /// backend); [`LiveClient::new`] starts from its default, binary
+    /// bodies and UDP probes.
     pub fn with_wire(mut self, wire: WireConfig) -> Self {
         self.wire = wire;
         self

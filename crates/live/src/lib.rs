@@ -39,6 +39,5 @@ pub use node::{LiveNode, LiveNodeConfig, NodeConfig};
 // The protocol types moved to `armada-wire`; re-exported so existing
 // `armada_live::{Request, ...}` call sites keep compiling unchanged.
 pub use armada_wire::{
-    read_frame, read_message, write_message, Codec, FrameError, Request, Response, WireConfig,
-    WireNodeStatus, WireSummary,
+    Codec, FrameError, Request, Response, WireConfig, WireNodeStatus, WireSummary,
 };

@@ -17,7 +17,7 @@ use armada_trace::{s, u, Severity, Tracer};
 use armada_types::{GeoPoint, NodeId, SimDuration, SimTime};
 
 use armada_wire::{
-    decode_request, decode_response, Request, Response, WireConfig, WireNodeStatus, WireSummary,
+    decode_request, decode_response, Codec, Request, Response, WireNodeStatus, WireSummary,
 };
 
 /// Default liveness window: heartbeats older than this mark a node dead.
@@ -385,10 +385,9 @@ impl LiveManager {
     /// reactor's timer wheel, so shutdown never waits out a period.
     pub fn start_sync(&mut self, peers: Vec<SocketAddr>, period: Duration) {
         let state = Arc::clone(&self.state);
-        let wire = WireConfig::from_env();
         let rpc_timeout = self.cfg.sync_rpc_timeout;
         self.reactor.handle().timer_every(period, move |handle| {
-            sync_round(&state, &peers, wire.codec, rpc_timeout, handle);
+            sync_round(&state, &peers, rpc_timeout, handle);
         });
     }
 
@@ -559,7 +558,6 @@ impl RoundTracker {
 fn sync_round(
     state: &Arc<Mutex<ManagerState>>,
     peers: &[SocketAddr],
-    codec: armada_wire::Codec,
     rpc_timeout: Duration,
     handle: &Handle,
 ) {
@@ -577,7 +575,7 @@ fn sync_round(
             .collect();
         (s.shard, summaries)
     };
-    let body = codec.encode_request(&Request::SyncSummaries { from, summaries });
+    let body = Codec::Binary.encode_request(&Request::SyncSummaries { from, summaries });
 
     // Backoff gate: a recently failed peer sits out until its next
     // scheduled attempt; a peer with a sync still in flight is not

@@ -24,9 +24,7 @@ use armada_types::{
 };
 use armada_workload::Frame;
 
-use armada_wire::{
-    decode_request, read_response, write_request, Codec, Request, Response, WireConfig,
-};
+use armada_wire::{decode_request, read_response, write_request, Codec, Request, Response};
 
 use crate::manager::ServeFaults;
 
@@ -152,8 +150,6 @@ struct NodeState {
     /// `retry_after_ms` suggested in `Busy` responses.
     busy_retry_ms: u64,
     tracer: Tracer,
-    /// Outbound codec for the manager link (inbound auto-detects).
-    wire: WireConfig,
 }
 
 impl NodeState {
@@ -457,7 +453,6 @@ impl LiveNode {
             sheds: AtomicU64::new(0),
             busy_retry_ms: live.busy_retry_ms,
             tracer,
-            wire: WireConfig::from_env(),
             cfg,
         });
         let reactor = Reactor::new(ReactorConfig {
@@ -507,7 +502,7 @@ impl LiveNode {
             stream.set_write_timeout(Some(live.heartbeat_rpc_timeout))?;
             write_request(
                 &mut stream,
-                state.wire.codec,
+                Codec::Binary,
                 &Request::Register {
                     status: status_of(&state),
                     listen_addr: addr.to_string(),

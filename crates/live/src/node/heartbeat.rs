@@ -8,7 +8,7 @@ use std::time::Duration;
 use armada_chaos::Backoff;
 use armada_reactor::{Conn, ConnCtx, Handle};
 use armada_trace::Severity;
-use armada_wire::{decode_response, Request, Response, WireNodeStatus};
+use armada_wire::{decode_response, Codec, Request, Response, WireNodeStatus};
 
 use super::NodeState;
 
@@ -54,14 +54,14 @@ pub(super) struct HbConn {
 
 impl HbConn {
     fn register_body(&self) -> Vec<u8> {
-        self.state.wire.codec.encode_request(&Request::Register {
+        Codec::Binary.encode_request(&Request::Register {
             status: status_of(&self.state),
             listen_addr: self.listen_addr.to_string(),
         })
     }
 
     fn heartbeat_body(&self) -> Vec<u8> {
-        self.state.wire.codec.encode_request(&Request::Heartbeat {
+        Codec::Binary.encode_request(&Request::Heartbeat {
             status: status_of(&self.state),
         })
     }

@@ -44,7 +44,6 @@ mod manager;
 pub mod reference;
 mod registry;
 mod selection;
-mod serve;
 mod snapshot;
 mod table;
 
@@ -53,6 +52,5 @@ pub use manager::CentralManager;
 pub use reference::widen_and_rank;
 pub use registry::{NodeRecord, NodeRegistry, Pruned, RegistryView};
 pub use selection::{partial_select_by, GlobalSelectionPolicy, ScoredCandidate};
-pub use serve::{serve_ranked, DiscoveryQuery};
 pub use snapshot::DiscoverySnapshot;
 pub use table::{CowTable, CowView};

@@ -27,8 +27,8 @@ use crate::snapshot::DiscoverySnapshot;
 ///
 /// [`CentralManager::published`] memoises the snapshot per epoch, so
 /// steady-state query traffic between mutations shares one frozen
-/// view (which a worker pool can also serve concurrently; see
-/// [`crate::serve_ranked`]).
+/// view (which any number of threads can also serve concurrently: it
+/// is immutable).
 ///
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Debug, Clone)]

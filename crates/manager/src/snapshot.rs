@@ -9,8 +9,8 @@
 //! is outstanding copies only the one shard/segment it touches —
 //! publishing epoch `N+1` costs O(changes), never O(fleet). Queries served off a snapshot therefore never
 //! contend with heartbeat writes: a live manager can clone the `Arc`s
-//! under its lock, drop the lock, and rank outside it (or fan queries
-//! across a worker pool; see [`crate::serve_ranked`]).
+//! under its lock, drop the lock, and rank outside it (or share the
+//! snapshot among worker threads: it is immutable).
 //!
 //! The `epoch` identifies which registry state the snapshot froze: the
 //! manager bumps it on every mutation, so two snapshots with equal

@@ -92,11 +92,6 @@ impl Network {
         self.chaos = Some(FaultInjector::new(plan));
     }
 
-    /// The installed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.chaos.as_ref()
-    }
-
     /// Mutable access to the installed injector (sync-plane faults are
     /// decided by the scenario runner through this).
     pub fn fault_injector_mut(&mut self) -> Option<&mut FaultInjector> {

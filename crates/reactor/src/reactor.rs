@@ -146,7 +146,6 @@ pub trait Conn: Send {
 enum CtxAction {
     Send(Vec<u8>),
     SetTimer(Duration),
-    ClearTimer,
     Pause,
     Close,
 }
@@ -182,11 +181,6 @@ impl ConnCtx {
     /// (Re-)arms the connection's one-shot protocol timer.
     pub fn set_timer(&mut self, after: Duration) {
         self.actions.push(CtxAction::SetTimer(after));
-    }
-
-    /// Disarms the protocol timer.
-    pub fn clear_timer(&mut self) {
-        self.actions.push(CtxAction::ClearTimer);
     }
 
     /// Stops dispatching inbound frames (and reading) until
@@ -949,13 +943,6 @@ impl EventLoop {
                             self.wheel.cancel(old);
                         }
                         c.timer = Some(self.wheel.insert(deadline, TimerTask::ConnTimer(key)));
-                    }
-                }
-                CtxAction::ClearTimer => {
-                    if let Some(c) = self.conns.get_mut(key) {
-                        if let Some(old) = c.timer.take() {
-                            self.wheel.cancel(old);
-                        }
                     }
                 }
                 CtxAction::Pause => {

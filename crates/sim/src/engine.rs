@@ -109,12 +109,6 @@ impl<W> Simulation<W> {
         &self.world
     }
 
-    /// Exclusive access to the world (e.g. to inspect or reconfigure
-    /// between runs).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consumes the simulation, returning the world.
     pub fn into_world(self) -> W {
         self.world

@@ -337,14 +337,6 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// `true` if an event at `sev` would be recorded.
-    pub fn enabled_at(&self, sev: Severity) -> bool {
-        match &self.inner {
-            Some(core) => sev >= core.min,
-            None => false,
-        }
-    }
-
     /// Emits an event stamped with an explicit microsecond timestamp —
     /// the simulator's virtual clock. `fields` only runs when the event
     /// passes the filter.

@@ -46,16 +46,6 @@ impl Codec {
         }
     }
 
-    /// Parses a codec name as used by the `ARMADA_WIRE` env var.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Codec> {
-        match name {
-            "json" => Some(Codec::Json),
-            "binary" => Some(Codec::Binary),
-            _ => None,
-        }
-    }
-
     /// Encodes one request body in this codec.
     #[must_use]
     pub fn encode_request(self, request: &Request) -> Vec<u8> {
@@ -132,26 +122,6 @@ impl Default for WireConfig {
             codec: Codec::Binary,
             udp_probes: true,
         }
-    }
-}
-
-impl WireConfig {
-    /// Reads `ARMADA_WIRE` (`json` | `binary`, default `binary`) and
-    /// `ARMADA_WIRE_PROBES` (`udp` | `tcp`, default `udp`).
-    /// Unrecognised values fall back to the defaults.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let default = WireConfig::default();
-        let codec = std::env::var("ARMADA_WIRE")
-            .ok()
-            .and_then(|v| Codec::parse(&v))
-            .unwrap_or(default.codec);
-        let udp_probes = match std::env::var("ARMADA_WIRE_PROBES").ok().as_deref() {
-            Some("tcp") => false,
-            Some("udp") => true,
-            _ => default.udp_probes,
-        };
-        WireConfig { codec, udp_probes }
     }
 }
 

@@ -15,14 +15,10 @@
 //!   chaos-wrapped streams) and [`UdpTransport`] (one datagram per
 //!   frame, used by the probe path to skip connection setup and Nagle).
 //!
-//! Outbound behaviour is configured per-process via [`WireConfig`]
-//! (`ARMADA_WIRE` = `json` | `binary`, `ARMADA_WIRE_PROBES` = `udp` |
-//! `tcp`); inbound always auto-detects, so mixed deployments work.
-//!
-//! The JSON-only [`write_message`]/[`read_message`]/[`read_frame`]
-//! functions are kept for compatibility and for call sites that want
-//! the JSON error taxonomy ([`FrameError::Utf8`] vs
-//! [`FrameError::Malformed`]) unchanged.
+//! A client chooses what it sends first with a [`WireConfig`] (body
+//! codec, UDP or in-stream probes; binary and UDP by default); node and
+//! manager links send binary; inbound always auto-detects, so mixed
+//! deployments work.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,10 +31,7 @@ mod transport;
 pub use codec::{decode_request, decode_response, Codec, WireConfig};
 #[doc(hidden)]
 pub use proto::test_fixtures;
-pub use proto::{
-    read_frame, read_message, write_message, FrameError, Request, Response, WireNodeStatus,
-    WireSummary,
-};
+pub use proto::{FrameError, Request, Response, WireNodeStatus, WireSummary};
 pub use transport::{
     read_frame_bytes, read_request, read_response, recv_request, recv_response, send_request,
     send_response, write_frame, write_request, write_response, FramedTcp, Transport, UdpTransport,

@@ -1,6 +1,7 @@
-//! The wire protocol: length-prefixed JSON messages.
+//! The wire protocol: the messages, their JSON form, and the typed
+//! failure modes of reading a frame.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 use armada_json::{FromJson, Json, JsonError, ToJson};
 use armada_types::{GeoPoint, NodeClass};
@@ -546,75 +547,12 @@ pub(crate) fn fill<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<(), FrameE
     Ok(())
 }
 
-/// Writes one length-prefixed JSON message.
+/// Canonical message fixtures shared by the codec tests — one of every
+/// [`Request`]/[`Response`] variant with representative values, plus
+/// boundary-value sets.
 ///
-/// # Errors
-///
-/// Propagates I/O errors; serialisation of these types cannot fail.
-pub fn write_message<W, T>(writer: &mut W, message: &T) -> std::io::Result<()>
-where
-    W: Write,
-    T: ToJson,
-{
-    let body = armada_json::to_string(message).into_bytes();
-    let len = u32::try_from(body.len())
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "message too large"))?;
-    // One write per message: a separate length-prefix write would sit in
-    // a Nagle buffer waiting on the peer's delayed ACK (~40 ms per RPC).
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(&body);
-    writer.write_all(&frame)?;
-    writer.flush()
-}
-
-/// Reads one length-prefixed JSON message, with typed failure modes.
-///
-/// # Errors
-///
-/// See [`FrameError`] for the classification: oversize prefixes,
-/// truncation, corruption (UTF-8 or JSON level) and transport errors
-/// are each distinguished.
-pub fn read_frame<R, T>(reader: &mut R) -> Result<T, FrameError>
-where
-    R: Read,
-    T: FromJson,
-{
-    let mut len_buf = [0u8; 4];
-    fill(reader, &mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_MESSAGE_BYTES {
-        return Err(FrameError::Oversize { declared: len });
-    }
-    let mut body = vec![0u8; len as usize];
-    fill(reader, &mut body)?;
-    let text = std::str::from_utf8(&body).map_err(FrameError::Utf8)?;
-    armada_json::from_str(text).map_err(FrameError::Malformed)
-}
-
-/// Reads one length-prefixed JSON message.
-///
-/// Convenience wrapper over [`read_frame`] collapsing the typed error
-/// into `std::io::Error` for call sites that only propagate.
-///
-/// # Errors
-///
-/// Returns an error on I/O failure, oversized frames, or malformed
-/// JSON.
-pub fn read_message<R, T>(reader: &mut R) -> std::io::Result<T>
-where
-    R: Read,
-    T: FromJson,
-{
-    read_frame(reader).map_err(std::io::Error::from)
-}
-
-/// Canonical message fixtures shared by the differential codec tests
-/// and `wire_bench` — one of every [`Request`]/[`Response`] variant
-/// with representative values, plus boundary-value sets.
-///
-/// Not part of the protocol API; exposed so out-of-crate tests and the
-/// bench binary exercise exactly the same corpus.
+/// Not part of the protocol API; exposed so out-of-crate tests exercise
+/// exactly the same corpus.
 #[doc(hidden)]
 pub mod test_fixtures {
     use super::{Request, Response, WireNodeStatus, WireSummary};
@@ -793,23 +731,31 @@ pub mod test_fixtures {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{read_request, read_response, write_request, write_response};
+    use crate::Codec;
     use std::io::Cursor;
+
+    /// One JSON-framed `Join`, the frame the taxonomy cases cut up.
+    fn json_join_frame() -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_request(&mut buf, Codec::Json, &Request::Join { user: 7, seq: 42 }).unwrap();
+        buf
+    }
 
     #[test]
     fn roundtrip_over_buffer() {
-        let mut buf = Vec::new();
-        let msg = Request::Join { user: 7, seq: 42 };
-        write_message(&mut buf, &msg).unwrap();
-        let back: Request = read_message(&mut Cursor::new(buf)).unwrap();
-        assert_eq!(back, msg);
+        let (back, codec) = read_request(&mut Cursor::new(json_join_frame())).unwrap();
+        assert_eq!(back, Request::Join { user: 7, seq: 42 });
+        assert_eq!(codec, Codec::Json);
     }
 
     #[test]
     fn multiple_messages_in_sequence() {
         let mut buf = Vec::new();
         for seq in 0..10u64 {
-            write_message(
+            write_response(
                 &mut buf,
+                Codec::Json,
                 &Response::FrameResult {
                     seq,
                     processing_us: 1,
@@ -819,7 +765,7 @@ mod tests {
         }
         let mut cursor = Cursor::new(buf);
         for seq in 0..10u64 {
-            let r: Response = read_message(&mut cursor).unwrap();
+            let (r, _) = read_response(&mut cursor).unwrap();
             assert_eq!(
                 r,
                 Response::FrameResult {
@@ -833,30 +779,31 @@ mod tests {
     #[test]
     fn oversized_frame_rejected() {
         let buf = u32::MAX.to_be_bytes().to_vec();
-        let err = read_frame::<_, Request>(&mut Cursor::new(&buf)).unwrap_err();
+        let err = read_request(&mut Cursor::new(&buf)).unwrap_err();
         assert!(
             matches!(err, FrameError::Oversize { declared: u32::MAX }),
             "got {err:?}"
         );
-        let io = read_message::<_, Request>(&mut Cursor::new(buf)).unwrap_err();
+        let io = std::io::Error::from(err);
         assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn garbage_json_rejected() {
+        // A leading `{` routes the body to the JSON decoder.
         let mut buf = 4u32.to_be_bytes().to_vec();
-        buf.extend_from_slice(b"!!!!");
-        let err = read_frame::<_, Request>(&mut Cursor::new(&buf)).unwrap_err();
+        buf.extend_from_slice(b"{!!!");
+        let err = read_request(&mut Cursor::new(&buf)).unwrap_err();
         assert!(matches!(err, FrameError::Malformed(_)), "got {err:?}");
-        let io = read_message::<_, Request>(&mut Cursor::new(buf)).unwrap_err();
+        let io = std::io::Error::from(err);
         assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn non_utf8_body_is_a_typed_corruption_error() {
         let mut buf = 4u32.to_be_bytes().to_vec();
-        buf.extend_from_slice(&[0xff, 0xfe, 0x80, 0x81]);
-        let err = read_frame::<_, Request>(&mut Cursor::new(buf)).unwrap_err();
+        buf.extend_from_slice(&[b'{', 0xff, 0xfe, 0x80]);
+        let err = read_request(&mut Cursor::new(buf)).unwrap_err();
         assert!(matches!(err, FrameError::Utf8(_)), "got {err:?}");
     }
 
@@ -865,10 +812,9 @@ mod tests {
     /// a misclassification.
     #[test]
     fn every_truncation_point_is_classified() {
-        let mut full = Vec::new();
-        write_message(&mut full, &Request::Join { user: 7, seq: 42 }).unwrap();
+        let full = json_join_frame();
         for cut in 0..full.len() {
-            let err = read_frame::<_, Request>(&mut Cursor::new(&full[..cut])).unwrap_err();
+            let err = read_request(&mut Cursor::new(&full[..cut])).unwrap_err();
             match err {
                 FrameError::Truncated { expected, got } => {
                     if cut < 4 {
@@ -885,9 +831,7 @@ mod tests {
             }
             // The io::Error conversion keeps the EOF kind retry logic
             // keys on.
-            let io = std::io::Error::from(
-                read_frame::<_, Request>(&mut Cursor::new(&full[..cut])).unwrap_err(),
-            );
+            let io = std::io::Error::from(err);
             assert_eq!(io.kind(), std::io::ErrorKind::UnexpectedEof);
         }
     }
@@ -907,7 +851,7 @@ mod tests {
         for round in 0..500 {
             let len = (next() % 64) as usize;
             let buf: Vec<u8> = (0..len).map(|_| (next() >> 33) as u8).collect();
-            let outcome = read_frame::<_, Request>(&mut Cursor::new(&buf));
+            let outcome = read_request(&mut Cursor::new(&buf));
             // A 4-byte prefix of garbage can by chance declare a length
             // the buffer actually contains, but the body then has to
             // parse as a Request — vanishingly unlikely; everything
@@ -925,13 +869,11 @@ mod tests {
     /// message — never a panic.
     #[test]
     fn single_byte_corruption_round_trip() {
-        let mut full = Vec::new();
-        let original = Request::Join { user: 7, seq: 42 };
-        write_message(&mut full, &original).unwrap();
+        let full = json_join_frame();
         for i in 0..full.len() {
             let mut corrupted = full.clone();
             corrupted[i] ^= 0x20;
-            match read_frame::<_, Request>(&mut Cursor::new(&corrupted)) {
+            match read_request(&mut Cursor::new(&corrupted)) {
                 Ok(_) | Err(_) => {} // both acceptable; panics are not
             }
         }

@@ -145,12 +145,6 @@ impl UdpTransport {
         Ok(UdpTransport { socket })
     }
 
-    /// Wraps an already-configured socket (callers set timeouts and
-    /// connect it themselves).
-    pub fn from_socket(socket: UdpSocket) -> Self {
-        UdpTransport { socket }
-    }
-
     /// Borrows the underlying socket (e.g. to adjust timeouts).
     pub fn get_ref(&self) -> &UdpSocket {
         &self.socket

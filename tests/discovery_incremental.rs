@@ -15,13 +15,11 @@
 //!
 //! Retained early snapshots must also keep answering with their frozen
 //! epoch's view, byte-for-byte, however much the manager mutates
-//! afterwards — and the parallel serve pool must match serial exactly.
+//! afterwards.
 
 use std::collections::BTreeMap;
 
-use armada::manager::{
-    serve_ranked, CentralManager, DiscoveryQuery, GlobalSelectionPolicy, NodeRecord,
-};
+use armada::manager::{CentralManager, GlobalSelectionPolicy, NodeRecord};
 use armada::node::NodeStatus;
 use armada::types::{GeoPoint, NodeClass, NodeId, SimDuration, SimTime, SystemConfig};
 
@@ -141,8 +139,11 @@ fn epoch_ops(rng: &mut Rng, statuses: &mut Vec<NodeStatus>, now: SimTime, count:
     ops
 }
 
+/// One discovery request: user location, affiliations, `top_n`, instant.
+type Query = (GeoPoint, Vec<NodeId>, usize, SimTime);
+
 /// Probe queries evaluated at every epoch, including degenerate top_n.
-fn probe_queries(rng: &mut Rng, fleet: usize, now: SimTime) -> Vec<DiscoveryQuery> {
+fn probe_queries(rng: &mut Rng, fleet: usize, now: SimTime) -> Vec<Query> {
     let mut queries = Vec::new();
     for top_n in [0usize, 1, 7, 16] {
         let (lat, lon) = METROS[rng.range(METROS.len() as u64) as usize];
@@ -151,12 +152,7 @@ fn probe_queries(rng: &mut Rng, fleet: usize, now: SimTime) -> Vec<DiscoveryQuer
         let affiliations: Vec<NodeId> = (0..rng.range(3) as usize)
             .map(|_| NodeId::new(rng.range(fleet.max(1) as u64)))
             .collect();
-        queries.push(DiscoveryQuery {
-            user_loc,
-            affiliations,
-            top_n,
-            now,
-        });
+        queries.push((user_loc, affiliations, top_n, now));
     }
     queries
 }
@@ -219,15 +215,13 @@ fn interleaved_mutations_keep_published_snapshots_byte_identical() {
             "epoch {epoch}"
         );
 
-        for (q, query) in probe_queries(&mut rng, statuses.len(), now)
+        for (q, (user_loc, affiliations, top_n, at)) in probe_queries(&mut rng, statuses.len(), now)
             .iter()
             .enumerate()
         {
-            let fast = snap.ranked(query.user_loc, &query.affiliations, query.top_n, query.now);
-            let rebuilt_answer =
-                rebuilt_snap.ranked(query.user_loc, &query.affiliations, query.top_n, query.now);
-            let oracle =
-                snap.reference_ranked(query.user_loc, &query.affiliations, query.top_n, query.now);
+            let fast = snap.ranked(*user_loc, affiliations, *top_n, *at);
+            let rebuilt_answer = rebuilt_snap.ranked(*user_loc, affiliations, *top_n, *at);
+            let oracle = snap.reference_ranked(*user_loc, affiliations, *top_n, *at);
             assert_eq!(fast, rebuilt_answer, "epoch {epoch} probe {q} vs rebuild");
             assert_eq!(fast, oracle, "epoch {epoch} probe {q} vs oracle");
         }
@@ -238,24 +232,24 @@ fn interleaved_mutations_keep_published_snapshots_byte_identical() {
             let queries = probe_queries(&mut rng, statuses.len(), now);
             let answers: Vec<_> = queries
                 .iter()
-                .map(|q| snap.ranked(q.user_loc, &q.affiliations, q.top_n, q.now))
+                .map(|(user_loc, affiliations, top_n, at)| {
+                    snap.ranked(*user_loc, affiliations, *top_n, *at)
+                })
                 .collect();
             retained = Some((snap, queries, answers));
         }
     }
 
     // The retained snapshot still serves its frozen epoch, unchanged
-    // by dozens of epochs of later churn — and the worker pool serves
-    // it exactly like a serial loop.
+    // by dozens of epochs of later churn.
     let (snap, queries, answers) = retained.expect("retained one snapshot mid-run");
-    for (query, expected) in queries.iter().zip(&answers) {
+    for ((user_loc, affiliations, top_n, at), expected) in queries.iter().zip(&answers) {
         assert_eq!(
-            snap.ranked(query.user_loc, &query.affiliations, query.top_n, query.now),
+            snap.ranked(*user_loc, affiliations, *top_n, *at),
             *expected,
             "retained snapshot changed under later churn"
         );
     }
-    assert_eq!(serve_ranked(&snap, &queries, 4), answers);
 
     // The final published snapshot is memoised: no mutations since the
     // last call, so the Arc is literally the same allocation.

@@ -329,9 +329,22 @@ fn settle_after(buffer: &Mutex<String>, event: &str) {
     wait_for(buffer, "a stay round", |trace| stays(trace) > seen);
 }
 
+/// The wire configurations the live halves run under: JSON bodies with
+/// in-stream TCP probes, and the default, binary bodies with UDP probes.
+const WIRES: [WireConfig; 2] = [
+    WireConfig {
+        codec: Codec::Json,
+        udp_probes: false,
+    },
+    WireConfig {
+        codec: Codec::Binary,
+        udp_probes: true,
+    },
+];
+
 /// The same script on loopback, each step triggered by the previous
 /// one's outcome showing up in the client's trace.
-fn live_decisions(selector: SelectorMode) -> (Vec<String>, [NodeStream; 3]) {
+fn live_decisions(selector: SelectorMode, wire: WireConfig) -> (Vec<String>, [NodeStream; 3]) {
     let (_mgr, mgr_addr) = LiveManager::bind().unwrap();
     let (node_tracer, node_buffer) = memory_tracer();
     let bind = |id: u64| {
@@ -348,7 +361,9 @@ fn live_decisions(selector: SelectorMode) -> (Vec<String>, [NodeStream; 3]) {
     };
     let (a, b) = (bind(A), bind(B));
     let (tracer, buffer) = memory_tracer();
-    let client = LiveClient::new(0, spot(), client_config(selector)).with_tracer(tracer);
+    let client = LiveClient::new(0, spot(), client_config(selector))
+        .with_tracer(tracer)
+        .with_wire(wire);
     std::thread::scope(|scope| {
         // Far more frames than the script lasts: the session ends when
         // the last node does.
@@ -376,12 +391,14 @@ fn assert_equivalent(selector: SelectorMode) {
         expected_nodes(),
         "the simulated nodes left the script"
     );
-    let (live, live_nodes) = live_decisions(selector);
-    assert_eq!(live, sim, "live and simulated decisions diverge");
-    assert_eq!(
-        live_nodes, sim_nodes,
-        "live and simulated nodes decide differently"
-    );
+    for wire in WIRES {
+        let (live, live_nodes) = live_decisions(selector, wire);
+        assert_eq!(live, sim, "live and simulated decisions diverge, {wire:?}");
+        assert_eq!(
+            live_nodes, sim_nodes,
+            "live and simulated nodes decide differently, {wire:?}"
+        );
+    }
 }
 
 #[test]
@@ -394,19 +411,23 @@ fn predictive_selector_decides_alike_in_sim_and_live() {
     assert_equivalent(SelectorMode::Predictive);
 }
 
-/// A held connection to a live manager, speaking the codec the
-/// environment selects (so each CI row covers its own).
+/// A held connection to a live manager, speaking one codec.
 struct ManagerConn {
     stream: TcpStream,
     codec: Codec,
 }
 
 impl ManagerConn {
-    fn open(addr: SocketAddr) -> ManagerConn {
+    fn open(addr: SocketAddr, codec: Codec) -> ManagerConn {
         let stream = TcpStream::connect(addr).expect("manager accepts");
         stream.set_nodelay(true).expect("nodelay");
-        let codec = WireConfig::from_env().codec;
         ManagerConn { stream, codec }
+    }
+
+    /// One connection per codec of [`WIRES`] to the same manager: the
+    /// manager rows alternate their requests between the two.
+    fn open_each(addr: SocketAddr) -> [ManagerConn; 2] {
+        WIRES.map(|wire| ManagerConn::open(addr, wire.codec))
     }
 
     fn rpc(&mut self, request: &Request) -> Response {
@@ -495,10 +516,10 @@ fn manager_shortlists_are_alike_in_sim_and_live() {
     let fleet = fleet();
     let mut sim = CentralManager::new(SystemConfig::default(), GlobalSelectionPolicy::default());
     let (_live, addr) = LiveManager::bind().unwrap();
-    let mut conn = ManagerConn::open(addr);
-    for status in &fleet {
+    let mut conns = ManagerConn::open_each(addr);
+    for (i, status) in fleet.iter().enumerate() {
         sim.register(*status, SimTime::ZERO);
-        conn.register(status);
+        conns[i % 2].register(status);
     }
     let now = SimTime::from_secs(1);
     let mut tie_breaks = 0;
@@ -506,7 +527,8 @@ fn manager_shortlists_are_alike_in_sim_and_live() {
         for top_n in TOP_NS {
             let expected = sim.discover(at, &[], top_n, now);
             assert_eq!(expected.len(), top_n);
-            assert_eq!(conn.discover(at, top_n), expected, "query {q}, top {top_n}");
+            let got = conns[q % 2].discover(at, top_n);
+            assert_eq!(got, expected, "query {q}, top {top_n}");
             let twins = |pair: &[NodeId]| {
                 pair[0].as_u64() % 10 == 8 && pair[1].as_u64() == pair[0].as_u64() + 1
             };
@@ -569,17 +591,17 @@ fn merged_views_are_alike_in_sim_and_live() {
         GlobalSelectionPolicy::default(),
     );
     let (live, addr) = LiveManager::bind_federated(1, Tracer::disabled()).unwrap();
-    let mut conn = ManagerConn::open(addr);
+    let mut conns = ManagerConn::open_each(addr);
     // The peer advertises nodes 50..250 and this manager owns 0..100:
     // 50..75 register after the peer's word arrived and must drop it,
     // 75..100 before and must refuse it.
     let now = SimTime::from_secs(100);
-    sync(&mut sim, &mut conn, &fleet[50..75], now, 25);
-    for status in &fleet[..100] {
+    sync(&mut sim, &mut conns[0], &fleet[50..75], now, 25);
+    for (i, status) in fleet[..100].iter().enumerate() {
         sim.register(*status, now);
-        conn.register(status);
+        conns[i % 2].register(status);
     }
-    sync(&mut sim, &mut conn, &fleet[75..250], now, 150);
+    sync(&mut sim, &mut conns[1], &fleet[75..250], now, 150);
 
     // 100 own + 150 synced, of which 30 arrived dead.
     assert_eq!(sim.merged_alive_count(now), 220);
@@ -589,7 +611,8 @@ fn merged_views_are_alike_in_sim_and_live() {
     for (q, at) in queries().into_iter().enumerate() {
         for top_n in TOP_NS {
             let expected = sim.discover(at, &[], top_n, now);
-            assert_eq!(conn.discover(at, top_n), expected, "query {q}, top {top_n}");
+            let got = conns[q % 2].discover(at, top_n);
+            assert_eq!(got, expected, "query {q}, top {top_n}");
         }
     }
 }

@@ -3,9 +3,8 @@
 //! UDP-first or TCP-only probes — and under *mixed* deployments where a
 //! JSON client talks to a cluster whose nodes default to binary.
 //!
-//! These tests pin the configuration through `with_wire`, so they are
-//! deterministic regardless of `ARMADA_WIRE`/`ARMADA_WIRE_PROBES` in
-//! the environment (CI runs the env-driven matrix on top of this).
+//! These tests pin each configuration through `with_wire`, the only
+//! way to choose one.
 
 use std::time::Duration;
 
