@@ -2,26 +2,9 @@
 //!
 //! Decisions must be functions of `(seed, link, sequence)` alone so a
 //! plan replays identically and a zero-intensity plan perturbs
-//! nothing. These are the same splitmix64 / FNV-1a constructions the
-//! simulator uses for its labeled RNG streams.
+//! nothing.
 
-/// One round of splitmix64 — a high-quality 64-bit mixer.
-pub(crate) fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a over a byte slice.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use armada_types::splitmix64;
 
 /// Mixes a seed, a link hash, a per-link sequence number and a draw
 /// salt into one 64-bit value.
@@ -51,10 +34,5 @@ mod tests {
         assert_eq!(mix(1, 2, 3, 4), mix(1, 2, 3, 4));
         assert_ne!(mix(1, 2, 3, 4), mix(1, 2, 3, 5));
         assert_ne!(mix(1, 2, 3, 4), mix(2, 2, 3, 4));
-    }
-
-    #[test]
-    fn fnv_distinguishes_orders() {
-        assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
     }
 }

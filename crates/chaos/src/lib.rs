@@ -26,10 +26,6 @@
 //! cohorts and reconnect stampedes — for driving the live servers'
 //! overload-control machinery.
 //!
-//! The crate also hosts the hardening primitives those faults
-//! motivate: capped jittered exponential [`Backoff`] and a per-peer
-//! [`CircuitBreaker`] with half-open probing.
-//!
 //! # Examples
 //!
 //! ```
@@ -49,16 +45,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backoff;
-mod breaker;
 mod hash;
 mod plan;
 mod proxy;
 mod storm;
 mod transport;
 
-pub use backoff::Backoff;
-pub use breaker::{BreakerState, CircuitBreaker, Transition};
 pub use plan::{
     Crash, FaultDecision, FaultInjector, FaultPlan, InjectorStats, LinkFaults, Partition,
     PeerClass, PeerId, PeerSel, SlowdownWindow,

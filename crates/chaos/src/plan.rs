@@ -2,9 +2,9 @@
 
 use std::collections::HashMap;
 
-use armada_types::SimTime;
+use armada_types::{fnv1a, SimTime};
 
-use crate::hash::{fnv1a, mix, unit};
+use crate::hash::{mix, unit};
 
 /// The kind of peer a [`PeerId`] names.
 ///

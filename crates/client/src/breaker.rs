@@ -41,7 +41,7 @@ pub struct Transition {
 /// # Examples
 ///
 /// ```
-/// use armada_chaos::{BreakerState, CircuitBreaker};
+/// use armada_client::{BreakerState, CircuitBreaker};
 ///
 /// let mut b = CircuitBreaker::new(3, 1_000_000);
 /// for t in 0..3 {
@@ -82,11 +82,6 @@ impl CircuitBreaker {
     /// Current state.
     pub fn state(&self) -> BreakerState {
         self.state
-    }
-
-    /// Consecutive failures seen since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.failures
     }
 
     /// Total state transitions so far.
@@ -169,7 +164,6 @@ mod tests {
             (BreakerState::HalfOpen, BreakerState::Closed)
         );
         assert_eq!(b.transition_count(), 3);
-        assert_eq!(b.consecutive_failures(), 0);
     }
 
     #[test]

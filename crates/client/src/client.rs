@@ -3,6 +3,7 @@
 use armada_types::{ClientConfig, GeoPoint, NodeId, SelectorMode, SimDuration, SimTime, UserId};
 use armada_workload::AimdController;
 
+use crate::control::ControlPlane;
 use crate::predict::{PredictionSummary, PredictiveSelector, PredictorParams};
 use crate::probe::{rank_candidates, ProbeResult};
 
@@ -126,7 +127,7 @@ pub struct ClientStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EdgeClient {
-    id: UserId,
+    pub(crate) id: UserId,
     location: GeoPoint,
     config: ClientConfig,
     current: Option<NodeId>,
@@ -145,6 +146,8 @@ pub struct EdgeClient {
     /// The predictor's conclusion from the latest probe round, for the
     /// `sel.predict` trace event.
     last_prediction: Option<PredictionSummary>,
+    /// Manager route state, cached shortlist and retry schedule.
+    pub(crate) control: ControlPlane,
 }
 
 impl EdgeClient {
@@ -166,6 +169,7 @@ impl EdgeClient {
             stats: ClientStats::default(),
             selector,
             last_prediction: None,
+            control: ControlPlane::default(),
         }
     }
 

@@ -10,7 +10,10 @@
 //!   local-view overhead `LO` and global overhead `GO`,
 //! * [`rank_candidates`] — the `SortLocalSelectionPolicy()` step,
 //! * [`EdgeClient`] — the per-user state machine: current node, backup
-//!   list, adaptive frame rate, failover decisions.
+//!   list, adaptive frame rate, failover decisions, and the control
+//!   plane: the manager route walk under a [`CircuitBreaker`] per rank,
+//!   degraded mode's cached shortlist, the retry schedule,
+//! * [`Narrator`] — the client-side trace events, written once.
 //!
 //! # Examples
 //!
@@ -38,11 +41,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod breaker;
 mod client;
+mod control;
+mod narrate;
 mod predict;
 mod probe;
 
+pub use breaker::{BreakerState, CircuitBreaker, Transition};
 pub use client::{ClientDecision, ClientStats, EdgeClient, FailoverDecision, JoinFollowup};
+pub use control::{ManagerReply, Verdict, BREAKER_COOLDOWN, BREAKER_THRESHOLD, RETRY_BACKOFF};
+pub use narrate::Narrator;
 pub use predict::{
     PredictionSummary, PredictiveSelector, PredictorParams, ReliabilityScore, RttForecast,
 };

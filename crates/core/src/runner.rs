@@ -9,13 +9,14 @@
 
 use std::collections::HashSet;
 
-use armada_chaos::{Backoff, BreakerState, CircuitBreaker, Transition};
-use armada_client::{ClientDecision, FailoverDecision, JoinFollowup, ProbeResult};
+use armada_client::{
+    ClientDecision, FailoverDecision, JoinFollowup, ManagerReply, Narrator, ProbeResult, Verdict,
+};
 use armada_net::{Addr, Delivery};
 use armada_node::{NodeAction, ProbeReply};
 use armada_sim::Context;
-use armada_trace::{s, u, Severity};
-use armada_types::{NodeClass, NodeId, SelectorMode, SimDuration, UserId};
+use armada_trace::{u, Severity, Tracer};
+use armada_types::{NodeClass, NodeId, SimDuration, UserId};
 use armada_workload::{Frame, FrameResponse, FRAME_SIZE};
 
 use crate::strategy::Strategy;
@@ -38,22 +39,17 @@ const RECONNECT_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
 /// How long the client waits for a frame acknowledgement before
 /// reclaiming the in-flight slot of a frame lost to fault injection.
 const FRAME_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
-/// Consecutive discovery failures before a client's manager breaker
-/// opens and the client stops hammering an unreachable control plane.
-const BREAKER_THRESHOLD: u32 = 3;
-/// How long an open discovery breaker cools down before letting one
-/// half-open probe through.
-const BREAKER_COOLDOWN: SimDuration = SimDuration::from_secs(2);
-/// Capped jittered exponential backoff between discovery retries while
-/// the control plane is failing (replaces hammering at [`IDLE_RETRY`]).
-const DISCOVERY_BACKOFF: Backoff = Backoff::from_millis(100, 2_000);
-
 /// Emits one structured event stamped with the current virtual time.
 macro_rules! trace_event {
     ($w:expr, $ctx:expr, $sev:expr, $kind:expr, $($key:literal => $value:expr),* $(,)?) => {
         $w.tracer
             .emit_at($ctx.now().as_micros(), $sev, $kind, || vec![$(($key, $value)),*])
     };
+}
+
+/// The client core's events, stamped with the current virtual time.
+fn narrator<'a>(tracer: &'a Tracer, ctx: &Ctx<'_>) -> Narrator<'a> {
+    Narrator::at(tracer, ctx.now().as_micros())
 }
 
 /// Entry point: a user joins the system.
@@ -65,108 +61,45 @@ pub(crate) fn user_join(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
     }
 }
 
-/// Emits the `chaos.breaker.*` event for one breaker transition.
-fn trace_breaker(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, t: Transition) {
-    let kind = match t.to {
-        BreakerState::Open => "chaos.breaker.open",
-        BreakerState::HalfOpen => "chaos.breaker.half_open",
-        BreakerState::Closed => "chaos.breaker.close",
-    };
-    trace_event!(w, ctx, Severity::Warn, kind,
-        "user" => u(user.as_u64()), "from" => s(t.from.as_str()));
-}
-
-/// Marks a user degraded (manager unreachable; any current attachment
-/// keeps serving) and emits `chaos.degraded` with the stale age.
-fn note_degraded(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
-    let now = ctx.now();
-    let since = *w.degraded.entry(user).or_insert(now);
-    let attached = w
-        .clients
-        .get(&user)
-        .and_then(|c| c.current_node())
-        .is_some();
-    trace_event!(w, ctx, Severity::Warn, "chaos.degraded",
-        "user" => u(user.as_u64()),
-        "stale_us" => u(now.saturating_since(since).as_micros()),
-        "attached" => u(u64::from(attached)));
-}
-
-/// Records a failed discovery round trip: feeds the user's breaker,
-/// enters degraded mode and schedules the retry on the capped
-/// exponential backoff.
-fn discovery_failed(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
-    let now_us = ctx.now().as_micros();
-    let breaker = w
-        .breakers
-        .entry(user)
-        .or_insert_with(|| CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN.as_micros()));
-    let transition = breaker.on_failure(now_us);
-    let attempt = breaker.consecutive_failures().saturating_sub(1);
-    if let Some(t) = transition {
-        trace_breaker(w, ctx, user, t);
-    }
-    note_degraded(w, ctx, user);
-    let delay = SimDuration::from_micros(DISCOVERY_BACKOFF.delay_us(attempt, user.as_u64()));
-    ctx.schedule_in(delay, move |w, ctx| start_probe_round(w, ctx, user));
-}
-
-/// Records a successful discovery round trip: closes the breaker and
-/// reconciles out of degraded mode.
-fn discovery_succeeded(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
-    if let Some(breaker) = w.breakers.get_mut(&user) {
-        if let Some(t) = breaker.on_success() {
-            trace_breaker(w, ctx, user, t);
-        }
-    }
-    if let Some(since) = w.degraded.remove(&user) {
-        let outage = ctx.now().saturating_since(since);
-        trace_event!(w, ctx, Severity::Info, "chaos.degraded.recovered",
-            "user" => u(user.as_u64()), "outage_us" => u(outage.as_micros()));
-    }
-}
-
-/// Edge discovery + probe fan-out (Algorithm 2, lines 1–10).
+/// Edge discovery + probe fan-out (Algorithm 2, lines 1–10). The
+/// control plane is a route of one manager, walked by the client core.
+/// A round that comes due while a discovery retry is pending starts no
+/// second chain: it runs on the cached shortlist, if there is one.
 pub(crate) fn start_probe_round(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
-    let Some(client) = w.clients.get(&user) else {
+    let now = ctx.now();
+    let trace = narrator(&w.tracer, ctx);
+    let Some(client) = w.clients.get_mut(&user) else {
         return;
     };
+    if client.retry_at().is_some_and(|at| now < at) {
+        if let Some(cached) = client.cached_shortlist().map(<[NodeId]>::to_vec) {
+            probe_candidates(w, ctx, user, cached);
+        }
+        return;
+    }
+    if client.next_manager(0, 1, now, trace).is_none() {
+        route_exhausted(w, ctx, user);
+        return;
+    }
     let loc = client.location();
     let top_n = w.client_config.top_n;
-    let now_us = ctx.now().as_micros();
-    // Per-user breaker on the discovery path: while open, skip the
-    // manager entirely (degraded mode — any existing attachment keeps
-    // serving) instead of burning a round trip per retry.
-    if let Some(breaker) = w.breakers.get_mut(&user) {
-        let (allowed, transition) = breaker.allow(now_us);
-        if let Some(t) = transition {
-            trace_breaker(w, ctx, user, t);
-        }
-        if !allowed {
-            note_degraded(w, ctx, user);
-            ctx.schedule_in(BREAKER_COOLDOWN, move |w, ctx| {
-                start_probe_round(w, ctx, user)
-            });
-            return;
-        }
-    }
     let rtt_m = match w
         .net
-        .deliver_rtt(Addr::User(user), Addr::Manager, now_us, ctx.rng())
+        .deliver_rtt(Addr::User(user), Addr::Manager, now.as_micros(), ctx.rng())
     {
         Delivery::Delivered { delay, .. } => delay,
         Delivery::Dropped => {
-            // Request or reply lost in flight: the client discovers the
-            // loss by timeout, then counts it against the breaker.
-            ctx.schedule_in(PROBE_TIMEOUT, move |w, ctx| discovery_failed(w, ctx, user));
+            // Lost in flight: the client finds out by timeout.
+            ctx.schedule_in(PROBE_TIMEOUT, move |w, ctx| {
+                discovered(w, ctx, user, ManagerReply::Unserved)
+            });
             return;
         }
         Delivery::Unreachable => {
-            discovery_failed(w, ctx, user);
+            discovered(w, ctx, user, ManagerReply::Unserved);
             return;
         }
     };
-    discovery_succeeded(w, ctx, user);
     ctx.schedule_in(rtt_m, move |w, ctx| {
         if w.federation.is_some() {
             federated_discover(w, ctx, user, loc, top_n, true);
@@ -180,11 +113,40 @@ pub(crate) fn start_probe_round(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) 
             // full-scan procedure, so trace determinism and replay are
             // unaffected by the scale of the registered fleet.
             let candidates = w.manager.discover(loc, &affiliations, top_n, now);
-            trace_event!(w, ctx, Severity::Debug, "mgr.discover",
-                "user" => u(user.as_u64()), "returned" => u(candidates.len() as u64));
-            probe_candidates(w, ctx, user, candidates);
+            discovered(w, ctx, user, ManagerReply::Candidates(candidates));
         }
     });
+}
+
+/// The manager's answer (or silence) reaches the client core.
+fn discovered(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, reply: ManagerReply) {
+    let trace = narrator(&w.tracer, ctx);
+    let Some(client) = w.clients.get_mut(&user) else {
+        return;
+    };
+    match client.on_discover(0, reply, ctx.now(), trace) {
+        Verdict::Probe(candidates) => probe_candidates(w, ctx, user, candidates),
+        // (A route of one: past its only manager lies exhaustion.)
+        Verdict::Next { .. } => route_exhausted(w, ctx, user),
+    }
+}
+
+/// No manager served: the core names the user's one pending retry. The
+/// first walk to fail since a manager answered was a round's, and that
+/// round runs on the cached shortlist (degraded mode; any attachment
+/// keeps serving); the walks after it are the retry's own.
+fn route_exhausted(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
+    let trace = narrator(&w.tracer, ctx);
+    let Some(client) = w.clients.get_mut(&user) else {
+        return;
+    };
+    let round_due = client.retry_at().is_none();
+    let retry_at = client.on_route_exhausted(ctx.now(), trace);
+    ctx.schedule_at(retry_at, move |w, ctx| start_probe_round(w, ctx, user));
+    let cached = client.cached_shortlist().filter(|_| round_due);
+    if let Some(cached) = cached.map(<[NodeId]>::to_vec) {
+        probe_candidates(w, ctx, user, cached);
+    }
 }
 
 /// Discovery against the sharded manager tier: home shard first; if it
@@ -207,8 +169,8 @@ fn federated_discover(
     let home = fed.cluster.home(loc);
     if first_attempt && !fed.cluster.is_up(home) {
         let retry = fed.spec.route_retry;
-        trace_event!(w, ctx, Severity::Warn, "fed.failover",
-            "user" => u(user.as_u64()), "home" => u(home.as_u64()));
+        // (The cluster routes past the dead home; the client pays one retry.)
+        narrator(&w.tracer, ctx).fed_failover(user, 1);
         ctx.schedule_in(retry, move |w, ctx| {
             federated_discover(w, ctx, user, loc, top_n, false);
         });
@@ -223,16 +185,14 @@ fn federated_discover(
                 "served_by" => u(served_by.as_u64()),
                 "failover" => u(u64::from(failover)),
                 "returned" => u(candidates.len() as u64));
-            probe_candidates(w, ctx, user, candidates);
+            discovered(w, ctx, user, ManagerReply::Candidates(candidates));
         }
         None => {
-            // Every shard down: back off and retry discovery whole.
+            // Every shard down: an empty shortlist, re-discovered later.
             trace_event!(w, ctx, Severity::Warn, "fed.route",
                 "user" => u(user.as_u64()), "home" => u(home.as_u64()),
                 "served_by" => u(u64::MAX), "failover" => u(1), "returned" => u(0));
-            ctx.schedule_in(REDISCOVER_BACKOFF, move |w, ctx| {
-                start_probe_round(w, ctx, user)
-            });
+            discovered(w, ctx, user, ManagerReply::Candidates(Vec::new()));
         }
     }
 }
@@ -258,9 +218,7 @@ fn probe_candidates(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, mut candidat
         client.note_probes_sent(candidates.len());
     }
     let round = w.fresh_round();
-    trace_event!(w, ctx, Severity::Debug, "probe.round.start",
-        "user" => u(user.as_u64()), "round" => u(round),
-        "candidates" => u(candidates.len() as u64));
+    narrator(&w.tracer, ctx).probe_round_start(user, round, candidates.len());
     w.pending_probes.insert(
         user,
         PendingProbe {
@@ -389,19 +347,7 @@ fn conclude_probe_round(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, round: u
         return;
     };
     let decision = client.on_probe_round(results, now);
-    let prediction = client.last_prediction().copied();
-    trace_event!(w, ctx, Severity::Debug, "probe.round.done",
-        "user" => u(user.as_u64()), "round" => u(round),
-        "replies" => u(replies as u64), "failed" => u(failed as u64),
-        "decision" => s(decision.name()));
-    if let Some(p) = prediction {
-        trace_event!(w, ctx, Severity::Debug, "sel.predict",
-            "user" => u(user.as_u64()), "round" => u(round),
-            "best" => u(p.best.as_u64()),
-            "predicted_best_us" => u((p.predicted_best_ms * 1_000.0) as u64),
-            "best_score_milli" => u((p.best_score * 1_000.0) as u64),
-            "vetoed" => u(u64::from(p.vetoed)));
-    }
+    narrator(&w.tracer, ctx).probe_round_done(client, round, replies, failed, &decision);
     match decision {
         ClientDecision::Stay => {
             ensure_streaming(w, ctx, user);
@@ -479,25 +425,9 @@ fn join_reply(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, target: NodeId, ac
     };
     match client.on_join_result(target, accepted, now) {
         JoinFollowup::SwitchComplete { leave } => {
-            match leave {
-                Some(previous) => {
-                    trace_event!(w, ctx, Severity::Info, "client.switch",
-                        "user" => u(user.as_u64()), "from" => u(previous.as_u64()),
-                        "to" => u(target.as_u64()));
-                    if w.client_config.selector == SelectorMode::Predictive {
-                        // Mirrors `client.switch` one-for-one so trace
-                        // consumers can count predictive migrations
-                        // without knowing the strategy in effect.
-                        trace_event!(w, ctx, Severity::Info, "sel.switch",
-                            "user" => u(user.as_u64()), "from" => u(previous.as_u64()),
-                            "to" => u(target.as_u64()));
-                    }
-                    send_leave(w, ctx, user, previous);
-                }
-                None => {
-                    trace_event!(w, ctx, Severity::Info, "client.join",
-                        "user" => u(user.as_u64()), "node" => u(target.as_u64()));
-                }
+            narrator(&w.tracer, ctx).joined(client, target, leave);
+            if let Some(previous) = leave {
+                send_leave(w, ctx, user, previous);
             }
             ensure_streaming(w, ctx, user);
             ensure_periodic_probing(w, ctx, user);
@@ -643,8 +573,7 @@ fn receive_response(w: &mut World, ctx: &mut Ctx<'_>, response: FrameResponse) {
     if let Some(client) = w.clients.get_mut(&response.user) {
         client.on_frame_latency(latency);
     }
-    trace_event!(w, ctx, Severity::Debug, "frame.done",
-        "user" => u(response.user.as_u64()), "latency_us" => u(latency.as_micros()));
+    narrator(&w.tracer, ctx).frame_done(response.user, latency);
     w.recorder.record(response.user, now, latency);
 }
 
@@ -746,9 +675,7 @@ fn handle_node_failure(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
         "reactive"
     };
     let failed_node = w.clients.get(&user).and_then(|c| c.current_node());
-    trace_event!(w, ctx, Severity::Warn, "client.failure",
-        "user" => u(user.as_u64()), "mode" => s(mode),
-        "node" => u(failed_node.map_or(u64::MAX, |n| n.as_u64())));
+    narrator(&w.tracer, ctx).failure(user, mode, failed_node);
     if w.strategy.is_client_centric() && w.strategy.is_proactive() {
         let Some(client) = w.clients.get(&user) else {
             return;
@@ -762,12 +689,10 @@ fn handle_node_failure(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
         let Some(client) = w.clients.get_mut(&user) else {
             return;
         };
-        match client.on_node_failure(now, |n| alive.contains(&n)) {
+        let decision = client.on_node_failure(now, |n| alive.contains(&n));
+        narrator(&w.tracer, ctx).failover(user, failed_node, &decision);
+        match decision {
             FailoverDecision::SwitchToBackup { target } => {
-                trace_event!(w, ctx, Severity::Warn, "client.failover",
-                    "user" => u(user.as_u64()), "action" => s("backup"),
-                    "from" => u(failed_node.map_or(u64::MAX, |n| n.as_u64())),
-                    "target" => u(target.as_u64()));
                 // The connection is pre-established; Unexpected_join
                 // cannot be rejected (Table I). Frames resume on the next
                 // tick of the send loop.
@@ -793,11 +718,7 @@ fn handle_node_failure(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
                 // so simultaneous later failures still find warm spares.
                 start_probe_round(w, ctx, user);
             }
-            FailoverDecision::Rediscover => {
-                trace_event!(w, ctx, Severity::Warn, "client.failover",
-                    "user" => u(user.as_u64()), "action" => s("rediscover"));
-                start_probe_round(w, ctx, user);
-            }
+            FailoverDecision::Rediscover => start_probe_round(w, ctx, user),
         }
     } else if w.strategy.is_client_centric() {
         // Reactive comparison: no warm backups. The client first has to
@@ -1079,8 +1000,6 @@ mod tests {
             failure_events: Vec::new(),
             affiliations: HashMap::new(),
             tracer: Default::default(),
-            breakers: HashMap::new(),
-            degraded: HashMap::new(),
         }
     }
 

@@ -256,8 +256,6 @@ impl Scenario {
                 })
                 .collect(),
             tracer,
-            breakers: HashMap::new(),
-            degraded: HashMap::new(),
         };
 
         // --- Timeline -------------------------------------------------

@@ -2,7 +2,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use armada_chaos::CircuitBreaker;
 use armada_client::{EdgeClient, ProbeResult};
 use armada_federation::FederatedCluster;
 use armada_manager::CentralManager;
@@ -75,15 +74,6 @@ pub struct World {
     /// Structured event sink (disabled by default; events are stamped
     /// with virtual time, so traced runs stay deterministic).
     pub(crate) tracer: Tracer,
-    /// Per-user circuit breakers on the discovery path: opened after
-    /// consecutive manager failures, half-open probe after a cooldown.
-    /// Only populated when discovery actually fails, so fault-free runs
-    /// carry no breaker state at all.
-    pub(crate) breakers: HashMap<UserId, CircuitBreaker>,
-    /// Users currently in degraded mode (manager unreachable, serving
-    /// from their existing attachment), with the time degradation
-    /// began — the stale-age anchor.
-    pub(crate) degraded: HashMap<UserId, SimTime>,
 }
 
 impl World {
@@ -193,13 +183,13 @@ impl World {
     /// Total circuit-breaker state transitions across all users'
     /// discovery paths.
     pub fn breaker_transitions(&self) -> u64 {
-        self.breakers.values().map(|b| b.transition_count()).sum()
+        self.clients().map(EdgeClient::breaker_transitions).sum()
     }
 
-    /// Users currently in degraded mode (manager unreachable, serving
-    /// from their existing attachment).
+    /// Users currently in degraded mode (manager unreachable, probing
+    /// their cached shortlist; any attachment keeps serving).
     pub fn degraded_users(&self) -> usize {
-        self.degraded.len()
+        self.clients().filter(|c| c.is_degraded()).count()
     }
 
     /// Fault-injection counters, when the run carries a fault plan.

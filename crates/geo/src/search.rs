@@ -22,42 +22,12 @@
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use armada_types::{GeoPoint, NodeId, EARTH_RADIUS_KM};
+use armada_types::{mix64, GeoPoint, NodeId, U64BuildHasher, EARTH_RADIUS_KM};
 
-/// A splitmix64-style hasher for the index's internal maps, whose keys
-/// are all 64-bit (node ids, packed cell coordinates). The default
-/// SipHash is DoS-hardened but costs several times more per lookup, and
-/// the disk scan's inner loop does one position lookup and one
-/// seen-set insert per candidate; keys here are not attacker-chosen.
-#[derive(Debug, Default)]
-struct U64Hasher(u64);
-
-impl Hasher for U64Hasher {
-    fn finish(&self) -> u64 {
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
-type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<U64Hasher>>;
-type FastSet<K> = HashSet<K, BuildHasherDefault<U64Hasher>>;
+type FastMap<K, V> = HashMap<K, V, U64BuildHasher>;
+type FastSet<K> = HashSet<K, U64BuildHasher>;
 
 /// A position pre-converted to radians with its latitude cosine cached.
 ///
@@ -138,15 +108,8 @@ const CHUNK_CAP: usize = 512;
 /// its threshold — amortised so no single mutation pays a full sweep.
 const SWEEP_SEGMENTS_PER_STEP: usize = 4;
 
-/// splitmix64 finaliser, used to spread ids and cell keys across
-/// shards/segments (sequential ids would otherwise pile into a few).
-fn mix64(x: u64) -> u64 {
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
+/// Ids and cell keys go through [`mix64`] first: sequential ones would
+/// otherwise pile into a few shards/segments.
 fn shard_of(id: NodeId) -> usize {
     mix64(id.as_u64()) as usize & (POS_SHARDS - 1)
 }

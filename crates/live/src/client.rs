@@ -1,18 +1,21 @@
 //! The live client: a blocking-socket driver around one [`EdgeClient`],
 //! the Algorithm 2 core the simulator drives in virtual time. The core
 //! ranks, decides stay-or-switch, keeps and walks the warm backups and
-//! paces frames; this file owns I/O and I/O policy only — sockets and
-//! timeouts, UDP-first probing, the manager route walk under breakers,
-//! the degraded-mode candidate cache, trace emission.
+//! paces frames, walks the manager route under its breakers, remembers
+//! the shortlist degraded mode runs on and names the retry times; this
+//! file owns I/O only — sockets and timeouts, UDP-first probing,
+//! sleeping, and the id → listen-address book.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use armada_chaos::{Backoff, BreakerState, CircuitBreaker, Transition};
-use armada_client::{ClientDecision, EdgeClient, FailoverDecision, JoinFollowup, ProbeResult};
-use armada_trace::{s, u, Severity, Tracer};
+use armada_client::{
+    ClientDecision, EdgeClient, FailoverDecision, JoinFollowup, ManagerReply, Narrator,
+    ProbeResult, Verdict, RETRY_BACKOFF,
+};
+use armada_trace::Tracer;
 use armada_types::{ClientConfig, GeoPoint, NodeId, SimDuration, SimTime, UserId};
 
 use armada_wire::{
@@ -25,20 +28,6 @@ use armada_wire::{
 /// read timeout on every connection — a plain `TcpStream::connect` to
 /// an unroutable address can block far longer than any RPC budget.
 const RPC_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Sleep schedule between session attempts: capped jittered exponential
-/// backoff — doubles per attempt, never exceeds the cap, and jitters
-/// deterministically per client so colliding clients do not retry in
-/// herds.
-const RETRY_BACKOFF: Backoff = Backoff::from_millis(50, 1_000);
-
-/// Consecutive discovery failures before a manager's circuit breaker
-/// opens (after which the route walk skips it without connecting).
-const BREAKER_THRESHOLD: u32 = 3;
-
-/// How long an open manager breaker refuses locally before letting a
-/// single half-open probe through.
-const BREAKER_COOLDOWN: Duration = Duration::from_millis(500);
 
 /// Connect/read budget for a mid-session discovery. Kept far below
 /// [`RPC_TIMEOUT`] so a black-holed manager cannot stall the frame
@@ -81,33 +70,23 @@ impl SessionReport {
 #[derive(Debug, Clone)]
 pub struct LiveClient {
     id: u64,
-    location: GeoPoint,
-    config: ClientConfig,
     tracer: Tracer,
-    /// Last candidate list any discovery returned; serves discovery in
-    /// degraded mode when every manager is unreachable. Shared across
-    /// clones so repeated sessions survive a manager outage.
-    cache: Arc<Mutex<Option<CandidateCache>>>,
-    /// When the current degraded episode began, while one is active.
-    degraded_since: Arc<Mutex<Option<Instant>>>,
-    /// One circuit breaker per manager address.
-    breakers: Arc<Mutex<HashMap<SocketAddr, CircuitBreaker>>>,
-    /// The protocol core, shared across clones and sessions so the
-    /// selector's per-node history survives retries; locked once per
-    /// session attempt, never per frame.
-    core: Arc<Mutex<EdgeClient>>,
-    /// Time base of the breakers' clock and the core's [`SimTime`].
+    /// Shared across clones and sessions so the selector's per-node
+    /// history, the breakers and the cached shortlist survive retries and
+    /// manager outages; locked once per session attempt, never per frame.
+    shared: Arc<Mutex<Shared>>,
+    /// Time base of the core's [`SimTime`].
     epoch: Instant,
     /// Outbound codec and probe-backend selection.
     wire: WireConfig,
 }
 
-/// A remembered discovery result with its fetch time, so degraded mode
-/// can report exactly how stale the served candidates are.
-#[derive(Debug, Clone)]
-struct CandidateCache {
-    nodes: Vec<(u64, String)>,
-    fetched: Instant,
+/// What a client's sessions share: the core, and where to dial the
+/// nodes of the shortlist it caches (the core deals in ids).
+#[derive(Debug)]
+struct Shared {
+    core: EdgeClient,
+    addresses: HashMap<u64, String>,
 }
 
 /// A session's open connections by node id: serving node and backups.
@@ -118,17 +97,11 @@ impl LiveClient {
     pub fn new(id: u64, location: GeoPoint, config: ClientConfig) -> Self {
         LiveClient {
             id,
-            location,
-            config,
             tracer: Tracer::disabled(),
-            cache: Arc::new(Mutex::new(None)),
-            degraded_since: Arc::new(Mutex::new(None)),
-            breakers: Arc::new(Mutex::new(HashMap::new())),
-            core: Arc::new(Mutex::new(EdgeClient::new(
-                UserId::new(id),
-                location,
-                config,
-            ))),
+            shared: Arc::new(Mutex::new(Shared {
+                core: EdgeClient::new(UserId::new(id), location, config),
+                addresses: HashMap::new(),
+            })),
             epoch: Instant::now(),
             wire: WireConfig::default(),
         }
@@ -156,19 +129,19 @@ impl LiveClient {
 
     /// `true` while discovery is being served from the stale cached
     /// candidate list because every manager is unreachable or
-    /// breaker-gated.
+    /// breaker-gated. (Waits for a session in progress to end.)
     pub fn is_degraded(&self) -> bool {
-        self.degraded_since.lock().expect("degraded lock").is_some()
+        self.shared().core.is_degraded()
     }
 
     /// Total circuit-breaker state transitions across all managers.
+    /// (Waits for a session in progress to end.)
     pub fn breaker_transitions(&self) -> u64 {
-        self.breakers
-            .lock()
-            .expect("breaker lock")
-            .values()
-            .map(|b| b.transition_count())
-            .sum()
+        self.shared().core.breaker_transitions()
+    }
+
+    fn shared(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().expect("a session panicked mid-attempt")
     }
 
     /// Runs one full session: discovery → concurrent probing → ranked
@@ -208,10 +181,10 @@ impl LiveClient {
             if attempt > 0 {
                 std::thread::sleep(RETRY_BACKOFF.delay(attempt - 1, self.id));
             }
-            let mut core = self.core.lock().expect("core lock");
-            let outcome = self.try_session(&mut core, managers, frames);
+            let mut shared = self.shared();
+            let outcome = self.try_session(&mut shared, managers, frames);
             // Ends the attachment, keeps the selector's per-node models.
-            core.detach();
+            shared.core.detach();
             match outcome {
                 Ok(report) => return Ok(report),
                 Err(e) => last_err = Some(e),
@@ -223,14 +196,14 @@ impl LiveClient {
     /// One discovery → probe → join → stream attempt.
     fn try_session(
         &self,
-        core: &mut EdgeClient,
+        shared: &mut Shared,
         managers: &[SocketAddr],
         frames: usize,
     ) -> std::io::Result<SessionReport> {
-        let before = core.stats();
+        let before = shared.core.stats();
         let mut connections = Connections::new();
         let probed = self
-            .select(core, &mut connections, managers, RPC_TIMEOUT)?
+            .select(shared, &mut connections, managers, RPC_TIMEOUT)?
             .iter()
             .map(|r| {
                 (
@@ -240,16 +213,17 @@ impl LiveClient {
                 )
             })
             .collect();
-        let initial_node = serving_node(core)?;
+        let initial_node = serving_node(&shared.core)?;
 
         let mut latencies = Vec::with_capacity(frames);
-        let probing_period = Duration::from_micros(self.config.probing_period.as_micros());
+        let probing_period = Duration::from_micros(shared.core.config().probing_period.as_micros());
         let mut last_probe = Instant::now();
         while latencies.len() < frames {
             if last_probe.elapsed() >= probing_period {
                 last_probe = Instant::now();
-                self.select(core, &mut connections, managers, REFRESH_TIMEOUT)?;
+                self.select(shared, &mut connections, managers, REFRESH_TIMEOUT)?;
             }
+            let core = &mut shared.core;
             let serving = serving_node(core)?;
             let frame = Request::Frame {
                 user: self.id,
@@ -259,15 +233,11 @@ impl LiveClient {
             let started = Instant::now();
             match self.exchange(&mut connections, serving, &frame) {
                 Ok(Response::FrameResult { .. }) => {
-                    let latency = started.elapsed();
-                    latencies.push(latency);
-                    self.tracer.emit(Severity::Debug, "frame.done", || {
-                        vec![
-                            ("user", u(self.id)),
-                            ("latency_us", u(latency.as_micros() as u64)),
-                        ]
-                    });
-                    core.on_frame_latency(SimDuration::from_micros(latency.as_micros() as u64));
+                    let elapsed = started.elapsed();
+                    latencies.push(elapsed);
+                    let latency = SimDuration::from_micros(elapsed.as_micros() as u64);
+                    self.narrator().frame_done(core.id(), latency);
+                    core.on_frame_latency(latency);
                     std::thread::sleep(Duration::from_micros(core.frame_interval().as_micros()));
                 }
                 other => {
@@ -280,6 +250,7 @@ impl LiveClient {
             }
         }
 
+        let core = &mut shared.core;
         let final_node = serving_node(core)?;
         let leave = Request::Leave { user: self.id };
         let _ = self.exchange(&mut connections, final_node, &leave);
@@ -300,7 +271,7 @@ impl LiveClient {
     /// close what fell out of `current ∪ backups`. Returns the probes.
     fn select(
         &self,
-        core: &mut EdgeClient,
+        shared: &mut Shared,
         connections: &mut Connections,
         managers: &[SocketAddr],
         timeout: Duration,
@@ -309,50 +280,34 @@ impl LiveClient {
         // last-known candidate list. Mid-session this is also what
         // notices a manager partition and its recovery while frames
         // keep flowing to already connected nodes.
-        let mut candidates = self
-            .discover(managers, timeout)
-            .or_else(|e| self.cached_candidates().ok_or(e))?;
+        // (Mid-session the next `T_probing` round is the core's retry.)
+        let mut shortlist = self.discover(shared, managers, timeout).or_else(|e| {
+            let cached = shared.core.cached_shortlist();
+            cached.map(<[NodeId]>::to_vec).ok_or(e)
+        })?;
+        let Shared { core, addresses } = shared;
         // Always re-probe the serving node too (over its open
         // connection), so stay-or-switch compares fresh measurements
         // even when the manager's shortlist has moved on.
-        if let Some(current) = core.current_node().map(NodeId::as_u64) {
-            if !candidates.iter().any(|(id, _)| *id == current) {
-                candidates.push((current, String::new()));
+        if let Some(current) = core.current_node() {
+            if !shortlist.contains(&current) {
+                shortlist.push(current);
             }
         }
+        let dial = |node: &NodeId| {
+            let id = node.as_u64();
+            (id, addresses.get(&id).cloned().unwrap_or_default())
+        };
+        let candidates: Vec<(u64, String)> = shortlist.iter().map(dial).collect();
         let round = core.stats().probe_rounds;
-        self.tracer.emit(Severity::Debug, "probe.round.start", || {
-            vec![
-                ("user", u(self.id)),
-                ("round", u(round)),
-                ("candidates", u(candidates.len() as u64)),
-            ]
-        });
+        self.narrator()
+            .probe_round_start(core.id(), round, candidates.len());
         core.note_probes_sent(candidates.len());
         let results = self.probe_round(core, connections, &candidates);
         let decision = core.on_probe_round(results.clone(), self.now_sim());
-        self.tracer.emit(Severity::Debug, "probe.round.done", || {
-            vec![
-                ("user", u(self.id)),
-                ("round", u(round)),
-                ("replies", u(results.len() as u64)),
-                ("failed", u((candidates.len() - results.len()) as u64)),
-                ("decision", s(decision.name())),
-            ]
-        });
-        if let Some(p) = core.last_prediction().copied() {
-            let predicted_us = (p.predicted_best_ms * 1_000.0) as u64;
-            self.tracer.emit(Severity::Debug, "sel.predict", || {
-                vec![
-                    ("user", u(self.id)),
-                    ("round", u(round)),
-                    ("best", u(p.best.as_u64())),
-                    ("predicted_best_us", u(predicted_us)),
-                    ("best_score_milli", u((p.best_score * 1_000.0) as u64)),
-                    ("vetoed", u(u64::from(p.vetoed))),
-                ]
-            });
-        }
+        let failed = candidates.len() - results.len();
+        self.narrator()
+            .probe_round_done(core, round, results.len(), failed, &decision);
         self.apply(core, connections, decision);
         // Neither serving nor a backup: closed, so open sockets ≤ TopN.
         connections.retain(|&id, _| {
@@ -445,31 +400,13 @@ impl LiveClient {
         // Shed, dead mid-join or out of sequence: the join did not
         // happen, and only the first says anything about the node.
         let accepted = matches!(reply, Ok(Response::JoinResult { accepted: true }));
-        match core.on_join_result(target, accepted, now) {
-            JoinFollowup::SwitchComplete { leave: None } => {
-                self.tracer.emit(Severity::Info, "client.join", || {
-                    vec![("user", u(self.id)), ("node", u(target.as_u64()))]
-                });
-            }
-            JoinFollowup::SwitchComplete {
-                leave: Some(previous),
-            } => {
-                let switch = || {
-                    vec![
-                        ("user", u(self.id)),
-                        ("from", u(previous.as_u64())),
-                        ("to", u(target.as_u64())),
-                    ]
-                };
-                self.tracer.emit(Severity::Info, "client.switch", switch);
-                if core.selector().is_some() {
-                    self.tracer.emit(Severity::Info, "sel.switch", switch);
-                }
+        // (No stale replies: a blocking driver abandons no join.)
+        if let JoinFollowup::SwitchComplete { leave } = core.on_join_result(target, accepted, now) {
+            self.narrator().joined(core, target, leave);
+            if let Some(previous) = leave {
                 let leave = Request::Leave { user: self.id };
                 let _ = self.exchange(connections, previous.as_u64(), &leave);
             }
-            // (No stale replies: a blocking driver abandons no join.)
-            JoinFollowup::Rediscover | JoinFollowup::Stale => {}
         }
     }
 
@@ -482,13 +419,8 @@ impl LiveClient {
         connections: &mut Connections,
         failed: u64,
     ) -> std::io::Result<()> {
-        self.tracer.emit(Severity::Warn, "client.failure", || {
-            vec![
-                ("user", u(self.id)),
-                ("mode", s("live")),
-                ("node", u(failed)),
-            ]
-        });
+        let failed_node = Some(NodeId::new(failed));
+        self.narrator().failure(core.id(), "proactive", failed_node);
         connections.remove(&failed);
         let takeover = Request::UnexpectedJoin { user: self.id };
         let decision = core.on_node_failure(self.now_sim(), |backup| {
@@ -499,208 +431,75 @@ impl LiveClient {
             }
             alive
         });
+        self.narrator().failover(core.id(), failed_node, &decision);
         match decision {
-            FailoverDecision::SwitchToBackup { target } => {
-                self.tracer.emit(Severity::Warn, "client.failover", || {
-                    vec![
-                        ("user", u(self.id)),
-                        ("action", s("backup")),
-                        ("from", u(failed)),
-                        ("target", u(target.as_u64())),
-                    ]
-                });
-                Ok(())
-            }
+            FailoverDecision::SwitchToBackup { .. } => Ok(()),
             FailoverDecision::Rediscover => {
-                self.tracer.emit(Severity::Warn, "client.failover", || {
-                    vec![("user", u(self.id)), ("action", s("rediscover"))]
-                });
                 Err(protocol_error("all backups failed simultaneously".into()))
             }
         }
     }
 
-    /// Walks the manager route order (home first) under per-manager
-    /// circuit breakers. A success refreshes the candidate cache and
-    /// ends any degraded episode; total failure leaves the cache for
-    /// [`LiveClient::cached_candidates`] to serve.
+    /// Walks the manager route order (home first): the core picks each
+    /// rank its breaker admits and says what the answer means; this
+    /// dials, sleeps the pauses and keeps the address book. Fails once
+    /// the route is exhausted (the core's cached shortlist is what is left).
     fn discover(
         &self,
+        shared: &mut Shared,
         managers: &[SocketAddr],
         timeout: Duration,
-    ) -> std::io::Result<Vec<(u64, String)>> {
+    ) -> std::io::Result<Vec<NodeId>> {
+        let Shared { core, addresses } = shared;
         let request = Request::Discover {
             user: self.id,
-            lat: self.location.lat(),
-            lon: self.location.lon(),
-            top_n: self.config.top_n,
+            lat: core.location().lat(),
+            lon: core.location().lon(),
+            top_n: core.config().top_n,
         };
-        for (rank, &manager) in managers.iter().enumerate() {
-            if !self.breaker_allows(manager) {
-                continue;
-            }
-            let outcome = connect_with(manager, timeout)
+        let mut from = 0;
+        while let Some(rank) =
+            core.next_manager(from, managers.len(), self.now_sim(), self.narrator())
+        {
+            let outcome = connect_with(managers[rank], timeout)
                 .and_then(|mut mgr| rpc(&mut mgr, self.wire.codec, &request));
-            match outcome {
+            let reply = match outcome {
                 Ok(Response::Candidates { nodes }) => {
-                    self.breaker_success(manager);
-                    if rank > 0 {
-                        self.tracer.emit(Severity::Warn, "fed.failover", || {
-                            vec![("user", u(self.id)), ("served_by", u(rank as u64))]
-                        });
+                    let ids = nodes.iter().map(|(id, _)| NodeId::new(*id)).collect();
+                    if !nodes.is_empty() {
+                        // (What the core's cached shortlist names.)
+                        addresses.clear();
+                        addresses.extend(nodes);
                     }
-                    self.tracer.emit(Severity::Debug, "mgr.discover", || {
-                        vec![("user", u(self.id)), ("returned", u(nodes.len() as u64))]
-                    });
-                    if nodes.is_empty() {
-                        // The manager is healthy, it just has nothing to
-                        // offer — not a breaker failure, and not worth
-                        // caching.
-                        return Err(protocol_error("manager returned no candidates".into()));
-                    }
-                    self.refresh_cache(&nodes);
-                    return Ok(nodes);
+                    ManagerReply::Candidates(ids)
                 }
-                Ok(Response::Busy { retry_after_ms }) => {
-                    // The manager is up but shedding queries. Count it
-                    // against the breaker (repeated Busy opens it, which
-                    // is exactly the storm-calming behaviour we want),
-                    // back off for the server-directed delay with
-                    // jitter so a storm of retries doesn't resynchronise
-                    // into the next storm, and walk the route — another
-                    // shard may have capacity.
-                    self.breaker_failure(manager);
-                    let cap = retry_after_ms.clamp(1, 2_000);
-                    let pause = Backoff::from_millis(cap, cap).delay(0, self.id);
-                    self.tracer.emit(Severity::Warn, "mgr.busy", || {
-                        vec![
-                            ("user", u(self.id)),
-                            ("retry_after_ms", u(retry_after_ms)),
-                            ("paused_us", u(pause.as_micros() as u64)),
-                        ]
-                    });
-                    std::thread::sleep(pause);
+                Ok(Response::Busy { retry_after_ms }) => ManagerReply::Busy { retry_after_ms },
+                // Dead, unreachable, or answering something else.
+                _ => ManagerReply::Unserved,
+            };
+            match core.on_discover(rank, reply, self.now_sim(), self.narrator()) {
+                Verdict::Probe(shortlist) => return Ok(shortlist),
+                Verdict::Next { pause } => {
+                    std::thread::sleep(Duration::from_micros(pause.as_micros()))
                 }
-                Ok(other) => {
-                    self.breaker_failure(manager);
-                    return Err(protocol_error(format!("discovery got {other:?}")));
-                }
-                // Dead or unreachable manager: next in the route order.
-                Err(_) => self.breaker_failure(manager),
             }
+            from = rank + 1;
         }
+        core.on_route_exhausted(self.now_sim(), self.narrator());
         Err(protocol_error(
             "every manager is unreachable or breaker-gated".into(),
         ))
     }
 
-    /// Stores a freshly served candidate list and, if a degraded
-    /// episode was in progress, ends it with a recovery event.
-    fn refresh_cache(&self, nodes: &[(u64, String)]) {
-        *self.cache.lock().expect("cache lock") = Some(CandidateCache {
-            nodes: nodes.to_vec(),
-            fetched: Instant::now(),
-        });
-        let recovered = self.degraded_since.lock().expect("degraded lock").take();
-        if let Some(since) = recovered {
-            let outage = since.elapsed();
-            self.tracer
-                .emit(Severity::Info, "chaos.degraded.recovered", || {
-                    vec![
-                        ("user", u(self.id)),
-                        ("outage_us", u(outage.as_micros() as u64)),
-                    ]
-                });
-        }
-    }
-
-    /// Serves the last-known candidate list when every manager is
-    /// down, entering (or extending) a degraded episode. `None` when
-    /// nothing was ever cached — then the discovery error stands.
-    fn cached_candidates(&self) -> Option<Vec<(u64, String)>> {
-        let cached = self.cache.lock().expect("cache lock").clone()?;
-        let stale = cached.fetched.elapsed();
-        self.degraded_since
-            .lock()
-            .expect("degraded lock")
-            .get_or_insert_with(Instant::now);
-        self.tracer.emit(Severity::Warn, "chaos.degraded", || {
-            vec![
-                ("user", u(self.id)),
-                ("stale_us", u(stale.as_micros() as u64)),
-                ("cached", u(cached.nodes.len() as u64)),
-            ]
-        });
-        Some(cached.nodes)
-    }
-
-    /// Microseconds on the breakers' shared clock.
-    fn breaker_now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
     /// The core's clock: wall microseconds since the client's epoch,
     /// viewed as a simulated timestamp (the core is clock-agnostic).
     fn now_sim(&self) -> SimTime {
-        SimTime::from_micros(self.breaker_now_us())
+        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
 
-    /// Should discovery try this manager now? Traces the open →
-    /// half-open transition when a cooldown expires.
-    fn breaker_allows(&self, manager: SocketAddr) -> bool {
-        let mut breakers = self.breakers.lock().expect("breaker lock");
-        let Some(breaker) = breakers.get_mut(&manager) else {
-            return true;
-        };
-        let (allowed, transition) = breaker.allow(self.breaker_now_us());
-        drop(breakers);
-        if let Some(t) = transition {
-            self.trace_breaker(manager, t);
-        }
-        allowed
-    }
-
-    fn breaker_success(&self, manager: SocketAddr) {
-        let transition = self
-            .breakers
-            .lock()
-            .expect("breaker lock")
-            .get_mut(&manager)
-            .and_then(CircuitBreaker::on_success);
-        if let Some(t) = transition {
-            self.trace_breaker(manager, t);
-        }
-    }
-
-    fn breaker_failure(&self, manager: SocketAddr) {
-        let now_us = self.breaker_now_us();
-        let transition = self
-            .breakers
-            .lock()
-            .expect("breaker lock")
-            .entry(manager)
-            .or_insert_with(|| {
-                CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN.as_micros() as u64)
-            })
-            .on_failure(now_us);
-        if let Some(t) = transition {
-            self.trace_breaker(manager, t);
-        }
-    }
-
-    fn trace_breaker(&self, manager: SocketAddr, t: Transition) {
-        let kind = match t.to {
-            BreakerState::Open => "chaos.breaker.open",
-            BreakerState::HalfOpen => "chaos.breaker.half_open",
-            BreakerState::Closed => "chaos.breaker.close",
-        };
-        self.tracer.emit(Severity::Warn, kind, || {
-            vec![
-                ("user", u(self.id)),
-                ("peer", s(manager.to_string())),
-                ("from", s(t.from.as_str())),
-            ]
-        });
+    /// The core's events, stamped with the tracer's wall clock.
+    fn narrator(&self) -> Narrator<'_> {
+        Narrator::at(&self.tracer, self.tracer.now_us())
     }
 }
 
@@ -824,6 +623,7 @@ mod tests {
     use super::*;
     use crate::manager::LiveManager;
     use crate::node::{LiveNode, NodeConfig};
+    use armada_client::{BREAKER_COOLDOWN, BREAKER_THRESHOLD};
     use armada_types::{HardwareProfile, NodeClass, SelectorMode};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -1051,8 +851,8 @@ mod tests {
         }
         let client = LiveClient::new(1, GeoPoint::new(44.98, -93.26), ClientConfig::default());
         let started = Instant::now();
-        let mut core = client.core.lock().unwrap();
-        let replies = client.probe_round(&mut core, &mut connections, &candidates);
+        let core = &mut client.shared().core;
+        let replies = client.probe_round(core, &mut connections, &candidates);
         let elapsed = started.elapsed();
         assert!(replies.is_empty());
         assert!(connections.is_empty(), "dead connections must be dropped");
@@ -1151,6 +951,65 @@ mod tests {
         );
     }
 
+    /// Regression: the route walk used to stop at a manager that answered
+    /// `Discover` with anything but `Candidates` / `Busy`, so one
+    /// shard's "internal error" reply failed session attempts its
+    /// healthy peer would have served, until that shard's breaker
+    /// opened. It counts against the breaker and the walk goes on.
+    #[test]
+    fn an_erroring_shard_does_not_stop_the_route_walk() {
+        // A home shard that answers every request with an error.
+        let broken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let broken_addr = broken.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let stub = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                for stream in broken.incoming() {
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let mut stream = stream.unwrap();
+                    let (_, codec) = armada_wire::read_request(&mut stream).unwrap();
+                    let error = Response::Error {
+                        message: "internal error".into(),
+                    };
+                    armada_wire::write_response(&mut stream, codec, &error).unwrap();
+                }
+            })
+        };
+        let (mgr, mgr_addr) = LiveManager::bind().unwrap();
+        let (_n1, _) = LiveNode::bind(node_config(1, 4, 10.0, 2), Some(mgr_addr)).unwrap();
+
+        let client = LiveClient::new(
+            301,
+            GeoPoint::new(44.98, -93.26),
+            ClientConfig::default().with_top_n(1),
+        );
+        let report = client
+            .run_session_any(&[broken_addr, mgr_addr], 3)
+            .expect("the healthy peer must carry the session");
+        assert_eq!(report.latencies.len(), 3);
+        assert_eq!(report.failovers, 0);
+        assert!(mgr.discoveries_served() > 0, "the peer served discovery");
+        assert!(!client.is_degraded(), "a served session is not degraded");
+        assert_eq!(
+            client.breaker_transitions(),
+            0,
+            "served at the first attempt"
+        );
+        // The error counted against the home shard: two more sessions
+        // open its breaker (closed → open is the only transition yet).
+        for _ in 1..BREAKER_THRESHOLD {
+            client.run_session_any(&[broken_addr, mgr_addr], 1).unwrap();
+        }
+        assert_eq!(client.breaker_transitions(), 1);
+
+        stop.store(true, Ordering::Release);
+        let _ = TcpStream::connect(broken_addr);
+        stub.join().unwrap();
+    }
+
     /// Satellite for the retry-loop fix: the session retry schedule
     /// must be exponential, jittered within its envelope, capped, and
     /// deterministic per client.
@@ -1189,7 +1048,7 @@ mod tests {
     #[test]
     fn degraded_mode_serves_cached_candidates_and_recovers() {
         use armada_chaos::{ChaosProxy, LinkFaults};
-        use armada_trace::MemorySink;
+        use armada_trace::{MemorySink, Severity};
 
         let sink = MemorySink::new();
         let buffer = sink.buffer();
@@ -1260,7 +1119,7 @@ mod tests {
     #[test]
     fn discovery_breaker_cycles_open_half_open_closed() {
         use armada_chaos::{ChaosProxy, LinkFaults};
-        use armada_trace::MemorySink;
+        use armada_trace::{MemorySink, Severity};
 
         let sink = MemorySink::new();
         let buffer = sink.buffer();
@@ -1275,10 +1134,11 @@ mod tests {
 
         // Prime the cache, then cut the link and fail discovery until
         // the breaker opens.
-        client.discover(&managers, RPC_TIMEOUT).expect("clean run");
+        let discover = || client.discover(&mut client.shared(), &managers, RPC_TIMEOUT);
+        discover().expect("clean run");
         proxy.set_partitioned(true);
         for _ in 0..BREAKER_THRESHOLD {
-            assert!(client.discover(&managers, RPC_TIMEOUT).is_err());
+            assert!(discover().is_err());
         }
         assert!(
             buffer
@@ -1290,16 +1150,12 @@ mod tests {
         // While open, the walk skips the manager without connecting —
         // even though the proxy is healed again, nothing probes it yet.
         proxy.set_partitioned(false);
-        assert!(
-            client.discover(&managers, RPC_TIMEOUT).is_err(),
-            "open breaker gates the only manager"
-        );
+        assert!(discover().is_err(), "open breaker gates the only manager");
         // After the cooldown one half-open probe goes through, succeeds
         // against the healed manager, and recloses the breaker.
-        std::thread::sleep(BREAKER_COOLDOWN + Duration::from_millis(50));
-        client
-            .discover(&managers, RPC_TIMEOUT)
-            .expect("half-open probe against the healed manager");
+        let cooldown = Duration::from_micros(BREAKER_COOLDOWN.as_micros());
+        std::thread::sleep(cooldown + Duration::from_millis(50));
+        discover().expect("half-open probe against the healed manager");
         let trace = buffer.lock().unwrap().clone();
         assert!(
             trace.contains(r#""kind":"chaos.breaker.half_open""#),

@@ -9,12 +9,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use armada_chaos::{Backoff, FaultyTransport, LinkFaults};
+use armada_chaos::{FaultyTransport, LinkFaults};
 use armada_manager::{CowTable, GlobalSelectionPolicy, NodeRegistry};
 use armada_node::NodeStatus;
 use armada_reactor::{AcceptFactory, Conn, ConnCtx, FdIo, Handle, Reactor, ReactorConfig, Source};
 use armada_trace::{s, u, Severity, Tracer};
-use armada_types::{GeoPoint, NodeId, SimDuration, SimTime};
+use armada_types::{Backoff, GeoPoint, NodeId, SimDuration, SimTime};
 
 use armada_wire::{
     decode_request, decode_response, Codec, Request, Response, WireNodeStatus, WireSummary,

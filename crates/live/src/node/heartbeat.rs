@@ -5,9 +5,9 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use armada_chaos::Backoff;
 use armada_reactor::{Conn, ConnCtx, Handle};
 use armada_trace::Severity;
+use armada_types::Backoff;
 use armada_wire::{decode_response, Codec, Request, Response, WireNodeStatus};
 
 use super::NodeState;

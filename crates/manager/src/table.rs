@@ -10,52 +10,15 @@
 //! O(records / shards), independent of epoch count.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use armada_types::NodeId;
+use armada_types::{mix64, NodeId, U64BuildHasher};
 
-/// A splitmix64-style hasher for the table's shard maps: keys are node
-/// ids (not attacker-chosen), and record lookups sit on the discovery
-/// hot path where SipHash costs several times more per probe.
-#[derive(Debug, Default)]
-struct U64Hasher(u64);
-
-impl Hasher for U64Hasher {
-    fn finish(&self) -> u64 {
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
-type Shard<V> = HashMap<NodeId, V, BuildHasherDefault<U64Hasher>>;
+type Shard<V> = HashMap<NodeId, V, U64BuildHasher>;
 
 /// Default shard count; a mutation under an outstanding view copies
 /// ~`len / 256` records instead of `len`.
 const DEFAULT_SHARDS: usize = 256;
-
-/// splitmix64 finaliser spreading ids across shards (sequential ids
-/// would otherwise pile into a few shards).
-fn mix64(x: u64) -> u64 {
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A mutable, sharded copy-on-write map from [`NodeId`] to `V`.
 ///

@@ -5,6 +5,7 @@
 //! one another's streams when code is added or reordered. [`SimRng`]
 //! derives an independent deterministic stream per label.
 
+use armada_types::{fnv1a, splitmix64};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -47,7 +48,7 @@ impl SimRng {
     /// The sub-stream depends only on the root seed and the label, not on
     /// how much randomness has been consumed elsewhere.
     pub fn stream(&self, label: &str) -> SimRng {
-        let derived = splitmix(self.seed ^ fnv1a(label.as_bytes()));
+        let derived = splitmix64(self.seed ^ fnv1a(label.as_bytes()));
         SimRng {
             seed: derived,
             inner: StdRng::seed_from_u64(derived),
@@ -57,7 +58,7 @@ impl SimRng {
     /// Derives an independent sub-stream keyed by label and index (e.g.
     /// per-node or per-user streams).
     pub fn stream_indexed(&self, label: &str, index: u64) -> SimRng {
-        let derived = splitmix(self.seed ^ fnv1a(label.as_bytes()) ^ splitmix(index));
+        let derived = splitmix64(self.seed ^ fnv1a(label.as_bytes()) ^ splitmix64(index));
         SimRng {
             seed: derived,
             inner: StdRng::seed_from_u64(derived),
@@ -93,24 +94,6 @@ impl RngCore for SimRng {
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
         self.inner.try_fill_bytes(dest)
     }
-}
-
-/// FNV-1a hash, used to turn stream labels into seed material.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// SplitMix64 finaliser, used to decorrelate derived seeds.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

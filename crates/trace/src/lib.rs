@@ -368,23 +368,24 @@ impl Tracer {
         }
     }
 
-    /// Emits an event stamped with wall-clock microseconds since the
-    /// tracer was created — the live runtime's clock.
+    /// Wall-clock microseconds since the tracer was created — the live
+    /// runtime's clock. A disabled tracer stamps nothing and reads 0.
+    pub fn now_us(&self) -> u64 {
+        #[cfg(feature = "enabled")]
+        if let Some(core) = &self.inner {
+            return core.origin.elapsed().as_micros() as u64;
+        }
+        0
+    }
+
+    /// Emits an event stamped with [`Tracer::now_us`].
     pub fn emit(
         &self,
         sev: Severity,
         kind: &str,
         fields: impl FnOnce() -> Vec<(&'static str, Json)>,
     ) {
-        #[cfg(feature = "enabled")]
-        if let Some(core) = &self.inner {
-            let t_us = core.origin.elapsed().as_micros() as u64;
-            self.emit_at(t_us, sev, kind, fields);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (sev, kind, fields);
-        }
+        self.emit_at(self.now_us(), sev, kind, fields);
     }
 
     /// Flushes the sink. Call before reading a trace file the run is

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use crate::hash::{mix, splitmix64};
+use crate::hash::{splitmix64, GAMMA};
 
 /// A capped exponential backoff schedule with deterministic jitter.
 ///
@@ -15,7 +15,7 @@ use crate::hash::{mix, splitmix64};
 /// # Examples
 ///
 /// ```
-/// use armada_chaos::Backoff;
+/// use armada_types::Backoff;
 ///
 /// const RETRY: Backoff = Backoff::from_millis(50, 1_000);
 /// let d = RETRY.delay(3, 7);
@@ -35,11 +35,6 @@ impl Backoff {
             base_us: base_ms * 1_000,
             cap_us: cap_ms * 1_000,
         }
-    }
-
-    /// A schedule in raw microseconds.
-    pub const fn from_micros(base_us: u64, cap_us: u64) -> Self {
-        Backoff { base_us, cap_us }
     }
 
     /// The un-jittered delay for `attempt` (0-based), in microseconds.
@@ -71,12 +66,11 @@ impl Backoff {
             return 0;
         }
         let half = raw / 2;
-        half + mix(splitmix64(seed), 0, u64::from(attempt), 8) % (raw - half + 1)
-    }
-
-    /// The cap: no single sleep ever exceeds this.
-    pub fn max_delay(&self) -> Duration {
-        Duration::from_micros(self.cap_us)
+        // The fault injector's `mix(splitmix64(seed), 0, attempt, 8)`,
+        // written out: recorded schedules depend on these bits.
+        let salted = u64::from(attempt) ^ 8u64.wrapping_mul(GAMMA);
+        let draw = splitmix64(splitmix64(seed) ^ splitmix64(splitmix64(salted)));
+        half + draw % (raw - half + 1)
     }
 }
 
@@ -93,7 +87,7 @@ mod tests {
                 let d = B.delay(attempt, seed);
                 assert!(d >= B.delay_floor(attempt));
                 assert!(d <= B.delay_ceiling(attempt));
-                assert!(d <= B.max_delay());
+                assert!(d <= Duration::from_millis(1_000));
             }
         }
         // The exponential phase: ceilings double until the cap.
@@ -105,6 +99,13 @@ mod tests {
 
     #[test]
     fn delay_is_deterministic_per_seed() {
+        // Recorded retry schedules (EXPERIMENTS' chaos tables) hang on
+        // the jitter's bits.
+        let first_six: Vec<u64> = (0..6).map(|attempt| B.delay_us(attempt, 0)).collect();
+        assert_eq!(
+            first_six,
+            [39_658, 66_658, 120_657, 381_161, 621_308, 884_964]
+        );
         assert_eq!(B.delay(3, 42), B.delay(3, 42));
         let distinct = (0..32).filter(|s| B.delay(3, *s) != B.delay(3, 0)).count();
         assert!(distinct > 0, "jitter must actually vary with the seed");
@@ -112,13 +113,13 @@ mod tests {
 
     #[test]
     fn huge_attempt_counts_do_not_overflow() {
-        assert_eq!(B.delay_ceiling(u32::MAX), B.max_delay());
-        assert!(B.delay(u32::MAX, 1) <= B.max_delay());
+        assert_eq!(B.delay_ceiling(u32::MAX), Duration::from_millis(1_000));
+        assert!(B.delay(u32::MAX, 1) <= Duration::from_millis(1_000));
     }
 
     #[test]
     fn zero_base_sleeps_nothing() {
-        let b = Backoff::from_micros(0, 0);
+        let b = Backoff::from_millis(0, 0);
         assert_eq!(b.delay(5, 9), Duration::ZERO);
     }
 }

@@ -27,20 +27,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod backoff;
 mod config;
 mod data;
 mod error;
 mod geo;
 mod hardware;
+mod hash;
 mod id;
 mod network;
 mod time;
 
+pub use backoff::Backoff;
 pub use config::{ClientConfig, LocalSelectionPolicy, QosRequirement, SelectorMode, SystemConfig};
 pub use data::{Bandwidth, DataSize};
 pub use error::{ArmadaError, Result};
 pub use geo::{GeoPoint, EARTH_RADIUS_KM};
 pub use hardware::{table2_profiles, HardwareProfile, NodeClass};
+pub use hash::{fnv1a, mix64, splitmix64, U64BuildHasher, U64Hasher};
 pub use id::{NodeId, ShardId, UserId};
 pub use network::AccessNetwork;
 pub use time::{SimDuration, SimTime};

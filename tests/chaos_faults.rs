@@ -198,4 +198,55 @@ mod traced {
             );
         }
     }
+
+    /// Regression: every `T_probing` tick during a manager outage used
+    /// to start a retry chain of its own that never merged with the
+    /// ones before it, so a user hammered the dead control plane
+    /// harder the longer it was down. At most one discovery retry is
+    /// pending per user: attempts per 10 s window stay level.
+    #[test]
+    fn discovery_retries_do_not_multiply_across_a_long_outage() {
+        const CRASH_S: u64 = 6;
+        const OUTAGE_S: u64 = 60;
+        let sink = MemorySink::new();
+        let buffer = sink.buffer();
+        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+        let plan = FaultPlan::new(SEED).crash(
+            PeerId::manager(0),
+            SimTime::from_secs(CRASH_S),
+            SimTime::from_secs(CRASH_S + OUTAGE_S),
+        );
+        let result = Scenario::new(EnvSpec::realworld(1), Strategy::client_centric())
+            .duration(SimDuration::from_secs(CRASH_S + OUTAGE_S + 14))
+            .seed(SEED)
+            .with_fault_plan(plan)
+            .with_tracer(tracer.clone())
+            .run();
+        tracer.flush();
+        let text = buffer.lock().expect("not poisoned").clone();
+        let events = inspect::parse_jsonl(&text).expect("trace parses");
+
+        // Every discovery the outage fails or gates runs on the cached
+        // shortlist and says so.
+        let mut attempts = [0usize; (OUTAGE_S / 10) as usize];
+        for event in events.iter().filter(|e| e.kind == "chaos.degraded") {
+            let into_outage_s = event.t_us / 1_000_000 - CRASH_S;
+            attempts[(into_outage_s / 10) as usize] += 1;
+        }
+        assert!(attempts[0] > 0, "the outage must be noticed: {attempts:?}");
+        let settled = &attempts[1..];
+        let (low, high) = (
+            settled.iter().min().expect("windows"),
+            settled.iter().max().expect("windows"),
+        );
+        assert!(
+            *high <= low + low / 2,
+            "attempts per 10 s window must stay level, got {attempts:?}"
+        );
+
+        let world = result.world();
+        assert_eq!(world.degraded_users(), 0, "reconciled after the restart");
+        let client = world.client(UserId::new(0)).expect("user 0");
+        assert!(client.current_node().is_some(), "still attached at the end");
+    }
 }

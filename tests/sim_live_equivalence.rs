@@ -23,6 +23,14 @@
 //! runner's `node.whatif.refresh` — and the sequence numbers counted
 //! that way must be the ones the simulated nodes end the run with.
 //!
+//! A second script takes the manager away instead of the nodes (sim: a
+//! crash window in the fault plan; live: the manager's own transport
+//! blackholed): the client core both runtimes drive must narrate the
+//! same control-plane story — degraded on the cached shortlist, which
+//! is still probed, the breaker opening after the third lost discovery
+//! and half-opening into a close once the manager is back, recovery —
+//! while the serving node never changes.
+//!
 //! The manager has rows of its own (ROADMAP open item 2's gate), which
 //! need no trace: the same fleet and the same queries answered by
 //! `CentralManager::discover` and by a `LiveManager` over the wire must
@@ -44,6 +52,7 @@
 #![cfg(feature = "trace")]
 
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -51,8 +60,8 @@ use armada::chaos::{FaultPlan, PeerId};
 use armada::core::{EnvSpec, NodeSpec, Scenario, Strategy, UserSpec};
 use armada::federation::{FederatedShard, NodeSummary, ShardId, SyncDelta};
 use armada::live::{
-    Codec, LiveClient, LiveManager, LiveNode, NodeConfig, Request, Response, WireConfig,
-    WireNodeStatus, WireSummary,
+    Codec, LiveClient, LiveManager, LiveManagerConfig, LiveNode, NodeConfig, Request, Response,
+    ServeFaults, WireConfig, WireNodeStatus, WireSummary,
 };
 use armada::manager::{CentralManager, GlobalSelectionPolicy};
 use armada::net::LatencyModelParams;
@@ -111,6 +120,17 @@ fn spot() -> GeoPoint {
 
 fn hardware(id: u64) -> HardwareProfile {
     HardwareProfile::new(format!("node-{id}"), 4, NODES[id as usize].1).with_concurrency(4)
+}
+
+/// A node of the cast on loopback: half its RTT injected each way.
+fn live_node(id: u64) -> NodeConfig {
+    NodeConfig {
+        id,
+        class: NodeClass::Volunteer,
+        hw: hardware(id),
+        location: spot(),
+        one_way_delay: Duration::from_millis(NODES[id as usize].0 / 2),
+    }
 }
 
 fn client_config(selector: SelectorMode) -> ClientConfig {
@@ -254,11 +274,10 @@ fn node_streams(trace: &str) -> [NodeStream; 3] {
     out
 }
 
-/// The script in virtual time: C is down until 20 s and from 30 s on,
-/// the user arrives at 10 s (C's boot-time registration has aged out of
-/// discovery by then), B and A die at 40 s.
-fn sim_decisions(selector: SelectorMode) -> (Vec<String>, [NodeStream; 3]) {
-    let node = |id: u64| NodeSpec {
+/// One user at [`spot`] and the given nodes of the cast, on a
+/// jitter-free network with the cast's pairwise RTTs.
+fn sim_env(nodes: &[u64]) -> EnvSpec {
+    let node = |&id: &u64| NodeSpec {
         label: format!("node-{id}"),
         class: NodeClass::Volunteer,
         hw: hardware(id),
@@ -266,19 +285,29 @@ fn sim_decisions(selector: SelectorMode) -> (Vec<String>, [NodeStream; 3]) {
         access: AccessNetwork::Fiber,
         extra_one_way_ms: 0.0,
     };
-    let env = EnvSpec {
-        nodes: vec![node(A), node(B), node(C)],
+    EnvSpec {
+        nodes: nodes.iter().map(node).collect(),
         users: vec![UserSpec {
             location: spot(),
             access: AccessNetwork::HomeWifi,
             affiliations: Vec::new(),
         }],
         latency: LatencyModelParams::deterministic(),
-        pairwise_rtt_ms: (0..3).map(|n| (0, n, NODES[n].0 as f64)).collect(),
+        pairwise_rtt_ms: nodes
+            .iter()
+            .map(|&n| (0, n as usize, NODES[n as usize].0 as f64))
+            .collect(),
         system: SystemConfig::default(),
         federation: None,
         fault_plan: None,
-    };
+    }
+}
+
+/// The script in virtual time: C is down until 20 s and from 30 s on,
+/// the user arrives at 10 s (C's boot-time registration has aged out of
+/// discovery by then), B and A die at 40 s.
+fn sim_decisions(selector: SelectorMode) -> (Vec<String>, [NodeStream; 3]) {
+    let env = sim_env(&[A, B, C]);
     let secs = SimTime::from_secs;
     let plan = FaultPlan::new(1)
         .crash(PeerId::node(C), SimTime::ZERO, secs(20))
@@ -348,14 +377,7 @@ fn live_decisions(selector: SelectorMode, wire: WireConfig) -> (Vec<String>, [No
     let (_mgr, mgr_addr) = LiveManager::bind().unwrap();
     let (node_tracer, node_buffer) = memory_tracer();
     let bind = |id: u64| {
-        let cfg = NodeConfig {
-            id,
-            class: NodeClass::Volunteer,
-            hw: hardware(id),
-            location: spot(),
-            one_way_delay: Duration::from_millis(NODES[id as usize].0 / 2),
-        };
-        LiveNode::bind_traced(cfg, Some(mgr_addr), node_tracer.clone())
+        LiveNode::bind_traced(live_node(id), Some(mgr_addr), node_tracer.clone())
             .unwrap()
             .0
     };
@@ -409,6 +431,149 @@ fn reactive_selector_decides_alike_in_sim_and_live() {
 #[test]
 fn predictive_selector_decides_alike_in_sim_and_live() {
     assert_equivalent(SelectorMode::Predictive);
+}
+
+/// What the manager-outage script must read as, in both runtimes.
+const EXPECTED_OUTAGE: [&str; 9] = [
+    "{round join of 2}",
+    "join 0",
+    "{degraded, round stay of 2}",
+    "breaker open",
+    "{degraded, round stay of 2}",
+    "breaker half_open",
+    "breaker close",
+    "recovered",
+    "{round stay of 2}",
+];
+
+/// User 0's control-plane stream out of a captured trace: breaker
+/// transitions, recovery and every change of serving node in order,
+/// and between two of those the *set* of what went on meanwhile —
+/// degraded discoveries, probing rounds with their decision and reply
+/// count. How many retries and rounds fit between two transitions is a
+/// matter of clock, so each kind counts once per stretch.
+fn control_plane(trace: &str) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    let mut meanwhile: Vec<String> = Vec::new();
+    let flush = |meanwhile: &mut Vec<String>, out: &mut Vec<String>| {
+        if !meanwhile.is_empty() {
+            meanwhile.sort();
+            meanwhile.dedup();
+            out.push(format!("{{{}}}", meanwhile.join(", ")));
+            meanwhile.clear();
+        }
+    };
+    for e in inspect::parse_jsonl(trace).expect("trace parses") {
+        if e.field_u64("user") != Some(0) {
+            continue;
+        }
+        let milestone = match e.kind.as_str() {
+            "chaos.degraded" => {
+                assert_eq!(e.field_u64("cached"), Some(2), "both nodes cached");
+                meanwhile.push("degraded".to_string());
+                continue;
+            }
+            "probe.round.done" => {
+                let decision = e.field_str("decision").expect("decision");
+                let replies = e.field_u64("replies").expect("replies");
+                meanwhile.push(format!("round {decision} of {replies}"));
+                continue;
+            }
+            "chaos.breaker.open" => "breaker open".to_string(),
+            "chaos.breaker.half_open" => "breaker half_open".to_string(),
+            "chaos.breaker.close" => "breaker close".to_string(),
+            "chaos.degraded.recovered" => "recovered".to_string(),
+            "client.join" => format!("join {}", e.field_u64("node").expect("node")),
+            "client.switch" | "client.failure" | "client.failover" => e.kind.clone(),
+            _ => continue,
+        };
+        flush(&mut meanwhile, &mut out);
+        out.push(milestone);
+    }
+    flush(&mut meanwhile, &mut out);
+    out
+}
+
+/// The outage in virtual time: A and B only, the user arrives at 1 s,
+/// the manager crashes at 3 s and restarts a tenth of a second after
+/// the user's breaker opened — before the cooldown lets a probe
+/// through, so the first half-open probe is the one that is answered.
+fn sim_outage(selector: SelectorMode) -> Vec<String> {
+    let run = |restart: SimTime| {
+        let env = sim_env(&[A, B]);
+        let plan = FaultPlan::new(1).crash(PeerId::manager(0), SimTime::from_secs(3), restart);
+        let (tracer, buffer) = memory_tracer();
+        let end = restart.min(SimTime::from_secs(8)) + SimDuration::from_secs(2);
+        Scenario::new(env, Strategy::client_centric_with(client_config(selector)))
+            .with_fault_plan(plan)
+            .users_join_at(vec![SimTime::from_secs(1)])
+            .duration(end.saturating_since(SimTime::ZERO))
+            .seed(7)
+            .with_tracer(tracer.clone())
+            .run();
+        tracer.flush();
+        let trace = buffer.lock().expect("trace buffer").clone();
+        trace
+    };
+    // The plan replays: the pilot's breaker opens when the real run's does.
+    let pilot = inspect::parse_jsonl(&run(SimTime::MAX)).expect("trace parses");
+    let opened = pilot.iter().find(|e| e.kind == "chaos.breaker.open");
+    let opened = SimTime::from_micros(opened.expect("the pilot's breaker opens").t_us);
+    control_plane(&run(opened + SimDuration::from_millis(100)))
+}
+
+/// The same outage on loopback: the manager's accepted connections are
+/// severed inside its reactor until the client's breaker opens (the
+/// nodes are dialled directly and keep serving).
+fn live_outage(selector: SelectorMode, wire: WireConfig) -> Vec<String> {
+    let faults = ServeFaults::partitionable(5);
+    let blackhole = Arc::clone(&faults.blackhole);
+    let cfg = LiveManagerConfig {
+        serve_faults: Some(faults),
+        ..LiveManagerConfig::default()
+    };
+    let (_mgr, mgr_addr) = LiveManager::bind_with(cfg, 0, Tracer::disabled()).unwrap();
+    let bind = |id: u64| LiveNode::bind(live_node(id), Some(mgr_addr)).unwrap().0;
+    let (a, b) = (bind(A), bind(B));
+    let (tracer, buffer) = memory_tracer();
+    let client = LiveClient::new(0, spot(), client_config(selector))
+        .with_tracer(tracer)
+        .with_wire(wire);
+    std::thread::scope(|scope| {
+        let session = scope.spawn(|| client.run_session(mgr_addr, 100_000));
+        settle_after(&buffer, r#""kind":"client.join""#);
+        blackhole.store(true, Ordering::Release);
+        wait_for(&buffer, "the breaker to open", |trace| {
+            trace.contains(r#""kind":"chaos.breaker.open""#)
+        });
+        blackhole.store(false, Ordering::Release);
+        settle_after(&buffer, r#""kind":"chaos.degraded.recovered""#);
+        // The story is told; the session ends when its nodes do.
+        let trace = buffer.lock().expect("trace buffer").clone();
+        b.shutdown();
+        a.shutdown();
+        assert!(session.join().expect("session thread").is_err());
+        control_plane(&trace)
+    })
+}
+
+fn assert_outage_equivalent(selector: SelectorMode) {
+    let sim = sim_outage(selector);
+    assert_eq!(sim, EXPECTED_OUTAGE, "the simulated outage left the script");
+    for wire in WIRES {
+        let live = live_outage(selector, wire);
+        assert_eq!(live, sim, "live and simulated outages diverge, {wire:?}");
+    }
+}
+
+#[test]
+fn reactive_client_rides_out_a_manager_outage_alike_in_sim_and_live() {
+    assert_outage_equivalent(SelectorMode::Reactive);
+}
+
+#[test]
+fn predictive_client_rides_out_a_manager_outage_alike_in_sim_and_live() {
+    assert_outage_equivalent(SelectorMode::Predictive);
 }
 
 /// A held connection to a live manager, speaking one codec.
