@@ -29,7 +29,7 @@
 //! `ARMADA_TRACE` each point's full event stream is archived as
 //! `TRACE_chaos_soak_<label>.jsonl`.
 
-use armada_bench::{print_csv, print_table, trace_path, Harness};
+use armada_bench::{list_arg, print_csv, print_table, trace_path, Harness};
 use armada_chaos::{FaultPlan, LinkFaults, PeerId};
 use armada_core::{EnvSpec, RunResult, Scenario, Strategy};
 use armada_json::Json;
@@ -135,36 +135,10 @@ fn run_point(intensity: f64, partition_s: u64) -> Outcome {
     }
 }
 
-/// Parses `--flag a,b,c` into a float list; `default` when absent.
-fn float_list_arg(flag: &str, default: &[f64]) -> Vec<f64> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, arg) in args.iter().enumerate() {
-        let value = match arg.strip_prefix(&format!("{flag}=")) {
-            Some(v) => Some(v.to_owned()),
-            None if arg == flag => args.get(i + 1).cloned(),
-            None => None,
-        };
-        if let Some(value) = value {
-            let parsed: Vec<f64> = value
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| {
-                    s.parse()
-                        .unwrap_or_else(|_| panic!("bad {flag} value `{s}`"))
-                })
-                .collect();
-            if !parsed.is_empty() {
-                return parsed;
-            }
-        }
-    }
-    default.to_vec()
-}
-
 fn main() {
     let harness = Harness::from_env();
-    let intensities = float_list_arg("--intensities", &[0.0, 0.05, 0.15, 0.30]);
-    let partitions: Vec<u64> = float_list_arg("--partitions", &[0.0, 4.0, 8.0])
+    let intensities = list_arg("--intensities", &[0.0, 0.05, 0.15, 0.30]);
+    let partitions: Vec<u64> = list_arg("--partitions", &[0.0, 4.0, 8.0])
         .into_iter()
         .map(|p| p as u64)
         .collect();

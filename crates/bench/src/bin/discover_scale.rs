@@ -38,10 +38,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use armada_bench::{print_csv, print_table, trace_path, tracer_for, Harness};
+use armada_bench::{arg, list_arg, print_csv, print_table, trace_path, tracer_for, Harness, Rng};
 use armada_json::Json;
 use armada_manager::{CentralManager, DiscoverySnapshot, GlobalSelectionPolicy};
-use armada_metrics::BenchReport;
+use armada_metrics::{percentile, BenchReport};
 use armada_node::NodeStatus;
 use armada_trace::{f, u, Severity};
 use armada_types::{GeoPoint, NodeClass, NodeId, SimDuration, SimTime, SystemConfig};
@@ -58,29 +58,6 @@ const REFERENCE_OP_BUDGET: u64 = 40_000_000;
 /// Never judge the oracle (or the identity check) on fewer than this
 /// many queries, however large the fleet.
 const REFERENCE_MIN_QUERIES: usize = 16;
-
-/// Splitmix-style deterministic generator — placements must not depend
-/// on platform RNGs.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        armada_types::mix64(self.0)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn range(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-}
 
 /// World metros the clustered 80% gathers around — the same spread the
 /// differential suite uses, crossing hemispheres and the antimeridian.
@@ -187,13 +164,6 @@ struct Outcome {
     build_ms: f64,
 }
 
-fn percentile(sorted: &[f64], pct: usize) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[(sorted.len() - 1) * pct / 100]
-}
-
 fn run_for_nodes(nodes: usize, queries: usize, mixed: &MixedParams) -> (Outcome, MixedOutcome) {
     let build_started = Instant::now();
     let (mut manager, statuses, now) = build_manager(SEED ^ nodes as u64, nodes);
@@ -231,8 +201,6 @@ fn run_for_nodes(nodes: usize, queries: usize, mixed: &MixedParams) -> (Outcome,
     }
     let ref_secs = ref_started.elapsed().as_secs_f64();
 
-    latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    ref_latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let mean_us = latencies_us.iter().sum::<f64>() / latencies_us.len().max(1) as f64;
     let qps = query_set.len() as f64 / fast_secs.max(f64::MIN_POSITIVE);
     let ref_qps = ref_queries as f64 / ref_secs.max(f64::MIN_POSITIVE);
@@ -240,12 +208,12 @@ fn run_for_nodes(nodes: usize, queries: usize, mixed: &MixedParams) -> (Outcome,
         nodes,
         queries: query_set.len(),
         qps,
-        p50_us: percentile(&latencies_us, 50),
-        p99_us: percentile(&latencies_us, 99),
+        p50_us: percentile(&latencies_us, 0.50).unwrap_or(0.0),
+        p99_us: percentile(&latencies_us, 0.99).unwrap_or(0.0),
         mean_us,
         ref_queries,
         ref_qps,
-        ref_p99_us: percentile(&ref_latencies_us, 99),
+        ref_p99_us: percentile(&ref_latencies_us, 0.99).unwrap_or(0.0),
         speedup: qps / ref_qps.max(f64::MIN_POSITIVE),
         build_ms,
     };
@@ -428,72 +396,35 @@ fn run_mixed(
         }
     }
 
-    let mut all_queries: Vec<f64> = query_latencies.into_iter().flatten().collect();
+    let all_queries: Vec<f64> = query_latencies.into_iter().flatten().collect();
     let queries = all_queries.len();
-    all_queries.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    mut_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    publish_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let qps = queries as f64 / elapsed.max(f64::MIN_POSITIVE);
     MixedOutcome {
         epochs,
         mutations: mut_us.len(),
-        mut_p50_us: percentile(&mut_us, 50),
-        mut_p99_us: percentile(&mut_us, 99),
-        publish_p50_us: percentile(&publish_us, 50),
-        publish_p99_us: percentile(&publish_us, 99),
-        publish_max_us: publish_us.last().copied().unwrap_or(0.0),
+        mut_p50_us: percentile(&mut_us, 0.50).unwrap_or(0.0),
+        mut_p99_us: percentile(&mut_us, 0.99).unwrap_or(0.0),
+        publish_p50_us: percentile(&publish_us, 0.50).unwrap_or(0.0),
+        publish_p99_us: percentile(&publish_us, 0.99).unwrap_or(0.0),
+        publish_max_us: percentile(&publish_us, 1.0).unwrap_or(0.0),
         prune_max_us: prune_us.iter().copied().fold(0.0, f64::max),
         queries,
         qps,
-        q_p50_us: percentile(&all_queries, 50),
-        q_p99_us: percentile(&all_queries, 99),
+        q_p50_us: percentile(&all_queries, 0.50).unwrap_or(0.0),
+        q_p99_us: percentile(&all_queries, 0.99).unwrap_or(0.0),
         workers: params.workers,
         oracle_checked,
     }
 }
 
-/// Parses `--flag a,b,c` into a list; `default` when absent.
-fn list_arg(flag: &str, default: &[usize]) -> Vec<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, arg) in args.iter().enumerate() {
-        let value = match arg.strip_prefix(&format!("{flag}=")) {
-            Some(v) => Some(v.to_owned()),
-            None if arg == flag => args.get(i + 1).cloned(),
-            None => None,
-        };
-        if let Some(value) = value {
-            let parsed: Vec<usize> = value
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| {
-                    s.parse()
-                        .unwrap_or_else(|_| panic!("bad {flag} value `{s}`"))
-                })
-                .collect();
-            if !parsed.is_empty() {
-                return parsed;
-            }
-        }
-    }
-    default.to_vec()
-}
-
 fn main() {
     let node_counts = list_arg("--nodes", &[1_000, 10_000, 100_000, 1_000_000]);
-    let queries = *list_arg("--queries", &[2_000])
-        .first()
-        .expect("default is non-empty");
+    let queries = arg("--queries", 2_000);
     let mixed = MixedParams {
-        min_ms: *list_arg("--mixed-ms", &[3_000])
-            .first()
-            .expect("default is non-empty") as u64,
-        batch: *list_arg("--mixed-batch", &[64])
-            .first()
-            .expect("default is non-empty"),
+        min_ms: arg("--mixed-ms", 3_000),
+        batch: arg("--mixed-batch", 64),
         workers: Harness::from_env().threads().max(1),
-        min_qps: *list_arg("--assert-min-qps", &[0])
-            .first()
-            .expect("default is non-empty"),
+        min_qps: arg("--assert-min-qps", 0),
     };
 
     // Unlike the simulation sweeps, this is a wall-clock latency

@@ -17,6 +17,13 @@
 //!   (`tests/federation_equivalence.rs` proves it end-to-end in the
 //!   simulator).
 //!
+//! This binary *asserts* its contract (nonzero exit on regression): at
+//! every point the top-1 match rate is exactly 1.0, the shards'
+//! registry operations sum to the single manager's — sharding moves
+//! the load, it neither loses nor duplicates a write — and each shard
+//! carries whole nodes (a node's registration and all its heartbeats
+//! land on one shard).
+//!
 //! Sweep points come from `--users 1000,5000,20000,50000` and
 //! `--shards 1,2,4,8` (the defaults; CI smoke-runs
 //! `--users 200 --shards 1,2`). K=1 always runs — it is the baseline
@@ -26,11 +33,11 @@
 
 use std::time::Instant;
 
-use armada_bench::{print_csv, print_table, trace_path, tracer_for, Harness};
+use armada_bench::{list_arg, print_csv, print_table, trace_path, tracer_for, Harness, Rng};
 use armada_federation::{FederatedCluster, ShardMap};
 use armada_json::Json;
 use armada_manager::GlobalSelectionPolicy;
-use armada_metrics::BenchReport;
+use armada_metrics::{mean, percentile, BenchReport};
 use armada_node::NodeStatus;
 use armada_trace::{f, u, Severity};
 use armada_types::{GeoPoint, NodeClass, NodeId, SimTime, SystemConfig};
@@ -43,27 +50,15 @@ const DURATION_S: u64 = 60;
 const HEARTBEAT_S: u64 = 2;
 /// Placement seed: identical node/user layouts across every K.
 const SEED: u64 = 4242;
+/// Registry operations one node causes over the timeline: its
+/// registration and every heartbeat.
+const OPS_PER_NODE: u64 = 1 + DURATION_S / HEARTBEAT_S;
 
-/// Splitmix-style deterministic generator — placements must not depend
-/// on platform RNGs.
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        armada_types::mix64(self.0)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// A point in a continental-US-sized box.
-    fn point(&mut self) -> GeoPoint {
-        let lat = 25.0 + self.next_f64() * 24.0;
-        let lon = -124.0 + self.next_f64() * 57.0;
-        GeoPoint::new(lat, lon)
-    }
+/// A point in a continental-US-sized box.
+fn point(rng: &mut Rng) -> GeoPoint {
+    let lat = 25.0 + rng.next_f64() * 24.0;
+    let lon = -124.0 + rng.next_f64() * 57.0;
+    GeoPoint::new(lat, lon)
 }
 
 /// What one `(users, shards)` run measured.
@@ -121,44 +116,14 @@ fn run_for_k(k: usize, nodes: &[NodeStatus], users: &[GeoPoint]) -> Outcome {
         .iter()
         .map(|s| s.counters().summaries_sent)
         .sum();
-    let mean = latencies_us.iter().sum::<f64>() / latencies_us.len().max(1) as f64;
-    let mut sorted = latencies_us;
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let p99 = sorted[(sorted.len().saturating_sub(1)) * 99 / 100];
     Outcome {
         shards: k,
         top1,
         per_shard_ops,
-        discover_mean_us: mean,
-        discover_p99_us: p99,
+        discover_mean_us: mean(&latencies_us).unwrap_or(0.0),
+        discover_p99_us: percentile(&latencies_us, 0.99).unwrap_or(0.0),
         summaries_sent,
     }
-}
-
-/// Parses `--flag a,b,c` into a list; `default` when absent.
-fn list_arg(flag: &str, default: &[usize]) -> Vec<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, arg) in args.iter().enumerate() {
-        let value = match arg.strip_prefix(&format!("{flag}=")) {
-            Some(v) => Some(v.to_owned()),
-            None if arg == flag => args.get(i + 1).cloned(),
-            None => None,
-        };
-        if let Some(value) = value {
-            let parsed: Vec<usize> = value
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| {
-                    s.parse()
-                        .unwrap_or_else(|_| panic!("bad {flag} value `{s}`"))
-                })
-                .collect();
-            if !parsed.is_empty() {
-                return parsed;
-            }
-        }
-    }
-    default.to_vec()
 }
 
 fn main() {
@@ -192,12 +157,12 @@ fn main() {
             .map(|i| NodeStatus {
                 node: NodeId::new(i as u64),
                 class: NodeClass::Volunteer,
-                location: rng.point(),
+                location: point(&mut rng),
                 attached_users: 0,
                 load_score: rng.next_f64(),
             })
             .collect();
-        let user_locs: Vec<GeoPoint> = (0..users).map(|_| rng.point()).collect();
+        let user_locs: Vec<GeoPoint> = (0..users).map(|_| point(&mut rng)).collect();
         shard_list
             .iter()
             .map(|&k| run_for_k(k, &nodes, &user_locs))
@@ -206,9 +171,11 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut csv = Vec::new();
+    let mut broken: Vec<String> = Vec::new();
     for (&users, sweep) in user_counts.iter().zip(&outcomes) {
         let baseline = &sweep[0];
         assert_eq!(baseline.shards, 1, "K=1 runs first");
+        let single_ops = baseline.per_shard_ops[0];
         for outcome in sweep {
             if outcome.shards == 1 && !report_k1 {
                 continue;
@@ -225,6 +192,24 @@ fn main() {
             let mean_ops = total_ops as f64 / outcome.per_shard_ops.len() as f64;
 
             let label = format!("users={users}/k={}", outcome.shards);
+            if match_rate != 1.0 {
+                broken.push(format!("{label}: top-1 match rate {match_rate} vs K=1"));
+            }
+            if total_ops != single_ops {
+                broken.push(format!(
+                    "{label}: shards handled {total_ops} registry ops, K=1 {single_ops}"
+                ));
+            }
+            if outcome
+                .per_shard_ops
+                .iter()
+                .any(|ops| ops % OPS_PER_NODE != 0)
+            {
+                broken.push(format!(
+                    "{label}: a node's {OPS_PER_NODE} ops are split across shards: {:?}",
+                    outcome.per_shard_ops
+                ));
+            }
             // Under `ARMADA_TRACE`, each sweep point leaves one summary
             // event so CI can archive the sweep alongside the report.
             let tracer = tracer_for("fed_scale", &label);
@@ -304,5 +289,11 @@ fn main() {
     match report.write() {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("could not write bench report: {e}"),
+    }
+    if !broken.is_empty() {
+        for line in &broken {
+            eprintln!("FAIL {line}");
+        }
+        std::process::exit(1);
     }
 }

@@ -22,19 +22,18 @@
 //! needs only conns + ε. The parent talks to the child over its
 //! stdin/stdout (addr handoff, final liveness check).
 //!
-//! Knobs: `ARMADA_C10K_CONNS` (default 10 000) and
-//! `ARMADA_C10K_PROBES` (default 1 000); `ARMADA_BENCH_DIR` redirects
-//! the report as everywhere else.
+//! Flags: `--conns` (default 10 000) and `--probes` (default 1 000);
+//! `ARMADA_BENCH_DIR` redirects the report as everywhere else.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use armada_bench::{print_table, Harness};
+use armada_bench::{arg, print_table, Harness};
 use armada_json::Json;
 use armada_live::{LiveManager, LiveManagerConfig};
-use armada_metrics::BenchReport;
+use armada_metrics::{percentile, BenchReport};
 use armada_trace::Tracer;
 use armada_types::{GeoPoint, NodeClass};
 use armada_wire::{read_response, write_request, Codec, Request, Response, WireNodeStatus};
@@ -43,13 +42,6 @@ use armada_wire::{read_response, write_request, Codec, Request, Response, WireNo
 const P99_FLOOR_MS: f64 = 250.0;
 /// Per-exchange socket budget — localhost, so generous.
 const RPC_TIMEOUT: Duration = Duration::from_secs(5);
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Per-process fd headroom over the held connections themselves.
 fn raise_fd_limit(conns: usize) {
@@ -79,11 +71,6 @@ fn rpc(stream: &mut TcpStream, request: &Request) -> std::io::Result<Response> {
         .map_err(std::io::Error::from)
 }
 
-fn percentile_us(sorted: &[Duration], pct: f64) -> f64 {
-    let idx = ((pct / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx].as_secs_f64() * 1e6
-}
-
 /// Child mode: bind the manager, hand the address to the parent on
 /// stdout, answer `alive` queries, exit when the parent closes stdin.
 fn serve(conns: usize) {
@@ -109,18 +96,18 @@ fn serve(conns: usize) {
 }
 
 fn main() {
-    let conns = env_usize("ARMADA_C10K_CONNS", 10_000);
+    let conns: usize = arg("--conns", 10_000);
     if std::env::args().any(|a| a == "--serve") {
         serve(conns);
         return;
     }
     let harness = Harness::from_env();
-    let probes = env_usize("ARMADA_C10K_PROBES", 1_000);
+    let probes: usize = arg("--probes", 1_000);
     raise_fd_limit(conns);
 
     let exe = std::env::current_exe().expect("current exe");
     let mut child = Command::new(exe)
-        .arg("--serve")
+        .args(["--serve", "--conns", &conns.to_string()])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
@@ -164,7 +151,7 @@ fn main() {
     // ---- probe latency across the held population --------------------
     // Strided so samples spread over the whole slab, not one hot entry.
     let stride = (held.len() / probes.min(held.len())).max(1) | 1;
-    let mut rtts: Vec<Duration> = Vec::with_capacity(probes);
+    let mut rtts_us: Vec<f64> = Vec::with_capacity(probes);
     for i in 0..probes {
         let idx = (i * stride) % held.len();
         let started = Instant::now();
@@ -175,14 +162,11 @@ fn main() {
             },
         )
         .expect("heartbeat");
-        rtts.push(started.elapsed());
+        rtts_us.push(started.elapsed().as_secs_f64() * 1e6);
         assert_eq!(ack, Response::HeartbeatAck);
     }
-    rtts.sort();
-    let p50 = percentile_us(&rtts, 50.0);
-    let p90 = percentile_us(&rtts, 90.0);
-    let p99 = percentile_us(&rtts, 99.0);
-    let p999 = percentile_us(&rtts, 99.9);
+    let [p50, p90, p99, p999] =
+        [0.50, 0.90, 0.99, 0.999].map(|q| percentile(&rtts_us, q).expect("probes were sent"));
 
     // Every connection still counts as a live registration: nothing
     // was silently dropped while the population was held.

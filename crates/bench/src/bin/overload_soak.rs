@@ -20,13 +20,9 @@
 //!   served at every intensity (no collapse cliff); each point's
 //!   goodput stays within 10× of the previous point's.
 //!
-//! Knobs: `ARMADA_OVERLOAD_POINTS` (default 4 sweep points),
-//! `ARMADA_OVERLOAD_WINDOW_MS` (default 2 000 per point),
-//! `ARMADA_OVERLOAD_NODES` (default 3), `ARMADA_OVERLOAD_CLIENTS`
-//! (default 4), `ARMADA_OVERLOAD_SHED_CONNS` (default 32),
-//! `ARMADA_OVERLOAD_HOLD_MS` (stampede hold, default 300),
-//! `ARMADA_OVERLOAD_SEED` (default 42); `ARMADA_BENCH_DIR` and
-//! `ARMADA_TRACE` as everywhere else.
+//! Flags: `--points` (default 4 sweep points) and `--window-ms`
+//! (default 2 000 per point); `ARMADA_BENCH_DIR` and `ARMADA_TRACE` as
+//! everywhere else.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -34,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use armada_bench::{print_table, tracer_for, Harness};
+use armada_bench::{arg, print_table, tracer_for, Harness};
 use armada_chaos::{StormPlan, StormRole};
 use armada_json::Json;
 use armada_live::{LiveManager, LiveManagerConfig, LiveNode, LiveNodeConfig, NodeConfig};
@@ -52,31 +48,16 @@ const HEARTBEAT: Duration = Duration::from_millis(300);
 /// request, well inside the soak window.
 const LORIS_DEADLINE: Duration = Duration::from_millis(500);
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Sweep and sizing knobs, resolved from the environment once.
-#[derive(Clone, Copy)]
-struct Knobs {
-    points: usize,
-    window: Duration,
-    nodes: usize,
-    clients: usize,
-    shed_conns: usize,
-    hold: Duration,
-    seed: u64,
-}
+/// Heartbeating nodes behind the manager.
+const NODES: usize = 3;
+/// Honest measurement clients querying throughout.
+const CLIENTS: usize = 4;
+/// The manager's admission threshold (open connections).
+const SHED_CONNS: usize = 32;
+/// How long the reconnect stampede holds its connections.
+const STAMPEDE_HOLD: Duration = Duration::from_millis(300);
+/// Storm-plan seed.
+const SEED: u64 = 42;
 
 /// What one discovery attempt came back as.
 enum Outcome {
@@ -178,12 +159,12 @@ struct PointStats {
 
 /// Runs one sweep point: fresh manager + nodes, one storm at
 /// `intensity`, honest clients measuring goodput throughout.
-fn run_point(intensity: f64, knobs: Knobs, label: &str) -> PointStats {
+fn run_point(intensity: f64, window: Duration, label: &str) -> PointStats {
     let (manager, addr) = LiveManager::bind_with(
         LiveManagerConfig {
             threads: 2,
             liveness_window: HEARTBEAT * 4,
-            shed_conns: knobs.shed_conns,
+            shed_conns: SHED_CONNS,
             read_progress_timeout: LORIS_DEADLINE,
             ..LiveManagerConfig::default()
         },
@@ -192,7 +173,7 @@ fn run_point(intensity: f64, knobs: Knobs, label: &str) -> PointStats {
     )
     .expect("bind manager");
 
-    let nodes: Vec<LiveNode> = (0..knobs.nodes as u64)
+    let nodes: Vec<LiveNode> = (0..NODES as u64)
         .map(|id| {
             let cfg = NodeConfig {
                 id,
@@ -210,9 +191,9 @@ fn run_point(intensity: f64, knobs: Knobs, label: &str) -> PointStats {
             node
         })
         .collect();
-    assert_eq!(manager.alive_count(), knobs.nodes, "registration is sync");
+    assert_eq!(manager.alive_count(), NODES, "registration is sync");
 
-    let plan = StormPlan::uniform(knobs.seed, intensity);
+    let plan = StormPlan::uniform(SEED, intensity);
     let stop = Arc::new(AtomicBool::new(false));
     let clients_tally = Arc::new(Tally::default());
     let storm_tally = Arc::new(Tally::default());
@@ -225,7 +206,6 @@ fn run_point(intensity: f64, knobs: Knobs, label: &str) -> PointStats {
         let stop = Arc::clone(&stop);
         let storm_tally = Arc::clone(&storm_tally);
         let evicted = Arc::clone(&evicted);
-        let hold = knobs.hold;
         std::thread::spawn(move || {
             let started = Instant::now();
             let mut workers = Vec::new();
@@ -283,7 +263,7 @@ fn run_point(intensity: f64, knobs: Knobs, label: &str) -> PointStats {
                             tally.count(&outcome);
                             stream
                         });
-                        std::thread::sleep(hold);
+                        std::thread::sleep(STAMPEDE_HOLD);
                         drop(one_query);
                     }
                 }));
@@ -295,7 +275,7 @@ fn run_point(intensity: f64, knobs: Knobs, label: &str) -> PointStats {
     };
 
     // Honest clients: steady discovery queries through the whole storm.
-    let clients: Vec<_> = (0..knobs.clients as u64)
+    let clients: Vec<_> = (0..CLIENTS as u64)
         .map(|client| {
             let stop = Arc::clone(&stop);
             let tally = Arc::clone(&clients_tally);
@@ -313,7 +293,7 @@ fn run_point(intensity: f64, knobs: Knobs, label: &str) -> PointStats {
     let started = Instant::now();
     let mut alive_min = usize::MAX;
     let mut peak_buffered = 0;
-    while started.elapsed() < knobs.window {
+    while started.elapsed() < window {
         alive_min = alive_min.min(manager.alive_count());
         peak_buffered = peak_buffered.max(manager.buffered_write_bytes());
         std::thread::sleep(Duration::from_millis(50));
@@ -327,7 +307,7 @@ fn run_point(intensity: f64, knobs: Knobs, label: &str) -> PointStats {
     // After the storm passes, the liveness view must still be whole.
     std::thread::sleep(HEARTBEAT * 2);
     let post_alive = manager.alive_count();
-    let window_secs = knobs.window.as_secs_f64();
+    let window_secs = window.as_secs_f64();
     let client_served = clients_tally.served.load(Ordering::Relaxed);
 
     let stats = PointStats {
@@ -357,24 +337,17 @@ fn run_point(intensity: f64, knobs: Knobs, label: &str) -> PointStats {
 
 fn main() {
     let harness = Harness::from_env();
-    let knobs = Knobs {
-        points: env_usize("ARMADA_OVERLOAD_POINTS", 4).max(2),
-        window: Duration::from_millis(env_u64("ARMADA_OVERLOAD_WINDOW_MS", 2_000)),
-        nodes: env_usize("ARMADA_OVERLOAD_NODES", 3),
-        clients: env_usize("ARMADA_OVERLOAD_CLIENTS", 4),
-        shed_conns: env_usize("ARMADA_OVERLOAD_SHED_CONNS", 32),
-        hold: Duration::from_millis(env_u64("ARMADA_OVERLOAD_HOLD_MS", 300)),
-        seed: env_u64("ARMADA_OVERLOAD_SEED", 42),
-    };
+    let sweep_points = arg("--points", 4usize).max(2);
+    let window = Duration::from_millis(arg("--window-ms", 2_000));
     // Stampede + loris + floods, all held at once in the worst case.
     armada_reactor::raise_nofile(4_096).expect("raise RLIMIT_NOFILE");
 
     let mut report = BenchReport::start("overload", harness.threads());
-    let mut points = Vec::with_capacity(knobs.points);
-    for step in 0..knobs.points {
-        let intensity = step as f64 / (knobs.points - 1) as f64;
+    let mut points = Vec::with_capacity(sweep_points);
+    for step in 0..sweep_points {
+        let intensity = step as f64 / (sweep_points - 1) as f64;
         let label = format!("i={intensity:.2}");
-        let stats = run_point(intensity, knobs, &label);
+        let stats = run_point(intensity, window, &label);
         report.record_with(
             format!("storm/{label}"),
             0.0,
@@ -415,7 +388,7 @@ fn main() {
     print_table(
         &format!(
             "Overload soak ({} nodes, {} honest clients, shed at {} conns)",
-            knobs.nodes, knobs.clients, knobs.shed_conns
+            NODES, CLIENTS, SHED_CONNS
         ),
         &[
             "intensity",
@@ -435,7 +408,7 @@ fn main() {
                     format!("{:.0}", p.goodput),
                     format!("{}", p.client_busy + p.storm_busy),
                     format!("{}", p.sheds),
-                    format!("{}/{}", p.alive_min, knobs.nodes),
+                    format!("{}/{}", p.alive_min, NODES),
                     format!("{}/{}", p.loris_evicted, p.loris),
                 ]
             })
@@ -453,11 +426,11 @@ fn main() {
     let mut regressions = Vec::new();
     for point in &points {
         // (a) Zero false-dead nodes, during and after the storm.
-        if point.alive_min != knobs.nodes || point.post_alive != knobs.nodes {
+        if point.alive_min != NODES || point.post_alive != NODES {
             regressions.push(format!(
                 "intensity {:.2}: liveness dipped to {}/{} during, {}/{} after — \
                  the storm starved the protected heartbeat plane",
-                point.intensity, point.alive_min, knobs.nodes, point.post_alive, knobs.nodes
+                point.intensity, point.alive_min, NODES, point.post_alive, NODES
             ));
         }
         // (b) No collapse cliff: honest clients are served at every
@@ -481,10 +454,10 @@ fn main() {
     // stampede alone exceeds the admission threshold, queries were shed.
     let engaged: u64 = points
         .iter()
-        .filter(|p| p.stampede > knobs.shed_conns as u64)
+        .filter(|p| p.stampede > SHED_CONNS as u64)
         .map(|p| p.sheds)
         .sum();
-    if points.iter().any(|p| p.stampede > knobs.shed_conns as u64) && engaged == 0 {
+    if points.iter().any(|p| p.stampede > SHED_CONNS as u64) && engaged == 0 {
         regressions.push("storm exceeded the admission threshold but nothing was shed".into());
     }
 
@@ -497,8 +470,8 @@ fn main() {
     println!(
         "overload soak OK: {} intensities, liveness {}/{} throughout, goodput {:.0}/s → {:.0}/s",
         points.len(),
-        knobs.nodes,
-        knobs.nodes,
+        NODES,
+        NODES,
         points.first().map(|p| p.goodput).unwrap_or(0.0),
         points.last().map(|p| p.goodput).unwrap_or(0.0),
     );

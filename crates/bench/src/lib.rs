@@ -60,6 +60,71 @@ pub fn tracer_for(bin: &str, label: &str) -> Tracer {
     Tracer::jsonl(&path, min).unwrap_or_else(|_| Tracer::disabled())
 }
 
+/// Parses `--flag a,b,c` (or `--flag=a,b,c`) off the command line into
+/// a list; `default` when the flag is absent or lists nothing.
+///
+/// # Panics
+///
+/// Panics on an element that does not parse as `T`.
+pub fn list_arg<T: std::str::FromStr + Clone>(flag: &str, default: &[T]) -> Vec<T> {
+    let args: Vec<String> = std::env::args().collect();
+    for (i, arg) in args.iter().enumerate() {
+        let value = match arg.strip_prefix(&format!("{flag}=")) {
+            Some(v) => Some(v.to_owned()),
+            None if arg == flag => args.get(i + 1).cloned(),
+            None => None,
+        };
+        if let Some(value) = value {
+            let parsed: Vec<T> = value
+                .split(',')
+                .filter(|s| !s.is_empty())
+                .map(|s| {
+                    s.parse()
+                        .unwrap_or_else(|_| panic!("bad {flag} value `{s}`"))
+                })
+                .collect();
+            if !parsed.is_empty() {
+                return parsed;
+            }
+        }
+    }
+    default.to_vec()
+}
+
+/// Parses the single-valued `--flag v`: the first element of
+/// [`list_arg`], `default` when absent.
+pub fn arg<T: std::str::FromStr + Clone>(flag: &str, default: T) -> T {
+    list_arg(flag, &[default]).swap_remove(0)
+}
+
+/// Splitmix-style deterministic generator — placements must not depend
+/// on platform RNGs. The field is the raw state; [`Rng::new`] scrambles
+/// a small seed into one first.
+pub struct Rng(pub u64);
+
+impl Rng {
+    /// A generator whose stream differs even between adjacent seeds.
+    pub fn new(seed: u64) -> Rng {
+        Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1))
+    }
+
+    /// The next 64 uniform bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        armada_types::mix64(self.0)
+    }
+
+    /// Uniform in `[0, 1)`.
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform in `0..n` (`0` when `n` is 0).
+    pub fn range(&mut self, n: u64) -> u64 {
+        self.next_u64() % n.max(1)
+    }
+}
+
 /// Prints a titled, aligned table.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");

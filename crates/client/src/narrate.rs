@@ -103,7 +103,7 @@ impl<'a> Narrator<'a> {
 
     /// `fed.failover`: discovery went past the home manager; `skipped`
     /// counts the managers of the route order that did not serve it.
-    pub fn fed_failover(&self, user: UserId, skipped: u64) {
+    pub(crate) fn fed_failover(&self, user: UserId, skipped: u64) {
         event!(self, Warn, "fed.failover", "user" => u(user.as_u64()), "skipped" => u(skipped));
     }
 

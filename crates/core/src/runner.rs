@@ -62,25 +62,35 @@ pub(crate) fn user_join(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
 }
 
 /// Edge discovery + probe fan-out (Algorithm 2, lines 1–10). The
-/// control plane is a route of one manager, walked by the client core.
-/// A round that comes due while a discovery retry is pending starts no
-/// second chain: it runs on the cached shortlist, if there is one.
+/// control plane is the user's route order over the manager tier, home
+/// shard first, walked by the client core. A round that comes due
+/// while a discovery retry is pending starts no second chain: it runs
+/// on the cached shortlist, if there is one.
 pub(crate) fn start_probe_round(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
-    let now = ctx.now();
-    let trace = narrator(&w.tracer, ctx);
-    let Some(client) = w.clients.get_mut(&user) else {
+    let Some(client) = w.clients.get(&user) else {
         return;
     };
-    if client.retry_at().is_some_and(|at| now < at) {
+    if client.retry_at().is_some_and(|at| ctx.now() < at) {
         if let Some(cached) = client.cached_shortlist().map(<[NodeId]>::to_vec) {
             probe_candidates(w, ctx, user, cached);
         }
         return;
     }
-    if client.next_manager(0, 1, now, trace).is_none() {
+    ask_manager(w, ctx, user, 0);
+}
+
+/// Sends `Discover` to the first manager at or after rank `from` of the
+/// user's route that its breakers let a request through to.
+fn ask_manager(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, from: usize) {
+    let now = ctx.now();
+    let trace = narrator(&w.tracer, ctx);
+    let Some(client) = w.clients.get_mut(&user) else {
+        return;
+    };
+    let Some(rank) = client.next_manager(from, w.managers.shard_count(), now, trace) else {
         route_exhausted(w, ctx, user);
         return;
-    }
+    };
     let loc = client.location();
     let top_n = w.client_config.top_n;
     let rtt_m = match w
@@ -91,43 +101,67 @@ pub(crate) fn start_probe_round(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) 
         Delivery::Dropped => {
             // Lost in flight: the client finds out by timeout.
             ctx.schedule_in(PROBE_TIMEOUT, move |w, ctx| {
-                discovered(w, ctx, user, ManagerReply::Unserved)
+                discovered(w, ctx, user, rank, ManagerReply::Unserved)
             });
             return;
         }
         Delivery::Unreachable => {
-            discovered(w, ctx, user, ManagerReply::Unserved);
+            discovered(w, ctx, user, rank, ManagerReply::Unserved);
             return;
         }
     };
     ctx.schedule_in(rtt_m, move |w, ctx| {
-        if w.federation.is_some() {
-            federated_discover(w, ctx, user, loc, top_n, true);
-        } else {
-            let now = ctx.now();
-            let affiliations = w.affiliations.get(&user).cloned().unwrap_or_default();
-            // Served off the manager's published per-epoch snapshot
-            // (memoised between mutations, republished at O(changes)
-            // after one), ranked by the incremental disk-scan +
-            // partial-select engine — byte-identical to the original
-            // full-scan procedure, so trace determinism and replay are
-            // unaffected by the scale of the registered fleet.
-            let candidates = w.manager.discover(loc, &affiliations, top_n, now);
-            discovered(w, ctx, user, ManagerReply::Candidates(candidates));
+        let affiliations = w.affiliations.get(&user).cloned().unwrap_or_default();
+        let shard = w.managers.map().route_order(loc)[rank];
+        // Served off the shard's published per-epoch snapshot (memoised
+        // between mutations, republished at O(changes) after one),
+        // ranked by the incremental disk-scan + partial-select engine —
+        // byte-identical to the original full-scan procedure, so trace
+        // determinism and replay are unaffected by the scale of the
+        // registered fleet.
+        let served = w
+            .managers
+            .discover_at(shard, loc, &affiliations, top_n, ctx.now());
+        match served {
+            Some(candidates) => {
+                discovered(w, ctx, user, rank, ManagerReply::Candidates(candidates))
+            }
+            // The shard is down: the connect times out.
+            None => ctx.schedule_in(w.route_retry, move |w, ctx| {
+                discovered(w, ctx, user, rank, ManagerReply::Unserved)
+            }),
         }
     });
 }
 
-/// The manager's answer (or silence) reaches the client core.
-fn discovered(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, reply: ManagerReply) {
+/// The answer (or silence) of the manager at `rank` of the user's route
+/// reaches the client core: probe its shortlist, or walk on.
+fn discovered(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, rank: usize, reply: ManagerReply) {
     let trace = narrator(&w.tracer, ctx);
     let Some(client) = w.clients.get_mut(&user) else {
         return;
     };
-    match client.on_discover(0, reply, ctx.now(), trace) {
-        Verdict::Probe(candidates) => probe_candidates(w, ctx, user, candidates),
-        // (A route of one: past its only manager lies exhaustion.)
-        Verdict::Next { .. } => route_exhausted(w, ctx, user),
+    match client.on_discover(rank, reply, ctx.now(), trace) {
+        Verdict::Probe(candidates) => {
+            // (A tier of one has no routing to report.)
+            if w.managers.shard_count() > 1 {
+                let (map, loc) = (w.managers.map(), client.location());
+                w.tracer
+                    .emit_at(ctx.now().as_micros(), Severity::Debug, "fed.route", || {
+                        let route = map.route_order(loc);
+                        vec![
+                            ("user", u(user.as_u64())),
+                            ("home", u(route[0].as_u64())),
+                            ("served_by", u(route[rank].as_u64())),
+                            ("failover", u(u64::from(rank > 0))),
+                            ("returned", u(candidates.len() as u64)),
+                        ]
+                    });
+            }
+            probe_candidates(w, ctx, user, candidates)
+        }
+        // (No simulated manager says `Busy`: there is no pause to sit out.)
+        Verdict::Next { .. } => ask_manager(w, ctx, user, rank + 1),
     }
 }
 
@@ -149,56 +183,8 @@ fn route_exhausted(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
     }
 }
 
-/// Discovery against the sharded manager tier: home shard first; if it
-/// is down the client burns one routing retry (connect timeout + retry,
-/// [`crate::spec::FederationSpec::route_retry`]) before the next-nearest
-/// up shard serves from synced summaries.
-fn federated_discover(
-    w: &mut World,
-    ctx: &mut Ctx<'_>,
-    user: UserId,
-    loc: armada_types::GeoPoint,
-    top_n: usize,
-    first_attempt: bool,
-) {
-    let now = ctx.now();
-    let affiliations = w.affiliations.get(&user).cloned().unwrap_or_default();
-    let Some(fed) = w.federation.as_mut() else {
-        return;
-    };
-    let home = fed.cluster.home(loc);
-    if first_attempt && !fed.cluster.is_up(home) {
-        let retry = fed.spec.route_retry;
-        // (The cluster routes past the dead home; the client pays one retry.)
-        narrator(&w.tracer, ctx).fed_failover(user, 1);
-        ctx.schedule_in(retry, move |w, ctx| {
-            federated_discover(w, ctx, user, loc, top_n, false);
-        });
-        return;
-    }
-    match fed.cluster.discover(loc, &affiliations, top_n, now) {
-        Some(routed) => {
-            let (served_by, failover) = (routed.served_by, routed.failed_over());
-            let candidates = routed.candidates;
-            trace_event!(w, ctx, Severity::Debug, "fed.route",
-                "user" => u(user.as_u64()), "home" => u(home.as_u64()),
-                "served_by" => u(served_by.as_u64()),
-                "failover" => u(u64::from(failover)),
-                "returned" => u(candidates.len() as u64));
-            discovered(w, ctx, user, ManagerReply::Candidates(candidates));
-        }
-        None => {
-            // Every shard down: an empty shortlist, re-discovered later.
-            trace_event!(w, ctx, Severity::Warn, "fed.route",
-                "user" => u(user.as_u64()), "home" => u(home.as_u64()),
-                "served_by" => u(u64::MAX), "failover" => u(1), "returned" => u(0));
-            discovered(w, ctx, user, ManagerReply::Candidates(Vec::new()));
-        }
-    }
-}
-
-/// The probe fan-out over a discovery shortlist — shared by the central
-/// and federated discovery paths (Algorithm 2, lines 4–10).
+/// The probe fan-out over a discovery shortlist (Algorithm 2, lines
+/// 4–10).
 fn probe_candidates(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, mut candidates: Vec<NodeId>) {
     if candidates.is_empty() {
         ctx.schedule_in(REDISCOVER_BACKOFF, move |w, ctx| {
@@ -884,25 +870,21 @@ fn pick_baseline_node(w: &World, user: UserId) -> Option<NodeId> {
     }
 }
 
-/// Registers a node with the manager tier (its home shard when
-/// federated) and starts its heartbeat loop.
+/// Registers a node with its home shard of the manager tier and
+/// starts its heartbeat loop.
 pub(crate) fn start_node_lifecycle(w: &mut World, ctx: &mut Ctx<'_>, node: NodeId) {
     let now = ctx.now();
     if let Some(n) = w.nodes.get(&node) {
-        let status = n.status();
-        match w.federation.as_mut() {
-            Some(fed) => {
-                let shard = fed.cluster.register(status, now);
-                trace_event!(w, ctx, Severity::Info, "node.register",
-                    "node" => u(node.as_u64()),
-                    "shard" => u(shard.map_or(u64::MAX, |s| s.as_u64())));
-            }
-            None => {
-                w.manager.register(status, now);
-                trace_event!(w, ctx, Severity::Info, "node.register",
-                    "node" => u(node.as_u64()));
-            }
-        }
+        let shard = w.managers.register(n.status(), now);
+        let sharded = w.managers.shard_count() > 1;
+        w.tracer
+            .emit_at(now.as_micros(), Severity::Info, "node.register", || {
+                let mut fields = vec![("node", u(node.as_u64()))];
+                if sharded {
+                    fields.push(("shard", u(shard.map_or(u64::MAX, |s| s.as_u64()))));
+                }
+                fields
+            });
     }
     let period = w.system.heartbeat_period;
     ctx.schedule_periodic(period, period, move |w: &mut World, ctx: &mut Ctx<'_>| {
@@ -910,13 +892,7 @@ pub(crate) fn start_node_lifecycle(w: &mut World, ctx: &mut Ctx<'_>, node: NodeI
             return false;
         }
         if let Some(n) = w.nodes.get(&node) {
-            let status = n.status();
-            match w.federation.as_mut() {
-                Some(fed) => {
-                    fed.cluster.heartbeat(status, ctx.now());
-                }
-                None => w.manager.heartbeat(status, ctx.now()),
-            }
+            w.managers.heartbeat(n.status(), ctx.now());
         }
         true
     });
@@ -936,7 +912,8 @@ mod tests {
     use std::collections::{HashMap, HashSet};
 
     use armada_client::EdgeClient;
-    use armada_manager::{CentralManager, GlobalSelectionPolicy};
+    use armada_federation::{FederatedCluster, ShardMap};
+    use armada_manager::GlobalSelectionPolicy;
     use armada_metrics::LatencyRecorder;
     use armada_net::{Endpoint, LatencyModelParams, Network};
     use armada_node::EdgeNode;
@@ -983,8 +960,12 @@ mod tests {
 
         World {
             net,
-            manager: CentralManager::new(system, GlobalSelectionPolicy::default()),
-            federation: None,
+            managers: FederatedCluster::new(
+                ShardMap::partition(&[loc], 1),
+                system,
+                GlobalSelectionPolicy::default(),
+            ),
+            route_retry: SimDuration::ZERO,
             nodes,
             clients,
             recorder: LatencyRecorder::new(),

@@ -6,7 +6,7 @@ use armada_chaos::{FaultPlan, PeerClass};
 use armada_churn::ChurnTrace;
 use armada_client::EdgeClient;
 use armada_federation::{FederatedCluster, ShardMap};
-use armada_manager::{CentralManager, GlobalSelectionPolicy};
+use armada_manager::GlobalSelectionPolicy;
 use armada_metrics::LatencyRecorder;
 use armada_net::{Addr, Endpoint};
 use armada_node::EdgeNode;
@@ -21,7 +21,7 @@ use rand::Rng;
 use crate::runner;
 use crate::spec::{msp, EnvSpec};
 use crate::strategy::Strategy;
-use crate::world::{FederationRuntime, World};
+use crate::world::World;
 
 /// When users enter the system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,7 +149,7 @@ impl Scenario {
     }
 
     /// Brings manager shard `shard_index` back up at `at`; the next
-    /// sync round replays everything it missed.
+    /// sync round's pushes carry everything it missed.
     pub fn revive_shard(mut self, shard_index: usize, at: SimTime) -> Self {
         self.shard_revivals.push((shard_index, at));
         self
@@ -187,21 +187,17 @@ impl Scenario {
         }
 
         // --- Components ----------------------------------------------
-        let manager = CentralManager::new(env.system, GlobalSelectionPolicy::default());
-        // The shard map partitions over every static placement (nodes
-        // *and* users): churn-only environments have no static nodes,
-        // yet their users still need geo-spread home shards.
-        let federation = env.federation.map(|spec| {
-            let mut points: Vec<GeoPoint> = env.nodes.iter().map(|n| n.location).collect();
-            points.extend(env.users.iter().map(|u| u.location));
-            let map = ShardMap::partition(&points, spec.shards);
-            FederationRuntime {
-                cluster: FederatedCluster::new(map, env.system, GlobalSelectionPolicy::default()),
-                spec,
-            }
-        });
+        // The manager tier is a federation, of one unless the
+        // environment asks for more. The shard map partitions over every
+        // static placement (nodes *and* users): churn-only environments
+        // have no static nodes, yet their users still need geo-spread
+        // home shards.
+        let mut points: Vec<GeoPoint> = env.nodes.iter().map(|n| n.location).collect();
+        points.extend(env.users.iter().map(|u| u.location));
+        let map = ShardMap::partition(&points, env.federation.map_or(1, |f| f.shards));
+        let managers = FederatedCluster::new(map, env.system, GlobalSelectionPolicy::default());
         assert!(
-            federation.is_some() || (shard_kills.is_empty() && shard_revivals.is_empty()),
+            env.federation.is_some() || (shard_kills.is_empty() && shard_revivals.is_empty()),
             "kill_shard/revive_shard require a federated environment"
         );
         let mut nodes = HashMap::new();
@@ -227,8 +223,8 @@ impl Scenario {
 
         let world = World {
             net,
-            manager,
-            federation,
+            managers,
+            route_retry: env.federation.map_or(SimDuration::ZERO, |f| f.route_retry),
             nodes,
             clients,
             recorder: LatencyRecorder::new(),
@@ -268,10 +264,7 @@ impl Scenario {
             SimDuration::from_secs(30),
             move |w: &mut World, ctx| {
                 let grace = SimDuration::from_secs(30);
-                let pruned = match w.federation.as_mut() {
-                    Some(fed) => fed.cluster.prune(ctx.now(), grace),
-                    None => w.manager.prune_dead(ctx.now(), grace),
-                };
+                let pruned = w.managers.prune(ctx.now(), grace);
                 if !pruned.is_empty() {
                     w.tracer
                         .emit_at(ctx.now().as_micros(), Severity::Info, "mgr.prune", || {
@@ -291,9 +284,6 @@ impl Scenario {
                 fed_spec.sync_offset,
                 fed_spec.sync_period,
                 move |w: &mut World, ctx| {
-                    let Some(fed) = w.federation.as_mut() else {
-                        return false;
-                    };
                     let now = ctx.now();
                     // Under a fault plan, each shard-to-shard summary
                     // push can be lost; the decision is a pure hash of
@@ -302,11 +292,11 @@ impl Scenario {
                     let stats = match w.net.fault_injector_mut() {
                         Some(inj) if !inj.is_noop() => {
                             let now_us = now.as_micros();
-                            fed.cluster.sync_round_filtered(now, &mut |from, to| {
+                            w.managers.sync_round_filtered(&mut |from, to| {
                                 inj.drop_sync(from.as_u64(), to.as_u64(), now_us)
                             })
                         }
-                        _ => fed.cluster.sync_round(now),
+                        _ => w.managers.sync_round(now),
                     };
                     w.tracer
                         .emit_at(now.as_micros(), Severity::Debug, "fed.sync", || {
@@ -314,7 +304,6 @@ impl Scenario {
                                 ("round", u(stats.round)),
                                 ("participants", u(stats.participants as u64)),
                                 ("summaries", u(stats.summaries)),
-                                ("removals", u(stats.removals)),
                                 ("dropped", u(stats.dropped)),
                             ]
                         });
@@ -323,15 +312,12 @@ impl Scenario {
             );
             for (index, at) in shard_kills {
                 sim.schedule_at(at, move |w: &mut World, ctx| {
-                    let Some(fed) = w.federation.as_mut() else {
-                        return;
-                    };
                     assert!(
-                        index < fed.cluster.shard_count(),
+                        index < w.managers.shard_count(),
                         "kill_shard index out of range"
                     );
                     let id = ShardId::new(index as u64);
-                    if fed.cluster.kill(id) {
+                    if w.managers.kill(id) {
                         w.tracer.emit_at(
                             ctx.now().as_micros(),
                             Severity::Warn,
@@ -343,15 +329,12 @@ impl Scenario {
             }
             for (index, at) in shard_revivals {
                 sim.schedule_at(at, move |w: &mut World, ctx| {
-                    let Some(fed) = w.federation.as_mut() else {
-                        return;
-                    };
                     assert!(
-                        index < fed.cluster.shard_count(),
+                        index < w.managers.shard_count(),
                         "revive_shard index out of range"
                     );
                     let id = ShardId::new(index as u64);
-                    if fed.cluster.revive(id) {
+                    if w.managers.revive(id) {
                         w.tracer
                             .emit_at(ctx.now().as_micros(), Severity::Info, "shard.up", || {
                                 vec![("shard", u(id.as_u64()))]
@@ -425,16 +408,13 @@ impl Scenario {
                         });
                     }
                 }
-                PeerClass::Shard => {
+                PeerClass::Shard if env.federation.is_some() => {
                     let id = ShardId::new(peer.id);
                     sim.schedule_at(down_at, move |w: &mut World, ctx| {
-                        let Some(fed) = w.federation.as_mut() else {
-                            return;
-                        };
-                        if peer.id as usize >= fed.cluster.shard_count() {
+                        if peer.id as usize >= w.managers.shard_count() {
                             return;
                         }
-                        if fed.cluster.kill(id) {
+                        if w.managers.kill(id) {
                             w.tracer.emit_at(
                                 ctx.now().as_micros(),
                                 Severity::Warn,
@@ -445,13 +425,10 @@ impl Scenario {
                     });
                     if up_at < SimTime::MAX {
                         sim.schedule_at(up_at, move |w: &mut World, ctx| {
-                            let Some(fed) = w.federation.as_mut() else {
-                                return;
-                            };
-                            if peer.id as usize >= fed.cluster.shard_count() {
+                            if peer.id as usize >= w.managers.shard_count() {
                                 return;
                             }
-                            if fed.cluster.revive(id) {
+                            if w.managers.revive(id) {
                                 w.tracer.emit_at(
                                     ctx.now().as_micros(),
                                     Severity::Info,
@@ -469,7 +446,8 @@ impl Scenario {
                 }
                 // Client crashes are not modeled: users simply stop
                 // producing load when their link is partitioned instead.
-                PeerClass::User => {}
+                // A standalone manager crashes as `PeerClass::Manager`.
+                PeerClass::Shard | PeerClass::User => {}
             }
         }
 

@@ -54,9 +54,9 @@ pub struct FederationSpec {
     /// each round ships the heartbeats that just happened and no sync
     /// event ever ties with a registry write.
     pub sync_offset: SimDuration,
-    /// Extra delay a client pays when its home shard is down and the
-    /// discovery request must be re-routed to the next-nearest shard
-    /// (models the connect-timeout + retry of the real runtime).
+    /// What a client waits on each shard of its route that is down
+    /// before it counts the request lost and asks the next-nearest one
+    /// (the connect timeout of the real runtime).
     pub route_retry: SimDuration,
 }
 
@@ -88,7 +88,7 @@ pub struct EnvSpec {
     /// Manager/environment configuration.
     pub system: SystemConfig,
     /// Geo-sharded manager federation; `None` runs the single central
-    /// manager of the baseline.
+    /// manager of the baseline (a federation of one: no peer, no sync).
     pub federation: Option<FederationSpec>,
     /// Deterministic fault injection (`armada-chaos`); `None` (and any
     /// no-op plan) runs the environment fault-free.

@@ -4,23 +4,13 @@ use std::collections::{HashMap, HashSet};
 
 use armada_client::{EdgeClient, ProbeResult};
 use armada_federation::FederatedCluster;
-use armada_manager::CentralManager;
 use armada_metrics::LatencyRecorder;
 use armada_net::Network;
 use armada_node::EdgeNode;
 use armada_trace::Tracer;
-use armada_types::{ClientConfig, NodeId, SimTime, SystemConfig, UserId};
+use armada_types::{ClientConfig, NodeId, SimDuration, SimTime, SystemConfig, UserId};
 
-use crate::spec::FederationSpec;
 use crate::strategy::Strategy;
-
-/// The sharded manager tier of a federated run: the cluster plus the
-/// timing parameters the event loop schedules around.
-#[derive(Debug)]
-pub(crate) struct FederationRuntime {
-    pub(crate) cluster: FederatedCluster,
-    pub(crate) spec: FederationSpec,
-}
 
 /// An in-flight probing round for one user.
 #[derive(Debug)]
@@ -48,10 +38,12 @@ impl PendingProbe {
 /// and node statistics, manager counters).
 pub struct World {
     pub(crate) net: Network,
-    pub(crate) manager: CentralManager,
-    /// The sharded manager tier; `None` means the single
-    /// [`CentralManager`] above serves everything.
-    pub(crate) federation: Option<FederationRuntime>,
+    /// The manager tier: the shards of
+    /// [`crate::EnvSpec::with_federation`], or a federation of one.
+    pub(crate) managers: FederatedCluster,
+    /// How long a client waits on a shard that is down before it gives
+    /// up on it ([`crate::FederationSpec::route_retry`]).
+    pub(crate) route_retry: SimDuration,
     pub(crate) nodes: HashMap<NodeId, EdgeNode>,
     pub(crate) clients: HashMap<UserId, EdgeClient>,
     pub(crate) recorder: LatencyRecorder,
@@ -87,26 +79,15 @@ impl World {
         &self.net
     }
 
-    /// The Central Manager.
-    ///
-    /// In a federated run ([`crate::EnvSpec::with_federation`]) the
-    /// central manager sits idle; inspect [`World::federation`] instead.
-    pub fn manager(&self) -> &CentralManager {
-        &self.manager
+    /// The manager tier: one shard in a standalone run, the shards of
+    /// [`crate::EnvSpec::with_federation`] in a federated one.
+    pub fn managers(&self) -> &FederatedCluster {
+        &self.managers
     }
 
-    /// The sharded manager tier, if this run is federated.
-    pub fn federation(&self) -> Option<&FederatedCluster> {
-        self.federation.as_ref().map(|f| &f.cluster)
-    }
-
-    /// Total discovery queries served by the control plane, whichever
-    /// shape it has.
+    /// Total discovery queries served by the manager tier.
     pub fn discoveries_served(&self) -> u64 {
-        match &self.federation {
-            Some(f) => f.cluster.discoveries_served(),
-            None => self.manager.discoveries_served(),
-        }
+        self.managers.discoveries_served()
     }
 
     /// All edge nodes ever present (including churned-out ones).

@@ -9,58 +9,45 @@ use armada_types::{GeoPoint, NodeId, ShardId, SimDuration, SimTime, SystemConfig
 
 use crate::map::ShardMap;
 use crate::shard::FederatedShard;
-use crate::summary::SyncDelta;
 
 /// Aggregate outcome of one sync round, for tracing and benches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncStats {
     /// Ordinal of this round (1-based).
     pub round: u64,
-    /// Up shards that exchanged deltas.
+    /// Up shards that exchanged pushes.
     pub participants: usize,
     /// Summaries shipped across all pairs this round.
     pub summaries: u64,
-    /// Removal tombstones shipped this round.
-    pub removals: u64,
-    /// Delta messages lost in transit this round (fault injection via
+    /// Pushes lost in transit this round (fault injection via
     /// [`FederatedCluster::sync_round_filtered`]).
     pub dropped: u64,
 }
 
-/// One discovery served through the federation.
+/// One discovery served by a user's home shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutedDiscovery {
-    /// The user's home shard (first in route order).
+    /// The user's home shard (first in route order), which served.
     pub home: ShardId,
-    /// The shard that actually served the query.
-    pub served_by: ShardId,
     /// The candidate shortlist, best first.
     pub candidates: Vec<NodeId>,
 }
 
-impl RoutedDiscovery {
-    /// `true` if the home shard was down and a neighbour served.
-    pub fn failed_over(&self) -> bool {
-        self.home != self.served_by
-    }
-}
-
 /// The geo-federated manager tier: a [`ShardMap`] plus one
-/// [`FederatedShard`] per site.
+/// [`FederatedShard`] per site. A standalone manager is a federation
+/// of one.
 ///
-/// Registration and heartbeats route to the node's home shard;
-/// discovery routes to the user's home shard with nearest-first
-/// failover when it is down. [`FederatedCluster::sync_round`] runs one
-/// full delta exchange among the shards that are up.
+/// Registration and heartbeats route to the node's home shard; a
+/// discovery is served by the shard it is addressed to
+/// ([`FederatedCluster::discover_at`]) — walking the route order past a
+/// shard that is down is the client's job.
+/// [`FederatedCluster::sync_round`] has every up shard push its own
+/// records to every other.
 #[derive(Debug, Clone)]
 pub struct FederatedCluster {
     map: ShardMap,
     shards: Vec<FederatedShard>,
     down: HashSet<ShardId>,
-    /// Cutoff for the next delta extraction.
-    last_sync: SimTime,
-    /// Shards revived since the last round: they receive a full resync.
-    needs_full: HashSet<ShardId>,
     rounds: u64,
 }
 
@@ -76,8 +63,6 @@ impl FederatedCluster {
             map,
             shards,
             down: HashSet::new(),
-            last_sync: SimTime::ZERO,
-            needs_full: HashSet::new(),
             rounds: 0,
         }
     }
@@ -114,19 +99,10 @@ impl FederatedCluster {
     }
 
     /// Brings shard `id` back. Its registry is as it was at kill time;
-    /// the next sync round sends it a full resync from every peer.
-    /// Returns `false` if it was not down.
+    /// the next sync round's pushes are its resync. Returns `false` if
+    /// it was not down.
     pub fn revive(&mut self, id: ShardId) -> bool {
-        let was_down = self.down.remove(&id);
-        if was_down {
-            self.needs_full.insert(id);
-        }
-        was_down
-    }
-
-    /// The home shard for a location.
-    pub fn home(&self, loc: GeoPoint) -> ShardId {
-        self.map.home(loc)
+        self.down.remove(&id)
     }
 
     /// Routes a registration to the node's home shard. Returns the
@@ -152,17 +128,8 @@ impl FederatedCluster {
         Some(home)
     }
 
-    /// Routes a graceful node departure to its home shard.
-    pub fn node_left(&mut self, node: NodeId, location: GeoPoint, now: SimTime) {
-        let home = self.map.home(location);
-        if self.is_up(home) {
-            self.shards[home.as_u64() as usize].node_left(node, now);
-        }
-    }
-
-    /// Serves a discovery query: home shard first, then nearest-first
-    /// failover across the remaining up shards. `None` means every
-    /// shard is down.
+    /// Serves a discovery query at the user's home shard; `None` while
+    /// that shard is down.
     pub fn discover(
         &mut self,
         user_loc: GeoPoint,
@@ -170,33 +137,40 @@ impl FederatedCluster {
         top_n: usize,
         now: SimTime,
     ) -> Option<RoutedDiscovery> {
-        let order = self.map.route_order(user_loc);
-        let home = order[0];
-        let served_by = *order.iter().find(|id| self.is_up(**id))?;
-        let candidates =
-            self.shards[served_by.as_u64() as usize].discover(user_loc, affiliations, top_n, now);
-        Some(RoutedDiscovery {
-            home,
-            served_by,
-            candidates,
-        })
+        let home = self.map.home(user_loc);
+        let candidates = self.discover_at(home, user_loc, affiliations, top_n, now)?;
+        Some(RoutedDiscovery { home, candidates })
     }
 
-    /// Runs one sync round: every up shard sends its delta since the
-    /// previous round to every other up shard. Revived shards receive a
-    /// full resync. Down shards neither send nor receive.
-    pub fn sync_round(&mut self, now: SimTime) -> SyncStats {
-        self.sync_round_filtered(now, &mut |_, _| false)
+    /// Serves a discovery query at shard `id` from its merged view, as
+    /// a client walking its route order addresses it; `None` while the
+    /// shard is down.
+    pub fn discover_at(
+        &mut self,
+        id: ShardId,
+        user_loc: GeoPoint,
+        affiliations: &[NodeId],
+        top_n: usize,
+        now: SimTime,
+    ) -> Option<Vec<NodeId>> {
+        self.is_up(id)
+            .then(|| self.shards[id.as_u64() as usize].discover(user_loc, affiliations, top_n, now))
+    }
+
+    /// Runs one sync round: every up shard pushes every record it owns
+    /// to every other up shard. Down shards neither send nor receive.
+    /// (`_now` is when the round runs; a push is stamped with each
+    /// record's own last-heard time, not with it.)
+    pub fn sync_round(&mut self, _now: SimTime) -> SyncStats {
+        self.sync_round_filtered(&mut |_, _| false)
     }
 
     /// Like [`FederatedCluster::sync_round`], except `drop` decides per
-    /// `(sender, receiver)` pair whether that delta message is lost in
-    /// transit (fault injection). A receiver that missed a delta gets a
-    /// full resync from every peer next round, so lossy sync still
-    /// converges once a round's messages to it all arrive.
+    /// `(sender, receiver)` pair whether that push is lost in transit
+    /// (fault injection). The next round's push carries everything the
+    /// lost one did, so lossy sync converges as soon as one arrives.
     pub fn sync_round_filtered(
         &mut self,
-        now: SimTime,
         drop: &mut dyn FnMut(ShardId, ShardId) -> bool,
     ) -> SyncStats {
         self.rounds += 1;
@@ -210,44 +184,27 @@ impl FederatedCluster {
             round: self.rounds,
             participants: up.len(),
             summaries: 0,
-            removals: 0,
             dropped: 0,
         };
-        let mut missed: HashSet<ShardId> = HashSet::new();
         if up.len() >= 2 {
-            let since = self.last_sync;
-            let deltas: Vec<SyncDelta> = up
-                .iter()
-                .map(|id| self.shards[id.as_u64() as usize].delta_since(since))
-                .collect();
-            for (si, &sender) in up.iter().enumerate() {
+            for &sender in &up {
+                let push = self.shards[sender.as_u64() as usize].own_summaries();
                 for &receiver in &up {
                     if sender == receiver {
                         continue;
                     }
                     if drop(sender, receiver) {
                         stats.dropped += 1;
-                        missed.insert(receiver);
                         continue;
                     }
-                    let delta = if self.needs_full.contains(&receiver) {
-                        // Rejoining shard: replay everything.
-                        self.shards[sender.as_u64() as usize].delta_since(SimTime::ZERO)
-                    } else {
-                        deltas[si].clone()
-                    };
-                    stats.summaries += delta.updated.len() as u64;
-                    stats.removals += delta.removed.len() as u64;
-                    self.shards[receiver.as_u64() as usize].apply_delta(&delta);
+                    stats.summaries += push.updated.len() as u64;
+                    self.shards[receiver.as_u64() as usize].apply_delta(&push);
                 }
             }
             for id in &up {
                 self.shards[id.as_u64() as usize].note_sync_round();
             }
         }
-        self.needs_full.clear();
-        self.needs_full.extend(missed);
-        self.last_sync = now;
         stats
     }
 
@@ -273,7 +230,8 @@ impl FederatedCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use armada_types::NodeClass;
+    use armada_manager::CentralManager;
+    use armada_types::{splitmix64, NodeClass};
 
     fn west() -> GeoPoint {
         GeoPoint::new(44.98, -93.80)
@@ -331,25 +289,25 @@ mod tests {
         let got = cluster
             .discover(mid, &[], 4, SimTime::from_secs(1))
             .unwrap();
-        assert!(!got.failed_over());
+        assert_eq!(got.home, cluster.map().home(mid));
         assert_eq!(got.candidates.len(), 4, "border merge must span shards");
     }
 
     #[test]
-    fn discovery_fails_over_to_next_nearest_shard() {
+    fn the_next_shard_of_the_route_serves_a_dead_home_shards_user() {
         let mut cluster = two_shard_cluster();
         cluster.sync_round(SimTime::ZERO);
         let user = west().offset_km(0.5, 0.5);
-        let home = cluster.home(user);
-        assert!(cluster.kill(home));
-        let got = cluster
-            .discover(user, &[], 4, SimTime::from_secs(1))
-            .unwrap();
-        assert!(got.failed_over());
-        assert_ne!(got.served_by, home);
+        let route = cluster.map().route_order(user);
+        assert!(cluster.kill(route[0]));
+        let now = SimTime::from_secs(1);
+        // The dead home serves nobody; walking on is the client's job.
+        assert!(cluster.discover(user, &[], 4, now).is_none());
+        assert!(cluster.discover_at(route[0], user, &[], 4, now).is_none());
         // Served entirely from synced summaries + the fallback's own
         // registry: all four nodes are still discoverable.
-        assert_eq!(got.candidates.len(), 4);
+        let got = cluster.discover_at(route[1], user, &[], 4, now).unwrap();
+        assert_eq!(got.len(), 4);
     }
 
     #[test]
@@ -364,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn revived_shard_gets_a_full_resync() {
+    fn the_next_push_resyncs_a_revived_shard() {
         let mut cluster = two_shard_cluster();
         cluster.sync_round(SimTime::ZERO);
         let dead = ShardId::new(1);
@@ -380,10 +338,10 @@ mod tests {
         let got = cluster
             .discover(east_user, &[], 5, SimTime::from_secs(5))
             .unwrap();
-        assert_eq!(got.served_by, dead);
+        assert_eq!(got.home, dead);
         assert!(
             got.candidates.contains(&NodeId::new(4)),
-            "full resync must replay missed registrations, got {:?}",
+            "the push must carry the registration it missed, got {:?}",
             got.candidates
         );
     }
@@ -391,7 +349,7 @@ mod tests {
     #[test]
     fn heartbeats_to_a_dead_home_shard_are_dropped() {
         let mut cluster = two_shard_cluster();
-        let home = cluster.home(west());
+        let home = cluster.map().home(west());
         cluster.kill(home);
         assert!(cluster
             .heartbeat(status(0, west()), SimTime::from_secs(2))
@@ -401,17 +359,38 @@ mod tests {
     #[test]
     fn sync_round_counters_accumulate() {
         let mut cluster = two_shard_cluster();
-        // Sync strictly after the t=0 registrations: the delta cutoff is
-        // inclusive, so a round at the exact registration instant would
-        // (harmlessly but measurably) re-ship them next time.
         let stats = cluster.sync_round(SimTime::from_millis(1));
         assert_eq!(stats.round, 1);
         assert_eq!(stats.participants, 2);
         assert_eq!(stats.summaries, 4, "2 own nodes shipped each way");
-        // Nothing changed since: the next round ships nothing.
+        // Every round ships the whole own set, changed or not.
         let stats = cluster.sync_round(SimTime::from_millis(2));
         assert_eq!(stats.round, 2);
-        assert_eq!(stats.summaries, 0);
+        assert_eq!(stats.summaries, 4);
+        let sent: Vec<u64> = cluster
+            .shards()
+            .iter()
+            .map(|s| s.counters().summaries_sent)
+            .collect();
+        assert_eq!(sent, vec![4, 4]);
+    }
+
+    /// A lost push costs one round of freshness and nothing else.
+    #[test]
+    fn a_dropped_push_is_healed_by_the_next_round() {
+        let mut cluster = two_shard_cluster();
+        let (zero, one) = (ShardId::new(0), ShardId::new(1));
+        let stats = cluster.sync_round_filtered(&mut |from, _| from == zero);
+        assert_eq!((stats.summaries, stats.dropped), (2, 1));
+        let mid = GeoPoint::new(44.98, -93.20);
+        let now = SimTime::from_secs(1);
+        assert_eq!(
+            cluster.discover_at(zero, mid, &[], 4, now).unwrap().len(),
+            4
+        );
+        assert_eq!(cluster.discover_at(one, mid, &[], 4, now).unwrap().len(), 2);
+        cluster.sync_round(now);
+        assert_eq!(cluster.discover_at(one, mid, &[], 4, now).unwrap().len(), 4);
     }
 
     #[test]
@@ -432,5 +411,81 @@ mod tests {
         let stats = cluster.sync_round(SimTime::from_secs(1));
         assert_eq!(stats.participants, 1);
         assert_eq!(stats.summaries, 0);
+    }
+
+    /// The invariant the resync bookkeeping existed for, over seeded
+    /// random schedules of registrations, heartbeats, shard kills and
+    /// revivals, prunes and lossy rounds: once every shard is back and
+    /// one round's pushes all arrive, every shard ranks exactly what a
+    /// single manager fed the same accepted traffic ranks.
+    #[test]
+    fn one_loss_free_round_brings_every_shard_to_the_single_managers_view() {
+        const NODES: u64 = 12;
+        let mut served = 0;
+        for seed in 0..60u64 {
+            let k = [1, 2, 4][(seed % 3) as usize];
+            let mut state = seed;
+            let mut below = move |n: u64| {
+                state = splitmix64(state);
+                state % n
+            };
+            let spot = |below: &mut dyn FnMut(u64) -> u64| {
+                let km = |r: u64| r as f64 / 10.0 - 40.0;
+                west().offset_km(km(below(800)), km(below(800)) + 45.0)
+            };
+            let sites: Vec<GeoPoint> = (0..NODES).map(|_| spot(&mut below)).collect();
+            let (config, policy) = (SystemConfig::default(), GlobalSelectionPolicy::default());
+            let mut cluster = FederatedCluster::new(ShardMap::partition(&sites, k), config, policy);
+            let mut single = CentralManager::new(config, policy);
+            let mut now = SimTime::ZERO;
+            for _ in 0..200 {
+                now += SimDuration::from_millis(below(400));
+                let shard = ShardId::new(below(k as u64));
+                let node = below(NODES);
+                let mut word = status(node, sites[node as usize]);
+                word.load_score = below(30) as f64 / 10.0;
+                match below(12) {
+                    0 => {
+                        if cluster.register(word, now).is_some() {
+                            single.register(word, now);
+                        }
+                    }
+                    1..=7 => {
+                        if cluster.heartbeat(word, now).is_some() {
+                            single.heartbeat(word, now);
+                        }
+                    }
+                    8 => drop(cluster.kill(shard)),
+                    9 => drop(cluster.revive(shard)),
+                    10 => {
+                        let grace = SimDuration::from_secs(5);
+                        cluster.prune(now, grace);
+                        single.prune_dead(now, grace);
+                    }
+                    _ => drop(cluster.sync_round_filtered(&mut |_, _| below(2) == 0)),
+                }
+            }
+            for id in 0..k as u64 {
+                cluster.revive(ShardId::new(id));
+            }
+            cluster.sync_round(now);
+            for _ in 0..8 {
+                let (user, top_n) = (spot(&mut below), 1 + below(5) as usize);
+                let expected = single.ranked_candidates(user, &[], top_n, now);
+                served += expected.len();
+                for shard in cluster.shards() {
+                    assert_eq!(
+                        shard.ranked_candidates(user, &[], top_n, now),
+                        expected,
+                        "seed {seed}, K = {k}, shard {:?}",
+                        shard.id()
+                    );
+                }
+            }
+        }
+        assert!(
+            served > 500,
+            "the schedules left too little alive: {served}"
+        );
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! The single central manager of the baseline becomes K *shards*, each
 //! owning registration, heartbeats, and liveness for one geohash region
-//! of the world ([`ShardMap`]). Shards periodically exchange compact
-//! [`NodeSummary`] deltas so a border user's discovery can merge its
-//! home shard's registry with neighbour-shard state, and so a neighbour
-//! can serve a user whose home shard has failed
-//! ([`FederatedCluster::discover`]).
+//! of the world ([`ShardMap`]). Every sync round each shard pushes the
+//! [`NodeSummary`] of every node it owns to its peers, so a border
+//! user's discovery merges its home shard's registry with
+//! neighbour-shard state, and a neighbour can serve a user whose home
+//! shard has failed — the client walks its route order to it
+//! ([`FederatedCluster::discover_at`]).
 //!
 //! The design goal is *behavioural equivalence*: with every shard up
 //! and synced, a federated discovery ranks exactly the candidates the
@@ -15,8 +16,8 @@
 //! a [`FederatedShard`] *is* an `armada_manager::CentralManager` whose
 //! merged registry also takes the peers' summaries, so liveness,
 //! own-over-peer precedence, the index and the published
-//! `DiscoverySnapshot` are that crate's; this one adds routing, delta
-//! extraction and the counters.
+//! `DiscoverySnapshot` are that crate's; this one adds the map, the
+//! push and the counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

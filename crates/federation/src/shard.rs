@@ -1,6 +1,6 @@
 //! One manager shard: a [`CentralManager`] whose registry is
 //! authoritative for its own region and also holds what every peer
-//! advertises, plus the delta extraction and load counters that are
+//! advertises, plus the sync push and load counters that are
 //! federation-specific.
 
 use std::sync::Arc;
@@ -42,15 +42,13 @@ impl ShardCounters {
 /// The shard *is* a [`CentralManager`] — registration, heartbeats,
 /// liveness, own-over-peer precedence, the proximity index and the
 /// published snapshot are that type's, not copies of them. Peer state
-/// arrives as [`NodeSummary`] deltas and lands in the same merged
+/// arrives as [`NodeSummary`] pushes and lands in the same merged
 /// registry, so a shard with a fresh view produces the identical
 /// shortlist the single manager would.
 #[derive(Debug, Clone)]
 pub struct FederatedShard {
     id: ShardId,
     manager: CentralManager,
-    /// Departures since the epoch, for delta extraction.
-    removed_log: Vec<(SimTime, NodeId)>,
     counters: ShardCounters,
 }
 
@@ -60,7 +58,6 @@ impl FederatedShard {
         FederatedShard {
             id,
             manager: CentralManager::new(config, policy),
-            removed_log: Vec::new(),
             counters: ShardCounters::default(),
         }
     }
@@ -89,14 +86,6 @@ impl FederatedShard {
         self.manager.heartbeat(status, now);
     }
 
-    /// Handles a graceful departure of an own node.
-    pub fn node_left(&mut self, node: NodeId, now: SimTime) {
-        if self.manager.registry().owns(node) {
-            self.manager.node_left(node);
-            self.removed_log.push((now, node));
-        }
-    }
-
     /// Nodes registered at this shard (its authoritative slice).
     pub fn own_count(&self) -> usize {
         self.manager.registry().own_len()
@@ -110,14 +99,13 @@ impl FederatedShard {
         self.manager.alive_count(now)
     }
 
-    /// Extracts the outbound delta: own-node summaries refreshed at or
-    /// after `since`, plus departures recorded at or after `since`.
-    pub fn delta_since(&mut self, since: SimTime) -> SyncDelta {
+    /// This round's push: every own record, alive or not, with the
+    /// time it was last heard.
+    pub fn own_summaries(&mut self) -> SyncDelta {
         let mut updated: Vec<NodeSummary> = self
             .manager
             .registry()
             .own_records()
-            .filter(|r| r.last_heartbeat >= since)
             .map(|r| NodeSummary {
                 status: r.status,
                 home: self.id,
@@ -125,23 +113,14 @@ impl FederatedShard {
             })
             .collect();
         updated.sort_by_key(|s| s.status.node);
-        let mut removed: Vec<NodeId> = self
-            .removed_log
-            .iter()
-            .filter(|(t, _)| *t >= since)
-            .map(|(_, n)| *n)
-            .collect();
-        removed.sort();
-        removed.dedup();
         self.counters.summaries_sent += updated.len() as u64;
         SyncDelta {
             from: self.id,
             updated,
-            removed,
         }
     }
 
-    /// Applies a peer's delta to the merged registry. Own nodes are
+    /// Applies a peer's push to the merged registry. Own nodes are
     /// never overwritten — the local registration is authoritative.
     pub fn apply_delta(&mut self, delta: &SyncDelta) {
         for summary in &delta.updated {
@@ -151,9 +130,6 @@ impl FederatedShard {
             {
                 self.counters.summaries_applied += 1;
             }
-        }
-        for node in &delta.removed {
-            self.manager.remove_peer(*node);
         }
     }
 
@@ -206,12 +182,9 @@ impl FederatedShard {
     }
 
     /// Housekeeping: drops own registrations dead longer than `grace`
-    /// (recording their departure for the next delta) and remote
-    /// summaries equally stale.
+    /// and remote summaries equally stale, returning the own ids.
     pub fn prune(&mut self, now: SimTime, grace: SimDuration) -> Vec<NodeId> {
-        let pruned = self.manager.prune_dead(now, grace);
-        self.removed_log.extend(pruned.iter().map(|id| (now, *id)));
-        pruned
+        self.manager.prune_dead(now, grace)
     }
 }
 
@@ -248,8 +221,7 @@ mod tests {
         let mut b = shard(1);
         a.register(status(0, home().offset_km(1.0, 0.0), 0.0), SimTime::ZERO);
         b.register(status(1, home().offset_km(2.0, 0.0), 0.0), SimTime::ZERO);
-        let delta = b.delta_since(SimTime::ZERO);
-        a.apply_delta(&delta);
+        a.apply_delta(&b.own_summaries());
         let got = a.discover(home(), &[], 3, SimTime::from_secs(1));
         assert_eq!(got, vec![NodeId::new(0), NodeId::new(1)]);
     }
@@ -259,37 +231,48 @@ mod tests {
         let mut a = shard(0);
         let mut b = shard(1);
         b.register(status(1, home(), 0.0), SimTime::ZERO);
-        a.apply_delta(&b.delta_since(SimTime::ZERO));
+        a.apply_delta(&b.own_summaries());
         // Alive exactly at the 6 s budget, dead past it — identical to
         // the local registry's boundary.
         assert_eq!(a.discover(home(), &[], 1, SimTime::from_secs(6)).len(), 1);
         assert!(a.discover(home(), &[], 1, SimTime::from_secs(7)).is_empty());
     }
 
+    /// A push is the whole own set, silent nodes included, each with the
+    /// time it was last heard: a departure needs no retraction, the
+    /// receiver ages the record out by the rule the home shard applies.
     #[test]
-    fn deltas_are_incremental_and_removals_propagate() {
+    fn a_push_carries_every_own_record_and_a_silent_one_ages_out_remotely() {
         let mut a = shard(0);
         let mut b = shard(1);
         b.register(status(1, home(), 0.0), SimTime::ZERO);
         b.register(status(2, home().offset_km(1.0, 0.0), 0.0), SimTime::ZERO);
-        a.apply_delta(&b.delta_since(SimTime::ZERO));
-
-        // Only node 2 heartbeats after the first round: the next delta
-        // carries just it.
+        // Node 1 goes silent; node 2 keeps heartbeating.
         b.heartbeat(
             status(2, home().offset_km(1.0, 0.0), 0.1),
             SimTime::from_secs(2),
         );
-        let delta = b.delta_since(SimTime::from_secs(1));
-        assert_eq!(delta.updated.len(), 1);
-        assert_eq!(delta.updated[0].status.node, NodeId::new(2));
-
-        // A departure shows up as a removal and disappears remotely.
-        b.node_left(NodeId::new(1), SimTime::from_secs(3));
-        let delta = b.delta_since(SimTime::from_secs(2) + SimDuration::from_micros(1));
-        assert_eq!(delta.removed, vec![NodeId::new(1)]);
-        a.apply_delta(&delta);
-        let got = a.discover(home(), &[], 3, SimTime::from_secs(3));
+        let push = b.own_summaries();
+        let heard: Vec<(NodeId, SimTime)> = push
+            .updated
+            .iter()
+            .map(|s| (s.status.node, s.last_heartbeat))
+            .collect();
+        assert_eq!(
+            heard,
+            vec![
+                (NodeId::new(1), SimTime::ZERO),
+                (NodeId::new(2), SimTime::from_secs(2))
+            ]
+        );
+        assert_eq!(b.counters().summaries_sent, 2);
+        a.apply_delta(&push);
+        assert_eq!(a.counters().summaries_applied, 2);
+        let both = a.discover(home(), &[], 3, SimTime::from_secs(6));
+        assert_eq!(both, vec![NodeId::new(1), NodeId::new(2)]);
+        // Past node 1's deadline the same push, repeated, revives nothing.
+        a.apply_delta(&push);
+        let got = a.discover(home(), &[], 3, SimTime::from_secs(7));
         assert_eq!(got, vec![NodeId::new(2)]);
     }
 
@@ -299,7 +282,7 @@ mod tests {
         let mut b = shard(1);
         // Node 5 first appears via a peer summary with high load…
         b.register(status(5, home(), 9.0), SimTime::ZERO);
-        a.apply_delta(&b.delta_since(SimTime::ZERO));
+        a.apply_delta(&b.own_summaries());
         // …then re-homes onto shard 0 with a fresh, idle status.
         a.register(status(5, home(), 0.0), SimTime::from_secs(1));
         let ranked = a.ranked_candidates(home(), &[], 1, SimTime::from_secs(1));
@@ -329,7 +312,7 @@ mod tests {
         let mut b = shard(1);
         a.register(status(0, home().offset_km(1.0, 0.0), 0.0), SimTime::ZERO);
         b.register(status(1, home().offset_km(2.0, 0.0), 0.0), SimTime::ZERO);
-        a.apply_delta(&b.delta_since(SimTime::ZERO));
+        a.apply_delta(&b.own_summaries());
 
         let now = SimTime::from_secs(1);
         let first = a.published();
@@ -346,7 +329,7 @@ mod tests {
 
         // A mutation invalidates the memo; the retained snapshot keeps
         // serving the old epoch's answer.
-        a.node_left(NodeId::new(0), SimTime::from_secs(2));
+        a.register(status(2, home().offset_km(3.0, 0.0), 0.0), now);
         let fresh = a.published();
         assert!(!Arc::ptr_eq(&first, &fresh));
         assert!(fresh.epoch() > first.epoch());
@@ -354,7 +337,10 @@ mod tests {
             first.discover(home(), &[], 3, now),
             vec![NodeId::new(0), NodeId::new(1)]
         );
-        assert_eq!(fresh.discover(home(), &[], 3, now), vec![NodeId::new(1)]);
+        assert_eq!(
+            fresh.discover(home(), &[], 3, now),
+            vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]
+        );
     }
 
     #[test]
@@ -363,14 +349,13 @@ mod tests {
         let mut b = shard(1);
         a.register(status(0, home(), 0.0), SimTime::ZERO);
         b.register(status(1, home(), 0.0), SimTime::ZERO);
-        a.apply_delta(&b.delta_since(SimTime::ZERO));
+        a.apply_delta(&b.own_summaries());
         let late = SimTime::from_secs(60);
         let pruned = a.prune(late, SimDuration::from_secs(10));
         assert_eq!(pruned, vec![NodeId::new(0)]);
         assert_eq!(a.merged_alive_count(late), 0);
         assert!(a.discover(home(), &[], 3, late).is_empty());
-        // The pruned own node is advertised as removed.
-        let delta = a.delta_since(late);
-        assert!(delta.removed.contains(&NodeId::new(0)));
+        // The pruned own node is in no later push.
+        assert!(a.own_summaries().updated.is_empty());
     }
 }

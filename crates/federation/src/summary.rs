@@ -1,7 +1,7 @@
 //! Compact node summaries exchanged between shards.
 
 use armada_node::NodeStatus;
-use armada_types::{NodeId, ShardId, SimTime};
+use armada_types::{ShardId, SimTime};
 
 /// One node's state as advertised to peer shards: the latest status
 /// payload plus enough liveness context for a *remote* shard to apply
@@ -16,32 +16,16 @@ pub struct NodeSummary {
     pub last_heartbeat: SimTime,
 }
 
-/// One shard's outbound sync payload: everything that changed since the
-/// previous round.
+/// One shard's push to a peer: every record it owns, each with the
+/// time it was last heard — what a live manager ships every period.
 ///
-/// `updated` carries the summaries of own nodes whose heartbeat arrived
-/// since the cutoff; `removed` carries graceful departures and pruned
-/// registrations. Applying a delta is idempotent, so a summary resent
-/// across rounds is harmless.
+/// Nothing is cut off and nothing is retracted: a record that stopped
+/// heartbeating ages out at the receiver by the same deadline it ages
+/// out at home, and a push that is lost is healed by the next one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyncDelta {
     /// The sending shard.
     pub from: ShardId,
-    /// New or refreshed node summaries.
+    /// The sender's own nodes, sorted by id.
     pub updated: Vec<NodeSummary>,
-    /// Nodes that left the sending shard's registry.
-    pub removed: Vec<NodeId>,
-}
-
-impl SyncDelta {
-    /// Total entries carried (updates + removals) — the "bytes on the
-    /// wire" proxy the bench reports.
-    pub fn len(&self) -> usize {
-        self.updated.len() + self.removed.len()
-    }
-
-    /// `true` if the delta carries nothing.
-    pub fn is_empty(&self) -> bool {
-        self.updated.is_empty() && self.removed.is_empty()
-    }
 }

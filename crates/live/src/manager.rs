@@ -109,16 +109,6 @@ pub struct LiveManagerConfig {
     pub threads: usize,
     /// Optional fault injection on accepted connections.
     pub serve_faults: Option<ServeFaults>,
-    /// Global cap on concurrently open connections; accepting pauses at
-    /// the cap and resumes as connections close (`0` = uncapped).
-    pub max_conns: usize,
-    /// Aggregate buffered-write bytes at which the manager considers
-    /// itself overloaded and starts shedding discovery queries (`0`
-    /// disables backlog-based shedding).
-    pub write_high_watermark: usize,
-    /// Aggregate buffered-write bytes to which the backlog must drain
-    /// before shedding stops (hysteresis partner of the high watermark).
-    pub write_low_watermark: usize,
     /// Open-connection count at which discovery queries are shed with
     /// `Busy` while protected traffic (registration, heartbeats,
     /// federation sync) keeps being served (`0` disables).
@@ -137,9 +127,6 @@ impl Default for LiveManagerConfig {
             sync_rpc_timeout: SYNC_RPC_TIMEOUT,
             threads: 1,
             serve_faults: None,
-            max_conns: 0,
-            write_high_watermark: 0,
-            write_low_watermark: 0,
             shed_conns: 0,
             busy_retry_ms: 250,
             read_progress_timeout: Duration::from_secs(30),
@@ -157,10 +144,10 @@ struct OverloadPolicy {
 }
 
 impl OverloadPolicy {
-    /// `true` when the runtime is past its overload thresholds and
-    /// sheddable traffic should be refused with `Busy`.
+    /// `true` when as many connections are open as `shed_conns` allows
+    /// and sheddable traffic should be refused with `Busy`.
     fn overloaded(&self, handle: &Handle) -> bool {
-        handle.overloaded() || (self.shed_conns > 0 && handle.active_conns() >= self.shed_conns)
+        self.shed_conns > 0 && handle.active_conns() >= self.shed_conns
     }
 }
 
@@ -335,9 +322,6 @@ impl LiveManager {
             // loop's write buffer forever; same 5× budget the old
             // per-connection write timeout used.
             write_stall_timeout: cfg.sync_rpc_timeout.saturating_mul(5),
-            max_conns: cfg.max_conns,
-            write_high_watermark: cfg.write_high_watermark,
-            write_low_watermark: cfg.write_low_watermark,
             read_progress_timeout: cfg.read_progress_timeout,
             ..ReactorConfig::default()
         })?;
@@ -453,7 +437,7 @@ impl LiveManager {
         self.reactor.handle().buffered_write_bytes()
     }
 
-    /// `true` while the manager is past its overload thresholds and
+    /// `true` while the manager is past its `shed_conns` threshold and
     /// shedding discovery queries.
     pub fn overloaded(&self) -> bool {
         self.policy.overloaded(self.reactor.handle())

@@ -114,14 +114,6 @@ impl CentralManager {
         applied
     }
 
-    /// Drops a peer-advertised node its home manager reported gone.
-    pub fn remove_peer(&mut self, node: NodeId) {
-        if self.registry.remove_peer(node).is_some() {
-            self.epoch += 1;
-            Arc::make_mut(&mut self.index).remove(node);
-        }
-    }
-
     /// Keeps the spatial index in sync with a (possibly mobile) node —
     /// but a report from where the node already is (the overwhelmingly
     /// common case) must not touch the index at all: writing it would

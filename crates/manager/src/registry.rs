@@ -183,11 +183,6 @@ impl NodeRegistry {
         true
     }
 
-    /// Drops a peer record (its home manager advertised the departure).
-    pub fn remove_peer(&mut self, node: NodeId) -> Option<NodeRecord> {
-        self.peers.remove(node)
-    }
-
     /// Explicitly removes an own node (graceful departure).
     pub fn deregister(&mut self, node: NodeId) -> Option<NodeRecord> {
         self.own.remove(node)
@@ -566,8 +561,7 @@ mod tests {
         r.deregister(NodeId::new(5));
         assert!(r.apply_peer(status(5), late));
         assert!(r.is_alive(NodeId::new(5), late));
-        assert!(r.remove_peer(NodeId::new(5)).is_some());
-        assert!(r.is_empty());
+        assert_eq!((r.len(), r.own_len()), (1, 0));
     }
 
     #[test]

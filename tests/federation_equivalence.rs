@@ -25,7 +25,7 @@ fn four_shard_federation_matches_the_single_manager_baseline() {
     let baseline = run(EnvSpec::realworld(N_USERS));
     let federated = run(EnvSpec::realworld(N_USERS).with_federation(FederationSpec::new(4)));
 
-    let cluster = federated.world().federation().expect("federated run");
+    let cluster = federated.world().managers();
     assert_eq!(cluster.shard_count(), 4);
 
     for i in 0..N_USERS {
@@ -49,14 +49,12 @@ fn four_shard_federation_matches_the_single_manager_baseline() {
 }
 
 /// Sharding spreads the control-plane write load: every shard owns a
-/// share of registrations/heartbeats, and the idle central manager sees
-/// none of them.
+/// share of registrations/heartbeats, and together they own them all.
 #[test]
 fn federation_shards_the_registry_load() {
     let federated = run(EnvSpec::realworld(N_USERS).with_federation(FederationSpec::new(2)));
-    let cluster = federated.world().federation().unwrap();
+    let cluster = federated.world().managers();
 
-    assert_eq!(federated.world().manager().registered_count(), 0);
     let own_counts: Vec<usize> = cluster.shards().iter().map(|s| s.own_count()).collect();
     assert_eq!(own_counts.iter().sum::<usize>(), 10, "all 10 nodes homed");
     assert!(
@@ -81,7 +79,7 @@ fn home_shard_failure_re_routes_discovery_and_streaming_survives() {
     // Pilot: find user 0's home shard.
     let pilot = run(EnvSpec::realworld(N_USERS).with_federation(spec));
     let user0_loc = EnvSpec::realworld(N_USERS).users[0].location;
-    let home = pilot.world().federation().unwrap().map().home(user0_loc);
+    let home = pilot.world().managers().map().home(user0_loc);
 
     let kill_at = SimTime::from_secs(10);
     let result = Scenario::new(
@@ -93,7 +91,7 @@ fn home_shard_failure_re_routes_discovery_and_streaming_survives() {
     .kill_shard(home.as_u64() as usize, kill_at)
     .run();
 
-    let cluster = result.world().federation().unwrap();
+    let cluster = result.world().managers();
     assert!(!cluster.is_up(home), "the kill must stick");
 
     // The surviving shard served discoveries after the kill (periodic
@@ -168,7 +166,7 @@ fn federation_converges_to_baseline_under_sync_message_loss() {
     // Convergence stayed bounded: every shard kept completing rounds
     // (loss never wedges the sync loop) and the missed-delta recovery
     // shows up as sync traffic, not as stranded users.
-    let cluster = lossy.world().federation().unwrap();
+    let cluster = lossy.world().managers();
     for shard in cluster.shards() {
         assert!(shard.counters().sync_rounds > 0, "sync loop kept running");
     }
@@ -181,7 +179,7 @@ fn revived_shard_resumes_after_full_resync() {
     let spec = FederationSpec::new(2);
     let pilot = run(EnvSpec::realworld(N_USERS).with_federation(spec));
     let user0_loc = EnvSpec::realworld(N_USERS).users[0].location;
-    let home = pilot.world().federation().unwrap().map().home(user0_loc);
+    let home = pilot.world().managers().map().home(user0_loc);
 
     let result = Scenario::new(
         EnvSpec::realworld(N_USERS).with_federation(spec),
@@ -193,7 +191,7 @@ fn revived_shard_resumes_after_full_resync() {
     .revive_shard(home.as_u64() as usize, SimTime::from_secs(16))
     .run();
 
-    let cluster = result.world().federation().unwrap();
+    let cluster = result.world().managers();
     assert!(cluster.is_up(home));
     // After revival the home shard serves again: it accumulated
     // discoveries past the ones before the kill, and everyone is still

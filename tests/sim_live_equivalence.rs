@@ -31,6 +31,17 @@
 //! and half-opening into a close once the manager is back, recovery —
 //! while the serving node never changes.
 //!
+//! A third script gives the client a route of two managers and takes
+//! the home one away (sim: a federation of two whose home shard is
+//! killed, then revived; live: two federated managers syncing, the home
+//! one's transport blackholed). Both runtimes walk the route through
+//! the same core, so both must tell the same story: every lost
+//! discovery falls over to the peer (`fed.failover`, one rank skipped),
+//! rank 0's breaker opens on the third loss and the dead home is no
+//! longer asked, it half-opens into a close once the home is back —
+//! and, the peer serving throughout, the client is never degraded and
+//! never leaves its node.
+//!
 //! The manager has rows of its own (ROADMAP open item 2's gate), which
 //! need no trace: the same fleet and the same queries answered by
 //! `CentralManager::discover` and by a `LiveManager` over the wire must
@@ -57,7 +68,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use armada::chaos::{FaultPlan, PeerId};
-use armada::core::{EnvSpec, NodeSpec, Scenario, Strategy, UserSpec};
+use armada::core::{EnvSpec, FederationSpec, NodeSpec, Scenario, Strategy, UserSpec};
 use armada::federation::{FederatedShard, NodeSummary, ShardId, SyncDelta};
 use armada::live::{
     Codec, LiveClient, LiveManager, LiveManagerConfig, LiveNode, NodeConfig, Request, Response,
@@ -479,9 +490,15 @@ fn control_plane(trace: &str) -> Vec<String> {
                 meanwhile.push(format!("round {decision} of {replies}"));
                 continue;
             }
-            "chaos.breaker.open" => "breaker open".to_string(),
-            "chaos.breaker.half_open" => "breaker half_open".to_string(),
-            "chaos.breaker.close" => "breaker close".to_string(),
+            "fed.failover" => {
+                let skipped = e.field_u64("skipped").expect("skipped");
+                meanwhile.push(format!("failover past {skipped}"));
+                continue;
+            }
+            "chaos.breaker.open" | "chaos.breaker.half_open" | "chaos.breaker.close" => {
+                assert_eq!(e.field_u64("rank"), Some(0), "only the home is ever lost");
+                format!("breaker {}", &e.kind["chaos.breaker.".len()..])
+            }
             "chaos.degraded.recovered" => "recovered".to_string(),
             "client.join" => format!("join {}", e.field_u64("node").expect("node")),
             "client.switch" | "client.failure" | "client.failover" => e.kind.clone(),
@@ -494,60 +511,105 @@ fn control_plane(trace: &str) -> Vec<String> {
     out
 }
 
-/// The outage in virtual time: A and B only, the user arrives at 1 s,
-/// the manager crashes at 3 s and restarts a tenth of a second after
-/// the user's breaker opened — before the cooldown lets a probe
-/// through, so the first half-open probe is the one that is answered.
-fn sim_outage(selector: SelectorMode) -> Vec<String> {
-    let run = |restart: SimTime| {
-        let env = sim_env(&[A, B]);
-        let plan = FaultPlan::new(1).crash(PeerId::manager(0), SimTime::from_secs(3), restart);
+/// What the lost-home-shard script must read as, in both runtimes.
+const EXPECTED_SHARD_LOSS: [&str; 8] = [
+    "{round join of 2}",
+    "join 0",
+    "{failover past 1, round stay of 2}",
+    "breaker open",
+    "{failover past 1, round stay of 2}",
+    "breaker half_open",
+    "breaker close",
+    "{round stay of 2}",
+];
+
+/// The loss of the home manager in virtual time: A and B only, the user
+/// arrives at 1 s, the manager goes at 3 s and is back a tenth of a
+/// second after the user's breaker opened — before the cooldown lets a
+/// probe through, so the first half-open probe is the one that is
+/// answered. Alone it is the manager (a crash window in the fault
+/// plan); with a `peer` it is shard 0 of a federation of two (every
+/// placement is [`spot`], so shard 0 is everyone's home and shard 1
+/// knows the nodes from sync alone).
+fn sim_manager_loss(selector: SelectorMode, peer: bool) -> Vec<String> {
+    let run = |back: SimTime| {
         let (tracer, buffer) = memory_tracer();
-        let end = restart.min(SimTime::from_secs(8)) + SimDuration::from_secs(2);
-        Scenario::new(env, Strategy::client_centric_with(client_config(selector)))
-            .with_fault_plan(plan)
+        let end = back.min(SimTime::from_secs(8)) + SimDuration::from_secs(2);
+        let lost = SimTime::from_secs(3);
+        let mut env = sim_env(&[A, B]);
+        if peer {
+            env = env.with_federation(FederationSpec::new(2));
+        }
+        let scenario = Scenario::new(env, Strategy::client_centric_with(client_config(selector)))
             .users_join_at(vec![SimTime::from_secs(1)])
             .duration(end.saturating_since(SimTime::ZERO))
             .seed(7)
-            .with_tracer(tracer.clone())
-            .run();
+            .with_tracer(tracer.clone());
+        let run = if peer {
+            scenario.kill_shard(0, lost).revive_shard(0, back).run()
+        } else {
+            let plan = FaultPlan::new(1).crash(PeerId::manager(0), lost, back);
+            scenario.with_fault_plan(plan).run()
+        };
         tracer.flush();
+        let route = run.world().managers().map().route_order(spot());
+        assert_eq!(route.len(), if peer { 2 } else { 1 });
+        assert_eq!(route[0], ShardId::new(0));
         let trace = buffer.lock().expect("trace buffer").clone();
         trace
     };
-    // The plan replays: the pilot's breaker opens when the real run's does.
+    // The script replays: the pilot's breaker opens when the real run's does.
     let pilot = inspect::parse_jsonl(&run(SimTime::MAX)).expect("trace parses");
     let opened = pilot.iter().find(|e| e.kind == "chaos.breaker.open");
     let opened = SimTime::from_micros(opened.expect("the pilot's breaker opens").t_us);
     control_plane(&run(opened + SimDuration::from_millis(100)))
 }
 
-/// The same outage on loopback: the manager's accepted connections are
-/// severed inside its reactor until the client's breaker opens (the
-/// nodes are dialled directly and keep serving).
-fn live_outage(selector: SelectorMode, wire: WireConfig) -> Vec<String> {
+/// The same loss on loopback: the home manager's accepted connections
+/// are severed inside its reactor until the client's breaker opens (the
+/// nodes are dialled directly and keep serving). With a `peer`, the
+/// home manager pushes the nodes it registered to a second one, and the
+/// client's route is the two of them.
+fn live_manager_loss(selector: SelectorMode, wire: WireConfig, peer: bool) -> Vec<String> {
     let faults = ServeFaults::partitionable(5);
     let blackhole = Arc::clone(&faults.blackhole);
     let cfg = LiveManagerConfig {
         serve_faults: Some(faults),
         ..LiveManagerConfig::default()
     };
-    let (_mgr, mgr_addr) = LiveManager::bind_with(cfg, 0, Tracer::disabled()).unwrap();
-    let bind = |id: u64| LiveNode::bind(live_node(id), Some(mgr_addr)).unwrap().0;
+    let (mut home, home_addr) = LiveManager::bind_with(cfg, 0, Tracer::disabled()).unwrap();
+    let bind = |id: u64| LiveNode::bind(live_node(id), Some(home_addr)).unwrap().0;
     let (a, b) = (bind(A), bind(B));
+    let mut route = vec![home_addr];
+    let _peer = peer.then(|| {
+        let (peer, peer_addr) = LiveManager::bind_federated(1, Tracer::disabled()).unwrap();
+        home.start_sync(vec![peer_addr], Duration::from_millis(25));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while peer.synced_count() < 2 {
+            assert!(
+                Instant::now() < deadline,
+                "the peer never heard of the nodes"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        route.push(peer_addr);
+        peer
+    });
     let (tracer, buffer) = memory_tracer();
     let client = LiveClient::new(0, spot(), client_config(selector))
         .with_tracer(tracer)
         .with_wire(wire);
     std::thread::scope(|scope| {
-        let session = scope.spawn(|| client.run_session(mgr_addr, 100_000));
+        let session = scope.spawn(|| client.run_session_any(&route, 100_000));
         settle_after(&buffer, r#""kind":"client.join""#);
         blackhole.store(true, Ordering::Release);
         wait_for(&buffer, "the breaker to open", |trace| {
             trace.contains(r#""kind":"chaos.breaker.open""#)
         });
         blackhole.store(false, Ordering::Release);
-        settle_after(&buffer, r#""kind":"chaos.degraded.recovered""#);
+        // (Alone, the close that ends the outage also ends the degraded
+        // episode: `chaos.degraded.recovered` follows it in the same call.)
+        settle_after(&buffer, r#""kind":"chaos.breaker.close""#);
         // The story is told; the session ends when its nodes do.
         let trace = buffer.lock().expect("trace buffer").clone();
         b.shutdown();
@@ -557,23 +619,35 @@ fn live_outage(selector: SelectorMode, wire: WireConfig) -> Vec<String> {
     })
 }
 
-fn assert_outage_equivalent(selector: SelectorMode) {
-    let sim = sim_outage(selector);
-    assert_eq!(sim, EXPECTED_OUTAGE, "the simulated outage left the script");
+/// Both runtimes must read as `expected` when the home manager is lost,
+/// alone or with a `peer` behind it in the route.
+fn assert_manager_loss_equivalent(selector: SelectorMode, peer: bool, expected: &[&str]) {
+    let sim = sim_manager_loss(selector, peer);
+    assert_eq!(sim, expected, "the simulated loss left the script");
     for wire in WIRES {
-        let live = live_outage(selector, wire);
-        assert_eq!(live, sim, "live and simulated outages diverge, {wire:?}");
+        let live = live_manager_loss(selector, wire, peer);
+        assert_eq!(live, sim, "live and simulated losses diverge, {wire:?}");
     }
 }
 
 #[test]
 fn reactive_client_rides_out_a_manager_outage_alike_in_sim_and_live() {
-    assert_outage_equivalent(SelectorMode::Reactive);
+    assert_manager_loss_equivalent(SelectorMode::Reactive, false, &EXPECTED_OUTAGE);
 }
 
 #[test]
 fn predictive_client_rides_out_a_manager_outage_alike_in_sim_and_live() {
-    assert_outage_equivalent(SelectorMode::Predictive);
+    assert_manager_loss_equivalent(SelectorMode::Predictive, false, &EXPECTED_OUTAGE);
+}
+
+#[test]
+fn reactive_client_rides_out_a_lost_home_shard_alike_in_sim_and_live() {
+    assert_manager_loss_equivalent(SelectorMode::Reactive, true, &EXPECTED_SHARD_LOSS);
+}
+
+#[test]
+fn predictive_client_rides_out_a_lost_home_shard_alike_in_sim_and_live() {
+    assert_manager_loss_equivalent(SelectorMode::Predictive, true, &EXPECTED_SHARD_LOSS);
 }
 
 /// A held connection to a live manager, speaking one codec.
@@ -732,7 +806,6 @@ fn sync(
                 last_heartbeat: now - age(status),
             })
             .collect(),
-        removed: Vec::new(),
     });
     assert_eq!(sim.counters().summaries_applied - before, applied);
     let summaries = peers
