@@ -3,11 +3,13 @@
 //! ranks, decides stay-or-switch, keeps and walks the warm backups and
 //! paces frames, walks the manager route under its breakers, remembers
 //! the shortlist degraded mode runs on and names the retry times; this
-//! file owns I/O only — sockets and timeouts, UDP-first probing,
-//! sleeping, and the id → listen-address book.
+//! file owns I/O only — sockets and timeouts, sleeping, the id →
+//! listen-address book — and the probe fan-out, the one step with
+//! anything to overlap, is `crate::probe`'s readiness state machine run
+//! on the calling thread. Every other exchange is a plain blocking call.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -15,13 +17,13 @@ use armada_client::{
     ClientDecision, EdgeClient, FailoverDecision, JoinFollowup, ManagerReply, Narrator,
     ProbeResult, Verdict, RETRY_BACKOFF,
 };
+use armada_reactor::Poller;
 use armada_trace::Tracer;
 use armada_types::{ClientConfig, GeoPoint, NodeId, SimDuration, SimTime, UserId};
 
-use armada_wire::{
-    read_response, recv_response, send_request, write_request, Codec, Request, Response,
-    UdpTransport, WireConfig,
-};
+use armada_wire::{read_response, write_request, Codec, Request, Response, WireConfig};
+
+use crate::probe::{self, Terms};
 
 /// All protocol exchanges time out after this long; a silent peer is a
 /// dead peer. Applied both as the connect timeout and as the socket
@@ -81,16 +83,18 @@ pub struct LiveClient {
     wire: WireConfig,
 }
 
-/// What a client's sessions share: the core, and where to dial the
-/// nodes of the shortlist it caches (the core deals in ids).
+/// What a client's sessions share: the core, where to dial the nodes
+/// of the shortlist it caches (the core deals in ids), and the poller
+/// its probe rounds wait on, made by the first of them.
 #[derive(Debug)]
 struct Shared {
     core: EdgeClient,
     addresses: HashMap<u64, String>,
+    poller: Option<Box<dyn Poller>>,
 }
 
 /// A session's open connections by node id: serving node and backups.
-type Connections = HashMap<u64, TcpStream>;
+pub(crate) type Connections = HashMap<u64, TcpStream>;
 
 impl LiveClient {
     /// Creates a client.
@@ -101,6 +105,7 @@ impl LiveClient {
             shared: Arc::new(Mutex::new(Shared {
                 core: EdgeClient::new(UserId::new(id), location, config),
                 addresses: HashMap::new(),
+                poller: None,
             })),
             epoch: Instant::now(),
             wire: WireConfig::default(),
@@ -285,7 +290,15 @@ impl LiveClient {
             let cached = shared.core.cached_shortlist();
             cached.map(<[NodeId]>::to_vec).ok_or(e)
         })?;
-        let Shared { core, addresses } = shared;
+        let Shared {
+            core,
+            addresses,
+            poller,
+        } = shared;
+        let poller = match poller {
+            Some(poller) => &mut **poller,
+            none => &mut **none.insert(armada_reactor::default_poller()?),
+        };
         // Always re-probe the serving node too (over its open
         // connection), so stay-or-switch compares fresh measurements
         // even when the manager's shortlist has moved on.
@@ -303,7 +316,7 @@ impl LiveClient {
         self.narrator()
             .probe_round_start(core.id(), round, candidates.len());
         core.note_probes_sent(candidates.len());
-        let results = self.probe_round(core, connections, &candidates);
+        let results = self.probe_round(poller, core, connections, &candidates, RPC_TIMEOUT);
         let decision = core.on_probe_round(results.clone(), self.now_sim());
         let failed = candidates.len() - results.len();
         self.narrator()
@@ -331,46 +344,29 @@ impl LiveClient {
         }
     }
 
-    /// The probe fan-out, a scoped thread per candidate so all probes
-    /// are in flight at once and dead candidates cost the round one
-    /// timeout, not one each. An open connection is re-probed in place,
-    /// anything else is dialled; a candidate that answers keeps its
-    /// connection, a silent one loses it and is reported to the core.
+    /// The probe fan-out: every probe in flight at once, on this thread
+    /// (`crate::probe`). A candidate that answers keeps its connection;
+    /// a silent one has lost it and is reported to the core — the live
+    /// analogue of a heartbeat gap, it counts against the node's score.
     fn probe_round(
         &self,
+        poller: &mut dyn Poller,
         core: &mut EdgeClient,
         connections: &mut Connections,
         candidates: &[(u64, String)],
+        timeout: Duration,
     ) -> Vec<ProbeResult> {
-        let wire = self.wire;
-        let outcomes: Vec<Option<(ProbeResult, TcpStream)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = candidates
-                .iter()
-                .map(|(id, addr)| {
-                    let open = connections.remove(id);
-                    scope.spawn(move || match open {
-                        Some(mut stream) => reprobe_connection(*id, &mut stream, wire.codec)
-                            .map(|result| (result, stream)),
-                        None => probe_candidate_with(*id, addr, RPC_TIMEOUT, wire),
-                    })
-                })
-                .collect();
-            // A probe thread that died is a failed probe, not a panic.
-            handles
-                .into_iter()
-                .map(|h| h.join().ok().flatten())
-                .collect()
-        });
+        let terms = Terms {
+            wire: self.wire,
+            timeout,
+            tracer: &self.tracer,
+        };
+        let outcomes = probe::run(poller, terms, connections, candidates);
         let now = self.now_sim();
         let mut results = Vec::with_capacity(candidates.len());
-        for ((id, _), slot) in candidates.iter().zip(outcomes) {
-            match slot {
-                Some((result, stream)) => {
-                    connections.insert(*id, stream);
-                    results.push(result);
-                }
-                // A probe that never answered is the live analogue of a
-                // heartbeat gap: it counts against the node's score.
+        for ((id, _), outcome) in candidates.iter().zip(outcomes) {
+            match outcome {
+                Some(result) => results.push(result),
                 None => core.on_probe_failure(NodeId::new(*id), now),
             }
         }
@@ -450,7 +446,9 @@ impl LiveClient {
         managers: &[SocketAddr],
         timeout: Duration,
     ) -> std::io::Result<Vec<NodeId>> {
-        let Shared { core, addresses } = shared;
+        let Shared {
+            core, addresses, ..
+        } = shared;
         let request = Request::Discover {
             user: self.id,
             lat: core.location().lat(),
@@ -516,92 +514,18 @@ fn serving_node(core: &EdgeClient) -> std::io::Result<u64> {
 /// OS connect timeout — minutes against a black-holed address — which
 /// would stall a session far beyond the RPC budget.
 fn connect_with(addr: SocketAddr, timeout: Duration) -> std::io::Result<TcpStream> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
+    bound(TcpStream::connect_timeout(&addr, timeout)?, timeout)
+}
+
+/// Makes a blocking `stream` a connection the exchanges can use: every
+/// read and write bounded by `timeout`, Nagle off.
+pub(crate) fn bound(stream: TcpStream, timeout: Duration) -> std::io::Result<TcpStream> {
     stream.set_read_timeout(Some(timeout))?;
     // A stalled/zero-window peer used to block `write_all` forever —
     // reads were bounded but writes were not.
     stream.set_write_timeout(Some(timeout))?;
     stream.set_nodelay(true)?;
     Ok(stream)
-}
-
-/// Probes one discovered candidate within `timeout` (tests shrink it):
-/// connect, RTT probe, process probe.
-fn probe_candidate_with(
-    id: u64,
-    addr: &str,
-    timeout: Duration,
-    wire: WireConfig,
-) -> Option<(ProbeResult, TcpStream)> {
-    let addr = addr.to_socket_addrs().ok()?.next()?;
-    let mut stream = connect_with(addr, timeout).ok()?;
-    // UDP first: no handshake, no Nagle, so the measured RTT is the
-    // network, not the transport. Half the budget bounds the attempt;
-    // any failure (no responder, datagram loss, setsockopt) falls back
-    // to in-stream TCP probes so old nodes and lossy paths still work.
-    let udp = wire
-        .udp_probes
-        .then(|| probe_udp(id, addr, timeout / 2, wire.codec));
-    let result = match udp.flatten() {
-        Some(r) => r,
-        None => reprobe_connection(id, &mut stream, wire.codec)?,
-    };
-    Some((result, stream))
-}
-
-/// Issues the RTT + process probes as UDP datagrams against the node's
-/// listen port. Any failure returns `None` — the caller falls back to
-/// the TCP stream it already holds.
-fn probe_udp(id: u64, addr: SocketAddr, timeout: Duration, codec: Codec) -> Option<ProbeResult> {
-    let mut transport = UdpTransport::connect(addr).ok()?;
-    // A failed setsockopt (e.g. a degenerate timeout) skips this
-    // candidate's UDP attempt instead of panicking the probe round.
-    transport.get_ref().set_read_timeout(Some(timeout)).ok()?;
-    transport.get_ref().set_write_timeout(Some(timeout)).ok()?;
-    let started = Instant::now();
-    send_request(&mut transport, codec, &Request::RttProbe).ok()?;
-    let (pong, _) = recv_response(&mut transport).ok()?;
-    let rtt = started.elapsed();
-    send_request(&mut transport, codec, &Request::ProcessProbe).ok()?;
-    probe_result(id, rtt, pong, recv_response(&mut transport).ok()?.0)
-}
-
-/// Issues the RTT + process probes over an already-open connection
-/// (whose connect-time read/write timeouts bound each exchange).
-fn reprobe_connection(id: u64, stream: &mut TcpStream, codec: Codec) -> Option<ProbeResult> {
-    let started = Instant::now();
-    let pong = rpc(stream, codec, &Request::RttProbe).ok()?;
-    let rtt = started.elapsed();
-    probe_result(
-        id,
-        rtt,
-        pong,
-        rpc(stream, codec, &Request::ProcessProbe).ok()?,
-    )
-}
-
-/// Combines the two probe replies into the core's [`ProbeResult`];
-/// anything but a pong and a probe reply is a failed probe.
-fn probe_result(id: u64, rtt: Duration, pong: Response, reply: Response) -> Option<ProbeResult> {
-    match (pong, reply) {
-        (
-            Response::RttPong,
-            Response::ProbeReply {
-                whatif_us,
-                current_us,
-                attached,
-                seq,
-            },
-        ) => Some(ProbeResult {
-            node: NodeId::new(id),
-            rtt: SimDuration::from_micros(rtt.as_micros() as u64),
-            whatif_proc: SimDuration::from_micros(whatif_us),
-            current_proc: SimDuration::from_micros(current_us),
-            attached_users: attached,
-            seq_num: seq,
-        }),
-        _ => None,
-    }
 }
 
 /// One request/response exchange; the socket read/write timeouts bound
@@ -831,28 +755,92 @@ mod tests {
         assert_eq!(report.latencies.len(), 30);
     }
 
+    /// One probe round of `client`, on probe I/O of its own.
+    fn probe_round(
+        client: &LiveClient,
+        connections: &mut Connections,
+        candidates: &[(u64, String)],
+        timeout_ms: u64,
+    ) -> Vec<ProbeResult> {
+        let mut poller = armada_reactor::default_poller().unwrap();
+        let timeout = Duration::from_millis(timeout_ms);
+        let core = &mut client.shared().core;
+        client.probe_round(&mut *poller, core, connections, candidates, timeout)
+    }
+
+    fn test_client(wire: WireConfig) -> LiveClient {
+        let config = ClientConfig::default().with_selector(SelectorMode::Predictive);
+        LiveClient::new(1, GeoPoint::new(44.98, -93.26), config).with_wire(wire)
+    }
+
+    const TCP_PROBES: WireConfig = WireConfig {
+        codec: Codec::Binary,
+        udp_probes: false,
+    };
+
+    /// A listener that never accepts: the handshake completes in its
+    /// backlog, and nothing ever answers.
+    fn unresponsive() -> (std::net::TcpListener, String) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        (listener, addr)
+    }
+
+    /// Bind-then-drop frees a port nothing listens on.
+    fn closed_port() -> String {
+        unresponsive().1
+    }
+
+    /// An unresponsive listener whose UDP port is bound too, and never
+    /// read: probes sent there vanish.
+    fn silent() -> (std::net::TcpListener, std::net::UdpSocket, String) {
+        loop {
+            let (listener, addr) = unresponsive();
+            if let Ok(udp) = std::net::UdpSocket::bind(&addr) {
+                return (listener, udp, addr);
+            }
+        }
+    }
+
+    /// A node that answers probes in-stream only, its UDP port silent.
+    /// Serves one connection, until the peer closes it.
+    fn tcp_only_node() -> (String, std::net::UdpSocket, std::thread::JoinHandle<()>) {
+        let (listener, udp, addr) = silent();
+        let serve = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            while let Ok((request, codec)) = armada_wire::read_request(&mut stream) {
+                let response = match request {
+                    Request::RttProbe => Response::RttPong,
+                    _ => Response::ProbeReply {
+                        whatif_us: 1_000,
+                        current_us: 1_000,
+                        attached: 0,
+                        seq: 0,
+                    },
+                };
+                armada_wire::write_response(&mut stream, codec, &response).unwrap();
+            }
+        });
+        (addr, udp, serve)
+    }
+
     /// Regression: re-probing used to walk the open connections one by
     /// one, so each dead candidate stalled the round for a full read
     /// timeout before the next was even tried.
     #[test]
     fn reprobing_dead_candidates_runs_concurrently() {
-        // Listeners that never accept: probes against them burn the
-        // whole read timeout in the blocking read.
-        let deads: Vec<std::net::TcpListener> = (0..3)
-            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
-            .collect();
-        let timeout = Duration::from_millis(300);
+        let deads: Vec<_> = (0..3).map(|_| unresponsive()).collect();
         let mut connections = Connections::new();
         let mut candidates = Vec::new();
-        for (i, listener) in deads.iter().enumerate() {
-            let stream = connect_with(listener.local_addr().unwrap(), timeout).unwrap();
+        for (i, (listener, _)) in deads.iter().enumerate() {
+            let addr = listener.local_addr().unwrap();
+            let stream = connect_with(addr, Duration::from_millis(300)).unwrap();
             connections.insert(10 + i as u64, stream);
             candidates.push((10 + i as u64, String::new()));
         }
-        let client = LiveClient::new(1, GeoPoint::new(44.98, -93.26), ClientConfig::default());
+        let client = test_client(WireConfig::default());
         let started = Instant::now();
-        let core = &mut client.shared().core;
-        let replies = client.probe_round(core, &mut connections, &candidates);
+        let replies = probe_round(&client, &mut connections, &candidates, 300);
         let elapsed = started.elapsed();
         assert!(replies.is_empty());
         assert!(connections.is_empty(), "dead connections must be dropped");
@@ -862,6 +850,76 @@ mod tests {
             elapsed < Duration::from_millis(750),
             "re-probe round took {elapsed:?}, expected ~one timeout"
         );
+    }
+
+    /// One live node between a listener that never answers and a closed
+    /// port: the round returns exactly the live node's result and keeps
+    /// exactly its connection, and the core hears of both failures. (The
+    /// listener has no UDP port: its refusal ends that leg at once.)
+    #[test]
+    fn a_live_node_beside_two_dead_ones_is_the_rounds_one_result() {
+        use armada_trace::{MemorySink, Severity};
+        let sink = MemorySink::new();
+        let buffer = sink.buffer();
+        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+        let (_node, node_addr) = LiveNode::bind(node_config(2, 4, 10.0, 0), None).unwrap();
+        let (_listener, silent) = unresponsive();
+        let candidates = [(1, silent), (2, node_addr.to_string()), (3, closed_port())];
+        let client = test_client(WireConfig::default()).with_tracer(tracer);
+        let mut connections = Connections::new();
+        let started = Instant::now();
+        let results = probe_round(&client, &mut connections, &candidates, 300);
+        let elapsed = started.elapsed();
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].node, NodeId::new(2));
+        assert_eq!(connections.keys().collect::<Vec<_>>(), [&2]);
+        // The kept connection is a blocking one again.
+        let kept = connections.get_mut(&2).unwrap();
+        assert_eq!(rpc(kept, Request::RttProbe), Response::RttPong);
+        let (shared, now) = (client.shared(), client.now_sim());
+        let score = |id| shared.core.selector().unwrap().score(NodeId::new(id), now);
+        assert!(score(1) < 1.0 && score(3) < 1.0, "both failures reported");
+        assert_eq!(score(2), 1.0, "reliability untouched");
+        assert!(elapsed < Duration::from_millis(750), "took {elapsed:?}");
+        if cfg!(feature = "trace") {
+            let trace = buffer.lock().unwrap().clone();
+            let refused = r#""kind":"probe.udp.fallback","node":1,"reason":"reply""#;
+            assert!(trace.contains(refused), "{trace}");
+            assert!(!trace.contains(r#""reason":"timeout""#), "{trace}");
+        }
+    }
+
+    /// Three nodes whose UDP port is silent: the UDP legs wait out their
+    /// half of the budget together, fall back in-stream together, and
+    /// the round still returns three results — with one trace line each.
+    #[test]
+    fn silent_udp_legs_fall_back_in_stream_together() {
+        use armada_trace::{MemorySink, Severity};
+        let sink = MemorySink::new();
+        let buffer = sink.buffer();
+        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+        let nodes: Vec<_> = (0..3).map(|_| tcp_only_node()).collect();
+        let candidates: Vec<_> = (0..3).map(|i| (i as u64, nodes[i].0.clone())).collect();
+        let client = test_client(WireConfig::default()).with_tracer(tracer);
+        let mut connections = Connections::new();
+        let started = Instant::now();
+        let results = probe_round(&client, &mut connections, &candidates, 600);
+        let elapsed = started.elapsed();
+        assert_eq!(results.len(), 3);
+        assert_eq!(connections.len(), 3);
+        // One after the other the three half-budgets would stack (≥ 900 ms).
+        assert!(elapsed >= Duration::from_millis(300), "took {elapsed:?}");
+        assert!(elapsed < Duration::from_millis(750), "took {elapsed:?}");
+        if cfg!(feature = "trace") {
+            let trace = buffer.lock().unwrap().clone();
+            let fallbacks = trace.matches(r#""kind":"probe.udp.fallback""#).count();
+            assert_eq!(fallbacks, 3, "{trace}");
+            assert_eq!(trace.matches(r#""reason":"timeout""#).count(), 3, "{trace}");
+        }
+        drop(connections);
+        for (_, _, serve) in nodes {
+            serve.join().unwrap();
+        }
     }
 
     /// Regression: `connect` used a plain `TcpStream::connect`, whose
@@ -886,37 +944,69 @@ mod tests {
     }
 
     #[test]
-    fn probe_candidate_fails_fast_on_closed_port() {
-        // Bind-then-drop frees a port nothing listens on.
-        let port = {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.local_addr().unwrap().port()
-        };
-        let addr = format!("127.0.0.1:{port}");
+    fn a_closed_port_fails_fast() {
+        let client = test_client(WireConfig::default());
+        let mut connections = Connections::new();
         let started = Instant::now();
-        assert!(
-            probe_candidate_with(7, &addr, Duration::from_millis(400), WireConfig::default())
-                .is_none()
-        );
-        assert!(started.elapsed() < Duration::from_secs(2));
+        let results = probe_round(&client, &mut connections, &[(7, closed_port())], 2_000);
+        assert!(results.is_empty() && connections.is_empty());
+        // The refusal ends the probe, not the deadline.
+        assert!(started.elapsed() < Duration::from_millis(1_000));
     }
 
+    /// Accepts nothing and answers nothing: over TCP the probe waits out
+    /// one exchange's budget, over UDP (the port bound, never read) half
+    /// of one first; both end, with a miss, inside their budgets.
     #[test]
-    fn probe_candidate_times_out_on_unresponsive_listener() {
-        // Accepts nothing: the probe's read must hit the timeout, not
-        // hang forever.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let started = Instant::now();
-        assert!(
-            probe_candidate_with(8, &addr, Duration::from_millis(300), WireConfig::default())
-                .is_none()
-        );
-        let elapsed = started.elapsed();
-        assert!(
-            elapsed < Duration::from_secs(2),
-            "probe took {elapsed:?}, expected ~one 300 ms timeout"
-        );
+    fn an_unresponsive_listener_and_a_silent_udp_port_end_inside_their_budget() {
+        for (wire, at_least_ms) in [(TCP_PROBES, 300), (WireConfig::default(), 450)] {
+            let (_listener, _udp, addr) = silent();
+            let client = test_client(wire);
+            let mut connections = Connections::new();
+            let started = Instant::now();
+            let results = probe_round(&client, &mut connections, &[(8, addr)], 300);
+            let elapsed = started.elapsed();
+            assert!(results.is_empty() && connections.is_empty());
+            assert!(elapsed >= Duration::from_millis(at_least_ms), "{elapsed:?}");
+            assert!(elapsed < Duration::from_secs(2), "{elapsed:?}");
+        }
+    }
+
+    /// Regression: the old probe thread `.unwrap()`ed a setsockopt that
+    /// rejects a zero timeout, panicking the whole round. A degenerate
+    /// timeout is a miss for each candidate instead.
+    #[test]
+    fn a_zero_timeout_is_a_per_candidate_miss_not_a_panic() {
+        let (_listener, addr) = unresponsive();
+        for wire in [TCP_PROBES, WireConfig::default()] {
+            let client = test_client(wire);
+            let mut connections = Connections::new();
+            let candidates = [(1, addr.clone()), (2, closed_port())];
+            assert!(probe_round(&client, &mut connections, &candidates, 0).is_empty());
+            assert!(connections.is_empty());
+        }
+    }
+
+    /// The probe round takes readiness as a hint only: on the portable
+    /// poller, which reports every socket ready every millisecond, a
+    /// whole session passes — and where UDP answers, nothing falls back.
+    #[test]
+    fn a_session_on_the_loop_poller_passes() {
+        use armada_trace::{MemorySink, Severity};
+        let sink = MemorySink::new();
+        let buffer = sink.buffer();
+        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+        let (_mgr, mgr_addr) = LiveManager::bind().unwrap();
+        let (_n1, _) = LiveNode::bind(node_config(1, 4, 5.0, 1), Some(mgr_addr)).unwrap();
+        let (_n2, _) = LiveNode::bind(node_config(2, 4, 5.0, 3), Some(mgr_addr)).unwrap();
+        let config = ClientConfig::default().with_top_n(2);
+        let client = LiveClient::new(9, GeoPoint::new(44.98, -93.26), config).with_tracer(tracer);
+        client.shared().poller = Some(Box::new(armada_reactor::LoopPoller::new()));
+        let report = client.run_session(mgr_addr, 5).unwrap();
+        assert_eq!(report.initial_node, 1);
+        assert_eq!(report.probed.len(), 2);
+        assert_eq!(report.latencies.len(), 5);
+        assert!(!buffer.lock().unwrap().contains("probe.udp.fallback"));
     }
 
     #[test]
@@ -1201,29 +1291,5 @@ mod tests {
         assert_eq!(rb.latencies.len(), 8);
         let served = n1.frames_processed() + n2.frames_processed();
         assert_eq!(served, 16);
-    }
-
-    /// Regression: the old probe thread `.unwrap()`ed its setsockopt,
-    /// panicking the whole concurrent probe round. A degenerate timeout
-    /// (zero is rejected by the OS) must flow through the per-candidate
-    /// failure path instead.
-    #[test]
-    fn probe_udp_setsockopt_failure_is_a_per_candidate_miss_not_a_panic() {
-        let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
-        let result = probe_udp(1, addr, Duration::ZERO, Codec::Binary);
-        assert!(result.is_none());
-    }
-
-    /// A UDP probe against a port nobody answers times out into `None`
-    /// within its budget — the caller then falls back to TCP.
-    #[test]
-    fn probe_udp_against_silent_port_times_out_cleanly() {
-        // Bind a socket and never read from it: probes vanish.
-        let silent = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
-        let addr = silent.local_addr().unwrap();
-        let started = Instant::now();
-        let result = probe_udp(7, addr, Duration::from_millis(200), Codec::Binary);
-        assert!(result.is_none());
-        assert!(started.elapsed() < Duration::from_secs(2));
     }
 }

@@ -32,6 +32,7 @@
 mod client;
 mod manager;
 mod node;
+mod probe;
 
 pub use client::{LiveClient, SessionReport};
 pub use manager::{LiveManager, LiveManagerConfig, ServeFaults};

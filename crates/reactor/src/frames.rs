@@ -21,8 +21,13 @@ use std::io::{Read, Write};
 /// a test in armada-live).
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
-/// How much a single `read` call may pull into the buffer.
-const READ_CHUNK: usize = 64 * 1024;
+/// How much a single `read` call may pull in: the length of the scratch
+/// buffer each reactor loop thread reads through.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
+
+/// The scratch [`FrameReader::fill_from`] reads through, for callers
+/// whose messages are small (a client awaiting a probe reply).
+const SMALL_CHUNK: usize = 4096;
 
 /// A defect that makes the byte stream unrecoverable (framing is lost;
 /// the connection must close).
@@ -65,9 +70,12 @@ pub enum Fill {
 /// Accumulates bytes from non-blocking reads and yields complete
 /// frames.
 ///
-/// The internal buffer is bounded by the declared frame length (itself
-/// bounded by [`MAX_FRAME_BYTES`]), so a peer cannot grow it without
-/// first committing to a valid prefix.
+/// The internal buffer holds only bytes received and not yet popped —
+/// reads land in a scratch buffer the caller owns and are appended from
+/// there, so an idle connection's reader costs no memory — and is
+/// bounded by the declared frame length (itself bounded by
+/// [`MAX_FRAME_BYTES`]), so a peer cannot grow it without first
+/// committing to a valid prefix.
 #[derive(Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -88,28 +96,35 @@ impl FrameReader {
         self.buf.len() - self.start
     }
 
-    /// Performs one `read` into the buffer. `WouldBlock` (and every
-    /// other error) is propagated untouched, so the caller's readiness
-    /// loop decides what is retryable.
+    /// Performs one `read` through a small scratch of its own.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameReader::fill_via`].
+    pub fn fill_from<R: Read + ?Sized>(&mut self, src: &mut R) -> std::io::Result<Fill> {
+        self.fill_via(src, &mut [0u8; SMALL_CHUNK])
+    }
+
+    /// Performs one `read` into `scratch` and buffers the bytes it
+    /// produced. `WouldBlock` (and every other error) is propagated
+    /// untouched, so the caller's readiness loop decides what is
+    /// retryable.
     ///
     /// # Errors
     ///
     /// Whatever the underlying `read` returns.
-    pub fn fill_from<R: Read + ?Sized>(&mut self, src: &mut R) -> std::io::Result<Fill> {
-        self.compact();
-        let old_len = self.buf.len();
-        self.buf.resize(old_len + READ_CHUNK, 0);
-        let outcome = src.read(&mut self.buf[old_len..]);
-        match outcome {
-            Ok(n) => {
-                self.buf.truncate(old_len + n);
-                Ok(if n == 0 { Fill::Eof } else { Fill::Bytes(n) })
-            }
-            Err(e) => {
-                self.buf.truncate(old_len);
-                Err(e)
-            }
+    pub fn fill_via<R: Read + ?Sized>(
+        &mut self,
+        src: &mut R,
+        scratch: &mut [u8],
+    ) -> std::io::Result<Fill> {
+        let n = src.read(scratch)?;
+        if n == 0 {
+            return Ok(Fill::Eof);
         }
+        self.compact();
+        self.buf.extend_from_slice(&scratch[..n]);
+        Ok(Fill::Bytes(n))
     }
 
     /// Pops the next complete frame body (prefix stripped), `Ok(None)`
@@ -343,6 +358,97 @@ mod tests {
                 declared: 0xFFFF_FFFF
             })
         ));
+    }
+
+    /// A source that hands out `stream` in reads of the given lengths
+    /// (the last one repeating), whatever buffer it is offered.
+    struct Dribble<'a> {
+        stream: &'a [u8],
+        reads: Vec<usize>,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let want = if self.reads.len() > 1 {
+                self.reads.remove(0)
+            } else {
+                self.reads[0]
+            };
+            let n = want.min(buf.len()).min(self.stream.len());
+            buf[..n].copy_from_slice(&self.stream[..n]);
+            self.stream = &self.stream[n..];
+            Ok(n)
+        }
+    }
+
+    /// Frames pop out the same however the byte stream was cut into
+    /// reads — one byte, mid-prefix, many frames at once, or more than
+    /// the scratch holds — through either fill call.
+    #[test]
+    fn random_read_boundaries_never_change_the_frames() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |below: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below as u64) as usize
+        };
+        for round in 0..200 {
+            let bodies: Vec<Vec<u8>> = (0..1 + draw(6))
+                .map(|_| {
+                    let len = [0, 1, 3, 12, 300, 5_000, 70_000][draw(7)];
+                    (0..len).map(|i| (i + round) as u8).collect()
+                })
+                .collect();
+            let refs: Vec<&[u8]> = bodies.iter().map(Vec::as_slice).collect();
+            let stream = wire(&refs);
+            let mut reads: Vec<usize> = (0..draw(12)).map(|_| 1 + draw(9_000)).collect();
+            reads.push(1 + draw(100_000));
+            let mut src = Dribble {
+                stream: &stream,
+                reads,
+            };
+            let mut scratch = vec![0u8; 1 + draw(20_000)];
+            let mut reader = FrameReader::new();
+            let mut got = Vec::new();
+            loop {
+                let fill = match round % 2 {
+                    0 => reader.fill_via(&mut src, &mut scratch),
+                    _ => reader.fill_from(&mut src),
+                };
+                if fill.unwrap() == Fill::Eof {
+                    break;
+                }
+                while let Some(frame) = reader.pop_frame().unwrap() {
+                    got.push(frame);
+                }
+            }
+            assert_eq!(got, bodies, "round {round}");
+            assert_eq!(reader.buffered(), 0);
+        }
+    }
+
+    /// The reader's memory tracks what it holds: twelve bytes received
+    /// cost twelve bytes' worth of buffer, not a read chunk, and a
+    /// maximum-size frame still round-trips through a loop's scratch.
+    #[test]
+    fn the_buffer_is_as_large_as_what_it_holds() {
+        let mut scratch = vec![0u8; READ_CHUNK];
+        let mut reader = FrameReader::new();
+        let small = wire(&[&[7u8; 12]]);
+        reader
+            .fill_via(&mut Cursor::new(small), &mut scratch)
+            .unwrap();
+        assert_eq!(reader.pop_frame().unwrap(), Some(vec![7u8; 12]));
+        assert!(reader.buf.capacity() <= 4096, "{}", reader.buf.capacity());
+
+        let body: Vec<u8> = (0..MAX_FRAME_BYTES).map(|i| i as u8).collect();
+        let mut src = Cursor::new(wire(&[&body]));
+        let mut popped = None;
+        while reader.fill_via(&mut src, &mut scratch).unwrap() != Fill::Eof {
+            popped = popped.or(reader.pop_frame().unwrap());
+        }
+        assert_eq!(popped, Some(body));
     }
 
     /// The satellite contract, write side: a frame cut off mid-body by

@@ -49,6 +49,36 @@ pub use reactor::{
 pub use slab::{Key, Slab};
 pub use timer::{TimerKey, TimerWheel};
 
+/// Starts an outbound TCP connect without waiting for the handshake, for
+/// callers that wait on a [`Poller`] of their own: returns the stream,
+/// already non-blocking, and whether the connect is still in flight. If
+/// it is, register the stream for writability; once writable,
+/// `take_error()` holds a refusal and `peer_addr()` succeeds exactly when
+/// the handshake is done (a [`LoopPoller`] reports writability early).
+///
+/// Off the syscall shim, and for IPv6 peers, the handshake runs inside
+/// this call instead, bounded by `timeout` — such connects are serial.
+///
+/// # Errors
+///
+/// Socket creation or an immediate connect failure.
+pub fn connect_nonblocking(
+    addr: std::net::SocketAddr,
+    timeout: std::time::Duration,
+) -> std::io::Result<(std::net::TcpStream, bool)> {
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    if let std::net::SocketAddr::V4(v4) = addr {
+        let (fd, in_flight) = sys::tcp_connect_nonblocking(v4)?;
+        return Ok((sys::stream_from(fd), in_flight));
+    }
+    let stream = std::net::TcpStream::connect_timeout(&addr, timeout)?;
+    stream.set_nonblocking(true)?;
+    Ok((stream, false))
+}
+
 /// Raises the process's soft `RLIMIT_NOFILE` toward `want` (clamped to
 /// the hard limit) and returns the resulting soft limit. Needed before
 /// holding tens of thousands of sockets (the `live_c10k` benchmark).

@@ -125,6 +125,12 @@ pub trait Poller: Send {
     fn waker(&self) -> Waker;
 }
 
+impl std::fmt::Debug for dyn Poller {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Poller")
+    }
+}
+
 /// `true` when this build/environment should use the portable poller:
 /// either the epoll shim can't compile here, or the user forced it with
 /// `ARMADA_REACTOR=portable`.

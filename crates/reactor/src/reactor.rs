@@ -24,7 +24,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::frames::{Fill, FrameReader, WriteBuf};
+use crate::frames::{Fill, FrameReader, WriteBuf, READ_CHUNK};
 use crate::poller::{make_poller, portable_default, Event, Interest, Poller, Waker};
 use crate::pool::BlockingPool;
 use crate::slab::{Key, Slab};
@@ -59,7 +59,9 @@ fn ticks(d: Duration) -> u64 {
 ///
 /// Implementations must already be in non-blocking mode and answer
 /// `WouldBlock` honestly — the reactor treats it as "wait for the next
-/// readiness event", never as an error.
+/// readiness event", never as an error — and must pass reads through:
+/// a read shorter than the buffer it was offered says the socket is
+/// drained, so a source may not hold bytes back in a buffer of its own.
 pub trait Source: Read + Write + Send {
     /// The fd registered with the poller.
     fn raw_fd(&self) -> RawFd;
@@ -556,6 +558,7 @@ impl Reactor {
                 cmds,
                 handle: handle.clone(),
                 epoch: Instant::now(),
+                scratch: vec![0u8; READ_CHUNK].into_boxed_slice(),
                 stall_timeout: config.write_stall_timeout,
                 write_cap: config.write_buffer_cap,
                 progress_timeout: config.read_progress_timeout,
@@ -680,6 +683,10 @@ struct EventLoop {
     cmds: Receiver<Cmd>,
     handle: Handle,
     epoch: Instant,
+    /// Every stream read and datagram receive on this loop lands here
+    /// first; only the bytes received are copied on. Sized to the UDP
+    /// payload ceiling, so no datagram arrives truncated.
+    scratch: Box<[u8]>,
     stall_timeout: Duration,
     write_cap: usize,
     progress_timeout: Duration,
@@ -1022,7 +1029,12 @@ impl EventLoop {
 
     // -- read path ---------------------------------------------------------
 
-    fn read_ready(&mut self, key: Key) {
+    /// `closed`: the poller saw the peer hang up, so the stream is read
+    /// to its end; otherwise a read that did not fill the scratch
+    /// buffer has drained the socket and ends the event without a
+    /// second `read` to see `WouldBlock` (polling is level-triggered:
+    /// bytes that arrive meanwhile raise the next event).
+    fn read_ready(&mut self, key: Key, closed: bool) {
         // `Some(close_reason)` once the stream is done for.
         let mut ended: Option<Option<io::Error>> = None;
         // Did a complete frame arrive during this event? Resets the
@@ -1040,10 +1052,10 @@ impl EventLoop {
                     return;
                 };
                 let src: &mut dyn Read = &mut **io;
-                c.reader.fill_from(src)
+                c.reader.fill_via(src, &mut self.scratch)
             };
             match fill {
-                Ok(Fill::Bytes(_)) => {
+                Ok(Fill::Bytes(n)) => {
                     let defect = {
                         let Some(c) = self.conns.get_mut(key) else {
                             return;
@@ -1066,6 +1078,9 @@ impl EventLoop {
                     self.dispatch_inbox(key);
                     if self.conns.get(key).is_none() {
                         return; // a handler closed it mid-batch
+                    }
+                    if n < self.scratch.len() && !closed {
+                        break;
                     }
                 }
                 Ok(Fill::Eof) => {
@@ -1237,7 +1252,7 @@ impl EventLoop {
             return;
         }
         if ev.readable || ev.closed {
-            self.read_ready(key);
+            self.read_ready(key, ev.closed);
         }
         if ev.writable && self.conns.get(key).is_some() {
             self.flush_conn(key);
@@ -1350,13 +1365,12 @@ impl EventLoop {
     }
 
     fn udp_ready(&mut self, key: Key) {
-        let mut buf = [0u8; 64 * 1024];
         loop {
             let (n, peer, socket) = {
                 let Some((socket, _)) = self.udps.get_mut(key) else {
                     return;
                 };
-                match socket.recv_from(&mut buf) {
+                match socket.recv_from(&mut self.scratch) {
                     Ok((n, peer)) => (n, peer, Arc::clone(socket)),
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1367,7 +1381,7 @@ impl EventLoop {
             let Some((_, handler)) = self.udps.get_mut(key) else {
                 return;
             };
-            handler(&buf[..n], peer, &socket, &handle);
+            handler(&self.scratch[..n], peer, &socket, &handle);
         }
     }
 

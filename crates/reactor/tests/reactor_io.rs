@@ -112,6 +112,83 @@ fn framed_echo_over_portable_poller() {
     reactor.shutdown();
 }
 
+/// A stream that counts the `read` calls the reactor makes on it.
+struct CountedReads(TcpStream, Arc<std::sync::atomic::AtomicUsize>);
+
+impl Read for CountedReads {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.1.fetch_add(1, Ordering::SeqCst);
+        self.0.read(buf)
+    }
+}
+
+impl Write for CountedReads {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.write(buf)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush()
+    }
+}
+
+impl Source for CountedReads {
+    fn raw_fd(&self) -> std::os::fd::RawFd {
+        self.0.as_raw_fd()
+    }
+}
+
+/// Regression: every readable event used to pay a second `read` whose
+/// only answer was `WouldBlock`. Polling is level-triggered, so a read
+/// that leaves the scratch buffer unfilled has drained the socket: one
+/// frame in, one `read`. (Epoll only: the portable poller reports
+/// readiness it has not seen, and each such report is a `read`.)
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+#[test]
+fn a_frame_that_fits_the_scratch_buffer_costs_one_read() {
+    let reads = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let reactor = Reactor::new(ReactorConfig {
+        threads: 1,
+        portable: false,
+        ..ReactorConfig::default()
+    })
+    .unwrap();
+    let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let counter = Arc::clone(&reads);
+    let factory = move |stream, _peer| {
+        let io = CountedReads(stream, Arc::clone(&counter));
+        Some((
+            Box::new(io) as Box<dyn Source>,
+            Box::new(Echo) as Box<dyn Conn>,
+        ))
+    };
+    reactor
+        .handle()
+        .add_listener(listener, Box::new(factory))
+        .unwrap();
+
+    let mut client = TcpStream::connect(addr).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    client.set_nodelay(true).unwrap();
+    for round in 0..50u8 {
+        // Prefix and body in one segment, so the frame is one event.
+        let mut wire = 12u32.to_be_bytes().to_vec();
+        wire.extend_from_slice(&[round; 12]);
+        client.write_all(&wire).unwrap();
+        assert_eq!(read_frame(&mut client).unwrap(), [round; 12]);
+        // Let the loop finish the event: a second `read` must find
+        // nothing, not the next frame.
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(reads.load(Ordering::SeqCst), 50);
+    reactor.shutdown();
+}
+
 // -- outbound connect ------------------------------------------------------
 
 struct ClientConn {

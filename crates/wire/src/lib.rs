@@ -35,4 +35,5 @@ pub use proto::{FrameError, Request, Response, WireNodeStatus, WireSummary};
 pub use transport::{
     read_frame_bytes, read_request, read_response, recv_request, recv_response, send_request,
     send_response, write_frame, write_request, write_response, FramedTcp, Transport, UdpTransport,
+    MAX_DATAGRAM_BYTES,
 };

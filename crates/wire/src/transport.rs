@@ -16,7 +16,7 @@
 //! `write_request`/`read_response` family layers codecs on top.
 
 use std::io::{Read, Write};
-use std::net::UdpSocket;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
 
 use crate::codec::{self, Codec};
 use crate::proto::{fill, FrameError, Request, Response, MAX_MESSAGE_BYTES};
@@ -125,24 +125,48 @@ impl<S: Read + Write> Transport for FramedTcp<S> {
 ///
 /// Every live message fits a single datagram comfortably (the probe
 /// messages this backend exists for are under 20 bytes); the receive
-/// buffer is sized to the protocol maximum so nothing is silently
-/// truncated.
+/// buffer is [`MAX_DATAGRAM_BYTES`] long so nothing is silently
+/// truncated, and is the transport's own: made by the first receive,
+/// reused by every later one. A caller juggling several sockets can
+/// receive through [`UdpTransport::get_ref`] into one buffer of its own
+/// of that length instead.
 #[derive(Debug)]
 pub struct UdpTransport {
     socket: UdpSocket,
+    buf: Vec<u8>,
 }
 
+/// The absolute UDP payload ceiling: a datagram cannot arrive truncated
+/// relative to a receive buffer this long.
+pub const MAX_DATAGRAM_BYTES: usize = 65_536;
+
 impl UdpTransport {
-    /// Binds an ephemeral local socket and connects it to `remote`, so
-    /// `send`/`recv` exchange datagrams with that peer only.
+    /// Binds an ephemeral local socket of `remote`'s address family and
+    /// connects it to `remote` (the first of its addresses that takes),
+    /// so `send`/`recv` exchange datagrams with that peer only.
     ///
     /// # Errors
     ///
-    /// Propagates bind/connect failures.
+    /// Propagates resolution failures and the last bind/connect failure.
     pub fn connect<A: std::net::ToSocketAddrs>(remote: A) -> std::io::Result<Self> {
-        let socket = UdpSocket::bind(("0.0.0.0", 0))?;
-        socket.connect(remote)?;
-        Ok(UdpTransport { socket })
+        let mut socket = Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "no address to connect to",
+        ));
+        for remote in remote.to_socket_addrs()? {
+            let local: SocketAddr = match remote {
+                SocketAddr::V4(_) => (Ipv4Addr::UNSPECIFIED, 0).into(),
+                SocketAddr::V6(_) => (Ipv6Addr::UNSPECIFIED, 0).into(),
+            };
+            socket = UdpSocket::bind(local).and_then(|s| s.connect(remote).map(|()| s));
+            if socket.is_ok() {
+                break;
+            }
+        }
+        Ok(UdpTransport {
+            socket: socket?,
+            buf: Vec::new(),
+        })
     }
 
     /// Borrows the underlying socket (e.g. to adjust timeouts).
@@ -163,12 +187,9 @@ impl Transport for UdpTransport {
     }
 
     fn recv_frame(&mut self) -> Result<Vec<u8>, FrameError> {
-        // 64 KiB is the absolute UDP payload ceiling; a datagram cannot
-        // arrive truncated relative to that buffer.
-        let mut buf = vec![0u8; 65_536];
-        let n = self.socket.recv(&mut buf).map_err(FrameError::Io)?;
-        buf.truncate(n);
-        Ok(buf)
+        self.buf.resize(MAX_DATAGRAM_BYTES, 0);
+        let n = self.socket.recv(&mut self.buf).map_err(FrameError::Io)?;
+        Ok(self.buf[..n].to_vec())
     }
 }
 
@@ -314,6 +335,45 @@ mod tests {
         let (resp, codec) = recv_response(&mut client).unwrap();
         assert_eq!(resp, Response::RttPong);
         assert_eq!(codec, Codec::Binary);
+    }
+
+    /// The receive buffer is the UDP payload ceiling long and the
+    /// transport's own: the largest datagram IPv4 loopback carries comes
+    /// back whole, and a short one after it as short as it was sent.
+    #[test]
+    fn udp_transport_receives_the_largest_datagram_whole_and_a_short_one_short() {
+        let server = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let mut client = UdpTransport::connect(server.local_addr().unwrap()).unwrap();
+        client.send_frame(b"hi").unwrap();
+        let (_, peer) = server.recv_from(&mut [0u8; 8]).unwrap();
+
+        let largest: Vec<u8> = (0..65_507).map(|i| i as u8).collect();
+        server.send_to(&largest, peer).unwrap();
+        server.send_to(b"abc", peer).unwrap();
+        assert_eq!(client.recv_frame().unwrap(), largest);
+        assert_eq!(client.recv_frame().unwrap(), b"abc");
+    }
+
+    /// Regression: the local socket was bound to `0.0.0.0` whatever the
+    /// remote's family, so connecting it to an IPv6 peer failed — and
+    /// the client's probe silently took its TCP fallback every round.
+    #[test]
+    fn udp_transport_reaches_an_ipv6_peer() {
+        let Ok(server) = UdpSocket::bind(("::1", 0)) else {
+            eprintln!("skipped: this host has no IPv6 loopback");
+            return;
+        };
+        let mut client = UdpTransport::connect(server.local_addr().unwrap()).unwrap();
+        send_request(&mut client, Codec::Binary, &Request::RttProbe).unwrap();
+        let mut buf = [0u8; 64];
+        let (n, peer) = server.recv_from(&mut buf).unwrap();
+        assert_eq!(
+            codec::decode_request(&buf[..n]).unwrap().0,
+            Request::RttProbe
+        );
+        let pong = Codec::Binary.encode_response(&Response::RttPong);
+        server.send_to(&pong, peer).unwrap();
+        assert_eq!(recv_response(&mut client).unwrap().0, Response::RttPong);
     }
 
     #[test]
