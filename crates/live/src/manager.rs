@@ -31,10 +31,10 @@ const PRUNE_GRACE_WINDOWS: u64 = 1;
 /// off the wire: a client holds at most TopN (≤ 8 in this tree) sockets.
 const MAX_TOP_N: usize = 64;
 
-/// Default bound on each peer-sync RPC (connect + ack read). A dead
-/// peer must cost at most this per round, not an OS connect timeout —
-/// this is the dead-peer budget: a peer that cannot complete the
-/// exchange within it is marked dead until a sync succeeds again.
+/// Bound on each peer-sync RPC (connect + ack read). A dead peer must
+/// cost at most this per round, not an OS connect timeout — this is the
+/// dead-peer budget: a peer that cannot complete the exchange within it
+/// is marked dead until a sync succeeds again.
 const SYNC_RPC_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Backoff applied to a peer whose syncs keep failing: instead of one
@@ -96,15 +96,13 @@ impl ServeFaults {
 /// Timing and sizing knobs of one [`LiveManager`].
 ///
 /// The defaults reproduce the paper deployment's constants (6 s
-/// liveness window, 1 s dead-peer sync budget); tests shrink them so
-/// liveness transitions happen in milliseconds instead of wall-clock
-/// seconds.
+/// liveness window; the 1 s dead-peer sync budget is
+/// `SYNC_RPC_TIMEOUT`); tests shrink them so liveness transitions happen
+/// in milliseconds instead of wall-clock seconds.
 #[derive(Clone)]
 pub struct LiveManagerConfig {
     /// Heartbeats older than this mark a node dead (at least 1 µs).
     pub liveness_window: Duration,
-    /// Bound on each outbound peer-sync RPC (connect + ack read).
-    pub sync_rpc_timeout: Duration,
     /// Reactor event-loop threads serving connections.
     pub threads: usize,
     /// Optional fault injection on accepted connections.
@@ -124,7 +122,6 @@ impl Default for LiveManagerConfig {
     fn default() -> Self {
         LiveManagerConfig {
             liveness_window: LIVENESS_WINDOW,
-            sync_rpc_timeout: SYNC_RPC_TIMEOUT,
             threads: 1,
             serve_faults: None,
             shed_conns: 0,
@@ -251,7 +248,6 @@ impl ManagerState {
 pub struct LiveManager {
     state: Arc<Mutex<ManagerState>>,
     reactor: Reactor,
-    cfg: LiveManagerConfig,
     policy: Arc<OverloadPolicy>,
 }
 
@@ -318,10 +314,6 @@ impl LiveManager {
         }));
         let reactor = Reactor::new(ReactorConfig {
             threads: cfg.threads.max(1),
-            // A stalled client must lose its connection, not pin a
-            // loop's write buffer forever; same 5× budget the old
-            // per-connection write timeout used.
-            write_stall_timeout: cfg.sync_rpc_timeout.saturating_mul(5),
             read_progress_timeout: cfg.read_progress_timeout,
             ..ReactorConfig::default()
         })?;
@@ -354,7 +346,6 @@ impl LiveManager {
         let manager = LiveManager {
             state,
             reactor,
-            cfg,
             policy,
         };
         Ok((manager, addr))
@@ -369,9 +360,8 @@ impl LiveManager {
     /// reactor's timer wheel, so shutdown never waits out a period.
     pub fn start_sync(&mut self, peers: Vec<SocketAddr>, period: Duration) {
         let state = Arc::clone(&self.state);
-        let rpc_timeout = self.cfg.sync_rpc_timeout;
         self.reactor.handle().timer_every(period, move |handle| {
-            sync_round(&state, &peers, rpc_timeout, handle);
+            sync_round(&state, &peers, handle);
         });
     }
 
@@ -427,20 +417,9 @@ impl LiveManager {
         self.policy.sheds.load(Ordering::Relaxed)
     }
 
-    /// Connections currently open across the manager's event loops.
-    pub fn active_conns(&self) -> usize {
-        self.reactor.handle().active_conns()
-    }
-
     /// Aggregate bytes buffered for write across every connection.
     pub fn buffered_write_bytes(&self) -> usize {
         self.reactor.handle().buffered_write_bytes()
-    }
-
-    /// `true` while the manager is past its `shed_conns` threshold and
-    /// shedding discovery queries.
-    pub fn overloaded(&self) -> bool {
-        self.policy.overloaded(self.reactor.handle())
     }
 }
 
@@ -539,12 +518,7 @@ impl RoundTracker {
 
 /// Fires one sync round: snapshot the owned registrations, then push
 /// them to every peer that is neither backing off nor mid-RPC.
-fn sync_round(
-    state: &Arc<Mutex<ManagerState>>,
-    peers: &[SocketAddr],
-    rpc_timeout: Duration,
-    handle: &Handle,
-) {
+fn sync_round(state: &Arc<Mutex<ManagerState>>, peers: &[SocketAddr], handle: &Handle) {
     let (from, summaries) = {
         let s = lock_recover(state);
         let now = s.now();
@@ -595,11 +569,10 @@ fn sync_round(
     for peer in targets {
         handle.connect(
             peer,
-            rpc_timeout,
+            SYNC_RPC_TIMEOUT,
             Box::new(SyncConn {
                 peer,
                 body: body.clone(),
-                rpc_timeout,
                 from,
                 state: Arc::clone(state),
                 round: Arc::clone(&round),
@@ -615,7 +588,6 @@ fn sync_round(
 struct SyncConn {
     peer: SocketAddr,
     body: Vec<u8>,
-    rpc_timeout: Duration,
     from: u64,
     state: Arc<Mutex<ManagerState>>,
     round: Arc<RoundTracker>,
@@ -637,7 +609,7 @@ impl Conn for SyncConn {
     fn on_connected(&mut self, ctx: &mut ConnCtx) {
         ctx.send(std::mem::take(&mut self.body));
         // The budget covers the whole exchange from connect completion.
-        ctx.set_timer(self.rpc_timeout);
+        ctx.set_timer(SYNC_RPC_TIMEOUT);
     }
 
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut ConnCtx) {
@@ -1101,7 +1073,7 @@ mod tests {
     fn default_config_keeps_the_paper_timings() {
         let cfg = LiveManagerConfig::default();
         assert_eq!(cfg.liveness_window, Duration::from_secs(6));
-        assert_eq!(cfg.sync_rpc_timeout, Duration::from_secs(1));
+        assert_eq!(SYNC_RPC_TIMEOUT, Duration::from_secs(1));
         assert!(cfg.serve_faults.is_none());
     }
 

@@ -39,11 +39,6 @@ const HEARTBEAT_PERIOD: Duration = Duration::from_secs(2);
 /// forever.
 const HEARTBEAT_RPC_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Write budget on accepted client connections: a stalled/zero-window
-/// client must lose its connection, not pin a loop's write buffer
-/// forever. Reads stay unbounded — idle client connections are normal.
-const SERVE_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-
 /// The kernel's default timer slack: the finest step a blocking wait
 /// resolves, and the step this node watches its ledger in. A reply due
 /// sooner than one step is waited for on the loop thread, re-reading
@@ -457,7 +452,6 @@ impl LiveNode {
         });
         let reactor = Reactor::new(ReactorConfig {
             threads: live.threads.max(1),
-            write_stall_timeout: SERVE_WRITE_TIMEOUT,
             ..ReactorConfig::default()
         })?;
         let handle = reactor.handle();

@@ -15,7 +15,9 @@ use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use armada_client::ProbeResult;
-use armada_reactor::{connect_nonblocking, Event, Fill, FrameReader, Interest, Poller};
+use armada_reactor::{
+    connect_finished, connect_nonblocking, Event, Fill, FrameReader, Interest, Poller,
+};
 use armada_trace::{s, u, Severity, Tracer};
 use armada_types::{NodeId, SimDuration};
 use armada_wire::{decode_response, send_request, write_request};
@@ -297,12 +299,10 @@ impl Probe {
     /// the stream's end) can be read.
     fn on_stream(&mut self, cx: &mut Cx) -> Option<()> {
         if self.connect_by.is_some() {
-            match (self.stream.take_error(), self.stream.peer_addr()) {
-                (Ok(None), Ok(_)) => self.connect_by = None,
-                // Readiness reported early: the handshake is still going.
-                (Ok(None), Err(e)) if e.kind() == ErrorKind::NotConnected => return Some(()),
-                _ => return None,
+            if !connect_finished(&self.stream).ok()? {
+                return Some(()); // readiness reported early
             }
+            self.connect_by = None;
             let fd = self.stream.as_raw_fd();
             cx.poller.reregister(fd, self.token, Interest::READ).ok()?;
             // No UDP leg and no answer: the probe goes in-stream now.

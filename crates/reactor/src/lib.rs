@@ -12,8 +12,12 @@
 //! The [`Reactor`] runs N loop threads (default: one per core); each
 //! owns its poller, wheel, and connections, so there is no shared-state
 //! contention on the hot path. Protocol logic plugs in as [`Conn`]
-//! state machines fed complete frames; blocking work offloads to an
-//! elastic [`BlockingPool`] and rejoins through a [`Handle`].
+//! state machines fed complete frames. An outbound connect is one
+//! [`connect_nonblocking`] finished by [`connect_finished`], the same
+//! pair a client's probe round runs on a poller of its own; the elastic
+//! [`BlockingPool`] dials only what the shim cannot start (IPv6, off
+//! Linux) and runs whatever else a handler must block on, rejoining
+//! through a [`Handle`].
 //!
 //! Set `ARMADA_REACTOR=portable` to swap epoll for the [`LoopPoller`]
 //! readiness-loop fallback — same observable behaviour, no epoll
@@ -49,12 +53,10 @@ pub use reactor::{
 pub use slab::{Key, Slab};
 pub use timer::{TimerKey, TimerWheel};
 
-/// Starts an outbound TCP connect without waiting for the handshake, for
-/// callers that wait on a [`Poller`] of their own: returns the stream,
-/// already non-blocking, and whether the connect is still in flight. If
-/// it is, register the stream for writability; once writable,
-/// `take_error()` holds a refusal and `peer_addr()` succeeds exactly when
-/// the handshake is done (a [`LoopPoller`] reports writability early).
+/// Starts an outbound TCP connect without waiting for the handshake:
+/// returns the stream, already non-blocking, and whether the connect is
+/// still in flight. If it is, register the stream for writability and
+/// ask [`connect_finished`] on each writable event.
 ///
 /// Off the syscall shim, and for IPv6 peers, the handshake runs inside
 /// this call instead, bounded by `timeout` — such connects are serial.
@@ -72,11 +74,39 @@ pub fn connect_nonblocking(
     ))]
     if let std::net::SocketAddr::V4(v4) = addr {
         let (fd, in_flight) = sys::tcp_connect_nonblocking(v4)?;
-        return Ok((sys::stream_from(fd), in_flight));
+        return Ok((fd.into(), in_flight));
     }
     let stream = std::net::TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_nonblocking(true)?;
     Ok((stream, false))
+}
+
+/// `true` when [`connect_nonblocking`] returns at once for `addr`: the
+/// syscall shim starts IPv4 connects and leaves them in flight.
+pub(crate) fn connects_in_flight(addr: &std::net::SocketAddr) -> bool {
+    cfg!(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    )) && addr.is_ipv4()
+}
+
+/// Where a connect begun by [`connect_nonblocking`] stands once its
+/// stream reports writable: `Ok(true)` connected, `Ok(false)` still in
+/// flight (a [`LoopPoller`] reports writability early).
+///
+/// # Errors
+///
+/// The connect failed: the refusal `take_error()` holds, or whatever
+/// else `peer_addr()` reports.
+pub fn connect_finished(stream: &std::net::TcpStream) -> std::io::Result<bool> {
+    if let Some(refused) = stream.take_error()? {
+        return Err(refused);
+    }
+    match stream.peer_addr() {
+        Ok(_) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::NotConnected => Ok(false),
+        Err(e) => Err(e),
+    }
 }
 
 /// Raises the process's soft `RLIMIT_NOFILE` toward `want` (clamped to

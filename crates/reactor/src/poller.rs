@@ -190,8 +190,9 @@ pub struct EpollPoller {
 ))]
 impl EpollPoller {
     /// Token carried by the internal wakeup eventfd; filtered out of
-    /// results. Kind bits 3 (waker) per the reactor's token scheme.
-    const WAKE_TOKEN: u64 = 3 << 62;
+    /// results. All ones: a reactor token would need a slab key with
+    /// both halves at 2³¹ − 1 to match it.
+    const WAKE_TOKEN: u64 = u64::MAX;
 
     /// Creates the epoll set and its wakeup eventfd.
     pub fn new() -> io::Result<Self> {

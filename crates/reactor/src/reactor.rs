@@ -11,6 +11,11 @@
 //! must sleep is offloaded to the shared [`BlockingPool`] and rejoins
 //! the loop through a [`Handle`].
 //!
+//! An outbound connect is a dial on its loop until it completes: the
+//! stream [`connect_nonblocking`] started, watched for writability and
+//! asked [`connect_finished`] on each event, then installed as a
+//! connection like an accepted one.
+//!
 //! Everything addressable across threads is generational: a [`ConnId`]
 //! held by an offloaded job simply stops resolving once the connection
 //! dies, so late completions are harmless no-ops.
@@ -29,18 +34,18 @@ use crate::poller::{make_poller, portable_default, Event, Interest, Poller, Wake
 use crate::pool::BlockingPool;
 use crate::slab::{Key, Slab};
 use crate::timer::{TimerKey, TimerWheel};
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-use crate::sys;
+use crate::{connect_finished, connect_nonblocking, connects_in_flight};
 
 // Token layout: 2 kind bits over the slab key's 62.
 const KIND_SHIFT: u32 = 62;
 const KIND_CONN: u64 = 0;
 const KIND_LISTENER: u64 = 1;
 const KIND_UDP: u64 = 2;
+const KIND_DIAL: u64 = 3;
+
+/// Per-connection outbound backlog bound: a connection whose unflushed
+/// frames would pass it is closed ("outbound backlog exceeded").
+const WRITE_BUFFER_CAP: usize = 8 << 20;
 
 fn token(kind: u64, key: Key) -> u64 {
     (kind << KIND_SHIFT) | key.to_bits()
@@ -217,11 +222,7 @@ enum Cmd {
     AddListener(TcpListener, AcceptFactory),
     AddUdp(UdpSocket, UdpHandler),
     AddConn(Box<dyn Source>, Box<dyn Conn>),
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    ConnectV4(std::net::SocketAddrV4, Duration, Box<dyn Conn>),
+    Dial(TcpStream, Duration, Box<dyn Conn>),
     ConnectFailed(Box<dyn Conn>, io::Error),
     Send(Key, Vec<u8>),
     Resume(Key),
@@ -238,26 +239,6 @@ pub struct ReactorConfig {
     /// How long a connection may sit with unflushed writes before it is
     /// declared stalled and closed.
     pub write_stall_timeout: Duration,
-    /// Per-connection outbound backlog bound (bytes).
-    pub write_buffer_cap: usize,
-    /// Cap on blocking-pool threads.
-    pub pool_max: usize,
-    /// Bound on queued blocking-pool jobs once every pool worker is
-    /// busy (`0` = unbounded). Only [`BlockingPool::try_spawn`]
-    /// enforces it — saturated callers degrade instead of queueing.
-    pub pool_queue_cap: usize,
-    /// Global cap on concurrently open connections (accepted and
-    /// outbound) across every loop. Accepting pauses at the cap and
-    /// resumes as connections close; `0` disables the cap.
-    pub max_conns: usize,
-    /// Aggregate buffered-write high watermark in bytes across every
-    /// connection: at or above it [`Handle::overloaded`] reports
-    /// `true`. `0` disables overload detection by backlog.
-    pub write_high_watermark: usize,
-    /// Aggregate buffered-write low watermark in bytes: once
-    /// saturated, [`Handle::overloaded`] stays `true` until the
-    /// backlog drains to this level (hysteresis).
-    pub write_low_watermark: usize,
     /// How long a connection may hold a partially received frame
     /// without completing it before it is evicted as a slow reader
     /// (slow-loris defense). `Duration::ZERO` disables the deadline.
@@ -273,67 +254,9 @@ impl Default for ReactorConfig {
         ReactorConfig {
             threads: 0,
             write_stall_timeout: Duration::from_secs(5),
-            write_buffer_cap: 8 << 20,
-            pool_max: 256,
-            pool_queue_cap: 0,
-            max_conns: 0,
-            write_high_watermark: 0,
-            write_low_watermark: 0,
             read_progress_timeout: Duration::from_secs(30),
             portable: portable_default(),
         }
-    }
-}
-
-/// Shared resource accounting across every loop: open-connection
-/// count, aggregate buffered-write bytes, and the watermark-hysteresis
-/// saturation flag they feed.
-struct Budgets {
-    conns: AtomicUsize,
-    write_bytes: AtomicUsize,
-    saturated: AtomicBool,
-    high: usize,
-    low: usize,
-    max_conns: usize,
-}
-
-impl Budgets {
-    fn new(config: &ReactorConfig) -> Budgets {
-        Budgets {
-            conns: AtomicUsize::new(0),
-            write_bytes: AtomicUsize::new(0),
-            saturated: AtomicBool::new(false),
-            high: config.write_high_watermark,
-            low: config.write_low_watermark,
-            max_conns: config.max_conns,
-        }
-    }
-
-    /// Applies one connection's buffered-write change (`before` →
-    /// `after` pending bytes) to the aggregate, flipping the
-    /// saturation flag at the high watermark and clearing it once the
-    /// total drains to the low watermark.
-    fn note_write_delta(&self, before: usize, after: usize) {
-        if after > before {
-            let grew = after - before;
-            let total = self.write_bytes.fetch_add(grew, Ordering::Relaxed) + grew;
-            if self.high > 0 && total >= self.high {
-                self.saturated.store(true, Ordering::Relaxed);
-            }
-        } else if before > after {
-            let shrank = before - after;
-            let total = self
-                .write_bytes
-                .fetch_sub(shrank, Ordering::Relaxed)
-                .saturating_sub(shrank);
-            if self.high > 0 && total <= self.low {
-                self.saturated.store(false, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn conns_full(&self) -> bool {
-        self.max_conns > 0 && self.conns.load(Ordering::Relaxed) >= self.max_conns
     }
 }
 
@@ -343,8 +266,24 @@ struct HandleInner {
     rr: AtomicUsize,
     shutdown: AtomicBool,
     pool: BlockingPool,
-    budgets: Budgets,
-    portable: bool,
+    /// Connections open across every loop.
+    conns: AtomicUsize,
+    /// Bytes buffered for write across every connection.
+    write_bytes: AtomicUsize,
+}
+
+impl HandleInner {
+    /// Applies one connection's buffered-write change (`before` →
+    /// `after` pending bytes) to the aggregate.
+    fn note_write_delta(&self, before: usize, after: usize) {
+        if after > before {
+            self.write_bytes
+                .fetch_add(after - before, Ordering::Relaxed);
+        } else {
+            self.write_bytes
+                .fetch_sub(before - after, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Cloneable, thread-safe entry point into a running reactor: register
@@ -386,23 +325,14 @@ impl Handle {
     /// Connections currently open across every loop.
     #[must_use]
     pub fn active_conns(&self) -> usize {
-        self.inner.budgets.conns.load(Ordering::Relaxed)
+        self.inner.conns.load(Ordering::Relaxed)
     }
 
     /// Aggregate bytes currently buffered for write across every
     /// connection (reactor-side backlog only, not kernel buffers).
     #[must_use]
     pub fn buffered_write_bytes(&self) -> usize {
-        self.inner.budgets.write_bytes.load(Ordering::Relaxed)
-    }
-
-    /// `true` while the aggregate write backlog sits at or above the
-    /// configured high watermark; cleared with hysteresis once it
-    /// drains to the low watermark. Always `false` when watermarks are
-    /// disabled ([`ReactorConfig::write_high_watermark`] of `0`).
-    #[must_use]
-    pub fn overloaded(&self) -> bool {
-        self.inner.budgets.saturated.load(Ordering::Relaxed)
+        self.inner.write_bytes.load(Ordering::Relaxed)
     }
 
     /// Hands a listening socket to a loop; each accepted connection is
@@ -434,34 +364,27 @@ impl Handle {
         self.send_to(self.next_loop(), Cmd::AddConn(io, conn));
     }
 
-    /// Starts an outbound TCP connect. On Linux/epoll IPv4 this is a
-    /// true non-blocking connect completed by writability; otherwise a
-    /// pool thread runs `connect_timeout`. Either way exactly one of
+    /// Starts an outbound TCP connect with [`connect_nonblocking`], which
+    /// a loop finishes with [`connect_finished`] whichever poller it
+    /// runs; an address that call would block on (IPv6, off the syscall
+    /// shim) is dialled on a pool thread. Either way exactly one of
     /// `on_connected` or `on_close(Some(err))` eventually fires on
-    /// `conn`.
+    /// `conn`, the latter at the latest once `timeout` has passed.
     pub fn connect(&self, addr: SocketAddr, timeout: Duration, conn: Box<dyn Conn>) {
         let idx = self.next_loop();
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        {
-            if !self.inner.portable {
-                if let SocketAddr::V4(v4) = addr {
-                    self.send_to(idx, Cmd::ConnectV4(v4, timeout, conn));
-                    return;
-                }
-            }
-        }
         let handle = self.clone();
-        self.inner.pool.spawn(move || {
-            match TcpStream::connect_timeout(&addr, timeout)
-                .and_then(|s| s.set_nonblocking(true).map(|()| s))
-            {
-                Ok(stream) => handle.send_to(idx, Cmd::AddConn(Box::new(stream), conn)),
-                Err(e) => handle.send_to(idx, Cmd::ConnectFailed(conn, e)),
-            }
-        });
+        let dial = move || {
+            let cmd = match connect_nonblocking(addr, timeout) {
+                Ok((stream, _)) => Cmd::Dial(stream, timeout, conn),
+                Err(e) => Cmd::ConnectFailed(conn, e),
+            };
+            handle.send_to(idx, cmd);
+        };
+        if connects_in_flight(&addr) {
+            dial();
+        } else {
+            self.inner.pool.spawn(dial);
+        }
     }
 
     /// Queues a frame body on a connection (no-op for stale ids).
@@ -541,9 +464,9 @@ impl Reactor {
                 wakers,
                 rr: AtomicUsize::new(0),
                 shutdown: AtomicBool::new(false),
-                pool: BlockingPool::bounded(config.pool_max, config.pool_queue_cap),
-                budgets: Budgets::new(&config),
-                portable: config.portable,
+                pool: BlockingPool::new(256),
+                conns: AtomicUsize::new(0),
+                write_bytes: AtomicUsize::new(0),
             }),
         };
         let mut threads = Vec::with_capacity(n);
@@ -553,6 +476,7 @@ impl Reactor {
                 poller,
                 wheel: TimerWheel::new(),
                 conns: Slab::new(),
+                dials: Slab::new(),
                 listeners: Slab::new(),
                 udps: Slab::new(),
                 cmds,
@@ -560,7 +484,6 @@ impl Reactor {
                 epoch: Instant::now(),
                 scratch: vec![0u8; READ_CHUNK].into_boxed_slice(),
                 stall_timeout: config.write_stall_timeout,
-                write_cap: config.write_buffer_cap,
                 progress_timeout: config.read_progress_timeout,
             };
             threads.push(
@@ -597,40 +520,16 @@ impl Drop for Reactor {
 // Event loop internals
 // ---------------------------------------------------------------------------
 
-enum ConnIo {
-    /// Non-blocking connect in flight; completes on writability.
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    Connecting(std::os::fd::OwnedFd),
-    Ready(Box<dyn Source>),
-    /// Transient state during connect completion; never observed.
-    Empty,
-}
-
-impl ConnIo {
-    fn is_connecting(&self) -> bool {
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        {
-            matches!(self, ConnIo::Connecting(_))
-        }
-        #[cfg(not(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )))]
-        {
-            false
-        }
-    }
+/// An outbound connect in flight, watched for writability under a
+/// [`KIND_DIAL`] token. It has no [`ConnId`] yet: its `Conn` hears
+/// nothing before `on_connected` or `on_close`.
+struct Dial {
+    stream: TcpStream,
+    conn: Box<dyn Conn>,
 }
 
 struct Connection {
-    io: ConnIo,
-    fd: RawFd,
+    io: Box<dyn Source>,
     conn: Box<dyn Conn>,
     reader: FrameReader,
     writer: WriteBuf,
@@ -642,7 +541,6 @@ struct Connection {
     closing: bool,
     timer: Option<TimerKey>,
     stall: Option<TimerKey>,
-    connect_deadline: Option<TimerKey>,
     /// Slow-read (slow-loris) deadline; armed while a partially
     /// received frame is pending, reset whenever a frame completes.
     progress: Option<TimerKey>,
@@ -653,14 +551,12 @@ enum TimerTask {
     WriteStall(Key),
     /// Slow-read deadline: a partial frame must have completed by now.
     ReadProgress(Key),
-    /// A parked listener (fd table or connection budget exhausted)
-    /// re-checks whether it can accept again.
+    /// A listener parked on a full fd table re-checks whether it can
+    /// accept again.
     AcceptRetry(Key),
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    ConnectTimeout(Key),
+    /// A dial's deadline; never cancelled, it finds a dial that ended
+    /// gone from its slot.
+    DialTimeout(Key),
     Once(OnceFn),
     Every(u64, RepeatFn),
 }
@@ -678,6 +574,7 @@ struct EventLoop {
     poller: Box<dyn Poller>,
     wheel: TimerWheel<TimerTask>,
     conns: Slab<Connection>,
+    dials: Slab<Dial>,
     listeners: Slab<ListenerEntry>,
     udps: Slab<(Arc<UdpSocket>, UdpHandler)>,
     cmds: Receiver<Cmd>,
@@ -688,7 +585,6 @@ struct EventLoop {
     /// payload ceiling, so no datagram arrives truncated.
     scratch: Box<[u8]>,
     stall_timeout: Duration,
-    write_cap: usize,
     progress_timeout: Duration,
 }
 
@@ -700,7 +596,7 @@ const MAX_POLL: Duration = Duration::from_millis(500);
 /// connections (level-triggered polling re-reports leftover data).
 const MAX_FILLS_PER_EVENT: usize = 16;
 
-/// How often a parked listener re-checks the fd/connection budgets.
+/// How often a parked listener re-checks the fd table.
 const ACCEPT_RETRY: Duration = Duration::from_millis(25);
 
 /// Did this accept/open failure mean the process (`EMFILE`) or system
@@ -754,19 +650,13 @@ impl EventLoop {
             }
         }
         // Teardown: drop everything without on_close callbacks (the
-        // shared budgets still settle, for anyone holding the handle).
-        let open = self.conns.len();
+        // shared counts still settle, for anyone holding the handle).
+        let inner = &self.handle.inner;
+        inner.conns.fetch_sub(self.conns.len(), Ordering::Relaxed);
         for c in self.conns.drain() {
-            self.handle
-                .inner
-                .budgets
-                .note_write_delta(c.writer.pending(), 0);
+            inner.note_write_delta(c.writer.pending(), 0);
         }
-        self.handle
-            .inner
-            .budgets
-            .conns
-            .fetch_sub(open, Ordering::Relaxed);
+        self.dials.drain();
         self.listeners.drain();
         self.udps.drain();
     }
@@ -808,14 +698,8 @@ impl EventLoop {
                     self.udps.remove(key);
                 }
             }
-            Cmd::AddConn(io, conn) => {
-                self.install_conn(ConnIo::Ready(io), conn);
-            }
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Cmd::ConnectV4(addr, timeout, conn) => self.start_connect(addr, timeout, conn),
+            Cmd::AddConn(io, conn) => self.install_conn(io, conn),
+            Cmd::Dial(stream, timeout, conn) => self.start_dial(stream, timeout, conn),
             Cmd::ConnectFailed(mut conn, err) => conn.on_close(Some(&err), &self.handle),
             Cmd::Send(key, body) => self.queue_frame(key, body),
             Cmd::Resume(key) => self.resume(key),
@@ -832,88 +716,87 @@ impl EventLoop {
         }
     }
 
-    fn install_conn(&mut self, io: ConnIo, mut conn: Box<dyn Conn>) -> Option<Key> {
-        let fd = match &io {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            ConnIo::Connecting(fd) => fd.as_raw_fd(),
-            ConnIo::Ready(s) => s.raw_fd(),
-            ConnIo::Empty => {
-                debug_assert!(false, "installing an empty ConnIo");
-                return None;
-            }
-        };
-        let connecting = io.is_connecting();
-        let interest = if connecting {
-            Interest::WRITE
-        } else {
-            Interest::READ
-        };
-        if self.handle.is_shutdown() {
-            // Don't register into a loop that is about to tear down.
+    /// `false` (and `conn` told so) once the loop is about to tear down:
+    /// nothing new is registered into it.
+    fn admit(&self, conn: &mut dyn Conn) -> bool {
+        let open = !self.handle.is_shutdown();
+        if !open {
             conn.on_close(Some(&io::Error::other("reactor shut down")), &self.handle);
-            return None;
         }
+        open
+    }
+
+    fn install_conn(&mut self, io: Box<dyn Source>, mut conn: Box<dyn Conn>) {
+        if !self.admit(&mut *conn) {
+            return;
+        }
+        let fd = io.raw_fd();
         let key = self.conns.insert(Connection {
             io,
-            fd,
             conn,
             reader: FrameReader::new(),
-            writer: WriteBuf::new(self.write_cap),
+            writer: WriteBuf::new(WRITE_BUFFER_CAP),
             inbox: VecDeque::new(),
-            interest,
+            interest: Interest::READ,
             paused: false,
             closing: false,
             timer: None,
             stall: None,
-            connect_deadline: None,
             progress: None,
         });
-        if let Err(e) = self.poller.register(fd, token(KIND_CONN, key), interest) {
+        if let Err(e) = self
+            .poller
+            .register(fd, token(KIND_CONN, key), Interest::READ)
+        {
             if let Some(mut c) = self.conns.remove(key) {
                 c.conn.on_close(Some(&e), &self.handle);
             }
-            return None;
+            return;
         }
-        self.handle
-            .inner
-            .budgets
-            .conns
-            .fetch_add(1, Ordering::Relaxed);
-        if !connecting {
-            self.fire_connected(key);
-        }
-        Some(key)
+        self.handle.inner.conns.fetch_add(1, Ordering::Relaxed);
+        self.fire_connected(key);
     }
 
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    fn start_connect(
-        &mut self,
-        addr: std::net::SocketAddrV4,
-        timeout: Duration,
-        mut conn: Box<dyn Conn>,
-    ) {
-        match sys::tcp_connect_nonblocking(addr) {
-            Err(e) => conn.on_close(Some(&e), &self.handle),
-            Ok((fd, in_progress)) => {
-                if in_progress {
-                    let deadline = self.deadline(timeout);
-                    if let Some(key) = self.install_conn(ConnIo::Connecting(fd), conn) {
-                        let tk = self.wheel.insert(deadline, TimerTask::ConnectTimeout(key));
-                        if let Some(c) = self.conns.get_mut(key) {
-                            c.connect_deadline = Some(tk);
-                        }
-                    }
-                } else {
-                    let stream = sys::stream_from(fd);
-                    self.install_conn(ConnIo::Ready(Box::new(stream)), conn);
-                }
+    fn start_dial(&mut self, stream: TcpStream, timeout: Duration, mut conn: Box<dyn Conn>) {
+        if !self.admit(&mut *conn) {
+            return;
+        }
+        let fd = stream.as_raw_fd();
+        let key = self.dials.insert(Dial { stream, conn });
+        match self
+            .poller
+            .register(fd, token(KIND_DIAL, key), Interest::WRITE)
+        {
+            Ok(()) => {
+                let deadline = self.deadline(timeout);
+                self.wheel.insert(deadline, TimerTask::DialTimeout(key));
             }
+            Err(e) => self.end_dial(key, Err(e)),
+        }
+    }
+
+    /// The dial's stream reported writable: is the connect done?
+    fn dial_ready(&mut self, key: Key) {
+        match self.dials.get(key).map(|d| connect_finished(&d.stream)) {
+            Some(Ok(true)) => self.end_dial(key, Ok(())),
+            Some(Err(e)) => self.end_dial(key, Err(e)),
+            // Readiness reported early, or a dial already ended.
+            Some(Ok(false)) | None => {}
+        }
+    }
+
+    /// Takes the dial off the poller: a connected stream becomes a
+    /// connection, a failed one closes its `Conn`.
+    fn end_dial(&mut self, key: Key, outcome: io::Result<()>) {
+        let Some(Dial { stream, mut conn }) = self.dials.remove(key) else {
+            return;
+        };
+        let _ = self
+            .poller
+            .deregister(stream.as_raw_fd(), token(KIND_DIAL, key));
+        match outcome {
+            Ok(()) => self.install_conn(Box::new(stream), conn),
+            Err(e) => conn.on_close(Some(&e), &self.handle),
         }
     }
 
@@ -974,7 +857,7 @@ impl EventLoop {
             let overflow = c.writer.push_frame(&body).is_err();
             (overflow, before, c.writer.pending())
         };
-        self.handle.inner.budgets.note_write_delta(before, after);
+        self.handle.inner.note_write_delta(before, after);
         if overflow {
             self.close_conn(key, Some(io::Error::other("outbound backlog exceeded")));
         } else {
@@ -987,16 +870,12 @@ impl EventLoop {
             let Some(c) = self.conns.get_mut(key) else {
                 return;
             };
-            let ConnIo::Ready(io) = &mut c.io else {
-                // Still connecting: frames wait for completion.
-                return;
-            };
-            let dst: &mut dyn Write = &mut **io;
+            let dst: &mut dyn Write = &mut *c.io;
             let before = c.writer.pending();
             let outcome = c.writer.write_to(dst);
             (outcome, before, c.writer.pending())
         };
-        self.handle.inner.budgets.note_write_delta(before, after);
+        self.handle.inner.note_write_delta(before, after);
         match outcome {
             Ok(true) => {
                 let closing = {
@@ -1045,13 +924,10 @@ impl EventLoop {
                 let Some(c) = self.conns.get_mut(key) else {
                     return;
                 };
-                if c.closing || c.io.is_connecting() {
+                if c.closing {
                     return;
                 }
-                let ConnIo::Ready(io) = &mut c.io else {
-                    return;
-                };
-                let src: &mut dyn Read = &mut **io;
+                let src: &mut dyn Read = &mut *c.io;
                 c.reader.fill_via(src, &mut self.scratch)
             };
             match fill {
@@ -1178,7 +1054,7 @@ impl EventLoop {
             }
             c.closing = true;
             c.inbox.clear();
-            c.writer.is_empty() || c.io.is_connecting()
+            c.writer.is_empty()
         };
         if close_now {
             self.close_conn(key, None);
@@ -1191,21 +1067,16 @@ impl EventLoop {
         let Some(mut c) = self.conns.remove(key) else {
             return;
         };
-        let _ = self.poller.deregister(c.fd, token(KIND_CONN, key));
-        for tk in [
-            c.timer.take(),
-            c.stall.take(),
-            c.connect_deadline.take(),
-            c.progress.take(),
-        ]
-        .into_iter()
-        .flatten()
+        let _ = self.poller.deregister(c.io.raw_fd(), token(KIND_CONN, key));
+        for tk in [c.timer.take(), c.stall.take(), c.progress.take()]
+            .into_iter()
+            .flatten()
         {
             self.wheel.cancel(tk);
         }
-        let budgets = &self.handle.inner.budgets;
-        budgets.note_write_delta(c.writer.pending(), 0);
-        budgets.conns.fetch_sub(1, Ordering::Relaxed);
+        let inner = &self.handle.inner;
+        inner.note_write_delta(c.writer.pending(), 0);
+        inner.conns.fetch_sub(1, Ordering::Relaxed);
         c.conn.on_close(err.as_ref(), &self.handle);
         // The fd closes when `c.io` drops here.
     }
@@ -1214,15 +1085,14 @@ impl EventLoop {
         let Some(c) = self.conns.get_mut(key) else {
             return;
         };
-        let connecting = c.io.is_connecting();
         let want = Interest {
-            readable: !connecting && !c.paused && !c.closing,
-            writable: connecting || !c.writer.is_empty(),
+            readable: !c.paused && !c.closing,
+            writable: !c.writer.is_empty(),
         };
         if want != c.interest
             && self
                 .poller
-                .reregister(c.fd, token(KIND_CONN, key), want)
+                .reregister(c.io.raw_fd(), token(KIND_CONN, key), want)
                 .is_ok()
         {
             c.interest = want;
@@ -1237,72 +1107,22 @@ impl EventLoop {
         match kind {
             KIND_LISTENER => self.accept_ready(key),
             KIND_UDP => self.udp_ready(key),
-            KIND_CONN => self.conn_ready(key, ev),
-            _ => {}
-        }
-    }
-
-    fn conn_ready(&mut self, key: Key, ev: Event) {
-        if self.conns.get(key).map(|c| c.io.is_connecting()) == Some(true) {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            self.finish_connect(key);
-            return;
-        }
-        if ev.readable || ev.closed {
-            self.read_ready(key, ev.closed);
-        }
-        if ev.writable && self.conns.get(key).is_some() {
-            self.flush_conn(key);
-        }
-    }
-
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    fn finish_connect(&mut self, key: Key) {
-        let result = {
-            let Some(c) = self.conns.get_mut(key) else {
-                return;
-            };
-            let ConnIo::Connecting(fd) = &c.io else {
-                return;
-            };
-            sys::take_connect_result(fd)
-        };
-        match result {
-            Ok(()) => {
-                {
-                    let Some(c) = self.conns.get_mut(key) else {
-                        return;
-                    };
-                    let ConnIo::Connecting(fd) = std::mem::replace(&mut c.io, ConnIo::Empty) else {
-                        return;
-                    };
-                    c.io = ConnIo::Ready(Box::new(sys::stream_from(fd)));
-                    if let Some(tk) = c.connect_deadline.take() {
-                        self.wheel.cancel(tk);
-                    }
+            KIND_DIAL => self.dial_ready(key),
+            KIND_CONN => {
+                if ev.readable || ev.closed {
+                    self.read_ready(key, ev.closed);
                 }
-                self.update_interest(key);
-                self.fire_connected(key);
-                // on_connected usually queues the request; make sure a
-                // graceful close requested there still completes.
+                if ev.writable && self.conns.get(key).is_some() {
+                    self.flush_conn(key);
+                }
             }
-            Err(e) => self.close_conn(key, Some(e)),
+            _ => {}
         }
     }
 
     fn accept_ready(&mut self, key: Key) {
         loop {
             if self.listeners.get(key).map(|l| l.paused) != Some(false) {
-                return;
-            }
-            if self.handle.inner.budgets.conns_full() {
-                self.pause_accept(key, "connection budget exhausted");
                 return;
             }
             let (stream, peer) = {
@@ -1318,7 +1138,7 @@ impl EventLoop {
                     // and resume once connections close; established
                     // connections keep being served throughout.
                     Err(e) if fd_exhausted(&e) => {
-                        self.pause_accept(key, "fd table exhausted (EMFILE/ENFILE)");
+                        self.pause_accept(key);
                         return;
                     }
                     // Other transient accept failures (aborted
@@ -1345,9 +1165,9 @@ impl EventLoop {
 
     /// Parks a listener: deregisters it from the poller (so a full
     /// backlog cannot spin the loop) and arms an [`TimerTask::AcceptRetry`]
-    /// to re-check the budgets shortly. Exactly one retry timer is
+    /// to re-check the fd table shortly. Exactly one retry timer is
     /// outstanding per parked listener.
-    fn pause_accept(&mut self, key: Key, why: &str) {
+    fn pause_accept(&mut self, key: Key) {
         {
             let Some(l) = self.listeners.get_mut(key) else {
                 return;
@@ -1359,7 +1179,7 @@ impl EventLoop {
             let fd = l.listener.as_raw_fd();
             let _ = self.poller.deregister(fd, token(KIND_LISTENER, key));
         }
-        eprintln!("armada-reactor: accept paused on loop {}: {why}; retrying every {}ms until a connection closes", self.idx, ACCEPT_RETRY.as_millis());
+        eprintln!("armada-reactor: accept paused on loop {}: fd table exhausted (EMFILE/ENFILE); retrying every {}ms until a connection closes", self.idx, ACCEPT_RETRY.as_millis());
         let deadline = self.deadline(ACCEPT_RETRY);
         self.wheel.insert(deadline, TimerTask::AcceptRetry(key));
     }
@@ -1416,24 +1236,9 @@ impl EventLoop {
                     );
                 }
             }
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            TimerTask::ConnectTimeout(key) => {
-                let still_connecting = {
-                    let Some(c) = self.conns.get_mut(key) else {
-                        return;
-                    };
-                    c.connect_deadline = None;
-                    c.io.is_connecting()
-                };
-                if still_connecting {
-                    self.close_conn(
-                        key,
-                        Some(io::Error::new(io::ErrorKind::TimedOut, "connect timed out")),
-                    );
-                }
+            TimerTask::DialTimeout(key) => {
+                let timed_out = io::Error::new(io::ErrorKind::TimedOut, "connect timed out");
+                self.end_dial(key, Err(timed_out));
             }
             TimerTask::ReadProgress(key) => {
                 let (stalled, paused) = {
@@ -1462,11 +1267,6 @@ impl EventLoop {
                 }
             }
             TimerTask::AcceptRetry(key) => {
-                if self.handle.inner.budgets.conns_full() {
-                    let deadline = self.deadline(ACCEPT_RETRY);
-                    self.wheel.insert(deadline, TimerTask::AcceptRetry(key));
-                    return;
-                }
                 let registered = {
                     let Some(l) = self.listeners.get_mut(key) else {
                         return;

@@ -12,7 +12,7 @@
 //! readiness-loop poller.
 
 use std::io;
-use std::net::{SocketAddrV4, TcpStream};
+use std::net::SocketAddrV4;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
 // ---------------------------------------------------------------------------
@@ -25,7 +25,6 @@ mod nr {
     pub const WRITE: usize = 1;
     pub const SOCKET: usize = 41;
     pub const CONNECT: usize = 42;
-    pub const GETSOCKOPT: usize = 55;
     pub const EPOLL_CTL: usize = 233;
     pub const EPOLL_PWAIT: usize = 281;
     pub const EVENTFD2: usize = 290;
@@ -43,7 +42,6 @@ mod nr {
     pub const WRITE: usize = 64;
     pub const SOCKET: usize = 198;
     pub const CONNECT: usize = 203;
-    pub const GETSOCKOPT: usize = 209;
     pub const PRLIMIT64: usize = 261;
 }
 
@@ -116,8 +114,6 @@ const AF_INET: usize = 2;
 const SOCK_STREAM: usize = 1;
 const SOCK_NONBLOCK: usize = 0x800;
 const SOCK_CLOEXEC: usize = 0x8_0000;
-const SOL_SOCKET: usize = 1;
-const SO_ERROR: usize = 4;
 const EINPROGRESS: i32 = 115;
 const RLIMIT_NOFILE: usize = 7;
 
@@ -254,8 +250,9 @@ struct SockaddrIn {
 }
 
 /// Starts a non-blocking IPv4 connect. Returns the socket and whether
-/// the connect is still in progress (`true` → wait for writability and
-/// then call [`take_connect_result`]).
+/// the connect is still in progress (`true` → wait for writability; the
+/// outcome is then the socket's `SO_ERROR`, which
+/// `TcpStream::take_error` reads).
 pub fn tcp_connect_nonblocking(addr: SocketAddrV4) -> io::Result<(OwnedFd, bool)> {
     let fd = check(unsafe {
         syscall6(
@@ -291,34 +288,6 @@ pub fn tcp_connect_nonblocking(addr: SocketAddrV4) -> io::Result<(OwnedFd, bool)
         e if -e as i32 == EINPROGRESS => Ok((fd, true)),
         e => Err(io::Error::from_raw_os_error(-e as i32)),
     }
-}
-
-/// After the socket reports writable: reads `SO_ERROR` to learn whether
-/// the in-progress connect succeeded.
-pub fn take_connect_result(fd: &OwnedFd) -> io::Result<()> {
-    let mut err: i32 = 0;
-    let mut len: u32 = 4;
-    check(unsafe {
-        syscall6(
-            nr::GETSOCKOPT,
-            fd.as_raw_fd() as usize,
-            SOL_SOCKET,
-            SO_ERROR,
-            std::ptr::addr_of_mut!(err) as usize,
-            std::ptr::addr_of_mut!(len) as usize,
-            0,
-        )
-    })?;
-    if err == 0 {
-        Ok(())
-    } else {
-        Err(io::Error::from_raw_os_error(err))
-    }
-}
-
-/// Converts a connected socket into a `TcpStream` (stays non-blocking).
-pub fn stream_from(fd: OwnedFd) -> TcpStream {
-    TcpStream::from(fd)
 }
 
 // ---------------------------------------------------------------------------
@@ -407,7 +376,7 @@ pub fn raise_nofile(want: u64) -> io::Result<u64> {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
-    use std::net::{Ipv4Addr, TcpListener};
+    use std::net::{Ipv4Addr, TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
 
     #[test]
@@ -443,16 +412,16 @@ mod tests {
 
         let (fd, in_progress) =
             tcp_connect_nonblocking(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port)).unwrap();
+        let mut stream = TcpStream::from(fd);
         if in_progress {
             let ep = epoll_create().unwrap();
-            epoll_add(ep.as_raw_fd(), fd.as_raw_fd(), EPOLLOUT, 7).unwrap();
+            epoll_add(ep.as_raw_fd(), stream.as_raw_fd(), EPOLLOUT, 7).unwrap();
             let mut events = [EpollEvent::zeroed(); 4];
             let n = epoll_wait(ep.as_raw_fd(), &mut events, 2000).unwrap();
             assert!(n >= 1, "connect never became writable");
         }
-        take_connect_result(&fd).unwrap();
+        assert!(stream.take_error().unwrap().is_none(), "connect failed");
 
-        let mut stream = stream_from(fd);
         stream.set_nonblocking(false).unwrap();
         let (mut server, _) = listener.accept().unwrap();
         stream.write_all(b"ping").unwrap();
@@ -470,13 +439,15 @@ mod tests {
         };
         let (fd, in_progress) =
             tcp_connect_nonblocking(SocketAddrV4::new(Ipv4Addr::LOCALHOST, dead)).unwrap();
+        let stream = TcpStream::from(fd);
         if in_progress {
             let ep = epoll_create().unwrap();
-            epoll_add(ep.as_raw_fd(), fd.as_raw_fd(), EPOLLOUT, 1).unwrap();
+            epoll_add(ep.as_raw_fd(), stream.as_raw_fd(), EPOLLOUT, 1).unwrap();
             let mut events = [EpollEvent::zeroed(); 4];
             epoll_wait(ep.as_raw_fd(), &mut events, 2000).unwrap();
         }
-        assert!(take_connect_result(&fd).is_err(), "dead port must refuse");
+        let refusal = stream.take_error().unwrap();
+        assert!(refusal.is_some(), "dead port must refuse");
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Overload-control tests: fd-exhaustion accept pause/resume, the
-//! global connection budget, slow-loris eviction with progress
-//! deadlines, and aggregate write-buffer watermark accounting.
+//! Overload-control tests: fd-exhaustion accept pause/resume and
+//! slow-loris eviction with progress deadlines.
 //!
 //! The EMFILE test lowers the process rlimit and burns the fd table, so
 //! every test in this file serializes on one static mutex — Rust's
@@ -10,7 +9,7 @@
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use armada_reactor::{Conn, ConnCtx, Handle, Reactor, ReactorConfig, Source};
 
@@ -132,46 +131,6 @@ fn emfile_pauses_accept_and_resumes_when_fds_free() {
     reactor.shutdown();
 }
 
-// -- connection budget -----------------------------------------------------
-
-/// With `max_conns = 2`, a third connection waits in the backlog until
-/// a slot frees, then gets served — no reset, no spin.
-#[test]
-fn connection_budget_gates_accepts_until_a_slot_frees() {
-    let _guard = serial();
-    let (reactor, handle, addr) = echo_reactor(ReactorConfig {
-        threads: 1,
-        max_conns: 2,
-        ..ReactorConfig::default()
-    });
-
-    let mut a = TcpStream::connect(addr).unwrap();
-    a.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut b = TcpStream::connect(addr).unwrap();
-    b.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    assert_echo(&mut a, b"slot-1");
-    assert_echo(&mut b, b"slot-2");
-    assert_eq!(handle.active_conns(), 2);
-
-    // Over budget: the third connection sits in the kernel backlog.
-    let mut c = TcpStream::connect(addr).unwrap();
-    write_frame(&mut c, b"over-budget").unwrap();
-    c.set_read_timeout(Some(Duration::from_millis(300)))
-        .unwrap();
-    let mut probe = [0u8; 4];
-    assert!(
-        c.read(&mut probe).is_err(),
-        "third connection must not be served while the budget is full"
-    );
-
-    // Freeing a slot lets the retry timer admit it.
-    drop(a);
-    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    assert_eq!(read_frame(&mut c).unwrap(), b"over-budget");
-    assert_echo(&mut b, b"undisturbed");
-    reactor.shutdown();
-}
-
 // -- slow-loris ------------------------------------------------------------
 
 /// A peer that starts a frame and stalls must be evicted at the read
@@ -222,66 +181,5 @@ fn slow_loris_is_evicted_but_chunked_and_idle_peers_survive() {
     // honest peer is still served.
     std::thread::sleep(Duration::from_millis(300));
     assert_echo(&mut honest, b"idle-then-fine");
-    reactor.shutdown();
-}
-
-// -- write watermarks ------------------------------------------------------
-
-/// Aggregate write-buffer accounting: a non-reading peer drives the
-/// buffered total past the high watermark (`overloaded()` trips), and
-/// draining the peer settles the total back to zero (hysteresis clears
-/// at the low watermark).
-#[test]
-fn write_watermarks_trip_and_clear_with_buffered_bytes() {
-    let _guard = serial();
-    let (reactor, handle, addr) = echo_reactor(ReactorConfig {
-        threads: 1,
-        write_high_watermark: 256 * 1024,
-        write_low_watermark: 4 * 1024,
-        write_buffer_cap: 64 << 20,
-        write_stall_timeout: Duration::from_secs(30),
-        ..ReactorConfig::default()
-    });
-
-    assert!(!handle.overloaded());
-    assert_eq!(handle.buffered_write_bytes(), 0);
-
-    let mut client = TcpStream::connect(addr).unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .unwrap();
-    // 32 MiB of echo demand without reading a byte: loopback kernel
-    // buffers auto-tune into the megabytes and soak up the front of it,
-    // but the reactor's WriteBuf must hold the rest.
-    let body = vec![3u8; 64 * 1024];
-    for _ in 0..512 {
-        write_frame(&mut client, &body).unwrap();
-    }
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !handle.overloaded() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(
-        handle.overloaded(),
-        "256 KiB high watermark must trip under 32 MiB of unread echo"
-    );
-    assert!(handle.buffered_write_bytes() >= 256 * 1024);
-
-    // Drain: as the peer reads, flushes shrink the total; once it falls
-    // to the low watermark the saturation flag clears.
-    let mut sink = vec![0u8; 64 * 1024];
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while (handle.overloaded() || handle.buffered_write_bytes() > 0) && Instant::now() < deadline {
-        let _ = client.read(&mut sink);
-    }
-    assert!(
-        !handle.overloaded(),
-        "drained reactor must clear saturation"
-    );
-    assert_eq!(
-        handle.buffered_write_bytes(),
-        0,
-        "fully flushed reactor must account zero buffered bytes"
-    );
     reactor.shutdown();
 }

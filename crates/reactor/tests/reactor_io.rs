@@ -2,7 +2,7 @@
 //! pollers, outbound connects, chaos-transport composition, bounded
 //! write backlogs, and offload ordering.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -216,8 +216,26 @@ impl Conn for ClientConn {
     }
 }
 
+/// A one-loop reactor on epoll (`portable: false`, where the platform
+/// has it) or on the portable `LoopPoller`, which reports a dial
+/// writable before its handshake is done.
+fn dialling_reactor(portable: bool) -> Reactor {
+    Reactor::new(ReactorConfig {
+        threads: 1,
+        portable,
+        ..ReactorConfig::default()
+    })
+    .unwrap()
+}
+
 #[test]
 fn outbound_connect_speaks_then_closes_cleanly() {
+    for portable in [false, true] {
+        outbound_connect_speaks_then_closes_cleanly_on(dialling_reactor(portable));
+    }
+}
+
+fn outbound_connect_speaks_then_closes_cleanly_on(reactor: Reactor) {
     // A blocking echo server for the reactor to dial.
     let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
     let addr = listener.local_addr().unwrap();
@@ -228,11 +246,6 @@ fn outbound_connect_speaks_then_closes_cleanly() {
         write_frame(&mut stream, &body).unwrap();
     });
 
-    let reactor = Reactor::new(ReactorConfig {
-        threads: 1,
-        ..ReactorConfig::default()
-    })
-    .unwrap();
     let (tx, rx) = mpsc::channel();
     reactor.handle().connect(
         addr,
@@ -257,16 +270,17 @@ fn outbound_connect_speaks_then_closes_cleanly() {
 
 #[test]
 fn outbound_connect_to_dead_port_reports_on_close() {
+    for portable in [false, true] {
+        outbound_connect_to_dead_port_reports_on_close_on(dialling_reactor(portable));
+    }
+}
+
+fn outbound_connect_to_dead_port_reports_on_close_on(reactor: Reactor) {
     // Bind-then-drop: the port was just released, nothing listens.
     let dead = {
         let l = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
         l.local_addr().unwrap()
     };
-    let reactor = Reactor::new(ReactorConfig {
-        threads: 1,
-        ..ReactorConfig::default()
-    })
-    .unwrap();
     let (tx, rx) = mpsc::channel();
     reactor.handle().connect(
         dead,
@@ -339,14 +353,15 @@ fn faulty_transport_composes_with_the_evented_path() {
 // -- bounded writes --------------------------------------------------------
 
 /// A peer that stops draining must be reaped: the echo server's
-/// outbound backlog hits the write-stall deadline (or the backlog cap)
-/// and the reactor closes the connection instead of buffering forever.
+/// outbound backlog hits the write cap or the write-stall deadline and
+/// the reactor closes the connection instead of buffering forever. The
+/// backlog it held leaves the aggregate `buffered_write_bytes` as it
+/// goes.
 #[test]
 fn stalled_writer_is_reaped() {
     let (reactor, addr) = echo_reactor(ReactorConfig {
         threads: 1,
         write_stall_timeout: Duration::from_millis(200),
-        write_buffer_cap: 1 << 20,
         ..ReactorConfig::default()
     });
 
@@ -354,30 +369,33 @@ fn stalled_writer_is_reaped() {
     client
         .set_read_timeout(Some(Duration::from_secs(2)))
         .unwrap();
-    // Push several hundred KB of echo demand and never read a byte.
+    // 32 MiB of echo demand without reading a byte: more than loopback's
+    // auto-tuned kernel buffers and the reactor's 8 MiB cap hold between
+    // them, so the reactor must buffer. Writing fails once we are cut.
     let body = vec![9u8; 64 * 1024];
-    for _ in 0..8 {
-        write_frame(&mut client, &body).unwrap();
-    }
-    // Within a few stall periods the server must cut us off: reads
-    // drain whatever was in flight, then hit EOF/reset.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let mut cut = false;
-    let mut sink = [0u8; 64 * 1024];
-    while std::time::Instant::now() < deadline {
-        match client.read(&mut sink) {
-            Ok(0) => {
-                cut = true;
-                break;
-            }
-            Ok(_) => {} // draining buffered echoes
-            Err(_) => {
-                cut = true;
-                break;
-            }
+    for _ in 0..512 {
+        if write_frame(&mut client, &body).is_err() {
+            break;
         }
     }
+    // Reads drain whatever was in flight, then hit EOF or a reset — not
+    // the read timeout, which is what a connection left open gives.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut sink = [0u8; 64 * 1024];
+    let cut = loop {
+        match client.read(&mut sink) {
+            Ok(0) => break true,
+            Ok(_) if Instant::now() < deadline => {} // draining buffered echoes
+            Err(e) if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                break true
+            }
+            _ => break false,
+        }
+    };
     assert!(cut, "server kept an unbounded backlog for a dead reader");
+    // The reaped connection left the shared counts before its fd closed.
+    assert_eq!(reactor.handle().buffered_write_bytes(), 0);
+    assert_eq!(reactor.handle().active_conns(), 0);
     reactor.shutdown();
 }
 
