@@ -21,7 +21,7 @@ use armada_reactor::Poller;
 use armada_trace::Tracer;
 use armada_types::{ClientConfig, GeoPoint, NodeId, SimDuration, SimTime, UserId};
 
-use armada_wire::{read_response, write_request, Codec, Request, Response, WireConfig};
+use armada_wire::{read_response_via, write_request_via, Codec, Request, Response, WireConfig};
 
 use crate::probe::{self, Terms};
 
@@ -84,13 +84,15 @@ pub struct LiveClient {
 }
 
 /// What a client's sessions share: the core, where to dial the nodes
-/// of the shortlist it caches (the core deals in ids), and the poller
-/// its probe rounds wait on, made by the first of them.
+/// of the shortlist it caches (the core deals in ids), the poller its
+/// probe rounds wait on, made by the first of them, and the buffer
+/// every exchange writes its request and reads its reply through.
 #[derive(Debug)]
 struct Shared {
     core: EdgeClient,
     addresses: HashMap<u64, String>,
     poller: Option<Box<dyn Poller>>,
+    frame: Vec<u8>,
 }
 
 /// A session's open connections by node id: serving node and backups.
@@ -106,6 +108,7 @@ impl LiveClient {
                 core: EdgeClient::new(UserId::new(id), location, config),
                 addresses: HashMap::new(),
                 poller: None,
+                frame: Vec::new(),
             })),
             epoch: Instant::now(),
             wire: WireConfig::default(),
@@ -228,7 +231,7 @@ impl LiveClient {
                 last_probe = Instant::now();
                 self.select(shared, &mut connections, managers, REFRESH_TIMEOUT)?;
             }
-            let core = &mut shared.core;
+            let (core, buf) = (&mut shared.core, &mut shared.frame);
             let serving = serving_node(core)?;
             let frame = Request::Frame {
                 user: self.id,
@@ -236,7 +239,7 @@ impl LiveClient {
                 payload_len: 20_000,
             };
             let started = Instant::now();
-            match self.exchange(&mut connections, serving, &frame) {
+            match self.exchange(buf, &mut connections, serving, &frame) {
                 Ok(Response::FrameResult { .. }) => {
                     let elapsed = started.elapsed();
                     latencies.push(elapsed);
@@ -250,7 +253,7 @@ impl LiveClient {
                     if matches!(other, Ok(Response::Busy { .. })) {
                         core.on_busy(NodeId::new(serving), self.now_sim());
                     }
-                    self.fail_over(core, &mut connections, serving)?;
+                    self.fail_over(core, buf, &mut connections, serving)?;
                 }
             }
         }
@@ -258,7 +261,7 @@ impl LiveClient {
         let core = &mut shared.core;
         let final_node = serving_node(core)?;
         let leave = Request::Leave { user: self.id };
-        let _ = self.exchange(&mut connections, final_node, &leave);
+        let _ = self.exchange(&mut shared.frame, &mut connections, final_node, &leave);
         let stats = core.stats();
         Ok(SessionReport {
             final_node,
@@ -294,6 +297,7 @@ impl LiveClient {
             core,
             addresses,
             poller,
+            frame,
         } = shared;
         let poller = match poller {
             Some(poller) => &mut **poller,
@@ -321,7 +325,7 @@ impl LiveClient {
         let failed = candidates.len() - results.len();
         self.narrator()
             .probe_round_done(core, round, results.len(), failed, &decision);
-        self.apply(core, connections, decision);
+        self.apply(core, frame, connections, decision);
         // Neither serving nor a backup: closed, so open sockets ≤ TopN.
         connections.retain(|&id, _| {
             let node = NodeId::new(id);
@@ -331,15 +335,17 @@ impl LiveClient {
     }
 
     /// One request/response exchange with `node` over its open
-    /// connection; a node without one fails like a dead one.
+    /// connection, through `frame`; a node without one fails like a
+    /// dead one.
     fn exchange(
         &self,
+        frame: &mut Vec<u8>,
         connections: &mut Connections,
         node: u64,
         request: &Request,
     ) -> std::io::Result<Response> {
         match connections.get_mut(&node) {
-            Some(stream) => rpc(stream, self.wire.codec, request),
+            Some(stream) => rpc(stream, self.wire.codec, request, frame),
             None => Err(protocol_error(format!("no open connection to node {node}"))),
         }
     }
@@ -381,6 +387,7 @@ impl LiveClient {
     fn apply(
         &self,
         core: &mut EdgeClient,
+        frame: &mut Vec<u8>,
         connections: &mut Connections,
         decision: ClientDecision,
     ) {
@@ -388,7 +395,7 @@ impl LiveClient {
             return;
         };
         let join = Request::Join { user: self.id, seq };
-        let reply = self.exchange(connections, target.as_u64(), &join);
+        let reply = self.exchange(frame, connections, target.as_u64(), &join);
         let now = self.now_sim();
         if matches!(reply, Ok(Response::Busy { .. })) {
             core.on_busy(target, now);
@@ -401,7 +408,7 @@ impl LiveClient {
             self.narrator().joined(core, target, leave);
             if let Some(previous) = leave {
                 let leave = Request::Leave { user: self.id };
-                let _ = self.exchange(connections, previous.as_u64(), &leave);
+                let _ = self.exchange(frame, connections, previous.as_u64(), &leave);
             }
         }
     }
@@ -412,6 +419,7 @@ impl LiveClient {
     fn fail_over(
         &self,
         core: &mut EdgeClient,
+        frame: &mut Vec<u8>,
         connections: &mut Connections,
         failed: u64,
     ) -> std::io::Result<()> {
@@ -421,7 +429,8 @@ impl LiveClient {
         let takeover = Request::UnexpectedJoin { user: self.id };
         let decision = core.on_node_failure(self.now_sim(), |backup| {
             let id = backup.as_u64();
-            let alive = matches!(self.exchange(connections, id, &takeover), Ok(Response::Ack));
+            let reply = self.exchange(frame, connections, id, &takeover);
+            let alive = matches!(reply, Ok(Response::Ack));
             if !alive {
                 connections.remove(&id);
             }
@@ -447,7 +456,10 @@ impl LiveClient {
         timeout: Duration,
     ) -> std::io::Result<Vec<NodeId>> {
         let Shared {
-            core, addresses, ..
+            core,
+            addresses,
+            frame,
+            ..
         } = shared;
         let request = Request::Discover {
             user: self.id,
@@ -460,7 +472,7 @@ impl LiveClient {
             core.next_manager(from, managers.len(), self.now_sim(), self.narrator())
         {
             let outcome = connect_with(managers[rank], timeout)
-                .and_then(|mut mgr| rpc(&mut mgr, self.wire.codec, &request));
+                .and_then(|mut mgr| rpc(&mut mgr, self.wire.codec, &request, frame));
             let reply = match outcome {
                 Ok(Response::Candidates { nodes }) => {
                     let ids = nodes.iter().map(|(id, _)| NodeId::new(*id)).collect();
@@ -528,12 +540,18 @@ pub(crate) fn bound(stream: TcpStream, timeout: Duration) -> std::io::Result<Tcp
     Ok(stream)
 }
 
-/// One request/response exchange; the socket read/write timeouts bound
+/// One request/response exchange, the request framed in `frame` and
+/// the reply read back into it; the socket read/write timeouts bound
 /// it. The reply may arrive in either codec (servers echo the request
 /// codec, but a mixed-version peer is tolerated).
-fn rpc(stream: &mut TcpStream, codec: Codec, request: &Request) -> std::io::Result<Response> {
-    write_request(stream, codec, request)?;
-    read_response(stream)
+fn rpc(
+    stream: &mut TcpStream,
+    codec: Codec,
+    request: &Request,
+    frame: &mut Vec<u8>,
+) -> std::io::Result<Response> {
+    write_request_via(stream, codec, request, frame)?;
+    read_response_via(stream, frame)
         .map(|(response, _)| response)
         .map_err(std::io::Error::from)
 }
@@ -553,7 +571,7 @@ mod tests {
     use std::sync::Arc;
 
     fn rpc(stream: &mut TcpStream, request: Request) -> Response {
-        super::rpc(stream, Codec::Binary, &request).expect("test rpc")
+        super::rpc(stream, Codec::Binary, &request, &mut Vec::new()).expect("test rpc")
     }
 
     fn node_config(id: u64, cores: u32, frame_ms: f64, delay_ms: u64) -> NodeConfig {
@@ -686,6 +704,7 @@ mod tests {
                                 seq,
                                 payload_len: 20_000,
                             },
+                            &mut Vec::new(),
                         );
                         if !matches!(r, Ok(Response::FrameResult { .. })) {
                             break;

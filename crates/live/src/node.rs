@@ -39,13 +39,10 @@ const HEARTBEAT_PERIOD: Duration = Duration::from_secs(2);
 /// forever.
 const HEARTBEAT_RPC_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// The kernel's default timer slack: the finest step a blocking wait
-/// resolves, and the step this node watches its ledger in. A reply due
-/// sooner than one step is waited for on the loop thread, re-reading
-/// the clock until the next multiple of the step, not until the exact
-/// microsecond: a short frame then takes a wall-clock time, as a timer
-/// wait would, where stopping at the microsecond makes it cost whatever
-/// speed the host's CPU happens to run at.
+/// The spin threshold: a reply due sooner than this (the kernel's
+/// default timer slack, the finest a blocking wait resolves) is waited
+/// for on the loop thread, re-reading the clock until its ledger
+/// instant; anything later arms a reactor timer.
 const SPIN_BELOW: Duration = Duration::from_micros(50);
 
 /// Configuration of one live edge node.
@@ -130,6 +127,9 @@ struct Core {
     /// The ledger epoch a wake-up timer is pending for, so a burst of
     /// requests against one state arms one timer, not one each.
     armed: Option<u64>,
+    /// Replies one [`NodeState::drive`] made answerable, held until it
+    /// hands them out; empty between entries, its capacity kept.
+    due: Vec<Due>,
 }
 
 struct NodeState {
@@ -169,15 +169,19 @@ impl NodeState {
 
     /// Every entry into the core: one [`EdgeNode`] method is called at
     /// a fresh clock reading, its effects are interpreted, the next
-    /// completion is settled, and whatever became answerable is
-    /// returned.
-    fn drive(self: &Arc<Self>, handle: &Handle, entry: Entry) -> Vec<Due> {
+    /// completion is settled, and whatever became answerable is handed
+    /// to `reply`, the core still held.
+    fn drive(
+        self: &Arc<Self>,
+        handle: &Handle,
+        entry: Entry,
+        mut reply: impl FnMut(ReplyTo, Response),
+    ) {
         let mut guard = self.core();
         let core = &mut *guard;
-        let mut due = Vec::new();
         let now = self.now();
         let mut actions = match entry {
-            Entry::Request(request, from) => self.apply(core, request, from, now, &mut due),
+            Entry::Request(request, from) => self.apply(core, request, from, now),
             Entry::Refresh => core.node.invoke_test_workload(now),
             Entry::Wakeup(epoch) => {
                 // The core drops a stale epoch: whatever changed the
@@ -204,7 +208,7 @@ impl NodeState {
                                 seq: done.seq,
                                 processing_us,
                             };
-                            due.push((core.waiting.remove(at).2, response));
+                            core.due.push((core.waiting.remove(at).2, response));
                         }
                     }
                     NodeAction::InvokeTestWorkload { after } => {
@@ -231,7 +235,7 @@ impl NodeState {
             // nobody is waiting for, a what-if refresh — arms a timer.
             let now = self.now();
             let Some((epoch, at)) = core.node.next_wakeup(now) else {
-                return due;
+                break;
             };
             let wait = Duration::from_micros(at.saturating_since(now).as_micros());
             if wait >= SPIN_BELOW || core.waiting.is_empty() {
@@ -240,25 +244,24 @@ impl NodeState {
                     let state = Arc::clone(self);
                     handle.timer_after(wait, move |h| state.wake(h, Entry::Wakeup(epoch)));
                 }
-                return due;
+                break;
             }
-            // Back-to-back frames lock onto these boundaries and take
-            // one step each, whatever the host's speed.
-            let step = SPIN_BELOW.as_micros() as u64;
-            let boundary = SimTime::from_micros(at.as_micros().div_ceil(step) * step);
-            while self.now() < boundary {
+            while self.now() < at {
                 std::hint::spin_loop();
             }
             actions = core.node.on_wakeup(epoch, self.now());
+        }
+        for (to, response) in core.due.drain(..) {
+            reply(to, response);
         }
     }
 
     /// [`NodeState::drive`] from a reactor timer: no connection to
     /// answer inline, so everything due takes the reply path.
     fn wake(self: &Arc<Self>, handle: &Handle, entry: Entry) {
-        for (to, response) in self.drive(handle, entry) {
-            self.answer(handle, to, response);
-        }
+        self.drive(handle, entry, |to, response| {
+            self.answer(handle, to, response)
+        });
     }
 
     /// One request, routed to the core method of the same name.
@@ -268,7 +271,6 @@ impl NodeState {
         request: Request,
         from: ReplyTo,
         now: SimTime,
-        due: &mut Vec<Due>,
     ) -> Vec<NodeAction> {
         let member = |kind: &str, user: u64, node: &EdgeNode| {
             let fields = [("user", user), ("seq", node.seq_num())];
@@ -321,23 +323,28 @@ impl NodeState {
                 (Response::Error { message }, Vec::new())
             }
         };
-        due.push((from, response));
+        core.due.push((from, response));
         actions
     }
 
     /// Takes a request in: counted in flight, then through the inbound
     /// leg of the artificial geographic delay (if any) into the core.
-    /// Returns what can be answered at once.
-    fn admit(self: &Arc<Self>, handle: &Handle, request: Request, from: ReplyTo) -> Vec<Due> {
+    /// What can be answered at once goes to `reply`.
+    fn admit(
+        self: &Arc<Self>,
+        handle: &Handle,
+        request: Request,
+        from: ReplyTo,
+        reply: impl FnMut(ReplyTo, Response),
+    ) {
         self.in_flight.fetch_add(1, Ordering::Relaxed);
         let entry = Entry::Request(request, from);
         let delay = self.cfg.one_way_delay;
         if delay.is_zero() {
-            return self.drive(handle, entry);
+            return self.drive(handle, entry, reply);
         }
         let state = Arc::clone(self);
         handle.timer_after(delay, move |h| state.wake(h, entry));
-        Vec::new()
     }
 
     /// Sends a response on its way: the outbound leg of the artificial
@@ -441,6 +448,7 @@ impl LiveNode {
                 node,
                 waiting: Vec::new(),
                 armed: None,
+                due: Vec::new(),
             }),
             epoch: Instant::now(),
             in_flight: AtomicUsize::new(0),
@@ -480,9 +488,9 @@ impl LiveNode {
         let udp_handler: UdpHandler = Box::new(move |datagram, peer, socket, handle| {
             if let Ok((request, codec)) = decode_request(datagram) {
                 let from = ReplyTo::Udp(Arc::clone(socket), peer, codec);
-                for (to, response) in udp_state.admit(handle, request, from) {
+                udp_state.admit(handle, request, from, |to, response| {
                     udp_state.answer(handle, to, response);
-                }
+                });
             }
         });
         handle.add_udp(udp, udp_handler)?;
@@ -571,6 +579,14 @@ impl Conn for NodeConn {
             ctx.close();
             return;
         };
+        // The request's bytes are spent: its buffer carries the reply.
+        let mut body = Some(frame);
+        let mut reply_here = |ctx: &mut ConnCtx, codec: Codec, response: &Response| {
+            let mut reply = body.take().unwrap_or_default();
+            reply.clear();
+            codec.encode_response_into(response, &mut reply);
+            ctx.send(reply);
+        };
         let state = &self.state;
         let heavy = !state.cfg.one_way_delay.is_zero() || matches!(request, Request::Frame { .. });
         let bound = state.max_in_flight;
@@ -582,22 +598,26 @@ impl Conn for NodeConn {
             let retry_after_ms = state.busy_retry_ms;
             let fields = [("retry_after_ms", retry_after_ms)];
             state.trace(Severity::Debug, "node.shed", &fields);
-            ctx.send(codec.encode_response(&Response::Busy { retry_after_ms }));
+            reply_here(ctx, codec, &Response::Busy { retry_after_ms });
             return;
         }
         let id = ctx.conn_id();
+        let handle = ctx.handle().clone();
         let mut answered = false;
-        for (to, response) in state.admit(ctx.handle(), request, ReplyTo::Tcp(id, codec)) {
-            match to {
+        state.admit(
+            &handle,
+            request,
+            ReplyTo::Tcp(id, codec),
+            |to, response| match to {
                 ReplyTo::Tcp(to, codec) if to == id => {
                     state.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    ctx.send(codec.encode_response(&response));
+                    reply_here(ctx, codec, &response);
                     answered = true;
                 }
                 // Another connection's frame completed meanwhile.
-                to => state.answer(ctx.handle(), to, response),
-            }
-        }
+                to => state.answer(&handle, to, response),
+            },
+        );
         if !answered {
             ctx.pause();
         }

@@ -12,7 +12,6 @@
 //! accumulate [`WriteBuf`]'s configured backlog before the connection
 //! is declared stalled.
 
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 
 /// Maximum frame body accepted or sent, mirroring armada-wire's
@@ -168,13 +167,16 @@ impl FrameReader {
 
 /// Queues outbound frames and writes as much as the stream accepts,
 /// resuming mid-frame on the next writable event.
+///
+/// The queue is one contiguous run of wire bytes, so a frame costs a
+/// copy into it and no allocation of its own; once it drains, the
+/// buffer gives back all but 4 KiB of what a burst grew it to.
 pub struct WriteBuf {
-    /// Complete wire frames (prefix + body), oldest first.
-    queue: VecDeque<Vec<u8>>,
-    /// Bytes of `queue[0]` already written.
+    /// Complete wire frames (prefix + body), oldest first; the bytes
+    /// before `head` are written.
+    buf: Vec<u8>,
+    /// Write cursor into `buf`; written bytes are compacted lazily.
     head: usize,
-    /// Total unwritten bytes across the queue.
-    pending: usize,
     /// Backlog bound; exceeding it means the peer has stalled.
     cap: usize,
 }
@@ -184,14 +186,16 @@ pub struct WriteBuf {
 #[derive(Debug)]
 pub struct Backlogged;
 
+/// What a drained [`WriteBuf`] keeps of its capacity.
+const KEEP_DRAINED: usize = 4096;
+
 impl WriteBuf {
     /// An empty buffer with the given backlog bound (bytes).
     #[must_use]
     pub fn new(cap: usize) -> Self {
         WriteBuf {
-            queue: VecDeque::new(),
+            buf: Vec::new(),
             head: 0,
-            pending: 0,
             cap,
         }
     }
@@ -199,13 +203,13 @@ impl WriteBuf {
     /// Unwritten bytes queued.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.pending
+        self.buf.len() - self.head
     }
 
     /// `true` when everything queued has been written.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.pending == 0
+        self.pending() == 0
     }
 
     /// Queues one frame (the 4-byte prefix is added here).
@@ -215,14 +219,16 @@ impl WriteBuf {
     /// [`Backlogged`] if the bound would be exceeded; oversize bodies
     /// are also refused (nothing partial is queued either way).
     pub fn push_frame(&mut self, body: &[u8]) -> Result<(), Backlogged> {
-        if body.len() > MAX_FRAME_BYTES || self.pending + 4 + body.len() > self.cap {
+        if body.len() > MAX_FRAME_BYTES || self.pending() + 4 + body.len() > self.cap {
             return Err(Backlogged);
         }
-        let mut frame = Vec::with_capacity(4 + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        frame.extend_from_slice(body);
-        self.pending += frame.len();
-        self.queue.push_back(frame);
+        if self.head > KEEP_DRAINED && self.head * 2 >= self.buf.len() {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+        self.buf
+            .extend_from_slice(&(body.len() as u32).to_be_bytes());
+        self.buf.extend_from_slice(body);
         Ok(())
     }
 
@@ -234,27 +240,23 @@ impl WriteBuf {
     ///
     /// Underlying write errors other than `WouldBlock`/`Interrupted`.
     pub fn write_to<W: Write + ?Sized>(&mut self, dst: &mut W) -> std::io::Result<bool> {
-        while let Some(front) = self.queue.front() {
-            match dst.write(&front[self.head..]) {
+        while self.head < self.buf.len() {
+            match dst.write(&self.buf[self.head..]) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::WriteZero,
                         "stream accepted zero bytes",
                     ))
                 }
-                Ok(n) => {
-                    self.head += n;
-                    self.pending -= n;
-                    if self.head == front.len() {
-                        self.queue.pop_front();
-                        self.head = 0;
-                    }
-                }
+                Ok(n) => self.head += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
+        self.buf.clear();
+        self.buf.shrink_to(KEEP_DRAINED);
+        self.head = 0;
         let _ = dst.flush();
         Ok(true)
     }
@@ -449,6 +451,33 @@ mod tests {
             popped = popped.or(reader.pop_frame().unwrap());
         }
         assert_eq!(popped, Some(body));
+    }
+
+    /// The writer's memory tracks what it holds as well: a twelve-byte
+    /// frame costs a small buffer, a maximum-size one still leaves in
+    /// order across partial writes and a frame queued behind it, and
+    /// once everything is out no more than 4 KiB stays behind.
+    #[test]
+    fn the_write_buffer_is_as_large_as_what_it_holds() {
+        let mut buf = WriteBuf::new(2 * MAX_FRAME_BYTES);
+        let mut sink = Throttled {
+            taken: Vec::new(),
+            quota: usize::MAX,
+            total: usize::MAX,
+        };
+        buf.push_frame(&[7u8; 12]).unwrap();
+        assert!(buf.buf.capacity() <= 4096, "{}", buf.buf.capacity());
+        assert!(buf.write_to(&mut sink).unwrap());
+
+        let body: Vec<u8> = (0..MAX_FRAME_BYTES).map(|i| i as u8).collect();
+        buf.push_frame(&body).unwrap();
+        (sink.quota, sink.total) = (70_000, 700_000);
+        assert!(!buf.write_to(&mut sink).unwrap());
+        buf.push_frame(b"behind").unwrap();
+        sink.total = usize::MAX;
+        assert!(buf.write_to(&mut sink).unwrap());
+        assert_eq!(sink.taken, wire(&[&[7u8; 12], &body, b"behind"]));
+        assert!(buf.buf.capacity() <= 4096, "{}", buf.buf.capacity());
     }
 
     /// The satellite contract, write side: a frame cut off mid-body by

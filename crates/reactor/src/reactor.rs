@@ -483,6 +483,7 @@ impl Reactor {
                 handle: handle.clone(),
                 epoch: Instant::now(),
                 scratch: vec![0u8; READ_CHUNK].into_boxed_slice(),
+                actions: Vec::new(),
                 stall_timeout: config.write_stall_timeout,
                 progress_timeout: config.read_progress_timeout,
             };
@@ -584,6 +585,9 @@ struct EventLoop {
     /// first; only the bytes received are copied on. Sized to the UDP
     /// payload ceiling, so no datagram arrives truncated.
     scratch: Box<[u8]>,
+    /// What each [`ConnCtx`] buffers its actions in, lent to one
+    /// callback at a time and emptied before the next.
+    actions: Vec<CtxAction>,
     stall_timeout: Duration,
     progress_timeout: Duration,
 }
@@ -809,21 +813,21 @@ impl EventLoop {
                 key,
             },
             handle: self.handle.clone(),
-            actions: Vec::new(),
+            actions: std::mem::take(&mut self.actions),
         };
-        match self.conns.get_mut(key) {
-            Some(c) => f(&mut *c.conn, &mut ctx),
-            None => return,
+        if let Some(c) = self.conns.get_mut(key) {
+            f(&mut *c.conn, &mut ctx);
+            self.apply_actions(key, &mut ctx.actions);
         }
-        self.apply_actions(key, ctx.actions);
+        self.actions = ctx.actions;
     }
 
     fn fire_connected(&mut self, key: Key) {
         self.with_conn(key, |conn, ctx| conn.on_connected(ctx));
     }
 
-    fn apply_actions(&mut self, key: Key, actions: Vec<CtxAction>) {
-        for action in actions {
+    fn apply_actions(&mut self, key: Key, actions: &mut Vec<CtxAction>) {
+        for action in actions.drain(..) {
             match action {
                 CtxAction::Send(body) => self.queue_frame(key, body),
                 CtxAction::SetTimer(after) => {

@@ -270,7 +270,10 @@ impl TraceSink for MemorySink {
 struct TracerCore {
     min: Severity,
     origin: Instant,
-    sink: Mutex<Box<dyn TraceSink + Send>>,
+    /// The sink, and the event every emission is written into before
+    /// the sink sees it: its strings keep their capacity from one event
+    /// to the next, so an event costs no allocation of its own.
+    sink: Mutex<(Box<dyn TraceSink + Send>, TraceEvent)>,
 }
 
 /// A cheap, clonable handle for emitting [`TraceEvent`]s.
@@ -300,7 +303,15 @@ impl Tracer {
                 inner: Some(Arc::new(TracerCore {
                     min,
                     origin: Instant::now(),
-                    sink: Mutex::new(sink),
+                    sink: Mutex::new((
+                        sink,
+                        TraceEvent {
+                            t_us: 0,
+                            sev: Severity::Debug,
+                            kind: String::new(),
+                            fields: Vec::new(),
+                        },
+                    )),
                 })),
             }
         }
@@ -350,16 +361,25 @@ impl Tracer {
         #[cfg(feature = "enabled")]
         if let Some(core) = &self.inner {
             if sev >= core.min {
-                let event = TraceEvent {
-                    t_us,
-                    sev,
-                    kind: kind.to_string(),
-                    fields: fields()
-                        .into_iter()
-                        .map(|(k, v)| (k.to_string(), v))
-                        .collect(),
-                };
-                core.sink.lock().expect("not poisoned").record(&event);
+                let fields = fields();
+                let mut guard = core.sink.lock().expect("not poisoned");
+                let (sink, event) = &mut *guard;
+                event.t_us = t_us;
+                event.sev = sev;
+                event.kind.clear();
+                event.kind.push_str(kind);
+                event.fields.truncate(fields.len());
+                for (i, (key, value)) in fields.into_iter().enumerate() {
+                    match event.fields.get_mut(i) {
+                        Some(field) => {
+                            field.0.clear();
+                            field.0.push_str(key);
+                            field.1 = value;
+                        }
+                        None => event.fields.push((key.to_string(), value)),
+                    }
+                }
+                sink.record(event);
             }
         }
         #[cfg(not(feature = "enabled"))]
@@ -393,7 +413,7 @@ impl Tracer {
     pub fn flush(&self) {
         #[cfg(feature = "enabled")]
         if let Some(core) = &self.inner {
-            core.sink.lock().expect("not poisoned").flush();
+            core.sink.lock().expect("not poisoned").0.flush();
         }
     }
 }

@@ -199,21 +199,20 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Encodes one [`Request`] into the compact binary form.
-pub fn encode_request(request: &Request) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
+/// Appends one [`Request`] in the compact binary form to `out`.
+pub fn encode_request(request: &Request, out: &mut Vec<u8>) {
     match request {
         Request::Register {
             status,
             listen_addr,
         } => {
             out.push(req_tag::REGISTER);
-            put_status(&mut out, status);
-            put_str(&mut out, listen_addr);
+            put_status(out, status);
+            put_str(out, listen_addr);
         }
         Request::Heartbeat { status } => {
             out.push(req_tag::HEARTBEAT);
-            put_status(&mut out, status);
+            put_status(out, status);
         }
         Request::Discover {
             user,
@@ -222,25 +221,25 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
             top_n,
         } => {
             out.push(req_tag::DISCOVER);
-            put_varint(&mut out, *user);
-            put_f64(&mut out, *lat);
-            put_f64(&mut out, *lon);
-            put_usize(&mut out, *top_n);
+            put_varint(out, *user);
+            put_f64(out, *lat);
+            put_f64(out, *lon);
+            put_usize(out, *top_n);
         }
         Request::RttProbe => out.push(req_tag::RTT_PROBE),
         Request::ProcessProbe => out.push(req_tag::PROCESS_PROBE),
         Request::Join { user, seq } => {
             out.push(req_tag::JOIN);
-            put_varint(&mut out, *user);
-            put_varint(&mut out, *seq);
+            put_varint(out, *user);
+            put_varint(out, *seq);
         }
         Request::UnexpectedJoin { user } => {
             out.push(req_tag::UNEXPECTED_JOIN);
-            put_varint(&mut out, *user);
+            put_varint(out, *user);
         }
         Request::Leave { user } => {
             out.push(req_tag::LEAVE);
-            put_varint(&mut out, *user);
+            put_varint(out, *user);
         }
         Request::Frame {
             user,
@@ -248,20 +247,19 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
             payload_len,
         } => {
             out.push(req_tag::FRAME);
-            put_varint(&mut out, *user);
-            put_varint(&mut out, *seq);
-            put_varint(&mut out, u64::from(*payload_len));
+            put_varint(out, *user);
+            put_varint(out, *seq);
+            put_varint(out, u64::from(*payload_len));
         }
         Request::SyncSummaries { from, summaries } => {
             out.push(req_tag::SYNC_SUMMARIES);
-            put_varint(&mut out, *from);
-            put_usize(&mut out, summaries.len());
+            put_varint(out, *from);
+            put_usize(out, summaries.len());
             for summary in summaries {
-                put_summary(&mut out, summary);
+                put_summary(out, summary);
             }
         }
     }
-    out
 }
 
 /// Decodes one binary [`Request`]; strict about tags, bounds and
@@ -319,18 +317,17 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, JsonError> {
     Ok(request)
 }
 
-/// Encodes one [`Response`] into the compact binary form.
-pub fn encode_response(response: &Response) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
+/// Appends one [`Response`] in the compact binary form to `out`.
+pub fn encode_response(response: &Response, out: &mut Vec<u8>) {
     match response {
         Response::Registered => out.push(resp_tag::REGISTERED),
         Response::HeartbeatAck => out.push(resp_tag::HEARTBEAT_ACK),
         Response::Candidates { nodes } => {
             out.push(resp_tag::CANDIDATES);
-            put_usize(&mut out, nodes.len());
+            put_usize(out, nodes.len());
             for (id, addr) in nodes {
-                put_varint(&mut out, *id);
-                put_str(&mut out, addr);
+                put_varint(out, *id);
+                put_str(out, addr);
             }
         }
         Response::RttPong => out.push(resp_tag::RTT_PONG),
@@ -341,10 +338,10 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             seq,
         } => {
             out.push(resp_tag::PROBE_REPLY);
-            put_varint(&mut out, *whatif_us);
-            put_varint(&mut out, *current_us);
-            put_usize(&mut out, *attached);
-            put_varint(&mut out, *seq);
+            put_varint(out, *whatif_us);
+            put_varint(out, *current_us);
+            put_usize(out, *attached);
+            put_varint(out, *seq);
         }
         Response::JoinResult { accepted } => {
             out.push(resp_tag::JOIN_RESULT);
@@ -353,23 +350,22 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
         Response::Ack => out.push(resp_tag::ACK),
         Response::FrameResult { seq, processing_us } => {
             out.push(resp_tag::FRAME_RESULT);
-            put_varint(&mut out, *seq);
-            put_varint(&mut out, *processing_us);
+            put_varint(out, *seq);
+            put_varint(out, *processing_us);
         }
         Response::SyncAck { applied } => {
             out.push(resp_tag::SYNC_ACK);
-            put_varint(&mut out, *applied);
+            put_varint(out, *applied);
         }
         Response::Error { message } => {
             out.push(resp_tag::ERROR);
-            put_str(&mut out, message);
+            put_str(out, message);
         }
         Response::Busy { retry_after_ms } => {
             out.push(resp_tag::BUSY);
-            put_varint(&mut out, *retry_after_ms);
+            put_varint(out, *retry_after_ms);
         }
     }
-    out
 }
 
 /// Decodes one binary [`Response`]; strict about tags, bounds and
@@ -431,6 +427,12 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, JsonError> {
 mod tests {
     use super::*;
 
+    fn encoded(request: &Request) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_request(request, &mut out);
+        out
+    }
+
     #[test]
     fn varint_boundaries_roundtrip() {
         for v in [
@@ -479,10 +481,11 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = encode_request(&Request::RttProbe);
+        let mut bytes = encoded(&Request::RttProbe);
         bytes.push(0);
         assert!(decode_request(&bytes).is_err());
-        let mut bytes = encode_response(&Response::Ack);
+        let mut bytes = Vec::new();
+        encode_response(&Response::Ack, &mut bytes);
         bytes.push(0);
         assert!(decode_response(&bytes).is_err());
     }
@@ -507,7 +510,7 @@ mod tests {
                     load_score: load,
                 },
             };
-            let back = decode_request(&encode_request(&req)).unwrap();
+            let back = decode_request(&encoded(&req)).unwrap();
             assert_eq!(back, req);
         }
         let req = Request::Heartbeat {
@@ -519,7 +522,7 @@ mod tests {
                 load_score: f64::NAN,
             },
         };
-        match decode_request(&encode_request(&req)).unwrap() {
+        match decode_request(&encoded(&req)).unwrap() {
             Request::Heartbeat { status } => {
                 assert_eq!(status.load_score.to_bits(), f64::NAN.to_bits());
             }

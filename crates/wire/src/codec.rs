@@ -49,18 +49,35 @@ impl Codec {
     /// Encodes one request body in this codec.
     #[must_use]
     pub fn encode_request(self, request: &Request) -> Vec<u8> {
-        match self {
-            Codec::Json => armada_json::to_string(request).into_bytes(),
-            Codec::Binary => binary::encode_request(request),
-        }
+        let mut body = Vec::with_capacity(32);
+        self.encode_request_into(request, &mut body);
+        body
     }
 
     /// Encodes one response body in this codec.
     #[must_use]
     pub fn encode_response(self, response: &Response) -> Vec<u8> {
+        let mut body = Vec::with_capacity(32);
+        self.encode_response_into(response, &mut body);
+        body
+    }
+
+    /// Appends one request body in this codec to `out`, after whatever
+    /// it already holds: a caller that keeps `out` allocates nothing to
+    /// encode a binary body.
+    pub fn encode_request_into(self, request: &Request, out: &mut Vec<u8>) {
         match self {
-            Codec::Json => armada_json::to_string(response).into_bytes(),
-            Codec::Binary => binary::encode_response(response),
+            Codec::Json => out.extend_from_slice(armada_json::to_string(request).as_bytes()),
+            Codec::Binary => binary::encode_request(request, out),
+        }
+    }
+
+    /// Appends one response body in this codec to `out`, as
+    /// [`Codec::encode_request_into`] does a request.
+    pub fn encode_response_into(self, response: &Response, out: &mut Vec<u8>) {
+        match self {
+            Codec::Json => out.extend_from_slice(armada_json::to_string(response).as_bytes()),
+            Codec::Binary => binary::encode_response(response, out),
         }
     }
 }

@@ -33,7 +33,7 @@ pub use codec::{decode_request, decode_response, Codec, WireConfig};
 pub use proto::test_fixtures;
 pub use proto::{FrameError, Request, Response, WireNodeStatus, WireSummary};
 pub use transport::{
-    read_frame_bytes, read_request, read_response, recv_request, recv_response, send_request,
-    send_response, write_frame, write_request, write_response, FramedTcp, Transport, UdpTransport,
-    MAX_DATAGRAM_BYTES,
+    read_frame_bytes, read_request, read_response, read_response_via, recv_request, recv_response,
+    send_request, send_response, write_frame, write_request, write_request_via, write_response,
+    FramedTcp, Transport, UdpTransport, MAX_DATAGRAM_BYTES,
 };

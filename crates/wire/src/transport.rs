@@ -53,14 +53,27 @@ pub trait Transport {
 ///
 /// Propagates I/O errors; rejects bodies over the protocol maximum.
 pub fn write_frame<W: Write>(writer: &mut W, body: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(body.len())
+    let mut frame = Vec::with_capacity(4 + body.len());
+    send_framed(writer, &mut frame, |frame| frame.extend_from_slice(body))
+}
+
+/// Every framed write: `frame` is cleared, takes a length prefix and
+/// the body `append` lays after it, and goes out in one `write_all`.
+/// Nothing is written if the body is over the protocol maximum.
+fn send_framed<W: Write>(
+    writer: &mut W,
+    frame: &mut Vec<u8>,
+    append: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    frame.clear();
+    frame.extend_from_slice(&[0; 4]);
+    append(frame);
+    let len = u32::try_from(frame.len() - 4)
         .ok()
         .filter(|len| *len <= MAX_MESSAGE_BYTES)
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "message too large"))?;
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(body);
-    writer.write_all(&frame)?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    writer.write_all(frame)?;
     writer.flush()
 }
 
@@ -72,15 +85,22 @@ pub fn write_frame<W: Write>(writer: &mut W, body: &[u8]) -> std::io::Result<()>
 /// [`FrameError::Truncated`] for mid-frame EOF, [`FrameError::Io`] for
 /// transport failures.
 pub fn read_frame_bytes<R: Read>(reader: &mut R) -> Result<Vec<u8>, FrameError> {
+    let mut body = Vec::new();
+    read_frame_into(reader, &mut body)?;
+    Ok(body)
+}
+
+/// Every framed read: the next frame's body replaces what `body` held.
+fn read_frame_into<R: Read>(reader: &mut R, body: &mut Vec<u8>) -> Result<(), FrameError> {
     let mut len_buf = [0u8; 4];
     fill(reader, &mut len_buf)?;
     let len = u32::from_be_bytes(len_buf);
     if len > MAX_MESSAGE_BYTES {
         return Err(FrameError::Oversize { declared: len });
     }
-    let mut body = vec![0u8; len as usize];
-    fill(reader, &mut body)?;
-    Ok(body)
+    body.clear();
+    body.resize(len as usize, 0);
+    fill(reader, body)
 }
 
 /// Length-prefixed framing over any byte stream.
@@ -255,7 +275,26 @@ pub fn write_request<W: Write>(
     codec: Codec,
     request: &Request,
 ) -> std::io::Result<()> {
-    write_frame(writer, &codec.encode_request(request))
+    write_request_via(writer, codec, request, &mut Vec::new())
+}
+
+/// [`write_request`] through a caller's buffer: the frame, prefix and
+/// all, is laid out in `frame` (whatever it held is dropped), so a
+/// caller that keeps the buffer writes a binary request without
+/// allocating.
+///
+/// # Errors
+///
+/// Propagates I/O errors.
+pub fn write_request_via<W: Write>(
+    writer: &mut W,
+    codec: Codec,
+    request: &Request,
+    frame: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    send_framed(writer, frame, |frame| {
+        codec.encode_request_into(request, frame)
+    })
 }
 
 /// Writes one response to a bare byte stream in the given codec.
@@ -288,7 +327,22 @@ pub fn read_request<R: Read>(reader: &mut R) -> Result<(Request, Codec), FrameEr
 ///
 /// Classified through [`FrameError`].
 pub fn read_response<R: Read>(reader: &mut R) -> Result<(Response, Codec), FrameError> {
-    codec::decode_response(&read_frame_bytes(reader)?)
+    read_response_via(reader, &mut Vec::new())
+}
+
+/// [`read_response`] through a caller's buffer: the body is read into
+/// `body` (whatever it held is dropped), so a caller that keeps the
+/// buffer reads a reply without allocating for its bytes.
+///
+/// # Errors
+///
+/// Classified through [`FrameError`].
+pub fn read_response_via<R: Read>(
+    reader: &mut R,
+    body: &mut Vec<u8>,
+) -> Result<(Response, Codec), FrameError> {
+    read_frame_into(reader, body)?;
+    codec::decode_response(body)
 }
 
 #[cfg(test)]

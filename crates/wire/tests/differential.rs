@@ -12,8 +12,8 @@ use std::io::Cursor;
 
 use armada_wire::test_fixtures;
 use armada_wire::{
-    decode_request, decode_response, read_request, read_response, write_request, write_response,
-    Codec, FrameError, Request, Response,
+    decode_request, decode_response, read_request, read_response, read_response_via, write_request,
+    write_request_via, write_response, Codec, FrameError, Request, Response,
 };
 
 use proptest::prelude::*;
@@ -58,6 +58,62 @@ fn every_response_roundtrips_identically_through_both_codecs() {
                 "codec detection disagreed for {response:?}"
             );
             assert_eq!(decoded, response, "{codec:?} round-trip mismatch");
+        }
+    }
+}
+
+/// The appending encoders are the encoders: for every fixture, in both
+/// codecs, `encode_*_into` adds exactly the bytes `encode_*` returns,
+/// into an empty buffer and after bytes already in one, which it leaves
+/// alone.
+#[test]
+fn encoding_into_a_buffer_appends_exactly_the_returned_bytes() {
+    let prefix = b"already here";
+    for codec in [Codec::Json, Codec::Binary] {
+        for request in all_request_fixtures() {
+            let body = codec.encode_request(&request);
+            for held in [&[][..], prefix] {
+                let mut out = held.to_vec();
+                codec.encode_request_into(&request, &mut out);
+                assert_eq!(out[..held.len()], *held, "{codec:?} {request:?}");
+                assert_eq!(out[held.len()..], body, "{codec:?} {request:?}");
+            }
+        }
+        for response in all_response_fixtures() {
+            let body = codec.encode_response(&response);
+            for held in [&[][..], prefix] {
+                let mut out = held.to_vec();
+                codec.encode_response_into(&response, &mut out);
+                assert_eq!(out[..held.len()], *held, "{codec:?} {response:?}");
+                assert_eq!(out[held.len()..], body, "{codec:?} {response:?}");
+            }
+        }
+    }
+}
+
+/// One buffer reused for every exchange frames what a fresh one does:
+/// the stream written through it is byte for byte the one
+/// `write_request` writes, and replies read back through it decode to
+/// every fixture, however long the one before.
+#[test]
+fn a_reused_buffer_frames_and_reads_like_a_fresh_one() {
+    for codec in [Codec::Json, Codec::Binary] {
+        let (mut fresh, mut reused, mut frame) = (Vec::new(), Vec::new(), Vec::new());
+        for request in all_request_fixtures() {
+            write_request(&mut fresh, codec, &request).unwrap();
+            write_request_via(&mut reused, codec, &request, &mut frame).unwrap();
+        }
+        assert_eq!(reused, fresh, "{codec:?}");
+
+        let mut stream = Vec::new();
+        for response in all_response_fixtures() {
+            write_response(&mut stream, codec, &response).unwrap();
+        }
+        let mut cursor = Cursor::new(stream);
+        for response in all_response_fixtures() {
+            let (decoded, detected) = read_response_via(&mut cursor, &mut frame).unwrap();
+            assert_eq!(decoded, response);
+            assert_eq!(detected, codec);
         }
     }
 }
