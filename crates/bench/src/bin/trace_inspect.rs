@@ -9,7 +9,10 @@
 //!   failovers),
 //! - the probe-round latency breakdown (start→conclusion, decisions),
 //! - the failover downtime around every observed serving-node failure —
-//!   the quantity Fig. 4 plots as the service gap.
+//!   the quantity Fig. 4 plots as the service gap,
+//!
+//! and exits 1 if any file holds a kind `armada_trace::KINDS` does not
+//! list (printed with the file's name).
 //!
 //! ```text
 //! cargo run --release -p armada-bench --bin trace_inspect -- \
@@ -19,6 +22,7 @@
 use armada_bench::print_table;
 use armada_trace::inspect::{
     failover_downtime, kind_histogram, parse_jsonl, probe_round_breakdown, switch_timeline,
+    unknown_kinds,
 };
 
 fn inspect_one(path: &str) -> Result<(), String> {
@@ -87,6 +91,14 @@ fn inspect_one(path: &str) -> Result<(), String> {
         &["user", "failure_at_s", "gap_ms"],
         &downtime,
     );
+
+    let unknown = unknown_kinds(&events);
+    if !unknown.is_empty() {
+        return Err(format!(
+            "{path}: kinds not in KINDS: {}",
+            unknown.join(", ")
+        ));
+    }
     Ok(())
 }
 

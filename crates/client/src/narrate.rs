@@ -77,6 +77,20 @@ impl<'a> Narrator<'a> {
         }
     }
 
+    /// `client.join.rejected`: the join at `node` did not happen —
+    /// refused, shed, or lost with its reply — and the client
+    /// rediscovers.
+    pub fn join_rejected(&self, user: UserId, node: NodeId) {
+        event!(self, Debug, "client.join.rejected",
+            "user" => u(user.as_u64()), "node" => u(node.as_u64()));
+    }
+
+    /// `client.assign`: a baseline strategy's manager placed the user
+    /// on `node` (no probing, no join handshake).
+    pub fn assigned(&self, user: UserId, node: NodeId) {
+        event!(self, Info, "client.assign", "user" => u(user.as_u64()), "node" => u(node.as_u64()));
+    }
+
     /// `client.failure`: the failure monitor noticed `node` is gone;
     /// `mode` names how the strategy in effect handles it.
     pub fn failure(&self, user: UserId, mode: &'static str, node: Option<NodeId>) {

@@ -39,17 +39,15 @@ const RECONNECT_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
 /// How long the client waits for a frame acknowledgement before
 /// reclaiming the in-flight slot of a frame lost to fault injection.
 const FRAME_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
-/// Emits one structured event stamped with the current virtual time.
-macro_rules! trace_event {
-    ($w:expr, $ctx:expr, $sev:expr, $kind:expr, $($key:literal => $value:expr),* $(,)?) => {
-        $w.tracer
-            .emit_at($ctx.now().as_micros(), $sev, $kind, || vec![$(($key, $value)),*])
-    };
-}
 
 /// The client core's events, stamped with the current virtual time.
 fn narrator<'a>(tracer: &'a Tracer, ctx: &Ctx<'_>) -> Narrator<'a> {
     Narrator::at(tracer, ctx.now().as_micros())
+}
+
+/// The node core's events, stamped with the current virtual time.
+fn node_narrator<'a>(tracer: &'a Tracer, ctx: &Ctx<'_>) -> armada_node::Narrator<'a> {
+    armada_node::Narrator::at(tracer, ctx.now().as_micros())
 }
 
 /// Entry point: a user joins the system.
@@ -363,6 +361,7 @@ fn attempt_join(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, target: NodeId, 
                     match w.nodes.get_mut(&target) {
                         Some(n) => {
                             let (res, actions) = n.join(user, seq, now);
+                            node_narrator(&w.tracer, ctx).joined(n, user, res.is_ok());
                             handle_node_actions(w, ctx, target, actions);
                             schedule_node_wakeup(w, ctx, target);
                             res.is_ok()
@@ -419,8 +418,7 @@ fn join_reply(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, target: NodeId, ac
             ensure_periodic_probing(w, ctx, user);
         }
         JoinFollowup::Rediscover => {
-            trace_event!(w, ctx, Severity::Debug, "client.join.rejected",
-                "user" => u(user.as_u64()), "node" => u(target.as_u64()));
+            narrator(&w.tracer, ctx).join_rejected(user, target);
             // Algorithm 2, line 14: repeat from the edge-discovery step.
             ctx.schedule_in(REDISCOVER_BACKOFF, move |w, ctx| {
                 start_probe_round(w, ctx, user)
@@ -444,7 +442,32 @@ fn send_leave(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, node: NodeId) {
             return;
         }
         if let Some(n) = w.nodes.get_mut(&node) {
-            let actions = n.leave(user, ctx.now());
+            let (detached, actions) = n.leave(user, ctx.now());
+            node_narrator(&w.tracer, ctx).left(n, user, detached);
+            handle_node_actions(w, ctx, node, actions);
+            schedule_node_wakeup(w, ctx, node);
+        }
+    });
+}
+
+/// `Unexpected_join()` sent to `node`: the attach over a connection
+/// that is already there, which cannot be rejected (Table I). Lost with
+/// the link if the node is gone.
+fn send_unexpected_join(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, node: NodeId) {
+    let now_us = ctx.now().as_micros();
+    let Delivery::Delivered { delay: d, .. } =
+        w.net
+            .deliver_one_way(Addr::User(user), Addr::Node(node), now_us, ctx.rng())
+    else {
+        return;
+    };
+    ctx.schedule_in(d, move |w, ctx| {
+        if !w.node_is_up(node) {
+            return;
+        }
+        if let Some(n) = w.nodes.get_mut(&node) {
+            let actions = n.unexpected_join(user, ctx.now());
+            node_narrator(&w.tracer, ctx).unexpected_join(n, user);
             handle_node_actions(w, ctx, node, actions);
             schedule_node_wakeup(w, ctx, node);
         }
@@ -573,8 +596,7 @@ pub(crate) fn handle_node_actions(
     for action in actions {
         match action {
             NodeAction::InvokeTestWorkload { after } => {
-                trace_event!(w, ctx, Severity::Debug, "node.whatif.refresh",
-                    "node" => u(node.as_u64()), "after_us" => u(after.as_micros()));
+                node_narrator(&w.tracer, ctx).whatif_refresh(node, after);
                 ctx.schedule_in(after, move |w, ctx| {
                     if !w.node_is_up(node) {
                         return;
@@ -679,26 +701,9 @@ fn handle_node_failure(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
         narrator(&w.tracer, ctx).failover(user, failed_node, &decision);
         match decision {
             FailoverDecision::SwitchToBackup { target } => {
-                // The connection is pre-established; Unexpected_join
-                // cannot be rejected (Table I). Frames resume on the next
-                // tick of the send loop.
-                if let Delivery::Delivered { delay: d, .. } = w.net.deliver_one_way(
-                    Addr::User(user),
-                    Addr::Node(target),
-                    now.as_micros(),
-                    ctx.rng(),
-                ) {
-                    ctx.schedule_in(d, move |w, ctx| {
-                        if !w.node_is_up(target) {
-                            return;
-                        }
-                        if let Some(n) = w.nodes.get_mut(&target) {
-                            let actions = n.unexpected_join(user, ctx.now());
-                            handle_node_actions(w, ctx, target, actions);
-                            schedule_node_wakeup(w, ctx, target);
-                        }
-                    });
-                }
+                // The connection is pre-established. Frames resume on
+                // the next tick of the send loop.
+                send_unexpected_join(w, ctx, user, target);
                 // The failover consumed a backup: refresh the candidate
                 // list immediately rather than waiting out `T_probing`,
                 // so simultaneous later failures still find warm spares.
@@ -757,25 +762,8 @@ pub(crate) fn baseline_assign(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
         if let Some(client) = w.clients.get_mut(&user) {
             client.force_attach(node, Vec::new());
         }
-        trace_event!(w, ctx, Severity::Info, "client.assign",
-            "user" => u(user.as_u64()), "node" => u(node.as_u64()));
-        if let Delivery::Delivered { delay: d, .. } = w.net.deliver_one_way(
-            Addr::User(user),
-            Addr::Node(node),
-            ctx.now().as_micros(),
-            ctx.rng(),
-        ) {
-            ctx.schedule_in(d, move |w, ctx| {
-                if !w.node_is_up(node) {
-                    return;
-                }
-                if let Some(n) = w.nodes.get_mut(&node) {
-                    let actions = n.unexpected_join(user, ctx.now());
-                    handle_node_actions(w, ctx, node, actions);
-                    schedule_node_wakeup(w, ctx, node);
-                }
-            });
-        }
+        narrator(&w.tracer, ctx).assigned(user, node);
+        send_unexpected_join(w, ctx, user, node);
         ensure_streaming(w, ctx, user);
     });
 }
@@ -874,17 +862,12 @@ fn pick_baseline_node(w: &World, user: UserId) -> Option<NodeId> {
 /// starts its heartbeat loop.
 pub(crate) fn start_node_lifecycle(w: &mut World, ctx: &mut Ctx<'_>, node: NodeId) {
     let now = ctx.now();
-    if let Some(n) = w.nodes.get(&node) {
-        let shard = w.managers.register(n.status(), now);
-        let sharded = w.managers.shard_count() > 1;
-        w.tracer
-            .emit_at(now.as_micros(), Severity::Info, "node.register", || {
-                let mut fields = vec![("node", u(node.as_u64()))];
-                if sharded {
-                    fields.push(("shard", u(shard.map_or(u64::MAX, |s| s.as_u64()))));
-                }
-                fields
-            });
+    let accepted = w
+        .nodes
+        .get(&node)
+        .and_then(|n| w.managers.register(n.status(), now));
+    if let Some(shard) = accepted {
+        armada_manager::Narrator::at(&w.tracer, now.as_micros()).registered(node, shard);
     }
     let period = w.system.heartbeat_period;
     ctx.schedule_periodic(period, period, move |w: &mut World, ctx: &mut Ctx<'_>| {
@@ -901,8 +884,10 @@ pub(crate) fn start_node_lifecycle(w: &mut World, ctx: &mut Ctx<'_>, node: NodeI
 /// A churned node leaves abruptly: the network drops its links; the
 /// manager only learns via missed heartbeats.
 pub(crate) fn node_leave(w: &mut World, ctx: &mut Ctx<'_>, node: NodeId) {
-    trace_event!(w, ctx, Severity::Info, "node.leave",
-        "node" => u(node.as_u64()));
+    w.tracer
+        .emit_at(ctx.now().as_micros(), Severity::Info, "node.leave", || {
+            vec![("node", u(node.as_u64()))]
+        });
     w.net.set_down(Addr::Node(node));
     w.dead_nodes.insert(node);
 }
@@ -1034,6 +1019,55 @@ mod tests {
         // Once the transport timeout fires the join is abandoned.
         sim.run_until(SimTime::from_millis(1_100));
         assert_eq!(sim.world().client(USER).unwrap().stats().join_rejections, 1);
+    }
+
+    /// A join presented with a stale sequence number is turned away,
+    /// and both sides say so: the node with its unchanged `seq`, the
+    /// client once the refusal reaches it.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn a_stale_join_is_narrated_by_the_node_and_the_client() {
+        use armada_trace::{inspect, MemorySink};
+
+        let sink = MemorySink::new();
+        let buffer = sink.buffer();
+        let mut world = tiny_world();
+        world.tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+        let mut sim = Simulation::new(world, 4);
+        sim.schedule_at(SimTime::ZERO, |w: &mut World, ctx| {
+            let stale = armada_client::ProbeResult {
+                seq_num: 5,
+                ..good_probe_result()
+            };
+            let client = w.clients.get_mut(&USER).unwrap();
+            match client.on_probe_round(vec![stale], ctx.now()) {
+                ClientDecision::AttemptJoin { target, seq } => {
+                    attempt_join(w, ctx, USER, target, seq);
+                }
+                _ => panic!("a lone healthy candidate must trigger a join"),
+            }
+        });
+        sim.run_until(SimTime::from_millis(100));
+        let trace = buffer.lock().unwrap().clone();
+        let events = inspect::parse_jsonl(&trace).expect("trace parses");
+        let refusals: Vec<String> = events
+            .iter()
+            .filter(|e| e.kind.ends_with("join.rejected"))
+            .map(|e| {
+                let fields = e
+                    .fields
+                    .iter()
+                    .map(|(k, v)| format!(" {k}={}", v.as_u64().unwrap()));
+                format!("{} {}{}", e.t_us, e.kind, fields.collect::<String>())
+            })
+            .collect();
+        assert_eq!(
+            refusals,
+            [
+                "10000 node.join.rejected node=0 user=0 seq=0",
+                "20000 client.join.rejected user=0 node=0",
+            ]
+        );
     }
 
     /// Regression: concluding a probe round must prune its bookkeeping

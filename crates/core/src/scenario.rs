@@ -6,7 +6,7 @@ use armada_chaos::{FaultPlan, PeerClass};
 use armada_churn::ChurnTrace;
 use armada_client::EdgeClient;
 use armada_federation::{FederatedCluster, ShardMap};
-use armada_manager::GlobalSelectionPolicy;
+use armada_manager::{GlobalSelectionPolicy, Narrator};
 use armada_metrics::LatencyRecorder;
 use armada_net::{Addr, Endpoint};
 use armada_node::EdgeNode;
@@ -265,12 +265,7 @@ impl Scenario {
             move |w: &mut World, ctx| {
                 let grace = SimDuration::from_secs(30);
                 let pruned = w.managers.prune(ctx.now(), grace);
-                if !pruned.is_empty() {
-                    w.tracer
-                        .emit_at(ctx.now().as_micros(), Severity::Info, "mgr.prune", || {
-                            vec![("pruned", u(pruned.len() as u64))]
-                        });
-                }
+                Narrator::at(&w.tracer, ctx.now().as_micros()).pruned(pruned.len());
                 ctx.now() < w.end_time
             },
         );
@@ -284,30 +279,19 @@ impl Scenario {
                 fed_spec.sync_offset,
                 fed_spec.sync_period,
                 move |w: &mut World, ctx| {
-                    let now = ctx.now();
+                    let now_us = ctx.now().as_micros();
                     // Under a fault plan, each shard-to-shard summary
                     // push can be lost; the decision is a pure hash of
                     // (seed, pair, round), so lossy sync replays
                     // identically under the same seed.
-                    let stats = match w.net.fault_injector_mut() {
-                        Some(inj) if !inj.is_noop() => {
-                            let now_us = now.as_micros();
-                            w.managers.sync_round_filtered(&mut |from, to| {
-                                inj.drop_sync(from.as_u64(), to.as_u64(), now_us)
-                            })
-                        }
-                        _ => w.managers.sync_round(now),
+                    let mut injector = w.net.fault_injector_mut().filter(|inj| !inj.is_noop());
+                    let mut lost = |from: ShardId, to: ShardId| match injector.as_mut() {
+                        Some(inj) => inj.drop_sync(from.as_u64(), to.as_u64(), now_us),
+                        None => false,
                     };
-                    w.tracer
-                        .emit_at(now.as_micros(), Severity::Debug, "fed.sync", || {
-                            vec![
-                                ("round", u(stats.round)),
-                                ("participants", u(stats.participants as u64)),
-                                ("summaries", u(stats.summaries)),
-                                ("dropped", u(stats.dropped)),
-                            ]
-                        });
-                    now < w.end_time
+                    let narrate = Narrator::at(&w.tracer, now_us);
+                    w.managers.sync_round_filtered(&mut lost, narrate);
+                    ctx.now() < w.end_time
                 },
             );
             for (index, at) in shard_kills {

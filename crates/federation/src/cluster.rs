@@ -3,14 +3,16 @@
 
 use std::collections::HashSet;
 
-use armada_manager::GlobalSelectionPolicy;
+use armada_manager::{GlobalSelectionPolicy, Narrator};
 use armada_node::NodeStatus;
+use armada_trace::Tracer;
 use armada_types::{GeoPoint, NodeId, ShardId, SimDuration, SimTime, SystemConfig};
 
 use crate::map::ShardMap;
 use crate::shard::FederatedShard;
 
-/// Aggregate outcome of one sync round, for tracing and benches.
+/// Aggregate outcome of one sync round, for tests and benches (the
+/// trace has one `fed.sync` per delivered push instead).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncStats {
     /// Ordinal of this round (1-based).
@@ -162,16 +164,19 @@ impl FederatedCluster {
     /// (`_now` is when the round runs; a push is stamped with each
     /// record's own last-heard time, not with it.)
     pub fn sync_round(&mut self, _now: SimTime) -> SyncStats {
-        self.sync_round_filtered(&mut |_, _| false)
+        self.sync_round_filtered(&mut |_, _| false, Narrator::at(&Tracer::disabled(), 0))
     }
 
     /// Like [`FederatedCluster::sync_round`], except `drop` decides per
     /// `(sender, receiver)` pair whether that push is lost in transit
-    /// (fault injection). The next round's push carries everything the
-    /// lost one did, so lossy sync converges as soon as one arrives.
+    /// (fault injection), and every push that arrives is narrated as
+    /// its receiver's `fed.sync`. The next round's push carries
+    /// everything the lost one did, so lossy sync converges as soon as
+    /// one arrives.
     pub fn sync_round_filtered(
         &mut self,
         drop: &mut dyn FnMut(ShardId, ShardId) -> bool,
+        narrate: Narrator<'_>,
     ) -> SyncStats {
         self.rounds += 1;
         let up: Vec<ShardId> = self
@@ -198,7 +203,8 @@ impl FederatedCluster {
                         continue;
                     }
                     stats.summaries += push.updated.len() as u64;
-                    self.shards[receiver.as_u64() as usize].apply_delta(&push);
+                    let applied = self.shards[receiver.as_u64() as usize].apply_delta(&push);
+                    narrate.synced(receiver, sender, applied);
                 }
             }
             for id in &up {
@@ -380,7 +386,9 @@ mod tests {
     fn a_dropped_push_is_healed_by_the_next_round() {
         let mut cluster = two_shard_cluster();
         let (zero, one) = (ShardId::new(0), ShardId::new(1));
-        let stats = cluster.sync_round_filtered(&mut |from, _| from == zero);
+        let quiet = Tracer::disabled();
+        let stats =
+            cluster.sync_round_filtered(&mut |from, _| from == zero, Narrator::at(&quiet, 0));
         assert_eq!((stats.summaries, stats.dropped), (2, 1));
         let mid = GeoPoint::new(44.98, -93.20);
         let now = SimTime::from_secs(1);
@@ -462,7 +470,13 @@ mod tests {
                         cluster.prune(now, grace);
                         single.prune_dead(now, grace);
                     }
-                    _ => drop(cluster.sync_round_filtered(&mut |_, _| below(2) == 0)),
+                    _ => {
+                        let quiet = Tracer::disabled();
+                        cluster.sync_round_filtered(
+                            &mut |_, _| below(2) == 0,
+                            Narrator::at(&quiet, 0),
+                        );
+                    }
                 }
             }
             for id in 0..k as u64 {

@@ -120,17 +120,21 @@ impl FederatedShard {
         }
     }
 
-    /// Applies a peer's push to the merged registry. Own nodes are
-    /// never overwritten — the local registration is authoritative.
-    pub fn apply_delta(&mut self, delta: &SyncDelta) {
+    /// Applies a peer's push to the merged registry, returning how many
+    /// of its summaries were taken. Own nodes are never overwritten —
+    /// the local registration is authoritative.
+    pub fn apply_delta(&mut self, delta: &SyncDelta) -> u64 {
+        let mut applied = 0;
         for summary in &delta.updated {
             if self
                 .manager
                 .apply_peer(summary.status, summary.last_heartbeat)
             {
-                self.counters.summaries_applied += 1;
+                applied += 1;
             }
         }
+        self.counters.summaries_applied += applied;
+        applied
     }
 
     /// Notes participation in one sync round.

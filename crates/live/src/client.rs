@@ -403,13 +403,17 @@ impl LiveClient {
         // Shed, dead mid-join or out of sequence: the join did not
         // happen, and only the first says anything about the node.
         let accepted = matches!(reply, Ok(Response::JoinResult { accepted: true }));
-        // (No stale replies: a blocking driver abandons no join.)
-        if let JoinFollowup::SwitchComplete { leave } = core.on_join_result(target, accepted, now) {
-            self.narrator().joined(core, target, leave);
-            if let Some(previous) = leave {
-                let leave = Request::Leave { user: self.id };
-                let _ = self.exchange(frame, connections, previous.as_u64(), &leave);
+        match core.on_join_result(target, accepted, now) {
+            JoinFollowup::SwitchComplete { leave } => {
+                self.narrator().joined(core, target, leave);
+                if let Some(previous) = leave {
+                    let leave = Request::Leave { user: self.id };
+                    let _ = self.exchange(frame, connections, previous.as_u64(), &leave);
+                }
             }
+            JoinFollowup::Rediscover => self.narrator().join_rejected(core.id(), target),
+            // (No stale replies: a blocking driver abandons no join.)
+            JoinFollowup::Stale => {}
         }
     }
 

@@ -10,11 +10,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use armada_chaos::{FaultyTransport, LinkFaults};
-use armada_manager::{CowTable, GlobalSelectionPolicy, NodeRegistry};
+use armada_manager::{CowTable, GlobalSelectionPolicy, Narrator, NodeRegistry};
 use armada_node::NodeStatus;
 use armada_reactor::{AcceptFactory, Conn, ConnCtx, FdIo, Handle, Reactor, ReactorConfig, Source};
 use armada_trace::{s, u, Severity, Tracer};
-use armada_types::{Backoff, GeoPoint, NodeId, SimDuration, SimTime};
+use armada_types::{Backoff, GeoPoint, NodeId, ShardId, SimDuration, SimTime};
 
 use armada_wire::{
     decode_request, decode_response, Codec, Request, Response, WireNodeStatus, WireSummary,
@@ -225,9 +225,16 @@ impl ManagerState {
     /// and synced, and their addresses.
     fn prune(&mut self) {
         let grace = self.registry.liveness_budget() * PRUNE_GRACE_WINDOWS;
-        for id in self.registry.prune(self.now(), grace).ids() {
+        let pruned = self.registry.prune(self.now(), grace);
+        for id in pruned.ids() {
             self.addrs.remove(id);
         }
+        self.narrator().pruned(pruned.own.len());
+    }
+
+    /// The core's events, stamped with the tracer's clock.
+    fn narrator(&self) -> Narrator<'_> {
+        Narrator::at(&self.tracer, self.tracer.now_us())
     }
 }
 
@@ -423,21 +430,31 @@ impl LiveManager {
     }
 }
 
-/// Classifies a connection-close error as an overload eviction, if it
-/// is one, yielding the reason label for the `overload.evict` trace.
-/// The reactor reports evictions as `io::Error`s with fixed messages;
-/// matching on them keeps the reactor free of tracing concerns.
-pub(crate) fn evict_reason(err: Option<&std::io::Error>) -> Option<&'static str> {
-    let msg = err?.to_string();
-    if msg.contains("outbound backlog exceeded") {
-        Some("write-cap")
+/// `overload.evict`, if `err` closed one of `server`'s connections for
+/// overload (`id`: the node's id, the manager's shard). The reactor
+/// reports evictions as `io::Error`s with fixed messages; matching on
+/// them keeps the reactor free of tracing concerns.
+pub(crate) fn trace_eviction(
+    tracer: &Tracer,
+    server: &'static str,
+    id: u64,
+    err: Option<&std::io::Error>,
+) {
+    let Some(msg) = err.map(ToString::to_string) else {
+        return;
+    };
+    let reason = if msg.contains("outbound backlog exceeded") {
+        "write-cap"
     } else if msg.contains("write stalled") {
-        Some("write-stall")
+        "write-stall"
     } else if msg.contains("read progress stalled") {
-        Some("slow-loris")
+        "slow-loris"
     } else {
-        None
-    }
+        return;
+    };
+    tracer.emit(Severity::Warn, "overload.evict", || {
+        vec![("server", s(server)), ("id", u(id)), ("reason", s(reason))]
+    });
 }
 
 /// One accepted connection's state machine: decode a request frame,
@@ -491,12 +508,10 @@ impl Conn for MgrConn {
     }
 
     fn on_close(&mut self, err: Option<&std::io::Error>, _handle: &Handle) {
-        if let Some(reason) = evict_reason(err) {
-            lock_recover(&self.state)
-                .tracer
-                .emit(Severity::Warn, "overload.evict", || {
-                    vec![("server", s("manager")), ("reason", s(reason))]
-                });
+        // (An orderly close takes no lock.)
+        if err.is_some() {
+            let state = lock_recover(&self.state);
+            trace_eviction(&state.tracer, "manager", state.shard, err);
         }
     }
 }
@@ -684,12 +699,10 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
                 Err(refusal) => return refusal,
             };
             let mut s = lock_recover(state);
-            let id = status.id;
             let now = s.now();
             s.registry.register(core, now);
-            s.addrs.insert(NodeId::new(id), listen_addr);
-            s.tracer
-                .emit(Severity::Info, "node.register", || vec![("node", u(id))]);
+            s.addrs.insert(core.node, listen_addr);
+            s.narrator().registered(core.node, ShardId::new(s.shard));
             Response::Registered
         }
         Request::Heartbeat { status } => {
@@ -711,7 +724,7 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
             }
         }
         Request::Discover {
-            user,
+            user: _user,
             lat,
             lon,
             top_n,
@@ -720,12 +733,12 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
             // refcount bumps), then rank outside it: discovery never
             // blocks a heartbeat or sync write, which at most copies the
             // one shard it touches while this query holds the view.
-            let (view, addrs, tracer, now) = {
+            let (view, addrs, now) = {
                 let mut s = lock_recover(state);
                 s.discoveries += 1;
                 #[cfg(test)]
-                test_hooks::maybe_panic_in_discover(user);
-                (s.registry.view(), s.addrs.view(), s.tracer.clone(), s.now())
+                test_hooks::maybe_panic_in_discover(_user);
+                (s.registry.view(), s.addrs.view(), s.now())
             };
             // The core's ranking over every alive record, own and
             // synced — no proximity filter, unlike the simulated
@@ -741,9 +754,6 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
                 .into_iter()
                 .map(|c| (c.node.as_u64(), addr_of(c.node)))
                 .collect();
-            tracer.emit(Severity::Debug, "mgr.discover", || {
-                vec![("user", u(user)), ("returned", u(nodes.len() as u64))]
-            });
             Response::Candidates { nodes }
         }
         Request::SyncSummaries { from, summaries } => {
@@ -766,9 +776,8 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
                 applied += 1;
             }
             s.syncs_applied += applied;
-            s.tracer.emit(Severity::Debug, "fed.sync", || {
-                vec![("from", u(from)), ("applied", u(applied))]
-            });
+            let (shard, from) = (ShardId::new(s.shard), ShardId::new(from));
+            s.narrator().synced(shard, from, applied);
             Response::SyncAck { applied }
         }
         other => Response::Error {

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use armada_node::{EdgeNode, NodeAction};
+use armada_node::{EdgeNode, Narrator, NodeAction};
 use armada_reactor::{
     AcceptFactory, Conn, ConnCtx, ConnId, Handle, Reactor, ReactorConfig, Source, UdpHandler,
 };
@@ -158,7 +158,13 @@ impl NodeState {
         self.core.lock().expect("no panic while the core is held")
     }
 
-    /// Emits `kind` with this node's id and `fields`.
+    /// The core's events, stamped with the tracer's clock.
+    fn narrator(&self) -> Narrator<'_> {
+        Narrator::at(&self.tracer, self.tracer.now_us())
+    }
+
+    /// Emits one of the driver's own `kind`s with this node's id and
+    /// `fields`.
     fn trace(&self, severity: Severity, kind: &str, fields: &[(&'static str, u64)]) {
         self.tracer.emit(severity, kind, || {
             let node = [("node", self.cfg.id)];
@@ -212,14 +218,12 @@ impl NodeState {
                         }
                     }
                     NodeAction::InvokeTestWorkload { after } => {
-                        let after_us = after.as_micros();
-                        let fields = [("after_us", after_us)];
-                        self.trace(Severity::Debug, "node.whatif.refresh", &fields);
-                        if after_us == 0 {
+                        self.narrator().whatif_refresh(core.node.id(), after);
+                        if after.is_zero() {
                             more.extend(core.node.invoke_test_workload(self.now()));
                         } else {
                             let state = Arc::clone(self);
-                            let after = Duration::from_micros(after_us);
+                            let after = Duration::from_micros(after.as_micros());
                             handle.timer_after(after, move |h| state.wake(h, Entry::Refresh));
                         }
                     }
@@ -272,10 +276,6 @@ impl NodeState {
         from: ReplyTo,
         now: SimTime,
     ) -> Vec<NodeAction> {
-        let member = |kind: &str, user: u64, node: &EdgeNode| {
-            let fields = [("user", user), ("seq", node.seq_num())];
-            self.trace(Severity::Info, kind, &fields);
-        };
         let (response, actions) = match request {
             Request::RttProbe => (Response::RttPong, Vec::new()),
             Request::ProcessProbe => {
@@ -289,27 +289,22 @@ impl NodeState {
                 (response, actions)
             }
             Request::Join { user, seq } => {
-                let (result, actions) = core.node.join(UserId::new(user), seq, now);
+                let user = UserId::new(user);
+                let (result, actions) = core.node.join(user, seq, now);
                 let accepted = result.is_ok();
-                let kind = if accepted {
-                    "node.join"
-                } else {
-                    "node.join.rejected"
-                };
-                member(kind, user, &core.node);
+                self.narrator().joined(&core.node, user, accepted);
                 (Response::JoinResult { accepted }, actions)
             }
             Request::UnexpectedJoin { user } => {
-                let actions = core.node.unexpected_join(UserId::new(user), now);
-                member("node.unexpected_join", user, &core.node);
+                let user = UserId::new(user);
+                let actions = core.node.unexpected_join(user, now);
+                self.narrator().unexpected_join(&core.node, user);
                 (Response::Ack, actions)
             }
             Request::Leave { user } => {
-                let attached = core.node.is_attached(UserId::new(user));
-                let actions = core.node.leave(UserId::new(user), now);
-                if attached {
-                    member("node.detach", user, &core.node);
-                }
+                let user = UserId::new(user);
+                let (detached, actions) = core.node.leave(user, now);
+                self.narrator().left(&core.node, user, detached);
                 (Response::Ack, actions)
             }
             Request::Frame { user, seq, .. } => {
@@ -624,16 +619,8 @@ impl Conn for NodeConn {
     }
 
     fn on_close(&mut self, err: Option<&std::io::Error>, _handle: &Handle) {
-        if let Some(reason) = crate::manager::evict_reason(err) {
-            self.state
-                .tracer
-                .emit(Severity::Warn, "overload.evict", || {
-                    vec![
-                        ("node", u(self.state.cfg.id)),
-                        ("reason", armada_trace::s(reason)),
-                    ]
-                });
-        }
+        let state = &self.state;
+        crate::manager::trace_eviction(&state.tracer, "node", state.cfg.id, err);
     }
 }
 
@@ -677,9 +664,14 @@ mod tests {
         read_response(stream).unwrap().0
     }
 
+    /// Algorithm 1 over the wire; the node narrates each change of
+    /// membership, and a refusal, with the `seq` left behind.
     #[test]
     fn probe_join_leave_cycle() {
-        let (node, addr) = LiveNode::bind(config(1, 4, 5.0, 0), None).unwrap();
+        let sink = armada_trace::MemorySink::new();
+        let buffer = sink.buffer();
+        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+        let (node, addr) = LiveNode::bind_traced(config(1, 4, 5.0, 0), None, tracer).unwrap();
         let mut stream = TcpStream::connect(addr).unwrap();
         let reply = rpc(&mut stream, Request::ProcessProbe);
         let seq = match reply {
@@ -707,6 +699,29 @@ mod tests {
         );
         assert_eq!(rpc(&mut stream, Request::Leave { user: 7 }), Response::Ack);
         assert_eq!(node.attached_count(), 0);
+        // A leave from someone not attached changes nothing.
+        assert_eq!(rpc(&mut stream, Request::Leave { user: 7 }), Response::Ack);
+        let trace = buffer.lock().unwrap().clone();
+        let events = armada_trace::inspect::parse_jsonl(&trace).unwrap();
+        let members: Vec<String> = events
+            .iter()
+            .filter(|e| e.kind != "node.whatif.refresh")
+            .map(|e| {
+                let field = |key| e.field_u64(key).unwrap();
+                let (node, user, seq) = (field("node"), field("user"), field("seq"));
+                format!("{} node={node} user={user} seq={seq}", e.kind)
+            })
+            .collect();
+        let narrated: &[&str] = if cfg!(feature = "trace") {
+            &[
+                "node.join node=1 user=7 seq=1",
+                "node.join.rejected node=1 user=8 seq=1",
+                "node.detach node=1 user=7 seq=2",
+            ]
+        } else {
+            &[]
+        };
+        assert_eq!(members, narrated);
     }
 
     #[test]

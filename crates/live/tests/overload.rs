@@ -4,6 +4,7 @@
 //! (never hanging the peer, never reordering a connection's requests),
 //! and the client treats `Busy` as a backoff-and-walk-on signal.
 
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -11,7 +12,8 @@ use armada_live::{
     LiveManager, LiveManagerConfig, LiveNode, LiveNodeConfig, NodeConfig, Request, Response,
     WireNodeStatus,
 };
-use armada_trace::Tracer;
+use armada_trace::inspect::parse_jsonl;
+use armada_trace::{MemorySink, Severity, TraceEvent, Tracer};
 use armada_types::{GeoPoint, HardwareProfile, NodeClass};
 use armada_wire::{read_response, write_request, Codec};
 
@@ -53,15 +55,21 @@ fn send(stream: &mut TcpStream, req: &Request) {
 /// With `shed_conns: 1` every connection counts as overload, so every
 /// discovery query must be refused with `Busy` carrying the configured
 /// retry hint — while registrations and heartbeats (the liveness
-/// plane) keep being served on the very same shedding manager.
+/// plane) keep being served on the very same shedding manager. A peer
+/// that starts a frame and stalls is evicted, and the manager traces
+/// why.
 #[test]
 fn manager_sheds_queries_but_serves_liveness_traffic() {
     let cfg = LiveManagerConfig {
         shed_conns: 1,
         busy_retry_ms: 77,
+        read_progress_timeout: Duration::from_millis(200),
         ..LiveManagerConfig::default()
     };
-    let (mgr, addr) = LiveManager::bind_with(cfg, 0, Tracer::disabled()).unwrap();
+    let sink = MemorySink::new();
+    let buffer = sink.buffer();
+    let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+    let (mgr, addr) = LiveManager::bind_with(cfg, 0, tracer).unwrap();
 
     // Protected traffic is admitted even though the manager considers
     // itself overloaded from the first connection.
@@ -106,6 +114,41 @@ fn manager_sheds_queries_but_serves_liveness_traffic() {
         },
     );
     assert_eq!(resp, Response::HeartbeatAck);
+
+    // A length prefix promising 64 bytes, two of them, then nothing.
+    let mut loris = TcpStream::connect(addr).unwrap();
+    loris
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    loris.write_all(&64u32.to_be_bytes()).unwrap();
+    loris.write_all(b"xy").unwrap();
+    let cut = loris.read(&mut [0u8; 16]);
+    assert!(matches!(cut, Ok(0) | Err(_)), "the loris must be evicted");
+    let evictions = || {
+        let events = parse_jsonl(&buffer.lock().unwrap()).unwrap();
+        let evict = events.into_iter().filter(|e| e.kind == "overload.evict");
+        let fields = |e: TraceEvent| {
+            let text = |key| e.field_str(key).unwrap().to_string();
+            format!(
+                "{} {} {}",
+                text("server"),
+                e.field_u64("id").unwrap(),
+                text("reason")
+            )
+        };
+        evict.map(fields).collect::<Vec<_>>()
+    };
+    let traced = cfg!(feature = "trace");
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while traced && evictions().is_empty() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let expected: &[&str] = if traced {
+        &["manager 0 slow-loris"]
+    } else {
+        &[]
+    };
+    assert_eq!(evictions(), expected);
 }
 
 /// A node with one worker and a one-slot queue, made heavy via
@@ -170,7 +213,6 @@ fn node_pool_saturation_refuses_with_busy_instead_of_hanging() {
 #[cfg(feature = "trace")]
 #[test]
 fn client_backs_off_on_busy_and_fails_over_to_the_peer_shard() {
-    use armada_trace::{MemorySink, Severity};
     use armada_types::ClientConfig;
 
     let shed_cfg = LiveManagerConfig {

@@ -41,6 +41,7 @@
 
 mod discovery;
 mod manager;
+mod narrate;
 pub mod reference;
 mod registry;
 mod selection;
@@ -49,6 +50,7 @@ mod table;
 
 pub use discovery::discover_shortlist;
 pub use manager::CentralManager;
+pub use narrate::Narrator;
 pub use reference::widen_and_rank;
 pub use registry::{NodeRecord, NodeRegistry, Pruned, RegistryView};
 pub use selection::{partial_select_by, GlobalSelectionPolicy, ScoredCandidate};

@@ -17,15 +17,18 @@
 //!
 //! The node is pure logic over virtual time: it never blocks or sleeps.
 //! Methods return [`NodeAction`]s (e.g. "invoke the test workload after
-//! 2×RTT") that the scenario runner turns into scheduled events.
+//! 2×RTT") that the scenario runner turns into scheduled events. What a
+//! node decided is traced by its [`Narrator`], which both runtimes call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod monitor;
+mod narrate;
 mod node;
 mod probe;
 
 pub use monitor::{PerfMonitor, WhatIfCache};
+pub use narrate::Narrator;
 pub use node::{EdgeNode, NodeAction, NodeStats};
 pub use probe::{NodeStatus, ProbeReply};

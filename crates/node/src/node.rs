@@ -278,18 +278,20 @@ impl EdgeNode {
         actions
     }
 
-    /// `Leave()` — the user departs (switch or finish). Triggers an
-    /// immediate test-workload refresh and a sequence bump.
-    pub fn leave(&mut self, user: UserId, now: SimTime) -> Vec<NodeAction> {
+    /// `Leave()` — the user departs (switch or finish). Detaching an
+    /// attached user (`true`) triggers an immediate test-workload
+    /// refresh and a sequence bump; anyone else's leave changes nothing.
+    pub fn leave(&mut self, user: UserId, now: SimTime) -> (bool, Vec<NodeAction>) {
         let mut actions = self.advance(now);
-        if self.attached.remove(&user) {
+        let detached = self.attached.remove(&user);
+        if detached {
             self.seq_num += 1;
             self.stats.leaves += 1;
             actions.push(NodeAction::InvokeTestWorkload {
                 after: SimDuration::ZERO,
             });
         }
-        actions
+        (detached, actions)
     }
 
     /// Accepts a live frame for processing.
@@ -448,7 +450,8 @@ mod tests {
             .0
             .unwrap();
         let seq = n.seq_num();
-        let actions = n.leave(UserId::new(1), SimTime::from_millis(100));
+        let (detached, actions) = n.leave(UserId::new(1), SimTime::from_millis(100));
+        assert!(detached);
         assert!(!n.is_attached(UserId::new(1)));
         assert_eq!(n.seq_num(), seq + 1);
         assert!(actions
@@ -460,7 +463,8 @@ mod tests {
     fn leave_of_unknown_user_is_a_noop() {
         let mut n = node();
         let seq = n.seq_num();
-        let actions = n.leave(UserId::new(42), SimTime::ZERO);
+        let (detached, actions) = n.leave(UserId::new(42), SimTime::ZERO);
+        assert!(!detached);
         assert_eq!(n.seq_num(), seq);
         assert!(actions.is_empty());
         assert_eq!(n.stats().leaves, 0);

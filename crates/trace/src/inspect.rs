@@ -2,22 +2,12 @@
 //! protocol facts the figures are about — who switched where and when,
 //! how long probe rounds took, and how much downtime a failover cost.
 //!
-//! Event kinds the helpers understand (both the simulator and the live
-//! runtime emit these names):
-//!
-//! | kind                | fields                                  |
-//! |---------------------|-----------------------------------------|
-//! | `probe.round.start` | `user`, `round`, `candidates`           |
-//! | `probe.round.done`  | `user`, `round`, `replies`, `failed`, `decision` |
-//! | `client.join`       | `user`, `node`                          |
-//! | `client.switch`     | `user`, `from`, `to`                    |
-//! | `client.failure`    | `user`, `mode`                          |
-//! | `client.failover`   | `user`, `action`, `target`              |
-//! | `frame.done`        | `user`, `latency_us`                    |
+//! Every kind a trace may hold is listed in [`KINDS`]; the fields of
+//! one are documented where it is written, at its role's narrator.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
-use crate::TraceEvent;
+use crate::{TraceEvent, KINDS};
 
 /// Parses a whole JSONL trace (one event per non-empty line).
 ///
@@ -43,6 +33,15 @@ pub fn kind_histogram(events: &[TraceEvent]) -> Vec<(String, usize)> {
         .collect();
     histogram.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     histogram
+}
+
+/// The kinds in `events` that [`KINDS`] does not list, sorted, each once.
+pub fn unknown_kinds(events: &[TraceEvent]) -> Vec<String> {
+    let seen: BTreeSet<&str> = events.iter().map(|e| e.kind.as_str()).collect();
+    seen.into_iter()
+        .filter(|kind| !KINDS.iter().any(|(known, _)| known == kind))
+        .map(String::from)
+        .collect()
 }
 
 /// One serving-node change for one user.
@@ -241,6 +240,19 @@ mod tests {
             kind_histogram(&events),
             vec![("b".into(), 2), ("a".into(), 1), ("c".into(), 1)]
         );
+    }
+
+    #[test]
+    fn unknown_kinds_names_each_unlisted_kind_once() {
+        let events = vec![
+            event(1, "client.join", vec![]),
+            event(2, "node.joined", vec![]),
+            event(3, "fed.sync", vec![]),
+            event(4, "node.joined", vec![]),
+            event(5, "a", vec![]),
+        ];
+        assert_eq!(unknown_kinds(&events), ["a", "node.joined"]);
+        assert!(unknown_kinds(&events[..1]).is_empty());
     }
 
     #[test]

@@ -30,8 +30,7 @@
 //!
 //! `t_us` is microseconds (virtual time in the simulator, wall clock in
 //! the live runtime), `sev` is `debug`/`info`/`warn`, and `kind` is a
-//! dot-separated event name (see [`inspect`] for the kinds the analysis
-//! helpers understand).
+//! dot-separated event name, one of [`KINDS`].
 //!
 //! # Examples
 //!
@@ -57,6 +56,9 @@
 #![warn(missing_docs)]
 
 pub mod inspect;
+mod kinds;
+
+pub use kinds::KINDS;
 
 use std::fmt;
 use std::io::Write;

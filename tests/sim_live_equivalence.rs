@@ -18,10 +18,13 @@
 //! Each node's side is compared as well: who it let in or turned away,
 //! its `seqNum` after every join, leave and unexpected join, and every
 //! what-if refresh it scheduled (at once, or after the post-join
-//! delay). The live node traces these itself. The simulator's runner
-//! does not, so its rows are read off what the client was told and the
-//! runner's `node.whatif.refresh` — and the sequence numbers counted
-//! that way must be the ones the simulated nodes end the run with.
+//! delay). Both runtimes' nodes narrate these through the one
+//! `armada_node::Narrator`, so the two streams are read alike — and the
+//! last sequence number a simulated node reported must be the one it
+//! ends the run with.
+//!
+//! Every trace captured here holds only kinds `armada_trace::KINDS`
+//! lists.
 //!
 //! A second script takes the manager away instead of the nodes (sim: a
 //! crash window in the fault plan; live: the manager's own transport
@@ -42,13 +45,14 @@
 //! and, the peer serving throughout, the client is never degraded and
 //! never leaves its node.
 //!
-//! The manager has rows of its own (ROADMAP open item 2's gate), which
-//! need no trace: the same fleet and the same queries answered by
+//! The manager has rows of its own (ROADMAP open item 2's gate): the
+//! same fleet and the same queries answered by
 //! `CentralManager::discover` and by a `LiveManager` over the wire must
 //! give the same ids in the same order, and the same peer summaries
 //! applied through `FederatedShard::apply_delta` and through a
-//! `SyncSummaries` RPC must leave the same merged view. Both drive one
-//! `NodeRegistry` and one ranking; what still differs is candidate
+//! `SyncSummaries` RPC must leave the same merged view and be narrated
+//! as the same `fed.sync`s. Both drive one `NodeRegistry` and one
+//! ranking; what still differs is candidate
 //! *generation* — the simulator ranks what lies within
 //! `proximity_radius_km` (80 km, widening only when that is too few),
 //! the live manager ranks every alive record — so the rows' domain is a
@@ -74,11 +78,11 @@ use armada::live::{
     Codec, LiveClient, LiveManager, LiveManagerConfig, LiveNode, NodeConfig, Request, Response,
     ServeFaults, WireConfig, WireNodeStatus, WireSummary,
 };
-use armada::manager::{CentralManager, GlobalSelectionPolicy};
+use armada::manager::{CentralManager, GlobalSelectionPolicy, Narrator};
 use armada::net::LatencyModelParams;
 use armada::node::NodeStatus;
 use armada::sim::SimRng;
-use armada::trace::{inspect, MemorySink, Severity, Tracer};
+use armada::trace::{inspect, MemorySink, Severity, TraceEvent, Tracer};
 use armada::types::{
     AccessNetwork, ClientConfig, GeoPoint, HardwareProfile, NodeClass, NodeId, SelectorMode,
     SimDuration, SimTime, SystemConfig,
@@ -157,6 +161,14 @@ fn memory_tracer() -> (Tracer, Arc<Mutex<String>>) {
     (Tracer::with_sink(Box::new(sink), Severity::Debug), buffer)
 }
 
+/// A captured trace's events, every kind of them a listed one.
+fn events(trace: &str) -> Vec<TraceEvent> {
+    let events = inspect::parse_jsonl(trace).expect("trace parses");
+    let unknown = inspect::unknown_kinds(&events);
+    assert!(unknown.is_empty(), "kinds not in KINDS: {unknown:?}");
+    events
+}
+
 /// User 0's decision stream out of a captured trace.
 ///
 /// Whether a probing round or the next frame is first to notice that
@@ -167,10 +179,10 @@ fn memory_tracer() -> (Tracer, Arc<Mutex<String>>) {
 /// changes nothing (frames keep flowing until one fails), so it is not
 /// counted.
 fn decisions(trace: &str) -> Vec<String> {
-    let node = |e: &armada::trace::TraceEvent, key: &str| e.field_u64(key).expect("node field");
+    let node = |e: &TraceEvent, key: &str| e.field_u64(key).expect("node field");
     let mut out: Vec<String> = Vec::new();
     let mut serving = false;
-    for e in inspect::parse_jsonl(trace).expect("trace parses") {
+    for e in events(trace) {
         if e.field_u64("user") != Some(0) {
             continue;
         }
@@ -207,79 +219,35 @@ struct NodeStream {
     refreshes: Vec<String>,
 }
 
-/// Every node's stream out of a captured trace, from either runtime.
-///
-/// A live node reports its own `node.join` / `node.join.rejected` /
-/// `node.unexpected_join` / `node.detach` with the sequence number
-/// after it. In a simulated run the same decisions show as what the
-/// client was told — a join accepted or rejected, a switch (joined
-/// `to`, left `from`), a failover onto a backup (unexpected join) —
-/// and the sequence number is counted here, one per change of
-/// membership. Runs of equal entries count once, as for the client.
+/// Every node's stream out of a captured trace, from either runtime:
+/// its `node.join` / `node.join.rejected` / `node.unexpected_join` /
+/// `node.detach` with the sequence number after each, and its
+/// `node.whatif.refresh`es. Runs of equal entries count once, as for
+/// the client.
 fn node_streams(trace: &str) -> [NodeStream; 3] {
     let mut out: [NodeStream; 3] = Default::default();
-    let mut counted = [0u64; 3];
-    for e in inspect::parse_jsonl(trace).expect("trace parses") {
+    for e in events(trace) {
         let field = |key: &str| {
             e.field_u64(key)
                 .unwrap_or_else(|| panic!("{}: {key}", e.kind))
         };
-        let mut member = |node: u64, what: String, bumps: bool| {
-            let seq = match e.field_u64("seq") {
-                Some(reported) => reported,
-                None => {
-                    counted[node as usize] += u64::from(bumps);
-                    counted[node as usize]
-                }
-            };
-            let token = format!("{what}, seq {seq}");
-            let members = &mut out[node as usize].members;
-            if members.last() != Some(&token) {
-                members.push(token);
-            }
+        let (member, what) = match e.kind.as_str() {
+            "node.join" => (true, format!("join {} accepted", field("user"))),
+            "node.join.rejected" => (true, format!("join {} rejected", field("user"))),
+            "node.unexpected_join" => (true, format!("unexpected_join {}", field("user"))),
+            "node.detach" => (true, format!("leave {}", field("user"))),
+            "node.whatif.refresh" if field("after_us") == 0 => (false, "now".to_string()),
+            "node.whatif.refresh" => (false, "delayed".to_string()),
+            _ => continue,
         };
-        match e.kind.as_str() {
-            "node.join" | "client.join" => member(
-                field("node"),
-                format!("join {} accepted", field("user")),
-                true,
-            ),
-            "node.join.rejected" | "client.join.rejected" => member(
-                field("node"),
-                format!("join {} rejected", field("user")),
-                false,
-            ),
-            "client.switch" => {
-                member(
-                    field("to"),
-                    format!("join {} accepted", field("user")),
-                    true,
-                );
-                member(field("from"), format!("leave {}", field("user")), true);
-            }
-            "node.detach" => member(field("node"), format!("leave {}", field("user")), true),
-            "node.unexpected_join" => member(
-                field("node"),
-                format!("unexpected_join {}", field("user")),
-                true,
-            ),
-            "client.failover" if e.field_str("action") == Some("backup") => member(
-                field("target"),
-                format!("unexpected_join {}", field("user")),
-                true,
-            ),
-            "node.whatif.refresh" => {
-                let when = if field("after_us") == 0 {
-                    "now"
-                } else {
-                    "delayed"
-                };
-                let refreshes = &mut out[field("node") as usize].refreshes;
-                if refreshes.last().map(String::as_str) != Some(when) {
-                    refreshes.push(when.to_string());
-                }
-            }
-            _ => {}
+        let stream = &mut out[field("node") as usize];
+        let (entries, token) = if member {
+            (&mut stream.members, format!("{what}, seq {}", field("seq")))
+        } else {
+            (&mut stream.refreshes, what)
+        };
+        if entries.last() != Some(&token) {
+            entries.push(token);
         }
     }
     out
@@ -336,12 +304,14 @@ fn sim_decisions(selector: SelectorMode) -> (Vec<String>, [NodeStream; 3]) {
     tracer.flush();
     let trace = buffer.lock().expect("trace buffer").clone();
     let nodes = node_streams(&trace);
-    // The sequence numbers counted off the client's events are the
-    // simulated nodes' own.
+    // The last sequence number each simulated node reported is its own.
     for (id, stream) in nodes.iter().enumerate() {
         let node = run.world().node(NodeId::new(id as u64)).expect("node");
-        let counted = stream.members.iter().filter(|m| !m.contains("rejected"));
-        assert_eq!(node.seq_num(), counted.count() as u64, "node {id}");
+        let reported = stream.members.last().map_or(0, |m| {
+            let (_, seq) = m.rsplit_once("seq ").expect("a seq");
+            seq.parse().expect("a number")
+        });
+        assert_eq!(node.seq_num(), reported, "node {id}");
     }
     (decisions(&trace), nodes)
 }
@@ -474,7 +444,7 @@ fn control_plane(trace: &str) -> Vec<String> {
             meanwhile.clear();
         }
     };
-    for e in inspect::parse_jsonl(trace).expect("trace parses") {
+    for e in events(trace) {
         if e.field_u64("user") != Some(0) {
             continue;
         }
@@ -559,7 +529,7 @@ fn sim_manager_loss(selector: SelectorMode, peer: bool) -> Vec<String> {
         trace
     };
     // The script replays: the pilot's breaker opens when the real run's does.
-    let pilot = inspect::parse_jsonl(&run(SimTime::MAX)).expect("trace parses");
+    let pilot = events(&run(SimTime::MAX));
     let opened = pilot.iter().find(|e| e.kind == "chaos.breaker.open");
     let opened = SimTime::from_micros(opened.expect("the pilot's breaker opens").t_us);
     control_plane(&run(opened + SimDuration::from_millis(100)))
@@ -782,10 +752,12 @@ fn manager_shortlists_are_alike_in_sim_and_live() {
 
 /// The peer's word on `peers`, as of `now`: every fifth node's last
 /// heartbeat is a second older than the 6 s budget, the rest are half a
-/// second old. Given to the shard as a delta and to the live manager as
-/// a `SyncSummaries` RPC, which must take the same `applied` of them.
+/// second old. Given to the shard as a delta (narrated as the simulated
+/// tier narrates a push) and to the live manager as a `SyncSummaries`
+/// RPC, which must take the same `applied` of them.
 fn sync(
     sim: &mut FederatedShard,
+    narrate: Narrator<'_>,
     conn: &mut ManagerConn,
     peers: &[NodeStatus],
     now: SimTime,
@@ -795,8 +767,7 @@ fn sync(
         0 => SimDuration::from_secs(7),
         _ => SimDuration::from_millis(500),
     };
-    let before = sim.counters().summaries_applied;
-    sim.apply_delta(&SyncDelta {
+    let taken = sim.apply_delta(&SyncDelta {
         from: ShardId::new(0),
         updated: peers
             .iter()
@@ -807,7 +778,8 @@ fn sync(
             })
             .collect(),
     });
-    assert_eq!(sim.counters().summaries_applied - before, applied);
+    narrate.synced(sim.id(), ShardId::new(0), taken);
+    assert_eq!(taken, applied);
     let summaries = peers
         .iter()
         .map(|status| WireSummary {
@@ -828,18 +800,32 @@ fn merged_views_are_alike_in_sim_and_live() {
         SystemConfig::default(),
         GlobalSelectionPolicy::default(),
     );
-    let (live, addr) = LiveManager::bind_federated(1, Tracer::disabled()).unwrap();
+    let (sim_tracer, sim_trace) = memory_tracer();
+    let (live_tracer, live_trace) = memory_tracer();
+    let (live, addr) = LiveManager::bind_federated(1, live_tracer).unwrap();
     let mut conns = ManagerConn::open_each(addr);
     // The peer advertises nodes 50..250 and this manager owns 0..100:
     // 50..75 register after the peer's word arrived and must drop it,
     // 75..100 before and must refuse it.
     let now = SimTime::from_secs(100);
-    sync(&mut sim, &mut conns[0], &fleet[50..75], now, 25);
+    let narrate = Narrator::at(&sim_tracer, now.as_micros());
+    sync(&mut sim, narrate, &mut conns[0], &fleet[50..75], now, 25);
     for (i, status) in fleet[..100].iter().enumerate() {
         sim.register(*status, now);
         conns[i % 2].register(status);
     }
-    sync(&mut sim, &mut conns[1], &fleet[75..250], now, 150);
+    sync(&mut sim, narrate, &mut conns[1], &fleet[75..250], now, 150);
+    let synced = |trace: &Mutex<String>| -> Vec<[u64; 3]> {
+        let events = events(&trace.lock().expect("trace buffer"));
+        let fields = |e: &TraceEvent| ["shard", "from", "applied"].map(|k| e.field_u64(k).unwrap());
+        events
+            .iter()
+            .filter(|e| e.kind == "fed.sync")
+            .map(fields)
+            .collect()
+    };
+    assert_eq!(synced(&sim_trace), [[1, 0, 25], [1, 0, 150]]);
+    assert_eq!(synced(&live_trace), synced(&sim_trace));
 
     // 100 own + 150 synced, of which 30 arrived dead.
     assert_eq!(sim.merged_alive_count(now), 220);

@@ -64,6 +64,8 @@ fn trace_reconstructs_the_failover() {
     let victim = victim_node();
     let (text, result) = traced_run(victim);
     let events = inspect::parse_jsonl(&text).expect("trace parses");
+    let unknown = inspect::unknown_kinds(&events);
+    assert!(unknown.is_empty(), "kinds not in KINDS: {unknown:?}");
 
     // Every user's initial join is on the timeline.
     let timeline = inspect::switch_timeline(&events);
