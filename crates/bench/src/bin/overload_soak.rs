@@ -166,7 +166,6 @@ fn run_point(intensity: f64, window: Duration, label: &str) -> PointStats {
             liveness_window: HEARTBEAT * 4,
             shed_conns: SHED_CONNS,
             read_progress_timeout: LORIS_DEADLINE,
-            ..LiveManagerConfig::default()
         },
         0,
         tracer_for("overload_soak", label),

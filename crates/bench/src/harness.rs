@@ -30,8 +30,8 @@ const _: () = {
 
 /// One experiment run: environment + strategy + seed + virtual
 /// duration. The common case of [`Harness::run_specs`]; anything more
-/// elaborate (churn, staggered arrivals, kills) goes through
-/// [`Harness::run_scenarios`] or the generic [`Harness::run`].
+/// elaborate (churn, staggered arrivals, kills) goes through the generic
+/// [`Harness::run`].
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     /// The environment to instantiate.
@@ -129,11 +129,6 @@ impl Harness {
                     .expect("every slot was filled")
             })
             .collect()
-    }
-
-    /// Runs a list of fully-configured scenarios, in spec order.
-    pub fn run_scenarios(&self, scenarios: Vec<Scenario>) -> Vec<RunResult> {
-        self.run(scenarios, Scenario::run)
     }
 
     /// Runs a list of `(env, strategy, seed, duration)` specs, in spec

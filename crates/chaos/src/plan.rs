@@ -287,13 +287,8 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Default fault profile applied to every link.
     pub faults: LinkFaults,
-    /// Per-link overrides; the first matching entry wins.
-    pub overrides: Vec<(PeerSel, PeerSel, LinkFaults)>,
     /// Scheduled partitions.
     pub partitions: Vec<Partition>,
-    /// Per-peer slow-down factors, multiplied into every link the
-    /// selected peer touches.
-    pub slowdowns: Vec<(PeerSel, f64)>,
     /// Time-windowed slow-downs, active only inside their windows.
     pub slowdown_windows: Vec<SlowdownWindow>,
     /// Crash-restart schedules.
@@ -309,9 +304,7 @@ impl FaultPlan {
         FaultPlan {
             seed,
             faults: LinkFaults::NONE,
-            overrides: Vec::new(),
             partitions: Vec::new(),
-            slowdowns: Vec::new(),
             slowdown_windows: Vec::new(),
             crashes: Vec::new(),
             sync_drop: 0.0,
@@ -324,21 +317,9 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a per-link fault override (first match wins).
-    pub fn override_link(mut self, a: PeerSel, b: PeerSel, faults: LinkFaults) -> Self {
-        self.overrides.push((a, b, faults));
-        self
-    }
-
     /// Schedules a partition between two selections.
     pub fn partition(mut self, a: PeerSel, b: PeerSel, from: SimTime, until: SimTime) -> Self {
         self.partitions.push(Partition { a, b, from, until });
-        self
-    }
-
-    /// Slows every link touching the selected peers by `factor`.
-    pub fn slow_peer(mut self, sel: PeerSel, factor: f64) -> Self {
-        self.slowdowns.push((sel, factor.max(1.0)));
         self
     }
 
@@ -380,28 +361,14 @@ impl FaultPlan {
     /// is then provably a no-op (and consumes no randomness).
     pub fn is_noop(&self) -> bool {
         self.faults.is_noop()
-            && self.overrides.iter().all(|(_, _, f)| f.is_noop())
             && self.partitions.is_empty()
-            && self.slowdowns.iter().all(|(_, f)| *f <= 1.0)
             && self.slowdown_windows.iter().all(|w| w.factor <= 1.0)
             && self.crashes.is_empty()
             && self.sync_drop <= 0.0
     }
 
     fn faults_for(&self, a: PeerId, b: PeerId, now_us: u64) -> LinkFaults {
-        let mut faults = self
-            .overrides
-            .iter()
-            .find(|(sa, sb, _)| {
-                (sa.matches(a) && sb.matches(b)) || (sa.matches(b) && sb.matches(a))
-            })
-            .map(|(_, _, f)| *f)
-            .unwrap_or(self.faults);
-        for (sel, factor) in &self.slowdowns {
-            if sel.matches(a) || sel.matches(b) {
-                faults.slowdown *= factor.max(1.0);
-            }
-        }
+        let mut faults = self.faults;
         for w in &self.slowdown_windows {
             if w.active(now_us) && (w.sel.matches(a) || w.sel.matches(b)) {
                 faults.slowdown *= w.factor.max(1.0);
@@ -723,27 +690,6 @@ mod tests {
                 .deliver
         );
         assert_eq!(inj.stats().unreachable, 2);
-    }
-
-    #[test]
-    fn slowdowns_multiply_and_overrides_win() {
-        let plan = FaultPlan::new(1)
-            .override_link(
-                PeerSel::One(PeerId::user(1)),
-                PeerSel::Any,
-                LinkFaults {
-                    slowdown: 2.0,
-                    ..LinkFaults::NONE
-                },
-            )
-            .slow_peer(PeerSel::One(PeerId::node(4)), 3.0);
-        let mut inj = FaultInjector::new(plan);
-        let d = inj.decide(PeerId::user(1), PeerId::node(4), 0);
-        assert_eq!(d.slowdown, 6.0);
-        let d = inj.decide(PeerId::user(2), PeerId::node(4), 0);
-        assert_eq!(d.slowdown, 3.0);
-        let d = inj.decide(PeerId::user(2), PeerId::node(5), 0);
-        assert_eq!(d.slowdown, 1.0);
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! A fault-injecting wrapper around live byte streams.
 
-use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::io::{self, Write};
 
 use crate::hash::{mix, unit};
 use crate::plan::LinkFaults;
 
-/// Wraps a `Read + Write` stream and applies [`LinkFaults`] to every
-/// outgoing frame at the socket boundary.
+/// Wraps a byte sink and applies [`LinkFaults`] to every outgoing frame
+/// at the socket boundary.
 ///
 /// The live protocol issues one `write` call per length-prefixed frame,
 /// so each write is treated as one frame: it may be swallowed (drop),
@@ -16,8 +14,8 @@ use crate::plan::LinkFaults;
 /// (corrupt) or written twice (duplicate). Decisions hash
 /// `(seed, frame sequence)` — the same deterministic scheme the
 /// simulator uses — so a faulty transport replays identically under a
-/// fixed seed. A shared *blackhole* switch simulates a hard partition:
-/// while set, reads and writes fail fast with `ConnectionReset`.
+/// fixed seed. A hard partition is [`crate::ChaosProxy::set_partitioned`]'s
+/// job.
 ///
 /// # Examples
 ///
@@ -36,7 +34,6 @@ pub struct FaultyTransport<S> {
     faults: LinkFaults,
     seed: u64,
     seq: u64,
-    blackhole: Arc<AtomicBool>,
 }
 
 impl<S> FaultyTransport<S> {
@@ -47,23 +44,7 @@ impl<S> FaultyTransport<S> {
             faults,
             seed,
             seq: 0,
-            blackhole: Arc::new(AtomicBool::new(false)),
         }
-    }
-
-    /// The switch that turns this transport into a blackhole
-    /// (partition): share it with a test to cut the link mid-flight.
-    pub fn blackhole_switch(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.blackhole)
-    }
-
-    /// Replaces the partition switch with a shared one, so a whole
-    /// group of transports (e.g. every connection a faulty server
-    /// accepts) can be severed and healed together.
-    #[must_use]
-    pub fn share_blackhole(mut self, switch: Arc<AtomicBool>) -> Self {
-        self.blackhole = switch;
-        self
     }
 
     /// Frames decided so far.
@@ -80,33 +61,10 @@ impl<S> FaultyTransport<S> {
     pub fn into_inner(self) -> S {
         self.inner
     }
-
-    fn severed(&self) -> Option<io::Error> {
-        if self.blackhole.load(Ordering::Acquire) {
-            Some(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "chaos: link partitioned",
-            ))
-        } else {
-            None
-        }
-    }
-}
-
-impl<S: Read> Read for FaultyTransport<S> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(e) = self.severed() {
-            return Err(e);
-        }
-        self.inner.read(buf)
-    }
 }
 
 impl<S: Write> Write for FaultyTransport<S> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if let Some(e) = self.severed() {
-            return Err(e);
-        }
         let seq = self.seq;
         self.seq += 1;
         let draw = |salt: u64| unit(mix(self.seed, 0x7fa17, seq, salt));
@@ -141,9 +99,6 @@ impl<S: Write> Write for FaultyTransport<S> {
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        if let Some(e) = self.severed() {
-            return Err(e);
-        }
         self.inner.flush()
     }
 }
@@ -194,23 +149,6 @@ mod tests {
         let mut t = FaultyTransport::new(Vec::new(), faults, 4);
         t.write_all(b"abcd").unwrap();
         assert_eq!(t.get_ref().as_slice(), b"abcdabcd");
-    }
-
-    #[test]
-    fn blackhole_fails_reads_and_writes_fast() {
-        let mut t = FaultyTransport::new(std::io::Cursor::new(vec![1u8; 4]), LinkFaults::NONE, 5);
-        t.blackhole_switch().store(true, Ordering::Release);
-        let mut buf = [0u8; 4];
-        assert_eq!(
-            t.read(&mut buf).unwrap_err().kind(),
-            io::ErrorKind::ConnectionReset
-        );
-        assert_eq!(
-            t.write(b"x").unwrap_err().kind(),
-            io::ErrorKind::ConnectionReset
-        );
-        t.blackhole_switch().store(false, Ordering::Release);
-        assert!(t.read(&mut buf).is_ok());
     }
 
     #[test]

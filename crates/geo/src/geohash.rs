@@ -186,20 +186,6 @@ impl GeoHash {
         out
     }
 
-    /// Approximate width/height of a cell at `precision`, in kilometres.
-    /// Useful for choosing a precision that covers a target search radius.
-    pub fn cell_size_km(precision: usize) -> (f64, f64) {
-        // Longitude gets ceil(5p/2) bits, latitude floor(5p/2).
-        let total_bits = 5 * precision as u32;
-        let lon_bits = total_bits.div_ceil(2);
-        let lat_bits = total_bits / 2;
-        let lon_deg = 360.0 / (1u64 << lon_bits) as f64;
-        let lat_deg = 180.0 / (1u64 << lat_bits) as f64;
-        // 1 degree latitude ≈ 111.32 km; use the equatorial scale for
-        // longitude (worst case / widest cell).
-        (lon_deg * 111.32, lat_deg * 111.32)
-    }
-
     /// Number of leading characters this hash shares with `other`.
     ///
     /// Shared prefix length is the geohash notion of closeness a
@@ -211,19 +197,6 @@ impl GeoHash {
             .zip(other.0.bytes())
             .take_while(|(a, b)| a == b)
             .count()
-    }
-
-    /// The coarsest precision whose cell is still at least `radius_km`
-    /// wide in both dimensions — the starting precision for a proximity
-    /// search that must cover that radius.
-    pub fn precision_for_radius_km(radius_km: f64) -> usize {
-        for p in (1..=MAX_PRECISION).rev() {
-            let (w, h) = Self::cell_size_km(p);
-            if w >= radius_km && h >= radius_km {
-                return p;
-            }
-        }
-        1
     }
 }
 
@@ -300,34 +273,12 @@ mod tests {
         let h = GeoHash::encode(GeoPoint::new(44.9778, -93.2650), 6);
         let ns = h.neighbors();
         assert_eq!(ns.len(), 8);
-        let (w, ht) = GeoHash::cell_size_km(6);
-        let max_dist = 2.0 * (w + ht);
+        let ((south, north), (west, east)) = h.bounds();
+        let diagonal = GeoPoint::new(south, west).distance_km(GeoPoint::new(north, east));
+        let max_dist = 2.0 * diagonal;
         for n in &ns {
             assert_ne!(n, &h);
             assert!(h.decode_center().distance_km(n.decode_center()) < max_dist);
-        }
-    }
-
-    #[test]
-    fn cell_sizes_shrink_with_precision() {
-        let mut prev = f64::INFINITY;
-        for p in 1..=MAX_PRECISION {
-            let (w, h) = GeoHash::cell_size_km(p);
-            assert!(w < prev);
-            assert!(w > 0.0 && h > 0.0);
-            prev = w;
-        }
-    }
-
-    #[test]
-    fn precision_for_radius_covers_radius() {
-        for radius in [1.0, 10.0, 80.0, 500.0] {
-            let p = GeoHash::precision_for_radius_km(radius);
-            let (w, h) = GeoHash::cell_size_km(p);
-            assert!(
-                w >= radius && h >= radius || p == 1,
-                "precision {p} cell {w}x{h} does not cover {radius}"
-            );
         }
     }
 

@@ -966,6 +966,21 @@ mod tests {
         );
     }
 
+    /// Regression: a node registered over a plain `TcpStream::connect`,
+    /// so `bind` toward a black-holed manager waited out the OS connect
+    /// timeout. Whether the SYN is dropped, refused or answered by a
+    /// peer that never replies, `bind` returns within the manager link's
+    /// connect and read budgets.
+    #[test]
+    fn node_bind_is_bounded_against_unroutable_manager() {
+        let mgr: SocketAddr = "192.0.2.1:9".parse().unwrap();
+        let started = Instant::now();
+        let _ = LiveNode::bind(node_config(1, 1, 5.0, 0), Some(mgr));
+        let elapsed = started.elapsed();
+        let budget = crate::node::HEARTBEAT_RPC_TIMEOUT * 2 + Duration::from_secs(1);
+        assert!(elapsed < budget, "bind took {elapsed:?}, budget {budget:?}");
+    }
+
     #[test]
     fn a_closed_port_fails_fast() {
         let client = test_client(WireConfig::default());

@@ -35,7 +35,7 @@ mod node;
 mod probe;
 
 pub use client::{LiveClient, SessionReport};
-pub use manager::{LiveManager, LiveManagerConfig, ServeFaults};
+pub use manager::{LiveManager, LiveManagerConfig, BUSY_RETRY_MS};
 pub use node::{LiveNode, LiveNodeConfig, NodeConfig};
 // The protocol types moved to `armada-wire`; re-exported so existing
 // `armada_live::{Request, ...}` call sites keep compiling unchanged.

@@ -3,16 +3,14 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
-use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use armada_chaos::{FaultyTransport, LinkFaults};
 use armada_manager::{CowTable, GlobalSelectionPolicy, Narrator, NodeRegistry};
 use armada_node::NodeStatus;
-use armada_reactor::{AcceptFactory, Conn, ConnCtx, FdIo, Handle, Reactor, ReactorConfig, Source};
+use armada_reactor::{AcceptFactory, Conn, ConnCtx, Handle, Reactor, ReactorConfig, Source};
 use armada_trace::{s, u, Severity, Tracer};
 use armada_types::{Backoff, GeoPoint, NodeId, ShardId, SimDuration, SimTime};
 
@@ -22,6 +20,10 @@ use armada_wire::{
 
 /// Default liveness window: heartbeats older than this mark a node dead.
 pub(crate) const LIVENESS_WINDOW: Duration = Duration::from_secs(6);
+
+/// `retry_after_ms` a live manager or node suggests in every `Busy` it
+/// answers.
+pub const BUSY_RETRY_MS: u64 = 250;
 
 /// Liveness windows a record stays dead before housekeeping forgets it
 /// (the node's next heartbeat then errors and it re-registers in place).
@@ -55,44 +57,6 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Fault injection on every connection a live server accepts: each
-/// accepted stream is wrapped in a chaos `FaultyTransport` sharing one
-/// `blackhole` partition switch, so a test can sever and heal the whole
-/// server at once while the evented loops keep running.
-#[derive(Clone)]
-pub struct ServeFaults {
-    /// Per-frame fault plan applied to server-side writes.
-    pub faults: LinkFaults,
-    /// Deterministic fault-decision seed.
-    pub seed: u64,
-    /// Shared partition switch: while set, every wrapped connection
-    /// fails reads and writes fast with `ConnectionReset`.
-    pub blackhole: Arc<AtomicBool>,
-}
-
-impl ServeFaults {
-    /// A fault-free wrapper whose only effect is the shared partition
-    /// switch — flip [`ServeFaults::blackhole`] to sever every accepted
-    /// connection at once.
-    #[must_use]
-    pub fn partitionable(seed: u64) -> ServeFaults {
-        ServeFaults {
-            faults: LinkFaults::NONE,
-            seed,
-            blackhole: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// Wraps one accepted stream according to this plan.
-    pub(crate) fn wrap(&self, stream: std::net::TcpStream) -> Box<dyn Source> {
-        // Capture the fd before the stream moves into the adapter.
-        let fd = stream.as_raw_fd();
-        let transport = FaultyTransport::new(stream, self.faults, self.seed)
-            .share_blackhole(Arc::clone(&self.blackhole));
-        Box::new(FdIo::new(transport, fd))
-    }
-}
-
 /// Timing and sizing knobs of one [`LiveManager`].
 ///
 /// The defaults reproduce the paper deployment's constants (6 s
@@ -105,14 +69,10 @@ pub struct LiveManagerConfig {
     pub liveness_window: Duration,
     /// Reactor event-loop threads serving connections.
     pub threads: usize,
-    /// Optional fault injection on accepted connections.
-    pub serve_faults: Option<ServeFaults>,
     /// Open-connection count at which discovery queries are shed with
     /// `Busy` while protected traffic (registration, heartbeats,
     /// federation sync) keeps being served (`0` disables).
     pub shed_conns: usize,
-    /// `retry_after_ms` suggested in `Busy` responses.
-    pub busy_retry_ms: u64,
     /// Eviction deadline for a peer holding a partial request frame
     /// without completing it (slow-loris defense).
     pub read_progress_timeout: Duration,
@@ -123,20 +83,17 @@ impl Default for LiveManagerConfig {
         LiveManagerConfig {
             liveness_window: LIVENESS_WINDOW,
             threads: 1,
-            serve_faults: None,
             shed_conns: 0,
-            busy_retry_ms: 250,
             read_progress_timeout: Duration::from_secs(30),
         }
     }
 }
 
-/// Shared admission-control state: the shed thresholds (from config)
+/// Shared admission-control state: the shed threshold (from config)
 /// plus a counter of refused requests, read without the manager's state
 /// lock so the shed path stays cheap under storm.
 struct OverloadPolicy {
     shed_conns: usize,
-    busy_retry_ms: u64,
     sheds: std::sync::atomic::AtomicU64,
 }
 
@@ -326,24 +283,21 @@ impl LiveManager {
         })?;
         let policy = Arc::new(OverloadPolicy {
             shed_conns: cfg.shed_conns,
-            busy_retry_ms: cfg.busy_retry_ms,
             sheds: std::sync::atomic::AtomicU64::new(0),
         });
 
         let conn_state = Arc::clone(&state);
         let conn_policy = Arc::clone(&policy);
-        let faults = cfg.serve_faults.clone();
         let factory: AcceptFactory = Box::new(move |stream, _peer| {
             let _ = stream.set_nodelay(true);
-            let io: Box<dyn Source> = match &faults {
-                None => Box::new(stream),
-                Some(f) => f.wrap(stream),
-            };
             let conn = MgrConn {
                 state: Arc::clone(&conn_state),
                 policy: Arc::clone(&conn_policy),
             };
-            Some((io, Box::new(conn) as Box<dyn Conn>))
+            Some((
+                Box::new(stream) as Box<dyn Source>,
+                Box::new(conn) as Box<dyn Conn>,
+            ))
         });
         reactor.handle().add_listener(listener, factory)?;
         let prune_state = Arc::clone(&state);
@@ -485,7 +439,7 @@ impl Conn for MgrConn {
             self.policy
                 .sheds
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let retry_after_ms = self.policy.busy_retry_ms;
+            let retry_after_ms = BUSY_RETRY_MS;
             lock_recover(&self.state)
                 .tracer
                 .emit(Severity::Debug, "mgr.shed", || {
@@ -1083,7 +1037,7 @@ mod tests {
         let cfg = LiveManagerConfig::default();
         assert_eq!(cfg.liveness_window, Duration::from_secs(6));
         assert_eq!(SYNC_RPC_TIMEOUT, Duration::from_secs(1));
-        assert!(cfg.serve_faults.is_none());
+        assert_eq!(BUSY_RETRY_MS, 250);
     }
 
     /// Shutdown latency regression: the old sync loop slept its period

@@ -26,7 +26,7 @@ use armada_workload::Frame;
 
 use armada_wire::{decode_request, read_response, write_request, Codec, Request, Response};
 
-use crate::manager::ServeFaults;
+use crate::manager::BUSY_RETRY_MS;
 
 mod heartbeat;
 use heartbeat::{status_of, HbConn, HbPhase};
@@ -34,10 +34,10 @@ use heartbeat::{status_of, HbConn, HbPhase};
 /// Default heartbeat period toward the manager.
 const HEARTBEAT_PERIOD: Duration = Duration::from_secs(2);
 
-/// Default read/connect budget on the manager link: a silently
-/// partitioned manager must fail the heartbeat rather than hang it
-/// forever.
-const HEARTBEAT_RPC_TIMEOUT: Duration = Duration::from_secs(5);
+/// Budget on each manager-link RPC (connect, write, ack read): a
+/// silently partitioned manager must fail the heartbeat rather than
+/// hang it forever.
+pub(crate) const HEARTBEAT_RPC_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The spin threshold: a reply due sooner than this (the kernel's
 /// default timer slack, the finest a blocking wait resolves) is waited
@@ -65,38 +65,26 @@ pub struct NodeConfig {
 
 /// Timing and sizing knobs of one [`LiveNode`]'s server runtime.
 ///
-/// The defaults reproduce the paper deployment's constants (2 s
-/// heartbeat period, 5 s heartbeat RPC budget); tests shrink them so
-/// heartbeat-driven transitions happen in milliseconds.
+/// The default reproduces the paper deployment's 2 s heartbeat period;
+/// tests shrink it so heartbeat-driven transitions happen in
+/// milliseconds.
 #[derive(Clone)]
 pub struct LiveNodeConfig {
     /// Heartbeat period toward the manager.
     pub heartbeat_period: Duration,
-    /// Budget on each heartbeat-link RPC (connect, write, ack read).
-    pub heartbeat_rpc_timeout: Duration,
-    /// Reactor event-loop threads serving connections.
-    pub threads: usize,
-    /// Optional fault injection on accepted connections.
-    pub serve_faults: Option<ServeFaults>,
     /// Bound on requests admitted and not yet answered — executing or
     /// inside a simulated-geography delay. At or above it a heavy
     /// request (a frame, or anything on a node with a delay) is
     /// answered `Busy` at once instead of being admitted (`0` =
     /// unbounded).
     pub max_in_flight: usize,
-    /// `retry_after_ms` suggested in `Busy` responses.
-    pub busy_retry_ms: u64,
 }
 
 impl Default for LiveNodeConfig {
     fn default() -> Self {
         LiveNodeConfig {
             heartbeat_period: HEARTBEAT_PERIOD,
-            heartbeat_rpc_timeout: HEARTBEAT_RPC_TIMEOUT,
-            threads: 1,
-            serve_faults: None,
             max_in_flight: 0,
-            busy_retry_ms: 250,
         }
     }
 }
@@ -142,8 +130,6 @@ struct NodeState {
     max_in_flight: usize,
     /// Heavy requests refused with `Busy` at the in-flight bound.
     sheds: AtomicU64,
-    /// `retry_after_ms` suggested in `Busy` responses.
-    busy_retry_ms: u64,
     tracer: Tracer,
 }
 
@@ -449,28 +435,25 @@ impl LiveNode {
             in_flight: AtomicUsize::new(0),
             max_in_flight: live.max_in_flight,
             sheds: AtomicU64::new(0),
-            busy_retry_ms: live.busy_retry_ms,
             tracer,
             cfg,
         });
         let reactor = Reactor::new(ReactorConfig {
-            threads: live.threads.max(1),
+            threads: 1,
             ..ReactorConfig::default()
         })?;
         let handle = reactor.handle();
 
         let conn_state = Arc::clone(&state);
-        let faults = live.serve_faults.clone();
         let factory: AcceptFactory = Box::new(move |stream, _peer| {
             let _ = stream.set_nodelay(true);
-            let io: Box<dyn Source> = match &faults {
-                None => Box::new(stream),
-                Some(f) => f.wrap(stream),
-            };
             let conn = NodeConn {
                 state: Arc::clone(&conn_state),
             };
-            Some((io, Box::new(conn) as Box<dyn Conn>))
+            Some((
+                Box::new(stream) as Box<dyn Source>,
+                Box::new(conn) as Box<dyn Conn>,
+            ))
         });
         handle.add_listener(listener, factory)?;
 
@@ -492,11 +475,13 @@ impl LiveNode {
 
         if let Some(mgr) = manager_addr {
             // Initial registration happens synchronously so callers
-            // can discover the node as soon as bind returns.
-            let mut stream = TcpStream::connect(mgr)?;
+            // can discover the node as soon as bind returns; a
+            // black-holed manager costs one RPC budget per step, not
+            // the OS connect timeout.
+            let mut stream = TcpStream::connect_timeout(&mgr, HEARTBEAT_RPC_TIMEOUT)?;
             stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(live.heartbeat_rpc_timeout))?;
-            stream.set_write_timeout(Some(live.heartbeat_rpc_timeout))?;
+            stream.set_read_timeout(Some(HEARTBEAT_RPC_TIMEOUT))?;
+            stream.set_write_timeout(Some(HEARTBEAT_RPC_TIMEOUT))?;
             write_request(
                 &mut stream,
                 Codec::Binary,
@@ -516,7 +501,6 @@ impl LiveNode {
                     manager: mgr,
                     listen_addr: addr,
                     period: live.heartbeat_period,
-                    rpc_timeout: live.heartbeat_rpc_timeout,
                     phase: HbPhase::Idle,
                     established: true,
                     attempt: 0,
@@ -590,7 +574,7 @@ impl Conn for NodeConn {
             // reply goes out now and the connection keeps reading, so
             // a refusal can never hang the peer.
             state.sheds.fetch_add(1, Ordering::Relaxed);
-            let retry_after_ms = state.busy_retry_ms;
+            let retry_after_ms = BUSY_RETRY_MS;
             let fields = [("retry_after_ms", retry_after_ms)];
             state.trace(Severity::Debug, "node.shed", &fields);
             reply_here(ctx, codec, &Response::Busy { retry_after_ms });
@@ -767,16 +751,19 @@ mod tests {
     fn default_config_keeps_the_paper_timings() {
         let cfg = LiveNodeConfig::default();
         assert_eq!(cfg.heartbeat_period, Duration::from_secs(2));
-        assert_eq!(cfg.heartbeat_rpc_timeout, Duration::from_secs(5));
-        assert!(cfg.serve_faults.is_none());
+        assert_eq!(cfg.max_in_flight, 0);
+        assert_eq!(HEARTBEAT_RPC_TIMEOUT, Duration::from_secs(5));
+        assert_eq!(BUSY_RETRY_MS, 250);
     }
 
     /// A node whose manager link dies must reconnect and re-register;
     /// the old heartbeat loop broke permanently on the first error, so
     /// any manager blip silently orphaned a perfectly healthy node
-    /// once its registration aged past the liveness window. Runs with
-    /// shrunken heartbeat/liveness timings so the whole
-    /// loss → redial → re-register cycle takes ~2 s instead of ~7 s.
+    /// once its registration aged past the liveness window. Runs with a
+    /// shrunken heartbeat period and liveness window (the RPC budget
+    /// stays the deployment's 5 s: the proxy severs the link, so no RPC
+    /// waits it out) so the whole loss → redial → re-register cycle
+    /// takes ~2 s instead of ~7 s.
     #[test]
     fn heartbeat_survives_a_manager_partition() {
         use crate::manager::{LiveManager, LiveManagerConfig};
@@ -791,7 +778,6 @@ mod tests {
         let proxy = ChaosProxy::spawn(mgr_addr, LinkFaults::NONE, 21).unwrap();
         let live = LiveNodeConfig {
             heartbeat_period: Duration::from_millis(300),
-            heartbeat_rpc_timeout: Duration::from_millis(500),
             ..LiveNodeConfig::default()
         };
         let (_node, _) = LiveNode::bind_with(

@@ -10,7 +10,7 @@ use armada_trace::Severity;
 use armada_types::Backoff;
 use armada_wire::{decode_response, Codec, Request, Response, WireNodeStatus};
 
-use super::NodeState;
+use super::{NodeState, HEARTBEAT_RPC_TIMEOUT};
 
 /// Backoff between manager reconnect attempts after the heartbeat link
 /// drops. Without reconnection a single manager restart permanently
@@ -42,7 +42,6 @@ pub(super) struct HbConn {
     pub(super) manager: SocketAddr,
     pub(super) listen_addr: SocketAddr,
     pub(super) period: Duration,
-    pub(super) rpc_timeout: Duration,
     pub(super) phase: HbPhase,
     /// The link has served at least one successful registration; loss
     /// of an established link traces `node.heartbeat.lost` (once per
@@ -77,7 +76,7 @@ impl Conn for HbConn {
             // A redialed link registers before anything else.
             ctx.send(self.register_body());
             self.phase = HbPhase::AwaitingRegister;
-            ctx.set_timer(self.rpc_timeout);
+            ctx.set_timer(HEARTBEAT_RPC_TIMEOUT);
         }
     }
 
@@ -86,7 +85,7 @@ impl Conn for HbConn {
             HbPhase::Idle => {
                 ctx.send(self.heartbeat_body());
                 self.phase = HbPhase::AwaitingHeartbeat;
-                ctx.set_timer(self.rpc_timeout);
+                ctx.set_timer(HEARTBEAT_RPC_TIMEOUT);
             }
             // An RPC blew its budget: a silently partitioned manager
             // must fail the heartbeat rather than hang it forever.
@@ -109,7 +108,7 @@ impl Conn for HbConn {
                         .trace(Severity::Warn, "node.heartbeat.reregister", &[]);
                     ctx.send(self.register_body());
                     self.phase = HbPhase::AwaitingReregister;
-                    ctx.set_timer(self.rpc_timeout);
+                    ctx.set_timer(HEARTBEAT_RPC_TIMEOUT);
                 } else {
                     self.phase = HbPhase::Idle;
                     ctx.set_timer(self.period);
@@ -156,15 +155,13 @@ impl Conn for HbConn {
             manager: self.manager,
             listen_addr: self.listen_addr,
             period: self.period,
-            rpc_timeout: self.rpc_timeout,
             phase: HbPhase::Idle,
             established: false,
             attempt,
         };
         let manager = self.manager;
-        let rpc_timeout = self.rpc_timeout;
         handle.timer_after(delay, move |h| {
-            h.connect(manager, rpc_timeout, Box::new(next));
+            h.connect(manager, HEARTBEAT_RPC_TIMEOUT, Box::new(next));
         });
     }
 }

@@ -8,7 +8,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use armada_live::{LiveNode, LiveNodeConfig, NodeConfig, Request, Response};
+use armada_live::{LiveNode, LiveNodeConfig, NodeConfig, Request, Response, BUSY_RETRY_MS};
 use armada_node::{EdgeNode, NodeAction};
 use armada_trace::Tracer;
 use armada_types::{GeoPoint, HardwareProfile, NodeClass, NodeId, SimDuration, SimTime, UserId};
@@ -223,7 +223,6 @@ fn the_third_concurrent_frame_is_refused_until_one_completes() {
     let _serial = serial();
     let live = LiveNodeConfig {
         max_in_flight: 2,
-        busy_retry_ms: 99,
         ..LiveNodeConfig::default()
     };
     let (node, addr) =
@@ -235,7 +234,10 @@ fn the_third_concurrent_frame_is_refused_until_one_completes() {
     send(&mut b, &frame(2, 0));
     let refused_at = Instant::now();
     send(&mut c, &frame(3, 0));
-    assert_eq!(recv(&mut c), Response::Busy { retry_after_ms: 99 });
+    let busy = Response::Busy {
+        retry_after_ms: BUSY_RETRY_MS,
+    };
+    assert_eq!(recv(&mut c), busy);
     assert!(
         refused_at.elapsed() < Duration::from_millis(15),
         "a refusal must not wait for a frame to complete ({:?})",

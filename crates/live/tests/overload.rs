@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use armada_live::{
     LiveManager, LiveManagerConfig, LiveNode, LiveNodeConfig, NodeConfig, Request, Response,
-    WireNodeStatus,
+    WireNodeStatus, BUSY_RETRY_MS,
 };
 use armada_trace::inspect::parse_jsonl;
 use armada_trace::{MemorySink, Severity, TraceEvent, Tracer};
@@ -53,7 +53,7 @@ fn send(stream: &mut TcpStream, req: &Request) {
 }
 
 /// With `shed_conns: 1` every connection counts as overload, so every
-/// discovery query must be refused with `Busy` carrying the configured
+/// discovery query must be refused with `Busy` carrying the servers'
 /// retry hint — while registrations and heartbeats (the liveness
 /// plane) keep being served on the very same shedding manager. A peer
 /// that starts a frame and stalls is evicted, and the manager traces
@@ -62,7 +62,6 @@ fn send(stream: &mut TcpStream, req: &Request) {
 fn manager_sheds_queries_but_serves_liveness_traffic() {
     let cfg = LiveManagerConfig {
         shed_conns: 1,
-        busy_retry_ms: 77,
         read_progress_timeout: Duration::from_millis(200),
         ..LiveManagerConfig::default()
     };
@@ -101,7 +100,12 @@ fn manager_sheds_queries_but_serves_liveness_traffic() {
                 top_n: 2,
             },
         );
-        assert_eq!(resp, Response::Busy { retry_after_ms: 77 });
+        assert_eq!(
+            resp,
+            Response::Busy {
+                retry_after_ms: BUSY_RETRY_MS
+            }
+        );
     }
     assert_eq!(mgr.shed_count(), 3);
     assert_eq!(mgr.discoveries_served(), 0, "shed queries never served");
@@ -160,7 +164,6 @@ fn manager_sheds_queries_but_serves_liveness_traffic() {
 fn node_pool_saturation_refuses_with_busy_instead_of_hanging() {
     let live = LiveNodeConfig {
         max_in_flight: 2,
-        busy_retry_ms: 99,
         ..LiveNodeConfig::default()
     };
     let (node, addr) =
@@ -187,7 +190,12 @@ fn node_pool_saturation_refuses_with_busy_instead_of_hanging() {
     let refused_at = Instant::now();
     send(&mut c, &Request::RttProbe);
     let resp = read_response(&mut c).unwrap().0;
-    assert_eq!(resp, Response::Busy { retry_after_ms: 99 });
+    assert_eq!(
+        resp,
+        Response::Busy {
+            retry_after_ms: BUSY_RETRY_MS
+        }
+    );
     assert!(
         refused_at.elapsed() < Duration::from_millis(200),
         "a refusal must not wait for the pool to drain ({:?})",
@@ -217,7 +225,6 @@ fn client_backs_off_on_busy_and_fails_over_to_the_peer_shard() {
 
     let shed_cfg = LiveManagerConfig {
         shed_conns: 1,
-        busy_retry_ms: 50,
         ..LiveManagerConfig::default()
     };
     let (shedding, shed_addr) = LiveManager::bind_with(shed_cfg, 0, Tracer::disabled()).unwrap();

@@ -22,14 +22,12 @@
 #![warn(missing_docs)]
 
 mod cdf;
-mod histogram;
 mod recorder;
 mod report;
 mod stats;
 mod table;
 
 pub use cdf::Cdf;
-pub use histogram::Histogram;
 pub use recorder::{LatencyRecorder, LatencySample};
 pub use report::{BenchReport, BenchRun};
 pub use stats::{mean, percentile, stddev};

@@ -104,25 +104,6 @@ impl MeasurementCampaign {
             })
             .collect()
     }
-
-    /// Runs the campaign and returns the raw per-target sample vectors
-    /// (for CDF plotting).
-    pub fn run_raw(&self, net: &Network, rng: &mut SimRng) -> Vec<(Addr, Vec<SimDuration>)> {
-        self.targets
-            .iter()
-            .map(|&target| {
-                let mut samples = Vec::new();
-                for &source in &self.sources {
-                    for _ in 0..self.probes_per_pair {
-                        if let Some(rtt) = net.rtt(source, target, rng) {
-                            samples.push(rtt);
-                        }
-                    }
-                }
-                (target, samples)
-            })
-            .collect()
-    }
 }
 
 fn summarise(target: Addr, mut samples: Vec<SimDuration>) -> RttSummary {
@@ -240,12 +221,12 @@ mod tests {
     }
 
     #[test]
-    fn raw_samples_match_requested_count() {
+    fn samples_match_requested_count() {
         let (net, users, targets) = fig1_net();
         let campaign = MeasurementCampaign::new(users.clone(), targets, 10);
         let mut rng = SimRng::seed_from(2);
-        for (_, samples) in campaign.run_raw(&net, &mut rng) {
-            assert_eq!(samples.len(), users.len() * 10);
+        for s in campaign.run(&net, &mut rng) {
+            assert_eq!(s.samples, users.len() * 10);
         }
     }
 

@@ -114,12 +114,6 @@ impl Network {
         self.down.remove(&addr);
     }
 
-    /// Removes an endpoint entirely (e.g. a volunteer leaving for good).
-    pub fn remove_endpoint(&mut self, addr: Addr) -> Option<Endpoint> {
-        self.down.remove(&addr);
-        self.endpoints.remove(&addr)
-    }
-
     /// Returns the endpoint registered at `addr`.
     pub fn endpoint(&self, addr: Addr) -> Option<&Endpoint> {
         self.endpoints.get(&addr)
@@ -164,11 +158,6 @@ impl Network {
     /// per direction).
     pub fn set_pairwise_rtt(&mut self, a: Addr, b: Addr, rtt: SimDuration) {
         self.set_pairwise_one_way(a, b, rtt / 2);
-    }
-
-    /// Removes a pairwise override.
-    pub fn clear_pairwise(&mut self, a: Addr, b: Addr) {
-        self.overrides.remove(&normalise(a, b));
     }
 
     /// The fixed path-diversity offset for a pair: a stable draw in
@@ -447,8 +436,6 @@ mod tests {
             SimDuration::from_millis(8)
         );
         assert_eq!(net.mean_rtt(U1, N2).unwrap(), SimDuration::from_millis(8));
-        net.clear_pairwise(N2, U1);
-        assert!(net.rtt(U1, N2, &mut rng).unwrap() > SimDuration::from_millis(20));
     }
 
     #[test]
@@ -487,16 +474,6 @@ mod tests {
         for _ in 0..100 {
             assert!(net.rtt(U1, N1, &mut rng).unwrap() >= mean);
         }
-    }
-
-    #[test]
-    fn removing_endpoint_forgets_it() {
-        let mut net = small_net(false);
-        assert_eq!(net.len(), 4);
-        assert!(net.remove_endpoint(N1).is_some());
-        assert_eq!(net.len(), 3);
-        assert!(net.endpoint(N1).is_none());
-        assert!(net.remove_endpoint(N1).is_none());
     }
 
     #[test]

@@ -90,10 +90,6 @@ pub struct EdgeNode {
     whatif: WhatIfCache,
     monitor: PerfMonitor,
     join_refresh_delay: SimDuration,
-    /// Optional admission bound: reject joins once the cached what-if
-    /// processing delay exceeds this, protecting existing users' QoS
-    /// (paper §IV-D).
-    admission_limit: Option<SimDuration>,
     stats: NodeStats,
 }
 
@@ -123,19 +119,8 @@ impl EdgeNode {
             whatif: WhatIfCache::new(),
             monitor: PerfMonitor::new(drift_threshold),
             join_refresh_delay,
-            admission_limit: None,
             stats: NodeStats::default(),
         }
-    }
-
-    /// Enables QoS-protecting admission control: `join` requests are
-    /// rejected while the cached what-if processing delay exceeds
-    /// `limit`, so accepting another user cannot push existing users
-    /// past their QoS bound (paper §IV-D). `Unexpected_join` failovers
-    /// are still always accepted (Table I).
-    pub fn with_admission_limit(mut self, limit: SimDuration) -> Self {
-        self.admission_limit = Some(limit);
-        self
     }
 
     /// This node's identifier.
@@ -245,16 +230,6 @@ impl EdgeNode {
                 current: self.seq_num,
             };
             return (Err(err), actions);
-        }
-        if let Some(limit) = self.admission_limit {
-            let predicted = self.whatif.get(self.hw.base_frame_time());
-            if predicted > limit {
-                // Admitting this user would degrade everyone past the
-                // QoS bound: refuse (the client re-discovers elsewhere).
-                self.stats.joins_rejected += 1;
-                let err = ArmadaError::QosUnsatisfiable(user);
-                return (Err(err), actions);
-            }
         }
         self.seq_num += 1;
         self.attached.insert(user);
@@ -594,37 +569,6 @@ mod tests {
             "drift must request a test-workload re-run"
         );
         assert!(n.seq_num() > seq_before, "drift bumps the sequence number");
-    }
-
-    #[test]
-    fn admission_limit_rejects_joins_on_saturated_nodes() {
-        let mut n = slow_node().with_admission_limit(SimDuration::from_millis(100));
-        // Uncontended: the what-if (49 ms) is under the limit — admit.
-        let (reply, _) = n.process_probe(SimTime::ZERO);
-        assert!(n
-            .join(UserId::new(1), reply.seq_num, SimTime::ZERO)
-            .0
-            .is_ok());
-        // Saturate and refresh the what-if above 100 ms.
-        for seq in 0..8 {
-            n.offload(
-                Frame::live(UserId::new(1), seq, SimTime::ZERO),
-                SimTime::ZERO,
-            );
-        }
-        n.invoke_test_workload(SimTime::ZERO);
-        n.advance(SimTime::from_secs(5));
-        let (reply, _) = n.process_probe(SimTime::from_secs(5));
-        assert!(reply.whatif_proc > SimDuration::from_millis(100));
-        let (res, _) = n.join(UserId::new(2), reply.seq_num, SimTime::from_secs(5));
-        assert!(
-            matches!(res, Err(ArmadaError::QosUnsatisfiable(_))),
-            "saturated node must protect its existing users: {res:?}"
-        );
-        assert!(!n.is_attached(UserId::new(2)));
-        // Failover joins are never refused (Table I).
-        n.unexpected_join(UserId::new(3), SimTime::from_secs(5));
-        assert!(n.is_attached(UserId::new(3)));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Wire-visible probe and status payloads.
 
-use armada_json::{FromJson, Json, JsonError, ToJson};
 use armada_types::{GeoPoint, NodeClass, NodeId, SimDuration};
 
 /// The reply to a `Process_probe()` request (paper §IV-C2).
@@ -39,85 +38,4 @@ pub struct NodeStatus {
     /// Offered-load estimate in `[0, ∞)`: attached work per core-second.
     /// The manager's resource-availability sorter prefers lower values.
     pub load_score: f64,
-}
-
-impl ToJson for ProbeReply {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("node", self.node.to_json()),
-            ("whatif_proc", self.whatif_proc.to_json()),
-            ("current_proc", self.current_proc.to_json()),
-            ("attached_users", Json::Int(self.attached_users as i64)),
-            ("seq_num", Json::Int(self.seq_num as i64)),
-        ])
-    }
-}
-
-impl FromJson for ProbeReply {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(ProbeReply {
-            node: NodeId::from_json(value.require("node")?)?,
-            whatif_proc: SimDuration::from_json(value.require("whatif_proc")?)?,
-            current_proc: SimDuration::from_json(value.require("current_proc")?)?,
-            attached_users: usize::from_json(value.require("attached_users")?)?,
-            seq_num: u64::from_json(value.require("seq_num")?)?,
-        })
-    }
-}
-
-impl ToJson for NodeStatus {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("node", self.node.to_json()),
-            ("class", self.class.to_json()),
-            ("location", self.location.to_json()),
-            ("attached_users", Json::Int(self.attached_users as i64)),
-            ("load_score", Json::Float(self.load_score)),
-        ])
-    }
-}
-
-impl FromJson for NodeStatus {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(NodeStatus {
-            node: NodeId::from_json(value.require("node")?)?,
-            class: NodeClass::from_json(value.require("class")?)?,
-            location: GeoPoint::from_json(value.require("location")?)?,
-            attached_users: usize::from_json(value.require("attached_users")?)?,
-            load_score: f64::from_json(value.require("load_score")?)?,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn probe_reply_roundtrips_json() {
-        let r = ProbeReply {
-            node: NodeId::new(3),
-            whatif_proc: SimDuration::from_millis(42),
-            current_proc: SimDuration::from_millis(31),
-            attached_users: 2,
-            seq_num: 9,
-        };
-        let json = armada_json::to_string(&r);
-        let back: ProbeReply = armada_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn node_status_roundtrips_json() {
-        let s = NodeStatus {
-            node: NodeId::new(7),
-            class: NodeClass::Volunteer,
-            location: GeoPoint::new(44.98, -93.26),
-            attached_users: 3,
-            load_score: 0.625,
-        };
-        let json = armada_json::to_string(&s);
-        let back: NodeStatus = armada_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
-    }
 }

@@ -48,7 +48,7 @@ pub use poller::EpollPoller;
 pub use poller::{default_poller, portable_default, Event, Interest, LoopPoller, Poller, Waker};
 pub use pool::{BlockingPool, PoolSaturated};
 pub use reactor::{
-    AcceptFactory, Conn, ConnCtx, ConnId, FdIo, Handle, Reactor, ReactorConfig, Source, UdpHandler,
+    AcceptFactory, Conn, ConnCtx, ConnId, Handle, Reactor, ReactorConfig, Source, UdpHandler,
 };
 pub use slab::{Key, Slab};
 pub use timer::{TimerKey, TimerWheel};

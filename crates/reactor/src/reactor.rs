@@ -78,44 +78,6 @@ impl Source for TcpStream {
     }
 }
 
-/// Pairs an arbitrary `Read + Write` adapter (e.g. a chaos
-/// `FaultyTransport` wrapping a `TcpStream`) with the raw fd of the
-/// socket buried inside it, so fault injection composes with the
-/// evented path. Capture the fd **before** moving the stream into the
-/// adapter.
-pub struct FdIo<S> {
-    io: S,
-    fd: RawFd,
-}
-
-impl<S: Read + Write + Send> FdIo<S> {
-    /// Wraps `io`, registering readiness on `fd`.
-    pub fn new(io: S, fd: RawFd) -> Self {
-        FdIo { io, fd }
-    }
-}
-
-impl<S: Read + Write + Send> Read for FdIo<S> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.io.read(buf)
-    }
-}
-
-impl<S: Read + Write + Send> Write for FdIo<S> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.io.write(buf)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.io.flush()
-    }
-}
-
-impl<S: Read + Write + Send> Source for FdIo<S> {
-    fn raw_fd(&self) -> RawFd {
-        self.fd
-    }
-}
-
 /// Identifies a connection across threads: which loop owns it plus its
 /// generational slab key. Stale ids (connection closed, slot reused)
 /// resolve to nothing — operations on them are silent no-ops.

@@ -1,6 +1,6 @@
 //! End-to-end reactor tests: framed echo over real sockets on both
-//! pollers, outbound connects, chaos-transport composition, bounded
-//! write backlogs, and offload ordering.
+//! pollers, outbound connects, bounded write backlogs, and offload
+//! ordering.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
@@ -10,8 +10,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use armada_chaos::{FaultyTransport, LinkFaults};
-use armada_reactor::{Conn, ConnCtx, FdIo, Handle, Reactor, ReactorConfig, Source};
+use armada_reactor::{Conn, ConnCtx, Handle, Reactor, ReactorConfig, Source};
 
 // -- blocking-client helpers (the test plays the peer) ---------------------
 
@@ -294,58 +293,6 @@ fn outbound_connect_to_dead_port_reports_on_close_on(reactor: Reactor) {
     assert!(
         event.starts_with("closed:") && event != "closed:clean",
         "expected an error close, got {event}"
-    );
-    reactor.shutdown();
-}
-
-// -- chaos composition -----------------------------------------------------
-
-/// The satellite contract: FaultyTransport wraps the accepted stream on
-/// the evented path (fd captured before the move), echo still works,
-/// and flipping the shared blackhole severs the connection with a
-/// visible reset rather than a hang.
-#[test]
-fn faulty_transport_composes_with_the_evented_path() {
-    let reactor = Reactor::new(ReactorConfig {
-        threads: 1,
-        ..ReactorConfig::default()
-    })
-    .unwrap();
-    let blackhole = Arc::new(AtomicBool::new(false));
-    let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
-    let addr = listener.local_addr().unwrap();
-    let switch = Arc::clone(&blackhole);
-    reactor
-        .handle()
-        .add_listener(
-            listener,
-            Box::new(move |stream, _peer| {
-                let fd = stream.as_raw_fd();
-                let faulty = FaultyTransport::new(stream, LinkFaults::NONE, 7)
-                    .share_blackhole(Arc::clone(&switch));
-                Some((
-                    Box::new(FdIo::new(faulty, fd)) as Box<dyn Source>,
-                    Box::new(Echo) as Box<dyn Conn>,
-                ))
-            }),
-        )
-        .unwrap();
-
-    let mut client = TcpStream::connect(addr).unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write_frame(&mut client, b"through-the-fault-layer").unwrap();
-    assert_eq!(read_frame(&mut client).unwrap(), b"through-the-fault-layer");
-
-    // Partition: the server side fails fast (ConnectionReset from the
-    // transport), the reactor closes the connection, and the client
-    // sees EOF/reset — never a silent hang.
-    blackhole.store(true, Ordering::Release);
-    write_frame(&mut client, b"lost").ok();
-    assert!(
-        read_frame(&mut client).is_err(),
-        "severed link must not keep answering"
     );
     reactor.shutdown();
 }

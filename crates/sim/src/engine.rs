@@ -208,13 +208,6 @@ impl<W> Simulation<W> {
         self.clock = self.clock.max(deadline);
         self.clock
     }
-
-    /// Runs until `stop` returns `true` (checked before each event) or the
-    /// queue drains.
-    pub fn run_while(&mut self, mut keep_going: impl FnMut(&W) -> bool) -> SimTime {
-        while keep_going(&self.world) && self.step() {}
-        self.clock
-    }
 }
 
 impl<W: std::fmt::Debug> std::fmt::Debug for Simulation<W> {
@@ -331,17 +324,6 @@ mod tests {
         sim.run();
         assert_eq!(sim.world(), &vec!["first", "clamped"]);
         assert_eq!(sim.now(), SimTime::from_millis(10));
-    }
-
-    #[test]
-    fn run_while_respects_predicate() {
-        let mut sim = Simulation::new(0u32, 0);
-        for _ in 0..10 {
-            sim.schedule_in(SimDuration::from_millis(1), |w, _| *w += 1);
-        }
-        sim.run_while(|w| *w < 4);
-        assert_eq!(*sim.world(), 4);
-        assert_eq!(sim.pending_events(), 6);
     }
 
     #[test]

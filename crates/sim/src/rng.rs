@@ -55,16 +55,6 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent sub-stream keyed by label and index (e.g.
-    /// per-node or per-user streams).
-    pub fn stream_indexed(&self, label: &str, index: u64) -> SimRng {
-        let derived = splitmix64(self.seed ^ fnv1a(label.as_bytes()) ^ splitmix64(index));
-        SimRng {
-            seed: derived,
-            inner: StdRng::seed_from_u64(derived),
-        }
-    }
-
     /// Samples a uniform `f64` in `[low, high)`.
     ///
     /// # Panics
@@ -126,14 +116,6 @@ mod tests {
         let mut jitter_second = root2.stream("jitter");
         let j2 = jitter_second.next_u64();
         assert_eq!(j1, j2);
-    }
-
-    #[test]
-    fn indexed_streams_differ() {
-        let root = SimRng::seed_from(9);
-        let a = root.stream_indexed("node", 0).next_u64();
-        let b = root.stream_indexed("node", 1).next_u64();
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Configuration structures for the manager, clients and experiments.
 
-use armada_json::{FromJson, Json, JsonError, ToJson};
-
 use crate::time::SimDuration;
 
 /// The client-side policy used to rank probed edge candidates
@@ -191,130 +189,6 @@ impl SystemConfig {
     }
 }
 
-impl ToJson for LocalSelectionPolicy {
-    fn to_json(&self) -> Json {
-        let name = match self {
-            LocalSelectionPolicy::BestLocal => "BestLocal",
-            LocalSelectionPolicy::GlobalOverhead => "GlobalOverhead",
-            LocalSelectionPolicy::QosFiltered => "QosFiltered",
-        };
-        Json::Str(name.to_owned())
-    }
-}
-
-impl FromJson for LocalSelectionPolicy {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match value.as_str() {
-            Some("BestLocal") => Ok(LocalSelectionPolicy::BestLocal),
-            Some("GlobalOverhead") => Ok(LocalSelectionPolicy::GlobalOverhead),
-            Some("QosFiltered") => Ok(LocalSelectionPolicy::QosFiltered),
-            _ => Err(JsonError::new("LocalSelectionPolicy: unknown variant")),
-        }
-    }
-}
-
-impl ToJson for SelectorMode {
-    fn to_json(&self) -> Json {
-        Json::Str(self.as_str().to_owned())
-    }
-}
-
-impl FromJson for SelectorMode {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match value.as_str() {
-            Some("reactive") => Ok(SelectorMode::Reactive),
-            Some("predictive") => Ok(SelectorMode::Predictive),
-            _ => Err(JsonError::new("SelectorMode: unknown variant")),
-        }
-    }
-}
-
-impl ToJson for QosRequirement {
-    fn to_json(&self) -> Json {
-        Json::object(vec![("max_latency", self.max_latency.to_json())])
-    }
-}
-
-impl FromJson for QosRequirement {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(QosRequirement {
-            max_latency: SimDuration::from_json(value.require("max_latency")?)?,
-        })
-    }
-}
-
-impl ToJson for ClientConfig {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("top_n", Json::Int(self.top_n as i64)),
-            ("probing_period", self.probing_period.to_json()),
-            ("policy", self.policy.to_json()),
-            ("qos", self.qos.to_json()),
-            ("max_fps", Json::Float(self.max_fps)),
-            ("target_latency", self.target_latency.to_json()),
-            ("max_inflight", Json::Int(self.max_inflight as i64)),
-            ("switch_margin", Json::Float(self.switch_margin)),
-            ("selector", self.selector.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ClientConfig {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(ClientConfig {
-            top_n: usize::from_json(value.require("top_n")?)?,
-            probing_period: SimDuration::from_json(value.require("probing_period")?)?,
-            policy: LocalSelectionPolicy::from_json(value.require("policy")?)?,
-            qos: QosRequirement::from_json(value.require("qos")?)?,
-            max_fps: f64::from_json(value.require("max_fps")?)?,
-            target_latency: SimDuration::from_json(value.require("target_latency")?)?,
-            max_inflight: u32::from_json(value.require("max_inflight")?)?,
-            switch_margin: f64::from_json(value.require("switch_margin")?)?,
-            // Absent in configs serialized before the selector existed:
-            // those were all reactive.
-            selector: match value.get("selector") {
-                Some(v) => SelectorMode::from_json(v)?,
-                None => SelectorMode::Reactive,
-            },
-        })
-    }
-}
-
-impl ToJson for SystemConfig {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("proximity_radius_km", Json::Float(self.proximity_radius_km)),
-            ("heartbeat_period", self.heartbeat_period.to_json()),
-            (
-                "heartbeat_miss_limit",
-                Json::Int(self.heartbeat_miss_limit as i64),
-            ),
-            (
-                "join_refresh_rtt_multiple",
-                Json::Float(self.join_refresh_rtt_multiple),
-            ),
-            ("common_rtt", self.common_rtt.to_json()),
-            (
-                "perf_drift_threshold",
-                Json::Float(self.perf_drift_threshold),
-            ),
-        ])
-    }
-}
-
-impl FromJson for SystemConfig {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(SystemConfig {
-            proximity_radius_km: f64::from_json(value.require("proximity_radius_km")?)?,
-            heartbeat_period: SimDuration::from_json(value.require("heartbeat_period")?)?,
-            heartbeat_miss_limit: u32::from_json(value.require("heartbeat_miss_limit")?)?,
-            join_refresh_rtt_multiple: f64::from_json(value.require("join_refresh_rtt_multiple")?)?,
-            common_rtt: SimDuration::from_json(value.require("common_rtt")?)?,
-            perf_drift_threshold: f64::from_json(value.require("perf_drift_threshold")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,6 +200,7 @@ mod tests {
         assert_eq!(c.probing_period, SimDuration::from_secs(10));
         assert_eq!(c.policy, LocalSelectionPolicy::GlobalOverhead);
         assert_eq!(c.max_fps, 20.0);
+        assert_eq!(c.selector, SelectorMode::Reactive);
     }
 
     #[test]
@@ -333,10 +208,12 @@ mod tests {
         let c = ClientConfig::default()
             .with_top_n(6)
             .with_probing_period(SimDuration::from_secs(5))
-            .with_policy(LocalSelectionPolicy::BestLocal);
+            .with_policy(LocalSelectionPolicy::BestLocal)
+            .with_selector(SelectorMode::Predictive);
         assert_eq!(c.top_n, 6);
         assert_eq!(c.probing_period, SimDuration::from_secs(5));
         assert_eq!(c.policy, LocalSelectionPolicy::BestLocal);
+        assert_eq!(c.selector, SelectorMode::Predictive);
     }
 
     #[test]
@@ -357,31 +234,5 @@ mod tests {
             QosRequirement::default().max_latency,
             SimDuration::from_millis(150)
         );
-    }
-
-    #[test]
-    fn selector_roundtrips_and_defaults_to_reactive() {
-        let c = ClientConfig::default().with_selector(SelectorMode::Predictive);
-        let back: ClientConfig = armada_json::from_str(&armada_json::to_string(&c)).unwrap();
-        assert_eq!(back.selector, SelectorMode::Predictive);
-        // A config serialized before the field existed parses reactive.
-        let Json::Object(mut entries) = c.to_json() else {
-            panic!("ClientConfig serialises as an object");
-        };
-        entries.retain(|(k, _)| k != "selector");
-        let legacy = armada_json::to_string(&Json::Object(entries));
-        let back: ClientConfig = armada_json::from_str(&legacy).unwrap();
-        assert_eq!(back.selector, SelectorMode::Reactive);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let c = ClientConfig::default();
-        let json = armada_json::to_string(&c);
-        let back: ClientConfig = armada_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
-        let s = SystemConfig::default();
-        let back: SystemConfig = armada_json::from_str(&armada_json::to_string(&s)).unwrap();
-        assert_eq!(back, s);
     }
 }

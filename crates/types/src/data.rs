@@ -27,11 +27,6 @@ impl DataSize {
         DataSize(bytes)
     }
 
-    /// Creates a size from kilobytes (10^3 bytes).
-    pub const fn from_kilobytes(kb: u64) -> Self {
-        DataSize(kb * 1_000)
-    }
-
     /// Creates a size from fractional megabytes (10^6 bytes), rounding to
     /// the nearest byte. Negative and non-finite inputs clamp to zero.
     pub fn from_megabytes(mb: f64) -> Self {
@@ -98,11 +93,6 @@ impl Mul<u64> for DataSize {
 pub struct Bandwidth(u64);
 
 impl Bandwidth {
-    /// Creates a bandwidth from raw bits per second.
-    pub const fn from_bits_per_sec(bps: u64) -> Self {
-        Bandwidth(bps)
-    }
-
     /// Creates a bandwidth from fractional megabits per second. Negative
     /// and non-finite inputs clamp to zero.
     pub fn from_megabits_per_sec(mbps: f64) -> Self {
@@ -110,11 +100,6 @@ impl Bandwidth {
             return Bandwidth(0);
         }
         Bandwidth((mbps * 1_000_000.0).round() as u64)
-    }
-
-    /// Raw bits per second.
-    pub const fn as_bits_per_sec(self) -> u64 {
-        self.0
     }
 
     /// Capacity in fractional megabits per second.
@@ -157,14 +142,14 @@ mod tests {
     #[test]
     fn transfer_time_is_linear_in_size() {
         let bw = Bandwidth::from_megabits_per_sec(10.0);
-        let one = bw.transfer_time(DataSize::from_kilobytes(100));
-        let two = bw.transfer_time(DataSize::from_kilobytes(200));
+        let one = bw.transfer_time(DataSize::from_bytes(100_000));
+        let two = bw.transfer_time(DataSize::from_bytes(200_000));
         assert_eq!(two.as_micros(), one.as_micros() * 2);
     }
 
     #[test]
     fn zero_bandwidth_means_instant() {
-        let bw = Bandwidth::from_bits_per_sec(0);
+        let bw = Bandwidth::from_megabits_per_sec(0.0);
         assert_eq!(
             bw.transfer_time(DataSize::from_megabytes(5.0)),
             SimDuration::ZERO
@@ -180,7 +165,7 @@ mod tests {
     #[test]
     fn display_picks_sane_units() {
         assert_eq!(DataSize::from_bytes(12).to_string(), "12B");
-        assert_eq!(DataSize::from_kilobytes(20).to_string(), "20.0KB");
+        assert_eq!(DataSize::from_bytes(20_000).to_string(), "20.0KB");
         assert_eq!(DataSize::from_megabytes(1.5).to_string(), "1.50MB");
         assert_eq!(
             Bandwidth::from_megabits_per_sec(20.0).to_string(),
@@ -191,7 +176,7 @@ mod tests {
     #[test]
     fn negative_inputs_clamp() {
         assert_eq!(DataSize::from_megabytes(-1.0), DataSize::ZERO);
-        assert_eq!(Bandwidth::from_megabits_per_sec(-5.0).as_bits_per_sec(), 0);
+        assert_eq!(Bandwidth::from_megabits_per_sec(-5.0), Bandwidth::default());
     }
 
     proptest! {

@@ -29,8 +29,6 @@ pub enum ArmadaError {
     NodeUnreachable(NodeId),
     /// The Central Manager could not produce any candidate for the user.
     NoCandidates(UserId),
-    /// No probed candidate satisfied the client's QoS requirement.
-    QosUnsatisfiable(UserId),
     /// A probing request timed out.
     ProbeTimeout(NodeId),
     /// An invalid configuration value was supplied.
@@ -55,9 +53,6 @@ impl fmt::Display for ArmadaError {
             ArmadaError::NodeUnreachable(id) => write!(f, "edge node {id} is unreachable"),
             ArmadaError::NoCandidates(u) => {
                 write!(f, "no edge candidates available for {u}")
-            }
-            ArmadaError::QosUnsatisfiable(u) => {
-                write!(f, "no candidate satisfies the QoS requirement of {u}")
             }
             ArmadaError::ProbeTimeout(id) => write!(f, "probe to {id} timed out"),
             ArmadaError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),

@@ -220,40 +220,6 @@ impl FromJson for NodeClass {
     }
 }
 
-impl ToJson for HardwareProfile {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("processor", Json::Str(self.processor.clone())),
-            ("cores", Json::Int(self.cores as i64)),
-            ("base_frame_ms", Json::Float(self.base_frame_ms)),
-            ("concurrency", Json::Int(self.concurrency as i64)),
-        ])
-    }
-}
-
-impl FromJson for HardwareProfile {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let processor = value
-            .require("processor")?
-            .as_str()
-            .ok_or_else(|| JsonError::new("HardwareProfile: processor must be a string"))?;
-        let cores = u32::from_json(value.require("cores")?)?;
-        let base_frame_ms = value
-            .require("base_frame_ms")?
-            .as_f64()
-            .ok_or_else(|| JsonError::new("HardwareProfile: base_frame_ms must be a number"))?;
-        // `concurrency` was historically optional, defaulting to 1.
-        let concurrency = match value.get("concurrency") {
-            Some(v) => u32::from_json(v)?,
-            None => 1,
-        };
-        if cores == 0 || concurrency == 0 || base_frame_ms <= 0.0 || !base_frame_ms.is_finite() {
-            return Err(JsonError::new("HardwareProfile: invalid parameters"));
-        }
-        Ok(HardwareProfile::new(processor, cores, base_frame_ms).with_concurrency(concurrency))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,25 +279,5 @@ mod tests {
         let p = HardwareProfile::new("Test CPU", 4, 30.0);
         assert_eq!(p.to_string(), "Test CPU (4 cores, 30ms/frame)");
         assert_eq!(NodeClass::Dedicated.to_string(), "dedicated");
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let p = HardwareProfile::new("Test CPU", 4, 30.5);
-        let json = armada_json::to_string(&p);
-        let back: HardwareProfile = armada_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
-    }
-
-    #[test]
-    fn json_concurrency_defaults_to_one_when_absent() {
-        let back: HardwareProfile =
-            armada_json::from_str(r#"{"processor":"Test CPU","cores":4,"base_frame_ms":30.0}"#)
-                .unwrap();
-        assert_eq!(back.concurrency(), 1);
-        assert!(armada_json::from_str::<HardwareProfile>(
-            r#"{"processor":"x","cores":0,"base_frame_ms":30.0}"#
-        )
-        .is_err());
     }
 }

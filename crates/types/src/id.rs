@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use armada_json::{FromJson, Json, JsonError, ToJson};
-
 /// Identifier of an edge node (volunteer, dedicated or cloud).
 ///
 /// Newtype over `u64` so node and user identifiers can never be confused
@@ -123,51 +121,6 @@ impl From<u64> for ShardId {
     }
 }
 
-impl ToJson for ShardId {
-    fn to_json(&self) -> Json {
-        Json::Int(self.0 as i64)
-    }
-}
-
-impl FromJson for ShardId {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        value
-            .as_u64()
-            .map(ShardId::new)
-            .ok_or_else(|| JsonError::new("ShardId: expected non-negative integer"))
-    }
-}
-
-impl ToJson for NodeId {
-    fn to_json(&self) -> Json {
-        Json::Int(self.0 as i64)
-    }
-}
-
-impl FromJson for NodeId {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        value
-            .as_u64()
-            .map(NodeId::new)
-            .ok_or_else(|| JsonError::new("NodeId: expected non-negative integer"))
-    }
-}
-
-impl ToJson for UserId {
-    fn to_json(&self) -> Json {
-        Json::Int(self.0 as i64)
-    }
-}
-
-impl FromJson for UserId {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        value
-            .as_u64()
-            .map(UserId::new)
-            .ok_or_else(|| JsonError::new("UserId: expected non-negative integer"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,27 +140,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_id_roundtrips_through_json() {
-        let json = armada_json::to_string(&ShardId::new(3));
-        assert_eq!(json, "3");
-        let back: ShardId = armada_json::from_str(&json).unwrap();
-        assert_eq!(back, ShardId::new(3));
-        assert!(armada_json::from_str::<ShardId>("-1").is_err());
-    }
-
-    #[test]
     fn ids_are_ordered_by_raw_value() {
         assert!(NodeId::new(1) < NodeId::new(2));
         assert!(UserId::new(10) > UserId::new(2));
-    }
-
-    #[test]
-    fn json_is_transparent() {
-        let json = armada_json::to_string(&NodeId::new(5));
-        assert_eq!(json, "5");
-        let back: NodeId = armada_json::from_str(&json).unwrap();
-        assert_eq!(back, NodeId::new(5));
-        assert!(armada_json::from_str::<NodeId>("-5").is_err());
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! edge-selection system — the reproduction of *"Towards Elasticity in
 //! Heterogeneous Edge-dense Environments"* (ICDCS 2022).
 //!
-//! Everything here is plain data: `Copy`/`Clone`, JSON-serialisable via `armada-json`, and
-//! free of behaviour beyond unit conversions and small invariant-preserving
-//! constructors.
+//! Everything here is plain data: `Copy`/`Clone` and free of behaviour
+//! beyond unit conversions and small invariant-preserving constructors.
+//! Only what the wire's JSON codec carries (`GeoPoint`, `NodeClass`)
+//! converts to and from `armada-json`.
 //!
 //! # Examples
 //!

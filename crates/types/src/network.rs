@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use armada_json::{FromJson, Json, JsonError, ToJson};
-
 use crate::data::Bandwidth;
 
 /// The access technology through which an endpoint reaches the network.
@@ -93,32 +91,6 @@ impl fmt::Display for AccessNetwork {
     }
 }
 
-impl ToJson for AccessNetwork {
-    fn to_json(&self) -> Json {
-        let name = match self {
-            AccessNetwork::HomeWifi => "HomeWifi",
-            AccessNetwork::Fiber => "Fiber",
-            AccessNetwork::Campus => "Campus",
-            AccessNetwork::Lte => "Lte",
-            AccessNetwork::DataCenter => "DataCenter",
-        };
-        Json::Str(name.to_owned())
-    }
-}
-
-impl FromJson for AccessNetwork {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match value.as_str() {
-            Some("HomeWifi") => Ok(AccessNetwork::HomeWifi),
-            Some("Fiber") => Ok(AccessNetwork::Fiber),
-            Some("Campus") => Ok(AccessNetwork::Campus),
-            Some("Lte") => Ok(AccessNetwork::Lte),
-            Some("DataCenter") => Ok(AccessNetwork::DataCenter),
-            _ => Err(JsonError::new("AccessNetwork: unknown variant")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,15 +124,5 @@ mod tests {
         for net in ALL {
             assert!(net.default_downlink() >= net.default_uplink(), "{net}");
         }
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        for net in ALL {
-            let json = armada_json::to_string(&net);
-            let back: AccessNetwork = armada_json::from_str(&json).unwrap();
-            assert_eq!(back, net);
-        }
-        assert!(armada_json::from_str::<AccessNetwork>("\"Dialup\"").is_err());
     }
 }

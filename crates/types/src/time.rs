@@ -5,8 +5,6 @@
 //! ordering total and deterministic ([`SimTime`] is `Ord`). Reporting code
 //! converts to floating-point milliseconds at the edges.
 
-use armada_json::{FromJson, Json, JsonError, ToJson};
-
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -242,36 +240,6 @@ impl Div<u64> for SimDuration {
 impl std::iter::Sum for SimDuration {
     fn sum<I: Iterator<Item = SimDuration>>(iter: I) -> Self {
         iter.fold(SimDuration::ZERO, Add::add)
-    }
-}
-
-impl ToJson for SimTime {
-    fn to_json(&self) -> Json {
-        Json::Int(self.0 as i64)
-    }
-}
-
-impl FromJson for SimTime {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        value
-            .as_u64()
-            .map(SimTime::from_micros)
-            .ok_or_else(|| JsonError::new("SimTime: expected microseconds integer"))
-    }
-}
-
-impl ToJson for SimDuration {
-    fn to_json(&self) -> Json {
-        Json::Int(self.0 as i64)
-    }
-}
-
-impl FromJson for SimDuration {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        value
-            .as_u64()
-            .map(SimDuration::from_micros)
-            .ok_or_else(|| JsonError::new("SimDuration: expected microseconds integer"))
     }
 }
 

@@ -1,4 +1,4 @@
-//! The live wire: protocol messages, codecs and pluggable transports.
+//! The live wire: protocol messages, codecs and framing.
 //!
 //! This crate owns everything that crosses a socket in the live
 //! runtime:
@@ -10,10 +10,10 @@
 //!   packet capture) and a compact binary form (one-byte variant tags,
 //!   LEB128 varints, fixed-width little-endian `f64`); the first body
 //!   byte discriminates, so servers auto-detect and reply in kind;
-//! - the [`Transport`] trait with two backends: [`FramedTcp`]
-//!   (length-prefixed frames over any `Read + Write`, including
-//!   chaos-wrapped streams) and [`UdpTransport`] (one datagram per
-//!   frame, used by the probe path to skip connection setup and Nagle).
+//! - two framings: length-prefixed frames over any byte stream
+//!   ([`write_request`], [`read_response`], …) and [`UdpTransport`]
+//!   (one datagram per frame, used by the probe path to skip connection
+//!   setup and Nagle).
 //!
 //! A client chooses what it sends first with a [`WireConfig`] (body
 //! codec, UDP or in-stream probes; binary and UDP by default); node and
@@ -33,7 +33,7 @@ pub use codec::{decode_request, decode_response, Codec, WireConfig};
 pub use proto::test_fixtures;
 pub use proto::{FrameError, Request, Response, WireNodeStatus, WireSummary};
 pub use transport::{
-    read_frame_bytes, read_request, read_response, read_response_via, recv_request, recv_response,
-    send_request, send_response, write_frame, write_request, write_request_via, write_response,
-    FramedTcp, Transport, UdpTransport, MAX_DATAGRAM_BYTES,
+    read_frame_bytes, read_request, read_response, read_response_via, recv_response, send_request,
+    write_frame, write_request, write_request_via, write_response, UdpTransport,
+    MAX_DATAGRAM_BYTES,
 };

@@ -1,47 +1,19 @@
-//! The [`Transport`] trait and its backends.
+//! Moving *frames* (encoded message bodies, see [`crate::Codec`])
+//! between peers:
 //!
-//! A transport moves opaque *frames* (encoded message bodies, see
-//! [`crate::Codec`]) between peers:
-//!
-//! - [`FramedTcp`] adds a 4-byte big-endian length prefix over any
-//!   `Read + Write` stream — a plain `TcpStream`, or a chaos-wrapped
-//!   `FaultyTransport<TcpStream>`, which composes instead of being a
-//!   special case;
+//! - on a byte stream, [`write_frame`]/[`read_frame_bytes`] put a 4-byte
+//!   big-endian length prefix before each body, and the
+//!   `write_request`/`read_response` family layers codecs on top;
 //! - [`UdpTransport`] maps one frame to one datagram over a connected
 //!   `UdpSocket`, skipping connection setup and Nagle entirely — the
-//!   probe path (`RttProbe`/`ProcessProbe`) uses this.
-//!
-//! The free functions [`write_frame`]/[`read_frame_bytes`] expose the
-//! TCP framing directly for call sites that hold a bare stream, and the
-//! `write_request`/`read_response` family layers codecs on top.
+//!   probe path (`RttProbe`/`ProcessProbe`) uses this, through
+//!   [`send_request`]/[`recv_response`].
 
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
 
 use crate::codec::{self, Codec};
 use crate::proto::{fill, FrameError, Request, Response, MAX_MESSAGE_BYTES};
-
-/// A bidirectional frame pipe between two peers.
-///
-/// Implementations define what a frame boundary is (length prefix on
-/// streams, datagram on UDP); callers never see the difference.
-pub trait Transport {
-    /// Sends one frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport-level I/O errors (including write
-    /// timeouts).
-    fn send_frame(&mut self, body: &[u8]) -> std::io::Result<()>;
-
-    /// Receives one frame.
-    ///
-    /// # Errors
-    ///
-    /// Classified through [`FrameError`]: oversize, truncation and
-    /// transport errors are distinguished.
-    fn recv_frame(&mut self) -> Result<Vec<u8>, FrameError>;
-}
 
 /// Writes one length-prefixed frame to a byte stream.
 ///
@@ -103,43 +75,6 @@ fn read_frame_into<R: Read>(reader: &mut R, body: &mut Vec<u8>) -> Result<(), Fr
     fill(reader, body)
 }
 
-/// Length-prefixed framing over any byte stream.
-///
-/// `S` is typically `TcpStream`, but anything `Read + Write` works —
-/// in particular armada-chaos's `FaultyTransport<TcpStream>`, making
-/// fault injection a composition rather than a parallel code path.
-#[derive(Debug)]
-pub struct FramedTcp<S> {
-    stream: S,
-}
-
-impl<S: Read + Write> FramedTcp<S> {
-    /// Wraps a stream.
-    pub fn new(stream: S) -> Self {
-        FramedTcp { stream }
-    }
-
-    /// Borrows the underlying stream (e.g. to adjust socket options).
-    pub fn get_ref(&self) -> &S {
-        &self.stream
-    }
-
-    /// Unwraps back to the underlying stream.
-    pub fn into_inner(self) -> S {
-        self.stream
-    }
-}
-
-impl<S: Read + Write> Transport for FramedTcp<S> {
-    fn send_frame(&mut self, body: &[u8]) -> std::io::Result<()> {
-        write_frame(&mut self.stream, body)
-    }
-
-    fn recv_frame(&mut self) -> Result<Vec<u8>, FrameError> {
-        read_frame_bytes(&mut self.stream)
-    }
-}
-
 /// Datagram framing over a connected [`UdpSocket`]: one frame per
 /// datagram, no prefix needed.
 ///
@@ -193,9 +128,7 @@ impl UdpTransport {
     pub fn get_ref(&self) -> &UdpSocket {
         &self.socket
     }
-}
 
-impl Transport for UdpTransport {
     fn send_frame(&mut self, body: &[u8]) -> std::io::Result<()> {
         if body.len() > MAX_MESSAGE_BYTES as usize {
             return Err(std::io::Error::new(
@@ -213,59 +146,30 @@ impl Transport for UdpTransport {
     }
 }
 
-/// Sends one request through a transport in the given codec.
+/// Sends one request as one datagram in the given codec.
 ///
 /// # Errors
 ///
-/// Propagates transport I/O errors.
-pub fn send_request<T: Transport + ?Sized>(
-    transport: &mut T,
+/// Propagates socket errors; rejects bodies over the protocol maximum.
+pub fn send_request(
+    udp: &mut UdpTransport,
     codec: Codec,
     request: &Request,
 ) -> std::io::Result<()> {
-    transport.send_frame(&codec.encode_request(request))
+    udp.send_frame(&codec.encode_request(request))
 }
 
-/// Sends one response through a transport in the given codec
-/// (servers pass the codec the request arrived in).
-///
-/// # Errors
-///
-/// Propagates transport I/O errors.
-pub fn send_response<T: Transport + ?Sized>(
-    transport: &mut T,
-    codec: Codec,
-    response: &Response,
-) -> std::io::Result<()> {
-    transport.send_frame(&codec.encode_response(response))
-}
-
-/// Receives one request, auto-detecting its codec.
+/// Receives one response datagram, auto-detecting its codec.
 ///
 /// # Errors
 ///
 /// Classified through [`FrameError`].
-pub fn recv_request<T: Transport + ?Sized>(
-    transport: &mut T,
-) -> Result<(Request, Codec), FrameError> {
-    codec::decode_request(&transport.recv_frame()?)
-}
-
-/// Receives one response, auto-detecting its codec.
-///
-/// # Errors
-///
-/// Classified through [`FrameError`].
-pub fn recv_response<T: Transport + ?Sized>(
-    transport: &mut T,
-) -> Result<(Response, Codec), FrameError> {
-    codec::decode_response(&transport.recv_frame()?)
+pub fn recv_response(udp: &mut UdpTransport) -> Result<(Response, Codec), FrameError> {
+    codec::decode_response(&udp.recv_frame()?)
 }
 
 /// Writes one request to a bare byte stream (length-prefixed) in the
-/// given codec. Stream-holding call sites (the live runtime keeps
-/// long-lived `TcpStream`s in maps) use these instead of wrapping and
-/// unwrapping [`FramedTcp`] around every call.
+/// given codec.
 ///
 /// # Errors
 ///
@@ -428,28 +332,5 @@ mod tests {
         let pong = Codec::Binary.encode_response(&Response::RttPong);
         server.send_to(&pong, peer).unwrap();
         assert_eq!(recv_response(&mut client).unwrap().0, Response::RttPong);
-    }
-
-    #[test]
-    fn framed_tcp_composes_with_chaos_transport() {
-        // A FaultyTransport with a blank plan is a pass-through; the
-        // point is the type composes — chaos wraps the stream, framing
-        // wraps chaos.
-        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut server = FramedTcp::new(stream);
-            let (req, codec) = recv_request(&mut server).unwrap();
-            send_response(&mut server, codec, &Response::Ack).unwrap();
-            req
-        });
-        let stream = std::net::TcpStream::connect(addr).unwrap();
-        let faulty = armada_chaos::FaultyTransport::new(stream, armada_chaos::LinkFaults::NONE, 7);
-        let mut client = FramedTcp::new(faulty);
-        send_request(&mut client, Codec::Binary, &Request::Leave { user: 9 }).unwrap();
-        let (resp, _) = recv_response(&mut client).unwrap();
-        assert_eq!(resp, Response::Ack);
-        assert_eq!(handle.join().unwrap(), Request::Leave { user: 9 });
     }
 }

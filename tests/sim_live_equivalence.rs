@@ -27,23 +27,23 @@
 //! lists.
 //!
 //! A second script takes the manager away instead of the nodes (sim: a
-//! crash window in the fault plan; live: the manager's own transport
-//! blackholed): the client core both runtimes drive must narrate the
-//! same control-plane story — degraded on the cached shortlist, which
-//! is still probed, the breaker opening after the third lost discovery
-//! and half-opening into a close once the manager is back, recovery —
-//! while the serving node never changes.
+//! crash window in the fault plan; live: the `ChaosProxy` in front of
+//! the manager partitioned): the client core both runtimes drive must
+//! narrate the same control-plane story — degraded on the cached
+//! shortlist, which is still probed, the breaker opening after the
+//! third lost discovery and half-opening into a close once the manager
+//! is back, recovery — while the serving node never changes.
 //!
 //! A third script gives the client a route of two managers and takes
 //! the home one away (sim: a federation of two whose home shard is
-//! killed, then revived; live: two federated managers syncing, the home
-//! one's transport blackholed). Both runtimes walk the route through
-//! the same core, so both must tell the same story: every lost
-//! discovery falls over to the peer (`fed.failover`, one rank skipped),
-//! rank 0's breaker opens on the third loss and the dead home is no
-//! longer asked, it half-opens into a close once the home is back —
-//! and, the peer serving throughout, the client is never degraded and
-//! never leaves its node.
+//! killed, then revived; live: two federated managers syncing, the
+//! proxy in front of the home one partitioned). Both runtimes walk the
+//! route through the same core, so both must tell the same story:
+//! every lost discovery falls over to the peer (`fed.failover`, one
+//! rank skipped), rank 0's breaker opens on the third loss and the dead
+//! home is no longer asked, it half-opens into a close once the home is
+//! back — and, the peer serving throughout, the client is never
+//! degraded and never leaves its node.
 //!
 //! The manager has rows of its own (ROADMAP open item 2's gate): the
 //! same fleet and the same queries answered by
@@ -67,16 +67,15 @@
 #![cfg(feature = "trace")]
 
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use armada::chaos::{FaultPlan, PeerId};
+use armada::chaos::{ChaosProxy, FaultPlan, LinkFaults, PeerId};
 use armada::core::{EnvSpec, FederationSpec, NodeSpec, Scenario, Strategy, UserSpec};
 use armada::federation::{FederatedShard, NodeSummary, ShardId, SyncDelta};
 use armada::live::{
-    Codec, LiveClient, LiveManager, LiveManagerConfig, LiveNode, NodeConfig, Request, Response,
-    ServeFaults, WireConfig, WireNodeStatus, WireSummary,
+    Codec, LiveClient, LiveManager, LiveNode, NodeConfig, Request, Response, WireConfig,
+    WireNodeStatus, WireSummary,
 };
 use armada::manager::{CentralManager, GlobalSelectionPolicy, Narrator};
 use armada::net::LatencyModelParams;
@@ -535,19 +534,16 @@ fn sim_manager_loss(selector: SelectorMode, peer: bool) -> Vec<String> {
     control_plane(&run(opened + SimDuration::from_millis(100)))
 }
 
-/// The same loss on loopback: the home manager's accepted connections
-/// are severed inside its reactor until the client's breaker opens (the
-/// nodes are dialled directly and keep serving). With a `peer`, the
+/// The same loss on loopback: the home manager sits behind a
+/// `ChaosProxy`, which both its nodes and the client dial, and the proxy
+/// is partitioned until the client's breaker opens (the nodes are
+/// dialled directly by the client and keep serving). With a `peer`, the
 /// home manager pushes the nodes it registered to a second one, and the
-/// client's route is the two of them.
+/// client's route is the proxy and the peer.
 fn live_manager_loss(selector: SelectorMode, wire: WireConfig, peer: bool) -> Vec<String> {
-    let faults = ServeFaults::partitionable(5);
-    let blackhole = Arc::clone(&faults.blackhole);
-    let cfg = LiveManagerConfig {
-        serve_faults: Some(faults),
-        ..LiveManagerConfig::default()
-    };
-    let (mut home, home_addr) = LiveManager::bind_with(cfg, 0, Tracer::disabled()).unwrap();
+    let (mut home, manager_addr) = LiveManager::bind_federated(0, Tracer::disabled()).unwrap();
+    let proxy = ChaosProxy::spawn(manager_addr, LinkFaults::NONE, 5).unwrap();
+    let home_addr = proxy.addr();
     let bind = |id: u64| LiveNode::bind(live_node(id), Some(home_addr)).unwrap().0;
     let (a, b) = (bind(A), bind(B));
     let mut route = vec![home_addr];
@@ -572,11 +568,11 @@ fn live_manager_loss(selector: SelectorMode, wire: WireConfig, peer: bool) -> Ve
     std::thread::scope(|scope| {
         let session = scope.spawn(|| client.run_session_any(&route, 100_000));
         settle_after(&buffer, r#""kind":"client.join""#);
-        blackhole.store(true, Ordering::Release);
+        proxy.set_partitioned(true);
         wait_for(&buffer, "the breaker to open", |trace| {
             trace.contains(r#""kind":"chaos.breaker.open""#)
         });
-        blackhole.store(false, Ordering::Release);
+        proxy.set_partitioned(false);
         // (Alone, the close that ends the outage also ends the degraded
         // episode: `chaos.degraded.recovered` follows it in the same call.)
         settle_after(&buffer, r#""kind":"chaos.breaker.close""#);
