@@ -8,14 +8,17 @@
 //! discovery queries (`top_n = 16`) off it, reporting:
 //!
 //! * **fast-path latency** (wall-clock µs, p50/p99/mean) and
-//!   **queries/sec** of `snapshot.ranked` — incremental disk scan +
-//!   bounded partial select;
+//!   **queries/sec** of `snapshot.ranked` — the ring scan (incremental
+//!   disk scan + bounded partial select) or the floored flat pass, per
+//!   query, as the snapshot's density selector picks;
 //! * **reference throughput** of the retained full-scan oracle
 //!   (`reference::widen_and_rank`) on a budget-capped prefix of the same
 //!   query set, and the resulting **speedup**;
 //! * **oracle identity**: every reference query is `assert_eq!`-compared
 //!   against the fast answer, so any divergence aborts the run with a
-//!   nonzero exit — CI smoke-runs this binary exactly for that check.
+//!   nonzero exit — CI smoke-runs this binary exactly for that check;
+//! * **engine**: the share of the queries the snapshot's density
+//!   selector sent to the flat pass rather than the ring scan.
 //!
 //! After the read-only sweep, each `--nodes` point runs a **mixed
 //! mutate+query phase**: one mutator thread keeps churning the live
@@ -40,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use armada_bench::{arg, list_arg, print_csv, print_table, trace_path, tracer_for, Harness, Rng};
 use armada_json::Json;
-use armada_manager::{CentralManager, DiscoverySnapshot, GlobalSelectionPolicy};
+use armada_manager::{CentralManager, DiscoverySnapshot, Engine, GlobalSelectionPolicy};
 use armada_metrics::{percentile, BenchReport};
 use armada_node::NodeStatus;
 use armada_trace::{f, u, Severity};
@@ -162,6 +165,8 @@ struct Outcome {
     ref_p99_us: f64,
     speedup: f64,
     build_ms: f64,
+    /// Share of the queries the flat pass served.
+    flat_share: f64,
 }
 
 fn run_for_nodes(nodes: usize, queries: usize, mixed: &MixedParams) -> (Outcome, MixedOutcome) {
@@ -182,6 +187,10 @@ fn run_for_nodes(nodes: usize, queries: usize, mixed: &MixedParams) -> (Outcome,
         fast_answers.push(ranked);
     }
     let fast_secs = fast_started.elapsed().as_secs_f64();
+    let flat = query_set
+        .iter()
+        .filter(|(loc, _)| snapshot.engine(*loc) == Engine::Flat)
+        .count();
 
     // Reference oracle on a budget-capped prefix of the same queries,
     // asserting byte-identity with the fast answer as it goes. A
@@ -216,6 +225,7 @@ fn run_for_nodes(nodes: usize, queries: usize, mixed: &MixedParams) -> (Outcome,
         ref_p99_us: percentile(&ref_latencies_us, 0.99).unwrap_or(0.0),
         speedup: qps / ref_qps.max(f64::MIN_POSITIVE),
         build_ms,
+        flat_share: flat as f64 / query_set.len().max(1) as f64,
     };
     drop(snapshot);
     let mixed_outcome = run_mixed(&mut manager, statuses, nodes, now, mixed);
@@ -465,6 +475,7 @@ fn main() {
                 ("p99_us", f(outcome.p99_us)),
                 ("ref_qps", f(outcome.ref_qps)),
                 ("speedup", f(outcome.speedup)),
+                ("flat_share", f(outcome.flat_share)),
                 ("oracle_checked", u(outcome.ref_queries as u64)),
             ]
         });
@@ -495,6 +506,7 @@ fn main() {
                 ),
                 ("oracle_mismatches".to_owned(), Json::Int(0)),
                 ("build_ms".to_owned(), Json::Float(outcome.build_ms)),
+                ("flat_share".to_owned(), Json::Float(outcome.flat_share)),
                 (
                     "mixed_epochs".to_owned(),
                     Json::Int(mixed_outcome.epochs as i64),
@@ -559,6 +571,7 @@ fn main() {
             format!("{:.0}", outcome.ref_qps),
             format!("{:.1}", outcome.ref_p99_us),
             format!("{:.1}x", outcome.speedup),
+            format!("flat {:.0}%", 100.0 * outcome.flat_share),
             outcome.ref_queries.to_string(),
         ]);
         mixed_rows.push(vec![
@@ -586,6 +599,7 @@ fn main() {
         "ref_qps",
         "ref_p99_us",
         "speedup",
+        "engine",
         "oracle_checked",
     ];
     print_table("Discovery scale sweep (top_n=16)", &header, &rows);

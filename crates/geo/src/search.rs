@@ -15,10 +15,13 @@
 //! * the incremental [`DiskScan`] — an expanding cell-ring search over
 //!   multi-resolution GeoHash buckets that visits each cell at most
 //!   once across widening rounds and emits neighbors in deterministic
-//!   `(distance, id)` order. This is the discovery hot path: a widening
-//!   search over a million-node fleet touches only the buckets its
-//!   growing disk actually covers instead of re-scanning every node on
-//!   every radius doubling.
+//!   `(distance, id)` order. This is the sparse-fleet discovery path: a
+//!   widening search over a million-node fleet touches only the buckets
+//!   its growing disk actually covers instead of re-scanning every node
+//!   on every radius doubling.
+//!
+//! [`ProximityIndex::count_near`] reads the same buckets' sizes, without
+//! their ids, to estimate how crowded a disk is.
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -83,6 +86,10 @@ const FULL_SCAN_RADIUS_KM: f64 = 10_000.0;
 /// precision whose cover of the query disk stays under this many cells,
 /// keeping per-round work bounded no matter the radius.
 const MAX_CELLS_PER_ROUND: u64 = 256;
+
+/// Cell budget of [`ProximityIndex::count_near`]: a handful of coarse
+/// cells, so the estimate costs a few map reads, not a scan.
+const MAX_CELLS_PER_COUNT: u64 = 16;
 
 /// Indexes this small are cheaper to sweep once than to cover cell by
 /// cell.
@@ -513,6 +520,33 @@ impl ProximityIndex {
             prev_radius: -1.0,
         }
     }
+
+    /// A cheap upper estimate of how many indexed nodes lie within
+    /// `radius_km` of `from`: the bucket sizes of the few coarse cells
+    /// that cover the disk (at most 16; the whole index for a disk too
+    /// wide for that), stale entries included. No position is read and
+    /// no distance computed — a discovery engine reads it to tell a
+    /// dense neighbourhood from a sparse one.
+    pub fn count_near(&self, from: GeoPoint, radius_km: f64) -> usize {
+        if radius_km >= FULL_SCAN_RADIUS_KM {
+            return self.len;
+        }
+        let Some((precision, rect)) =
+            cap_cover(from, radius_km, self.precision, MAX_CELLS_PER_COUNT)
+        else {
+            return self.len;
+        };
+        let grid = Grid::at(precision);
+        let level = &self.levels[precision - 1];
+        let mut count = 0;
+        for y in rect.y0..=rect.y1 {
+            for k in 0..rect.x_count {
+                let key = pack((rect.x0 + k) % grid.lon_cells, y);
+                count += level[segment_of(key)].get(&key).map_or(0, Bucket::len);
+            }
+        }
+        count
+    }
 }
 
 /// Sorts nearest-first with deterministic NodeId tie-breaking.
@@ -664,56 +698,17 @@ impl DiskScan<'_> {
     }
 
     /// Reads the not-yet-read cells of a conservative cover of the
-    /// radius-`radius_km` disk.
+    /// radius-`radius_km` disk. As the radius grows a level's cover only
+    /// grows, so the chosen level only ever coarsens across rounds.
     fn scan_cap_cover(&mut self, radius_km: f64) {
-        // Spherical-cap bounding box on the same sphere distance_km
-        // measures on, padded so float rounding can only over-scan
-        // (over-scanning is harmless: membership is decided by the
-        // exact haversine distance, never by the cover).
-        let r = radius_km * 1.000_001 + 1e-9;
-        let dlat_deg = (r / EARTH_RADIUS_KM).to_degrees();
-        let lat_lo = self.from.lat() - dlat_deg;
-        let lat_hi = self.from.lat() + dlat_deg;
-        let sin_ratio = (r / EARTH_RADIUS_KM).sin() / self.from.lat().to_radians().cos().max(1e-12);
-        // A cap containing a pole spans every longitude.
-        let full_lon = lat_hi >= 90.0 || lat_lo <= -90.0 || sin_ratio >= 1.0;
-        let dlon_deg = if full_lon {
-            180.0
-        } else {
-            (sin_ratio.asin().to_degrees() * 1.000_001).min(180.0)
-        };
-
-        // Finest precision whose cover of the box fits the cell budget.
-        // Precision 1 has at most 8 × 4 cells, so the loop always picks
-        // a level; as the radius grows a level's cover only grows, so
-        // the chosen level only ever coarsens across rounds.
-        for precision in (1..=self.index.precision).rev() {
-            let grid = Grid::at(precision);
-            let y0 = grid.cell_y(lat_lo.max(-90.0));
-            let y1 = grid.cell_y(lat_hi.min(90.0));
-            let x0;
-            let x_count;
-            if dlon_deg >= 180.0 {
-                x0 = 0;
-                x_count = grid.lon_cells;
-            } else {
-                x0 = grid.cell_x(wrap_lon(self.from.lon() - dlon_deg));
-                let x1 = grid.cell_x(wrap_lon(self.from.lon() + dlon_deg));
-                x_count = (x1 + grid.lon_cells - x0) % grid.lon_cells + 1;
-            }
-            let rect = CellRect {
-                x0,
-                x_count,
-                y0,
-                y1,
-            };
-            if rect.area() > MAX_CELLS_PER_ROUND {
-                continue;
-            }
-            self.scan_rect(precision, rect);
-            return;
-        }
-        unreachable!("precision 1 always fits the cell budget");
+        let (precision, rect) = cap_cover(
+            self.from,
+            radius_km,
+            self.index.precision,
+            MAX_CELLS_PER_ROUND,
+        )
+        .expect("precision 1 always fits the cell budget");
+        self.scan_rect(precision, rect);
     }
 
     fn scan_rect(&mut self, precision: usize, rect: CellRect) {
@@ -747,6 +742,57 @@ impl DiskScan<'_> {
         }
         self.scanned[level] = Some(rect);
     }
+}
+
+/// A conservative cover of the radius-`radius_km` disk around `from`:
+/// the finest precision up to `max_precision` whose cells over the
+/// disk's bounding box number at most `max_cells`, and those cells;
+/// `None` if none fits. Precision 1 has at most 8 × 4 cells, so a
+/// budget of 32 always fits.
+fn cap_cover(
+    from: GeoPoint,
+    radius_km: f64,
+    max_precision: usize,
+    max_cells: u64,
+) -> Option<(usize, CellRect)> {
+    // Spherical-cap bounding box on the same sphere distance_km
+    // measures on, padded so float rounding can only over-cover
+    // (over-covering is harmless: membership is decided by the exact
+    // haversine distance, never by the cover).
+    let r = radius_km * 1.000_001 + 1e-9;
+    let dlat_deg = (r / EARTH_RADIUS_KM).to_degrees();
+    let lat_lo = from.lat() - dlat_deg;
+    let lat_hi = from.lat() + dlat_deg;
+    let sin_ratio = (r / EARTH_RADIUS_KM).sin() / from.lat().to_radians().cos().max(1e-12);
+    // A cap containing a pole spans every longitude.
+    let full_lon = lat_hi >= 90.0 || lat_lo <= -90.0 || sin_ratio >= 1.0;
+    let dlon_deg = if full_lon {
+        180.0
+    } else {
+        (sin_ratio.asin().to_degrees() * 1.000_001).min(180.0)
+    };
+    for precision in (1..=max_precision).rev() {
+        let grid = Grid::at(precision);
+        let y0 = grid.cell_y(lat_lo.max(-90.0));
+        let y1 = grid.cell_y(lat_hi.min(90.0));
+        let (x0, x_count) = if dlon_deg >= 180.0 {
+            (0, grid.lon_cells)
+        } else {
+            let x0 = grid.cell_x(wrap_lon(from.lon() - dlon_deg));
+            let x1 = grid.cell_x(wrap_lon(from.lon() + dlon_deg));
+            (x0, (x1 + grid.lon_cells - x0) % grid.lon_cells + 1)
+        };
+        let rect = CellRect {
+            x0,
+            x_count,
+            y0,
+            y1,
+        };
+        if rect.area() <= max_cells {
+            return Some((precision, rect));
+        }
+    }
+    None
 }
 
 /// Wraps a longitude into `[-180, 180)`.
@@ -820,6 +866,7 @@ mod tests {
         let idx = ProximityIndex::new();
         assert!(idx.is_empty());
         assert!(idx.within_km(origin(), 1000.0).is_empty());
+        assert_eq!(idx.count_near(origin(), 1000.0), 0);
         let mut scan = idx.disk_scan(origin());
         assert!(scan.extend_to(500.0).is_empty());
         assert!(scan.exhausted());
@@ -1096,6 +1143,8 @@ mod tests {
             loop {
                 cumulative.extend_from_slice(scan.extend_to(radius));
                 prop_assert_eq!(&cumulative, &idx.within_km(from, radius));
+                // The coarse estimate never undercounts the disk.
+                prop_assert!(idx.count_near(from, radius) >= cumulative.len());
                 if scan.exhausted() || radius >= GLOBE_COVER_RADIUS_KM {
                     break;
                 }

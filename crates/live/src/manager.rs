@@ -8,11 +8,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use armada_manager::{CowTable, GlobalSelectionPolicy, Narrator, NodeRegistry};
+use armada_manager::{flat_shortlist, CowTable, GlobalSelectionPolicy, Narrator, NodeRegistry};
 use armada_node::NodeStatus;
 use armada_reactor::{AcceptFactory, Conn, ConnCtx, Handle, Reactor, ReactorConfig, Source};
 use armada_trace::{s, u, Severity, Tracer};
-use armada_types::{Backoff, GeoPoint, NodeId, ShardId, SimDuration, SimTime};
+use armada_types::{Backoff, GeoPoint, NodeId, ShardId, SimDuration, SimTime, SystemConfig};
 
 use armada_wire::{
     decode_request, decode_response, Codec, Request, Response, WireNodeStatus, WireSummary,
@@ -694,12 +694,14 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
                 test_hooks::maybe_panic_in_discover(_user);
                 (s.registry.view(), s.addrs.view(), s.now())
             };
-            // The core's ranking over every alive record, own and
-            // synced — no proximity filter, unlike the simulated
-            // manager's `discover_shortlist` (DESIGN §9 says why).
-            let best = GlobalSelectionPolicy::default().rank_top_n(
+            // The core's discovery over every alive record, own and
+            // synced: the simulated managers' flat pass, at their radius.
+            let best = flat_shortlist(
+                SystemConfig::default().proximity_radius_km,
+                &GlobalSelectionPolicy::default(),
+                &view,
+                now,
                 GeoPoint::new(lat, lon),
-                view.alive(now).map(|r| r.status),
                 &[],
                 top_n.min(MAX_TOP_N),
             );

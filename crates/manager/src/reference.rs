@@ -1,13 +1,14 @@
 //! The original full-scan discovery procedure, retained as the test
-//! oracle for the incremental engine in [`crate::discovery`].
+//! oracle for the two discovery generators, the ring scan and the
+//! flat pass.
 //!
 //! This is the transparent, obviously-correct implementation: every
 //! widening round re-runs a complete `within_km` scan and the final
-//! ranking fully sorts all candidates. The fast path in
-//! [`discover_shortlist`](crate::discover_shortlist) must produce
-//! byte-for-byte the same shortlist — the differential suite in
+//! ranking fully sorts all candidates. The ring scan and the flat pass
+//! must each produce byte-for-byte the same shortlist — the unit tests
+//! beside them, the differential suite in
 //! `tests/discovery_equivalence.rs` and the self-check in the
-//! `discover_scale` bench both compare against this module.
+//! `discover_scale` bench all compare against this module.
 //!
 //! One behavioural fix over the historical implementation: widening is
 //! capped. The original loop doubled the radius until the number of

@@ -181,76 +181,103 @@ impl GlobalSelectionPolicy {
         scored
     }
 
-    /// Ranks `candidates` and keeps only the best `top_n` — exactly
-    /// [`GlobalSelectionPolicy::rank`] + `truncate(top_n)` for every
-    /// input in any arrival order (the ranking comparator is a strict
-    /// total order because node ids are unique, so the partial select is
-    /// byte-identical to the full sort), but without sorting candidates
-    /// that cannot make the shortlist and without measuring the distance
-    /// to most of them.
+    /// Ranks the `candidates` within `radius_km` of the user (`d ≤ r`)
+    /// and keeps only the best `top_n` — exactly
+    /// [`GlobalSelectionPolicy::rank`] over those candidates +
+    /// `truncate(top_n)`, for every input in any arrival order (the
+    /// ranking comparator is a strict total order because node ids are
+    /// unique, so the partial select is byte-identical to the full
+    /// sort), but without sorting candidates that cannot make the
+    /// shortlist and without measuring the distance to most of them.
     ///
-    /// Once `top_n` candidates are kept, the next one is first scored at
-    /// a **floor**: the policy's own formula at a distance the candidate
-    /// cannot be nearer than — 0 km (enough to drop a loaded node behind
-    /// idle ones), then its latitude gap to the user
-    /// ([`GeoPoint::lat_gap_km`]` <= distance_km`, which drops an idle
-    /// node behind nearer idle ones). Only a candidate whose floors do
-    /// not already place it behind the worst one kept pays a haversine:
-    /// on a dense metro fleet (20 000 nodes in a 100 km box, loads in
-    /// `[0, 2)`, `top_n` 3) about 150 of the 20 000 do, and about 520
-    /// when every node is idle.
+    /// The second value is `true` if some candidate may lie beyond the
+    /// radius. It is exact whenever the shortlist comes back short of
+    /// `top_n`, since no floor drops anything before the shortlist is
+    /// full; with a full one, a candidate a floor dropped counts.
+    ///
+    /// Each candidate passes three checks, cheapest first (see
+    /// [`Screen`]). Once `top_n` candidates are kept, it is scored at a
+    /// **floor**: the policy's own formula at a distance it cannot be
+    /// nearer than — 0 km first (enough to drop a loaded node behind
+    /// idle ones, before any geometry), then its latitude gap to the
+    /// user ([`GeoPoint::lat_gap_km`]` <= distance_km`, which drops an
+    /// idle node behind nearer idle ones). The same gap is held against
+    /// the radius, and only a candidate that survives both pays a
+    /// haversine: on a dense metro fleet (20 000 nodes in a 100 km box,
+    /// loads in `[0, 2)`, `top_n` 3, 80 km) about 150 of the 20 000 do,
+    /// and about 520 when every node is idle.
     ///
     /// * `floor <= score` because the same arithmetic on a smaller
     ///   distance rounds to a smaller-or-equal result — if the score
     ///   grows with distance. With a negative (or NaN)
-    ///   `distance_weight_per_km` nothing is skipped.
+    ///   `distance_weight_per_km` no floor is applied; the radius still
+    ///   is, since the gap bounds the distance whatever the weights.
     /// * A candidate is skipped only when a floor is *strictly* worse
     ///   than the worst kept score: at an equal floor it may still tie
     ///   and win on `NodeId`.
     /// * A NaN load, weight or kept score fails that comparison, and the
     ///   candidate is scored in full, as without floors.
-    pub fn rank_top_n(
+    pub(crate) fn rank_within<'a>(
         &self,
         user_loc: GeoPoint,
-        candidates: impl IntoIterator<Item = NodeStatus>,
+        radius_km: f64,
+        candidates: impl IntoIterator<Item = &'a NodeStatus>,
         affiliations: &[NodeId],
         top_n: usize,
-    ) -> Vec<ScoredCandidate> {
-        partial_select_filter_map(
+    ) -> (Vec<ScoredCandidate>, bool) {
+        let mut beyond = false;
+        let shortlist = partial_select_filter_map(
             candidates,
             top_n,
             |status, worst| {
                 let affiliated = affiliations.contains(&status.node);
-                self.score_unless_beaten(user_loc, &status, affiliated, worst)
+                match self.screen(user_loc, radius_km, status, affiliated, worst) {
+                    Screen::Scored(candidate) => Some(candidate),
+                    Screen::LoadFloor => None,
+                    Screen::LatitudeGap | Screen::Outside => {
+                        beyond = true;
+                        None
+                    }
+                }
             },
             rank_order,
-        )
+        );
+        (shortlist, beyond)
     }
 
-    /// [`GlobalSelectionPolicy::score`], or `None` — and no haversine —
-    /// when a score floor (see [`GlobalSelectionPolicy::rank_top_n`])
-    /// already places the candidate behind `worst`, the last entry of a
-    /// full shortlist.
-    fn score_unless_beaten(
+    /// Runs one candidate through [`GlobalSelectionPolicy::rank_within`]'s
+    /// checks against `worst`, the last entry of a full shortlist.
+    fn screen(
         &self,
         user_loc: GeoPoint,
+        radius_km: f64,
         status: &NodeStatus,
         affiliated: bool,
         worst: Option<&ScoredCandidate>,
-    ) -> Option<ScoredCandidate> {
-        if let Some(worst) = worst.filter(|_| self.distance_weight_per_km >= 0.0) {
-            let beaten_at =
-                |km: f64| self.score_with_distance(status, km, affiliated).score > worst.score;
-            if beaten_at(0.0) || beaten_at(user_loc.lat_gap_km(status.location)) {
-                return None;
-            }
+    ) -> Screen {
+        let worst = worst.filter(|_| self.distance_weight_per_km >= 0.0);
+        let beaten_at = |km: f64| {
+            worst.is_some_and(|w| self.score_with_distance(status, km, affiliated).score > w.score)
+        };
+        if beaten_at(0.0) {
+            return Screen::LoadFloor;
         }
-        Some(self.score(user_loc, status, affiliated))
+        let gap = user_loc.lat_gap_km(status.location);
+        if gap > radius_km || beaten_at(gap) {
+            return Screen::LatitudeGap;
+        }
+        let distance = user_loc.distance_km(status.location);
+        if distance <= radius_km {
+            Screen::Scored(self.score_with_distance(status, distance, affiliated))
+        } else {
+            Screen::Outside
+        }
     }
 
-    /// [`GlobalSelectionPolicy::rank_top_n`] over candidates whose
-    /// user-distance is already known (the disk scan measured it while
-    /// finding them). Byte-identical to scoring from scratch because
+    /// [`GlobalSelectionPolicy::rank`] + `truncate(top_n)` over
+    /// candidates whose user-distance is already known (the disk scan
+    /// measured it while finding them), by a bounded partial select.
+    /// Byte-identical to scoring from scratch because
     /// [`GlobalSelectionPolicy::score`] is the same arithmetic on the
     /// same distance bits.
     pub fn rank_top_n_with_distances(
@@ -270,6 +297,21 @@ impl GlobalSelectionPolicy {
     }
 }
 
+/// Where [`GlobalSelectionPolicy::rank_within`] stopped with one
+/// candidate, in the order its checks run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Screen {
+    /// Its 0 km floor loses to the worst kept: dropped on its load alone.
+    LoadFloor,
+    /// Its latitude gap puts it beyond the radius, or its latitude
+    /// floor loses to the worst kept: dropped without trig.
+    LatitudeGap,
+    /// Its haversine puts it beyond the radius.
+    Outside,
+    /// Within the radius and scored in full.
+    Scored(ScoredCandidate),
+}
+
 /// The shortlist order: composite score, ties broken by `NodeId`. A
 /// strict total order over any candidate set with unique node ids.
 fn rank_order(a: &ScoredCandidate, b: &ScoredCandidate) -> Ordering {
@@ -282,7 +324,7 @@ fn rank_order(a: &ScoredCandidate, b: &ScoredCandidate) -> Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use armada_types::NodeClass;
+    use armada_types::{NodeClass, SystemConfig};
 
     fn status(id: u64, km_east: f64, load: f64) -> NodeStatus {
         NodeStatus {
@@ -436,6 +478,25 @@ mod tests {
         }
     }
 
+    /// `rank` over the candidates within `radius_km` + `truncate`: what
+    /// `rank_within` must return.
+    fn rank_inside(
+        p: &GlobalSelectionPolicy,
+        user: GeoPoint,
+        radius_km: f64,
+        fleet: &[NodeStatus],
+        affiliations: &[NodeId],
+        top_n: usize,
+    ) -> Vec<ScoredCandidate> {
+        let inside = fleet
+            .iter()
+            .filter(|s| user.distance_km(s.location) <= radius_km)
+            .copied();
+        let mut ranked = p.rank(user, inside, affiliations);
+        ranked.truncate(top_n);
+        ranked
+    }
+
     #[test]
     fn rank_with_precomputed_distances_matches_scoring_from_scratch() {
         let p = GlobalSelectionPolicy::default();
@@ -450,25 +511,44 @@ mod tests {
         for top_n in [0usize, 1, 8, 30, 33] {
             assert_eq!(
                 p.rank_top_n_with_distances(with_distances.clone(), &affiliations, top_n),
-                p.rank_top_n(user(), pool.clone(), &affiliations, top_n),
+                rank_inside(&p, user(), f64::INFINITY, &pool, &affiliations, top_n),
                 "top_n={top_n}"
             );
         }
     }
 
     #[test]
-    fn rank_top_n_matches_rank_then_truncate() {
+    fn rank_within_matches_rank_inside_then_truncate() {
         let p = GlobalSelectionPolicy::default();
         let pool: Vec<NodeStatus> = (0..40)
             .map(|i| status(i, (i as f64 * 13.0) % 90.0, f64::from(i as u32 % 4) * 0.5))
             .collect();
         let affiliations = [NodeId::new(3), NodeId::new(17)];
-        for top_n in [0usize, 1, 5, 16, 40, 47] {
-            let mut expected = p.rank(user(), pool.clone(), &affiliations);
-            expected.truncate(top_n);
-            let got = p.rank_top_n(user(), pool.clone(), &affiliations, top_n);
-            assert_eq!(got, expected, "top_n={top_n}");
+        // Node 4 sits at 52 km: a radius of exactly its distance keeps it.
+        let rim = user().distance_km(pool[4].location);
+        for radius in [f64::INFINITY, 60.0, rim, 10.0, 0.0] {
+            let inside = pool
+                .iter()
+                .filter(|s| user().distance_km(s.location) <= radius)
+                .count();
+            for top_n in [0usize, 1, 5, 16, 40, 47] {
+                let expected = rank_inside(&p, user(), radius, &pool, &affiliations, top_n);
+                let (got, beyond) = p.rank_within(user(), radius, &pool, &affiliations, top_n);
+                assert_eq!(got, expected, "radius {radius}, top_n {top_n}");
+                if got.len() < top_n {
+                    assert_eq!(
+                        beyond,
+                        inside < pool.len(),
+                        "radius {radius}, top_n {top_n}"
+                    );
+                }
+            }
         }
+        let (at_rim, _) = p.rank_within(user(), rim, &pool, &[], 40);
+        assert!(
+            at_rim.iter().any(|c| c.node == NodeId::new(4)),
+            "d == r is inside"
+        );
     }
 
     /// SplitMix64, as `perfbench/src/gen.rs` draws `fleet_mixed` from.
@@ -517,8 +597,13 @@ mod tests {
             .collect()
     }
 
-    /// Holds `rank_top_n` to `rank` + `truncate` for every user and
-    /// `top_n`, over three rotations of the arrival order.
+    /// The radii every floor case runs at: no radius, and one that cuts
+    /// the 100 km box so candidates lie on both sides of it.
+    const RADII: [f64; 2] = [f64::INFINITY, 40.0];
+
+    /// Holds `rank_within` to `rank` over the candidates inside +
+    /// `truncate` for every user, radius and `top_n`, over three
+    /// rotations of the arrival order.
     fn assert_exact(
         p: &GlobalSelectionPolicy,
         fleet: &[NodeStatus],
@@ -529,15 +614,17 @@ mod tests {
     ) {
         let mut arrival = fleet.to_vec();
         for rotation in 0..3 {
-            for (u, &user) in users.iter().enumerate() {
-                let full = p.rank(user, fleet.iter().copied(), affiliations);
-                for &top_n in top_ns {
-                    let got = p.rank_top_n(user, arrival.iter().copied(), affiliations, top_n);
-                    assert_eq!(
-                        bits(&got),
-                        bits(&full[..top_n.min(full.len())]),
-                        "{case}: user {u}, top_n {top_n}, rotation {rotation}"
-                    );
+            for radius in RADII {
+                for (u, &user) in users.iter().enumerate() {
+                    let full = rank_inside(p, user, radius, fleet, affiliations, usize::MAX);
+                    for &top_n in top_ns {
+                        let (got, _) = p.rank_within(user, radius, &arrival, affiliations, top_n);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&full[..top_n.min(full.len())]),
+                            "{case}: user {u}, radius {radius}, top_n {top_n}, rotation {rotation}"
+                        );
+                    }
                 }
             }
             arrival.rotate_left(fleet.len() / 3 + 1);
@@ -573,7 +660,8 @@ mod tests {
             .collect();
         let on_sites: Vec<GeoPoint> = sites.iter().step_by(5).map(|s| s.location).collect();
         let idle_site = sites.iter().find(|s| s.load_score == 0.0).unwrap();
-        let at_home = p.rank_top_n(idle_site.location, tied.iter().rev().copied(), &[], 3);
+        let reversed: Vec<NodeStatus> = tied.iter().rev().copied().collect();
+        let (at_home, _) = p.rank_within(idle_site.location, 80.0, &reversed, &[], 3);
         assert!(
             at_home
                 .iter()
@@ -603,7 +691,7 @@ mod tests {
         };
         assert_exact(&away, &mixed, &users[..20], &[], &top_ns, "negative weight");
         assert_eq!(
-            full_scores_per_query(&away, &mixed, &users[..1]),
+            screened(&away, f64::INFINITY, &mixed, &users[..1]).haversines,
             mixed.len()
         );
     }
@@ -626,41 +714,73 @@ mod tests {
         assert_exact(&p, &fleet, &users, &[], &[1, 3, 8, 64], "NaN last");
     }
 
-    /// Full scores (haversines) `rank_top_n` pays per query, counted
-    /// through the select's constructor: a count, so it repeats exactly.
-    fn full_scores_per_query(
+    /// Per query, how far `rank_within`'s checks took a candidate.
+    struct Work {
+        /// Candidates whose latitude gap was taken (past the 0 km floor).
+        gaps: usize,
+        /// Candidates that paid a haversine.
+        haversines: usize,
+    }
+
+    /// Runs the select with `screen` counted through its constructor,
+    /// `top_n` 3: counts, so they repeat exactly.
+    fn screened(
         p: &GlobalSelectionPolicy,
+        radius_km: f64,
         fleet: &[NodeStatus],
         users: &[GeoPoint],
-    ) -> usize {
-        let mut scored = 0;
+    ) -> Work {
+        let mut work = Work {
+            gaps: 0,
+            haversines: 0,
+        };
         for &user in users {
             let got = partial_select_filter_map(
                 fleet.iter(),
                 3,
                 |status, worst| {
-                    let candidate = p.score_unless_beaten(user, status, false, worst);
-                    scored += usize::from(candidate.is_some());
-                    candidate
+                    let screen = p.screen(user, radius_km, status, false, worst);
+                    work.gaps += usize::from(screen != Screen::LoadFloor);
+                    work.haversines +=
+                        usize::from(matches!(screen, Screen::Outside | Screen::Scored(_)));
+                    match screen {
+                        Screen::Scored(candidate) => Some(candidate),
+                        _ => None,
+                    }
                 },
                 rank_order,
             );
-            assert_eq!(got, p.rank_top_n(user, fleet.iter().copied(), &[], 3));
+            assert_eq!(got, p.rank_within(user, radius_km, fleet, &[], 3).0);
         }
-        scored / users.len()
+        Work {
+            gaps: work.gaps / users.len(),
+            haversines: work.haversines / users.len(),
+        }
     }
 
     #[test]
     fn score_floors_spare_most_of_a_dense_fleet_its_haversines() {
         let p = GlobalSelectionPolicy::default();
         let users = users(11, 25);
+        let radius = SystemConfig::default().proximity_radius_km;
         // `fleet_mixed`'s registry: 20 000 per query without floors.
         let mixed = metro_fleet(7, 20_000, |rng| 2.0 * rng.unit());
-        let scored = full_scores_per_query(&p, &mixed, &users);
-        assert!(scored <= 400, "{scored} full scores per query");
+        let work = screened(&p, radius, &mixed, &users);
+        assert!(
+            work.haversines <= 400,
+            "{} haversines per query",
+            work.haversines
+        );
+        // The 0 km floor runs first: most of the fleet is dropped on its
+        // load before its latitude gap is taken against the radius.
+        assert!(work.gaps <= 2_000, "{} latitude gaps per query", work.gaps);
         // All idle the 0 km floor drops nobody; the latitude floor must.
         let idle = metro_fleet(7, 20_000, |_| 0.0);
-        let scored = full_scores_per_query(&p, &idle, &users);
-        assert!(scored <= 1_000, "{scored} full scores per query");
+        let work = screened(&p, radius, &idle, &users);
+        assert!(
+            work.haversines <= 1_000,
+            "{} haversines per query",
+            work.haversines
+        );
     }
 }

@@ -22,6 +22,7 @@ use armada_geo::ProximityIndex;
 use armada_node::NodeStatus;
 use armada_types::{GeoPoint, NodeId, SimTime, SystemConfig};
 
+use crate::discovery::{self, Engine};
 use crate::registry::{NodeRecord, RegistryView};
 use crate::selection::{GlobalSelectionPolicy, ScoredCandidate};
 
@@ -29,8 +30,10 @@ use crate::selection::{GlobalSelectionPolicy, ScoredCandidate};
 ///
 /// Produced by [`CentralManager::snapshot`](crate::CentralManager::snapshot)
 /// — for a standalone manager and for a federated shard alike.
-/// All query methods are `&self` and allocation-free outside the result
-/// vector, so snapshots can be fanned out across threads.
+/// All query methods are `&self` and the view is immutable, so
+/// snapshots can be fanned out across threads. A query allocates its
+/// result; the flat pass nothing else, the ring scan its pending pool,
+/// emitted list and seen-set as well.
 #[derive(Debug, Clone)]
 pub struct DiscoverySnapshot {
     pub(crate) epoch: u64,
@@ -87,8 +90,9 @@ impl DiscoverySnapshot {
         self.records.alive_count(now)
     }
 
-    /// Serves one discovery query off the frozen view via the fast
-    /// engine. Returns up to `top_n` scored candidates, best first.
+    /// Serves one discovery query off the frozen view with the
+    /// generator [`DiscoverySnapshot::engine`] picks. Returns up to
+    /// `top_n` scored candidates, best first.
     pub fn ranked(
         &self,
         user_loc: GeoPoint,
@@ -96,15 +100,33 @@ impl DiscoverySnapshot {
         top_n: usize,
         now: SimTime,
     ) -> Vec<ScoredCandidate> {
-        crate::discovery::discover_shortlist(
-            &self.config,
-            &self.policy,
-            &self.index,
-            |id| self.alive_status(id, now),
-            user_loc,
-            affiliations,
-            top_n,
-        )
+        match self.engine(user_loc) {
+            Engine::Flat => discovery::flat_shortlist(
+                self.config.proximity_radius_km,
+                &self.policy,
+                &self.records,
+                now,
+                user_loc,
+                affiliations,
+                top_n,
+            ),
+            Engine::Ring => discovery::ring_shortlist(
+                self.config.proximity_radius_km,
+                &self.policy,
+                &self.index,
+                |id| self.alive_status(id, now),
+                user_loc,
+                affiliations,
+                top_n,
+            ),
+        }
+    }
+
+    /// The candidate generator a query at `user_loc` is served by: the
+    /// flat pass where the starting disk holds a large share of the
+    /// frozen fleet, the ring scan elsewhere. Both answer alike.
+    pub fn engine(&self, user_loc: GeoPoint) -> Engine {
+        discovery::engine_for(&self.index, self.config.proximity_radius_km, user_loc)
     }
 
     /// Like [`DiscoverySnapshot::ranked`] but returns node ids only —

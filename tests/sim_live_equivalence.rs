@@ -52,20 +52,17 @@
 //! applied through `FederatedShard::apply_delta` and through a
 //! `SyncSummaries` RPC must leave the same merged view and be narrated
 //! as the same `fed.sync`s. Both drive one `NodeRegistry` and one
-//! ranking; what still differs is candidate
-//! *generation* — the simulator ranks what lies within
-//! `proximity_radius_km` (80 km, widening only when that is too few),
-//! the live manager ranks every alive record — so the rows' domain is a
-//! fleet that lies inside the radius of every query. Outside it a node
-//! beyond the radius that out-scores a near one is offered live and
-//! not in the simulator; the PR that moves the live scan onto the
-//! engine widens `fleet()` instead of writing a new test.
+//! discovery — the nodes within `proximity_radius_km` (80 km, doubled
+//! while that holds too few), ranked — so the fleet spreads far past
+//! the radius, and some queries stand at its rim, where the first disk
+//! is short and both must widen alike.
 //!
 //! Reads captured traces, so it only runs with the `trace` feature
 //! (the default) compiled in.
 
 #![cfg(feature = "trace")]
 
+use std::f64::consts::TAU;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -680,9 +677,10 @@ fn listen_addr(status: &NodeStatus) -> String {
     format!("127.0.0.1:{}", 10_000 + status.node.as_u64())
 }
 
-/// 300 nodes inside a 60 km box, loads in `[0, 2)`; every tenth node
-/// sits exactly where its predecessor does with the same load, so its
-/// score ties for every query and the id decides.
+/// 300 nodes over a 300 km box, loads in `[0, 2)`: an 80 km disk holds
+/// a fifth of them at most. Every tenth node sits exactly where its
+/// predecessor does with the same load, so its score ties for every
+/// query and the id decides.
 fn fleet() -> Vec<NodeStatus> {
     let mut rng = SimRng::seed_from(17);
     let mut nodes: Vec<NodeStatus> = Vec::new();
@@ -690,7 +688,7 @@ fn fleet() -> Vec<NodeStatus> {
         let (location, load_score) = match nodes.last() {
             Some(twin) if id % 10 == 9 => (twin.location, twin.load_score),
             _ => (
-                spot().offset_km(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0)),
+                spot().offset_km(rng.uniform(-150.0, 150.0), rng.uniform(-150.0, 150.0)),
                 rng.uniform(0.0, 2.0),
             ),
         };
@@ -705,13 +703,46 @@ fn fleet() -> Vec<NodeStatus> {
     nodes
 }
 
-/// 200 users in the middle 30 km of the box: at most 64 km from any
-/// node, inside the simulator's 80 km proximity radius.
+/// 200 users: three in four over the fleet's box, the rest on a ring
+/// 200–260 km from its centre, past its edge, where an 80 km disk holds
+/// few nodes or none.
 fn queries() -> Vec<GeoPoint> {
     let mut rng = SimRng::seed_from(23);
     (0..200)
-        .map(|_| spot().offset_km(rng.uniform(-15.0, 15.0), rng.uniform(-15.0, 15.0)))
+        .map(|q| {
+            if q % 4 == 3 {
+                let (km, angle) = (rng.uniform(200.0, 260.0), rng.uniform(0.0, TAU));
+                spot().offset_km(km * angle.cos(), km * angle.sin())
+            } else {
+                spot().offset_km(rng.uniform(-150.0, 150.0), rng.uniform(-150.0, 150.0))
+            }
+        })
         .collect()
+}
+
+/// Of `queries()` answered over `fleet` at `top_n`: how many found too
+/// few nodes in the first disk and had to widen, and how many got a
+/// shortlist other than the best `top_n` of the whole fleet.
+fn radius_effects(fleet: &[NodeStatus], shortlists: &[(GeoPoint, Vec<NodeId>)]) -> (usize, usize) {
+    let radius = SystemConfig::default().proximity_radius_km;
+    let policy = GlobalSelectionPolicy::default();
+    let mut widened = 0;
+    let mut not_global = 0;
+    for (at, shortlist) in shortlists {
+        let inside = fleet
+            .iter()
+            .filter(|s| at.distance_km(s.location) <= radius)
+            .count();
+        widened += usize::from(inside < shortlist.len());
+        let global: Vec<NodeId> = policy
+            .rank(*at, fleet.iter().copied(), &[])
+            .iter()
+            .take(shortlist.len())
+            .map(|c| c.node)
+            .collect();
+        not_global += usize::from(&global != shortlist);
+    }
+    (widened, not_global)
 }
 
 const TOP_NS: [usize; 3] = [1, 3, 8];
@@ -728,6 +759,7 @@ fn manager_shortlists_are_alike_in_sim_and_live() {
     }
     let now = SimTime::from_secs(1);
     let mut tie_breaks = 0;
+    let mut shortlists = Vec::new();
     for (q, at) in queries().into_iter().enumerate() {
         for top_n in TOP_NS {
             let expected = sim.discover(at, &[], top_n, now);
@@ -738,12 +770,18 @@ fn manager_shortlists_are_alike_in_sim_and_live() {
                 pair[0].as_u64() % 10 == 8 && pair[1].as_u64() == pair[0].as_u64() + 1
             };
             tie_breaks += expected.windows(2).filter(|pair| twins(pair)).count();
+            shortlists.push((at, expected));
         }
     }
     assert!(
         tie_breaks > 0,
         "no shortlist was decided by the id tie-break"
     );
+    // The radius is in play on both sides: some shortlists needed more
+    // than the first disk, and some differ from a rank of the whole fleet.
+    let (widened, not_global) = radius_effects(&fleet, &shortlists);
+    assert!(widened > 0, "no query had to widen");
+    assert!(not_global > 0, "no shortlist was shaped by the radius");
 }
 
 /// The peer's word on `peers`, as of `now`: every fifth node's last
