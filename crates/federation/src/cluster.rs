@@ -219,7 +219,7 @@ impl FederatedCluster {
         let mut pruned = Vec::new();
         for shard in &mut self.shards {
             if !self.down.contains(&shard.id()) {
-                pruned.extend(shard.prune(now, grace));
+                pruned.extend(shard.prune(now, grace).own);
             }
         }
         pruned.sort();

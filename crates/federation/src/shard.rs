@@ -5,7 +5,9 @@
 
 use std::sync::Arc;
 
-use armada_manager::{CentralManager, DiscoverySnapshot, GlobalSelectionPolicy, ScoredCandidate};
+use armada_manager::{
+    CentralManager, DiscoverySnapshot, GlobalSelectionPolicy, NodeRegistry, Pruned, ScoredCandidate,
+};
 use armada_node::NodeStatus;
 use armada_types::{GeoPoint, NodeId, ShardId, SimDuration, SimTime, SystemConfig};
 
@@ -91,6 +93,11 @@ impl FederatedShard {
         self.manager.registry().own_len()
     }
 
+    /// Read access to the merged registry.
+    pub fn registry(&self) -> &NodeRegistry {
+        self.manager.registry()
+    }
+
     /// Alive nodes across the merged view (own + synced summaries).
     ///
     /// O(nodes) — a diagnostics/observability surface; the discovery
@@ -124,16 +131,20 @@ impl FederatedShard {
     /// of its summaries were taken. Own nodes are never overwritten —
     /// the local registration is authoritative.
     pub fn apply_delta(&mut self, delta: &SyncDelta) -> u64 {
-        let mut applied = 0;
-        for summary in &delta.updated {
-            if self
-                .manager
-                .apply_peer(summary.status, summary.last_heartbeat)
-            {
-                applied += 1;
-            }
-        }
-        self.counters.summaries_applied += applied;
+        delta
+            .updated
+            .iter()
+            .map(|summary| u64::from(self.apply_summary(summary)))
+            .sum()
+    }
+
+    /// Applies one summary of a peer's push; `false` (and nothing
+    /// changes) if this shard owns the node.
+    pub fn apply_summary(&mut self, summary: &NodeSummary) -> bool {
+        let applied = self
+            .manager
+            .apply_peer(summary.status, summary.last_heartbeat);
+        self.counters.summaries_applied += u64::from(applied);
         applied
     }
 
@@ -172,6 +183,16 @@ impl FederatedShard {
         self.manager.discover(user_loc, affiliations, top_n, now)
     }
 
+    /// Counts one discovery query and freezes the merged view it is
+    /// answered from (O(shards) reference bumps), for a driver that
+    /// ranks outside its own lock. Unlike [`FederatedShard::published`],
+    /// nothing holds the view once the query drops it, so the writes
+    /// that land between queries copy no shard.
+    pub fn serve_discovery(&mut self) -> DiscoverySnapshot {
+        self.counters.discoveries += 1;
+        self.manager.snapshot()
+    }
+
     /// Like [`FederatedShard::discover`] but returns scores, for tests
     /// and diagnostics.
     pub fn ranked_candidates(
@@ -186,8 +207,8 @@ impl FederatedShard {
     }
 
     /// Housekeeping: drops own registrations dead longer than `grace`
-    /// and remote summaries equally stale, returning the own ids.
-    pub fn prune(&mut self, now: SimTime, grace: SimDuration) -> Vec<NodeId> {
+    /// and remote summaries equally stale, returning both lists.
+    pub fn prune(&mut self, now: SimTime, grace: SimDuration) -> Pruned {
         self.manager.prune_dead(now, grace)
     }
 }
@@ -356,7 +377,8 @@ mod tests {
         a.apply_delta(&b.own_summaries());
         let late = SimTime::from_secs(60);
         let pruned = a.prune(late, SimDuration::from_secs(10));
-        assert_eq!(pruned, vec![NodeId::new(0)]);
+        assert_eq!(pruned.own, vec![NodeId::new(0)]);
+        assert_eq!(pruned.peers, vec![NodeId::new(1)]);
         assert_eq!(a.merged_alive_count(late), 0);
         assert!(a.discover(home(), &[], 3, late).is_empty());
         // The pruned own node is in no later push.

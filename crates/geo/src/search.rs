@@ -32,27 +32,25 @@ use armada_types::{mix64, GeoPoint, NodeId, U64BuildHasher, EARTH_RADIUS_KM};
 type FastMap<K, V> = HashMap<K, V, U64BuildHasher>;
 type FastSet<K> = HashSet<K, U64BuildHasher>;
 
-/// A position pre-converted to radians with its latitude cosine cached.
+/// A position with its latitude cosine cached.
 ///
 /// [`TrigPoint::distance_km`] replicates [`GeoPoint::distance_km`]
 /// term for term, so the result is bit-identical while the per-pair
-/// work drops from four `to_radians` + two `cos` + two `sin` to just
-/// the two `sin` — the disk scan computes one distance per candidate
-/// it touches, and this is its single hottest operation.
+/// work drops from two `cos` + two `sin` to just the two `sin` — the
+/// disk scan computes one distance per candidate it touches, and this
+/// is its single hottest operation. (The radians are one multiply each
+/// and are not kept: every indexed node stores one of these.)
 #[derive(Debug, Clone, Copy)]
 struct TrigPoint {
-    lat_rad: f64,
-    lon_rad: f64,
+    point: GeoPoint,
     cos_lat: f64,
 }
 
 impl TrigPoint {
-    fn new(p: GeoPoint) -> TrigPoint {
-        let lat_rad = p.lat().to_radians();
+    fn new(point: GeoPoint) -> TrigPoint {
         TrigPoint {
-            lat_rad,
-            lon_rad: p.lon().to_radians(),
-            cos_lat: lat_rad.cos(),
+            point,
+            cos_lat: point.lat().to_radians().cos(),
         }
     }
 
@@ -60,8 +58,8 @@ impl TrigPoint {
     /// `GeoPoint::distance_km(self, other)` (same operations, same
     /// order, same rounding).
     fn distance_km(&self, other: &TrigPoint) -> f64 {
-        let dlat = other.lat_rad - self.lat_rad;
-        let dlon = other.lon_rad - self.lon_rad;
+        let dlat = other.point.lat().to_radians() - self.point.lat().to_radians();
+        let dlon = other.point.lon().to_radians() - self.point.lon().to_radians();
         let a =
             (dlat / 2.0).sin().powi(2) + self.cos_lat * other.cos_lat * (dlon / 2.0).sin().powi(2);
         2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
@@ -81,6 +79,10 @@ pub const GLOBE_COVER_RADIUS_KM: f64 = 20_016.0;
 /// `π/2 · EARTH_RADIUS_KM` ≈ 10 007 km so the cap geometry below stays
 /// in its valid range.
 const FULL_SCAN_RADIUS_KM: f64 = 10_000.0;
+
+/// The bucketing precision of [`ProximityIndex::new`], and the finest
+/// [`ProximityIndex::for_radius`] keeps.
+const DEFAULT_PRECISION: usize = 6;
 
 /// Cell budget per widening round: the scan picks the finest bucketing
 /// precision whose cover of the query disk stays under this many cells,
@@ -268,11 +270,11 @@ impl CellRect {
 pub struct ProximityIndex {
     /// Index precision: fine enough to bucket metro-scale deployments.
     precision: usize,
-    /// Position plus its cached trig form (the latter feeds the disk
+    /// Position with its cached latitude cosine (which feeds the disk
     /// scan's distance computation; see [`TrigPoint`]), sharded by
     /// hashed id. The shards are the *authoritative* membership and
     /// position record; bucket entries are advisory.
-    shards: Vec<Arc<FastMap<NodeId, (GeoPoint, TrigPoint)>>>,
+    shards: Vec<Arc<FastMap<NodeId, TrigPoint>>>,
     /// Live node count (shard maps hold exactly the live nodes).
     len: usize,
     /// `levels[l][s]` holds segment `s` of the cells at precision
@@ -294,7 +296,25 @@ impl ProximityIndex {
     /// Creates an empty index at the default bucketing precision (6
     /// characters, cells ≈ 1.2 km × 0.6 km).
     pub fn new() -> Self {
-        Self::with_precision(6)
+        Self::with_precision(DEFAULT_PRECISION)
+    }
+
+    /// Creates an empty index holding only the levels, up to the default
+    /// precision, that a scan of a disk of `min_radius_km` or wider can
+    /// read.
+    ///
+    /// A scan reads each disk at the finest level whose cells over it fit
+    /// its cell budget, so a level whose cells over the narrowest such
+    /// disk exceed that budget wherever the disk lies is never read:
+    /// holding it would cost every insert one more bucket write and
+    /// every clone 64 more segment pointers. Answers do not depend on the
+    /// precision; a narrower scan than `min_radius_km` just reads a
+    /// coarser level than it could.
+    pub fn for_radius(min_radius_km: f64) -> Self {
+        let readable = (1..=DEFAULT_PRECISION)
+            .rev()
+            .find(|&precision| min_cover_cells(min_radius_km, precision) <= MAX_CELLS_PER_ROUND);
+        Self::with_precision(readable.unwrap_or(1))
     }
 
     /// Creates an empty index with a custom bucketing precision.
@@ -310,7 +330,7 @@ impl ProximityIndex {
         // Every slot starts out pointing at the *same* empty map: sharing
         // is intentional — the first write to a shard COWs it into its own
         // allocation, so empty shards cost one allocation total.
-        let empty: Arc<FastMap<NodeId, (GeoPoint, TrigPoint)>> = Arc::new(FastMap::default());
+        let empty: Arc<FastMap<NodeId, TrigPoint>> = Arc::new(FastMap::default());
         let empty_segment: Arc<FastMap<u64, Bucket>> = Arc::new(FastMap::default());
         ProximityIndex {
             precision,
@@ -341,13 +361,13 @@ impl ProximityIndex {
     /// whole structure.
     pub fn insert(&mut self, id: NodeId, point: GeoPoint) -> Option<GeoPoint> {
         let shard = shard_of(id);
-        let prev = self.shards[shard].get(&id).map(|&(p, _)| p);
+        let prev = self.shards[shard].get(&id).map(|t| t.point);
         // Heartbeats from stationary nodes re-insert the same position;
         // skip all bucket churn (and any shard copy) in that common case.
         if prev == Some(point) {
             return prev;
         }
-        Arc::make_mut(&mut self.shards[shard]).insert(id, (point, TrigPoint::new(point)));
+        Arc::make_mut(&mut self.shards[shard]).insert(id, TrigPoint::new(point));
         match prev {
             Some(old) => {
                 // A move appends to the new cell wherever the cell key
@@ -391,11 +411,11 @@ impl ProximityIndex {
         if !self.shards[shard].contains_key(&id) {
             return None;
         }
-        let (point, _) = Arc::make_mut(&mut self.shards[shard]).remove(&id)?;
+        let removed = Arc::make_mut(&mut self.shards[shard]).remove(&id)?;
         self.len -= 1;
         self.stale += self.precision;
         self.maybe_sweep();
-        Some(point)
+        Some(removed.point)
     }
 
     /// Sweeps a few bucket segments when the stale debt crosses its
@@ -424,7 +444,7 @@ impl ProximityIndex {
         let is_current = |id: NodeId, key: u64| {
             shards[shard_of(id)]
                 .get(&id)
-                .is_some_and(|&(p, _)| grid.key(p) == key)
+                .is_some_and(|t| grid.key(t.point) == key)
         };
         // Read-only pass first: touch (and copy) nothing unless this
         // segment actually holds stale or duplicate entries.
@@ -464,16 +484,16 @@ impl ProximityIndex {
 
     /// Returns the stored position of `id`, if indexed.
     pub fn position(&self, id: NodeId) -> Option<GeoPoint> {
-        self.shards[shard_of(id)].get(&id).map(|&(p, _)| p)
+        self.shards[shard_of(id)].get(&id).map(|t| t.point)
     }
 
     /// Iterates over all `(id, position)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, GeoPoint)> + '_ {
-        self.positions_iter().map(|(id, &(p, _))| (id, p))
+        self.positions_iter().map(|(id, t)| (id, t.point))
     }
 
     /// Iterates every live `(id, entry)` pair across all shards.
-    fn positions_iter(&self) -> impl Iterator<Item = (NodeId, &(GeoPoint, TrigPoint))> {
+    fn positions_iter(&self) -> impl Iterator<Item = (NodeId, &TrigPoint)> {
         self.shards
             .iter()
             .flat_map(|s| s.iter().map(|(&id, entry)| (id, entry)))
@@ -488,9 +508,9 @@ impl ProximityIndex {
     pub fn within_km(&self, from: GeoPoint, radius_km: f64) -> Vec<RankedNeighbor> {
         let mut out: Vec<RankedNeighbor> = self
             .positions_iter()
-            .map(|(id, &(p, _))| RankedNeighbor {
+            .map(|(id, t)| RankedNeighbor {
                 id,
-                distance_km: from.distance_km(p),
+                distance_km: from.distance_km(t.point),
             })
             .filter(|n| n.distance_km <= radius_km)
             .collect();
@@ -691,7 +711,7 @@ impl DiskScan<'_> {
     }
 
     fn scan_everything(&mut self) {
-        for (id, (_, trig)) in self.index.positions_iter() {
+        for (id, trig) in self.index.positions_iter() {
             Self::queue(&mut self.seen, &mut self.pending, &self.from_trig, id, trig);
         }
         self.all_scanned = true;
@@ -732,7 +752,7 @@ impl DiskScan<'_> {
                         // id is queued at its *current* distance (its
                         // current cell also holds an entry, so it is
                         // never missed — `seen` dedups the pair).
-                        let Some((_, trig)) = self.index.shards[shard_of(id)].get(&id) else {
+                        let Some(trig) = self.index.shards[shard_of(id)].get(&id) else {
                             continue;
                         };
                         Self::queue(&mut self.seen, &mut self.pending, &self.from_trig, id, trig);
@@ -793,6 +813,29 @@ fn cap_cover(
         }
     }
     None
+}
+
+/// A lower bound on the cells [`cap_cover`] takes at `precision` for a
+/// disk of `radius_km` centred anywhere, growing with the radius (and
+/// `u64::MAX` from [`FULL_SCAN_RADIUS_KM`] on, where a scan reads no
+/// level). A span of `L` meets at least `⌊L / c⌋ + 1` cells of width
+/// `c`; one fewer is counted at each end in case float rounding moves
+/// an end across a cell edge. The box is narrowest in longitude on the
+/// equator, and a cap around a pole spans every longitude.
+fn min_cover_cells(radius_km: f64, precision: usize) -> u64 {
+    if radius_km >= FULL_SCAN_RADIUS_KM {
+        return u64::MAX;
+    }
+    let grid = Grid::at(precision);
+    let span_deg = 2.0 * (radius_km / EARTH_RADIUS_KM).to_degrees();
+    let cells = |cell_deg: f64| {
+        ((span_deg / cell_deg).floor() as u64)
+            .saturating_sub(1)
+            .max(1)
+    };
+    let rows = cells(180.0 / f64::from(grid.lat_cells));
+    let columns = cells(360.0 / f64::from(grid.lon_cells));
+    (rows * columns).min(u64::from(grid.lon_cells))
 }
 
 /// Wraps a longitude into `[-180, 180)`.
@@ -870,6 +913,29 @@ mod tests {
         let mut scan = idx.disk_scan(origin());
         assert!(scan.extend_to(500.0).is_empty());
         assert!(scan.exhausted());
+    }
+
+    /// The manager's 80 km radius reads precision 4 at the finest, and
+    /// no disk of a radius or wider, wherever it lies, takes a finer
+    /// cover than `for_radius` of that radius keeps.
+    #[test]
+    fn for_radius_keeps_every_level_a_wider_scan_reads() {
+        assert_eq!(ProximityIndex::for_radius(80.0).precision, 4);
+        assert_eq!(ProximityIndex::for_radius(0.1).precision, DEFAULT_PRECISION);
+        assert_eq!(ProximityIndex::for_radius(FULL_SCAN_RADIUS_KM).precision, 1);
+        let mut radius = 0.5;
+        while radius < FULL_SCAN_RADIUS_KM {
+            let kept = ProximityIndex::for_radius(radius).precision;
+            for lat in [0.0, 0.004, -0.3, 44.98, -71.5] {
+                for step in 0..400 {
+                    let from = GeoPoint::new(lat, -180.0 + step as f64 * 0.9013);
+                    let (read, _) =
+                        cap_cover(from, radius, DEFAULT_PRECISION, MAX_CELLS_PER_ROUND).unwrap();
+                    assert!(read <= kept, "{radius} km at {from:?}: {read} > {kept}");
+                }
+            }
+            radius *= 1.17;
+        }
     }
 
     #[test]
@@ -1108,6 +1174,18 @@ mod tests {
             let b = GeoPoint::new(lat2, lon2);
             let cached = TrigPoint::new(a).distance_km(&TrigPoint::new(b));
             prop_assert_eq!(cached.to_bits(), a.distance_km(b).to_bits());
+        }
+
+        #[test]
+        fn no_wider_scan_reads_a_level_for_radius_drops(
+            lat in -89.9f64..89.9, lon in -180.0f64..180.0,
+            min_radius in 0.1f64..3_000.0, widen in 1.0f64..4.0,
+        ) {
+            let kept = ProximityIndex::for_radius(min_radius).precision;
+            let radius = min_radius * widen;
+            let from = GeoPoint::new(lat, lon);
+            let (read, _) = cap_cover(from, radius, DEFAULT_PRECISION, MAX_CELLS_PER_ROUND).unwrap();
+            prop_assert!(read <= kept || radius >= FULL_SCAN_RADIUS_KM);
         }
 
         #[test]

@@ -10,9 +10,9 @@
 //! and per-node artificial delays stand in for geographic distance when
 //! everything runs on localhost.
 //!
-//! The manager's registry and ranking are the simulator's
-//! (`armada_manager::NodeRegistry`, `GlobalSelectionPolicy`) on a wall
-//! clock, and the node is its `armada_node::EdgeNode`: frames share the
+//! The manager is the simulator's manager shard
+//! (`armada_federation::FederatedShard`) on a wall clock, and the node
+//! is its `armada_node::EdgeNode`: frames share the
 //! hardware profile's cores in its processor-sharing ledger and
 //! complete on reactor timers, so probing observes genuine queueing and
 //! contention; clients probe candidates concurrently, rank them with the

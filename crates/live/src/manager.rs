@@ -8,7 +8,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use armada_manager::{flat_shortlist, CowTable, GlobalSelectionPolicy, Narrator, NodeRegistry};
+use armada_federation::{FederatedShard, NodeSummary};
+use armada_manager::{CowTable, GlobalSelectionPolicy, Narrator};
 use armada_node::NodeStatus;
 use armada_reactor::{AcceptFactory, Conn, ConnCtx, Handle, Reactor, ReactorConfig, Source};
 use armada_trace::{s, u, Severity, Tracer};
@@ -146,43 +147,39 @@ struct PeerHealth {
 }
 
 struct ManagerState {
-    /// This shard's identity within a federation (0 when standalone).
-    shard: u64,
-    /// Nodes registered directly with this manager (it owns their
-    /// liveness) merged with those peer shards advertise through
-    /// `SyncSummaries`; the configured liveness window is its budget.
-    /// Copy-on-write by shard: discovery freezes a view under the lock
-    /// and ranks outside it, so heartbeat writes never wait on a query
-    /// (and copy one shard only when a query is in flight).
-    registry: NodeRegistry,
+    /// The simulator's manager core: the merged registry of the nodes
+    /// registered here and those peer shards advertise through
+    /// `SyncSummaries` (the configured liveness window is its budget),
+    /// the proximity index, the discovery engine, the sync push and the
+    /// counters. A standalone manager is a shard that never hears from
+    /// a peer. Discovery freezes a view under the lock and ranks outside
+    /// it, so heartbeat writes never wait on a query.
+    shard: FederatedShard,
     /// Where each known node accepts client connections — the one thing
     /// the wire carries that the core does not store.
     addrs: CowTable<String>,
-    /// The wall instant the registry's clock started at.
+    /// The wall instant the shard's clock started at.
     epoch: Instant,
     /// Health of each outbound sync peer.
     peers: HashMap<SocketAddr, PeerHealth>,
-    discoveries: u64,
-    sync_rounds: u64,
-    syncs_applied: u64,
     tracer: Tracer,
 }
 
 impl ManagerState {
-    /// The registry's clock: wall microseconds since bind, started just
+    /// The shard's clock: wall microseconds since bind, started just
     /// past one liveness budget. A synced summary's `now − age_us` and
     /// the liveness deadline both saturate at `SimTime::ZERO`, so on a
     /// younger clock a summary of any age would read alive.
     fn now(&self) -> SimTime {
         let elapsed = self.epoch.elapsed().as_micros() as u64;
-        SimTime::from_micros(1 + elapsed) + self.registry.liveness_budget()
+        SimTime::from_micros(1 + elapsed) + self.shard.registry().liveness_budget()
     }
 
     /// Housekeeping: forgets records dead longer than the grace, own
     /// and synced, and their addresses.
     fn prune(&mut self) {
-        let grace = self.registry.liveness_budget() * PRUNE_GRACE_WINDOWS;
-        let pruned = self.registry.prune(self.now(), grace);
+        let grace = self.shard.registry().liveness_budget() * PRUNE_GRACE_WINDOWS;
+        let pruned = self.shard.prune(self.now(), grace);
         for id in pruned.ids() {
             self.addrs.remove(id);
         }
@@ -264,16 +261,22 @@ impl LiveManager {
     ) -> std::io::Result<(LiveManager, SocketAddr)> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let window = SimDuration::from_micros(cfg.liveness_window.as_micros() as u64);
+        // One missed window is death: the liveness budget is the window.
+        let config = SystemConfig {
+            heartbeat_period: SimDuration::from_micros(cfg.liveness_window.as_micros() as u64),
+            heartbeat_miss_limit: 1,
+            ..SystemConfig::default()
+        };
+        let shard = FederatedShard::new(
+            ShardId::new(shard),
+            config,
+            GlobalSelectionPolicy::default(),
+        );
         let state = Arc::new(Mutex::new(ManagerState {
             shard,
-            registry: NodeRegistry::new(window, 1),
             addrs: CowTable::new(),
             epoch: Instant::now(),
             peers: HashMap::new(),
-            discoveries: 0,
-            sync_rounds: 0,
-            syncs_applied: 0,
             tracer,
         }));
         let reactor = Reactor::new(ReactorConfig {
@@ -343,34 +346,34 @@ impl LiveManager {
     /// Number of nodes currently considered alive, own and synced.
     pub fn alive_count(&self) -> usize {
         let state = lock_recover(&self.state);
-        state.registry.alive_count(state.now())
+        state.shard.merged_alive_count(state.now())
     }
 
     /// Number of peer-owned nodes currently alive in the synced view.
     pub fn synced_count(&self) -> usize {
         let state = lock_recover(&self.state);
-        state.registry.peer_alive_count(state.now())
+        state.shard.registry().peer_alive_count(state.now())
     }
 
     /// Number of nodes in the registry, own and synced, alive or not:
     /// what housekeeping has not yet forgotten.
     pub fn registered_count(&self) -> usize {
-        lock_recover(&self.state).registry.len()
+        lock_recover(&self.state).shard.registry().len()
     }
 
     /// Completed outbound peer-sync rounds.
     pub fn sync_rounds(&self) -> u64 {
-        lock_recover(&self.state).sync_rounds
+        lock_recover(&self.state).shard.counters().sync_rounds
     }
 
     /// Total summaries applied from inbound peer syncs.
     pub fn syncs_applied(&self) -> u64 {
-        lock_recover(&self.state).syncs_applied
+        lock_recover(&self.state).shard.counters().summaries_applied
     }
 
     /// Total discovery queries served.
     pub fn discoveries_served(&self) -> u64 {
-        lock_recover(&self.state).discoveries
+        lock_recover(&self.state).shard.counters().discoveries
     }
 
     /// Requests refused with `Busy` by the admission layer.
@@ -465,13 +468,13 @@ impl Conn for MgrConn {
         // (An orderly close takes no lock.)
         if err.is_some() {
             let state = lock_recover(&self.state);
-            trace_eviction(&state.tracer, "manager", state.shard, err);
+            trace_eviction(&state.tracer, "manager", state.shard.id().as_u64(), err);
         }
     }
 }
 
 /// Counts down the in-flight syncs of one round; the round completes —
-/// and `sync_rounds` increments — when the last one settles.
+/// and the shard notes it — when the last one settles.
 struct RoundTracker {
     pending: AtomicUsize,
     state: Arc<Mutex<ManagerState>>,
@@ -480,57 +483,56 @@ struct RoundTracker {
 impl RoundTracker {
     fn complete_one(&self) {
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            lock_recover(&self.state).sync_rounds += 1;
+            lock_recover(&self.state).shard.note_sync_round();
         }
     }
 }
 
-/// Fires one sync round: snapshot the owned registrations, then push
-/// them to every peer that is neither backing off nor mid-RPC.
+/// Fires one sync round: push the shard's own records to every peer
+/// that is neither backing off nor mid-RPC.
 fn sync_round(state: &Arc<Mutex<ManagerState>>, peers: &[SocketAddr], handle: &Handle) {
-    let (from, summaries) = {
-        let s = lock_recover(state);
-        let now = s.now();
-        let summaries: Vec<WireSummary> = s
-            .registry
-            .own_records()
-            .map(|r| WireSummary {
-                status: wire_status(&r.status),
-                listen_addr: s.addrs.get(r.status.node).cloned().unwrap_or_default(),
-                age_us: now.saturating_since(r.last_heartbeat).as_micros(),
-            })
-            .collect();
-        (s.shard, summaries)
-    };
-    let body = Codec::Binary.encode_request(&Request::SyncSummaries { from, summaries });
-
     // Backoff gate: a recently failed peer sits out until its next
     // scheduled attempt; a peer with a sync still in flight is not
     // dialed again.
+    let mut st = lock_recover(state);
     let mut targets = Vec::new();
-    {
-        let mut st = lock_recover(state);
-        let now = Instant::now();
-        for peer in peers {
-            let health = st.peers.entry(*peer).or_insert_with(|| PeerHealth {
-                consecutive_failures: 0,
-                next_attempt: now,
-                dead: false,
-                in_flight: false,
-            });
-            if health.in_flight || now < health.next_attempt {
-                continue;
-            }
-            health.in_flight = true;
-            targets.push(*peer);
+    let wall = Instant::now();
+    for peer in peers {
+        let health = st.peers.entry(*peer).or_insert_with(|| PeerHealth {
+            consecutive_failures: 0,
+            next_attempt: wall,
+            dead: false,
+            in_flight: false,
+        });
+        if health.in_flight || wall < health.next_attempt {
+            continue;
         }
+        health.in_flight = true;
+        targets.push(*peer);
     }
     if targets.is_empty() {
-        // Every peer gated: the round still completes (matching the
-        // old per-period round counting).
-        lock_recover(state).sync_rounds += 1;
+        // Every peer gated: the round still completes.
+        st.shard.note_sync_round();
         return;
     }
+    let now = st.now();
+    let push = st.shard.own_summaries();
+    let summaries = push
+        .updated
+        .iter()
+        .map(|summary| WireSummary {
+            status: wire_status(&summary.status),
+            listen_addr: st
+                .addrs
+                .get(summary.status.node)
+                .cloned()
+                .unwrap_or_default(),
+            age_us: now.saturating_since(summary.last_heartbeat).as_micros(),
+        })
+        .collect();
+    drop(st);
+    let from = push.from.as_u64();
+    let body = Codec::Binary.encode_request(&Request::SyncSummaries { from, summaries });
     let round = Arc::new(RoundTracker {
         pending: AtomicUsize::new(targets.len()),
         state: Arc::clone(state),
@@ -605,12 +607,10 @@ impl Conn for SyncConn {
 /// revives it.
 fn record_sync_outcome(state: &Arc<Mutex<ManagerState>>, peer: SocketAddr, from: u64, ok: bool) {
     let mut st = lock_recover(state);
-    let health = st.peers.entry(peer).or_insert_with(|| PeerHealth {
-        consecutive_failures: 0,
-        next_attempt: Instant::now(),
-        dead: false,
-        in_flight: false,
-    });
+    // (`sync_round` entered the peer before dialing it.)
+    let Some(health) = st.peers.get_mut(&peer) else {
+        return;
+    };
     health.in_flight = false;
     if ok {
         let revived = health.dead;
@@ -654,9 +654,10 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
             };
             let mut s = lock_recover(state);
             let now = s.now();
-            s.registry.register(core, now);
+            s.shard.register(core, now);
             s.addrs.insert(core.node, listen_addr);
-            s.narrator().registered(core.node, ShardId::new(s.shard));
+            let shard = s.shard.id();
+            s.narrator().registered(core.node, shard);
             Response::Registered
         }
         Request::Heartbeat { status } => {
@@ -665,17 +666,17 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
                 Err(refusal) => return refusal,
             };
             let mut s = lock_recover(state);
-            let now = s.now();
-            // The registry's own `heartbeat`, not the central manager's
-            // re-registering one: a heartbeat carries no listen address,
-            // so an unknown (or forgotten) node is told to register.
-            if s.registry.heartbeat(core, now) {
-                Response::HeartbeatAck
-            } else {
-                Response::Error {
+            // A heartbeat carries no listen address, so an unknown (or
+            // forgotten) node is told to register, where the simulated
+            // shard re-registers it itself.
+            if !s.shard.registry().owns(core.node) {
+                return Response::Error {
                     message: format!("heartbeat from unregistered node {}", status.id),
-                }
+                };
             }
+            let now = s.now();
+            s.shard.heartbeat(core, now);
+            Response::HeartbeatAck
         }
         Request::Discover {
             user: _user,
@@ -683,56 +684,50 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
             lon,
             top_n,
         } => {
-            // Freeze registry and addresses under the lock (O(shards)
-            // refcount bumps), then rank outside it: discovery never
-            // blocks a heartbeat or sync write, which at most copies the
-            // one shard it touches while this query holds the view.
-            let (view, addrs, now) = {
+            // Freeze the shard's view and the addresses under the lock
+            // (O(shards) refcount bumps), then rank outside it: discovery
+            // never blocks a heartbeat or sync write.
+            let (snapshot, addrs, now) = {
                 let mut s = lock_recover(state);
-                s.discoveries += 1;
+                let snapshot = s.shard.serve_discovery();
                 #[cfg(test)]
                 test_hooks::maybe_panic_in_discover(_user);
-                (s.registry.view(), s.addrs.view(), s.now())
+                (snapshot, s.addrs.view(), s.now())
             };
-            // The core's discovery over every alive record, own and
-            // synced: the simulated managers' flat pass, at their radius.
-            let best = flat_shortlist(
-                SystemConfig::default().proximity_radius_km,
-                &GlobalSelectionPolicy::default(),
-                &view,
-                now,
-                GeoPoint::new(lat, lon),
-                &[],
-                top_n.min(MAX_TOP_N),
-            );
-            let addr_of = |id| addrs.get(id).cloned().unwrap_or_default();
-            let nodes: Vec<(u64, String)> = best
+            let best = snapshot.discover(GeoPoint::new(lat, lon), &[], top_n.min(MAX_TOP_N), now);
+            let nodes = best
                 .into_iter()
-                .map(|c| (c.node.as_u64(), addr_of(c.node)))
+                .map(|id| (id.as_u64(), addrs.get(id).cloned().unwrap_or_default()))
                 .collect();
             Response::Candidates { nodes }
         }
         Request::SyncSummaries { from, summaries } => {
             let mut s = lock_recover(state);
             let now = s.now();
+            let from = ShardId::new(from);
             let mut applied = 0u64;
             for summary in summaries {
-                // A direct registration outranks a synced summary (the
-                // owner's heartbeat is first-hand): the registry refuses it.
-                // A summary with a refused load is skipped the same way.
+                // A summary with a refused load is skipped; one of this
+                // manager's own nodes is refused by the shard (the
+                // owner's heartbeat is first-hand).
+                let Ok(status) = core_status(&summary.status) else {
+                    continue;
+                };
                 let heard = now - SimDuration::from_micros(summary.age_us);
-                let status = core_status(&summary.status);
-                if !status.is_ok_and(|core| s.registry.apply_peer(core, heard)) {
+                let summary_of = NodeSummary {
+                    status,
+                    home: from,
+                    last_heartbeat: heard,
+                };
+                if !s.shard.apply_summary(&summary_of) {
                     continue;
                 }
-                let id = NodeId::new(summary.status.id);
-                if s.addrs.get(id) != Some(&summary.listen_addr) {
-                    s.addrs.insert(id, summary.listen_addr);
+                if s.addrs.get(status.node) != Some(&summary.listen_addr) {
+                    s.addrs.insert(status.node, summary.listen_addr);
                 }
                 applied += 1;
             }
-            s.syncs_applied += applied;
-            let (shard, from) = (ShardId::new(s.shard), ShardId::new(from));
+            let shard = s.shard.id();
             s.narrator().synced(shard, from, applied);
             Response::SyncAck { applied }
         }

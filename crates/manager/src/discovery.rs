@@ -1,14 +1,15 @@
 //! The widening geo-filter + ranking step, shared between control-plane
 //! tiers.
 //!
-//! Every manager serves discovery with exactly this procedure: the
-//! simulated [`CentralManager`](crate::CentralManager), the shards of a
-//! geo-federated manager tier, and the live TCP manager. Sharing the
-//! implementation (rather than the idea) is what makes the federation's
-//! border-merge behaviour provably identical to the single-manager
-//! baseline, and the live manager's answers the simulator's: given the
-//! same view of alive nodes, all produce byte-for-byte the same
-//! shortlist.
+//! Every manager serves discovery with exactly this procedure, through
+//! one [`DiscoverySnapshot`](crate::DiscoverySnapshot): the simulated
+//! [`CentralManager`](crate::CentralManager), the shards of a
+//! geo-federated manager tier, and the live TCP manager, which drives
+//! such a shard. Sharing the implementation (rather than the idea) is
+//! what makes the federation's border-merge behaviour provably
+//! identical to the single-manager baseline, and the live manager's
+//! answers the simulator's: given the same view of alive nodes, all
+//! produce byte-for-byte the same shortlist.
 //!
 //! The procedure: start at `proximity_radius_km`, take every alive node
 //! with `d ≤ r`, double `r` while fewer than `top_n` alive nodes lie
@@ -32,8 +33,7 @@
 //!   beat the worst one kept is dropped on its load alone or on its
 //!   latitude gap, so few pay a haversine. Its cost follows the fleet,
 //!   so it wins where the starting disk holds much of the fleet — a
-//!   dense metro — and it needs no index, which is why the live manager
-//!   runs it for every query.
+//!   dense metro.
 //!
 //! A snapshot picks per query ([`engine_for`]): the flat pass when the
 //! coarse index cells around the starting disk hold at least a quarter
@@ -113,12 +113,11 @@ pub(crate) fn engine_for(index: &ProximityIndex, radius_km: f64, user_loc: GeoPo
 /// (starting at `radius_km`) of `user_loc`, ranked by `policy`, best
 /// first.
 ///
-/// Needs no proximity index, so widening walks the records again: a
-/// dense fleet rarely widens, and a manager that keeps no index (the
-/// live one) has no cheaper way. Byte-identical to
+/// Reads no proximity index, so widening walks the records again: a
+/// dense fleet rarely widens. Byte-identical to
 /// [`crate::reference::widen_and_rank`] on a view whose index holds the
 /// same records; `discovery.rs`'s module docs give the argument.
-pub fn flat_shortlist(
+pub(crate) fn flat_shortlist(
     radius_km: f64,
     policy: &GlobalSelectionPolicy,
     records: &NodeRegistry,

@@ -48,7 +48,7 @@ mod selection;
 mod snapshot;
 mod table;
 
-pub use discovery::{flat_shortlist, Engine};
+pub use discovery::Engine;
 pub use manager::CentralManager;
 pub use narrate::Narrator;
 pub use reference::widen_and_rank;

@@ -6,7 +6,7 @@ use armada_geo::ProximityIndex;
 use armada_node::NodeStatus;
 use armada_types::{GeoPoint, NodeId, SimTime, SystemConfig};
 
-use crate::registry::NodeRegistry;
+use crate::registry::{NodeRegistry, Pruned};
 use crate::selection::{GlobalSelectionPolicy, ScoredCandidate};
 use crate::snapshot::DiscoverySnapshot;
 
@@ -42,7 +42,6 @@ pub struct CentralManager {
     epoch: u64,
     /// The memoised published snapshot; valid while its epoch matches.
     published: Option<Arc<DiscoverySnapshot>>,
-    discoveries_served: u64,
 }
 
 impl CentralManager {
@@ -53,10 +52,9 @@ impl CentralManager {
             config,
             policy,
             registry: NodeRegistry::new(config.heartbeat_period, config.heartbeat_miss_limit),
-            index: Arc::new(ProximityIndex::new()),
+            index: Arc::new(ProximityIndex::for_radius(config.proximity_radius_km)),
             epoch: 0,
             published: None,
-            discoveries_served: 0,
         }
     }
 
@@ -166,17 +164,12 @@ impl CentralManager {
         self.registry.is_alive(node, now)
     }
 
-    /// Total discovery queries served (system-overhead accounting).
-    pub fn discoveries_served(&self) -> u64 {
-        self.discoveries_served
-    }
-
     /// Housekeeping: drops registry records (and spatial-index entries)
     /// for nodes dead longer than `grace`, own and peer-advertised,
-    /// returning the pruned *own* ids. Volunteers that reappear simply
+    /// returning what it dropped. Volunteers that reappear simply
     /// re-register via heartbeat; a peer's node reappears with its next
     /// advertisement.
-    pub fn prune_dead(&mut self, now: SimTime, grace: armada_types::SimDuration) -> Vec<NodeId> {
+    pub fn prune_dead(&mut self, now: SimTime, grace: armada_types::SimDuration) -> Pruned {
         let pruned = self.registry.prune(now, grace);
         if !pruned.is_empty() {
             self.epoch += 1;
@@ -185,7 +178,7 @@ impl CentralManager {
                 index.remove(id);
             }
         }
-        pruned.own
+        pruned
     }
 
     /// Total nodes in the registry, alive or not (housekeeping metric).
@@ -207,7 +200,6 @@ impl CentralManager {
         top_n: usize,
         now: SimTime,
     ) -> Vec<NodeId> {
-        self.discoveries_served += 1;
         // Served off the memoised published snapshot: identical answers
         // to the live structures (same records, same index, same
         // liveness rule), but queries between mutations share one
@@ -216,9 +208,8 @@ impl CentralManager {
             .discover(user_loc, affiliations, top_n, now)
     }
 
-    /// Like [`CentralManager::discover`] but returns scores and leaves
-    /// the served count alone, for diagnostics and tests (it freezes a
-    /// snapshot of its own per call).
+    /// Like [`CentralManager::discover`] but returns scores, for
+    /// diagnostics and tests (it freezes a snapshot of its own per call).
     pub fn ranked_candidates(
         &self,
         user_loc: GeoPoint,
@@ -266,7 +257,6 @@ mod tests {
         let mut mgr = manager_with_nodes(6);
         let got = mgr.discover(home(), &[], 3, SimTime::ZERO);
         assert_eq!(got, vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]);
-        assert_eq!(mgr.discoveries_served(), 1);
     }
 
     #[test]
@@ -343,7 +333,7 @@ mod tests {
         let late = SimTime::from_secs(60);
         mgr.heartbeat(status(1, home().offset_km(4.0, 0.0), 0.0), late);
         let pruned = mgr.prune_dead(late, armada_types::SimDuration::from_secs(10));
-        assert_eq!(pruned, vec![NodeId::new(0)]);
+        assert_eq!(pruned.own, vec![NodeId::new(0)]);
         assert_eq!(mgr.registered_count(), 1);
         // A pruned node that comes back simply re-registers.
         mgr.heartbeat(status(0, home(), 0.0), late);
