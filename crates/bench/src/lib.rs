@@ -2,8 +2,10 @@
 //!
 //! The `paper` binary regenerates the tables and figures of the paper,
 //! one module each (see `DESIGN.md` §3 for the index and
-//! `EXPERIMENTS.md` for the recorded outcomes); the other binaries in
-//! `src/bin/` are the scale sweeps and soaks. Run one with, e.g.:
+//! `EXPERIMENTS.md` for the recorded outcomes). Beside it,
+//! `discover_scale` times the discovery engine as the fleet grows and
+//! `trace_inspect` reads the traces the experiments capture. Run one
+//! with, e.g.:
 //!
 //! ```text
 //! cargo run --release -p armada-bench --bin paper -- fig5 --threads 4
@@ -98,9 +100,9 @@ pub fn arg<T: std::str::FromStr + Clone>(flag: &str, default: T) -> T {
 }
 
 /// Splitmix-style deterministic generator — placements must not depend
-/// on platform RNGs. The field is the raw state; [`Rng::new`] scrambles
-/// a small seed into one first.
-pub struct Rng(pub u64);
+/// on platform RNGs. [`Rng::new`] scrambles a small seed into the raw
+/// state.
+pub struct Rng(u64);
 
 impl Rng {
     /// A generator whose stream differs even between adjacent seeds.

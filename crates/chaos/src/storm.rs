@@ -6,7 +6,7 @@
 //! cohorts that trickle bytes without ever completing a frame, and
 //! reconnect stampedes where a whole cohort dials back at the same
 //! instant. The plan only records the schedule — a storm runner (the
-//! `overload_soak` bench) translates it into real sockets.
+//! live manager's storm-sweep test) translates it into real sockets.
 //!
 //! Every quantity a runner needs — when connection `i` opens, how long
 //! a loris pauses between trickles, how long a flood worker waits

@@ -1,18 +1,21 @@
 //! Behavioural contracts of the predictive client strategy that only
 //! show up through the full scenario runner: thrash prevention under
-//! oscillating faults, and stale-model re-seeding after a silence.
+//! oscillating faults, stale-model re-seeding after a silence, and the
+//! comparison with the reactive strategy on the real-world population.
 //!
-//! Both tests pin their RTTs (`pairwise_rtt_ms`, jitter disabled), so
-//! every divergence between the strategies is caused by the injected
-//! faults alone, and the `sel.*` / `client.switch` trace events serve
-//! as the oracle.
+//! The first two pin their RTTs (`pairwise_rtt_ms`, jitter disabled),
+//! so every divergence between the strategies is caused by the
+//! injected faults alone, and the `sel.*` / `client.switch` trace
+//! events serve as the oracle.
+
+use std::collections::BTreeMap;
 
 use armada_chaos::{FaultPlan, PeerClass, PeerId, PeerSel};
-use armada_core::{EnvSpec, NodeSpec, Scenario, Strategy, UserSpec};
+use armada_core::{EnvSpec, NodeSpec, RunResult, Scenario, Strategy, UserSpec};
 use armada_trace::{MemorySink, Severity, Tracer};
 use armada_types::{
     AccessNetwork, ClientConfig, GeoPoint, HardwareProfile, NodeClass, SelectorMode, SimDuration,
-    SimTime,
+    SimTime, UserId,
 };
 
 /// Three identical nodes at 10/20/30 ms from a single user, no jitter:
@@ -155,4 +158,145 @@ fn silenced_node_reseeds_instead_of_blending() {
         returned, 0,
         "a re-seeded model must not steer the client back onto the degraded node"
     );
+}
+
+/// The real-world population (12 users, 60 s, 3 s probing) under four
+/// plans whose hostility varies over the run, each replayed for five
+/// seeds: one seed's trajectory is a single random draw, so the claim
+/// is on the seed totals. On every plan the predictive client switches
+/// strictly less than the reactive one, and its downtime — time spent
+/// in service gaps over 1.5 s; shorter gaps are the rate controller's
+/// 1 FPS floor — is no worse. A calm plan costs neither strategy any
+/// downtime, and with RTTs held flat the predictive run's trace, its
+/// own `sel.*` events aside, is the reactive run's byte for byte.
+#[test]
+#[ignore = "52 twelve-user runs of a simulated minute; CI runs it in release with --ignored"]
+fn predictive_switches_less_without_more_downtime_on_time_varying_plans() {
+    const SEEDS: [u64; 5] = [42, 43, 44, 45, 46];
+    const USERS: usize = 12;
+    const SECS: u64 = 60;
+    const OUTAGE_GAP_US: u64 = 1_500_000;
+
+    let node = |id| PeerSel::One(PeerId::node(id));
+    let users = || PeerSel::Class(PeerClass::User);
+    let plans = |seed| {
+        // One popular node slowed 8× for 3 s in every 6 s, five times.
+        let flapping = (0..5u64).fold(FaultPlan::new(seed), |plan, k| {
+            plan.slow_peer_during(node(0), 8.0, at(9 + k * 6), at(12 + k * 6))
+        });
+        [
+            ("calm", FaultPlan::new(seed)),
+            ("flapping", flapping),
+            (
+                "moving_partition",
+                FaultPlan::new(seed)
+                    .partition(node(0), users(), at(10), at(16))
+                    .partition(node(5), users(), at(22), at(28))
+                    .partition(node(6), users(), at(34), at(40)),
+            ),
+            (
+                "ramped_slowdown",
+                FaultPlan::new(seed)
+                    .slow_peer_during(node(0), 2.0, at(10), at(20))
+                    .slow_peer_during(node(0), 5.0, at(20), at(30))
+                    .slow_peer_during(node(0), 12.0, at(30), at(45)),
+            ),
+            (
+                "crash_restart",
+                FaultPlan::new(seed)
+                    .crash(PeerId::node(0), at(12), at(20))
+                    .crash(PeerId::node(5), at(28), at(36)),
+            ),
+        ]
+    };
+    let scenario = |env, selector| {
+        let config = ClientConfig::default()
+            .with_probing_period(SimDuration::from_secs(3))
+            .with_selector(selector);
+        Scenario::new(
+            env,
+            Strategy::ClientCentric {
+                config,
+                proactive: true,
+            },
+        )
+        .duration(SimDuration::from_secs(SECS))
+    };
+    // Voluntary switches, and total time in gaps over the outage
+    // threshold (the tail to the end of the run included).
+    let switches_and_downtime = |result: &RunResult| {
+        let switches: u64 = result.world().clients().map(|c| c.stats().switches).sum();
+        let mut per_user: BTreeMap<UserId, Vec<u64>> = BTreeMap::new();
+        for s in result.recorder().samples() {
+            per_user.entry(s.user).or_default().push(s.at.as_micros());
+        }
+        let mut downtime_us = 0;
+        for times in per_user.values_mut() {
+            times.sort_unstable();
+            times.push(SECS * 1_000_000);
+            downtime_us += times
+                .windows(2)
+                .map(|w| w[1] - w[0])
+                .filter(|&gap| gap > OUTAGE_GAP_US)
+                .sum::<u64>();
+        }
+        (switches, downtime_us)
+    };
+
+    for (i, (name, _)) in plans(0).iter().enumerate() {
+        let mut totals = [(0, 0); 2];
+        for seed in SEEDS {
+            let plan = &plans(seed)[i].1;
+            for (total, selector) in totals
+                .iter_mut()
+                .zip([SelectorMode::Reactive, SelectorMode::Predictive])
+            {
+                let result = scenario(EnvSpec::realworld(USERS), selector)
+                    .seed(seed)
+                    .with_fault_plan(plan.clone())
+                    .run();
+                let (switches, downtime_us) = switches_and_downtime(&result);
+                total.0 += switches;
+                total.1 += downtime_us;
+            }
+        }
+        let [(reactive_switches, reactive_down), (predictive_switches, predictive_down)] = totals;
+        if *name == "calm" {
+            assert_eq!((reactive_down, predictive_down), (0, 0), "calm downtime");
+            continue;
+        }
+        assert!(
+            predictive_switches < reactive_switches,
+            "{name}: predictive must switch strictly less ({predictive_switches} vs \
+             {reactive_switches})"
+        );
+        assert!(
+            predictive_down <= reactive_down,
+            "{name}: predictive downtime regressed ({predictive_down} µs vs {reactive_down} µs)"
+        );
+    }
+
+    let mut flat = EnvSpec::realworld(USERS);
+    flat.latency.jitter_gain = 0.0;
+    let trace = |selector| {
+        let sink = MemorySink::new();
+        let buffer = sink.buffer();
+        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+        scenario(flat.clone(), selector)
+            .seed(SEEDS[0])
+            .with_tracer(tracer.clone())
+            .with_fault_plan(FaultPlan::new(SEEDS[0]))
+            .run();
+        tracer.flush();
+        let text = buffer.lock().expect("not poisoned").clone();
+        text
+    };
+    let reactive = trace(SelectorMode::Reactive);
+    let predictive: String = trace(SelectorMode::Predictive)
+        .lines()
+        .filter(|line| !line.contains(r#""kind":"sel."#))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert!(!reactive.is_empty());
+    assert_eq!(reactive, predictive, "flat RTTs, no-op plan");
 }

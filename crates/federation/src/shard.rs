@@ -14,7 +14,7 @@ use armada_types::{GeoPoint, NodeId, ShardId, SimDuration, SimTime, SystemConfig
 use crate::summary::{NodeSummary, SyncDelta};
 
 /// Per-shard operation counters — the registry-load surface the
-/// `fed_scale` bench reports.
+/// federation tests read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardCounters {
     /// Registrations accepted (own nodes).

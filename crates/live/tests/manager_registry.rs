@@ -3,7 +3,8 @@
 //! it shadows. Both fail on the hand-written maps this replaced.
 //!
 //! And what enters it off the wire is checked at the driver: a load no
-//! honest node reports is refused, and `Discover.top_n` is clamped.
+//! honest node reports is refused, and `Discover.top_n` is clamped. It
+//! holds thousands of registered connections on two reactor threads.
 
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -222,4 +223,62 @@ fn discover_top_n_is_clamped() {
     assert_eq!(discover_ids(addr, 200), ranked[..64]);
     assert_eq!(discover_ids(addr, usize::MAX), ranked[..64]);
     assert_eq!(discover_ids(addr, 8), ranked[..8]);
+}
+
+/// Two reactor threads hold 2 000 registered connections: every one is
+/// alive at the end, and a heartbeat on 500 of them, strided over the
+/// whole population, comes back with a p99 under 250 ms. Client and
+/// manager share the process, so it holds two descriptors a connection.
+#[test]
+#[ignore = "holds 4 000 descriptors; CI runs it in release with --ignored"]
+fn two_thousand_held_registrations_stay_alive_with_a_bounded_heartbeat_p99() {
+    const CONNS: usize = 2_000;
+    const PROBES: usize = 500;
+    let want = 2 * CONNS as u64 + 512;
+    let got = armada_reactor::raise_nofile(want).unwrap();
+    assert!(
+        got >= want,
+        "RLIMIT_NOFILE {got} < {want}: raise ulimit -Hn"
+    );
+    let cfg = LiveManagerConfig {
+        threads: 2,
+        ..LiveManagerConfig::default()
+    };
+    let (mgr, addr) = LiveManager::bind_with(cfg, 0, Tracer::disabled()).unwrap();
+    let exchange = |stream: &mut TcpStream, request: &Request| {
+        write_request(stream, Codec::Binary, request).unwrap();
+        read_response(stream).unwrap().0
+    };
+    let mut held: Vec<TcpStream> = (0..CONNS as u64)
+        .map(|id| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let register = Request::Register {
+                status: status(id, 0.25),
+                listen_addr: format!("127.0.0.1:{}", 10_000 + id),
+            };
+            assert_eq!(exchange(&mut stream, &register), Response::Registered);
+            stream
+        })
+        .collect();
+    // An odd stride spreads the probes over the whole slab.
+    let stride = (CONNS / PROBES) | 1;
+    let mut rtts: Vec<Duration> = (0..PROBES)
+        .map(|i| {
+            let idx = i * stride % CONNS;
+            let heartbeat = Request::Heartbeat {
+                status: status(idx as u64, 0.25),
+            };
+            let started = Instant::now();
+            assert_eq!(exchange(&mut held[idx], &heartbeat), Response::HeartbeatAck);
+            started.elapsed()
+        })
+        .collect();
+    rtts.sort_unstable();
+    let p99 = rtts[PROBES * 99 / 100];
+    assert_eq!(mgr.alive_count(), CONNS, "a held registration was dropped");
+    assert!(p99 < Duration::from_millis(250), "heartbeat p99 {p99:?}");
 }

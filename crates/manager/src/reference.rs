@@ -6,9 +6,9 @@
 //! widening round re-runs a complete `within_km` scan and the final
 //! ranking fully sorts all candidates. The ring scan and the flat pass
 //! must each produce byte-for-byte the same shortlist — the unit tests
-//! beside them, the differential suite in
-//! `tests/discovery_equivalence.rs` and the self-check in the
-//! `discover_scale` bench all compare against this module.
+//! beside them and the differential suite in
+//! `tests/discovery_equivalence.rs` (up to 20 000 nodes) compare
+//! against this module.
 //!
 //! One behavioural fix over the historical implementation: widening is
 //! capped. The original loop doubled the radius until the number of

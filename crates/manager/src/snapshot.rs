@@ -146,8 +146,8 @@ impl DiscoverySnapshot {
 
     /// The same query answered by the retained reference oracle
     /// ([`crate::reference::widen_and_rank`]) on the *same* frozen view.
-    /// Exists so differential tests and the `discover_scale` bench can
-    /// assert byte-identity without re-building state.
+    /// Exists so differential tests can assert byte-identity without
+    /// re-building state.
     pub fn reference_ranked(
         &self,
         user_loc: GeoPoint,

@@ -111,7 +111,8 @@ pub fn connect_finished(stream: &std::net::TcpStream) -> std::io::Result<bool> {
 
 /// Raises the process's soft `RLIMIT_NOFILE` toward `want` (clamped to
 /// the hard limit) and returns the resulting soft limit. Needed before
-/// holding tens of thousands of sockets (the `live_c10k` benchmark).
+/// holding thousands of sockets (the live manager's held-connection
+/// test).
 ///
 /// # Errors
 ///

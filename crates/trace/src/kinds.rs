@@ -57,7 +57,6 @@ pub const KINDS: &[(&str, &str)] = &[
     ("fed.peer.dead", "live manager"),
     ("fed.peer.revived", "live manager"),
     ("overload.evict", "live node, live manager"),
-    ("fed.sweep", "bench"),
     ("discover.sweep", "bench"),
     ("perf.session.start", "perfbench"),
 ];

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::id::{NodeId, UserId};
+use crate::id::NodeId;
 
 /// Convenience alias used across the Armada crates.
 pub type Result<T> = std::result::Result<T, ArmadaError>;
@@ -11,10 +11,6 @@ pub type Result<T> = std::result::Result<T, ArmadaError>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ArmadaError {
-    /// The referenced edge node is not registered (or no longer alive).
-    UnknownNode(NodeId),
-    /// The referenced user is not known to the component.
-    UnknownUser(UserId),
     /// A `join` was rejected because the node's state changed since the
     /// client's last probe (sequence-number mismatch, Algorithm 1).
     JoinRejected {
@@ -25,23 +21,11 @@ pub enum ArmadaError {
         /// The node's current sequence number.
         current: u64,
     },
-    /// The node (or the network path to it) failed mid-operation.
-    NodeUnreachable(NodeId),
-    /// The Central Manager could not produce any candidate for the user.
-    NoCandidates(UserId),
-    /// A probing request timed out.
-    ProbeTimeout(NodeId),
-    /// An invalid configuration value was supplied.
-    InvalidConfig(String),
-    /// A wire-protocol or I/O failure in the live runtime.
-    Protocol(String),
 }
 
 impl fmt::Display for ArmadaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ArmadaError::UnknownNode(id) => write!(f, "unknown edge node {id}"),
-            ArmadaError::UnknownUser(id) => write!(f, "unknown user {id}"),
             ArmadaError::JoinRejected {
                 node,
                 presented,
@@ -50,13 +34,6 @@ impl fmt::Display for ArmadaError {
                 f,
                 "join rejected by {node}: presented seq {presented}, node is at seq {current}"
             ),
-            ArmadaError::NodeUnreachable(id) => write!(f, "edge node {id} is unreachable"),
-            ArmadaError::NoCandidates(u) => {
-                write!(f, "no edge candidates available for {u}")
-            }
-            ArmadaError::ProbeTimeout(id) => write!(f, "probe to {id} timed out"),
-            ArmadaError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            ArmadaError::Protocol(msg) => write!(f, "protocol error: {msg}"),
         }
     }
 }
@@ -89,13 +66,13 @@ mod tests {
 
     #[test]
     fn errors_compare() {
-        assert_eq!(
-            ArmadaError::UnknownNode(NodeId::new(1)),
-            ArmadaError::UnknownNode(NodeId::new(1))
-        );
-        assert_ne!(
-            ArmadaError::UnknownNode(NodeId::new(1)),
-            ArmadaError::NodeUnreachable(NodeId::new(1))
-        );
+        let rejected = |node, presented| ArmadaError::JoinRejected {
+            node: NodeId::new(node),
+            presented,
+            current: 9,
+        };
+        assert_eq!(rejected(1, 7), rejected(1, 7));
+        assert_ne!(rejected(1, 7), rejected(2, 7));
+        assert_ne!(rejected(1, 7), rejected(1, 8));
     }
 }

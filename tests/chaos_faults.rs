@@ -78,6 +78,36 @@ fn drop_faults_degrade_but_do_not_kill() {
             "user {i} must still be attached at the end"
         );
     }
+
+    // Faults on every link, a 4 s manager outage, and both at once, on
+    // 12 users over 40 s: service degrades, it never stops.
+    for (intensity, outage_s) in [(0.2, 0), (0.0, 4), (0.2, 4)] {
+        let mut plan = FaultPlan::new(SEED);
+        if intensity > 0.0 {
+            plan = plan.with_faults(LinkFaults::uniform(intensity));
+        }
+        if outage_s > 0 {
+            plan = plan.crash(
+                PeerId::manager(0),
+                SimTime::from_secs(12),
+                SimTime::from_secs(12 + outage_s),
+            );
+        }
+        let run = Scenario::new(EnvSpec::realworld(12), Strategy::client_centric())
+            .duration(SimDuration::from_secs(40))
+            .seed(SEED)
+            .with_fault_plan(plan)
+            .run();
+        let stats = run.world().fault_stats().expect("plan installed");
+        assert!(
+            stats.success_rate() > 0.0,
+            "service died at intensity {intensity}, outage {outage_s} s"
+        );
+        assert!(
+            !run.recorder().is_empty(),
+            "frames must keep flowing at intensity {intensity}, outage {outage_s} s"
+        );
+    }
 }
 
 #[cfg(feature = "trace")]
@@ -99,6 +129,9 @@ mod traced {
         let result = scenario.run();
         tracer.flush();
         let text = buffer.lock().expect("not poisoned").clone();
+        let events = inspect::parse_jsonl(&text).expect("trace parses");
+        let unknown = inspect::unknown_kinds(&events);
+        assert!(unknown.is_empty(), "kinds not in KINDS: {unknown:?}");
         (text, result)
     }
 
@@ -225,6 +258,8 @@ mod traced {
         tracer.flush();
         let text = buffer.lock().expect("not poisoned").clone();
         let events = inspect::parse_jsonl(&text).expect("trace parses");
+        let unknown = inspect::unknown_kinds(&events);
+        assert!(unknown.is_empty(), "kinds not in KINDS: {unknown:?}");
 
         // Every discovery the outage fails or gates runs on the cached
         // shortlist and says so.

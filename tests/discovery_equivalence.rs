@@ -7,9 +7,10 @@
 //! full sort). Both are asked every query here on the *same* frozen
 //! snapshot, over seeded random fleets mixing node classes, dead
 //! entries and clustered/uniform geography — more than 1000 queries in
-//! total, zero mismatches tolerated.
+//! total, and 300 more on each of two world-scale fleets (2 000 and
+//! 20 000 nodes) — zero mismatches tolerated.
 
-use armada::manager::{CentralManager, GlobalSelectionPolicy};
+use armada::manager::{CentralManager, Engine, GlobalSelectionPolicy};
 use armada::node::NodeStatus;
 use armada::types::{GeoPoint, NodeClass, NodeId, SimTime, SystemConfig};
 
@@ -58,6 +59,19 @@ fn node_class(r: u64) -> NodeClass {
     }
 }
 
+/// Where a fleet's nodes stand.
+#[derive(Clone, Copy)]
+enum Layout {
+    /// Every node within 60 km of a metro.
+    Clustered,
+    /// Uniform over the globe.
+    Uniform,
+    /// The discovery-scale world: 80 % within 120 km of a metro, the
+    /// rest uniform. A metro holds a sixth of the fleet spread over a
+    /// 240 km box, sparse enough that the selector takes the ring scan.
+    World,
+}
+
 struct Fleet {
     manager: CentralManager,
     /// Every registered id, alive or dead.
@@ -70,17 +84,25 @@ struct Fleet {
 /// Builds a seeded fleet: register everything at t=0, heartbeat ~90% at
 /// t=30 s, query at t=31 s — with a 2 s × 3 liveness budget the silent
 /// 10% are dead at query time but still occupy the spatial index.
-fn build_fleet(seed: u64, n: usize, clustered: bool) -> Fleet {
+fn build_fleet(seed: u64, n: usize, layout: Layout) -> Fleet {
     let mut rng = Rng::new(seed);
     let mut manager =
         CentralManager::new(SystemConfig::default(), GlobalSelectionPolicy::default());
     let mut all_ids = Vec::with_capacity(n);
     let mut statuses = Vec::with_capacity(n);
     for i in 0..n {
-        let location = if clustered {
+        let half_width_km = match layout {
+            Layout::Clustered => Some(60.0),
+            Layout::World if rng.next_f64() < 0.8 => Some(120.0),
+            _ => None,
+        };
+        let location = if let Some(half) = half_width_km {
             let (lat, lon) = METROS[rng.range(METROS.len() as u64) as usize];
             let center = GeoPoint::new(lat, lon);
-            center.offset_km(rng.next_f64() * 120.0 - 60.0, rng.next_f64() * 120.0 - 60.0)
+            center.offset_km(
+                rng.next_f64() * 2.0 * half - half,
+                rng.next_f64() * 2.0 * half - half,
+            )
         } else {
             GeoPoint::new(
                 rng.next_f64() * 170.0 - 85.0,
@@ -168,13 +190,34 @@ fn differential_queries(fleet: &Fleet, seed: u64, queries: usize) -> usize {
 fn fast_engine_matches_reference_oracle_across_seeded_fleets() {
     let mut total = 0usize;
     for seed in 0..10u64 {
-        for (n, clustered) in [(130, true), (130, false), (320, seed % 2 == 0)] {
-            let fleet = build_fleet(seed, n, clustered);
+        let mixed = if seed % 2 == 0 {
+            Layout::Clustered
+        } else {
+            Layout::Uniform
+        };
+        for (n, layout) in [
+            (130, Layout::Clustered),
+            (130, Layout::Uniform),
+            (320, mixed),
+        ] {
+            let fleet = build_fleet(seed, n, layout);
             assert!(fleet.alive_total > 0, "degenerate fleet at seed {seed}");
             total += differential_queries(&fleet, seed, 36);
         }
     }
     assert!(total >= 1000, "only {total} differential queries ran");
+
+    // The same identity at scale, where the ring scan serves.
+    for n in [2_000, 20_000] {
+        let fleet = build_fleet(1717, n, Layout::World);
+        let mut rng = Rng::new(n as u64);
+        let snap = fleet.manager.snapshot();
+        let ring = (0..100)
+            .filter(|_| snap.engine(query_point(&mut rng)) == Engine::Ring)
+            .count();
+        assert!(ring > 0, "no query took the ring scan at {n} nodes");
+        differential_queries(&fleet, n as u64, 300);
+    }
 }
 
 /// All-dead and empty fleets are legitimate states (mass churn, cold
@@ -219,7 +262,7 @@ fn engines_agree_when_nothing_is_alive() {
 /// even after the live registry has moved on.
 #[test]
 fn identity_holds_on_stale_snapshots() {
-    let fleet = build_fleet(77, 160, true);
+    let fleet = build_fleet(77, 160, Layout::Clustered);
     let mut manager = fleet.manager;
     let old = manager.snapshot();
     // Churn: kill a third, move a third, add newcomers.

@@ -201,6 +201,94 @@ fn revived_shard_resumes_after_full_resync() {
     }
 }
 
+/// Sharding moves the registry load, it neither loses nor duplicates a
+/// write: driven straight through the cluster over a 60 s timeline, 20
+/// nodes and 200 users in a continental box, two shards handle exactly
+/// the single manager's registry operations, each node's registration
+/// and every one of its heartbeats land on one shard, and every user's
+/// top candidate is the single manager's.
+#[test]
+fn shards_conserve_registry_ops_and_keep_each_node_whole() {
+    use armada::federation::{FederatedCluster, ShardMap};
+    use armada::manager::GlobalSelectionPolicy;
+    use armada::node::NodeStatus;
+    use armada::types::{mix64, GeoPoint, NodeClass, NodeId, SystemConfig};
+
+    const USERS: u64 = 200;
+    const NODES: u64 = 20;
+    const HEARTBEAT_S: u64 = 2;
+    const TIMELINE_S: u64 = 60;
+    // A node's registration plus one heartbeat a period.
+    const OPS_PER_NODE: u64 = 1 + TIMELINE_S / HEARTBEAT_S;
+
+    let unit = |i: u64| (mix64(4242 ^ i) >> 11) as f64 / (1u64 << 53) as f64;
+    let point = |i: u64| GeoPoint::new(25.0 + unit(2 * i) * 24.0, -124.0 + unit(2 * i + 1) * 57.0);
+    let nodes: Vec<NodeStatus> = (0..NODES)
+        .map(|i| NodeStatus {
+            node: NodeId::new(i),
+            class: NodeClass::Volunteer,
+            location: point(i),
+            attached_users: 0,
+            load_score: unit(1_000 + i),
+        })
+        .collect();
+    let users: Vec<GeoPoint> = (0..USERS).map(|i| point(NODES + i)).collect();
+
+    // Per K: every shard's registry ops, and each user's top candidate.
+    let run_k = |k: usize| {
+        let mut points: Vec<GeoPoint> = nodes.iter().map(|n| n.location).collect();
+        points.extend_from_slice(&users);
+        let mut cluster = FederatedCluster::new(
+            ShardMap::partition(&points, k),
+            SystemConfig::default(),
+            GlobalSelectionPolicy::default(),
+        );
+        for node in &nodes {
+            cluster.register(*node, SimTime::ZERO);
+        }
+        // Heartbeats on the period grid, sync rounds 500 µs off it, as
+        // the simulator phases them.
+        for step in 1..=TIMELINE_S / HEARTBEAT_S {
+            let at = SimTime::from_secs(step * HEARTBEAT_S);
+            for node in &nodes {
+                cluster.heartbeat(*node, at);
+            }
+            cluster.sync_round(SimTime::from_micros(at.as_micros() + 500));
+        }
+        let now = SimTime::from_secs(TIMELINE_S);
+        let top1: Vec<Option<NodeId>> = users
+            .iter()
+            .map(|&loc| {
+                let routed = cluster
+                    .discover(loc, &[], 3, now)
+                    .expect("every shard is up");
+                routed.candidates.first().copied()
+            })
+            .collect();
+        let ops: Vec<u64> = cluster
+            .shards()
+            .iter()
+            .map(|s| s.counters().registry_ops())
+            .collect();
+        (ops, top1)
+    };
+
+    let (single_ops, single_top1) = run_k(1);
+    assert_eq!(single_ops, [NODES * OPS_PER_NODE]);
+    let (ops, top1) = run_k(2);
+    assert_eq!(ops.len(), 2);
+    assert_eq!(
+        ops.iter().sum::<u64>(),
+        single_ops[0],
+        "ops per shard {ops:?}"
+    );
+    assert!(
+        ops.iter().all(|o| o % OPS_PER_NODE == 0),
+        "a node's {OPS_PER_NODE} ops are split across shards: {ops:?}"
+    );
+    assert_eq!(top1, single_top1, "top-1 candidates differ from K=1");
+}
+
 #[cfg(feature = "trace")]
 mod traced {
     use super::*;
@@ -246,6 +334,8 @@ mod traced {
         let spec = FederationSpec::new(4);
         let (text, _) = traced_federated_run();
         let events = inspect::parse_jsonl(&text).expect("trace parses");
+        let unknown = inspect::unknown_kinds(&events);
+        assert!(unknown.is_empty(), "kinds not in KINDS: {unknown:?}");
 
         let count = |kind: &str| events.iter().filter(|e| e.kind == kind).count();
         assert!(count("fed.route") > 0, "discoveries must emit fed.route");
