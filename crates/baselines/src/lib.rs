@@ -1,40 +1,32 @@
-//! Baseline edge-selection policies and the optimal-assignment solver.
+//! The optimal edge assignment of the paper's Fig. 7 and the static
+//! problem it solves.
 //!
-//! The paper's evaluation (§V-B) contrasts client-centric selection with:
+//! Fig. 7 compares the client-centric scheme against an **optimal**
+//! assignment that minimises the mean end-to-end latency of the static
+//! formulation in §III-C. This crate holds that formulation — an
+//! [`AssignmentProblem`] snapshot of mean RTTs, per-user frame transfer
+//! delays and the hardware behind `D_proc` — and its solvers:
+//! [`exhaustive_optimal`], [`search_optimal`] and [`optimal`], which
+//! picks between them by instance size.
 //!
-//! * **Geo-proximity** — each user gets the geographically closest node,
-//! * **Resource-aware weighted round robin** — users are forwarded to the
-//!   most-available node, weighted by capacity and current utilisation,
-//! * **Dedicated-only** — WRR restricted to the dedicated edge
-//!   infrastructure (AWS Local Zone stand-ins),
-//! * **Closest cloud** — everything goes to the cloud region,
-//!
-//! two client-centric snapshots — [`client_centric_greedy`] (each user
-//! minimises its own expected latency, the paper's Algorithm 2 frozen
-//! to a single instant) and [`predictive_selection`] (the same greedy
-//! with each node's latency divided by its reliability score, the
-//! static analogue of the `Predictive` client strategy) —
-//!
-//! plus an **optimal** edge assignment (Fig. 7) that minimises the mean
-//! end-to-end latency of the static formulation in §III-C.
-//!
-//! All algorithms here are pure functions over an [`AssignmentProblem`]
-//! snapshot (mean RTTs + hardware + transfer delays); the dynamic
-//! behaviours (probing, churn, adaptation) live in `armada-core`.
+//! The §V-B baselines (geo-proximity, resource-aware WRR,
+//! dedicated-only, closest cloud) are not here: they are simulated
+//! strategies (`armada_core::Strategy`), whose assignment rule lives
+//! once, in the scenario runner. A simulated run's attachments map onto
+//! an [`Assignment`] to be scored against the optimum.
 //!
 //! # Examples
 //!
 //! ```
 //! use armada_baselines::{AssignmentProblem, NodeSpec, UserSpec};
-//! use armada_types::{HardwareProfile, NodeClass, NodeId, SimDuration, UserId};
+//! use armada_types::{HardwareProfile, NodeId, UserId};
 //!
 //! let problem = AssignmentProblem::new(
 //!     vec![UserSpec::new(UserId::new(0)), UserSpec::new(UserId::new(1))],
 //!     vec![
-//!         NodeSpec::new(NodeId::new(0), NodeClass::Volunteer,
+//!         NodeSpec::new(NodeId::new(0),
 //!             HardwareProfile::new("fast", 8, 24.0).with_concurrency(4)),
-//!         NodeSpec::new(NodeId::new(1), NodeClass::Cloud,
-//!             HardwareProfile::new("cloud", 4, 30.0)),
+//!         NodeSpec::new(NodeId::new(1), HardwareProfile::new("cloud", 4, 30.0)),
 //!     ],
 //!     20.0,
 //! )
@@ -50,12 +42,7 @@
 #![warn(missing_docs)]
 
 mod optimal;
-mod policies;
 mod problem;
 
 pub use optimal::{exhaustive_optimal, optimal, search_optimal};
-pub use policies::{
-    client_centric_greedy, closest_cloud, dedicated_only, geo_proximity, predictive_selection,
-    resource_aware_wrr,
-};
 pub use problem::{Assignment, AssignmentProblem, NodeSpec, UserSpec};

@@ -1,6 +1,6 @@
 //! The static edge-assignment problem of paper §III-C.
 
-use armada_types::{HardwareProfile, NodeClass, NodeId, SimDuration, UserId};
+use armada_types::{HardwareProfile, NodeId, SimDuration, UserId};
 use armada_workload::estimate_response_time;
 
 /// A user in the snapshot.
@@ -34,42 +34,14 @@ impl UserSpec {
 pub struct NodeSpec {
     /// The node's identity.
     pub id: NodeId,
-    /// Volunteer / dedicated / cloud — the restricted baselines filter on
-    /// this.
-    pub class: NodeClass,
     /// The node's hardware.
     pub hw: HardwareProfile,
-    /// Distance to each user, km (used only by geo-proximity; may stay
-    /// empty otherwise).
-    pub distance_km: Vec<f64>,
-    /// Reliability score in `(0, 1]` (used only by the predictive
-    /// baseline; the snapshot analogue of the live selector's decayed
-    /// failure penalty — 1.0 means no recorded failures).
-    pub reliability: f64,
 }
 
 impl NodeSpec {
-    /// Creates a node spec without distance information.
-    pub fn new(id: NodeId, class: NodeClass, hw: HardwareProfile) -> Self {
-        NodeSpec {
-            id,
-            class,
-            hw,
-            distance_km: Vec::new(),
-            reliability: 1.0,
-        }
-    }
-
-    /// Attaches per-user distances (indexed like the problem's users).
-    pub fn with_distances(mut self, km: Vec<f64>) -> Self {
-        self.distance_km = km;
-        self
-    }
-
-    /// Overrides the reliability score (clamped into `(0, 1]`).
-    pub fn with_reliability(mut self, score: f64) -> Self {
-        self.reliability = score.clamp(f64::MIN_POSITIVE, 1.0);
-        self
+    /// Creates a node spec.
+    pub fn new(id: NodeId, hw: HardwareProfile) -> Self {
+        NodeSpec { id, hw }
     }
 }
 
@@ -213,16 +185,6 @@ impl AssignmentProblem {
         let proc: SimDuration = estimate_response_time(&self.nodes[node].hw, load, self.fps);
         self.rtt_ms[user][node] + self.users[user].transfer_ms + proc.as_millis_f64()
     }
-
-    /// Node indices matching a class filter.
-    pub fn nodes_of_class(&self, pred: impl Fn(NodeClass) -> bool) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| pred(n.class))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -235,12 +197,10 @@ mod tests {
             vec![
                 NodeSpec::new(
                     NodeId::new(0),
-                    NodeClass::Volunteer,
                     HardwareProfile::new("fast", 8, 24.0).with_concurrency(4),
                 ),
                 NodeSpec::new(
                     NodeId::new(1),
-                    NodeClass::Cloud,
                     HardwareProfile::new("cloud", 4, 30.0).with_concurrency(8),
                 ),
             ],
@@ -274,13 +234,6 @@ mod tests {
         // With only 2 users on 8 cores, sharing is still cheap enough
         // that both stay on the fast local node.
         assert!(together < p.mean_latency_ms(&Assignment::new(vec![0, 1])));
-    }
-
-    #[test]
-    fn class_filter_selects_indices() {
-        let p = two_node_problem();
-        assert_eq!(p.nodes_of_class(|c| c == NodeClass::Cloud), vec![1]);
-        assert_eq!(p.nodes_of_class(NodeClass::is_volunteer), vec![0]);
     }
 
     #[test]

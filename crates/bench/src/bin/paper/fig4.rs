@@ -7,6 +7,7 @@
 //! with at most a small blip.
 
 use armada_bench::{dur_ms, print_csv, print_table, trace_path, tracer_for, Harness};
+use armada_chaos::{FaultPlan, PeerId};
 use armada_core::{EnvSpec, RunResult, Scenario, Strategy};
 use armada_metrics::BenchReport;
 use armada_types::{SimDuration, SimTime, UserId};
@@ -30,11 +31,13 @@ fn run_mode(name: &str, strategy: Strategy) -> RunResult {
         .client(UserId::new(0))
         .and_then(|c| c.current_node())
         .expect("pilot run attaches the user");
+    let kill_at = SimTime::from_secs(KILL_AT_S);
+    let crash = FaultPlan::new(11).crash(PeerId::node(serving.as_u64()), kill_at, SimTime::MAX);
     let tracer = tracer_for(NAME, name);
     let result = Scenario::new(env, strategy)
         .duration(SimDuration::from_secs(DURATION_S))
         .seed(11)
-        .kill_node(serving.as_u64() as usize, SimTime::from_secs(KILL_AT_S))
+        .with_fault_plan(crash)
         .with_tracer(tracer.clone())
         .run();
     tracer.flush();

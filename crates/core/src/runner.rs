@@ -903,6 +903,7 @@ mod tests {
     use armada_net::{Endpoint, LatencyModelParams, Network};
     use armada_node::EdgeNode;
     use armada_sim::Simulation;
+    use armada_types::NodeClass::{Cloud, Dedicated, Volunteer};
     use armada_types::{AccessNetwork, GeoPoint, HardwareProfile, SimTime, SystemConfig};
 
     use super::*;
@@ -933,7 +934,7 @@ mod tests {
             NODE,
             EdgeNode::new(
                 NODE,
-                NodeClass::Volunteer,
+                Volunteer,
                 HardwareProfile::new("tiny", 4, 30.0),
                 loc,
                 system.join_refresh_delay(),
@@ -1130,5 +1131,122 @@ mod tests {
         });
         sim.run_until(SimTime::from_millis(500));
         assert_eq!(sim.world().open_probe_rounds(), 0);
+    }
+
+    /// The baseline rules of paper §V-B on `tiny_world`'s user: its node
+    /// replaced by `nodes`, each `(class, cores, km east of the user)`,
+    /// and `strategy` in charge.
+    fn baseline_world(strategy: Strategy, nodes: &[(NodeClass, u32, f64)]) -> World {
+        let mut w = tiny_world();
+        let loc = w.clients[&USER].location();
+        w.strategy = strategy;
+        w.nodes.clear();
+        for (i, &(class, cores, km)) in nodes.iter().enumerate() {
+            let id = NodeId::new(i as u64);
+            let at = loc.offset_km(km, 0.0);
+            w.net
+                .add_endpoint(Addr::Node(id), Endpoint::new(at, AccessNetwork::Fiber));
+            let hw = HardwareProfile::new("baseline", cores, 30.0);
+            let (refresh, drift) = (w.system.join_refresh_delay(), w.system.perf_drift_threshold);
+            w.nodes
+                .insert(id, EdgeNode::new(id, class, hw, at, refresh, drift));
+        }
+        w
+    }
+
+    /// Attaches `users` extra users to node `id`, as earlier assignments
+    /// would have.
+    fn load(w: &mut World, id: u64, users: u64) {
+        let node = w.nodes.get_mut(&NodeId::new(id)).unwrap();
+        for _ in 0..users {
+            let user = UserId::new(100 + node.attached_count() as u64);
+            node.unexpected_join(user, SimTime::ZERO);
+        }
+    }
+
+    fn pick(w: &World) -> Option<u64> {
+        pick_baseline_node(w, USER).map(|n| n.as_u64())
+    }
+
+    #[test]
+    fn geo_proximity_takes_the_nearest_node_ties_broken_on_id() {
+        let mut w = baseline_world(
+            Strategy::GeoProximity,
+            &[
+                (Volunteer, 8, 10.0),
+                (Dedicated, 4, 2.0),
+                (Volunteer, 2, 2.0),
+            ],
+        );
+        load(&mut w, 1, 5);
+        assert_eq!(pick(&w), Some(1), "load and cores are not looked at");
+        w.dead_nodes.insert(NodeId::new(1));
+        assert_eq!(pick(&w), Some(2));
+    }
+
+    #[test]
+    fn wrr_balances_cores_over_the_edge_tier_and_the_cloud_only_without_it() {
+        let mut w = baseline_world(
+            Strategy::ResourceAwareWrr,
+            &[
+                (Volunteer, 2, 1.0),
+                (Dedicated, 8, 20.0),
+                (Cloud, 64, 500.0),
+            ],
+        );
+        assert_eq!(
+            pick(&w),
+            Some(1),
+            "8 / 1 beats 2 / 1; the cloud is not edge"
+        );
+        load(&mut w, 1, 4);
+        assert_eq!(pick(&w), Some(0), "2 / 1 beats 8 / 5");
+        load(&mut w, 1, 3);
+        load(&mut w, 0, 1);
+        assert_eq!(pick(&w), Some(0), "1 = 8 / 8 ties 2 / 2: the lower id wins");
+        w.dead_nodes.extend([NodeId::new(0), NodeId::new(1)]);
+        assert_eq!(pick(&w), Some(2));
+    }
+
+    #[test]
+    fn dedicated_only_falls_back_to_wrr_over_the_clouds() {
+        let mut w = baseline_world(
+            Strategy::DedicatedOnly,
+            &[
+                (Volunteer, 16, 1.0),
+                (Dedicated, 4, 20.0),
+                (Cloud, 8, 300.0),
+                (Cloud, 16, 900.0),
+            ],
+        );
+        assert_eq!(pick(&w), Some(1));
+        w.dead_nodes.insert(NodeId::new(1));
+        assert_eq!(pick(&w), Some(3), "the larger cloud, however far");
+        load(&mut w, 3, 2);
+        assert_eq!(pick(&w), Some(2), "8 / 1 beats 16 / 3");
+    }
+
+    #[test]
+    fn closest_cloud_takes_the_nearer_of_two_clouds() {
+        let mut w = baseline_world(
+            Strategy::ClosestCloud,
+            &[(Volunteer, 4, 1.0), (Cloud, 64, 900.0), (Cloud, 8, 300.0)],
+        );
+        load(&mut w, 2, 10);
+        assert_eq!(pick(&w), Some(2), "nearest, not the most available");
+        w.dead_nodes.insert(NodeId::new(2));
+        assert_eq!(pick(&w), Some(1));
+    }
+
+    #[test]
+    fn pinned_serves_its_target_only_while_it_is_up() {
+        let map = HashMap::from([(USER, NodeId::new(1))]);
+        let mut w = baseline_world(
+            Strategy::Pinned { map },
+            &[(Volunteer, 4, 1.0), (Dedicated, 4, 2.0)],
+        );
+        assert_eq!(pick(&w), Some(1));
+        w.dead_nodes.insert(NodeId::new(1));
+        assert_eq!(pick(&w), None, "no fallback to the node that is up");
     }
 }

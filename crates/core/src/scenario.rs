@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use armada_chaos::{FaultPlan, PeerClass};
+use armada_chaos::{FaultPlan, PeerClass, PeerId};
 use armada_churn::ChurnTrace;
 use armada_client::EdgeClient;
 use armada_federation::{FederatedCluster, ShardMap};
@@ -46,9 +46,6 @@ pub struct Scenario {
     seed: u64,
     arrivals: Arrivals,
     churn: Option<ChurnTrace>,
-    node_kills: Vec<(usize, SimTime)>,
-    shard_kills: Vec<(usize, SimTime)>,
-    shard_revivals: Vec<(usize, SimTime)>,
     tracer: Tracer,
     fault_plan: Option<FaultPlan>,
 }
@@ -64,17 +61,18 @@ impl Scenario {
             seed: 0,
             arrivals: Arrivals::AllAtStart,
             churn: None,
-            node_kills: Vec::new(),
-            shard_kills: Vec::new(),
-            shard_revivals: Vec::new(),
             tracer: Tracer::disabled(),
             fault_plan: None,
         }
     }
 
     /// Installs a deterministic fault plan (drops, delays, duplicates,
-    /// partitions, crash-restarts, sync loss) for this run, overriding
-    /// any plan carried by the environment spec. A no-op plan (zero
+    /// partitions, crash-restarts, sync loss) for this run. Its crash
+    /// windows are the run's one failure schedule: a node, the manager
+    /// or a federation shard goes down at `down_at` and comes back at
+    /// `up_at` ([`SimTime::MAX`] for never). The plan's seed, not the
+    /// scenario seed, drives every fault decision, so a plan replays
+    /// the same faults under any workload seed. A no-op plan (zero
     /// probabilities, no schedules) leaves the run byte-identical to a
     /// plan-free one.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
@@ -128,33 +126,6 @@ impl Scenario {
         self
     }
 
-    /// Kills static node `node_index` at `at` (Fig. 4's induced
-    /// failure).
-    pub fn kill_node(mut self, node_index: usize, at: SimTime) -> Self {
-        self.node_kills.push((node_index, at));
-        self
-    }
-
-    /// Takes manager shard `shard_index` down at `at`. Requires a
-    /// federated environment ([`EnvSpec::with_federation`]); users homed
-    /// on the dead shard fail over to the next-nearest one.
-    ///
-    /// # Panics
-    ///
-    /// `run` panics if the index is out of range or the environment is
-    /// not federated.
-    pub fn kill_shard(mut self, shard_index: usize, at: SimTime) -> Self {
-        self.shard_kills.push((shard_index, at));
-        self
-    }
-
-    /// Brings manager shard `shard_index` back up at `at`; the next
-    /// sync round's pushes carry everything it missed.
-    pub fn revive_shard(mut self, shard_index: usize, at: SimTime) -> Self {
-        self.shard_revivals.push((shard_index, at));
-        self
-    }
-
     /// Builds the world and runs the full event timeline. Deterministic
     /// for a given configuration and seed.
     pub fn run(self) -> RunResult {
@@ -165,9 +136,6 @@ impl Scenario {
             seed,
             arrivals,
             churn,
-            node_kills,
-            shard_kills,
-            shard_revivals,
             tracer,
             fault_plan,
         } = self;
@@ -176,8 +144,6 @@ impl Scenario {
 
         // --- Network ------------------------------------------------
         let mut net = env.to_network();
-        // Scenario-level plan wins over the environment's.
-        let fault_plan = fault_plan.or_else(|| env.fault_plan.clone());
         let crashes = fault_plan
             .as_ref()
             .map(|p| p.crashes.clone())
@@ -196,10 +162,6 @@ impl Scenario {
         points.extend(env.users.iter().map(|u| u.location));
         let map = ShardMap::partition(&points, env.federation.map_or(1, |f| f.shards));
         let managers = FederatedCluster::new(map, env.system, GlobalSelectionPolicy::default());
-        assert!(
-            env.federation.is_some() || (shard_kills.is_empty() && shard_revivals.is_empty()),
-            "kill_shard/revive_shard require a federated environment"
-        );
         let mut nodes = HashMap::new();
         for (i, spec) in env.nodes.iter().enumerate() {
             let id = NodeId::new(i as u64);
@@ -269,11 +231,10 @@ impl Scenario {
                 ctx.now() < w.end_time
             },
         );
-        // Federated housekeeping: periodic summary-sync rounds and any
-        // scheduled shard failures/recoveries. Sync consumes no
-        // randomness and its instants are offset from the heartbeat
-        // grid, so federated runs stay deterministic and sync never ties
-        // with a registry write.
+        // Federated housekeeping: periodic summary-sync rounds. Sync
+        // consumes no randomness and its instants are offset from the
+        // heartbeat grid, so federated runs stay deterministic and sync
+        // never ties with a registry write.
         if let Some(fed_spec) = env.federation {
             sim.schedule_periodic(
                 fed_spec.sync_offset,
@@ -294,149 +255,33 @@ impl Scenario {
                     ctx.now() < w.end_time
                 },
             );
-            for (index, at) in shard_kills {
-                sim.schedule_at(at, move |w: &mut World, ctx| {
-                    assert!(
-                        index < w.managers.shard_count(),
-                        "kill_shard index out of range"
-                    );
-                    let id = ShardId::new(index as u64);
-                    if w.managers.kill(id) {
-                        w.tracer.emit_at(
-                            ctx.now().as_micros(),
-                            Severity::Warn,
-                            "shard.down",
-                            || vec![("shard", u(id.as_u64()))],
-                        );
-                    }
-                });
-            }
-            for (index, at) in shard_revivals {
-                sim.schedule_at(at, move |w: &mut World, ctx| {
-                    assert!(
-                        index < w.managers.shard_count(),
-                        "revive_shard index out of range"
-                    );
-                    let id = ShardId::new(index as u64);
-                    if w.managers.revive(id) {
-                        w.tracer
-                            .emit_at(ctx.now().as_micros(), Severity::Info, "shard.up", || {
-                                vec![("shard", u(id.as_u64()))]
-                            });
-                    }
-                });
-            }
         }
-        // Fault-plan crash-restart schedules, mapped onto the runtime's
-        // own down/up operations per peer class. Unknown targets (a node
-        // index that never exists, a shard in a non-federated run) are
-        // ignored rather than panicking: plans are often swept across
-        // differently-sized environments.
+        // Fault-plan crash-restart windows, the run's one failure
+        // schedule, scheduled ahead of the static node lifecycles so a
+        // crash at t = 0 lands before its node boots. Unknown targets (a
+        // node index that never exists, a shard in a non-federated run)
+        // are ignored rather than panicking: plans are often swept
+        // across differently-sized environments. Client crashes are not
+        // modeled: users simply stop producing load when their link is
+        // partitioned instead. A standalone manager crashes as
+        // `PeerClass::Manager`.
+        let federated = env.federation.is_some();
         for crash in crashes {
             let peer = crash.peer;
-            let down_at = crash.down_at;
-            let up_at = crash.up_at;
-            match peer.class {
-                PeerClass::Node => {
-                    let id = NodeId::new(peer.id);
-                    sim.schedule_at(down_at, move |w: &mut World, ctx| {
-                        if !w.node_is_up(id) {
-                            return;
-                        }
-                        w.tracer.emit_at(
-                            ctx.now().as_micros(),
-                            Severity::Warn,
-                            "chaos.crash",
-                            || vec![("class", s(peer.class.as_str())), ("peer", u(peer.id))],
-                        );
-                        runner::node_leave(w, ctx, id);
-                    });
-                    if up_at < SimTime::MAX {
-                        sim.schedule_at(up_at, move |w: &mut World, ctx| {
-                            if !w.nodes.contains_key(&id) || !w.dead_nodes.remove(&id) {
-                                return;
-                            }
-                            w.net.set_up(Addr::Node(id));
-                            w.tracer.emit_at(
-                                ctx.now().as_micros(),
-                                Severity::Info,
-                                "chaos.restart",
-                                || vec![("class", s(peer.class.as_str())), ("peer", u(peer.id))],
-                            );
-                            runner::start_node_lifecycle(w, ctx, id);
-                        });
-                    }
-                }
-                PeerClass::Manager => {
-                    sim.schedule_at(down_at, move |w: &mut World, ctx| {
-                        if !w.net.is_up(Addr::Manager) {
-                            return;
-                        }
-                        w.net.set_down(Addr::Manager);
-                        w.tracer.emit_at(
-                            ctx.now().as_micros(),
-                            Severity::Warn,
-                            "chaos.crash",
-                            || vec![("class", s(peer.class.as_str())), ("peer", u(peer.id))],
-                        );
-                    });
-                    if up_at < SimTime::MAX {
-                        sim.schedule_at(up_at, move |w: &mut World, ctx| {
-                            w.net.set_up(Addr::Manager);
-                            w.tracer.emit_at(
-                                ctx.now().as_micros(),
-                                Severity::Info,
-                                "chaos.restart",
-                                || vec![("class", s(peer.class.as_str())), ("peer", u(peer.id))],
-                            );
-                        });
-                    }
-                }
-                PeerClass::Shard if env.federation.is_some() => {
-                    let id = ShardId::new(peer.id);
-                    sim.schedule_at(down_at, move |w: &mut World, ctx| {
-                        if peer.id as usize >= w.managers.shard_count() {
-                            return;
-                        }
-                        if w.managers.kill(id) {
-                            w.tracer.emit_at(
-                                ctx.now().as_micros(),
-                                Severity::Warn,
-                                "chaos.crash",
-                                || vec![("class", s(peer.class.as_str())), ("peer", u(peer.id))],
-                            );
-                        }
-                    });
-                    if up_at < SimTime::MAX {
-                        sim.schedule_at(up_at, move |w: &mut World, ctx| {
-                            if peer.id as usize >= w.managers.shard_count() {
-                                return;
-                            }
-                            if w.managers.revive(id) {
-                                w.tracer.emit_at(
-                                    ctx.now().as_micros(),
-                                    Severity::Info,
-                                    "chaos.restart",
-                                    || {
-                                        vec![
-                                            ("class", s(peer.class.as_str())),
-                                            ("peer", u(peer.id)),
-                                        ]
-                                    },
-                                );
-                            }
-                        });
-                    }
-                }
-                // Client crashes are not modeled: users simply stop
-                // producing load when their link is partitioned instead.
-                // A standalone manager crashes as `PeerClass::Manager`.
-                PeerClass::Shard | PeerClass::User => {}
+            if peer.class == PeerClass::User || (peer.class == PeerClass::Shard && !federated) {
+                continue;
+            }
+            sim.schedule_at(crash.down_at, move |w: &mut World, ctx| {
+                crash_peer(w, ctx, peer, false);
+            });
+            if crash.up_at < SimTime::MAX {
+                sim.schedule_at(crash.up_at, move |w: &mut World, ctx| {
+                    crash_peer(w, ctx, peer, true);
+                });
             }
         }
 
-        let static_node_count = env.nodes.len();
-        for i in 0..static_node_count {
+        for i in 0..env.nodes.len() {
             let id = NodeId::new(i as u64);
             sim.schedule_at(SimTime::ZERO, move |w: &mut World, ctx| {
                 runner::start_node_lifecycle(w, ctx, id);
@@ -470,14 +315,6 @@ impl Scenario {
             }
         }
 
-        for (index, at) in node_kills {
-            assert!(index < static_node_count, "kill_node index out of range");
-            let id = NodeId::new(index as u64);
-            sim.schedule_at(at, move |w: &mut World, ctx| {
-                runner::node_leave(w, ctx, id);
-            });
-        }
-
         // User arrivals.
         let join_times: Vec<SimTime> = match arrivals {
             Arrivals::AllAtStart => vec![SimTime::ZERO; n_users],
@@ -501,6 +338,60 @@ impl Scenario {
             world: sim.into_world(),
             end,
         }
+    }
+}
+
+/// One end of a fault-plan crash window: takes `peer` down, or brings
+/// it back when `up`, through the runtime's own down/up operation for
+/// its class, and narrates `chaos.crash` / `chaos.restart` if that
+/// changed anything. A node that never existed, a shard index past the
+/// federation, or a peer already in the requested state is left alone.
+fn crash_peer(w: &mut World, ctx: &mut armada_sim::Context<'_, World>, peer: PeerId, up: bool) {
+    let now_us = ctx.now().as_micros();
+    let narrate = |w: &World| {
+        let (severity, kind) = if up {
+            (Severity::Info, "chaos.restart")
+        } else {
+            (Severity::Warn, "chaos.crash")
+        };
+        w.tracer.emit_at(now_us, severity, kind, || {
+            vec![("class", s(peer.class.as_str())), ("peer", u(peer.id))]
+        });
+    };
+    match peer.class {
+        PeerClass::Node => {
+            let id = NodeId::new(peer.id);
+            if !up && w.node_is_up(id) {
+                narrate(w);
+                runner::node_leave(w, ctx, id);
+            } else if up && w.nodes.contains_key(&id) && w.dead_nodes.remove(&id) {
+                w.net.set_up(Addr::Node(id));
+                narrate(w);
+                runner::start_node_lifecycle(w, ctx, id);
+            }
+        }
+        PeerClass::Manager => {
+            if up {
+                w.net.set_up(Addr::Manager);
+                narrate(w);
+            } else if w.net.is_up(Addr::Manager) {
+                w.net.set_down(Addr::Manager);
+                narrate(w);
+            }
+        }
+        PeerClass::Shard => {
+            let id = ShardId::new(peer.id);
+            let flipped = (peer.id as usize) < w.managers.shard_count()
+                && if up {
+                    w.managers.revive(id)
+                } else {
+                    w.managers.kill(id)
+                };
+            if flipped {
+                narrate(w);
+            }
+        }
+        PeerClass::User => {}
     }
 }
 
@@ -696,13 +587,12 @@ mod tests {
             .unwrap()
             .current_node()
             .unwrap();
-        // Only static nodes can be killed by index.
-        let index = serving.as_u64() as usize;
-
+        let at = SimTime::from_secs(8);
+        let crash = FaultPlan::new(7).crash(PeerId::node(serving.as_u64()), at, SimTime::MAX);
         let result = Scenario::new(small_env(), Strategy::client_centric())
             .duration(SimDuration::from_secs(20))
             .seed(7)
-            .kill_node(index, SimTime::from_secs(8))
+            .with_fault_plan(crash)
             .run();
         let client = result.world().client(UserId::new(0)).unwrap();
         assert_ne!(
@@ -741,13 +631,5 @@ mod tests {
             .filter(|n| n.id().as_u64() >= 1_000)
             .count();
         assert_eq!(churned, 18);
-    }
-
-    #[test]
-    #[should_panic(expected = "kill_node index out of range")]
-    fn kill_node_bounds_checked() {
-        let _ = Scenario::new(small_env(), Strategy::client_centric())
-            .kill_node(99, SimTime::from_secs(1))
-            .run();
     }
 }

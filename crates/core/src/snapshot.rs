@@ -41,16 +41,7 @@ pub fn to_assignment_problem(world: &World, fps: f64) -> (AssignmentProblem, Vec
         .iter()
         .map(|&id| {
             let node = world.node(id).expect("listed above");
-            let distances = user_ids
-                .iter()
-                .map(|&u| {
-                    world
-                        .client(u)
-                        .map(|c| c.location().distance_km(node.location()))
-                        .unwrap_or(f64::MAX)
-                })
-                .collect();
-            NodeSpec::new(id, node.class(), node.hardware().clone()).with_distances(distances)
+            NodeSpec::new(id, node.hardware().clone())
         })
         .collect();
 
@@ -79,7 +70,8 @@ pub fn to_assignment_problem(world: &World, fps: f64) -> (AssignmentProblem, Vec
 mod tests {
     use super::*;
     use crate::{EnvSpec, Scenario, Strategy};
-    use armada_types::SimDuration;
+    use armada_chaos::{FaultPlan, PeerId};
+    use armada_types::{SimDuration, SimTime};
 
     #[test]
     fn snapshot_covers_all_alive_nodes_and_users() {
@@ -102,13 +94,15 @@ mod tests {
 
     #[test]
     fn dead_nodes_are_excluded() {
+        let at = SimTime::from_secs(1);
+        let crash = FaultPlan::new(0).crash(PeerId::node(0), at, SimTime::MAX);
         let result = Scenario::new(EnvSpec::realworld(3), Strategy::client_centric())
             .duration(SimDuration::from_secs(5))
-            .kill_node(0, armada_types::SimTime::from_secs(1))
+            .with_fault_plan(crash)
             .run();
         let (problem, node_ids) = to_assignment_problem(result.world(), 20.0);
         assert_eq!(problem.nodes().len(), 9);
-        assert!(!node_ids.contains(&armada_types::NodeId::new(0)));
+        assert!(!node_ids.contains(&NodeId::new(0)));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Environment specifications, including the paper's two canonical
 //! setups.
 
-use armada_chaos::FaultPlan;
 use armada_net::LatencyModelParams;
 use armada_sim::SimRng;
 use armada_types::{
@@ -90,9 +89,6 @@ pub struct EnvSpec {
     /// Geo-sharded manager federation; `None` runs the single central
     /// manager of the baseline (a federation of one: no peer, no sync).
     pub federation: Option<FederationSpec>,
-    /// Deterministic fault injection (`armada-chaos`); `None` (and any
-    /// no-op plan) runs the environment fault-free.
-    pub fault_plan: Option<FaultPlan>,
 }
 
 /// The Minneapolis–St. Paul anchor point used by the canonical
@@ -192,7 +188,6 @@ impl EnvSpec {
             pairwise_rtt_ms: Vec::new(),
             system: SystemConfig::default(),
             federation: None,
-            fault_plan: None,
         }
     }
 
@@ -265,22 +260,12 @@ impl EnvSpec {
             pairwise_rtt_ms: pairwise,
             system: SystemConfig::default(),
             federation: None,
-            fault_plan: None,
         }
     }
 
     /// Shards the manager tier per `spec` (builder style).
     pub fn with_federation(mut self, spec: FederationSpec) -> Self {
         self.federation = Some(spec);
-        self
-    }
-
-    /// Installs a deterministic fault plan (builder style). The plan's
-    /// seed — not the scenario seed — drives every fault decision, so
-    /// the same plan replays the same fault sequence under any
-    /// workload seed.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
         self
     }
 

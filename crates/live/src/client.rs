@@ -831,7 +831,8 @@ mod tests {
         let (listener, udp, addr) = silent();
         let serve = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            while let Ok((request, codec)) = armada_wire::read_request(&mut stream) {
+            while let Ok(body) = armada_wire::read_frame_bytes(&mut stream) {
+                let (request, codec) = armada_wire::decode_request(&body).unwrap();
                 let response = match request {
                     Request::RttProbe => Response::RttPong,
                     _ => Response::ProbeReply {
@@ -841,7 +842,7 @@ mod tests {
                         seq: 0,
                     },
                 };
-                armada_wire::write_response(&mut stream, codec, &response).unwrap();
+                armada_wire::write_frame(&mut stream, &codec.encode_response(&response)).unwrap();
             }
         });
         (addr, udp, serve)
@@ -1098,11 +1099,12 @@ mod tests {
                         break;
                     }
                     let mut stream = stream.unwrap();
-                    let (_, codec) = armada_wire::read_request(&mut stream).unwrap();
+                    let body = armada_wire::read_frame_bytes(&mut stream).unwrap();
+                    let (_, codec) = armada_wire::decode_request(&body).unwrap();
                     let error = Response::Error {
                         message: "internal error".into(),
                     };
-                    armada_wire::write_response(&mut stream, codec, &error).unwrap();
+                    armada_wire::write_frame(&mut stream, &codec.encode_response(&error)).unwrap();
                 }
             })
         };

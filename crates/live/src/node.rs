@@ -9,9 +9,9 @@
 //! `armada-core`'s runner does in virtual time. No thread is parked or
 //! spawned per request: waits are reactor timers.
 
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use armada_node::{EdgeNode, Narrator, NodeAction};
@@ -24,12 +24,12 @@ use armada_types::{
 };
 use armada_workload::Frame;
 
-use armada_wire::{decode_request, read_response, write_request, Codec, Request, Response};
+use armada_wire::{decode_request, Codec, Request, Response};
 
 use crate::manager::BUSY_RETRY_MS;
 
 mod heartbeat;
-use heartbeat::{status_of, HbConn, HbPhase};
+use heartbeat::{HbConn, HbPhase};
 
 /// Default heartbeat period toward the manager.
 const HEARTBEAT_PERIOD: Duration = Duration::from_secs(2);
@@ -474,38 +474,26 @@ impl LiveNode {
         handle.add_udp(udp, udp_handler)?;
 
         if let Some(mgr) = manager_addr {
-            // Initial registration happens synchronously so callers
-            // can discover the node as soon as bind returns; a
-            // black-holed manager costs one RPC budget per step, not
-            // the OS connect timeout.
-            let mut stream = TcpStream::connect_timeout(&mgr, HEARTBEAT_RPC_TIMEOUT)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(HEARTBEAT_RPC_TIMEOUT))?;
-            stream.set_write_timeout(Some(HEARTBEAT_RPC_TIMEOUT))?;
-            write_request(
-                &mut stream,
-                Codec::Binary,
-                &Request::Register {
-                    status: status_of(&state),
-                    listen_addr: addr.to_string(),
-                },
-            )?;
-            let _ = read_response(&mut stream).map_err(std::io::Error::from)?;
-            // Hand the registered link to the reactor: heartbeats run
-            // off the timer wheel from here on.
-            stream.set_nonblocking(true)?;
-            handle.add_source(
-                Box::new(stream),
-                Box::new(HbConn {
-                    state: Arc::clone(&state),
-                    manager: mgr,
-                    listen_addr: addr,
-                    period: live.heartbeat_period,
-                    phase: HbPhase::Idle,
-                    established: true,
-                    attempt: 0,
-                }),
-            );
+            // The node registers over the reactor link that heartbeats
+            // and redials from then on, and `bind` waits for the
+            // manager's first reply, so callers can discover the node
+            // as soon as it returns. A black-holed manager costs one RPC
+            // budget per step (connect, reply), not the OS timeout.
+            let (boot, registered) = mpsc::channel();
+            let link = HbConn {
+                state: Arc::clone(&state),
+                manager: mgr,
+                listen_addr: addr,
+                period: live.heartbeat_period,
+                phase: HbPhase::Idle,
+                established: false,
+                attempt: 0,
+                boot: Some(boot),
+            };
+            handle.connect(mgr, HEARTBEAT_RPC_TIMEOUT, Box::new(link));
+            registered
+                .recv()
+                .map_err(|_| std::io::Error::other("node stopped before registering"))??;
         }
 
         Ok((LiveNode { state, reactor }, addr))
@@ -631,7 +619,8 @@ fn bind_paired() -> std::io::Result<(TcpListener, UdpSocket)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use armada_wire::decode_response;
+    use armada_wire::{decode_response, read_response, write_request};
+    use std::net::TcpStream;
 
     fn config(id: u64, cores: u32, frame_ms: f64, delay_ms: u64) -> NodeConfig {
         NodeConfig {
@@ -799,6 +788,62 @@ mod tests {
         // the registration fresh.
         std::thread::sleep(window + Duration::from_millis(100));
         assert_eq!(mgr.alive_count(), 1, "node must have re-registered");
+    }
+
+    /// The boot registration travels the reactor link that heartbeats
+    /// later: a refused connect fails `bind` at once, with no redial
+    /// behind it.
+    #[test]
+    fn bind_toward_a_closed_port_fails_promptly() {
+        let closed = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mgr = closed.local_addr().unwrap();
+        drop(closed);
+        let started = Instant::now();
+        assert!(LiveNode::bind(config(1, 1, 5.0, 0), Some(mgr)).is_err());
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "{elapsed:?}");
+    }
+
+    /// A manager that accepts and never answers costs one RPC budget:
+    /// the registration's timer closes the link and `bind` reports it.
+    #[test]
+    fn bind_toward_a_silent_manager_fails_within_one_rpc_budget() {
+        let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mgr = silent.local_addr().unwrap();
+        let started = Instant::now();
+        let err = LiveNode::bind(config(1, 1, 5.0, 0), Some(mgr)).err();
+        let elapsed = started.elapsed();
+        assert_eq!(err.map(|e| e.kind()), Some(std::io::ErrorKind::TimedOut));
+        assert!(elapsed >= HEARTBEAT_RPC_TIMEOUT, "{elapsed:?}");
+        assert!(
+            elapsed < HEARTBEAT_RPC_TIMEOUT + Duration::from_secs(1),
+            "{elapsed:?}"
+        );
+    }
+
+    /// `bind` returns once the manager has answered the registration,
+    /// so the node is discoverable at once — and the boot link is no
+    /// reconnect: nothing on the heartbeat link is narrated.
+    #[test]
+    fn bind_returns_registered_and_narrates_no_heartbeat_event() {
+        use crate::manager::LiveManager;
+
+        let sink = armada_trace::MemorySink::new();
+        let buffer = sink.buffer();
+        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+        let (mgr, mgr_addr) = LiveManager::bind().unwrap();
+        let live = LiveNodeConfig {
+            heartbeat_period: Duration::from_millis(50),
+            ..LiveNodeConfig::default()
+        };
+        let (_node, _) =
+            LiveNode::bind_with(config(4, 2, 5.0, 0), live, Some(mgr_addr), tracer).unwrap();
+        assert_eq!(mgr.alive_count(), 1);
+        // A few heartbeats later the link is still the boot one.
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(mgr.alive_count(), 1);
+        let trace = buffer.lock().unwrap().clone();
+        assert!(!trace.contains("node.heartbeat."), "{trace}");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The node's link to its manager: registration, heartbeats off the
 //! reactor's timer wheel, and reconnection.
 
+use std::io;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use armada_reactor::{Conn, ConnCtx, Handle};
@@ -49,6 +50,11 @@ pub(super) struct HbConn {
     pub(super) established: bool,
     /// Redial attempt index within the current outage.
     pub(super) attempt: u32,
+    /// Set on the link `bind` opens: takes the outcome of the boot
+    /// registration `bind` waits on. A boot link that fails before the
+    /// manager's first reply ends there, with no redial: `bind` returns
+    /// the error instead.
+    pub(super) boot: Option<mpsc::Sender<io::Result<()>>>,
 }
 
 impl HbConn {
@@ -64,20 +70,25 @@ impl HbConn {
             status: status_of(&self.state),
         })
     }
+
+    /// Hands `outcome` to the `bind` waiting on this link, if it is the
+    /// boot link and still unsettled; `false` otherwise.
+    fn settle_boot(&mut self, outcome: io::Result<()>) -> bool {
+        let Some(waiting) = self.boot.take() else {
+            return false;
+        };
+        let _ = waiting.send(outcome);
+        true
+    }
 }
 
 impl Conn for HbConn {
     fn on_connected(&mut self, ctx: &mut ConnCtx) {
-        if self.established {
-            // The adopted initial link is already registered: first
-            // heartbeat one period from now.
-            ctx.set_timer(self.period);
-        } else {
-            // A redialed link registers before anything else.
-            ctx.send(self.register_body());
-            self.phase = HbPhase::AwaitingRegister;
-            ctx.set_timer(HEARTBEAT_RPC_TIMEOUT);
-        }
+        // Every link, the boot one and each redial, registers before
+        // anything else.
+        ctx.send(self.register_body());
+        self.phase = HbPhase::AwaitingRegister;
+        ctx.set_timer(HEARTBEAT_RPC_TIMEOUT);
     }
 
     fn on_timer(&mut self, ctx: &mut ConnCtx) {
@@ -89,7 +100,11 @@ impl Conn for HbConn {
             }
             // An RPC blew its budget: a silently partitioned manager
             // must fail the heartbeat rather than hang it forever.
-            _ => ctx.close(),
+            _ => {
+                let late = io::Error::new(io::ErrorKind::TimedOut, "manager did not answer");
+                self.settle_boot(Err(late));
+                ctx.close();
+            }
         }
     }
 
@@ -122,12 +137,14 @@ impl Conn for HbConn {
                 ctx.set_timer(self.period);
             }
             HbPhase::AwaitingRegister => {
-                let attempts = u64::from(self.attempt) + 1;
-                self.state.trace(
-                    Severity::Info,
-                    "node.heartbeat.reconnected",
-                    &[("attempts", attempts)],
-                );
+                if !self.settle_boot(Ok(())) {
+                    let attempts = u64::from(self.attempt) + 1;
+                    self.state.trace(
+                        Severity::Info,
+                        "node.heartbeat.reconnected",
+                        &[("attempts", attempts)],
+                    );
+                }
                 self.established = true;
                 self.attempt = 0;
                 self.phase = HbPhase::Idle;
@@ -137,8 +154,12 @@ impl Conn for HbConn {
         }
     }
 
-    fn on_close(&mut self, _err: Option<&std::io::Error>, handle: &Handle) {
-        if handle.is_shutdown() {
+    fn on_close(&mut self, err: Option<&io::Error>, handle: &Handle) {
+        let failed = match err {
+            Some(e) => io::Error::new(e.kind(), e.to_string()),
+            None => io::Error::new(io::ErrorKind::ConnectionAborted, "manager closed the link"),
+        };
+        if self.settle_boot(Err(failed)) || handle.is_shutdown() {
             return;
         }
         let attempt = if self.established {
@@ -158,6 +179,7 @@ impl Conn for HbConn {
             phase: HbPhase::Idle,
             established: false,
             attempt,
+            boot: None,
         };
         let manager = self.manager;
         handle.timer_after(delay, move |h| {
@@ -166,7 +188,7 @@ impl Conn for HbConn {
     }
 }
 
-pub(super) fn status_of(state: &NodeState) -> WireNodeStatus {
+fn status_of(state: &NodeState) -> WireNodeStatus {
     let status = state.core().node.status();
     WireNodeStatus {
         id: state.cfg.id,

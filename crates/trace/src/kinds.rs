@@ -8,8 +8,8 @@
 /// Roles: `client`, `node` and `manager` are the narrators of the three
 /// protocol cores (`armada_client::Narrator`, `armada_node::Narrator`,
 /// `armada_manager::Narrator`), so both runtimes write these alike;
-/// `simulator` is the scenario runner's world (churn, kills, shard and
-/// fault-plan outages, shard routing); a `live …` role is one live
+/// `simulator` is the scenario runner's world (churn, fault-plan crash
+/// windows, shard routing); a `live …` role is one live
 /// driver's own (load shedding, the heartbeat link, peer-sync health);
 /// `bench` and `perfbench` mark the benchmark binaries' runs.
 pub const KINDS: &[(&str, &str)] = &[
@@ -43,8 +43,6 @@ pub const KINDS: &[(&str, &str)] = &[
     ("fed.route", "simulator"),
     ("node.leave", "simulator"),
     ("churn.join", "simulator"),
-    ("shard.down", "simulator"),
-    ("shard.up", "simulator"),
     ("chaos.crash", "simulator"),
     ("chaos.restart", "simulator"),
     ("probe.udp.fallback", "live client"),

@@ -33,7 +33,6 @@ pub use codec::{decode_request, decode_response, Codec, WireConfig};
 pub use proto::test_fixtures;
 pub use proto::{FrameError, Request, Response, WireNodeStatus, WireSummary};
 pub use transport::{
-    read_frame_bytes, read_request, read_response, read_response_via, recv_response, send_request,
-    write_frame, write_request, write_request_via, write_response, UdpTransport,
-    MAX_DATAGRAM_BYTES,
+    read_frame_bytes, read_response, read_response_via, recv_response, send_request, write_frame,
+    write_request, write_request_via, UdpTransport, MAX_DATAGRAM_BYTES,
 };

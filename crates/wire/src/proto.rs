@@ -731,9 +731,14 @@ pub mod test_fixtures {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{read_request, read_response, write_request, write_response};
-    use crate::Codec;
-    use std::io::Cursor;
+    use crate::transport::{read_frame_bytes, read_response, write_frame, write_request};
+    use crate::{decode_request, Codec};
+    use std::io::{Cursor, Read};
+
+    /// One framed request off `reader`, the way a server reads it.
+    fn read_request<R: Read>(reader: &mut R) -> Result<(Request, Codec), FrameError> {
+        decode_request(&read_frame_bytes(reader)?)
+    }
 
     /// One JSON-framed `Join`, the frame the taxonomy cases cut up.
     fn json_join_frame() -> Vec<u8> {
@@ -753,15 +758,11 @@ mod tests {
     fn multiple_messages_in_sequence() {
         let mut buf = Vec::new();
         for seq in 0..10u64 {
-            write_response(
-                &mut buf,
-                Codec::Json,
-                &Response::FrameResult {
-                    seq,
-                    processing_us: 1,
-                },
-            )
-            .unwrap();
+            let response = Response::FrameResult {
+                seq,
+                processing_us: 1,
+            };
+            write_frame(&mut buf, &Codec::Json.encode_response(&response)).unwrap();
         }
         let mut cursor = Cursor::new(buf);
         for seq in 0..10u64 {

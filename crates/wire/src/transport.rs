@@ -201,29 +201,6 @@ pub fn write_request_via<W: Write>(
     })
 }
 
-/// Writes one response to a bare byte stream in the given codec.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_response<W: Write>(
-    writer: &mut W,
-    codec: Codec,
-    response: &Response,
-) -> std::io::Result<()> {
-    write_frame(writer, &codec.encode_response(response))
-}
-
-/// Reads one length-prefixed request from a bare byte stream,
-/// auto-detecting its codec.
-///
-/// # Errors
-///
-/// Classified through [`FrameError`].
-pub fn read_request<R: Read>(reader: &mut R) -> Result<(Request, Codec), FrameError> {
-    codec::decode_request(&read_frame_bytes(reader)?)
-}
-
 /// Reads one length-prefixed response from a bare byte stream,
 /// auto-detecting its codec.
 ///
@@ -260,7 +237,8 @@ mod tests {
         for codec in [Codec::Json, Codec::Binary] {
             let mut buf = Vec::new();
             write_request(&mut buf, codec, &req).unwrap();
-            let (back, detected) = read_request(&mut Cursor::new(buf)).unwrap();
+            let body = read_frame_bytes(&mut Cursor::new(buf)).unwrap();
+            let (back, detected) = codec::decode_request(&body).unwrap();
             assert_eq!(back, req);
             assert_eq!(detected, codec);
         }

@@ -12,8 +12,8 @@ use std::io::Cursor;
 
 use armada_wire::test_fixtures;
 use armada_wire::{
-    decode_request, decode_response, read_request, read_response, read_response_via, write_request,
-    write_request_via, write_response, Codec, FrameError, Request, Response,
+    decode_request, decode_response, read_frame_bytes, read_response, read_response_via,
+    write_frame, write_request, write_request_via, Codec, FrameError, Request, Response,
 };
 
 use proptest::prelude::*;
@@ -107,7 +107,7 @@ fn a_reused_buffer_frames_and_reads_like_a_fresh_one() {
 
         let mut stream = Vec::new();
         for response in all_response_fixtures() {
-            write_response(&mut stream, codec, &response).unwrap();
+            write_frame(&mut stream, &codec.encode_response(&response)).unwrap();
         }
         let mut cursor = Cursor::new(stream);
         for response in all_response_fixtures() {
@@ -152,14 +152,15 @@ fn framed_streams_carry_every_fixture_in_both_codecs() {
         }
         let mut cursor = Cursor::new(buf);
         for request in all_request_fixtures() {
-            let (decoded, detected) = read_request(&mut cursor).unwrap();
+            let body = read_frame_bytes(&mut cursor).unwrap();
+            let (decoded, detected) = decode_request(&body).unwrap();
             assert_eq!(decoded, request);
             assert_eq!(detected, codec);
         }
 
         let mut buf = Vec::new();
         for response in all_response_fixtures() {
-            write_response(&mut buf, codec, &response).unwrap();
+            write_frame(&mut buf, &codec.encode_response(&response)).unwrap();
         }
         let mut cursor = Cursor::new(buf);
         for response in all_response_fixtures() {
@@ -180,7 +181,7 @@ fn binary_frames_fail_cleanly_at_every_truncation_point() {
         write_request(&mut frame, Codec::Binary, &request).unwrap();
         for cut in 0..frame.len() {
             let mut cursor = Cursor::new(&frame[..cut]);
-            match read_request(&mut cursor) {
+            match read_frame_bytes(&mut cursor).and_then(|body| decode_request(&body)) {
                 Err(FrameError::Truncated { .. }) => {}
                 Err(other) => panic!("cut at {cut}/{} gave {other:?}", frame.len()),
                 Ok(_) => panic!("cut at {cut}/{} decoded successfully", frame.len()),
@@ -210,7 +211,7 @@ proptest! {
             let index = index % frame.len();
             frame[index] ^= flip;
             let mut cursor = Cursor::new(&frame);
-            let _ = read_request(&mut cursor);
+            let _ = read_frame_bytes(&mut cursor).map(|body| decode_request(&body));
         }
     }
 }

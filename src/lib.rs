@@ -13,7 +13,7 @@
 //! * [`core`] — build an environment and run end-to-end scenarios on
 //!   the deterministic simulator,
 //! * [`live`] — run the same protocol over real TCP sockets (std::net),
-//! * [`baselines`] — comparison policies and the optimal solver,
+//! * [`baselines`] — the static assignment problem and its optimal solver,
 //! * the `examples/` directory — `quickstart`, `live_cluster`,
 //!   `churn_survival`, `policy_playground`.
 //!

@@ -3,6 +3,7 @@
 //! the static-optimal adapter.
 
 use armada::baselines;
+use armada::chaos::{FaultPlan, PeerId};
 use armada::core::{to_assignment_problem, EnvSpec, Scenario, Strategy};
 use armada::types::{ClientConfig, LocalSelectionPolicy, NodeClass, SimDuration, SimTime, UserId};
 
@@ -86,10 +87,12 @@ fn failover_keeps_service_continuous() {
         .unwrap()
         .current_node()
         .unwrap();
+    let at = SimTime::from_secs(10);
+    let crash = FaultPlan::new(4).crash(PeerId::node(victim.as_u64()), at, SimTime::MAX);
     let result = Scenario::new(EnvSpec::realworld(6), Strategy::client_centric())
         .duration(SimDuration::from_secs(25))
         .seed(4)
-        .kill_node(victim.as_u64() as usize, SimTime::from_secs(10))
+        .with_fault_plan(crash)
         .run();
 
     let client = result.world().client(UserId::new(0)).unwrap();
@@ -160,19 +163,33 @@ fn snapshot_problem_agrees_with_simulated_latencies() {
 
 #[test]
 fn optimal_solver_beats_simulated_baselines_analytically() {
-    let result = Scenario::new(EnvSpec::realworld(10), Strategy::client_centric())
-        .duration(SimDuration::from_secs(5))
-        .seed(7)
-        .run();
-    let (problem, _) = to_assignment_problem(result.world(), 20.0);
-    let optimal = problem.mean_latency_ms(&baselines::optimal(&problem, 0));
-    for assignment in [
-        baselines::geo_proximity(&problem),
-        baselines::resource_aware_wrr(&problem),
-        baselines::dedicated_only(&problem),
-        baselines::closest_cloud(&problem),
+    for strategy in [
+        Strategy::GeoProximity,
+        Strategy::ResourceAwareWrr,
+        Strategy::DedicatedOnly,
+        Strategy::ClosestCloud,
     ] {
-        assert!(optimal <= problem.mean_latency_ms(&assignment) + 1e-9);
+        let name = strategy.name();
+        let result = Scenario::new(EnvSpec::realworld(10), strategy)
+            .duration(SimDuration::from_secs(5))
+            .seed(7)
+            .run();
+        let (problem, node_ids) = to_assignment_problem(result.world(), 20.0);
+        // Where the simulated baseline placed each user, as indices
+        // into the snapshot's nodes.
+        let placed = (0..problem.users().len() as u64)
+            .map(|u| {
+                let client = result.world().client(UserId::new(u)).unwrap();
+                let node = client.current_node().expect("every user is placed");
+                node_ids.iter().position(|&n| n == node).unwrap()
+            })
+            .collect();
+        let simulated = problem.mean_latency_ms(&baselines::Assignment::new(placed));
+        let optimal = problem.mean_latency_ms(&baselines::optimal(&problem, 0));
+        assert!(
+            optimal <= simulated + 1e-9,
+            "{name}: optimal {optimal:.1} ms vs simulated {simulated:.1} ms"
+        );
     }
 }
 
@@ -191,10 +208,12 @@ fn reactive_failover_is_slower_than_proactive() {
             .unwrap();
         // Kill before the first periodic re-probe (~10 s) so the pilot's
         // serving node is still the victim's serving node.
+        let at = SimTime::from_secs(7);
+        let crash = FaultPlan::new(8).crash(PeerId::node(victim.as_u64()), at, SimTime::MAX);
         Scenario::new(EnvSpec::realworld(4), strategy)
             .duration(SimDuration::from_secs(25))
             .seed(8)
-            .kill_node(victim.as_u64() as usize, SimTime::from_secs(7))
+            .with_fault_plan(crash)
             .run()
     };
     let gap_after_kill = |result: &armada::core::RunResult| {

@@ -3,6 +3,7 @@
 //! to the single-manager baseline, and a shard failure costs at most one
 //! routing retry (plus summary staleness bounded by one sync period).
 
+use armada::chaos::{FaultPlan, PeerId};
 use armada::core::{EnvSpec, FederationSpec, RunResult, Scenario, Strategy};
 use armada::types::{SimDuration, SimTime, UserId};
 
@@ -82,13 +83,14 @@ fn home_shard_failure_re_routes_discovery_and_streaming_survives() {
     let home = pilot.world().managers().map().home(user0_loc);
 
     let kill_at = SimTime::from_secs(10);
+    let crash = FaultPlan::new(SEED).crash(PeerId::shard(home.as_u64()), kill_at, SimTime::MAX);
     let result = Scenario::new(
         EnvSpec::realworld(N_USERS).with_federation(spec),
         Strategy::client_centric(),
     )
     .duration(SimDuration::from_secs(DURATION_S))
     .seed(SEED)
-    .kill_shard(home.as_u64() as usize, kill_at)
+    .with_fault_plan(crash)
     .run();
 
     let cluster = result.world().managers();
@@ -181,14 +183,15 @@ fn revived_shard_resumes_after_full_resync() {
     let user0_loc = EnvSpec::realworld(N_USERS).users[0].location;
     let home = pilot.world().managers().map().home(user0_loc);
 
+    let (down, up) = (SimTime::from_secs(8), SimTime::from_secs(16));
+    let crash = FaultPlan::new(SEED).crash(PeerId::shard(home.as_u64()), down, up);
     let result = Scenario::new(
         EnvSpec::realworld(N_USERS).with_federation(spec),
         Strategy::client_centric(),
     )
     .duration(SimDuration::from_secs(DURATION_S))
     .seed(SEED)
-    .kill_shard(home.as_u64() as usize, SimTime::from_secs(8))
-    .revive_shard(home.as_u64() as usize, SimTime::from_secs(16))
+    .with_fault_plan(crash)
     .run();
 
     let cluster = result.world().managers();
@@ -299,13 +302,15 @@ mod traced {
         let sink = MemorySink::new();
         let buffer = sink.buffer();
         let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+        let at = SimTime::from_secs(12);
+        let crash = FaultPlan::new(SEED).crash(PeerId::shard(0), at, SimTime::MAX);
         let result = Scenario::new(
             EnvSpec::realworld(N_USERS).with_federation(spec),
             Strategy::client_centric(),
         )
         .duration(SimDuration::from_secs(DURATION_S))
         .seed(SEED)
-        .kill_shard(0, SimTime::from_secs(12))
+        .with_fault_plan(crash)
         .with_tracer(tracer.clone())
         .run();
         tracer.flush();
@@ -340,7 +345,7 @@ mod traced {
         let count = |kind: &str| events.iter().filter(|e| e.kind == kind).count();
         assert!(count("fed.route") > 0, "discoveries must emit fed.route");
         assert!(count("fed.sync") > 0, "sync rounds must emit fed.sync");
-        assert_eq!(count("shard.down"), 1, "exactly one shard kill");
+        assert_eq!(count("chaos.crash"), 1, "exactly one shard kill");
         assert!(
             count("fed.failover") > 0,
             "users homed on the dead shard must re-route"

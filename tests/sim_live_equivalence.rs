@@ -274,7 +274,6 @@ fn sim_env(nodes: &[u64]) -> EnvSpec {
             .collect(),
         system: SystemConfig::default(),
         federation: None,
-        fault_plan: None,
     }
 }
 
@@ -286,13 +285,17 @@ fn sim_decisions(selector: SelectorMode) -> (Vec<String>, [NodeStream; 3]) {
     let secs = SimTime::from_secs;
     let plan = FaultPlan::new(1)
         .crash(PeerId::node(C), SimTime::ZERO, secs(20))
-        .crash(PeerId::node(C), secs(30), SimTime::MAX);
+        .crash(PeerId::node(C), secs(30), SimTime::MAX)
+        .crash(PeerId::node(B), secs(40), SimTime::MAX)
+        .crash(
+            PeerId::node(A),
+            secs(40) + SimDuration::from_millis(1),
+            SimTime::MAX,
+        );
     let (tracer, buffer) = memory_tracer();
     let run = Scenario::new(env, Strategy::client_centric_with(client_config(selector)))
         .with_fault_plan(plan)
         .users_join_at(vec![secs(10)])
-        .kill_node(B as usize, secs(40))
-        .kill_node(A as usize, secs(40) + SimDuration::from_millis(1))
         .duration(SimDuration::from_secs(45))
         .seed(7)
         .with_tracer(tracer.clone())
@@ -511,12 +514,13 @@ fn sim_manager_loss(selector: SelectorMode, peer: bool) -> Vec<String> {
             .duration(end.saturating_since(SimTime::ZERO))
             .seed(7)
             .with_tracer(tracer.clone());
-        let run = if peer {
-            scenario.kill_shard(0, lost).revive_shard(0, back).run()
+        let home = if peer {
+            PeerId::shard(0)
         } else {
-            let plan = FaultPlan::new(1).crash(PeerId::manager(0), lost, back);
-            scenario.with_fault_plan(plan).run()
+            PeerId::manager(0)
         };
+        let plan = FaultPlan::new(1).crash(home, lost, back);
+        let run = scenario.with_fault_plan(plan).run();
         tracer.flush();
         let route = run.world().managers().map().route_order(spot());
         assert_eq!(route.len(), if peer { 2 } else { 1 });

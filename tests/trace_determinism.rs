@@ -2,6 +2,7 @@
 //! same seed yields a byte-identical event stream across runs, and
 //! attaching a tracer must not change what the run measures.
 
+use armada::chaos::{FaultPlan, PeerId};
 use armada::core::{EnvSpec, RunResult, Scenario, Strategy};
 use armada::trace::{inspect, MemorySink, Severity, Tracer};
 use armada::types::{SimDuration, SimTime, UserId};
@@ -25,10 +26,12 @@ fn victim_node() -> usize {
 }
 
 fn run_with(tracer: Tracer, victim: usize) -> RunResult {
+    let at = SimTime::from_secs(KILL_AT_S);
+    let crash = FaultPlan::new(SEED).crash(PeerId::node(victim as u64), at, SimTime::MAX);
     Scenario::new(EnvSpec::realworld(6), Strategy::client_centric())
         .duration(SimDuration::from_secs(DURATION_S))
         .seed(SEED)
-        .kill_node(victim, SimTime::from_secs(KILL_AT_S))
+        .with_fault_plan(crash)
         .with_tracer(tracer)
         .run()
 }
