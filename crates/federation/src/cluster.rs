@@ -3,13 +3,12 @@
 
 use std::collections::HashSet;
 
-use armada_manager::{GlobalSelectionPolicy, Narrator};
+use armada_manager::{CentralManager, GlobalSelectionPolicy, Narrator};
 use armada_node::NodeStatus;
 use armada_trace::Tracer;
 use armada_types::{GeoPoint, NodeId, ShardId, SimDuration, SimTime, SystemConfig};
 
 use crate::map::ShardMap;
-use crate::shard::FederatedShard;
 
 /// Aggregate outcome of one sync round, for tests and benches (the
 /// trace has one `fed.sync` per delivered push instead).
@@ -36,8 +35,8 @@ pub struct RoutedDiscovery {
 }
 
 /// The geo-federated manager tier: a [`ShardMap`] plus one
-/// [`FederatedShard`] per site. A standalone manager is a federation
-/// of one.
+/// [`CentralManager`] per site, indexed by [`ShardId`]. A standalone
+/// manager is a federation of one.
 ///
 /// Registration and heartbeats route to the node's home shard; a
 /// discovery is served by the shard it is addressed to
@@ -48,7 +47,7 @@ pub struct RoutedDiscovery {
 #[derive(Debug, Clone)]
 pub struct FederatedCluster {
     map: ShardMap,
-    shards: Vec<FederatedShard>,
+    shards: Vec<CentralManager>,
     down: HashSet<ShardId>,
     rounds: u64,
 }
@@ -59,7 +58,7 @@ impl FederatedCluster {
         let shards = map
             .sites()
             .iter()
-            .map(|site| FederatedShard::new(site.id, config, policy))
+            .map(|_| CentralManager::new(config, policy))
             .collect();
         FederatedCluster {
             map,
@@ -79,13 +78,13 @@ impl FederatedCluster {
         self.shards.len()
     }
 
-    /// The shards, in id order.
-    pub fn shards(&self) -> &[FederatedShard] {
+    /// The shards' managers, indexed by [`ShardId`].
+    pub fn shards(&self) -> &[CentralManager] {
         &self.shards
     }
 
-    /// One shard by id.
-    pub fn shard(&self, id: ShardId) -> Option<&FederatedShard> {
+    /// One shard's manager by id.
+    pub fn shard(&self, id: ShardId) -> Option<&CentralManager> {
         self.shards.get(id.as_u64() as usize)
     }
 
@@ -179,10 +178,8 @@ impl FederatedCluster {
         narrate: Narrator<'_>,
     ) -> SyncStats {
         self.rounds += 1;
-        let up: Vec<ShardId> = self
-            .shards
-            .iter()
-            .map(|s| s.id())
+        let up: Vec<ShardId> = (0..self.shards.len() as u64)
+            .map(ShardId::new)
             .filter(|id| self.is_up(*id))
             .collect();
         let mut stats = SyncStats {
@@ -202,8 +199,12 @@ impl FederatedCluster {
                         stats.dropped += 1;
                         continue;
                     }
-                    stats.summaries += push.updated.len() as u64;
-                    let applied = self.shards[receiver.as_u64() as usize].apply_delta(&push);
+                    stats.summaries += push.len() as u64;
+                    let shard = &mut self.shards[receiver.as_u64() as usize];
+                    let applied = push
+                        .iter()
+                        .filter(|r| shard.apply_peer(r.status, r.last_heartbeat))
+                        .count() as u64;
                     narrate.synced(receiver, sender, applied);
                 }
             }
@@ -217,9 +218,9 @@ impl FederatedCluster {
     /// Housekeeping across all up shards; returns every pruned id.
     pub fn prune(&mut self, now: SimTime, grace: SimDuration) -> Vec<NodeId> {
         let mut pruned = Vec::new();
-        for shard in &mut self.shards {
-            if !self.down.contains(&shard.id()) {
-                pruned.extend(shard.prune(now, grace).own);
+        for (id, shard) in self.shards.iter_mut().enumerate() {
+            if !self.down.contains(&ShardId::new(id as u64)) {
+                pruned.extend(shard.prune_dead(now, grace).own);
             }
         }
         pruned.sort();
@@ -236,7 +237,6 @@ impl FederatedCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use armada_manager::CentralManager;
     use armada_types::{splitmix64, NodeClass};
 
     fn west() -> GeoPoint {
@@ -281,7 +281,11 @@ mod tests {
     #[test]
     fn registrations_route_to_distinct_home_shards() {
         let cluster = two_shard_cluster();
-        let counts: Vec<usize> = cluster.shards().iter().map(|s| s.own_count()).collect();
+        let counts: Vec<usize> = cluster
+            .shards()
+            .iter()
+            .map(|s| s.registry().own_len())
+            .collect();
         assert_eq!(counts, vec![2, 2]);
     }
 
@@ -487,12 +491,11 @@ mod tests {
                 let (user, top_n) = (spot(&mut below), 1 + below(5) as usize);
                 let expected = single.ranked_candidates(user, &[], top_n, now);
                 served += expected.len();
-                for shard in cluster.shards() {
+                for (id, shard) in cluster.shards().iter().enumerate() {
                     assert_eq!(
                         shard.ranked_candidates(user, &[], top_n, now),
                         expected,
-                        "seed {seed}, K = {k}, shard {:?}",
-                        shard.id()
+                        "seed {seed}, K = {k}, shard {id}"
                     );
                 }
             }

@@ -10,8 +10,8 @@
 //! and per-node artificial delays stand in for geographic distance when
 //! everything runs on localhost.
 //!
-//! The manager is the simulator's manager shard
-//! (`armada_federation::FederatedShard`) on a wall clock, and the node
+//! The manager is the simulator's manager
+//! (`armada_manager::CentralManager`) on a wall clock, and the node
 //! is its `armada_node::EdgeNode`: frames share the
 //! hardware profile's cores in its processor-sharing ledger and
 //! complete on reactor timers, so probing observes genuine queueing and

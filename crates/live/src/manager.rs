@@ -8,8 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use armada_federation::{FederatedShard, NodeSummary};
-use armada_manager::{CowTable, GlobalSelectionPolicy, Narrator};
+use armada_manager::{CentralManager, CowTable, GlobalSelectionPolicy, Narrator};
 use armada_node::NodeStatus;
 use armada_reactor::{AcceptFactory, Conn, ConnCtx, Handle, Reactor, ReactorConfig, Source};
 use armada_trace::{s, u, Severity, Tracer};
@@ -154,7 +153,9 @@ struct ManagerState {
     /// counters. A standalone manager is a shard that never hears from
     /// a peer. Discovery freezes a view under the lock and ranks outside
     /// it, so heartbeat writes never wait on a query.
-    shard: FederatedShard,
+    manager: CentralManager,
+    /// This manager's shard of the federation.
+    shard: ShardId,
     /// Where each known node accepts client connections — the one thing
     /// the wire carries that the core does not store.
     addrs: CowTable<String>,
@@ -172,14 +173,14 @@ impl ManagerState {
     /// younger clock a summary of any age would read alive.
     fn now(&self) -> SimTime {
         let elapsed = self.epoch.elapsed().as_micros() as u64;
-        SimTime::from_micros(1 + elapsed) + self.shard.registry().liveness_budget()
+        SimTime::from_micros(1 + elapsed) + self.manager.registry().liveness_budget()
     }
 
     /// Housekeeping: forgets records dead longer than the grace, own
     /// and synced, and their addresses.
     fn prune(&mut self) {
-        let grace = self.shard.registry().liveness_budget() * PRUNE_GRACE_WINDOWS;
-        let pruned = self.shard.prune(self.now(), grace);
+        let grace = self.manager.registry().liveness_budget() * PRUNE_GRACE_WINDOWS;
+        let pruned = self.manager.prune_dead(self.now(), grace);
         for id in pruned.ids() {
             self.addrs.remove(id);
         }
@@ -267,13 +268,9 @@ impl LiveManager {
             heartbeat_miss_limit: 1,
             ..SystemConfig::default()
         };
-        let shard = FederatedShard::new(
-            ShardId::new(shard),
-            config,
-            GlobalSelectionPolicy::default(),
-        );
         let state = Arc::new(Mutex::new(ManagerState {
-            shard,
+            manager: CentralManager::new(config, GlobalSelectionPolicy::default()),
+            shard: ShardId::new(shard),
             addrs: CowTable::new(),
             epoch: Instant::now(),
             peers: HashMap::new(),
@@ -346,34 +343,37 @@ impl LiveManager {
     /// Number of nodes currently considered alive, own and synced.
     pub fn alive_count(&self) -> usize {
         let state = lock_recover(&self.state);
-        state.shard.merged_alive_count(state.now())
+        state.manager.alive_count(state.now())
     }
 
     /// Number of peer-owned nodes currently alive in the synced view.
     pub fn synced_count(&self) -> usize {
         let state = lock_recover(&self.state);
-        state.shard.registry().peer_alive_count(state.now())
+        state.manager.registry().peer_alive_count(state.now())
     }
 
     /// Number of nodes in the registry, own and synced, alive or not:
     /// what housekeeping has not yet forgotten.
     pub fn registered_count(&self) -> usize {
-        lock_recover(&self.state).shard.registry().len()
+        lock_recover(&self.state).manager.registry().len()
     }
 
     /// Completed outbound peer-sync rounds.
     pub fn sync_rounds(&self) -> u64 {
-        lock_recover(&self.state).shard.counters().sync_rounds
+        lock_recover(&self.state).manager.counters().sync_rounds
     }
 
     /// Total summaries applied from inbound peer syncs.
     pub fn syncs_applied(&self) -> u64 {
-        lock_recover(&self.state).shard.counters().summaries_applied
+        lock_recover(&self.state)
+            .manager
+            .counters()
+            .summaries_applied
     }
 
     /// Total discovery queries served.
     pub fn discoveries_served(&self) -> u64 {
-        lock_recover(&self.state).shard.counters().discoveries
+        lock_recover(&self.state).manager.counters().discoveries
     }
 
     /// Requests refused with `Busy` by the admission layer.
@@ -468,13 +468,13 @@ impl Conn for MgrConn {
         // (An orderly close takes no lock.)
         if err.is_some() {
             let state = lock_recover(&self.state);
-            trace_eviction(&state.tracer, "manager", state.shard.id().as_u64(), err);
+            trace_eviction(&state.tracer, "manager", state.shard.as_u64(), err);
         }
     }
 }
 
 /// Counts down the in-flight syncs of one round; the round completes —
-/// and the shard notes it — when the last one settles.
+/// and the manager notes it — when the last one settles.
 struct RoundTracker {
     pending: AtomicUsize,
     state: Arc<Mutex<ManagerState>>,
@@ -483,12 +483,12 @@ struct RoundTracker {
 impl RoundTracker {
     fn complete_one(&self) {
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            lock_recover(&self.state).shard.note_sync_round();
+            lock_recover(&self.state).manager.note_sync_round();
         }
     }
 }
 
-/// Fires one sync round: push the shard's own records to every peer
+/// Fires one sync round: push the manager's own records to every peer
 /// that is neither backing off nor mid-RPC.
 fn sync_round(state: &Arc<Mutex<ManagerState>>, peers: &[SocketAddr], handle: &Handle) {
     // Backoff gate: a recently failed peer sits out until its next
@@ -512,26 +512,26 @@ fn sync_round(state: &Arc<Mutex<ManagerState>>, peers: &[SocketAddr], handle: &H
     }
     if targets.is_empty() {
         // Every peer gated: the round still completes.
-        st.shard.note_sync_round();
+        st.manager.note_sync_round();
         return;
     }
     let now = st.now();
-    let push = st.shard.own_summaries();
-    let summaries = push
-        .updated
+    let summaries = st
+        .manager
+        .own_summaries()
         .iter()
-        .map(|summary| WireSummary {
-            status: wire_status(&summary.status),
+        .map(|record| WireSummary {
+            status: wire_status(&record.status),
             listen_addr: st
                 .addrs
-                .get(summary.status.node)
+                .get(record.status.node)
                 .cloned()
                 .unwrap_or_default(),
-            age_us: now.saturating_since(summary.last_heartbeat).as_micros(),
+            age_us: now.saturating_since(record.last_heartbeat).as_micros(),
         })
         .collect();
+    let from = st.shard.as_u64();
     drop(st);
-    let from = push.from.as_u64();
     let body = Codec::Binary.encode_request(&Request::SyncSummaries { from, summaries });
     let round = Arc::new(RoundTracker {
         pending: AtomicUsize::new(targets.len()),
@@ -584,8 +584,10 @@ impl Conn for SyncConn {
     }
 
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut ConnCtx) {
-        // `true` only for a fully acknowledged exchange within budget.
-        let ok = decode_response(&frame).is_ok();
+        // `true` only for a fully acknowledged exchange within budget:
+        // a peer that answers anything but `SyncAck` did not take the
+        // push.
+        let ok = matches!(decode_response(&frame), Ok((Response::SyncAck { .. }, _)));
         self.settle(ok);
         ctx.close();
     }
@@ -654,10 +656,9 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
             };
             let mut s = lock_recover(state);
             let now = s.now();
-            s.shard.register(core, now);
+            s.manager.register(core, now);
             s.addrs.insert(core.node, listen_addr);
-            let shard = s.shard.id();
-            s.narrator().registered(core.node, shard);
+            s.narrator().registered(core.node, s.shard);
             Response::Registered
         }
         Request::Heartbeat { status } => {
@@ -669,13 +670,13 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
             // A heartbeat carries no listen address, so an unknown (or
             // forgotten) node is told to register, where the simulated
             // shard re-registers it itself.
-            if !s.shard.registry().owns(core.node) {
+            if !s.manager.registry().owns(core.node) {
                 return Response::Error {
                     message: format!("heartbeat from unregistered node {}", status.id),
                 };
             }
             let now = s.now();
-            s.shard.heartbeat(core, now);
+            s.manager.heartbeat(core, now);
             Response::HeartbeatAck
         }
         Request::Discover {
@@ -689,7 +690,7 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
             // never blocks a heartbeat or sync write.
             let (snapshot, addrs, now) = {
                 let mut s = lock_recover(state);
-                let snapshot = s.shard.serve_discovery();
+                let snapshot = s.manager.serve_discovery();
                 #[cfg(test)]
                 test_hooks::maybe_panic_in_discover(_user);
                 (snapshot, s.addrs.view(), s.now())
@@ -704,22 +705,16 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
         Request::SyncSummaries { from, summaries } => {
             let mut s = lock_recover(state);
             let now = s.now();
-            let from = ShardId::new(from);
             let mut applied = 0u64;
             for summary in summaries {
                 // A summary with a refused load is skipped; one of this
-                // manager's own nodes is refused by the shard (the
+                // manager's own nodes is refused by the core (the
                 // owner's heartbeat is first-hand).
                 let Ok(status) = core_status(&summary.status) else {
                     continue;
                 };
                 let heard = now - SimDuration::from_micros(summary.age_us);
-                let summary_of = NodeSummary {
-                    status,
-                    home: from,
-                    last_heartbeat: heard,
-                };
-                if !s.shard.apply_summary(&summary_of) {
+                if !s.manager.apply_peer(status, heard) {
                     continue;
                 }
                 if s.addrs.get(status.node) != Some(&summary.listen_addr) {
@@ -727,8 +722,7 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
                 }
                 applied += 1;
             }
-            let shard = s.shard.id();
-            s.narrator().synced(shard, from, applied);
+            s.narrator().synced(s.shard, ShardId::new(from), applied);
             Response::SyncAck { applied }
         }
         other => Response::Error {
@@ -1084,6 +1078,25 @@ mod tests {
             !a.peer_is_dead(peer)
         });
         assert_eq!(a.dead_peer_count(), 0);
+    }
+
+    /// A peer that answers anything but `SyncAck` did not take the
+    /// push: a node listed as a sync peer answers `Error`, so it is dead.
+    #[test]
+    fn a_sync_peer_that_answers_an_error_is_dead() {
+        let (mut a, _addr_a) = LiveManager::bind_federated(0, Tracer::disabled()).unwrap();
+        let node = crate::NodeConfig {
+            id: 1,
+            class: NodeClass::Volunteer,
+            hw: armada_types::HardwareProfile::new("hw-1", 1, 10.0),
+            location: GeoPoint::new(44.98, -93.26),
+            one_way_delay: Duration::ZERO,
+        };
+        let (_node, peer) = crate::LiveNode::bind(node, None).unwrap();
+        a.start_sync(vec![peer], Duration::from_millis(25));
+        eventually("the node's refusal to mark the peer dead", || {
+            a.peer_is_dead(peer)
+        });
     }
 
     /// A request handler that panics while holding the state lock must

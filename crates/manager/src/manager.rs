@@ -6,15 +6,43 @@ use armada_geo::ProximityIndex;
 use armada_node::NodeStatus;
 use armada_types::{GeoPoint, NodeId, SimTime, SystemConfig};
 
-use crate::registry::{NodeRegistry, Pruned};
+use crate::registry::{NodeRecord, NodeRegistry, Pruned};
 use crate::selection::{GlobalSelectionPolicy, ScoredCandidate};
 use crate::snapshot::DiscoverySnapshot;
 
+/// Per-manager operation counters — the registry-load surface the
+/// federation tests read.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardCounters {
+    /// Registrations accepted (own nodes).
+    pub registrations: u64,
+    /// Heartbeats accepted (own nodes).
+    pub heartbeats: u64,
+    /// Discovery queries served (home or failover traffic).
+    pub discoveries: u64,
+    /// Sync rounds this manager participated in.
+    pub sync_rounds: u64,
+    /// Summaries sent to peers across all rounds.
+    pub summaries_sent: u64,
+    /// Summaries applied from peers across all rounds.
+    pub summaries_applied: u64,
+}
+
+impl ShardCounters {
+    /// Registration-tier operations handled by this manager (everything
+    /// that touches its authoritative registry).
+    pub fn registry_ops(&self) -> u64 {
+        self.registrations + self.heartbeats
+    }
+}
+
 /// The Central Manager: registry + proximity index + global selection.
 ///
-/// The registry is the merged one — a standalone manager simply never
-/// hears from a peer, while a federated shard feeds it the records its
-/// peers advertise ([`CentralManager::apply_peer`]); the proximity
+/// It is the one manager role, standalone or one shard of a
+/// federation. The registry is the merged one — a standalone manager
+/// simply never hears from a peer, while a federated shard pushes its
+/// own records ([`CentralManager::own_summaries`]) and takes the ones
+/// its peers advertise ([`CentralManager::apply_peer`]); the proximity
 /// index covers both.
 ///
 /// Discovery is served off epoch-numbered, incrementally-maintained
@@ -42,6 +70,7 @@ pub struct CentralManager {
     epoch: u64,
     /// The memoised published snapshot; valid while its epoch matches.
     published: Option<Arc<DiscoverySnapshot>>,
+    counters: ShardCounters,
 }
 
 impl CentralManager {
@@ -55,6 +84,7 @@ impl CentralManager {
             index: Arc::new(ProximityIndex::for_radius(config.proximity_radius_km)),
             epoch: 0,
             published: None,
+            counters: ShardCounters::default(),
         }
     }
 
@@ -73,8 +103,21 @@ impl CentralManager {
         &self.registry
     }
 
-    /// Registers a node (or refreshes it after downtime).
+    /// Operation counters.
+    pub fn counters(&self) -> ShardCounters {
+        self.counters
+    }
+
+    /// Registers a node (or refreshes it after downtime). A node has
+    /// one home: the registration supersedes any peer's record of it.
     pub fn register(&mut self, status: NodeStatus, now: SimTime) {
+        self.counters.registrations += 1;
+        self.insert(status, now);
+    }
+
+    /// The registration itself, uncounted: a heartbeat from an unknown
+    /// sender re-registers through it.
+    fn insert(&mut self, status: NodeStatus, now: SimTime) {
         self.epoch += 1;
         Arc::make_mut(&mut self.index).insert(status.node, status.location);
         self.registry.register(status, now);
@@ -82,10 +125,12 @@ impl CentralManager {
 
     /// Records a periodic status heartbeat. Unknown senders are treated
     /// as (re-)registrations — a volunteer that silently died and came
-    /// back should not be locked out.
+    /// back should not be locked out — and counted as the heartbeat
+    /// they are.
     pub fn heartbeat(&mut self, status: NodeStatus, now: SimTime) {
+        self.counters.heartbeats += 1;
         if !self.registry.heartbeat(status, now) {
-            self.register(status, now);
+            self.insert(status, now);
         } else {
             self.epoch += 1;
             self.index_position(status);
@@ -106,10 +151,28 @@ impl CentralManager {
     pub fn apply_peer(&mut self, status: NodeStatus, last_heartbeat: SimTime) -> bool {
         let applied = self.registry.apply_peer(status, last_heartbeat);
         if applied {
+            self.counters.summaries_applied += 1;
             self.epoch += 1;
             self.index_position(status);
         }
         applied
+    }
+
+    /// This round's push to the peers: every own record, alive or not,
+    /// sorted by id, each with the time it was last heard. Nothing is
+    /// retracted — a silent record ages out at the receiver by the
+    /// deadline it ages out by here, and a lost push is healed by the
+    /// next.
+    pub fn own_summaries(&mut self) -> Vec<NodeRecord> {
+        let mut push: Vec<NodeRecord> = self.registry.own_records().copied().collect();
+        push.sort_by_key(|r| r.status.node);
+        self.counters.summaries_sent += push.len() as u64;
+        push
+    }
+
+    /// Notes participation in one sync round.
+    pub fn note_sync_round(&mut self) {
+        self.counters.sync_rounds += 1;
     }
 
     /// Keeps the spatial index in sync with a (possibly mobile) node —
@@ -152,6 +215,16 @@ impl CentralManager {
                 snap
             }
         }
+    }
+
+    /// Counts one discovery query and freezes the merged view it is
+    /// answered from (O(shards) reference bumps), for a driver that
+    /// ranks outside its own lock. Unlike [`CentralManager::published`],
+    /// nothing holds the view once the query drops it, so the writes
+    /// that land between queries copy no shard.
+    pub fn serve_discovery(&mut self) -> DiscoverySnapshot {
+        self.counters.discoveries += 1;
+        self.snapshot()
     }
 
     /// Number of nodes alive at `now`, own and peer-advertised.
@@ -200,6 +273,7 @@ impl CentralManager {
         top_n: usize,
         now: SimTime,
     ) -> Vec<NodeId> {
+        self.counters.discoveries += 1;
         // Served off the memoised published snapshot: identical answers
         // to the live structures (same records, same index, same
         // liveness rule), but queries between mutations share one
@@ -289,6 +363,126 @@ mod tests {
         let mut mgr = manager_with_nodes(0);
         mgr.heartbeat(status(7, home(), 0.0), SimTime::from_secs(5));
         assert!(mgr.is_alive(NodeId::new(7), SimTime::from_secs(5)));
+        // The re-registration is internal: the sender's message was one
+        // heartbeat, so `registry_ops` moves by one.
+        let c = mgr.counters();
+        assert_eq!((c.heartbeats, c.registrations, c.registry_ops()), (1, 0, 1));
+    }
+
+    /// What a peer's push carries to `to`: how many of its records `to`
+    /// took.
+    fn take(to: &mut CentralManager, push: &[NodeRecord]) -> u64 {
+        push.iter()
+            .filter(|r| to.apply_peer(r.status, r.last_heartbeat))
+            .count() as u64
+    }
+
+    #[test]
+    fn discovery_merges_own_and_synced_nodes() {
+        let (mut a, mut b) = (manager_with_nodes(0), manager_with_nodes(0));
+        a.register(status(0, home().offset_km(1.0, 0.0), 0.0), SimTime::ZERO);
+        b.register(status(1, home().offset_km(2.0, 0.0), 0.0), SimTime::ZERO);
+        take(&mut a, &b.own_summaries());
+        let got = a.discover(home(), &[], 3, SimTime::from_secs(1));
+        assert_eq!(got, vec![NodeId::new(0), NodeId::new(1)]);
+    }
+
+    #[test]
+    fn stale_summaries_die_by_the_same_deadline_rule() {
+        let (mut a, mut b) = (manager_with_nodes(0), manager_with_nodes(0));
+        b.register(status(1, home(), 0.0), SimTime::ZERO);
+        take(&mut a, &b.own_summaries());
+        // Alive exactly at the 6 s budget, dead past it — identical to
+        // the local registry's boundary.
+        assert_eq!(a.discover(home(), &[], 1, SimTime::from_secs(6)).len(), 1);
+        assert!(a.discover(home(), &[], 1, SimTime::from_secs(7)).is_empty());
+    }
+
+    /// A push is the whole own set, silent nodes included, each with the
+    /// time it was last heard: a departure needs no retraction, the
+    /// receiver ages the record out by the rule the home manager applies.
+    #[test]
+    fn a_push_carries_every_own_record_and_a_silent_one_ages_out_remotely() {
+        let (mut a, mut b) = (manager_with_nodes(0), manager_with_nodes(0));
+        b.register(status(1, home(), 0.0), SimTime::ZERO);
+        b.register(status(2, home().offset_km(1.0, 0.0), 0.0), SimTime::ZERO);
+        // Node 1 goes silent; node 2 keeps heartbeating.
+        let two = status(2, home().offset_km(1.0, 0.0), 0.1);
+        b.heartbeat(two, SimTime::from_secs(2));
+        let push = b.own_summaries();
+        let heard: Vec<(NodeId, SimTime)> = push
+            .iter()
+            .map(|r| (r.status.node, r.last_heartbeat))
+            .collect();
+        let expected = [
+            (NodeId::new(1), SimTime::ZERO),
+            (NodeId::new(2), SimTime::from_secs(2)),
+        ];
+        assert_eq!(heard, expected);
+        assert_eq!(b.counters().summaries_sent, 2);
+        assert_eq!(take(&mut a, &push), 2);
+        assert_eq!(a.counters().summaries_applied, 2);
+        let both = a.discover(home(), &[], 3, SimTime::from_secs(6));
+        assert_eq!(both, vec![NodeId::new(1), NodeId::new(2)]);
+        // Past node 1's deadline the same push, repeated, revives nothing.
+        take(&mut a, &push);
+        let got = a.discover(home(), &[], 3, SimTime::from_secs(7));
+        assert_eq!(got, vec![NodeId::new(2)]);
+    }
+
+    #[test]
+    fn own_registration_supersedes_a_peer_summary() {
+        let (mut a, mut b) = (manager_with_nodes(0), manager_with_nodes(0));
+        // Node 5 first appears via a peer summary with high load…
+        b.register(status(5, home(), 9.0), SimTime::ZERO);
+        take(&mut a, &b.own_summaries());
+        // …then re-homes onto `a` with a fresh, idle status.
+        a.register(status(5, home(), 0.0), SimTime::from_secs(1));
+        let ranked = a.ranked_candidates(home(), &[], 1, SimTime::from_secs(1));
+        assert!(ranked[0].score < 1.0, "authoritative status must win");
+    }
+
+    /// The owner's heartbeat is first-hand: a peer's word on an own
+    /// node changes nothing and counts as no applied summary.
+    #[test]
+    fn a_summary_of_an_own_node_is_refused_and_not_counted() {
+        let (mut a, mut b) = (manager_with_nodes(0), manager_with_nodes(0));
+        a.register(status(5, home(), 0.0), SimTime::ZERO);
+        b.register(status(5, home(), 9.0), SimTime::from_secs(1));
+        assert_eq!(take(&mut a, &b.own_summaries()), 0);
+        assert_eq!(a.counters().summaries_applied, 0);
+        let ranked = a.ranked_candidates(home(), &[], 1, SimTime::from_secs(1));
+        assert!(ranked[0].score < 1.0, "the own status stays");
+    }
+
+    #[test]
+    fn counters_track_registry_load() {
+        let mut a = manager_with_nodes(0);
+        a.register(status(0, home(), 0.0), SimTime::ZERO);
+        a.heartbeat(status(0, home(), 0.0), SimTime::from_secs(2));
+        a.heartbeat(status(0, home(), 0.0), SimTime::from_secs(4));
+        let _ = a.discover(home(), &[], 1, SimTime::from_secs(4));
+        let _ = a.serve_discovery();
+        a.note_sync_round();
+        let c = a.counters();
+        assert_eq!((c.registrations, c.heartbeats, c.registry_ops()), (1, 2, 3));
+        assert_eq!((c.discoveries, c.sync_rounds), (2, 1));
+    }
+
+    #[test]
+    fn prune_clears_both_views() {
+        let (mut a, mut b) = (manager_with_nodes(0), manager_with_nodes(0));
+        a.register(status(0, home(), 0.0), SimTime::ZERO);
+        b.register(status(1, home(), 0.0), SimTime::ZERO);
+        take(&mut a, &b.own_summaries());
+        let late = SimTime::from_secs(60);
+        let pruned = a.prune_dead(late, armada_types::SimDuration::from_secs(10));
+        assert_eq!(pruned.own, vec![NodeId::new(0)]);
+        assert_eq!(pruned.peers, vec![NodeId::new(1)]);
+        assert_eq!(a.alive_count(late), 0);
+        assert!(a.discover(home(), &[], 3, late).is_empty());
+        // The pruned own node is in no later push.
+        assert!(a.own_summaries().is_empty());
     }
 
     #[test]
@@ -382,13 +576,18 @@ mod tests {
         let a = mgr.published();
         let b = mgr.published();
         assert!(Arc::ptr_eq(&a, &b), "same epoch must reuse the snapshot");
-        mgr.heartbeat(status(0, home(), 0.3), SimTime::from_secs(1));
+        let now = SimTime::from_secs(1);
+        let before = a.discover(home(), &[], 5, now);
+        mgr.register(status(9, home(), 0.0), now);
         let c = mgr.published();
         assert!(!Arc::ptr_eq(&a, &c), "mutation must republish");
         assert!(c.epoch() > a.epoch());
-        // And discover() serves off the same memoised snapshot.
-        let got = mgr.discover(home(), &[], 2, SimTime::from_secs(1));
-        assert_eq!(got, c.discover(home(), &[], 2, SimTime::from_secs(1)));
+        // The held snapshot keeps answering for its own epoch…
+        assert_eq!(a.discover(home(), &[], 5, now), before);
+        assert_eq!(c.discover(home(), &[], 5, now).len(), 5);
+        // …and discover() serves off the same memoised snapshot.
+        let got = mgr.discover(home(), &[], 2, now);
+        assert_eq!(got, c.discover(home(), &[], 2, now));
     }
 
     #[test]

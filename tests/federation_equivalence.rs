@@ -56,7 +56,11 @@ fn federation_shards_the_registry_load() {
     let federated = run(EnvSpec::realworld(N_USERS).with_federation(FederationSpec::new(2)));
     let cluster = federated.world().managers();
 
-    let own_counts: Vec<usize> = cluster.shards().iter().map(|s| s.own_count()).collect();
+    let own_counts: Vec<usize> = cluster
+        .shards()
+        .iter()
+        .map(|s| s.registry().own_len())
+        .collect();
     assert_eq!(own_counts.iter().sum::<usize>(), 10, "all 10 nodes homed");
     assert!(
         own_counts.iter().all(|&c| c > 0),
@@ -98,10 +102,11 @@ fn home_shard_failure_re_routes_discovery_and_streaming_survives() {
 
     // The surviving shard served discoveries after the kill (periodic
     // re-probing lands there via the failover path).
-    let fallback = cluster
+    let (_, fallback) = cluster
         .shards()
         .iter()
-        .find(|s| s.id() != home)
+        .enumerate()
+        .find(|(id, _)| *id as u64 != home.as_u64())
         .expect("two shards");
     assert!(
         fallback.counters().discoveries > 0,

@@ -49,7 +49,7 @@
 //! same fleet and the same queries answered by
 //! `CentralManager::discover` and by a `LiveManager` over the wire must
 //! give the same ids in the same order, and the same peer summaries
-//! applied through `FederatedShard::apply_delta` and through a
+//! applied through `CentralManager::apply_peer` and through a
 //! `SyncSummaries` RPC must leave the same merged view and be narrated
 //! as the same `fed.sync`s. Both drive one `NodeRegistry` and one
 //! discovery — the nodes within `proximity_radius_km` (80 km, doubled
@@ -69,7 +69,7 @@ use std::time::{Duration, Instant};
 
 use armada::chaos::{ChaosProxy, FaultPlan, LinkFaults, PeerId};
 use armada::core::{EnvSpec, FederationSpec, NodeSpec, Scenario, Strategy, UserSpec};
-use armada::federation::{FederatedShard, NodeSummary, ShardId, SyncDelta};
+use armada::federation::ShardId;
 use armada::live::{
     Codec, LiveClient, LiveManager, LiveNode, NodeConfig, Request, Response, WireConfig,
     WireNodeStatus, WireSummary,
@@ -790,11 +790,11 @@ fn manager_shortlists_are_alike_in_sim_and_live() {
 
 /// The peer's word on `peers`, as of `now`: every fifth node's last
 /// heartbeat is a second older than the 6 s budget, the rest are half a
-/// second old. Given to the shard as a delta (narrated as the simulated
-/// tier narrates a push) and to the live manager as a `SyncSummaries`
-/// RPC, which must take the same `applied` of them.
+/// second old. Given to the manager record by record (narrated as the
+/// simulated tier narrates a push) and to the live manager as a
+/// `SyncSummaries` RPC, which must take the same `applied` of them.
 fn sync(
-    sim: &mut FederatedShard,
+    sim: &mut CentralManager,
     narrate: Narrator<'_>,
     conn: &mut ManagerConn,
     peers: &[NodeStatus],
@@ -805,18 +805,11 @@ fn sync(
         0 => SimDuration::from_secs(7),
         _ => SimDuration::from_millis(500),
     };
-    let taken = sim.apply_delta(&SyncDelta {
-        from: ShardId::new(0),
-        updated: peers
-            .iter()
-            .map(|status| NodeSummary {
-                status: *status,
-                home: ShardId::new(0),
-                last_heartbeat: now - age(status),
-            })
-            .collect(),
-    });
-    narrate.synced(sim.id(), ShardId::new(0), taken);
+    let taken = peers
+        .iter()
+        .filter(|status| sim.apply_peer(**status, now - age(status)))
+        .count() as u64;
+    narrate.synced(ShardId::new(1), ShardId::new(0), taken);
     assert_eq!(taken, applied);
     let summaries = peers
         .iter()
@@ -833,11 +826,7 @@ fn sync(
 #[test]
 fn merged_views_are_alike_in_sim_and_live() {
     let fleet = fleet();
-    let mut sim = FederatedShard::new(
-        ShardId::new(1),
-        SystemConfig::default(),
-        GlobalSelectionPolicy::default(),
-    );
+    let mut sim = CentralManager::new(SystemConfig::default(), GlobalSelectionPolicy::default());
     let (sim_tracer, sim_trace) = memory_tracer();
     let (live_tracer, live_trace) = memory_tracer();
     let (live, addr) = LiveManager::bind_federated(1, live_tracer).unwrap();
@@ -866,8 +855,8 @@ fn merged_views_are_alike_in_sim_and_live() {
     assert_eq!(synced(&live_trace), synced(&sim_trace));
 
     // 100 own + 150 synced, of which 30 arrived dead.
-    assert_eq!(sim.merged_alive_count(now), 220);
-    assert_eq!(live.alive_count(), sim.merged_alive_count(now));
+    assert_eq!(sim.alive_count(now), 220);
+    assert_eq!(live.alive_count(), sim.alive_count(now));
     assert_eq!(live.synced_count(), 120);
     assert_eq!(live.registered_count(), 250);
     for (q, at) in queries().into_iter().enumerate() {
