@@ -4,6 +4,7 @@ use armada_types::{ClientConfig, GeoPoint, NodeId, SelectorMode, SimDuration, Si
 use armada_workload::AimdController;
 
 use crate::control::ControlPlane;
+use crate::narrate::Narrator;
 use crate::predict::{PredictionSummary, PredictiveSelector, PredictorParams};
 use crate::probe::{rank_candidates, ProbeResult};
 
@@ -73,7 +74,7 @@ pub enum FailoverDecision {
 pub struct ClientStats {
     /// Individual probe requests sent (Fig. 9a).
     pub probes_sent: u64,
-    /// Completed probing rounds.
+    /// Probing rounds opened; the latest one's id.
     pub probe_rounds: u64,
     /// Voluntary node switches (better candidate found).
     pub switches: u64,
@@ -101,7 +102,8 @@ pub struct ClientStats {
 /// # Examples
 ///
 /// ```
-/// use armada_client::{ClientDecision, EdgeClient, ProbeResult};
+/// use armada_client::{ClientDecision, EdgeClient, Narrator, ProbeResult};
+/// use armada_trace::Tracer;
 /// use armada_types::{ClientConfig, GeoPoint, NodeId, SimDuration, SimTime, UserId};
 ///
 /// let mut client = EdgeClient::new(
@@ -109,21 +111,21 @@ pub struct ClientStats {
 ///     GeoPoint::new(44.98, -93.26),
 ///     ClientConfig::default(),
 /// );
-/// let results = vec![ProbeResult {
-///     node: NodeId::new(7),
+/// let (tracer, seven) = (Tracer::disabled(), NodeId::new(7));
+/// let trace = Narrator::at(&tracer, 0);
+/// let (round, probes) = client.start_probe_round(vec![seven], |_| true, trace).unwrap();
+/// assert_eq!((round, probes), (1, vec![seven]));
+/// let reply = ProbeResult {
+///     node: seven,
 ///     rtt: SimDuration::from_millis(12),
 ///     whatif_proc: SimDuration::from_millis(24),
 ///     current_proc: SimDuration::from_millis(24),
 ///     attached_users: 0,
 ///     seq_num: 3,
-/// }];
-/// match client.on_probe_round(results, SimTime::ZERO) {
-///     ClientDecision::AttemptJoin { target, seq } => {
-///         assert_eq!(target, NodeId::new(7));
-///         assert_eq!(seq, 3);
-///     }
-///     other => panic!("expected a join, got {other:?}"),
-/// }
+/// };
+/// assert!(client.on_probe_reply(round, reply), "the round's only probe answered");
+/// let decision = client.conclude_probe_round(round, SimTime::ZERO, trace);
+/// assert_eq!(decision, Some(ClientDecision::AttemptJoin { target: seven, seq: 3 }));
 /// ```
 #[derive(Debug, Clone)]
 pub struct EdgeClient {
@@ -148,6 +150,17 @@ pub struct EdgeClient {
     last_prediction: Option<PredictionSummary>,
     /// Manager route state, cached shortlist and retry schedule.
     pub(crate) control: ControlPlane,
+    /// The probing round in flight.
+    round: Option<OpenRound>,
+}
+
+/// A probing round in flight: its id, the probes sent, what came back.
+#[derive(Debug, Clone)]
+struct OpenRound {
+    id: u64,
+    expected: usize,
+    results: Vec<ProbeResult>,
+    failed: usize,
 }
 
 impl EdgeClient {
@@ -170,6 +183,7 @@ impl EdgeClient {
             selector,
             last_prediction: None,
             control: ControlPlane::default(),
+            round: None,
         }
     }
 
@@ -208,9 +222,80 @@ impl EdgeClient {
         self.stats
     }
 
-    /// Records that `count` probe requests were sent this round.
-    pub fn note_probes_sent(&mut self, count: usize) {
-        self.stats.probes_sent += count as u64;
+    /// Algorithm 2, lines 4–10: opens a round over `shortlist` and the
+    /// serving node — unless `is_up` vetoes it (the simulator's ground
+    /// truth; a live driver admits every node) — and writes
+    /// `probe.round.start`. Returns the round's id, counting from 1, and
+    /// the nodes to probe; `None` on an empty shortlist: no round, and
+    /// the driver backs off. An open round is superseded.
+    pub fn start_probe_round(
+        &mut self,
+        mut shortlist: Vec<NodeId>,
+        is_up: impl FnOnce(NodeId) -> bool,
+        trace: Narrator<'_>,
+    ) -> Option<(u64, Vec<NodeId>)> {
+        if shortlist.is_empty() {
+            return None;
+        }
+        // Re-probe the serving node as well, so stay-or-switch compares
+        // fresh measurements even when the shortlist has moved on.
+        shortlist.extend(self.current.filter(|c| !shortlist.contains(c) && is_up(*c)));
+        let (id, expected) = (self.stats.probe_rounds + 1, shortlist.len());
+        self.stats.probe_rounds = id;
+        self.stats.probes_sent += expected as u64;
+        trace.probe_round_start(self.id, id, expected);
+        self.round = Some(OpenRound {
+            id,
+            expected,
+            results: Vec::with_capacity(expected),
+            failed: 0,
+        });
+        Some((id, shortlist))
+    }
+
+    /// Records a reply in round `round` (or, `on_probe_lost`, a probe of
+    /// `node` unreachable, dead or silent, which predictive mode scores);
+    /// `true` once the round is complete. Other rounds' are dropped.
+    pub fn on_probe_reply(&mut self, round: u64, result: ProbeResult) -> bool {
+        self.tally(round, |open| open.results.push(result))
+    }
+
+    /// See [`EdgeClient::on_probe_reply`].
+    pub fn on_probe_lost(&mut self, round: u64, node: NodeId, now: SimTime) -> bool {
+        if self.open_probe_round() == Some(round) {
+            self.observe_failure(node, |p| p.probe_failure_weight, now);
+        }
+        self.tally(round, |open| open.failed += 1)
+    }
+
+    fn tally(&mut self, round: u64, record: impl FnOnce(&mut OpenRound)) -> bool {
+        let open = self.round.as_mut().filter(|open| open.id == round);
+        open.is_some_and(|open| {
+            record(open);
+            open.results.len() + open.failed >= open.expected
+        })
+    }
+
+    /// Algorithm 2, lines 11–20, over what round `round` collected:
+    /// rank, decide (see `decide`), write `probe.round.done` and
+    /// `sel.predict`; the driver carries the decision out. `None` once
+    /// the round is not open: concluded already, or superseded.
+    pub fn conclude_probe_round(
+        &mut self,
+        round: u64,
+        now: SimTime,
+        trace: Narrator<'_>,
+    ) -> Option<ClientDecision> {
+        let open = self.round.take_if(|open| open.id == round)?;
+        let (replies, failed) = (open.results.len(), open.failed);
+        let decision = self.decide(open.results, now);
+        trace.probe_round_done(self, round, replies, failed, &decision);
+        Some(decision)
+    }
+
+    /// The id of the round in flight, if one is.
+    pub fn open_probe_round(&self) -> Option<u64> {
+        self.round.as_ref().map(|open| open.id)
     }
 
     /// Algorithm 2, lines 11–20: rank this round's probe results, decide
@@ -221,8 +306,7 @@ impl EdgeClient {
     /// and a switch additionally requires the candidate to clear the
     /// hysteresis margin on the *predicted* overhead — so a dip the
     /// forecast says is transient does not trigger a migration.
-    pub fn on_probe_round(&mut self, results: Vec<ProbeResult>, now: SimTime) -> ClientDecision {
-        self.stats.probe_rounds += 1;
+    fn decide(&mut self, results: Vec<ProbeResult>, now: SimTime) -> ClientDecision {
         self.last_prediction = None;
         if let Some(sel) = self.selector.as_mut() {
             // Update the models first, then predict: the freshest sample
@@ -320,13 +404,6 @@ impl EdgeClient {
         }
     }
 
-    /// Records that the probe to `node` failed outright this round
-    /// (unreachable, dead, or timed out) — in predictive mode this feeds
-    /// the node's reliability score; in reactive mode it is a no-op.
-    pub fn on_probe_failure(&mut self, node: NodeId, now: SimTime) {
-        self.observe_failure(node, |p| p.probe_failure_weight, now);
-    }
-
     /// Records that `node` answered `Busy`: it is up but shedding load,
     /// a lighter reliability signal than a probe that never answered.
     /// Only a live node ever says so (the simulated one never sheds);
@@ -360,9 +437,14 @@ impl EdgeClient {
         self.selector.as_ref()
     }
 
-    /// Feeds the outcome of the `Join()` attempt issued after
-    /// [`EdgeClient::on_probe_round`].
-    pub fn on_join_result(&mut self, node: NodeId, accepted: bool, _now: SimTime) -> JoinFollowup {
+    /// Feeds the outcome of the `Join()` a round decided on, and writes
+    /// it: `client.join`, `client.switch` (`sel.switch`) or a rejection.
+    pub fn on_join_result(
+        &mut self,
+        node: NodeId,
+        accepted: bool,
+        trace: Narrator<'_>,
+    ) -> JoinFollowup {
         if self.pending_join != Some(node) {
             // A failover/detach raced with this reply: the attempt was
             // already abandoned.
@@ -371,6 +453,7 @@ impl EdgeClient {
         self.pending_join = None;
         if !accepted {
             self.stats.join_rejections += 1;
+            trace.join_rejected(self.id, node);
             return JoinFollowup::Rediscover;
         }
         let previous = self.current;
@@ -385,6 +468,7 @@ impl EdgeClient {
         // The backup list is exactly the unselected probed candidates
         // (`C[1:]`, size TopN − 1); the departed node is not retained.
         self.backups.retain(|&n| n != node);
+        trace.joined(self, node, previous);
         JoinFollowup::SwitchComplete { leave: previous }
     }
 
@@ -460,8 +544,9 @@ impl EdgeClient {
     }
 
     /// Feeds one end-to-end frame latency into the adaptive rate
-    /// controller and releases its in-flight slot.
-    pub fn on_frame_latency(&mut self, latency: SimDuration) {
+    /// controller, releases its in-flight slot and writes `frame.done`.
+    pub fn on_frame_latency(&mut self, latency: SimDuration, trace: Narrator<'_>) {
+        trace.frame_done(self.id, latency);
         self.stats.frames_acked += 1;
         self.outstanding = self.outstanding.saturating_sub(1);
         self.rate.on_latency(latency);
@@ -492,7 +577,25 @@ fn first_nonempty(v: &mut Vec<NodeId>) -> Option<NodeId> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use armada_trace::{inspect, MemorySink, Severity, Tracer};
+
     use super::*;
+
+    /// A round of `c`'s whose one probe, of node `id`, is lost at `now`.
+    fn lose(c: &mut EdgeClient, id: u64, now: SimTime) {
+        let (tracer, node) = (Tracer::disabled(), NodeId::new(id));
+        let trace = Narrator::at(&tracer, 0);
+        let (round, _) = c.start_probe_round(vec![node], |_| false, trace).unwrap();
+        assert!(c.on_probe_lost(round, node, now));
+        assert!(c.conclude_probe_round(round, now, trace).is_some());
+    }
+
+    /// The outcome of a `Join()` at `node`, told to `c` untraced.
+    fn join(c: &mut EdgeClient, node: NodeId, accepted: bool) -> JoinFollowup {
+        c.on_join_result(node, accepted, Narrator::at(&Tracer::disabled(), 0))
+    }
 
     fn probe(id: u64, rtt_ms: u64, proc_ms: u64, seq: u64) -> ProbeResult {
         ProbeResult {
@@ -516,7 +619,7 @@ mod tests {
     #[test]
     fn first_round_joins_best_candidate() {
         let mut c = client();
-        let decision = c.on_probe_round(
+        let decision = c.decide(
             vec![
                 probe(1, 30, 30, 0),
                 probe(2, 10, 24, 5),
@@ -532,7 +635,7 @@ mod tests {
             }
         );
         assert_eq!(c.backups(), &[NodeId::new(3), NodeId::new(1)]);
-        let followup = c.on_join_result(NodeId::new(2), true, SimTime::ZERO);
+        let followup = join(&mut c, NodeId::new(2), true);
         assert_eq!(followup, JoinFollowup::SwitchComplete { leave: None });
         assert_eq!(c.current_node(), Some(NodeId::new(2)));
     }
@@ -541,7 +644,7 @@ mod tests {
     fn staying_on_best_node_requires_no_action() {
         let mut c = client();
         c.force_attach(NodeId::new(2), vec![]);
-        let decision = c.on_probe_round(
+        let decision = c.decide(
             vec![probe(2, 10, 24, 7), probe(3, 20, 30, 0)],
             SimTime::ZERO,
         );
@@ -555,7 +658,7 @@ mod tests {
         let mut c = client();
         c.force_attach(NodeId::new(1), vec![]);
         // Node 2 is ~4% better: within the 10% hysteresis margin.
-        let decision = c.on_probe_round(
+        let decision = c.decide(
             vec![probe(1, 12, 40, 0), probe(2, 10, 40, 3)],
             SimTime::ZERO,
         );
@@ -567,7 +670,7 @@ mod tests {
     fn better_candidate_triggers_switch_and_leave() {
         let mut c = client();
         c.force_attach(NodeId::new(1), vec![]);
-        let decision = c.on_probe_round(
+        let decision = c.decide(
             vec![probe(1, 40, 40, 0), probe(2, 10, 24, 3)],
             SimTime::ZERO,
         );
@@ -578,7 +681,7 @@ mod tests {
                 seq: 3
             }
         );
-        let followup = c.on_join_result(NodeId::new(2), true, SimTime::ZERO);
+        let followup = join(&mut c, NodeId::new(2), true);
         assert_eq!(
             followup,
             JoinFollowup::SwitchComplete {
@@ -594,9 +697,9 @@ mod tests {
     #[test]
     fn rejected_join_forces_rediscovery() {
         let mut c = client();
-        let d = c.on_probe_round(vec![probe(1, 10, 24, 0)], SimTime::ZERO);
+        let d = c.decide(vec![probe(1, 10, 24, 0)], SimTime::ZERO);
         assert!(matches!(d, ClientDecision::AttemptJoin { .. }));
-        let followup = c.on_join_result(NodeId::new(1), false, SimTime::ZERO);
+        let followup = join(&mut c, NodeId::new(1), false);
         assert_eq!(followup, JoinFollowup::Rediscover);
         assert_eq!(c.current_node(), None);
         assert_eq!(c.stats().join_rejections, 1);
@@ -636,9 +739,9 @@ mod tests {
             GeoPoint::new(44.98, -93.26),
             ClientConfig::default().with_top_n(1),
         );
-        let d = c.on_probe_round(vec![probe(1, 10, 24, 0)], SimTime::ZERO);
+        let d = c.decide(vec![probe(1, 10, 24, 0)], SimTime::ZERO);
         assert!(matches!(d, ClientDecision::AttemptJoin { .. }));
-        c.on_join_result(NodeId::new(1), true, SimTime::ZERO);
+        join(&mut c, NodeId::new(1), true);
         assert!(c.backups().is_empty());
         let d = c.on_node_failure(SimTime::ZERO, |_| true);
         assert_eq!(
@@ -651,10 +754,7 @@ mod tests {
     #[test]
     fn empty_probe_round_rediscovers() {
         let mut c = client();
-        assert_eq!(
-            c.on_probe_round(vec![], SimTime::ZERO),
-            ClientDecision::Rediscover
-        );
+        assert_eq!(c.decide(vec![], SimTime::ZERO), ClientDecision::Rediscover);
     }
 
     #[test]
@@ -663,7 +763,10 @@ mod tests {
         assert_eq!(c.next_frame_seq(), 0);
         assert_eq!(c.next_frame_seq(), 1);
         assert_eq!(c.stats().frames_sent, 2);
-        c.on_frame_latency(SimDuration::from_millis(42));
+        c.on_frame_latency(
+            SimDuration::from_millis(42),
+            Narrator::at(&Tracer::disabled(), 0),
+        );
         assert_eq!(c.stats().frames_acked, 1);
     }
 
@@ -672,21 +775,24 @@ mod tests {
         let mut c = client();
         c.force_attach(NodeId::new(1), vec![]);
         for _ in 0..50 {
-            c.on_frame_latency(SimDuration::from_millis(400));
+            c.on_frame_latency(
+                SimDuration::from_millis(400),
+                Narrator::at(&Tracer::disabled(), 0),
+            );
         }
         assert!(c.rate().fps() < 20.0);
-        let _ = c.on_probe_round(vec![probe(2, 5, 20, 0)], SimTime::ZERO);
-        c.on_join_result(NodeId::new(2), true, SimTime::ZERO);
+        let _ = c.decide(vec![probe(2, 5, 20, 0)], SimTime::ZERO);
+        join(&mut c, NodeId::new(2), true);
         assert_eq!(c.rate().fps(), 20.0);
     }
 
     #[test]
     fn join_reply_after_detach_is_stale() {
         let mut c = client();
-        let _ = c.on_probe_round(vec![probe(1, 10, 24, 0)], SimTime::ZERO);
+        let _ = c.decide(vec![probe(1, 10, 24, 0)], SimTime::ZERO);
         // Node failure races ahead of the join reply.
         c.detach();
-        let followup = c.on_join_result(NodeId::new(1), true, SimTime::ZERO);
+        let followup = join(&mut c, NodeId::new(1), true);
         assert_eq!(followup, JoinFollowup::Stale);
         assert_eq!(c.current_node(), None, "stale accept must not attach");
     }
@@ -700,7 +806,10 @@ mod tests {
         }
         assert_eq!(c.outstanding(), 4);
         assert!(!c.can_send_frame(), "default window is 4 frames");
-        c.on_frame_latency(SimDuration::from_millis(50));
+        c.on_frame_latency(
+            SimDuration::from_millis(50),
+            Narrator::at(&Tracer::disabled(), 0),
+        );
         assert!(c.can_send_frame());
         assert_eq!(c.outstanding(), 3);
     }
@@ -713,8 +822,8 @@ mod tests {
             let _ = c.next_frame_seq();
         }
         assert!(!c.can_send_frame());
-        let _ = c.on_probe_round(vec![probe(2, 5, 20, 0)], SimTime::ZERO);
-        c.on_join_result(NodeId::new(2), true, SimTime::ZERO);
+        let _ = c.decide(vec![probe(2, 5, 20, 0)], SimTime::ZERO);
+        join(&mut c, NodeId::new(2), true);
         assert!(
             c.can_send_frame(),
             "in-flight frames to the old node are written off"
@@ -743,13 +852,13 @@ mod tests {
         };
         for i in 0..10u64 {
             let now = SimTime::from_secs(i * 10);
-            let dr = reactive.on_probe_round(round(), now);
-            let dp = predictive.on_probe_round(round(), now);
+            let dr = reactive.decide(round(), now);
+            let dp = predictive.decide(round(), now);
             assert_eq!(dr, dp, "round {i} diverged");
             assert_eq!(reactive.backups(), predictive.backups());
             if let ClientDecision::AttemptJoin { target, .. } = dr {
-                reactive.on_join_result(target, true, now);
-                predictive.on_join_result(target, true, now);
+                join(&mut reactive, target, true);
+                join(&mut predictive, target, true);
             }
         }
         let p = predictive.last_prediction().expect("summary recorded");
@@ -764,9 +873,9 @@ mod tests {
         // Long flat history: node 1 clearly best.
         for i in 0..10u64 {
             let now = SimTime::from_secs(i * 10);
-            let d = c.on_probe_round(vec![probe(1, 10, 24, 0), probe(2, 30, 30, 0)], now);
+            let d = c.decide(vec![probe(1, 10, 24, 0), probe(2, 30, 30, 0)], now);
             if let ClientDecision::AttemptJoin { target, .. } = d {
-                c.on_join_result(target, true, now);
+                join(&mut c, target, true);
             }
         }
         assert_eq!(c.current_node(), Some(NodeId::new(1)));
@@ -775,7 +884,7 @@ mod tests {
         // ahead — but not by the hysteresis margin, so the predictor
         // vetoes the switch.
         let now = SimTime::from_secs(100);
-        let d = c.on_probe_round(vec![probe(1, 90, 24, 0), probe(2, 30, 30, 0)], now);
+        let d = c.decide(vec![probe(1, 90, 24, 0), probe(2, 30, 30, 0)], now);
         assert_eq!(d, ClientDecision::Stay, "transient spike must not switch");
         assert!(c.last_prediction().expect("summary").vetoed);
         assert_eq!(c.stats().switches, 0);
@@ -786,9 +895,9 @@ mod tests {
         let mut c = predictive_client();
         let now = SimTime::from_secs(10);
         // Node 1 just dropped two probes; measurements are identical.
-        c.on_probe_failure(NodeId::new(1), SimTime::from_secs(9));
-        c.on_probe_failure(NodeId::new(1), now);
-        let d = c.on_probe_round(vec![probe(1, 10, 24, 0), probe(2, 10, 24, 7)], now);
+        lose(&mut c, 1, SimTime::from_secs(9));
+        lose(&mut c, 1, now);
+        let d = c.decide(vec![probe(1, 10, 24, 0), probe(2, 10, 24, 7)], now);
         assert_eq!(
             d,
             ClientDecision::AttemptJoin {
@@ -806,7 +915,7 @@ mod tests {
         let mut c = predictive_client();
         let now = SimTime::from_secs(10);
         c.on_busy(NodeId::new(1), now);
-        c.on_probe_failure(NodeId::new(2), now);
+        lose(&mut c, 2, now);
         let score =
             |c: &EdgeClient, id: u64, at: SimTime| c.selector().unwrap().score(NodeId::new(id), at);
         let (shed, silent) = (score(&c, 1, now), score(&c, 2, now));
@@ -816,7 +925,7 @@ mod tests {
             "shedding ({shed}) is a lighter signal than silence ({silent})"
         );
         // Equal measurements break away from the node that shed us.
-        let d = c.on_probe_round(vec![probe(1, 10, 24, 3), probe(3, 10, 24, 7)], now);
+        let d = c.decide(vec![probe(1, 10, 24, 3), probe(3, 10, 24, 7)], now);
         assert_eq!(
             d,
             ClientDecision::AttemptJoin {
@@ -835,7 +944,7 @@ mod tests {
         c.on_busy(NodeId::new(1), SimTime::ZERO);
         assert!(c.selector().is_none());
         // Node 1 still wins the id tie-break it would have won anyway.
-        let d = c.on_probe_round(
+        let d = c.decide(
             vec![probe(1, 10, 24, 3), probe(2, 10, 24, 7)],
             SimTime::ZERO,
         );
@@ -853,7 +962,7 @@ mod tests {
         let mut c = client();
         c.force_attach(NodeId::new(2), vec![NodeId::new(2), NodeId::new(3)]);
         assert!(!c.backups().contains(&NodeId::new(2)));
-        let _ = c.on_probe_round(
+        let _ = c.decide(
             vec![
                 probe(2, 10, 24, 0),
                 probe(3, 20, 30, 0),
@@ -862,5 +971,139 @@ mod tests {
             SimTime::ZERO,
         );
         assert!(!c.backups().contains(&NodeId::new(2)));
+    }
+
+    fn client_with(selector: SelectorMode) -> EdgeClient {
+        let config = ClientConfig::default().with_selector(selector);
+        EdgeClient::new(UserId::new(1), GeoPoint::new(44.98, -93.26), config)
+    }
+
+    fn tracer() -> (Tracer, Arc<Mutex<String>>) {
+        let sink = MemorySink::new();
+        let buffer = sink.buffer();
+        (Tracer::with_sink(Box::new(sink), Severity::Debug), buffer)
+    }
+
+    fn nodes(ids: &[u64]) -> Vec<NodeId> {
+        ids.iter().map(|&id| NodeId::new(id)).collect()
+    }
+
+    fn reply(id: u64) -> ProbeResult {
+        ProbeResult {
+            node: NodeId::new(id),
+            rtt: SimDuration::from_millis(10),
+            whatif_proc: SimDuration::from_millis(24),
+            current_proc: SimDuration::from_millis(24),
+            attached_users: 0,
+            seq_num: 0,
+        }
+    }
+
+    /// Each written event as `kind round`.
+    fn rounds(buffer: &Mutex<String>) -> Vec<String> {
+        let events = inspect::parse_jsonl(&buffer.lock().unwrap()).expect("trace parses");
+        let show = |e: &armada_trace::TraceEvent| format!("{} {:?}", e.kind, e.field_u64("round"));
+        events.iter().map(show).collect()
+    }
+
+    /// Regression: concluding a round must close it; marking it done in
+    /// place leaked one entry per user for the rest of a run.
+    #[test]
+    fn concluded_probe_rounds_are_pruned() {
+        let (tracer, buffer) = tracer();
+        let trace = Narrator::at(&tracer, 0);
+        let mut c = client_with(SelectorMode::Reactive);
+        let (round, probes) = c.start_probe_round(nodes(&[7]), |_| true, trace).unwrap();
+        assert_eq!((round, probes), (1, nodes(&[7])));
+        assert_eq!(c.open_probe_round(), Some(1));
+        assert!(c.on_probe_reply(round, reply(7)), "the only probe answered");
+        let decision = c.conclude_probe_round(round, SimTime::ZERO, trace);
+        assert!(matches!(decision, Some(ClientDecision::AttemptJoin { .. })));
+        assert_eq!(c.open_probe_round(), None, "a concluded round stays open");
+        assert_eq!(c.conclude_probe_round(round, SimTime::ZERO, trace), None);
+        assert_eq!(c.stats().probe_rounds, 1);
+        assert_eq!(
+            rounds(&buffer),
+            ["probe.round.start Some(1)", "probe.round.done Some(1)"]
+        );
+    }
+
+    /// Stragglers arriving after their round concluded (or timed out)
+    /// are dropped without reopening it or scoring the node.
+    #[test]
+    fn stragglers_after_conclusion_are_ignored() {
+        let tracer = Tracer::disabled();
+        let trace = Narrator::at(&tracer, 0);
+        let mut c = client_with(SelectorMode::Predictive);
+        let (round, _) = c
+            .start_probe_round(nodes(&[7, 8]), |_| true, trace)
+            .unwrap();
+        assert!(!c.on_probe_reply(round, reply(7)), "one of two answered");
+        // The second probe never resolves: the round concludes on its
+        // timeout.
+        assert!(c
+            .conclude_probe_round(round, SimTime::ZERO, trace)
+            .is_some());
+        assert!(!c.on_probe_lost(round, NodeId::new(8), SimTime::ZERO));
+        assert!(!c.on_probe_reply(round, reply(8)));
+        assert_eq!(c.open_probe_round(), None);
+        let score = c.selector().unwrap().score(NodeId::new(8), SimTime::ZERO);
+        assert_eq!(score, 1.0, "a straggling loss is no evidence");
+    }
+
+    #[test]
+    fn replies_to_a_superseded_round_are_ignored() {
+        let (tracer, buffer) = tracer();
+        let trace = Narrator::at(&tracer, 0);
+        let mut c = client_with(SelectorMode::Reactive);
+        let (old, _) = c.start_probe_round(nodes(&[7]), |_| true, trace).unwrap();
+        let (new, _) = c
+            .start_probe_round(nodes(&[7, 8]), |_| true, trace)
+            .unwrap();
+        assert_eq!((old, new), (1, 2));
+        assert!(!c.on_probe_reply(old, reply(7)), "round 1 is gone");
+        assert!(!c.on_probe_lost(old, NodeId::new(7), SimTime::ZERO));
+        assert_eq!(c.conclude_probe_round(old, SimTime::ZERO, trace), None);
+        assert!(!c.on_probe_reply(new, reply(8)));
+        assert!(c.on_probe_lost(new, NodeId::new(7), SimTime::ZERO));
+        assert!(c.conclude_probe_round(new, SimTime::ZERO, trace).is_some());
+        assert_eq!(c.stats().probes_sent, 3);
+        let done = inspect::parse_jsonl(&buffer.lock().unwrap()).unwrap();
+        let done = done.iter().find(|e| e.kind == "probe.round.done").unwrap();
+        assert_eq!(done.field_u64("round"), Some(2));
+        assert_eq!(done.field_u64("replies"), Some(1), "only round 2's reply");
+        assert_eq!(done.field_u64("failed"), Some(1));
+    }
+
+    #[test]
+    fn an_empty_shortlist_opens_no_round_counts_nothing_and_writes_nothing() {
+        let (tracer, buffer) = tracer();
+        let trace = Narrator::at(&tracer, 0);
+        let mut c = client_with(SelectorMode::Reactive);
+        c.force_attach(NodeId::new(3), Vec::new());
+        assert_eq!(c.start_probe_round(Vec::new(), |_| true, trace), None);
+        assert_eq!(c.open_probe_round(), None);
+        assert_eq!(c.stats().probes_sent, 0);
+        assert!(buffer.lock().unwrap().is_empty(), "nothing written");
+        // The next round is still the first.
+        let (round, _) = c.start_probe_round(nodes(&[7]), |_| true, trace).unwrap();
+        assert_eq!(round, 1);
+    }
+
+    #[test]
+    fn the_serving_node_is_probed_unless_vetoed() {
+        let tracer = Tracer::disabled();
+        let trace = Narrator::at(&tracer, 0);
+        let mut c = client_with(SelectorMode::Reactive);
+        c.force_attach(NodeId::new(3), Vec::new());
+        let (_, probes) = c.start_probe_round(nodes(&[7]), |_| false, trace).unwrap();
+        assert_eq!(probes, nodes(&[7]), "a node that is down is not probed");
+        let (_, probes) = c.start_probe_round(nodes(&[7]), |_| true, trace).unwrap();
+        assert_eq!(probes, nodes(&[7, 3]));
+        let (_, probes) = c
+            .start_probe_round(nodes(&[3, 7]), |_| true, trace)
+            .unwrap();
+        assert_eq!(probes, nodes(&[3, 7]), "listed once");
+        assert_eq!(c.stats().probes_sent, 5);
     }
 }

@@ -43,7 +43,7 @@ pub enum ManagerReply {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
     /// Probe this shortlist (empty when a healthy manager has nothing
-    /// to offer: only the serving node is left to re-probe).
+    /// to offer, which opens no round).
     Probe(Vec<NodeId>),
     /// That manager failed: ask the next in the route order — another
     /// shard may serve — after `pause` (zero unless it said `Busy`).

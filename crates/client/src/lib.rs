@@ -9,11 +9,13 @@
 //! * [`ProbeResult`] — one candidate's combined probing outcome, with its
 //!   local-view overhead `LO` and global overhead `GO`,
 //! * [`rank_candidates`] — the `SortLocalSelectionPolicy()` step,
-//! * [`EdgeClient`] — the per-user state machine: current node, backup
-//!   list, adaptive frame rate, failover decisions, and the control
-//!   plane: the manager route walk under a [`CircuitBreaker`] per rank,
-//!   degraded mode's cached shortlist, the retry schedule,
-//! * [`Narrator`] — the client-side trace events, written once.
+//! * [`EdgeClient`] — the per-user state machine: the probing round
+//!   (`start_probe_round → replies / losses → conclude_probe_round`),
+//!   current node, backup list, adaptive frame rate, failover decisions,
+//!   and the control plane: the manager route walk under a
+//!   [`CircuitBreaker`] per rank, degraded mode's cached shortlist, the
+//!   retry schedule; drivers only carry its messages,
+//! * [`Narrator`] — the client-side trace events, written once, by the core.
 //!
 //! # Examples
 //!
@@ -55,4 +57,4 @@ pub use narrate::Narrator;
 pub use predict::{
     PredictionSummary, PredictiveSelector, PredictorParams, ReliabilityScore, RttForecast,
 };
-pub use probe::{rank_candidates, ProbeResult};
+pub use probe::{rank_candidates, ProbeResult, PROBE_TIMEOUT};

@@ -1,6 +1,7 @@
-//! The client's side of the trace, written once: the simulator and the
-//! live runtime call these with their own tracer and timestamp, so the
-//! two traces of one scenario agree field for field.
+//! The client's side of the trace, written once, by the core, on the
+//! clock of the driver handing it a [`Narrator`]: the two traces of one
+//! scenario agree field for field. A driver writes only `client.failure`,
+//! `client.failover` and `client.assign`.
 
 use armada_trace::{s, u, Severity, Tracer};
 use armada_types::{NodeId, SimDuration, UserId};
@@ -31,7 +32,7 @@ impl<'a> Narrator<'a> {
     }
 
     /// `probe.round.start`: `candidates` probes leave for round `round`.
-    pub fn probe_round_start(&self, user: UserId, round: u64, candidates: usize) {
+    pub(crate) fn probe_round_start(&self, user: UserId, round: u64, candidates: usize) {
         event!(self, Debug, "probe.round.start",
             "user" => u(user.as_u64()), "round" => u(round),
             "candidates" => u(candidates as u64));
@@ -39,7 +40,7 @@ impl<'a> Narrator<'a> {
 
     /// `probe.round.done` for the round `client` just ranked, and the
     /// predictor's `sel.predict` when it runs one.
-    pub fn probe_round_done(
+    pub(crate) fn probe_round_done(
         &self,
         client: &EdgeClient,
         round: u64,
@@ -65,7 +66,7 @@ impl<'a> Narrator<'a> {
     /// `client.switch` when `left` served before — mirrored as `sel.switch`
     /// under the predictive selector, so its migrations can be counted
     /// without knowing the strategy in effect.
-    pub fn joined(&self, client: &EdgeClient, node: NodeId, left: Option<NodeId>) {
+    pub(crate) fn joined(&self, client: &EdgeClient, node: NodeId, left: Option<NodeId>) {
         let (user, to) = (client.id().as_u64(), node.as_u64());
         let Some(from) = left.map(NodeId::as_u64) else {
             event!(self, Info, "client.join", "user" => u(user), "node" => u(to));
@@ -80,7 +81,7 @@ impl<'a> Narrator<'a> {
     /// `client.join.rejected`: the join at `node` did not happen —
     /// refused, shed, or lost with its reply — and the client
     /// rediscovers.
-    pub fn join_rejected(&self, user: UserId, node: NodeId) {
+    pub(crate) fn join_rejected(&self, user: UserId, node: NodeId) {
         event!(self, Debug, "client.join.rejected",
             "user" => u(user.as_u64()), "node" => u(node.as_u64()));
     }
@@ -110,7 +111,7 @@ impl<'a> Narrator<'a> {
     }
 
     /// `frame.done`: one frame's end-to-end latency.
-    pub fn frame_done(&self, user: UserId, latency: SimDuration) {
+    pub(crate) fn frame_done(&self, user: UserId, latency: SimDuration) {
         event!(self, Debug, "frame.done",
             "user" => u(user.as_u64()), "latency_us" => u(latency.as_micros()));
     }

@@ -2,6 +2,10 @@
 
 use armada_types::{LocalSelectionPolicy, NodeId, QosRequirement, SimDuration};
 
+/// A probing round is concluded this long after it started, with what
+/// answered by then (dead candidates fail fast, so this rarely fires).
+pub const PROBE_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
+
 /// The combined outcome of probing one edge candidate:
 /// `RTT_probe()` + `Process_probe()`.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -10,7 +10,8 @@
 use std::collections::HashSet;
 
 use armada_client::{
-    ClientDecision, FailoverDecision, JoinFollowup, ManagerReply, Narrator, ProbeResult, Verdict,
+    ClientDecision, EdgeClient, FailoverDecision, JoinFollowup, ManagerReply, Narrator,
+    ProbeResult, Verdict, PROBE_TIMEOUT,
 };
 use armada_net::{Addr, Delivery};
 use armada_node::{NodeAction, ProbeReply};
@@ -20,13 +21,10 @@ use armada_types::{NodeClass, NodeId, SimDuration, UserId};
 use armada_workload::{Frame, FrameResponse, FRAME_SIZE};
 
 use crate::strategy::Strategy;
-use crate::world::{PendingProbe, World};
+use crate::world::World;
 
 type Ctx<'a> = Context<'a, World>;
 
-/// A probing round concludes after this long even if replies are
-/// missing (dead candidates fail fast, so this rarely fires).
-const PROBE_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
 /// Backoff before repeating discovery after a rejected join or an empty
 /// candidate list.
 const REDISCOVER_BACKOFF: SimDuration = SimDuration::from_millis(300);
@@ -182,36 +180,19 @@ fn route_exhausted(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
 }
 
 /// The probe fan-out over a discovery shortlist (Algorithm 2, lines
-/// 4–10).
-fn probe_candidates(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, mut candidates: Vec<NodeId>) {
-    if candidates.is_empty() {
+/// 4–10): the core opens the round, this carries its probes.
+fn probe_candidates(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, shortlist: Vec<NodeId>) {
+    let serving = w.clients.get(&user).and_then(EdgeClient::current_node);
+    let serving_up = serving.is_some_and(|node| w.node_is_up(node));
+    let trace = narrator(&w.tracer, ctx);
+    let client = w.clients.get_mut(&user);
+    let opened = client.and_then(|c| c.start_probe_round(shortlist, |_| serving_up, trace));
+    let Some((round, candidates)) = opened else {
         ctx.schedule_in(REDISCOVER_BACKOFF, move |w, ctx| {
             start_probe_round(w, ctx, user)
         });
         return;
-    }
-    // Always re-probe the currently serving node as well, so the
-    // stay-or-switch comparison is made on fresh measurements even
-    // when the manager's shortlist has moved on.
-    if let Some(current) = w.clients.get(&user).and_then(|c| c.current_node()) {
-        if !candidates.contains(&current) && w.node_is_up(current) {
-            candidates.push(current);
-        }
-    }
-    if let Some(client) = w.clients.get_mut(&user) {
-        client.note_probes_sent(candidates.len());
-    }
-    let round = w.fresh_round();
-    narrator(&w.tracer, ctx).probe_round_start(user, round, candidates.len());
-    w.pending_probes.insert(
-        user,
-        PendingProbe {
-            round,
-            expected: candidates.len(),
-            results: Vec::new(),
-            failed: 0,
-        },
-    );
+    };
     for node in candidates {
         send_probe(w, ctx, user, node, round);
     }
@@ -276,69 +257,39 @@ fn probe_reply(
     reply: ProbeReply,
     rtt: SimDuration,
 ) {
-    let Some(p) = w.pending_probes.get_mut(&user) else {
-        return;
-    };
-    if p.round != round {
-        return; // stale reply from a concluded (and pruned) round
-    }
-    p.results.push(ProbeResult {
+    let result = ProbeResult {
         node: reply.node,
         rtt,
         whatif_proc: reply.whatif_proc,
         current_proc: reply.current_proc,
         attached_users: reply.attached_users,
         seq_num: reply.seq_num,
-    });
-    if p.is_complete() {
+    };
+    let client = w.clients.get_mut(&user);
+    if client.is_some_and(|c| c.on_probe_reply(round, result)) {
         conclude_probe_round(w, ctx, user, round);
     }
 }
 
 fn probe_failed(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, node: NodeId, round: u64) {
-    let Some(p) = w.pending_probes.get_mut(&user) else {
-        return;
-    };
-    if p.round != round {
-        return;
-    }
-    p.failed += 1;
-    let now = ctx.now();
-    if let Some(client) = w.clients.get_mut(&user) {
-        // Predictive selector only; a no-op for the reactive baseline.
-        client.on_probe_failure(node, now);
-    }
-    if p.is_complete() {
+    let (client, now) = (w.clients.get_mut(&user), ctx.now());
+    if client.is_some_and(|c| c.on_probe_lost(round, node, now)) {
         conclude_probe_round(w, ctx, user, round);
     }
 }
 
-/// Algorithm 2, lines 11–20: rank, decide, switch.
+/// Algorithm 2, lines 11–20: the core ranks and decides, this carries
+/// the decision out. A round concluded already, or superseded, is done.
 fn conclude_probe_round(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, round: u64) {
-    match w.pending_probes.get(&user) {
-        Some(p) if p.round == round => {}
-        _ => return, // already concluded (pruned) or superseded by a newer round
-    }
-    // Remove, don't mark: a concluded round's bookkeeping must not
-    // outlive the round, or each round leaks one entry forever. Late
-    // stragglers are rejected by the entry's absence (or, once the next
-    // round starts, its round mismatch).
-    let pending = w.pending_probes.remove(&user).expect("checked above");
-    let (replies, failed) = (pending.results.len(), pending.failed);
-    let results = pending.results;
-    let now = ctx.now();
-    let Some(client) = w.clients.get_mut(&user) else {
+    let trace = narrator(&w.tracer, ctx);
+    let client = w.clients.get_mut(&user);
+    let Some(decision) = client.and_then(|c| c.conclude_probe_round(round, ctx.now(), trace))
+    else {
         return;
     };
-    let decision = client.on_probe_round(results, now);
-    narrator(&w.tracer, ctx).probe_round_done(client, round, replies, failed, &decision);
     match decision {
-        ClientDecision::Stay => {
-            ensure_streaming(w, ctx, user);
-        }
-        ClientDecision::AttemptJoin { target, seq } => {
-            attempt_join(w, ctx, user, target, seq);
-        }
+        ClientDecision::Stay => ensure_streaming(w, ctx, user),
+        ClientDecision::AttemptJoin { target, seq } => attempt_join(w, ctx, user, target, seq),
         ClientDecision::Rediscover => {
             ctx.schedule_in(REDISCOVER_BACKOFF, move |w, ctx| {
                 start_probe_round(w, ctx, user)
@@ -404,13 +355,12 @@ fn attempt_join(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, target: NodeId, 
 }
 
 fn join_reply(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, target: NodeId, accepted: bool) {
-    let now = ctx.now();
+    let trace = narrator(&w.tracer, ctx);
     let Some(client) = w.clients.get_mut(&user) else {
         return;
     };
-    match client.on_join_result(target, accepted, now) {
+    match client.on_join_result(target, accepted, trace) {
         JoinFollowup::SwitchComplete { leave } => {
-            narrator(&w.tracer, ctx).joined(client, target, leave);
             if let Some(previous) = leave {
                 send_leave(w, ctx, user, previous);
             }
@@ -418,7 +368,6 @@ fn join_reply(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, target: NodeId, ac
             ensure_periodic_probing(w, ctx, user);
         }
         JoinFollowup::Rediscover => {
-            narrator(&w.tracer, ctx).join_rejected(user, target);
             // Algorithm 2, line 14: repeat from the edge-discovery step.
             ctx.schedule_in(REDISCOVER_BACKOFF, move |w, ctx| {
                 start_probe_round(w, ctx, user)
@@ -580,9 +529,8 @@ fn receive_response(w: &mut World, ctx: &mut Ctx<'_>, response: FrameResponse) {
     let now = ctx.now();
     let latency = now.saturating_since(response.created_at);
     if let Some(client) = w.clients.get_mut(&response.user) {
-        client.on_frame_latency(latency);
+        client.on_frame_latency(latency, narrator(&w.tracer, ctx));
     }
-    narrator(&w.tracer, ctx).frame_done(response.user, latency);
     w.recorder.record(response.user, now, latency);
 }
 
@@ -958,10 +906,8 @@ mod tests {
             strategy,
             client_config,
             system,
-            pending_probes: HashMap::new(),
             streaming: HashSet::new(),
             periodic_started: HashSet::new(),
-            next_round: 0,
             dead_nodes: HashSet::new(),
             end_time: SimTime::from_secs(60),
             failure_events: Vec::new(),
@@ -970,8 +916,8 @@ mod tests {
         }
     }
 
-    fn good_probe_result() -> armada_client::ProbeResult {
-        armada_client::ProbeResult {
+    fn good_probe_result() -> ProbeResult {
+        ProbeResult {
             node: NODE,
             rtt: ONE_WAY * 2,
             whatif_proc: SimDuration::from_millis(30),
@@ -979,6 +925,20 @@ mod tests {
             attached_users: 0,
             seq_num: 0,
         }
+    }
+
+    /// A round of `USER`'s over `NODE` alone that `reply` answers, and
+    /// the decision the core concludes it with.
+    fn lone_round(w: &mut World, ctx: &Ctx<'_>, reply: ProbeResult) -> ClientDecision {
+        let trace = narrator(&w.tracer, ctx);
+        let client = w.clients.get_mut(&USER).unwrap();
+        let (round, _) = client
+            .start_probe_round(vec![NODE], |_| true, trace)
+            .unwrap();
+        assert!(client.on_probe_reply(round, reply), "one probe, one reply");
+        client
+            .conclude_probe_round(round, ctx.now(), trace)
+            .unwrap()
     }
 
     /// Regression: a node dying between the `Join()` request and its
@@ -990,12 +950,7 @@ mod tests {
     fn lost_join_reply_costs_a_transport_timeout() {
         let mut sim = Simulation::new(tiny_world(), 1);
         sim.schedule_at(SimTime::ZERO, |w: &mut World, ctx| {
-            let decision = w
-                .clients
-                .get_mut(&USER)
-                .unwrap()
-                .on_probe_round(vec![good_probe_result()], ctx.now());
-            match decision {
+            match lone_round(w, ctx, good_probe_result()) {
                 ClientDecision::AttemptJoin { target, seq } => {
                     attempt_join(w, ctx, USER, target, seq);
                 }
@@ -1036,12 +991,11 @@ mod tests {
         world.tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
         let mut sim = Simulation::new(world, 4);
         sim.schedule_at(SimTime::ZERO, |w: &mut World, ctx| {
-            let stale = armada_client::ProbeResult {
+            let stale = ProbeResult {
                 seq_num: 5,
                 ..good_probe_result()
             };
-            let client = w.clients.get_mut(&USER).unwrap();
-            match client.on_probe_round(vec![stale], ctx.now()) {
+            match lone_round(w, ctx, stale) {
                 ClientDecision::AttemptJoin { target, seq } => {
                     attempt_join(w, ctx, USER, target, seq);
                 }
@@ -1069,68 +1023,6 @@ mod tests {
                 "20000 client.join.rejected user=0 node=0",
             ]
         );
-    }
-
-    /// Regression: concluding a probe round must prune its bookkeeping
-    /// entry; marking it finished in place leaks one entry per user for
-    /// the rest of the run.
-    #[test]
-    fn concluded_probe_rounds_are_pruned() {
-        let mut sim = Simulation::new(tiny_world(), 2);
-        sim.schedule_at(SimTime::ZERO, |w: &mut World, ctx| {
-            let round = w.fresh_round();
-            w.pending_probes.insert(
-                USER,
-                PendingProbe {
-                    round,
-                    expected: 1,
-                    results: Vec::new(),
-                    failed: 0,
-                },
-            );
-            let reply = ProbeReply {
-                node: NODE,
-                whatif_proc: SimDuration::from_millis(30),
-                current_proc: SimDuration::from_millis(30),
-                attached_users: 0,
-                seq_num: 0,
-            };
-            probe_reply(w, ctx, USER, round, reply, ONE_WAY * 2);
-        });
-        sim.run_until(SimTime::from_millis(500));
-        assert_eq!(
-            sim.world().open_probe_rounds(),
-            0,
-            "a concluded round left its PendingProbe entry behind"
-        );
-    }
-
-    /// Stragglers arriving after their round concluded (or timed out)
-    /// are dropped without resurrecting any state.
-    #[test]
-    fn stragglers_after_conclusion_are_ignored() {
-        let mut sim = Simulation::new(tiny_world(), 3);
-        sim.schedule_at(SimTime::ZERO, |w: &mut World, ctx| {
-            let round = w.fresh_round();
-            w.pending_probes.insert(
-                USER,
-                PendingProbe {
-                    round,
-                    expected: 2,
-                    results: Vec::new(),
-                    failed: 0,
-                },
-            );
-            // Only one of two probes ever resolves: the round concludes
-            // via the timeout path.
-            conclude_probe_round(w, ctx, USER, round);
-            assert_eq!(w.open_probe_rounds(), 0);
-            // The second probe fails late — a stale straggler.
-            probe_failed(w, ctx, USER, NODE, round);
-            assert_eq!(w.open_probe_rounds(), 0);
-        });
-        sim.run_until(SimTime::from_millis(500));
-        assert_eq!(sim.world().open_probe_rounds(), 0);
     }
 
     /// The baseline rules of paper §V-B on `tiny_world`'s user: its node

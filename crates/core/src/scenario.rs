@@ -193,10 +193,8 @@ impl Scenario {
             strategy,
             client_config,
             system: env.system,
-            pending_probes: HashMap::new(),
             streaming: HashSet::new(),
             periodic_started: HashSet::new(),
-            next_round: 0,
             dead_nodes: HashSet::new(),
             end_time: SimTime::ZERO + duration,
             failure_events: Vec::new(),

@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use armada_client::{EdgeClient, ProbeResult};
+use armada_client::EdgeClient;
 use armada_federation::FederatedCluster;
 use armada_metrics::LatencyRecorder;
 use armada_net::Network;
@@ -11,25 +11,6 @@ use armada_trace::Tracer;
 use armada_types::{ClientConfig, NodeId, SimDuration, SimTime, SystemConfig, UserId};
 
 use crate::strategy::Strategy;
-
-/// An in-flight probing round for one user.
-#[derive(Debug)]
-pub(crate) struct PendingProbe {
-    /// Monotone round identifier (stale replies are dropped).
-    pub round: u64,
-    /// Probes sent this round.
-    pub expected: usize,
-    /// Replies received so far.
-    pub results: Vec<ProbeResult>,
-    /// Probes known to have failed (dead candidate).
-    pub failed: usize,
-}
-
-impl PendingProbe {
-    pub(crate) fn is_complete(&self) -> bool {
-        self.results.len() + self.failed >= self.expected
-    }
-}
 
 /// Everything the scenario events read and mutate.
 ///
@@ -50,10 +31,8 @@ pub struct World {
     pub(crate) strategy: Strategy,
     pub(crate) client_config: ClientConfig,
     pub(crate) system: SystemConfig,
-    pub(crate) pending_probes: HashMap<UserId, PendingProbe>,
     pub(crate) streaming: HashSet<UserId>,
     pub(crate) periodic_started: HashSet<UserId>,
-    pub(crate) next_round: u64,
     /// Nodes that have left for good (churn departures); wake-ups and
     /// actions for them are dropped.
     pub(crate) dead_nodes: HashSet<NodeId>,
@@ -148,12 +127,13 @@ impl World {
         &self.failure_events
     }
 
-    /// Number of probe rounds still awaiting conclusion. Concluded
-    /// rounds are pruned, so at quiesce (no probe round in flight) this
-    /// is zero — the invariant that a round's bookkeeping does not
-    /// outlive the round.
+    /// Number of clients with a probe round awaiting conclusion. A
+    /// concluded round is closed, so at quiesce (no probe round in
+    /// flight) this is zero — the invariant that a round's bookkeeping
+    /// does not outlive the round.
     pub fn open_probe_rounds(&self) -> usize {
-        self.pending_probes.len()
+        let clients = self.clients.values();
+        clients.filter_map(EdgeClient::open_probe_round).count()
     }
 
     /// The tracer events of this run are emitted through.
@@ -181,11 +161,6 @@ impl World {
     /// `true` while the node is present and reachable.
     pub(crate) fn node_is_up(&self, id: NodeId) -> bool {
         !self.dead_nodes.contains(&id) && self.net.is_up(armada_net::Addr::Node(id))
-    }
-
-    pub(crate) fn fresh_round(&mut self) -> u64 {
-        self.next_round += 1;
-        self.next_round
     }
 }
 

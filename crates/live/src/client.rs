@@ -1,12 +1,14 @@
 //! The live client: a blocking-socket driver around one [`EdgeClient`],
 //! the Algorithm 2 core the simulator drives in virtual time. The core
-//! ranks, decides stay-or-switch, keeps and walks the warm backups and
-//! paces frames, walks the manager route under its breakers, remembers
-//! the shortlist degraded mode runs on and names the retry times; this
-//! file owns I/O only — sockets and timeouts, sleeping, the id →
-//! listen-address book — and the probe fan-out, the one step with
-//! anything to overlap, is `crate::probe`'s readiness state machine run
-//! on the calling thread. Every other exchange is a plain blocking call.
+//! opens, counts and concludes each probing round, ranks, decides
+//! stay-or-switch, keeps and walks the warm backups and paces frames,
+//! walks the manager route under its breakers, remembers the shortlist
+//! degraded mode runs on, names the retry times and writes its own
+//! events; this file owns I/O only — sockets and timeouts, sleeping,
+//! the id → listen-address book — and the probe fan-out, the one step
+//! with anything to overlap, is `crate::probe`'s readiness state
+//! machine run on the calling thread. Every other exchange is a plain
+//! blocking call.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
@@ -15,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use armada_client::{
     ClientDecision, EdgeClient, FailoverDecision, JoinFollowup, ManagerReply, Narrator,
-    ProbeResult, Verdict, RETRY_BACKOFF,
+    ProbeResult, Verdict, PROBE_TIMEOUT, RETRY_BACKOFF,
 };
 use armada_reactor::Poller;
 use armada_trace::Tracer;
@@ -29,7 +31,7 @@ use crate::probe::{self, Terms};
 /// dead peer. Applied both as the connect timeout and as the socket
 /// read timeout on every connection — a plain `TcpStream::connect` to
 /// an unroutable address can block far longer than any RPC budget.
-const RPC_TIMEOUT: Duration = Duration::from_secs(5);
+pub(crate) const RPC_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Connect/read budget for a mid-session discovery. Kept far below
 /// [`RPC_TIMEOUT`] so a black-holed manager cannot stall the frame
@@ -244,8 +246,7 @@ impl LiveClient {
                     let elapsed = started.elapsed();
                     latencies.push(elapsed);
                     let latency = SimDuration::from_micros(elapsed.as_micros() as u64);
-                    self.narrator().frame_done(core.id(), latency);
-                    core.on_frame_latency(latency);
+                    core.on_frame_latency(latency, self.narrator());
                     std::thread::sleep(Duration::from_micros(core.frame_interval().as_micros()));
                 }
                 other => {
@@ -274,9 +275,10 @@ impl LiveClient {
     }
 
     /// One pass of Algorithm 2, the same for a session's first round
-    /// and every `T_probing` round: discover, probe the shortlist plus
-    /// the serving node, let the core decide, carry the decision out,
-    /// close what fell out of `current ∪ backups`. Returns the probes.
+    /// and every `T_probing` round: discover, carry the probes of the
+    /// round the core opens (none on an empty shortlist), carry out its
+    /// decision, close what fell out of `current ∪ backups`. Returns the
+    /// probes.
     fn select(
         &self,
         shared: &mut Shared,
@@ -289,7 +291,7 @@ impl LiveClient {
         // notices a manager partition and its recovery while frames
         // keep flowing to already connected nodes.
         // (Mid-session the next `T_probing` round is the core's retry.)
-        let mut shortlist = self.discover(shared, managers, timeout).or_else(|e| {
+        let shortlist = self.discover(shared, managers, timeout).or_else(|e| {
             let cached = shared.core.cached_shortlist();
             cached.map(<[NodeId]>::to_vec).ok_or(e)
         })?;
@@ -299,33 +301,44 @@ impl LiveClient {
             poller,
             frame,
         } = shared;
+        // (The serving node is re-probed over its open connection.)
+        let Some((round, nodes)) = core.start_probe_round(shortlist, |_| true, self.narrator())
+        else {
+            return Ok(Vec::new());
+        };
         let poller = match poller {
             Some(poller) => &mut **poller,
             none => &mut **none.insert(armada_reactor::default_poller()?),
         };
-        // Always re-probe the serving node too (over its open
-        // connection), so stay-or-switch compares fresh measurements
-        // even when the manager's shortlist has moved on.
-        if let Some(current) = core.current_node() {
-            if !shortlist.contains(&current) {
-                shortlist.push(current);
-            }
-        }
         let dial = |node: &NodeId| {
             let id = node.as_u64();
             (id, addresses.get(&id).cloned().unwrap_or_default())
         };
-        let candidates: Vec<(u64, String)> = shortlist.iter().map(dial).collect();
-        let round = core.stats().probe_rounds;
-        self.narrator()
-            .probe_round_start(core.id(), round, candidates.len());
-        core.note_probes_sent(candidates.len());
-        let results = self.probe_round(poller, core, connections, &candidates, RPC_TIMEOUT);
-        let decision = core.on_probe_round(results.clone(), self.now_sim());
-        let failed = candidates.len() - results.len();
-        self.narrator()
-            .probe_round_done(core, round, results.len(), failed, &decision);
-        self.apply(core, frame, connections, decision);
+        let candidates: Vec<(u64, String)> = nodes.iter().map(dial).collect();
+        let timeout = Duration::from_micros(PROBE_TIMEOUT.as_micros());
+        let results = self.probe_round(poller, core, connections, round, &candidates, timeout);
+        // A join is the synchronised `Join` RPC. A re-discovery needs no
+        // action: while a node serves, the next `T_probing` round is the
+        // repeat; with none, [`serving_node`] fails the attempt.
+        let decision = core.conclude_probe_round(round, self.now_sim(), self.narrator());
+        if let Some(ClientDecision::AttemptJoin { target, seq }) = decision {
+            let join = Request::Join { user: self.id, seq };
+            let reply = self.exchange(frame, connections, target.as_u64(), &join);
+            if matches!(reply, Ok(Response::Busy { .. })) {
+                core.on_busy(target, self.now_sim());
+            }
+            // Shed, dead mid-join or out of sequence: the join did not
+            // happen, and only the first says anything about the node.
+            let accepted = matches!(reply, Ok(Response::JoinResult { accepted: true }));
+            // (No stale replies: a blocking driver abandons no join.)
+            if let JoinFollowup::SwitchComplete {
+                leave: Some(previous),
+            } = core.on_join_result(target, accepted, self.narrator())
+            {
+                let leave = Request::Leave { user: self.id };
+                let _ = self.exchange(frame, connections, previous.as_u64(), &leave);
+            }
+        }
         // Neither serving nor a backup: closed, so open sockets ≤ TopN.
         connections.retain(|&id, _| {
             let node = NodeId::new(id);
@@ -350,15 +363,16 @@ impl LiveClient {
         }
     }
 
-    /// The probe fan-out: every probe in flight at once, on this thread
-    /// (`crate::probe`). A candidate that answers keeps its connection;
-    /// a silent one has lost it and is reported to the core — the live
-    /// analogue of a heartbeat gap, it counts against the node's score.
+    /// The probe fan-out of the core's open round `round`: every probe
+    /// in flight at once, on this thread (`crate::probe`). A candidate
+    /// that answers keeps its connection; a silent one has lost it and
+    /// is reported lost — the live analogue of a heartbeat gap.
     fn probe_round(
         &self,
         poller: &mut dyn Poller,
         core: &mut EdgeClient,
         connections: &mut Connections,
+        round: u64,
         candidates: &[(u64, String)],
         timeout: Duration,
     ) -> Vec<ProbeResult> {
@@ -369,52 +383,14 @@ impl LiveClient {
         };
         let outcomes = probe::run(poller, terms, connections, candidates);
         let now = self.now_sim();
-        let mut results = Vec::with_capacity(candidates.len());
-        for ((id, _), outcome) in candidates.iter().zip(outcomes) {
+        // (Completion is this loop's end: every outcome is in.)
+        for ((id, _), outcome) in candidates.iter().zip(&outcomes) {
             match outcome {
-                Some(result) => results.push(result),
-                None => core.on_probe_failure(NodeId::new(*id), now),
-            }
+                Some(result) => core.on_probe_reply(round, *result),
+                None => core.on_probe_lost(round, NodeId::new(*id), now),
+            };
         }
-        results
-    }
-
-    /// Carries out a round's decision: `AttemptJoin` becomes the
-    /// synchronised `Join` RPC, whose outcome the core turns into a
-    /// completed switch or a re-discovery. The latter needs no action
-    /// here: while a node is serving, the next `T_probing` round is the
-    /// repeat; with none, [`serving_node`] fails the attempt.
-    fn apply(
-        &self,
-        core: &mut EdgeClient,
-        frame: &mut Vec<u8>,
-        connections: &mut Connections,
-        decision: ClientDecision,
-    ) {
-        let ClientDecision::AttemptJoin { target, seq } = decision else {
-            return;
-        };
-        let join = Request::Join { user: self.id, seq };
-        let reply = self.exchange(frame, connections, target.as_u64(), &join);
-        let now = self.now_sim();
-        if matches!(reply, Ok(Response::Busy { .. })) {
-            core.on_busy(target, now);
-        }
-        // Shed, dead mid-join or out of sequence: the join did not
-        // happen, and only the first says anything about the node.
-        let accepted = matches!(reply, Ok(Response::JoinResult { accepted: true }));
-        match core.on_join_result(target, accepted, now) {
-            JoinFollowup::SwitchComplete { leave } => {
-                self.narrator().joined(core, target, leave);
-                if let Some(previous) = leave {
-                    let leave = Request::Leave { user: self.id };
-                    let _ = self.exchange(frame, connections, previous.as_u64(), &leave);
-                }
-            }
-            JoinFollowup::Rediscover => self.narrator().join_rejected(core.id(), target),
-            // (No stale replies: a blocking driver abandons no join.)
-            JoinFollowup::Stale => {}
-        }
+        outcomes.into_iter().flatten().collect()
     }
 
     /// The failure monitor (paper §IV-E): the core promotes the first
@@ -778,7 +754,8 @@ mod tests {
         assert_eq!(report.latencies.len(), 30);
     }
 
-    /// One probe round of `client`, on probe I/O of its own.
+    /// One probe round of `client`'s core over `candidates`, carried on
+    /// probe I/O of its own.
     fn probe_round(
         client: &LiveClient,
         connections: &mut Connections,
@@ -788,7 +765,11 @@ mod tests {
         let mut poller = armada_reactor::default_poller().unwrap();
         let timeout = Duration::from_millis(timeout_ms);
         let core = &mut client.shared().core;
-        client.probe_round(&mut *poller, core, connections, candidates, timeout)
+        let shortlist = candidates.iter().map(|(id, _)| NodeId::new(*id)).collect();
+        let (round, _) = core
+            .start_probe_round(shortlist, |_| true, client.narrator())
+            .expect("a shortlist opens a round");
+        client.probe_round(&mut *poller, core, connections, round, candidates, timeout)
     }
 
     fn test_client(wire: WireConfig) -> LiveClient {
@@ -1296,6 +1277,127 @@ mod tests {
             "successful probe must reclose the breaker:\n{trace}"
         );
         assert!(client.breaker_transitions() >= 3, "full cycle recorded");
+    }
+
+    /// `user`'s `frame.done` timestamps and its `probe.round.*` events,
+    /// out of a captured trace.
+    #[cfg(feature = "trace")]
+    fn frames_and_rounds(trace: &str, user: u64) -> (Vec<u64>, Vec<armada_trace::TraceEvent>) {
+        let events = armada_trace::inspect::parse_jsonl(trace).expect("trace parses");
+        let (mut frames, mut rounds) = (Vec::new(), Vec::new());
+        for e in events
+            .into_iter()
+            .filter(|e| e.field_u64("user") == Some(user))
+        {
+            match e.kind.as_str() {
+                "frame.done" => frames.push(e.t_us),
+                kind if kind.starts_with("probe.round.") => rounds.push(e),
+                _ => {}
+            }
+        }
+        (frames, rounds)
+    }
+
+    /// Regression: every round waited out the 5 s RPC budget on a
+    /// candidate that never answers, so a volunteer gone quiet inside
+    /// the manager's liveness window froze the frame loop for seconds
+    /// every `T_probing`. A round ends by `PROBE_TIMEOUT`.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn a_silent_candidate_does_not_stall_the_frame_loop() {
+        use armada_trace::{MemorySink, Severity};
+        let sink = MemorySink::new();
+        let buffer = sink.buffer();
+        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+        let (_mgr, mgr_addr) = LiveManager::bind().unwrap();
+        let (_n1, _) = LiveNode::bind(node_config(1, 4, 5.0, 1), Some(mgr_addr)).unwrap();
+        // Registered, then silent: TCP accepted by the backlog only, the
+        // UDP port bound and never read.
+        let (_listener, _udp, silent_addr) = silent();
+        let config = ClientConfig::default()
+            .with_top_n(2)
+            .with_probing_period(SimDuration::from_millis(400));
+        let client = LiveClient::new(12, GeoPoint::new(44.98, -93.26), config).with_tracer(tracer);
+        let report = std::thread::scope(|scope| {
+            let session = scope.spawn(|| client.run_session(mgr_addr, 12));
+            std::thread::sleep(Duration::from_millis(300));
+            let mut link = connect_with(mgr_addr, RPC_TIMEOUT).unwrap();
+            let status = armada_wire::WireNodeStatus {
+                id: 9,
+                class: NodeClass::Volunteer,
+                location: GeoPoint::new(44.98, -93.26),
+                attached_users: 0,
+                load_score: 0.0,
+            };
+            let register = Request::Register {
+                status,
+                listen_addr: silent_addr.clone(),
+            };
+            assert_eq!(rpc(&mut link, register), Response::Registered);
+            session.join().expect("session thread")
+        })
+        .expect("the silent candidate costs rounds, not the session");
+        assert_eq!((report.final_node, report.latencies.len()), (1, 12));
+        let (frames, rounds) = frames_and_rounds(&buffer.lock().unwrap(), 12);
+        let lost = |e: &armada_trace::TraceEvent| e.field_u64("failed") == Some(1);
+        assert!(rounds.iter().any(lost), "the silent candidate was probed");
+        for gap in frames.windows(2).map(|w| w[1] - w[0]) {
+            assert!(gap < 1_500_000, "the frame loop stalled {gap} µs");
+        }
+    }
+
+    /// The simulator's rule: a manager's empty shortlist opens no round
+    /// (the serving node alone is not re-probed), and the session keeps
+    /// streaming to its node until a later round has candidates.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn an_empty_shortlist_mid_session_opens_no_round() {
+        use armada_trace::{MemorySink, Severity};
+        let sink = MemorySink::new();
+        let buffer = sink.buffer();
+        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+        let (_n1, n1_addr) = LiveNode::bind(node_config(1, 4, 5.0, 1), None).unwrap();
+        // A manager that lists node 1 once, then nothing.
+        let manager = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mgr_addr = manager.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let stub = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut nodes = vec![(1, n1_addr.to_string())];
+                let mut answered = 0;
+                for stream in manager.incoming() {
+                    if stop.load(Ordering::Acquire) {
+                        return answered;
+                    }
+                    let mut stream = stream.unwrap();
+                    let body = armada_wire::read_frame_bytes(&mut stream).unwrap();
+                    let (_, codec) = armada_wire::decode_request(&body).unwrap();
+                    let nodes = std::mem::take(&mut nodes);
+                    let reply = codec.encode_response(&Response::Candidates { nodes });
+                    armada_wire::write_frame(&mut stream, &reply).unwrap();
+                    answered += 1;
+                }
+                answered
+            })
+        };
+        let config = ClientConfig::default()
+            .with_top_n(1)
+            .with_probing_period(SimDuration::from_millis(100));
+        let client = LiveClient::new(13, GeoPoint::new(44.98, -93.26), config).with_tracer(tracer);
+        let report = client.run_session(mgr_addr, 20).unwrap();
+        stop.store(true, Ordering::Release);
+        let _ = TcpStream::connect(mgr_addr);
+        assert!(stub.join().unwrap() > 2, "empty shortlists were served");
+        assert_eq!((report.final_node, report.latencies.len()), (1, 20));
+        assert_eq!(report.failovers, 0);
+        let (_, rounds) = frames_and_rounds(&buffer.lock().unwrap(), 13);
+        let kinds: Vec<&str> = rounds.iter().map(|e| e.kind.as_str()).collect();
+        assert_eq!(
+            kinds,
+            ["probe.round.start", "probe.round.done"],
+            "the first round only"
+        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! connection gets its in-stream `RttProbe`, a new one a non-blocking
 //! connect and, with UDP probes on, its UDP `RttProbe` beside it — then
 //! events and clock readings are fed in until `next_deadline` is `None`,
-//! so dead candidates cost a round one timeout, not one each. It owns no
+//! so dead candidates cost a round one timeout, not one each, and none
+//! costs more than the core's [`PROBE_TIMEOUT`], the round's end. It owns no
 //! thread and no loop, and an event only makes it retry the non-blocking
 //! call its state waits on: spurious readiness is harmless, and one loop
 //! can hold many rounds, each on its own token range.
@@ -14,7 +15,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
-use armada_client::ProbeResult;
+use armada_client::{ProbeResult, PROBE_TIMEOUT};
 use armada_reactor::{
     connect_finished, connect_nonblocking, Event, Fill, FrameReader, Interest, Poller,
 };
@@ -23,7 +24,7 @@ use armada_types::{NodeId, SimDuration};
 use armada_wire::{decode_response, send_request, write_request};
 use armada_wire::{Request, Response, UdpTransport, WireConfig, MAX_DATAGRAM_BYTES};
 
-use crate::client::{bound, Connections};
+use crate::client::{bound, Connections, RPC_TIMEOUT};
 
 thread_local! {
     /// What a round run on this thread waits and receives through, one a
@@ -77,6 +78,8 @@ pub(crate) fn run(
 pub(crate) struct ProbeRound<'a> {
     first_token: u64,
     terms: Terms<'a>,
+    /// The round's end: a probe that has not answered by then is lost.
+    until: Instant,
     probes: Vec<Option<Probe>>,
 }
 
@@ -150,6 +153,7 @@ impl<'a> ProbeRound<'a> {
         ProbeRound {
             first_token,
             terms,
+            until: now + Duration::from_micros(PROBE_TIMEOUT.as_micros()),
             probes,
         }
     }
@@ -158,7 +162,10 @@ impl<'a> ProbeRound<'a> {
     /// candidate has answered or failed.
     pub(crate) fn next_deadline(&self) -> Option<Instant> {
         let probes = self.probes.iter().flatten();
-        probes.filter_map(Probe::deadline).min()
+        probes
+            .filter_map(Probe::deadline)
+            .min()
+            .map(|at| at.min(self.until))
     }
 
     /// Feeds one readiness event; `datagram` receives a UDP reply.
@@ -175,25 +182,28 @@ impl<'a> ProbeRound<'a> {
         });
     }
 
-    /// Applies every deadline that has passed by `now`.
+    /// Applies every deadline that has passed by `now`; past the
+    /// round's end, every probe still waiting is lost.
     pub(crate) fn expire(&mut self, poller: &mut dyn Poller, now: Instant) {
         let cx = &mut Cx {
             poller,
             terms: self.terms,
         };
+        let over = now >= self.until;
         for slot in &mut self.probes {
-            step(cx, slot, |probe, cx| probe.on_clock(cx, now));
+            step(cx, slot, |probe, cx| {
+                (!over).then(|| probe.on_clock(cx, now))?
+            });
         }
     }
 
     /// The round's outcomes; the kept connections go (back) into
-    /// `connections`, blocking and bounded by the round's timeout.
+    /// `connections`, blocking and bounded by the exchanges' budget.
     pub(crate) fn finish(self, connections: &mut Connections) -> Vec<Option<ProbeResult>> {
-        let timeout = self.terms.timeout;
         let outcome = |probe: Option<Probe>| {
             let Probe { stream, result, .. } = probe?;
             stream.set_nonblocking(false).ok()?;
-            connections.insert(result?.node.as_u64(), bound(stream, timeout).ok()?);
+            connections.insert(result?.node.as_u64(), bound(stream, RPC_TIMEOUT).ok()?);
             result
         };
         self.probes.into_iter().map(outcome).collect()

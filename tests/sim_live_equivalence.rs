@@ -24,7 +24,8 @@
 //! ends the run with.
 //!
 //! Every trace captured here holds only kinds `armada_trace::KINDS`
-//! lists.
+//! lists, and numbers each user's probing rounds 1, 2, 3, … in either
+//! runtime: the client core opens the rounds and numbers them.
 //!
 //! A second script takes the manager away instead of the nodes (sim: a
 //! crash window in the fault plan; live: the `ChaosProxy` in front of
@@ -62,6 +63,7 @@
 
 #![cfg(feature = "trace")]
 
+use std::collections::HashMap;
 use std::f64::consts::TAU;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -157,11 +159,19 @@ fn memory_tracer() -> (Tracer, Arc<Mutex<String>>) {
     (Tracer::with_sink(Box::new(sink), Severity::Debug), buffer)
 }
 
-/// A captured trace's events, every kind of them a listed one.
+/// A captured trace's events, every kind of them a listed one, each
+/// user's `probe.round.start`s numbered 1, 2, 3, … in order.
 fn events(trace: &str) -> Vec<TraceEvent> {
     let events = inspect::parse_jsonl(trace).expect("trace parses");
     let unknown = inspect::unknown_kinds(&events);
     assert!(unknown.is_empty(), "kinds not in KINDS: {unknown:?}");
+    let mut last_round: HashMap<u64, u64> = HashMap::new();
+    for e in events.iter().filter(|e| e.kind == "probe.round.start") {
+        let (user, round) = (e.field_u64("user"), e.field_u64("round"));
+        let (user, round) = (user.expect("user"), round.expect("round"));
+        let previous = last_round.insert(user, round).unwrap_or(0);
+        assert_eq!(round, previous + 1, "user {user}'s round after {previous}");
+    }
     events
 }
 
