@@ -119,8 +119,9 @@ pub fn run(harness: &Harness, report: &mut BenchReport) {
         &rows,
     );
     println!(
-        "\nreading guide: GO should not lose to LO under load; removing hysteresis\n\
-         inflates switches; very slow probing hurts adaptation; a deep pipeline\n\
-         inflates queueing latency on saturated nodes."
+        "\nreading guide: at this moderate load LO edges out GO (GO's advantage\n\
+         appears when interference dominates, cf. Fig. 5 at 15 users); removing\n\
+         hysteresis inflates switches; very slow probing hurts adaptation; a deep\n\
+         pipeline inflates queueing latency on saturated nodes."
     );
 }

@@ -47,11 +47,6 @@ impl<S> FaultyTransport<S> {
         }
     }
 
-    /// Frames decided so far.
-    pub fn frames_seen(&self) -> u64 {
-        self.seq
-    }
-
     /// The wrapped stream.
     pub fn get_ref(&self) -> &S {
         &self.inner
@@ -122,7 +117,7 @@ mod tests {
             t.write_all(b"frame").unwrap();
         }
         assert!(t.get_ref().is_empty());
-        assert_eq!(t.frames_seen(), 10);
+        assert_eq!(t.seq, 10);
     }
 
     #[test]

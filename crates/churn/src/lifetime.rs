@@ -49,11 +49,6 @@ impl WeibullLifetime {
         self.shape
     }
 
-    /// The derived scale parameter, in seconds.
-    pub fn scale_secs(&self) -> f64 {
-        self.scale_s
-    }
-
     /// The analytic mean of the distribution.
     pub fn mean(&self) -> SimDuration {
         SimDuration::from_secs_f64(self.scale_s * gamma(1.0 + 1.0 / self.shape))
@@ -96,13 +91,6 @@ mod tests {
         for _ in 0..1_000 {
             assert!(life.sample(&mut rng) >= SimDuration::from_millis(1));
         }
-    }
-
-    #[test]
-    fn shape_one_is_exponential_scale() {
-        // For shape 1, Γ(2) = 1, so scale == mean.
-        let life = WeibullLifetime::with_mean(SimDuration::from_secs(50), 1.0);
-        assert!((life.scale_secs() - 50.0).abs() < 1e-9);
     }
 
     #[test]

@@ -59,23 +59,6 @@ impl ChurnTrace {
         self.events.iter().filter(|e| e.alive_at(t)).count()
     }
 
-    /// Samples the alive-count stair line every `step`, producing
-    /// `(time, alive)` pairs from 0 to the trace duration inclusive.
-    pub fn alive_series(&self, step: SimDuration) -> Vec<(SimTime, usize)> {
-        assert!(!step.is_zero(), "step must be positive");
-        let mut out = Vec::new();
-        let mut t = SimTime::ZERO;
-        let end = SimTime::ZERO + self.duration;
-        loop {
-            out.push((t, self.alive_at(t)));
-            if t >= end {
-                break;
-            }
-            t = (t + step).min(end);
-        }
-        out
-    }
-
     /// The paper's Fig. 8 configuration: a pinned-seed trace with
     /// arrivals Poisson(k = 4) per 30 s window and Weibull(mean = 50 s)
     /// lifetimes over a 3-minute timeline, seeded so that exactly 18
@@ -279,22 +262,6 @@ mod tests {
         let total: usize = (0..50).map(|s| build(s).total_nodes()).sum();
         let avg = total as f64 / 50.0;
         assert!((avg - 26.0).abs() < 3.0, "avg {avg}");
-    }
-
-    #[test]
-    fn alive_series_is_consistent_with_alive_at() {
-        let trace = build(8);
-        for (t, alive) in trace.alive_series(SimDuration::from_secs(10)) {
-            assert_eq!(alive, trace.alive_at(t));
-        }
-    }
-
-    #[test]
-    fn alive_series_covers_full_duration() {
-        let trace = build(9);
-        let series = trace.alive_series(SimDuration::from_secs(30));
-        assert_eq!(series.first().unwrap().0, SimTime::ZERO);
-        assert_eq!(series.last().unwrap().0, SimTime::ZERO + trace.duration());
     }
 
     #[test]

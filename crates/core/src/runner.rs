@@ -17,7 +17,7 @@ use armada_net::{Addr, Delivery};
 use armada_node::{NodeAction, ProbeReply};
 use armada_sim::Context;
 use armada_trace::{u, Severity, Tracer};
-use armada_types::{NodeClass, NodeId, SimDuration, UserId};
+use armada_types::{NodeClass, NodeId, SimDuration, SimTime, UserId};
 use armada_workload::{Frame, FrameResponse, FRAME_SIZE};
 
 use crate::strategy::Strategy;
@@ -807,9 +807,26 @@ fn pick_baseline_node(w: &World, user: UserId) -> Option<NodeId> {
 }
 
 /// Registers a node with its home shard of the manager tier and
-/// starts its heartbeat loop.
+/// starts its heartbeat loop, which registers again whenever the shard
+/// refuses a heartbeat (it lost the registration while down, or forgot
+/// the node), as the live node's link does on `Error`.
 pub(crate) fn start_node_lifecycle(w: &mut World, ctx: &mut Ctx<'_>, node: NodeId) {
-    let now = ctx.now();
+    register_node(w, node, ctx.now());
+    let period = w.system.heartbeat_period;
+    ctx.schedule_periodic(period, period, move |w: &mut World, ctx: &mut Ctx<'_>| {
+        if !w.node_is_up(node) || ctx.now() >= w.end_time {
+            return false;
+        }
+        let status = w.nodes.get(&node).map(armada_node::EdgeNode::status);
+        if status.and_then(|s| w.managers.heartbeat(s, ctx.now())) == Some(false) {
+            register_node(w, node, ctx.now());
+        }
+        true
+    });
+}
+
+/// One registration with the node's home shard, narrated if accepted.
+fn register_node(w: &mut World, node: NodeId, now: SimTime) {
     let accepted = w
         .nodes
         .get(&node)
@@ -817,16 +834,6 @@ pub(crate) fn start_node_lifecycle(w: &mut World, ctx: &mut Ctx<'_>, node: NodeI
     if let Some(shard) = accepted {
         armada_manager::Narrator::at(&w.tracer, now.as_micros()).registered(node, shard);
     }
-    let period = w.system.heartbeat_period;
-    ctx.schedule_periodic(period, period, move |w: &mut World, ctx: &mut Ctx<'_>| {
-        if !w.node_is_up(node) || ctx.now() >= w.end_time {
-            return false;
-        }
-        if let Some(n) = w.nodes.get(&node) {
-            w.managers.heartbeat(n.status(), ctx.now());
-        }
-        true
-    });
 }
 
 /// A churned node leaves abruptly: the network drops its links; the

@@ -216,19 +216,16 @@ impl Scenario {
 
         // --- Timeline -------------------------------------------------
         let mut sim = Simulation::new(world, seed);
-        // Manager housekeeping: prune long-dead registry entries every
-        // 30 s (dead nodes already stop appearing in discovery after the
-        // heartbeat window; pruning bounds registry growth under churn).
-        sim.schedule_periodic(
-            SimDuration::from_secs(30),
-            SimDuration::from_secs(30),
-            move |w: &mut World, ctx| {
-                let grace = SimDuration::from_secs(30);
-                let pruned = w.managers.prune(ctx.now(), grace);
-                Narrator::at(&w.tracer, ctx.now().as_micros()).pruned(pruned.len());
-                ctx.now() < w.end_time
-            },
-        );
+        // Manager housekeeping by the core's forgetting rule, run every
+        // liveness budget as the live manager runs it.
+        let budget = sim.world().managers.shards()[0]
+            .registry()
+            .liveness_budget();
+        sim.schedule_periodic(budget, budget, move |w: &mut World, ctx| {
+            let forgotten = w.managers.forget_dead(ctx.now());
+            Narrator::at(&w.tracer, ctx.now().as_micros()).pruned(forgotten);
+            ctx.now() < w.end_time
+        });
         // Federated housekeeping: periodic summary-sync rounds. Sync
         // consumes no randomness and its instants are offset from the
         // heartbeat grid, so federated runs stay deterministic and sync
@@ -451,6 +448,7 @@ impl RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use armada_types::{ClientConfig, SelectorMode};
 
     fn small_env() -> EnvSpec {
         EnvSpec::realworld(4)
@@ -484,7 +482,8 @@ mod tests {
 
     #[test]
     fn predictive_strategy_streams_like_the_reactive_one() {
-        let predictive = short(Strategy::client_centric_predictive());
+        let config = ClientConfig::default().with_selector(SelectorMode::Predictive);
+        let predictive = short(Strategy::client_centric_with(config));
         assert!(
             predictive.recorder().len() > 100,
             "got {} samples",

@@ -63,25 +63,6 @@ impl Strategy {
         }
     }
 
-    /// Client-centric with the reliability-aware predictive selector:
-    /// candidates are ranked by forecast overhead weighted by a decayed
-    /// failure score, and switches need the hysteresis margin on both
-    /// the measured and the predicted overhead.
-    pub fn client_centric_predictive() -> Strategy {
-        Strategy::ClientCentric {
-            config: ClientConfig::default().with_selector(SelectorMode::Predictive),
-            proactive: true,
-        }
-    }
-
-    /// `true` when the client runs the predictive selector.
-    pub fn is_predictive(&self) -> bool {
-        matches!(
-            self,
-            Strategy::ClientCentric { config, .. } if config.selector == SelectorMode::Predictive
-        )
-    }
-
     /// The client configuration in effect (defaults for baselines).
     pub fn client_config(&self) -> ClientConfig {
         match self {
@@ -133,19 +114,25 @@ impl Strategy {
 mod tests {
     use super::*;
 
+    fn predictive() -> Strategy {
+        Strategy::client_centric_with(
+            ClientConfig::default().with_selector(SelectorMode::Predictive),
+        )
+    }
+
     #[test]
     fn constructors_set_flags() {
         assert!(Strategy::client_centric().is_proactive());
         assert!(!Strategy::client_centric_reactive().is_proactive());
         assert!(Strategy::client_centric().is_client_centric());
         assert!(!Strategy::GeoProximity.is_client_centric());
-        assert!(Strategy::client_centric_predictive().is_predictive());
-        assert!(Strategy::client_centric_predictive().is_proactive());
-        assert!(!Strategy::client_centric().is_predictive());
+        assert!(predictive().is_proactive());
         assert_eq!(
-            Strategy::client_centric_predictive()
-                .client_config()
-                .selector,
+            Strategy::client_centric().client_config().selector,
+            SelectorMode::Reactive
+        );
+        assert_eq!(
+            predictive().client_config().selector,
             SelectorMode::Predictive
         );
     }
@@ -155,7 +142,7 @@ mod tests {
         let names = [
             Strategy::client_centric().name(),
             Strategy::client_centric_reactive().name(),
-            Strategy::client_centric_predictive().name(),
+            predictive().name(),
             Strategy::GeoProximity.name(),
             Strategy::ResourceAwareWrr.name(),
             Strategy::DedicatedOnly.name(),

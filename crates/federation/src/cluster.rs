@@ -108,25 +108,22 @@ impl FederatedCluster {
 
     /// Routes a registration to the node's home shard. Returns the
     /// accepting shard, or `None` if it is down (the registration is
-    /// lost, as a TCP connect to a dead manager would be).
+    /// lost, as a TCP connect to a dead manager would be) or refused
+    /// the status ([`CentralManager::register`]).
     pub fn register(&mut self, status: NodeStatus, now: SimTime) -> Option<ShardId> {
         let home = self.map.home(status.location);
-        if !self.is_up(home) {
-            return None;
-        }
-        self.shards[home.as_u64() as usize].register(status, now);
-        Some(home)
+        (self.is_up(home) && self.shards[home.as_u64() as usize].register(status, now))
+            .then_some(home)
     }
 
-    /// Routes a heartbeat to the node's home shard (`None`: dropped,
-    /// shard down).
-    pub fn heartbeat(&mut self, status: NodeStatus, now: SimTime) -> Option<ShardId> {
+    /// Routes a heartbeat to the node's home shard: `None` if it is
+    /// down (the heartbeat is dropped), else whether the shard took it
+    /// ([`CentralManager::heartbeat`]; `false` asks the node to
+    /// register).
+    pub fn heartbeat(&mut self, status: NodeStatus, now: SimTime) -> Option<bool> {
         let home = self.map.home(status.location);
-        if !self.is_up(home) {
-            return None;
-        }
-        self.shards[home.as_u64() as usize].heartbeat(status, now);
-        Some(home)
+        self.is_up(home)
+            .then(|| self.shards[home.as_u64() as usize].heartbeat(status, now))
     }
 
     /// Serves a discovery query at the user's home shard; `None` while
@@ -215,17 +212,21 @@ impl FederatedCluster {
         stats
     }
 
-    /// Housekeeping across all up shards; returns every pruned id.
-    pub fn prune(&mut self, now: SimTime, grace: SimDuration) -> Vec<NodeId> {
-        let mut pruned = Vec::new();
-        for (id, shard) in self.shards.iter_mut().enumerate() {
-            if !self.down.contains(&ShardId::new(id as u64)) {
-                pruned.extend(shard.prune_dead(now, grace).own);
-            }
-        }
-        pruned.sort();
-        pruned.dedup();
-        pruned
+    /// Housekeeping across every shard, each dropping what has been
+    /// dead longer than `grace` ([`CentralManager::prune_dead`]);
+    /// returns how many own records went. A down shard is pruned too:
+    /// forgetting is a rule of time, so a revived shard comes back
+    /// having forgotten what died while it was away.
+    pub fn prune(&mut self, now: SimTime, grace: SimDuration) -> usize {
+        let pruned = self.shards.iter_mut().map(|s| s.prune_dead(now, grace));
+        pruned.map(|p| p.own.len()).sum()
+    }
+
+    /// [`FederatedCluster::prune`] by the manager's one forgetting rule
+    /// ([`CentralManager::forget_dead`]).
+    pub fn forget_dead(&mut self, now: SimTime) -> usize {
+        let forgotten = self.shards.iter_mut().map(|s| s.forget_dead(now));
+        forgotten.map(|p| p.own.len()).sum()
     }
 
     /// Total discovery queries served across shards.

@@ -229,9 +229,12 @@ impl LiveClient {
         let probing_period = Duration::from_micros(shared.core.config().probing_period.as_micros());
         let mut last_probe = Instant::now();
         while latencies.len() < frames {
+            // The next round is due `T_probing` after this one
+            // concludes: a round that ran to `PROBE_TIMEOUT` must not
+            // eat the period.
             if last_probe.elapsed() >= probing_period {
-                last_probe = Instant::now();
                 self.select(shared, &mut connections, managers, REFRESH_TIMEOUT)?;
+                last_probe = Instant::now();
             }
             let (core, buf) = (&mut shared.core, &mut shared.frame);
             let serving = serving_node(core)?;
@@ -1344,6 +1347,66 @@ mod tests {
         for gap in frames.windows(2).map(|w| w[1] - w[0]) {
             assert!(gap < 1_500_000, "the frame loop stalled {gap} µs");
         }
+    }
+
+    /// Regression: `T_probing` was counted from the start of a round,
+    /// so after a round that ran to `PROBE_TIMEOUT` on a silent
+    /// candidate the next began one frame later. The period runs from
+    /// the end of a round.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn the_next_round_starts_t_probing_after_the_last_one_ends() {
+        use armada_trace::{MemorySink, Severity};
+        let sink = MemorySink::new();
+        let buffer = sink.buffer();
+        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+        let (_mgr, mgr_addr) = LiveManager::bind().unwrap();
+        let (_n1, _) = LiveNode::bind(node_config(1, 4, 5.0, 1), Some(mgr_addr)).unwrap();
+        let (_listener, _udp, silent_addr) = silent();
+        let period = SimDuration::from_millis(400);
+        let config = ClientConfig::default()
+            .with_top_n(2)
+            .with_probing_period(period);
+        let client = LiveClient::new(14, GeoPoint::new(44.98, -93.26), config).with_tracer(tracer);
+        std::thread::scope(|scope| {
+            let session = scope.spawn(|| client.run_session(mgr_addr, 20));
+            std::thread::sleep(Duration::from_millis(300));
+            let mut link = connect_with(mgr_addr, RPC_TIMEOUT).unwrap();
+            let status = armada_wire::WireNodeStatus {
+                id: 9,
+                class: NodeClass::Volunteer,
+                location: GeoPoint::new(44.98, -93.26),
+                attached_users: 0,
+                load_score: 0.0,
+            };
+            let register = Request::Register {
+                status,
+                listen_addr: silent_addr.clone(),
+            };
+            assert_eq!(rpc(&mut link, register), Response::Registered);
+            session.join().expect("session thread")
+        })
+        .expect("the silent candidate costs rounds, not the session");
+        let (_, rounds) = frames_and_rounds(&buffer.lock().unwrap(), 14);
+        let lost = |e: &armada_trace::TraceEvent| e.field_u64("failed") == Some(1);
+        assert!(rounds.iter().any(lost), "the silent candidate was probed");
+        let mut done = None;
+        let mut later_starts = 0;
+        for e in &rounds {
+            match (e.kind.as_str(), done) {
+                ("probe.round.done", _) => done = Some(e.t_us),
+                ("probe.round.start", Some(ended)) => {
+                    let gap = e.t_us - ended;
+                    assert!(
+                        gap >= period.as_micros(),
+                        "a round began {gap} µs after the last"
+                    );
+                    later_starts += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(later_starts >= 2, "{later_starts} rounds after the first");
     }
 
     /// The simulator's rule: a manager's empty shortlist opens no round

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use armada_manager::{CentralManager, CowTable, GlobalSelectionPolicy, Narrator};
+use armada_manager::{admissible_load, CentralManager, CowTable, GlobalSelectionPolicy, Narrator};
 use armada_node::NodeStatus;
 use armada_reactor::{AcceptFactory, Conn, ConnCtx, Handle, Reactor, ReactorConfig, Source};
 use armada_trace::{s, u, Severity, Tracer};
@@ -18,20 +18,9 @@ use armada_wire::{
     decode_request, decode_response, Codec, Request, Response, WireNodeStatus, WireSummary,
 };
 
-/// Default liveness window: heartbeats older than this mark a node dead.
-pub(crate) const LIVENESS_WINDOW: Duration = Duration::from_secs(6);
-
 /// `retry_after_ms` a live manager or node suggests in every `Busy` it
 /// answers.
 pub const BUSY_RETRY_MS: u64 = 250;
-
-/// Liveness windows a record stays dead before housekeeping forgets it
-/// (the node's next heartbeat then errors and it re-registers in place).
-const PRUNE_GRACE_WINDOWS: u64 = 1;
-
-/// Longest shortlist a `Discover` is answered with, whatever `top_n` came
-/// off the wire: a client holds at most TopN (≤ 8 in this tree) sockets.
-const MAX_TOP_N: usize = 64;
 
 /// Bound on each peer-sync RPC (connect + ack read). A dead peer must
 /// cost at most this per round, not an OS connect timeout — this is the
@@ -59,10 +48,11 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Timing and sizing knobs of one [`LiveManager`].
 ///
-/// The defaults reproduce the paper deployment's constants (6 s
-/// liveness window; the 1 s dead-peer sync budget is
-/// `SYNC_RPC_TIMEOUT`); tests shrink them so liveness transitions happen
-/// in milliseconds instead of wall-clock seconds.
+/// The defaults reproduce the paper deployment's constants (the
+/// simulator's liveness budget, `SystemConfig::default()`'s 6 s; the 1 s
+/// dead-peer sync budget is `SYNC_RPC_TIMEOUT`); tests shrink them so
+/// liveness transitions happen in milliseconds instead of wall-clock
+/// seconds.
 #[derive(Clone)]
 pub struct LiveManagerConfig {
     /// Heartbeats older than this mark a node dead (at least 1 µs).
@@ -80,8 +70,10 @@ pub struct LiveManagerConfig {
 
 impl Default for LiveManagerConfig {
     fn default() -> Self {
+        let sys = SystemConfig::default();
+        let budget = sys.heartbeat_period * u64::from(sys.heartbeat_miss_limit);
         LiveManagerConfig {
-            liveness_window: LIVENESS_WINDOW,
+            liveness_window: Duration::from_micros(budget.as_micros()),
             threads: 1,
             shed_conns: 0,
             read_progress_timeout: Duration::from_secs(30),
@@ -105,21 +97,27 @@ impl OverloadPolicy {
     }
 }
 
-/// The registry's form of a status off the wire, or the refusal of one
-/// whose load no honest node reports (`users·fps / capacity ≥ 0`): a
-/// negative load would head every shortlist, a NaN unorders the ranking.
-fn core_status(wire: &WireNodeStatus) -> Result<NodeStatus, Response> {
-    if !(0.0..f64::INFINITY).contains(&wire.load_score) {
-        let message = format!("node {}: load_score {}", wire.id, wire.load_score);
-        return Err(Response::Error { message });
-    }
-    Ok(NodeStatus {
+/// The registry's form of a status off the wire.
+fn core_status(wire: &WireNodeStatus) -> NodeStatus {
+    NodeStatus {
         node: NodeId::new(wire.id),
         class: wire.class,
         location: wire.location,
         attached_users: wire.attached_users,
         load_score: wire.load_score,
-    })
+    }
+}
+
+/// The `Error` a write the core refused is answered with: a load it
+/// does not admit, or else a heartbeat from a node it does not know (a
+/// heartbeat carries no listen address, so the node must register).
+fn refusal(wire: &WireNodeStatus) -> Response {
+    let message = if admissible_load(wire.load_score) {
+        format!("heartbeat from unregistered node {}", wire.id)
+    } else {
+        format!("node {}: load_score {}", wire.id, wire.load_score)
+    };
+    Response::Error { message }
 }
 
 /// The wire's form of a registry status.
@@ -176,11 +174,10 @@ impl ManagerState {
         SimTime::from_micros(1 + elapsed) + self.manager.registry().liveness_budget()
     }
 
-    /// Housekeeping: forgets records dead longer than the grace, own
-    /// and synced, and their addresses.
+    /// Housekeeping by the core's forgetting rule, own and synced
+    /// records, and the forgotten nodes' addresses.
     fn prune(&mut self) {
-        let grace = self.manager.registry().liveness_budget() * PRUNE_GRACE_WINDOWS;
-        let pruned = self.manager.prune_dead(self.now(), grace);
+        let pruned = self.manager.forget_dead(self.now());
         for id in pruned.ids() {
             self.addrs.remove(id);
         }
@@ -268,8 +265,11 @@ impl LiveManager {
             heartbeat_miss_limit: 1,
             ..SystemConfig::default()
         };
+        let manager = CentralManager::new(config, GlobalSelectionPolicy::default());
+        // Housekeeping runs every liveness budget, the core's cadence.
+        let budget = Duration::from_micros(manager.registry().liveness_budget().as_micros());
         let state = Arc::new(Mutex::new(ManagerState {
-            manager: CentralManager::new(config, GlobalSelectionPolicy::default()),
+            manager,
             shard: ShardId::new(shard),
             addrs: CowTable::new(),
             epoch: Instant::now(),
@@ -302,7 +302,7 @@ impl LiveManager {
         reactor.handle().add_listener(listener, factory)?;
         let prune_state = Arc::clone(&state);
         let prune = move |_: &Handle| lock_recover(&prune_state).prune();
-        reactor.handle().timer_every(cfg.liveness_window, prune);
+        reactor.handle().timer_every(budget, prune);
 
         let manager = LiveManager {
             state,
@@ -650,33 +650,22 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
             status,
             listen_addr,
         } => {
-            let core = match core_status(&status) {
-                Ok(core) => core,
-                Err(refusal) => return refusal,
-            };
+            let core = core_status(&status);
             let mut s = lock_recover(state);
             let now = s.now();
-            s.manager.register(core, now);
+            if !s.manager.register(core, now) {
+                return refusal(&status);
+            }
             s.addrs.insert(core.node, listen_addr);
             s.narrator().registered(core.node, s.shard);
             Response::Registered
         }
         Request::Heartbeat { status } => {
-            let core = match core_status(&status) {
-                Ok(core) => core,
-                Err(refusal) => return refusal,
-            };
             let mut s = lock_recover(state);
-            // A heartbeat carries no listen address, so an unknown (or
-            // forgotten) node is told to register, where the simulated
-            // shard re-registers it itself.
-            if !s.manager.registry().owns(core.node) {
-                return Response::Error {
-                    message: format!("heartbeat from unregistered node {}", status.id),
-                };
-            }
             let now = s.now();
-            s.manager.heartbeat(core, now);
+            if !s.manager.heartbeat(core_status(&status), now) {
+                return refusal(&status);
+            }
             Response::HeartbeatAck
         }
         Request::Discover {
@@ -695,7 +684,7 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
                 test_hooks::maybe_panic_in_discover(_user);
                 (snapshot, s.addrs.view(), s.now())
             };
-            let best = snapshot.discover(GeoPoint::new(lat, lon), &[], top_n.min(MAX_TOP_N), now);
+            let best = snapshot.discover(GeoPoint::new(lat, lon), &[], top_n, now);
             let nodes = best
                 .into_iter()
                 .map(|id| (id.as_u64(), addrs.get(id).cloned().unwrap_or_default()))
@@ -707,12 +696,10 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
             let now = s.now();
             let mut applied = 0u64;
             for summary in summaries {
-                // A summary with a refused load is skipped; one of this
-                // manager's own nodes is refused by the core (the
+                // The core skips a summary with a load it does not
+                // admit, and one of this manager's own nodes (the
                 // owner's heartbeat is first-hand).
-                let Ok(status) = core_status(&summary.status) else {
-                    continue;
-                };
+                let status = core_status(&summary.status);
                 let heard = now - SimDuration::from_micros(summary.age_us);
                 if !s.manager.apply_peer(status, heard) {
                     continue;
@@ -936,7 +923,8 @@ mod tests {
                 summaries: vec![WireSummary {
                     status: status(9, 0.0),
                     listen_addr: "127.0.0.1:9109".into(),
-                    age_us: LIVENESS_WINDOW.as_micros() as u64 + 1_000_000,
+                    age_us: LiveManagerConfig::default().liveness_window.as_micros() as u64
+                        + 1_000_000,
                 }],
             },
         );

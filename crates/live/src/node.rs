@@ -31,9 +31,6 @@ use crate::manager::BUSY_RETRY_MS;
 mod heartbeat;
 use heartbeat::{HbConn, HbPhase};
 
-/// Default heartbeat period toward the manager.
-const HEARTBEAT_PERIOD: Duration = Duration::from_secs(2);
-
 /// Budget on each manager-link RPC (connect, write, ack read): a
 /// silently partitioned manager must fail the heartbeat rather than
 /// hang it forever.
@@ -65,8 +62,8 @@ pub struct NodeConfig {
 
 /// Timing and sizing knobs of one [`LiveNode`]'s server runtime.
 ///
-/// The default reproduces the paper deployment's 2 s heartbeat period;
-/// tests shrink it so heartbeat-driven transitions happen in
+/// The default reproduces the paper deployment's heartbeat period, the
+/// simulator's (`SystemConfig::default()`, 2 s); tests shrink it so heartbeat-driven transitions happen in
 /// milliseconds.
 #[derive(Clone)]
 pub struct LiveNodeConfig {
@@ -82,8 +79,9 @@ pub struct LiveNodeConfig {
 
 impl Default for LiveNodeConfig {
     fn default() -> Self {
+        let period = SystemConfig::default().heartbeat_period;
         LiveNodeConfig {
-            heartbeat_period: HEARTBEAT_PERIOD,
+            heartbeat_period: Duration::from_micros(period.as_micros()),
             max_in_flight: 0,
         }
     }

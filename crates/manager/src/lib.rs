@@ -49,7 +49,7 @@ mod snapshot;
 mod table;
 
 pub use discovery::Engine;
-pub use manager::{CentralManager, ShardCounters};
+pub use manager::{admissible_load, CentralManager, ShardCounters};
 pub use narrate::Narrator;
 pub use reference::widen_and_rank;
 pub use registry::{NodeRecord, NodeRegistry, Pruned, RegistryView};

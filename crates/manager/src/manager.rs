@@ -4,11 +4,18 @@ use std::sync::Arc;
 
 use armada_geo::ProximityIndex;
 use armada_node::NodeStatus;
-use armada_types::{GeoPoint, NodeId, SimTime, SystemConfig};
+use armada_types::{GeoPoint, NodeId, SimDuration, SimTime, SystemConfig};
 
 use crate::registry::{NodeRecord, NodeRegistry, Pruned};
 use crate::selection::{GlobalSelectionPolicy, ScoredCandidate};
 use crate::snapshot::DiscoverySnapshot;
+
+/// `true` for a load an honest node can report (`users·fps / capacity`,
+/// in `[0, ∞)`). A negative load would head every shortlist and a NaN
+/// unorders the ranking, so the manager takes no status that fails it.
+pub fn admissible_load(load: f64) -> bool {
+    (0.0..f64::INFINITY).contains(&load)
+}
 
 /// Per-manager operation counters — the registry-load surface the
 /// federation tests read.
@@ -108,33 +115,32 @@ impl CentralManager {
         self.counters
     }
 
-    /// Registers a node (or refreshes it after downtime). A node has
-    /// one home: the registration supersedes any peer's record of it.
-    pub fn register(&mut self, status: NodeStatus, now: SimTime) {
+    /// Registers a node (or refreshes it after downtime); returns
+    /// `false` (and changes nothing) if its load is not
+    /// [admissible](admissible_load). A node has one home: the
+    /// registration supersedes any peer's record of it.
+    pub fn register(&mut self, status: NodeStatus, now: SimTime) -> bool {
+        if !admissible_load(status.load_score) {
+            return false;
+        }
         self.counters.registrations += 1;
-        self.insert(status, now);
-    }
-
-    /// The registration itself, uncounted: a heartbeat from an unknown
-    /// sender re-registers through it.
-    fn insert(&mut self, status: NodeStatus, now: SimTime) {
         self.epoch += 1;
         Arc::make_mut(&mut self.index).insert(status.node, status.location);
         self.registry.register(status, now);
+        true
     }
 
-    /// Records a periodic status heartbeat. Unknown senders are treated
-    /// as (re-)registrations — a volunteer that silently died and came
-    /// back should not be locked out — and counted as the heartbeat
-    /// they are.
-    pub fn heartbeat(&mut self, status: NodeStatus, now: SimTime) {
-        self.counters.heartbeats += 1;
-        if !self.registry.heartbeat(status, now) {
-            self.insert(status, now);
-        } else {
-            self.epoch += 1;
-            self.index_position(status);
+    /// Records a periodic status heartbeat; returns `false` (and changes
+    /// nothing) if the sender is not registered here or its load is not
+    /// [admissible](admissible_load). A refused sender must register.
+    pub fn heartbeat(&mut self, status: NodeStatus, now: SimTime) -> bool {
+        if !admissible_load(status.load_score) || !self.registry.heartbeat(status, now) {
+            return false;
         }
+        self.counters.heartbeats += 1;
+        self.epoch += 1;
+        self.index_position(status);
+        true
     }
 
     /// Handles a graceful departure notification from an own node.
@@ -147,9 +153,11 @@ impl CentralManager {
 
     /// Records what a peer manager advertised about one of its nodes;
     /// returns `false` (and changes nothing) if this manager owns the
-    /// node — its own registry is authoritative.
+    /// node — its own registry is authoritative — or the load is not
+    /// [admissible](admissible_load).
     pub fn apply_peer(&mut self, status: NodeStatus, last_heartbeat: SimTime) -> bool {
-        let applied = self.registry.apply_peer(status, last_heartbeat);
+        let applied =
+            admissible_load(status.load_score) && self.registry.apply_peer(status, last_heartbeat);
         if applied {
             self.counters.summaries_applied += 1;
             self.epoch += 1;
@@ -237,12 +245,12 @@ impl CentralManager {
         self.registry.is_alive(node, now)
     }
 
-    /// Housekeeping: drops registry records (and spatial-index entries)
-    /// for nodes dead longer than `grace`, own and peer-advertised,
-    /// returning what it dropped. Volunteers that reappear simply
-    /// re-register via heartbeat; a peer's node reappears with its next
+    /// Drops registry records (and spatial-index entries) for nodes
+    /// dead longer than `grace`, own and peer-advertised, returning what
+    /// it dropped. A forgotten own node's next heartbeat is refused and
+    /// it registers again; a peer's node reappears with its next
     /// advertisement.
-    pub fn prune_dead(&mut self, now: SimTime, grace: armada_types::SimDuration) -> Pruned {
+    pub fn prune_dead(&mut self, now: SimTime, grace: SimDuration) -> Pruned {
         let pruned = self.registry.prune(now, grace);
         if !pruned.is_empty() {
             self.epoch += 1;
@@ -254,9 +262,11 @@ impl CentralManager {
         pruned
     }
 
-    /// Total nodes in the registry, alive or not (housekeeping metric).
-    pub fn registered_count(&self) -> usize {
-        self.registry.len()
+    /// Housekeeping by the manager's one forgetting rule: a record dead
+    /// longer than one liveness budget goes. Drivers run it every
+    /// [`NodeRegistry::liveness_budget`].
+    pub fn forget_dead(&mut self, now: SimTime) -> Pruned {
+        self.prune_dead(now, self.registry.liveness_budget())
     }
 
     /// Serves an edge-discovery query: the first, global step of the
@@ -358,15 +368,77 @@ mod tests {
         assert_eq!(got[0], NodeId::new(0));
     }
 
+    /// A heartbeat carries no listen address, so the manager does not
+    /// register its sender: the sender stays unknown, nothing is
+    /// counted, and the refusal is the sender's cue to register.
     #[test]
-    fn heartbeat_from_unknown_node_re_registers() {
+    fn heartbeat_from_unknown_node_is_refused() {
         let mut mgr = manager_with_nodes(0);
-        mgr.heartbeat(status(7, home(), 0.0), SimTime::from_secs(5));
-        assert!(mgr.is_alive(NodeId::new(7), SimTime::from_secs(5)));
-        // The re-registration is internal: the sender's message was one
-        // heartbeat, so `registry_ops` moves by one.
+        assert!(!mgr.heartbeat(status(7, home(), 0.0), SimTime::from_secs(5)));
+        assert!(!mgr.is_alive(NodeId::new(7), SimTime::from_secs(5)));
+        assert!(mgr.registry().is_empty());
+        assert_eq!((mgr.counters().registry_ops(), mgr.epoch()), (0, 0));
+        assert!(mgr.register(status(7, home(), 0.0), SimTime::from_secs(5)));
+        assert!(mgr.heartbeat(status(7, home(), 0.0), SimTime::from_secs(6)));
         let c = mgr.counters();
-        assert_eq!((c.heartbeats, c.registrations, c.registry_ops()), (1, 0, 1));
+        assert_eq!((c.heartbeats, c.registrations), (1, 1));
+    }
+
+    /// Loads an honest node never reports: `users·fps / capacity ≥ 0`.
+    const BAD_LOADS: [f64; 4] = [f64::NEG_INFINITY, -0.5, f64::NAN, f64::INFINITY];
+
+    #[test]
+    fn a_dishonest_load_is_refused_on_every_write() {
+        let mut mgr = manager_with_nodes(0);
+        for (id, load) in (10..).zip(BAD_LOADS) {
+            assert!(!mgr.register(status(id, home(), load), SimTime::ZERO));
+        }
+        assert!(mgr.registry().is_empty());
+        assert!(mgr.register(status(1, home(), 0.5), SimTime::ZERO));
+        let mut peer = manager_with_nodes(0);
+        for (id, load) in (20..).zip(BAD_LOADS) {
+            assert!(!mgr.heartbeat(status(1, home(), load), SimTime::from_secs(1)));
+            assert!(!peer.apply_peer(status(id, home(), load), SimTime::ZERO));
+        }
+        assert!(peer.registry().is_empty());
+        // Node 1 keeps the load and the heartbeat time it registered with.
+        let record = mgr.registry().record(NodeId::new(1)).unwrap();
+        assert_eq!(
+            (record.status.load_score, record.last_heartbeat),
+            (0.5, SimTime::ZERO)
+        );
+        let c = mgr.counters();
+        assert_eq!(
+            (
+                c.registrations,
+                c.heartbeats,
+                peer.counters().summaries_applied
+            ),
+            (1, 0, 0)
+        );
+    }
+
+    #[test]
+    fn a_query_is_answered_with_at_most_64_ids() {
+        let mut mgr = manager_with_nodes(100);
+        assert_eq!(
+            mgr.discover(home(), &[], usize::MAX, SimTime::ZERO).len(),
+            64
+        );
+        assert_eq!(mgr.discover(home(), &[], 65, SimTime::ZERO).len(), 64);
+        assert_eq!(mgr.discover(home(), &[], 8, SimTime::ZERO).len(), 8);
+    }
+
+    /// Forgetting takes one liveness budget (6 s by default) of being
+    /// dead: 12 s after the last heartbeat, not a microsecond sooner.
+    #[test]
+    fn a_record_is_forgotten_one_budget_after_it_died() {
+        let mut mgr = manager_with_nodes(1);
+        let boundary = SimTime::from_secs(12);
+        assert!(mgr.forget_dead(boundary).is_empty());
+        let pruned = mgr.forget_dead(boundary + SimDuration::from_micros(1));
+        assert_eq!(pruned.own, vec![NodeId::new(0)]);
+        assert!(mgr.registry().is_empty());
     }
 
     /// What a peer's push carries to `to`: how many of its records `to`
@@ -476,7 +548,7 @@ mod tests {
         b.register(status(1, home(), 0.0), SimTime::ZERO);
         take(&mut a, &b.own_summaries());
         let late = SimTime::from_secs(60);
-        let pruned = a.prune_dead(late, armada_types::SimDuration::from_secs(10));
+        let pruned = a.prune_dead(late, SimDuration::from_secs(10));
         assert_eq!(pruned.own, vec![NodeId::new(0)]);
         assert_eq!(pruned.peers, vec![NodeId::new(1)]);
         assert_eq!(a.alive_count(late), 0);
@@ -526,12 +598,13 @@ mod tests {
         // Node 0 silent; node 1 keeps heartbeating.
         let late = SimTime::from_secs(60);
         mgr.heartbeat(status(1, home().offset_km(4.0, 0.0), 0.0), late);
-        let pruned = mgr.prune_dead(late, armada_types::SimDuration::from_secs(10));
+        let pruned = mgr.prune_dead(late, SimDuration::from_secs(10));
         assert_eq!(pruned.own, vec![NodeId::new(0)]);
-        assert_eq!(mgr.registered_count(), 1);
-        // A pruned node that comes back simply re-registers.
-        mgr.heartbeat(status(0, home(), 0.0), late);
-        assert_eq!(mgr.registered_count(), 2);
+        assert_eq!(mgr.registry().len(), 1);
+        // A pruned node that comes back is refused until it registers.
+        assert!(!mgr.heartbeat(status(0, home(), 0.0), late));
+        mgr.register(status(0, home(), 0.0), late);
+        assert_eq!(mgr.registry().len(), 2);
     }
 
     /// Satellite bugfix regression: a heartbeat from a node that did

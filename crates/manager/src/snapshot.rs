@@ -26,6 +26,11 @@ use crate::discovery::{self, Engine};
 use crate::registry::{NodeRecord, RegistryView};
 use crate::selection::{GlobalSelectionPolicy, ScoredCandidate};
 
+/// Longest shortlist a query is answered with: a client holds at most
+/// `TopN` (≤ 8 in this tree) sockets, and a `top_n` off the wire is
+/// any `usize`.
+const MAX_TOP_N: usize = 64;
+
 /// An immutable, epoch-numbered view of one manager's discovery state.
 ///
 /// Produced by [`CentralManager::snapshot`](crate::CentralManager::snapshot)
@@ -130,7 +135,8 @@ impl DiscoverySnapshot {
     }
 
     /// Like [`DiscoverySnapshot::ranked`] but returns node ids only —
-    /// the candidate edge list handed to clients.
+    /// the candidate edge list handed to clients, at most 64 of them
+    /// whatever `top_n` a query asks for.
     pub fn discover(
         &self,
         user_loc: GeoPoint,
@@ -138,7 +144,7 @@ impl DiscoverySnapshot {
         top_n: usize,
         now: SimTime,
     ) -> Vec<NodeId> {
-        self.ranked(user_loc, affiliations, top_n, now)
+        self.ranked(user_loc, affiliations, top_n.min(MAX_TOP_N), now)
             .into_iter()
             .map(|c| c.node)
             .collect()

@@ -63,18 +63,6 @@ impl LatencyRecorder {
         stats::mean(&values).map(SimDuration::from_millis_f64)
     }
 
-    /// Mean latency within the half-open time window `[from, to)` —
-    /// Fig. 9c averages over 60–120 s this way.
-    pub fn mean_in_window(&self, from: SimTime, to: SimTime) -> Option<SimDuration> {
-        let values: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|s| s.at >= from && s.at < to)
-            .map(|s| s.latency.as_millis_f64())
-            .collect();
-        stats::mean(&values).map(SimDuration::from_millis_f64)
-    }
-
     /// Per-user mean latencies, keyed by user.
     pub fn per_user_mean(&self) -> BTreeMap<UserId, SimDuration> {
         let mut grouped: BTreeMap<UserId, Vec<f64>> = BTreeMap::new();
@@ -91,9 +79,10 @@ impl LatencyRecorder {
     }
 
     /// The paper's headline metric: the *user-weighted* mean — the mean
-    /// over users of each user's own mean latency in the window. Unlike
-    /// [`LatencyRecorder::mean_in_window`], users throttled to low frame
-    /// rates (often the ones suffering most) are not underweighted.
+    /// over users of each user's own mean latency in the half-open
+    /// window `[from, to)`. Unlike a per-frame mean, users throttled to
+    /// low frame rates (often the ones suffering most) are not
+    /// underweighted.
     pub fn user_mean_in_window(&self, from: SimTime, to: SimTime) -> Option<SimDuration> {
         let mut grouped: BTreeMap<UserId, Vec<f64>> = BTreeMap::new();
         for s in &self.samples {
@@ -249,11 +238,11 @@ mod tests {
     fn windowed_mean_filters_by_time() {
         let r = rec();
         let m = r
-            .mean_in_window(SimTime::from_secs(60), SimTime::from_secs(120))
+            .user_mean_in_window(SimTime::from_secs(60), SimTime::from_secs(120))
             .unwrap();
         assert_eq!(m, SimDuration::from_millis(80)); // (60 + 100) / 2
         assert!(r
-            .mean_in_window(SimTime::from_secs(200), SimTime::from_secs(300))
+            .user_mean_in_window(SimTime::from_secs(200), SimTime::from_secs(300))
             .is_none());
     }
 
@@ -297,9 +286,7 @@ mod tests {
             SimTime::from_millis(50),
             SimDuration::from_millis(200),
         );
-        let frame_weighted = r
-            .mean_in_window(SimTime::ZERO, SimTime::from_secs(1))
-            .unwrap();
+        let frame_weighted = r.mean().unwrap();
         let user_weighted = r
             .user_mean_in_window(SimTime::ZERO, SimTime::from_secs(1))
             .unwrap();

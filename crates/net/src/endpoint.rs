@@ -109,12 +109,6 @@ impl Endpoint {
         self
     }
 
-    /// Replaces the downlink capacity.
-    pub fn with_downlink(mut self, downlink: Bandwidth) -> Self {
-        self.downlink = downlink;
-        self
-    }
-
     /// Adds a fixed one-way delay (clamped to be non-negative).
     pub fn with_extra_one_way_ms(mut self, ms: f64) -> Self {
         self.extra_one_way_ms = if ms.is_finite() { ms.max(0.0) } else { 0.0 };
@@ -148,10 +142,8 @@ mod tests {
     fn builder_overrides_apply() {
         let ep = Endpoint::new(GeoPoint::new(0.0, 0.0), AccessNetwork::HomeWifi)
             .with_uplink(Bandwidth::from_megabits_per_sec(5.0))
-            .with_downlink(Bandwidth::from_megabits_per_sec(50.0))
             .with_extra_one_way_ms(4.0);
         assert_eq!(ep.uplink().as_megabits_per_sec(), 5.0);
-        assert_eq!(ep.downlink().as_megabits_per_sec(), 50.0);
         assert_eq!(ep.extra_one_way_ms(), 4.0);
     }
 

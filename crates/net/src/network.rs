@@ -42,11 +42,6 @@ impl Delivery {
             _ => None,
         }
     }
-
-    /// `true` if the link itself refused the message (down/partition).
-    pub fn is_unreachable(self) -> bool {
-        matches!(self, Delivery::Unreachable)
-    }
 }
 
 /// Extra arrival offset of an injected duplicate over the original.
@@ -541,7 +536,7 @@ mod tests {
         let before = net.deliver_rtt(U1, Addr::Manager, 0, &mut rng);
         assert!(before.delay().is_some());
         let during = net.deliver_rtt(U1, Addr::Manager, 1_500_000, &mut rng);
-        assert!(during.is_unreachable());
+        assert!(matches!(during, Delivery::Unreachable));
         // Node links are untouched by a user↔manager cut.
         assert!(net
             .deliver_rtt(U1, N1, 1_500_000, &mut rng)

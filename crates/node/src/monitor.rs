@@ -116,12 +116,6 @@ impl PerfMonitor {
         (self.ewma_ms - self.basis_ms).abs() / self.basis_ms > self.threshold
     }
 
-    /// Records that the test workload ran: the current EWMA becomes the
-    /// new drift basis.
-    pub fn rebase(&mut self) {
-        self.basis_ms = self.ewma_ms;
-    }
-
     /// Records that the test workload ran when no live traffic has been
     /// observed yet: the test measurement itself seeds the drift basis.
     pub fn rebase_with(&mut self, measured: SimDuration) {
@@ -180,7 +174,7 @@ mod tests {
         for _ in 0..20 {
             m.observe(SimDuration::from_millis(30));
         }
-        m.rebase();
+        m.rebase_with(SimDuration::ZERO);
         // Stable performance: no trigger.
         assert!(!m.observe(SimDuration::from_millis(31)));
         // Sustained slowdown (e.g. host workload): triggers once EWMA
@@ -198,7 +192,7 @@ mod tests {
         for _ in 0..20 {
             m.observe(SimDuration::from_millis(60));
         }
-        m.rebase();
+        m.rebase_with(SimDuration::ZERO);
         let mut fired = false;
         for _ in 0..30 {
             fired |= m.observe(SimDuration::from_millis(20));
@@ -212,11 +206,11 @@ mod tests {
         for _ in 0..10 {
             m.observe(SimDuration::from_millis(30));
         }
-        m.rebase();
+        m.rebase_with(SimDuration::ZERO);
         for _ in 0..30 {
             m.observe(SimDuration::from_millis(60));
         }
-        m.rebase();
+        m.rebase_with(SimDuration::ZERO);
         assert!(
             !m.observe(SimDuration::from_millis(60)),
             "fresh basis, no drift"

@@ -119,16 +119,6 @@ impl<W> Simulation<W> {
         &self.rng
     }
 
-    /// Total events executed so far.
-    pub fn events_executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Number of events currently pending.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Schedules `f` at absolute time `at` (clamped to now if in the
     /// past).
     pub fn schedule_at(
@@ -239,7 +229,7 @@ mod tests {
         });
         sim.run();
         assert_eq!(sim.world(), &vec![1, 2, 3]);
-        assert_eq!(sim.events_executed(), 3);
+        assert_eq!(sim.executed, 3);
     }
 
     #[test]
@@ -268,7 +258,7 @@ mod tests {
         sim.run_until(SimTime::from_millis(20));
         assert_eq!(sim.world(), &vec![5, 15]);
         assert_eq!(sim.now(), SimTime::from_millis(20));
-        assert_eq!(sim.pending_events(), 1);
+        assert_eq!(sim.queue.len(), 1);
         sim.run();
         assert_eq!(sim.world(), &vec![5, 15, 25]);
     }

@@ -19,13 +19,6 @@ pub enum NodeClass {
     Cloud,
 }
 
-impl NodeClass {
-    /// `true` for volunteer nodes, which are subject to churn.
-    pub fn is_volunteer(self) -> bool {
-        matches!(self, NodeClass::Volunteer)
-    }
-}
-
 impl fmt::Display for NodeClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -233,7 +226,10 @@ mod tests {
         assert_eq!(*class, NodeClass::Volunteer);
         assert_eq!(v1.cores(), 8);
         assert_eq!(v1.base_frame_ms(), 24.0);
-        let volunteer_count = profiles.iter().filter(|(_, c, _)| c.is_volunteer()).count();
+        let volunteer_count = profiles
+            .iter()
+            .filter(|(_, c, _)| *c == NodeClass::Volunteer)
+            .count();
         assert_eq!(volunteer_count, 5);
         let (_, _, cloud) = profiles.last().unwrap();
         assert_eq!(cloud.base_frame_ms(), 30.0);

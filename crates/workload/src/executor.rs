@@ -56,11 +56,6 @@ impl<T> PsExecutor<T> {
         self.jobs.len()
     }
 
-    /// `true` when nothing is executing.
-    pub fn is_idle(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
     /// The state-change counter. Incremented by every admit and every
     /// completion; callers embed it in scheduled wake-ups to detect
     /// staleness.
@@ -173,38 +168,6 @@ impl<T> PsExecutor<T> {
             base + SimDuration::from_micros(wait_us.ceil() as u64),
         ))
     }
-
-    /// Predicted wall-clock time for a *new* job admitted now to finish,
-    /// assuming no further arrivals — the analytic form of the "what-if"
-    /// measurement, used in tests to validate the executor.
-    pub fn whatif_response(&self) -> SimDuration {
-        // Simulate the PS system with a phantom job appended.
-        let mut remaining: Vec<f64> = self.jobs.iter().map(|j| j.remaining_us).collect();
-        remaining.push(self.base_work_us);
-        let mut elapsed_us = 0.0;
-        loop {
-            let n = remaining.len() as f64;
-            let rate = if n <= self.cores { 1.0 } else { self.cores / n };
-            let min = remaining.iter().copied().fold(f64::INFINITY, f64::min);
-            let dt = min / rate;
-            elapsed_us += dt;
-            // The phantom job is always the largest or tied; it finishes
-            // last among current jobs, so stop when it alone remains at
-            // zero.
-            for r in &mut remaining {
-                *r -= dt * rate;
-            }
-            let phantom_left = *remaining.last().expect("phantom present");
-            remaining.retain(|&r| r > EPS_US);
-            if phantom_left <= EPS_US && remaining.is_empty() {
-                break;
-            }
-            if phantom_left <= EPS_US {
-                break;
-            }
-        }
-        SimDuration::from_micros(elapsed_us.round() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +188,7 @@ mod tests {
         exec.admit("a", SimTime::ZERO);
         let done = exec.advance(SimTime::from_millis(30));
         assert_eq!(done, vec![("a", SimTime::from_millis(30))]);
-        assert!(exec.is_idle());
+        assert_eq!(exec.in_flight(), 0);
     }
 
     #[test]
@@ -304,43 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn whatif_on_idle_node_equals_base_time() {
-        let exec: PsExecutor<()> = PsExecutor::new(&hw(4, 24.0));
-        assert_eq!(exec.whatif_response(), SimDuration::from_millis(24));
-    }
-
-    #[test]
-    fn whatif_grows_with_load() {
-        let mut exec = PsExecutor::new(&hw(2, 30.0));
-        let idle = exec.whatif_response();
-        for tag in 0..4 {
-            exec.admit(tag, SimTime::ZERO);
-        }
-        let loaded = exec.whatif_response();
-        assert!(loaded > idle, "idle={idle} loaded={loaded}");
-    }
-
-    #[test]
-    fn whatif_matches_actual_admission() {
-        // The analytic what-if must agree with actually admitting a job
-        // and watching it complete (no further arrivals).
-        let mut exec = PsExecutor::new(&hw(2, 30.0));
-        exec.admit(0, SimTime::ZERO);
-        exec.admit(1, SimTime::ZERO);
-        exec.admit(2, SimTime::ZERO);
-        exec.advance(SimTime::from_millis(7));
-        let predicted = exec.whatif_response();
-
-        let mut actual = exec.clone();
-        actual.admit(99, SimTime::from_millis(7));
-        let done = actual.advance(SimTime::from_secs(10));
-        let t99 = done.iter().find(|(tag, _)| *tag == 99).unwrap().1;
-        let measured = t99 - SimTime::from_millis(7);
-        let diff = (measured.as_millis_f64() - predicted.as_millis_f64()).abs();
-        assert!(diff < 0.01, "predicted {predicted} measured {measured}");
-    }
-
-    #[test]
     fn advance_is_incremental() {
         // Advancing in many small steps equals one big step.
         let build = || {
@@ -379,7 +305,7 @@ mod tests {
             }
             completed.extend(exec.advance(SimTime::from_secs(1_000)));
             prop_assert_eq!(completed.len(), sorted.len());
-            prop_assert!(exec.is_idle());
+            prop_assert_eq!(exec.in_flight(), 0);
             // Each job's response time is at least the base frame time.
             for (idx, t) in &completed {
                 let admitted = SimTime::from_micros(sorted[*idx]);

@@ -6,7 +6,7 @@
 //! multiplicative decrease when observed end-to-end latency exceeds the
 //! target, additive recovery toward the cap otherwise.
 
-use armada_types::{SimDuration, SimTime};
+use armada_types::SimDuration;
 
 /// An additive-increase / multiplicative-decrease frame-rate controller.
 ///
@@ -77,11 +77,6 @@ impl AimdController {
         self.target
     }
 
-    /// The smoothed latency estimate.
-    pub fn smoothed_latency(&self) -> SimDuration {
-        SimDuration::from_millis_f64(self.ewma_ms)
-    }
-
     /// The inter-frame interval at the current rate.
     pub fn frame_interval(&self) -> SimDuration {
         SimDuration::from_secs_f64(1.0 / self.fps)
@@ -111,11 +106,6 @@ impl AimdController {
         self.ewma_ms = 0.0;
         self.ewma_seeded = false;
     }
-
-    /// When the next frame should be sent, given the previous send time.
-    pub fn next_send(&self, previous: SimTime) -> SimTime {
-        previous + self.frame_interval()
-    }
 }
 
 #[cfg(test)]
@@ -125,6 +115,11 @@ mod tests {
 
     fn ctl() -> AimdController {
         AimdController::new(20.0, SimDuration::from_millis(100))
+    }
+
+    /// The latency estimate the rate adapts on.
+    fn smoothed(c: &AimdController) -> SimDuration {
+        SimDuration::from_millis_f64(c.ewma_ms)
     }
 
     #[test]
@@ -179,7 +174,7 @@ mod tests {
         assert!(c.fps() < 20.0);
         c.reset();
         assert_eq!(c.fps(), 20.0);
-        assert_eq!(c.smoothed_latency(), SimDuration::ZERO);
+        assert_eq!(smoothed(&c), SimDuration::ZERO);
     }
 
     /// Regression: `ewma_ms == 0.0` used to double as the "unseeded"
@@ -189,11 +184,11 @@ mod tests {
     fn zero_latency_seeds_once_then_smooths() {
         let mut c = ctl();
         c.on_latency(SimDuration::ZERO);
-        assert_eq!(c.smoothed_latency(), SimDuration::ZERO);
+        assert_eq!(smoothed(&c), SimDuration::ZERO);
         // The next observation must be smoothed against the seeded 0 ms
         // estimate (0.3 · 100 + 0.7 · 0 = 30 ms), not replace it.
         c.on_latency(SimDuration::from_millis(100));
-        assert_eq!(c.smoothed_latency(), SimDuration::from_millis(30));
+        assert_eq!(smoothed(&c), SimDuration::from_millis(30));
     }
 
     /// After `reset()` the estimate is deliberately cleared: the first
@@ -207,20 +202,13 @@ mod tests {
         c.reset();
         c.on_latency(SimDuration::from_millis(40));
         assert_eq!(
-            c.smoothed_latency(),
+            smoothed(&c),
             SimDuration::from_millis(40),
             "first post-reset sample seeds the estimate outright"
         );
         c.on_latency(SimDuration::from_millis(140));
         // 0.3 · 140 + 0.7 · 40 = 70 ms.
-        assert_eq!(c.smoothed_latency(), SimDuration::from_millis(70));
-    }
-
-    #[test]
-    fn next_send_advances_by_interval() {
-        let c = ctl();
-        let t = SimTime::from_millis(100);
-        assert_eq!(c.next_send(t), SimTime::from_millis(150));
+        assert_eq!(smoothed(&c), SimDuration::from_millis(70));
     }
 
     #[test]
@@ -259,7 +247,7 @@ mod tests {
                 if !draining {
                     prop_assert!(c.fps() >= prev);
                 }
-                if c.smoothed_latency() <= c.target() {
+                if smoothed(&c) <= c.target() {
                     draining = false;
                 }
                 prev = c.fps();

@@ -79,8 +79,12 @@ enum Op {
 
 fn apply(manager: &mut CentralManager, op: Op) {
     match op {
-        Op::Register(status, at) => manager.register(status, at),
-        Op::Heartbeat(status, at) => manager.heartbeat(status, at),
+        Op::Register(status, at) => {
+            manager.register(status, at);
+        }
+        Op::Heartbeat(status, at) => {
+            manager.heartbeat(status, at);
+        }
         Op::Leave(node) => manager.node_left(node),
         Op::Prune(at, grace) => {
             manager.prune_dead(at, grace);

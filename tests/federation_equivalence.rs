@@ -301,6 +301,7 @@ fn shards_conserve_registry_ops_and_keep_each_node_whole() {
 mod traced {
     use super::*;
     use armada::trace::{inspect, MemorySink, Severity, Tracer};
+    use armada::types::ShardId;
 
     fn traced_federated_run() -> (String, RunResult) {
         let spec = FederationSpec::new(4);
@@ -334,6 +335,60 @@ mod traced {
         assert_eq!(first, second, "federated trace must be deterministic");
         assert_eq!(result_a.recorder().len(), result_b.recorder().len());
         assert_eq!(result_a.recorder().mean(), result_b.recorder().mean());
+    }
+
+    /// A registration sent while its home shard is down is lost. The
+    /// revived shard refuses the node's next heartbeat, and the node
+    /// registers again: once, at its first heartbeat after the revival,
+    /// narrated as `node.register` and counted by the shard.
+    #[test]
+    fn a_registration_lost_to_a_down_shard_is_narrated() {
+        let (shard, up) = (ShardId::new(0), SimTime::from_secs(5));
+        let sink = MemorySink::new();
+        let buffer = sink.buffer();
+        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+        let crash = FaultPlan::new(SEED).crash(PeerId::shard(0), SimTime::ZERO, up);
+        let result = Scenario::new(
+            EnvSpec::realworld(N_USERS).with_federation(FederationSpec::new(2)),
+            Strategy::client_centric(),
+        )
+        .duration(SimDuration::from_secs(DURATION_S))
+        .seed(SEED)
+        .with_fault_plan(crash)
+        .with_tracer(tracer.clone())
+        .run();
+        tracer.flush();
+        let events = inspect::parse_jsonl(&buffer.lock().unwrap()).expect("trace parses");
+        let cluster = result.world().managers();
+        let homed: Vec<u64> = result
+            .world()
+            .nodes()
+            .filter(|n| cluster.map().home(n.status().location) == shard)
+            .map(|n| n.id().as_u64())
+            .collect();
+        assert!(!homed.is_empty(), "shard 0 is no node's home");
+        let first_heartbeat = up.as_micros()..=up.as_micros() + 2_000_000;
+        for node in &homed {
+            let registered: Vec<u64> = events
+                .iter()
+                .filter(|e| e.kind == "node.register" && e.field_u64("node") == Some(*node))
+                .map(|e| {
+                    assert_eq!(e.field_u64("shard"), Some(0), "node {node}");
+                    e.t_us
+                })
+                .collect();
+            assert_eq!(
+                registered.len(),
+                1,
+                "node {node} registered at {registered:?}"
+            );
+            assert!(
+                first_heartbeat.contains(&registered[0]),
+                "node {node} at {registered:?}"
+            );
+        }
+        let counted = cluster.shard(shard).unwrap().counters().registrations;
+        assert_eq!(counted, homed.len() as u64);
     }
 
     /// The federation-specific event kinds show up and reconstruct the
