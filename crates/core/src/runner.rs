@@ -849,7 +849,7 @@ pub(crate) fn node_leave(w: &mut World, ctx: &mut Ctx<'_>, node: NodeId) {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::{HashMap, HashSet};
+    use std::collections::HashMap;
 
     use armada_client::EdgeClient;
     use armada_federation::{FederatedCluster, ShardMap};
@@ -862,6 +862,7 @@ mod tests {
     use armada_types::{AccessNetwork, GeoPoint, HardwareProfile, SimTime, SystemConfig};
 
     use super::*;
+    use crate::world::{IdMap, IdSet};
 
     const USER: UserId = UserId::new(0);
     const NODE: NodeId = NodeId::new(0);
@@ -884,7 +885,7 @@ mod tests {
 
         let strategy = crate::strategy::Strategy::client_centric();
         let client_config = strategy.client_config();
-        let mut nodes = HashMap::new();
+        let mut nodes = IdMap::default();
         nodes.insert(
             NODE,
             EdgeNode::new(
@@ -896,7 +897,7 @@ mod tests {
                 system.perf_drift_threshold,
             ),
         );
-        let mut clients = HashMap::new();
+        let mut clients = IdMap::default();
         clients.insert(USER, EdgeClient::new(USER, loc, client_config));
 
         World {
@@ -913,12 +914,12 @@ mod tests {
             strategy,
             client_config,
             system,
-            streaming: HashSet::new(),
-            periodic_started: HashSet::new(),
-            dead_nodes: HashSet::new(),
+            streaming: IdSet::default(),
+            periodic_started: IdSet::default(),
+            dead_nodes: IdSet::default(),
             end_time: SimTime::from_secs(60),
             failure_events: Vec::new(),
-            affiliations: HashMap::new(),
+            affiliations: IdMap::default(),
             tracer: Default::default(),
         }
     }

@@ -1,7 +1,5 @@
 //! Scenario construction and execution.
 
-use std::collections::{HashMap, HashSet};
-
 use armada_chaos::{FaultPlan, PeerClass, PeerId};
 use armada_churn::ChurnTrace;
 use armada_client::EdgeClient;
@@ -21,7 +19,7 @@ use rand::Rng;
 use crate::runner;
 use crate::spec::{msp, EnvSpec};
 use crate::strategy::Strategy;
-use crate::world::World;
+use crate::world::{IdMap, IdSet, World};
 
 /// When users enter the system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,7 +160,7 @@ impl Scenario {
         points.extend(env.users.iter().map(|u| u.location));
         let map = ShardMap::partition(&points, env.federation.map_or(1, |f| f.shards));
         let managers = FederatedCluster::new(map, env.system, GlobalSelectionPolicy::default());
-        let mut nodes = HashMap::new();
+        let mut nodes = IdMap::default();
         for (i, spec) in env.nodes.iter().enumerate() {
             let id = NodeId::new(i as u64);
             nodes.insert(
@@ -177,7 +175,7 @@ impl Scenario {
                 ),
             );
         }
-        let mut clients = HashMap::new();
+        let mut clients = IdMap::default();
         for (i, spec) in env.users.iter().enumerate() {
             let id = UserId::new(i as u64);
             clients.insert(id, EdgeClient::new(id, spec.location, client_config));
@@ -193,9 +191,9 @@ impl Scenario {
             strategy,
             client_config,
             system: env.system,
-            streaming: HashSet::new(),
-            periodic_started: HashSet::new(),
-            dead_nodes: HashSet::new(),
+            streaming: IdSet::default(),
+            periodic_started: IdSet::default(),
+            dead_nodes: IdSet::default(),
             end_time: SimTime::ZERO + duration,
             failure_events: Vec::new(),
             affiliations: env

@@ -8,9 +8,19 @@ use armada_metrics::LatencyRecorder;
 use armada_net::Network;
 use armada_node::EdgeNode;
 use armada_trace::Tracer;
-use armada_types::{ClientConfig, NodeId, SimDuration, SimTime, SystemConfig, UserId};
+use armada_types::{
+    ClientConfig, NodeId, SimDuration, SimTime, SystemConfig, U64BuildHasher, UserId,
+};
 
 use crate::strategy::Strategy;
+
+/// A map keyed by a simulator id. The ids are the run's own, not input
+/// an attacker picks, and every event reads these tables, so they hash
+/// with [`U64BuildHasher`] instead of SipHash.
+pub(crate) type IdMap<K, V> = HashMap<K, V, U64BuildHasher>;
+
+/// A set of simulator ids, hashed like [`IdMap`].
+pub(crate) type IdSet<K> = HashSet<K, U64BuildHasher>;
 
 /// Everything the scenario events read and mutate.
 ///
@@ -25,23 +35,23 @@ pub struct World {
     /// How long a client waits on a shard that is down before it gives
     /// up on it ([`crate::FederationSpec::route_retry`]).
     pub(crate) route_retry: SimDuration,
-    pub(crate) nodes: HashMap<NodeId, EdgeNode>,
-    pub(crate) clients: HashMap<UserId, EdgeClient>,
+    pub(crate) nodes: IdMap<NodeId, EdgeNode>,
+    pub(crate) clients: IdMap<UserId, EdgeClient>,
     pub(crate) recorder: LatencyRecorder,
     pub(crate) strategy: Strategy,
     pub(crate) client_config: ClientConfig,
     pub(crate) system: SystemConfig,
-    pub(crate) streaming: HashSet<UserId>,
-    pub(crate) periodic_started: HashSet<UserId>,
+    pub(crate) streaming: IdSet<UserId>,
+    pub(crate) periodic_started: IdSet<UserId>,
     /// Nodes that have left for good (churn departures); wake-ups and
     /// actions for them are dropped.
-    pub(crate) dead_nodes: HashSet<NodeId>,
+    pub(crate) dead_nodes: IdSet<NodeId>,
     /// Scenario horizon: self-perpetuating loops stop past this point.
     pub(crate) end_time: SimTime,
     /// Serving-node failures as observed by clients: `(user, when)`.
     pub(crate) failure_events: Vec<(UserId, SimTime)>,
     /// Declared network affiliations per user, passed to discovery.
-    pub(crate) affiliations: HashMap<UserId, Vec<NodeId>>,
+    pub(crate) affiliations: IdMap<UserId, Vec<NodeId>>,
     /// Structured event sink (disabled by default; events are stamped
     /// with virtual time, so traced runs stay deterministic).
     pub(crate) tracer: Tracer,

@@ -76,6 +76,8 @@ impl Pruned {
 /// copy-on-write view ([`NodeRegistry::view`]) in O(shards) without
 /// cloning a million records — and writers mutating while a view is
 /// outstanding copy only the one shard they touch, never the table.
+/// Each shard keeps its records packed, which is what makes
+/// [`NodeRegistry::alive`] a walk over contiguous memory.
 #[derive(Debug, Clone)]
 pub struct NodeRegistry {
     own: CowTable<NodeRecord>,
@@ -155,11 +157,10 @@ impl NodeRegistry {
     /// Records a heartbeat; returns `false` (and ignores it) if the node
     /// was never registered here.
     pub fn heartbeat(&mut self, status: NodeStatus, now: SimTime) -> bool {
-        match self.own.get(status.node).copied() {
-            Some(mut r) => {
+        match self.own.get_mut(status.node) {
+            Some(r) => {
                 r.status = status;
                 r.last_heartbeat = now;
-                self.own.insert(status.node, r);
                 true
             }
             None => false,
@@ -222,11 +223,18 @@ impl NodeRegistry {
     }
 
     /// Iterates records considered alive at `now`, own first.
+    ///
+    /// This is the discovery flat pass's walk: it reads each table's
+    /// packed shards slice by slice, own then peers, against one
+    /// deadline `now − budget` computed up front — `alive_at`'s rule,
+    /// not re-derived per record.
     pub fn alive(&self, now: SimTime) -> impl Iterator<Item = &NodeRecord> {
-        self.own
-            .values()
-            .chain(self.peers.values())
-            .filter(move |r| self.fresh(r, now))
+        let deadline = now - self.budget;
+        let shards = self.own.slices().chain(self.peers.slices());
+        shards
+            .flatten()
+            .map(|(_, record)| record)
+            .filter(move |r| r.last_heartbeat >= deadline)
     }
 
     /// Number of alive nodes at `now`, own and peer-advertised.

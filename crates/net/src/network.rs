@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet};
 
 use armada_chaos::{FaultInjector, FaultPlan, InjectorStats, PeerId};
 use armada_sim::SimRng;
-use armada_types::{DataSize, SimDuration};
+use armada_types::{DataSize, SimDuration, U64BuildHasher};
 
 use crate::endpoint::{Addr, Endpoint};
 use crate::latency::LatencyModelParams;
@@ -57,12 +57,15 @@ const DUPLICATE_LAG: SimDuration = SimDuration::from_millis(1);
 #[derive(Debug, Clone)]
 pub struct Network {
     params: LatencyModelParams,
-    endpoints: HashMap<Addr, Endpoint>,
+    /// Keyed by simulator ids, not input an attacker picks: every
+    /// message reads this map and the two below, so they hash with
+    /// [`U64BuildHasher`], not SipHash.
+    endpoints: HashMap<Addr, Endpoint, U64BuildHasher>,
     /// Pinned one-way delays (symmetric), in the style of the paper's
     /// `tc` emulation configuration. Keys are stored normalised
     /// (smaller address first).
-    overrides: HashMap<(Addr, Addr), SimDuration>,
-    down: HashSet<Addr>,
+    overrides: HashMap<(Addr, Addr), SimDuration, U64BuildHasher>,
+    down: HashSet<Addr, U64BuildHasher>,
     /// Deterministic fault injection, when a plan is installed. Fault
     /// decisions are pure hashes of the plan seed — they never draw
     /// from the shared [`SimRng`] — so installing a no-op plan leaves
@@ -75,9 +78,9 @@ impl Network {
     pub fn new(params: LatencyModelParams) -> Self {
         Network {
             params,
-            endpoints: HashMap::new(),
-            overrides: HashMap::new(),
-            down: HashSet::new(),
+            endpoints: HashMap::default(),
+            overrides: HashMap::default(),
+            down: HashSet::default(),
             chaos: None,
         }
     }
@@ -139,7 +142,23 @@ impl Network {
 
     /// `true` if the endpoint is registered and not marked down.
     pub fn is_up(&self, addr: Addr) -> bool {
-        self.endpoints.contains_key(&addr) && !self.down.contains(&addr)
+        self.up(addr).is_some()
+    }
+
+    /// The endpoint at `addr` iff it is registered and not marked down:
+    /// one map read, and the `down` set only while something is down.
+    fn up(&self, addr: Addr) -> Option<&Endpoint> {
+        let endpoint = self.endpoints.get(&addr)?;
+        (self.down.is_empty() || !self.down.contains(&addr)).then_some(endpoint)
+    }
+
+    /// The pinned one-way delay between `a` and `b`, if any; no lookup
+    /// while nothing is pinned.
+    fn pinned(&self, a: Addr, b: Addr) -> Option<SimDuration> {
+        if self.overrides.is_empty() {
+            return None;
+        }
+        self.overrides.get(&normalise(a, b)).copied()
     }
 
     /// Pins the one-way delay between two endpoints (both directions),
@@ -174,15 +193,24 @@ impl Network {
     /// path-diversity offset) but still receives the jitter component
     /// (tc pins the base delay; queueing noise remains).
     pub fn one_way(&self, a: Addr, b: Addr, rng: &mut SimRng) -> Option<SimDuration> {
-        if !self.is_up(a) || !self.is_up(b) {
-            return None;
-        }
-        let (ea, eb) = (&self.endpoints[&a], &self.endpoints[&b]);
-        if let Some(&pinned) = self.overrides.get(&normalise(a, b)) {
+        let (ea, eb) = (self.up(a)?, self.up(b)?);
+        Some(self.sample_leg(a, b, ea, eb, rng))
+    }
+
+    /// [`Network::one_way`] on endpoints already resolved.
+    fn sample_leg(
+        &self,
+        a: Addr,
+        b: Addr,
+        ea: &Endpoint,
+        eb: &Endpoint,
+        rng: &mut SimRng,
+    ) -> SimDuration {
+        if let Some(pinned) = self.pinned(a, b) {
             let jitter = self.params.sample_jitter_ms(ea, eb, rng);
-            return Some(pinned + SimDuration::from_millis_f64(jitter));
+            return pinned + SimDuration::from_millis_f64(jitter);
         }
-        Some(self.params.sample_one_way(ea, eb, rng) + self.path_offset(a, b))
+        self.params.sample_one_way(ea, eb, rng) + self.path_offset(a, b)
     }
 
     /// Samples a full round-trip time between `a` and `b` (two
@@ -196,26 +224,18 @@ impl Network {
     /// The expected (jitter-free) RTT between `a` and `b`, if both are
     /// up. Useful for analytical baselines such as the optimal solver.
     pub fn mean_rtt(&self, a: Addr, b: Addr) -> Option<SimDuration> {
-        if !self.is_up(a) || !self.is_up(b) {
-            return None;
-        }
-        if let Some(&pinned) = self.overrides.get(&normalise(a, b)) {
+        let (ea, eb) = (self.up(a)?, self.up(b)?);
+        if let Some(pinned) = self.pinned(a, b) {
             return Some(pinned * 2);
         }
-        let (ea, eb) = (&self.endpoints[&a], &self.endpoints[&b]);
         Some((self.params.mean_one_way(ea, eb) + self.path_offset(a, b)) * 2)
     }
 
     /// Serialisation delay for pushing `size` from `a` toward `b`:
     /// limited by `a`'s uplink and `b`'s downlink.
     pub fn transfer_delay(&self, a: Addr, b: Addr, size: DataSize) -> Option<SimDuration> {
-        if !self.is_up(a) || !self.is_up(b) {
-            return None;
-        }
-        let (ea, eb) = (&self.endpoints[&a], &self.endpoints[&b]);
-        let up = ea.uplink().transfer_time(size);
-        let down = eb.downlink().transfer_time(size);
-        Some(up.max(down))
+        let (ea, eb) = (self.up(a)?, self.up(b)?);
+        Some(transfer_time(ea, eb, size))
     }
 
     /// One-way delivery delay for a message of `size` from `a` to `b`:
@@ -227,9 +247,8 @@ impl Network {
         size: DataSize,
         rng: &mut SimRng,
     ) -> Option<SimDuration> {
-        let prop = self.one_way(a, b, rng)?;
-        let xfer = self.transfer_delay(a, b, size)?;
-        Some(prop + xfer)
+        let (ea, eb) = (self.up(a)?, self.up(b)?);
+        Some(self.sample_leg(a, b, ea, eb, rng) + transfer_time(ea, eb, size))
     }
 
     /// Iterates over registered addresses in unspecified order.
@@ -311,6 +330,14 @@ fn peer_of(addr: Addr) -> PeerId {
         Addr::Node(n) => PeerId::node(n.as_u64()),
         Addr::Manager => PeerId::manager(0),
     }
+}
+
+/// Serialisation time of `size` from `a` to `b`: limited by `a`'s
+/// uplink and `b`'s downlink.
+fn transfer_time(a: &Endpoint, b: &Endpoint, size: DataSize) -> SimDuration {
+    let up = a.uplink().transfer_time(size);
+    let down = b.downlink().transfer_time(size);
+    up.max(down)
 }
 
 /// Normalises an unordered pair for symmetric lookup.

@@ -2,7 +2,7 @@
 //! facade: the same selection behaviour the simulator shows, over real
 //! TCP.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use armada::live::{LiveClient, LiveManager, LiveNode, NodeConfig};
 use armada::types::{ClientConfig, GeoPoint, HardwareProfile, NodeClass};
@@ -52,8 +52,14 @@ fn live_failover_is_absorbed_by_warm_backup() {
         GeoPoint::new(44.98, -93.26),
         ClientConfig::default().with_top_n(2),
     );
+    // Kill the primary once it has served a frame, not at a fixed time:
+    // on a loaded host session setup can outlast any fixed delay, and
+    // the client would then join the backup directly.
     let killer = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(900));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while primary.frames_processed() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
         primary.shutdown();
         primary
     });
