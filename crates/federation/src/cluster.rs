@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use armada_manager::{CentralManager, GlobalSelectionPolicy, Narrator};
 use armada_node::NodeStatus;
 use armada_trace::Tracer;
-use armada_types::{GeoPoint, NodeId, ShardId, SimDuration, SimTime, SystemConfig};
+use armada_types::{GeoPoint, NodeId, ShardId, SimTime, SystemConfig};
 
 use crate::map::ShardMap;
 
@@ -212,18 +212,11 @@ impl FederatedCluster {
         stats
     }
 
-    /// Housekeeping across every shard, each dropping what has been
-    /// dead longer than `grace` ([`CentralManager::prune_dead`]);
-    /// returns how many own records went. A down shard is pruned too:
-    /// forgetting is a rule of time, so a revived shard comes back
-    /// having forgotten what died while it was away.
-    pub fn prune(&mut self, now: SimTime, grace: SimDuration) -> usize {
-        let pruned = self.shards.iter_mut().map(|s| s.prune_dead(now, grace));
-        pruned.map(|p| p.own.len()).sum()
-    }
-
-    /// [`FederatedCluster::prune`] by the manager's one forgetting rule
-    /// ([`CentralManager::forget_dead`]).
+    /// Housekeeping across every shard by the manager's one forgetting
+    /// rule ([`CentralManager::forget_dead`]); returns how many own
+    /// records went. A down shard forgets too: forgetting is a rule of
+    /// time, so a revived shard comes back having forgotten what died
+    /// while it was away.
     pub fn forget_dead(&mut self, now: SimTime) -> usize {
         let forgotten = self.shards.iter_mut().map(|s| s.forget_dead(now));
         forgotten.map(|p| p.own.len()).sum()
@@ -238,7 +231,7 @@ impl FederatedCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use armada_types::{splitmix64, NodeClass};
+    use armada_types::{splitmix64, NodeClass, SimDuration};
 
     fn west() -> GeoPoint {
         GeoPoint::new(44.98, -93.80)
@@ -471,9 +464,8 @@ mod tests {
                     8 => drop(cluster.kill(shard)),
                     9 => drop(cluster.revive(shard)),
                     10 => {
-                        let grace = SimDuration::from_secs(5);
-                        cluster.prune(now, grace);
-                        single.prune_dead(now, grace);
+                        cluster.forget_dead(now);
+                        single.forget_dead(now);
                     }
                     _ => {
                         let quiet = Tracer::disabled();

@@ -5,12 +5,16 @@
 //! walks the manager route under its breakers, remembers the shortlist
 //! degraded mode runs on, names the retry times and writes its own
 //! events; this file owns I/O only — sockets and timeouts, sleeping,
-//! the id → listen-address book — and the probe fan-out, the one step
-//! with anything to overlap, is `crate::probe`'s readiness state
-//! machine run on the calling thread. Every other exchange is a plain
-//! blocking call.
+//! the id → listen-address book, one held link per manager — and the
+//! probe fan-out, the one step with anything to overlap, is
+//! `crate::probe`'s readiness state machine run on the calling thread.
+//! Every other exchange is a plain blocking call. A discovery is one
+//! exchange on the link the client holds to that manager, dialled by
+//! its first discovery and again only once the manager has closed it,
+//! so it costs the one round trip the simulator charges.
 
 use std::collections::HashMap;
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -86,15 +90,49 @@ pub struct LiveClient {
 }
 
 /// What a client's sessions share: the core, where to dial the nodes
-/// of the shortlist it caches (the core deals in ids), the poller its
-/// probe rounds wait on, made by the first of them, and the buffer
-/// every exchange writes its request and reads its reply through.
+/// of the shortlist it caches (the core deals in ids), the link held to
+/// each manager it has asked, the poller its probe rounds wait on,
+/// made by the first of them, and the buffer every exchange writes its
+/// request and reads its reply through.
 #[derive(Debug)]
 struct Shared {
     core: EdgeClient,
     addresses: HashMap<u64, String>,
+    links: HashMap<SocketAddr, ManagerLink>,
     poller: Option<Box<dyn Poller>>,
     frame: Vec<u8>,
+}
+
+/// A held connection to one manager, and the budget its reads and
+/// writes are bounded by now.
+#[derive(Debug)]
+struct ManagerLink {
+    stream: TcpStream,
+    timeout: Duration,
+}
+
+impl ManagerLink {
+    fn dial(addr: SocketAddr, timeout: Duration) -> std::io::Result<Self> {
+        let stream = connect_with(addr, timeout)?;
+        Ok(ManagerLink { stream, timeout })
+    }
+
+    /// One exchange bounded by `timeout`; the socket's budget is set
+    /// again only when it differs from the last exchange's.
+    fn rpc(
+        &mut self,
+        timeout: Duration,
+        codec: Codec,
+        request: &Request,
+        frame: &mut Vec<u8>,
+    ) -> std::io::Result<Response> {
+        if self.timeout != timeout {
+            self.stream.set_read_timeout(Some(timeout))?;
+            self.stream.set_write_timeout(Some(timeout))?;
+            self.timeout = timeout;
+        }
+        rpc(&mut self.stream, codec, request, frame)
+    }
 }
 
 /// A session's open connections by node id: serving node and backups.
@@ -109,6 +147,7 @@ impl LiveClient {
             shared: Arc::new(Mutex::new(Shared {
                 core: EdgeClient::new(UserId::new(id), location, config),
                 addresses: HashMap::new(),
+                links: HashMap::new(),
                 poller: None,
                 frame: Vec::new(),
             })),
@@ -303,6 +342,7 @@ impl LiveClient {
             addresses,
             poller,
             frame,
+            ..
         } = shared;
         // (The serving node is re-probed over its open connection.)
         let Some((round, nodes)) = core.start_probe_round(shortlist, |_| true, self.narrator())
@@ -430,8 +470,9 @@ impl LiveClient {
 
     /// Walks the manager route order (home first): the core picks each
     /// rank its breaker admits and says what the answer means; this
-    /// dials, sleeps the pauses and keeps the address book. Fails once
-    /// the route is exhausted (the core's cached shortlist is what is left).
+    /// asks over the held links ([`ask`]), sleeps the pauses and keeps
+    /// the address book. Fails once the route is exhausted (the core's
+    /// cached shortlist is what is left).
     fn discover(
         &self,
         shared: &mut Shared,
@@ -441,6 +482,7 @@ impl LiveClient {
         let Shared {
             core,
             addresses,
+            links,
             frame,
             ..
         } = shared;
@@ -454,8 +496,14 @@ impl LiveClient {
         while let Some(rank) =
             core.next_manager(from, managers.len(), self.now_sim(), self.narrator())
         {
-            let outcome = connect_with(managers[rank], timeout)
-                .and_then(|mut mgr| rpc(&mut mgr, self.wire.codec, &request, frame));
+            let outcome = ask(
+                links,
+                managers[rank],
+                timeout,
+                self.wire.codec,
+                &request,
+                frame,
+            );
             let reply = match outcome {
                 Ok(Response::Candidates { nodes }) => {
                     let ids = nodes.iter().map(|(id, _)| NodeId::new(*id)).collect();
@@ -504,6 +552,44 @@ fn serving_node(core: &EdgeClient) -> std::io::Result<u64> {
         .ok_or_else(|| protocol_error("no node is serving: re-discover".into()))
 }
 
+/// One `request` to the manager at `manager` over the link `links`
+/// holds to it, dialled if there is none; `timeout` bounds the dial and
+/// every read and write. A held link the manager has closed since its
+/// last exchange (end of stream, reset, broken pipe: it restarted) is
+/// redialled once, so the manager is not counted as failed. A link
+/// that fails any other way is dropped and the call fails: after a
+/// read that timed out, the late reply would be taken for the next
+/// answer.
+fn ask(
+    links: &mut HashMap<SocketAddr, ManagerLink>,
+    manager: SocketAddr,
+    timeout: Duration,
+    codec: Codec,
+    request: &Request,
+    frame: &mut Vec<u8>,
+) -> std::io::Result<Response> {
+    if let Some(link) = links.get_mut(&manager) {
+        match link.rpc(timeout, codec, request, frame) {
+            Ok(reply) => return Ok(reply),
+            Err(e) => {
+                links.remove(&manager);
+                let closed = [
+                    ErrorKind::UnexpectedEof,
+                    ErrorKind::ConnectionReset,
+                    ErrorKind::BrokenPipe,
+                ];
+                if !closed.contains(&e.kind()) {
+                    return Err(e);
+                }
+            }
+        }
+    }
+    let mut link = ManagerLink::dial(manager, timeout)?;
+    let reply = link.rpc(timeout, codec, request, frame)?;
+    links.insert(manager, link);
+    Ok(reply)
+}
+
 /// Connects with `timeout` bounding both the TCP handshake and every
 /// subsequent read. A plain `TcpStream::connect` is at the mercy of the
 /// OS connect timeout — minutes against a black-holed address — which
@@ -550,7 +636,7 @@ mod tests {
     use crate::node::{LiveNode, NodeConfig};
     use armada_client::{BREAKER_COOLDOWN, BREAKER_THRESHOLD};
     use armada_types::{HardwareProfile, NodeClass, SelectorMode};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn rpc(stream: &mut TcpStream, request: Request) -> Response {
@@ -1461,6 +1547,170 @@ mod tests {
             ["probe.round.start", "probe.round.done"],
             "the first round only"
         );
+    }
+
+    /// An accepted connection and the thread serving it.
+    type Served = (TcpStream, std::thread::JoinHandle<()>);
+
+    /// A stand-in manager: every connection it accepts is served on a
+    /// thread of its own, request after request, with `answer(connection,
+    /// request)` (both counted from 0). Dropping it stops the accepts,
+    /// closes the listener and every connection it accepted, and joins
+    /// every thread it spawned.
+    struct FakeManager {
+        addr: SocketAddr,
+        accepted: Arc<Mutex<Vec<Served>>>,
+        stop: Arc<AtomicBool>,
+        acceptor: Option<std::thread::JoinHandle<()>>,
+    }
+
+    impl FakeManager {
+        fn spawn(
+            listener: std::net::TcpListener,
+            answer: impl Fn(usize, usize) -> Response + Send + Sync + 'static,
+        ) -> FakeManager {
+            let addr = listener.local_addr().unwrap();
+            let accepted = Arc::new(Mutex::new(Vec::new()));
+            let stop = Arc::new(AtomicBool::new(false));
+            let (answer, held, halt) = (Arc::new(answer), Arc::clone(&accepted), Arc::clone(&stop));
+            let acceptor = std::thread::spawn(move || {
+                for (conn, stream) in listener.incoming().enumerate() {
+                    if halt.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let mut stream = stream.expect("accept");
+                    let closer = stream.try_clone().expect("clone the accepted stream");
+                    let answer = Arc::clone(&answer);
+                    // Counted before its first request can be answered.
+                    let mut held = held.lock().unwrap();
+                    let serve = std::thread::spawn(move || {
+                        for request in 0.. {
+                            let Ok(body) = armada_wire::read_frame_bytes(&mut stream) else {
+                                break;
+                            };
+                            let (_, codec) = armada_wire::decode_request(&body).unwrap();
+                            let reply = codec.encode_response(&answer(conn, request));
+                            if armada_wire::write_frame(&mut stream, &reply).is_err() {
+                                break;
+                            }
+                        }
+                    });
+                    held.push((closer, serve));
+                }
+            });
+            FakeManager {
+                addr,
+                accepted,
+                stop,
+                acceptor: Some(acceptor),
+            }
+        }
+
+        fn accepts(&self) -> usize {
+            self.accepted.lock().unwrap().len()
+        }
+    }
+
+    impl Drop for FakeManager {
+        fn drop(&mut self) {
+            self.stop.store(true, Ordering::Release);
+            let _ = TcpStream::connect(self.addr);
+            let acceptor = self.acceptor.take().map(std::thread::JoinHandle::join);
+            let mut clean = matches!(acceptor, Some(Ok(())));
+            let accepted = match self.accepted.lock() {
+                Ok(mut held) => std::mem::take(&mut *held),
+                Err(_) => Vec::new(),
+            };
+            for (stream, serve) in accepted {
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+                clean &= serve.join().is_ok();
+            }
+            // (No second panic while a failed test unwinds.)
+            if !std::thread::panicking() {
+                assert!(clean, "a fake-manager thread panicked");
+            }
+        }
+    }
+
+    /// A fake manager that lists `node` at `addr` to every query.
+    fn listing(node: u64, addr: SocketAddr) -> FakeManager {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        FakeManager::spawn(listener, move |_, _| Response::Candidates {
+            nodes: vec![(node, addr.to_string())],
+        })
+    }
+
+    /// Discovery rides one held link: a client's sessions dial the
+    /// manager once between them.
+    #[test]
+    fn sessions_share_one_manager_link() {
+        let (_n1, n1_addr) = LiveNode::bind(node_config(1, 4, 5.0, 1), None).unwrap();
+        let manager = listing(1, n1_addr);
+        let client = LiveClient::new(14, GeoPoint::new(44.98, -93.26), ClientConfig::default());
+        for _ in 0..3 {
+            let report = client.run_session(manager.addr, 2).unwrap();
+            assert_eq!((report.final_node, report.latencies.len()), (1, 2));
+        }
+        assert_eq!(manager.accepts(), 1, "one dial for three sessions");
+    }
+
+    /// A manager restarted on its port has closed the held link; the
+    /// next discovery redials it inside the same call, so the restart
+    /// counts as no failure: no breaker moves, no degraded episode.
+    #[test]
+    fn a_restarted_manager_is_redialled_within_one_discovery() {
+        let (_n1, n1_addr) = LiveNode::bind(node_config(1, 4, 5.0, 1), None).unwrap();
+        let first = listing(1, n1_addr);
+        let addr = first.addr;
+        let client = LiveClient::new(15, GeoPoint::new(44.98, -93.26), ClientConfig::default());
+        client.run_session(addr, 1).unwrap();
+        let transitions = client.breaker_transitions();
+        drop(first);
+        let listener = std::net::TcpListener::bind(addr).expect("the port is free again");
+        let queries = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&queries);
+        let second = FakeManager::spawn(listener, move |_, _| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            Response::Candidates {
+                nodes: vec![(1, n1_addr.to_string())],
+            }
+        });
+        let report = client.run_session(addr, 1).unwrap();
+        assert_eq!(report.final_node, 1);
+        assert!(!client.is_degraded(), "served by the restarted manager");
+        assert_eq!(client.breaker_transitions(), transitions);
+        assert_eq!((second.accepts(), queries.load(Ordering::Relaxed)), (1, 1));
+    }
+
+    /// A held link whose read timed out is dropped: the reply that
+    /// arrives late on it is never taken as the answer to the next query.
+    #[test]
+    fn a_timed_out_link_is_not_reused() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        // The held link's second query is answered late, and differently.
+        let manager = FakeManager::spawn(listener, |conn, request| {
+            let node = if (conn, request) == (0, 1) {
+                std::thread::sleep(Duration::from_millis(300));
+                66
+            } else {
+                77
+            };
+            Response::Candidates {
+                nodes: vec![(node, "127.0.0.1:9".into())],
+            }
+        });
+        let client = LiveClient::new(16, GeoPoint::new(44.98, -93.26), ClientConfig::default());
+        let managers = [manager.addr];
+        let discover = |timeout| client.discover(&mut client.shared(), &managers, timeout);
+        assert_eq!(discover(RPC_TIMEOUT).unwrap(), [NodeId::new(77)]);
+        assert!(
+            discover(Duration::from_millis(100)).is_err(),
+            "read timed out"
+        );
+        // The late reply has landed on the held link by the next query.
+        std::thread::sleep(Duration::from_millis(400));
+        assert_eq!(discover(RPC_TIMEOUT).unwrap(), [NodeId::new(77)]);
+        assert_eq!(manager.accepts(), 2);
     }
 
     #[test]

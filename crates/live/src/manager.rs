@@ -674,9 +674,9 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
             lon,
             top_n,
         } => {
-            // Freeze the shard's view and the addresses under the lock
-            // (O(shards) refcount bumps), then rank outside it: discovery
-            // never blocks a heartbeat or sync write.
+            // Take the shard's published view and freeze the addresses
+            // under the lock (a few reference bumps), then rank outside
+            // it: discovery never blocks a heartbeat or sync write.
             let (snapshot, addrs, now) = {
                 let mut s = lock_recover(state);
                 let snapshot = s.manager.serve_discovery();

@@ -54,16 +54,17 @@ impl ShardCounters {
 ///
 /// Discovery is served off epoch-numbered, incrementally-maintained
 /// snapshots ([`CentralManager::snapshot`]): the registry's record
-/// table and the proximity index are both *sharded* copy-on-write
-/// structures, so freezing a consistent view is O(shards) refcount
-/// bumps and a mutation performed while snapshots are outstanding
-/// copies only the shard/segment it touches — publishing epoch `N+1`
-/// costs O(changes), never O(fleet).
+/// tables and the proximity index are *sharded* copy-on-write
+/// structures, each behind one `Arc`, so freezing a consistent view is
+/// a few reference bumps and a mutation performed while snapshots are
+/// outstanding copies only the shard/segment it touches — publishing
+/// epoch `N+1` costs O(changes), never O(fleet).
 ///
 /// [`CentralManager::published`] memoises the snapshot per epoch, so
 /// steady-state query traffic between mutations shares one frozen
 /// view (which any number of threads can also serve concurrently: it
-/// is immutable).
+/// is immutable). Every write first lets go of the memoised snapshot,
+/// so a write with no query holding one copies nothing.
 ///
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Debug, Clone)]
@@ -125,8 +126,8 @@ impl CentralManager {
         }
         self.counters.registrations += 1;
         self.epoch += 1;
-        Arc::make_mut(&mut self.index).insert(status.node, status.location);
-        self.registry.register(status, now);
+        self.index_mut().insert(status.node, status.location);
+        self.registry_mut().register(status, now);
         true
     }
 
@@ -134,7 +135,7 @@ impl CentralManager {
     /// nothing) if the sender is not registered here or its load is not
     /// [admissible](admissible_load). A refused sender must register.
     pub fn heartbeat(&mut self, status: NodeStatus, now: SimTime) -> bool {
-        if !admissible_load(status.load_score) || !self.registry.heartbeat(status, now) {
+        if !admissible_load(status.load_score) || !self.registry_mut().heartbeat(status, now) {
             return false;
         }
         self.counters.heartbeats += 1;
@@ -146,8 +147,8 @@ impl CentralManager {
     /// Handles a graceful departure notification from an own node.
     pub fn node_left(&mut self, node: NodeId) {
         self.epoch += 1;
-        if self.registry.deregister(node).is_some() {
-            Arc::make_mut(&mut self.index).remove(node);
+        if self.registry_mut().deregister(node).is_some() {
+            self.index_mut().remove(node);
         }
     }
 
@@ -156,8 +157,8 @@ impl CentralManager {
     /// node — its own registry is authoritative — or the load is not
     /// [admissible](admissible_load).
     pub fn apply_peer(&mut self, status: NodeStatus, last_heartbeat: SimTime) -> bool {
-        let applied =
-            admissible_load(status.load_score) && self.registry.apply_peer(status, last_heartbeat);
+        let applied = admissible_load(status.load_score)
+            && self.registry_mut().apply_peer(status, last_heartbeat);
         if applied {
             self.counters.summaries_applied += 1;
             self.epoch += 1;
@@ -190,14 +191,30 @@ impl CentralManager {
     /// outstanding.
     fn index_position(&mut self, status: NodeStatus) {
         if self.index.position(status.node) != Some(status.location) {
-            Arc::make_mut(&mut self.index).insert(status.node, status.location);
+            self.index_mut().insert(status.node, status.location);
         }
     }
 
+    /// The registry, writable. It and [`CentralManager::index_mut`] are
+    /// the only ways to write, and both first let go of the memoised
+    /// snapshot: unless a query still holds it, the write copies no
+    /// shard.
+    fn registry_mut(&mut self) -> &mut NodeRegistry {
+        self.published = None;
+        &mut self.registry
+    }
+
+    /// The proximity index, writable (see
+    /// [`CentralManager::registry_mut`]).
+    fn index_mut(&mut self) -> &mut ProximityIndex {
+        self.published = None;
+        Arc::make_mut(&mut self.index)
+    }
+
     /// Freezes the current discovery state into an epoch-numbered
-    /// copy-on-write snapshot. O(shards) reference bumps; the manager
-    /// stays fully mutable and later writes never show through the
-    /// snapshot.
+    /// copy-on-write snapshot: a reference bump per table and one for
+    /// the index. The manager stays fully mutable and later writes
+    /// never show through the snapshot.
     pub fn snapshot(&self) -> DiscoverySnapshot {
         DiscoverySnapshot {
             epoch: self.epoch,
@@ -211,9 +228,9 @@ impl CentralManager {
     /// The published snapshot for the current epoch, memoised: repeated
     /// calls between mutations return the *same* `Arc` (one refcount
     /// bump each), and the first call after a mutation publishes a
-    /// fresh snapshot at O(shards) cost. This is the serve path —
-    /// query traffic reads the published snapshot while mutations
-    /// proceed against the live structures.
+    /// fresh snapshot at the cost of [`CentralManager::snapshot`]. This
+    /// is the serve path — query traffic reads the published snapshot
+    /// while mutations proceed against the live structures.
     pub fn published(&mut self) -> Arc<DiscoverySnapshot> {
         match &self.published {
             Some(snap) if snap.epoch() == self.epoch => Arc::clone(snap),
@@ -225,14 +242,14 @@ impl CentralManager {
         }
     }
 
-    /// Counts one discovery query and freezes the merged view it is
-    /// answered from (O(shards) reference bumps), for a driver that
-    /// ranks outside its own lock. Unlike [`CentralManager::published`],
-    /// nothing holds the view once the query drops it, so the writes
-    /// that land between queries copy no shard.
-    pub fn serve_discovery(&mut self) -> DiscoverySnapshot {
+    /// Counts one discovery query and returns the
+    /// [published](CentralManager::published) view it is answered from,
+    /// for a driver that ranks outside its own lock. The next write lets
+    /// go of the manager's hold on it, so once the query drops it the
+    /// writes that land between queries copy no shard.
+    pub fn serve_discovery(&mut self) -> Arc<DiscoverySnapshot> {
         self.counters.discoveries += 1;
-        self.snapshot()
+        self.published()
     }
 
     /// Number of nodes alive at `now`, own and peer-advertised.
@@ -251,10 +268,10 @@ impl CentralManager {
     /// it registers again; a peer's node reappears with its next
     /// advertisement.
     pub fn prune_dead(&mut self, now: SimTime, grace: SimDuration) -> Pruned {
-        let pruned = self.registry.prune(now, grace);
+        let pruned = self.registry_mut().prune(now, grace);
         if !pruned.is_empty() {
             self.epoch += 1;
-            let index = Arc::make_mut(&mut self.index);
+            let index = self.index_mut();
             for id in pruned.ids() {
                 index.remove(id);
             }
@@ -283,12 +300,11 @@ impl CentralManager {
         top_n: usize,
         now: SimTime,
     ) -> Vec<NodeId> {
-        self.counters.discoveries += 1;
         // Served off the memoised published snapshot: identical answers
         // to the live structures (same records, same index, same
         // liveness rule), but queries between mutations share one
         // frozen view and can be fanned out across threads.
-        self.published()
+        self.serve_discovery()
             .discover(user_loc, affiliations, top_n, now)
     }
 
@@ -661,6 +677,46 @@ mod tests {
         // …and discover() serves off the same memoised snapshot.
         let got = mgr.discover(home(), &[], 2, now);
         assert_eq!(got, c.discover(home(), &[], 2, now));
+    }
+
+    /// A query drops its snapshot, and every write lets go of the
+    /// memoised one: the writes after it copy no registry shard, shard
+    /// list or index.
+    #[test]
+    fn a_write_after_a_served_query_copies_no_shard() {
+        let mut mgr = manager_with_nodes(50);
+        let now = SimTime::from_secs(1);
+        assert_eq!(mgr.discover(home(), &[], 3, now).len(), 3);
+        let (registry, index) = (mgr.registry.addresses(), Arc::as_ptr(&mgr.index));
+        mgr.heartbeat(status(3, home().offset_km(12.0, 0.0), 0.4), now);
+        mgr.register(status(60, home(), 0.0), now);
+        mgr.node_left(NodeId::new(4));
+        let after = mgr.registry.addresses();
+        let copied = registry.iter().zip(&after).filter(|(a, b)| a != b).count();
+        assert_eq!(copied, 0, "shard lists and shards copied");
+        assert_eq!(Arc::as_ptr(&mgr.index), index);
+        assert_eq!(mgr.counters().discoveries, 1);
+    }
+
+    /// A snapshot a query still holds keeps answering for the epoch it
+    /// froze, whatever lands after it.
+    #[test]
+    fn a_held_snapshot_answers_for_its_own_epoch() {
+        let mut mgr = manager_with_nodes(6);
+        let now = SimTime::from_secs(1);
+        let held = mgr.serve_discovery();
+        let before = held.discover(home(), &[], 3, now);
+        mgr.node_left(NodeId::new(0));
+        mgr.heartbeat(status(1, home().offset_km(300.0, 0.0), 5.0), now);
+        mgr.register(status(9, home(), 0.0), now);
+        assert_eq!(held.discover(home(), &[], 3, now), before);
+        assert_eq!(held.len(), 6);
+        let after = mgr.serve_discovery();
+        assert!(after.epoch() > held.epoch());
+        assert_eq!(
+            after.discover(home(), &[], 3, now),
+            [9, 2, 3].map(NodeId::new)
+        );
     }
 
     #[test]

@@ -73,9 +73,10 @@ impl Pruned {
 /// record.
 ///
 /// Both tables are sharded [`CowTable`]s, so discovery can freeze a
-/// copy-on-write view ([`NodeRegistry::view`]) in O(shards) without
-/// cloning a million records — and writers mutating while a view is
-/// outstanding copy only the one shard they touch, never the table.
+/// copy-on-write view ([`NodeRegistry::view`]) with a reference bump a
+/// table, without cloning a million records — and writers mutating
+/// while a view is outstanding copy only the one shard they touch (and
+/// the first of them the shard list), never the table.
 /// Each shard keeps its records packed, which is what makes
 /// [`NodeRegistry::alive`] a walk over contiguous memory.
 #[derive(Debug, Clone)]
@@ -116,7 +117,7 @@ impl NodeRegistry {
         }
     }
 
-    /// Freezes both tables. Cheap (O(shards) refcount bumps); the
+    /// Freezes both tables. Cheap (one reference bump a table); the
     /// registry stays mutable and later writes do not show through.
     pub fn view(&self) -> RegistryView {
         RegistryView(self.clone())
@@ -260,6 +261,15 @@ impl NodeRegistry {
     /// `true` if nothing is known.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Where both tables' shard lists and shards live (`CowTable`'s
+    /// `addresses`, own then peers).
+    #[cfg(test)]
+    pub(crate) fn addresses(&self) -> Vec<usize> {
+        let mut addresses = self.own.addresses();
+        addresses.extend(self.peers.addresses());
+        addresses
     }
 
     /// Drops records, own and peer-advertised, that have been dead

@@ -4,10 +4,11 @@
 //! the merged registry (own and peer-advertised records), the proximity
 //! index, the config and ranking policy — behind shared [`Arc`]s. Both
 //! the registry ([`RegistryView`]) and the proximity index are
-//! *sharded* copy-on-write structures, so taking a snapshot is
-//! O(shards) reference bumps and a mutation performed while a snapshot
-//! is outstanding copies only the one shard/segment it touches —
-//! publishing epoch `N+1` costs O(changes), never O(fleet). Queries served off a snapshot therefore never
+//! *sharded* copy-on-write structures, each behind one `Arc`, so taking
+//! a snapshot is three reference bumps and a mutation performed while
+//! a snapshot is outstanding copies only the one shard/segment it
+//! touches — publishing epoch `N+1` costs O(changes), never O(fleet).
+//! Queries served off a snapshot therefore never
 //! contend with heartbeat writes: a live manager can clone the `Arc`s
 //! under its lock, drop the lock, and rank outside it (or share the
 //! snapshot among worker threads: it is immutable).

@@ -4,10 +4,12 @@
 //! cliff: the old design kept the whole record table behind a single
 //! `Arc<HashMap>`, so the first mutation after a snapshot deep-cloned
 //! every record. Here the table is split into many small shards, each
-//! behind its own `Arc`; taking a view ([`CowTable::view`]) is
-//! O(shards) reference bumps, and a mutation while a view is
-//! outstanding copies only the one shard it touches —
-//! O(records / shards), independent of epoch count.
+//! behind its own `Arc`, and the shard list sits behind one more:
+//! taking a view ([`CowTable::view`]) is one reference bump. The first
+//! write under an outstanding view clones the shard list once
+//! (O(shards) reference bumps), and every write under it copies only
+//! the one shard it touches — O(records / shards), independent of
+//! epoch count. A write with no view outstanding copies nothing.
 //!
 //! # Shard layout
 //!
@@ -82,8 +84,10 @@ impl<V> Shard<V> {
         }
     }
 
-    /// The bucket holding `id` (whose [`mix64`] is `hash`), if present.
-    fn bucket_of(&self, id: NodeId, hash: u64) -> Option<usize> {
+    /// The bucket holding `id` (whose [`mix64`] is `hash`) and the slot
+    /// of its entry, if present: the slot is read off the word the
+    /// probe matched, not looked up again.
+    fn find(&self, id: NodeId, hash: u64) -> Option<(usize, usize)> {
         let mask = self.index.len().checked_sub(1)?;
         let tag = tag_of(hash);
         let mut bucket = home_of(hash, mask);
@@ -92,8 +96,11 @@ impl<V> Shard<V> {
             if word == 0 {
                 return None;
             }
-            if word >> SLOT_BITS == tag && self.entries[slot_of(word)].0 == id {
-                return Some(bucket);
+            if word >> SLOT_BITS == tag {
+                let slot = slot_of(word);
+                if self.entries[slot].0 == id {
+                    return Some((bucket, slot));
+                }
             }
             bucket = (bucket + 1) & mask;
         }
@@ -101,7 +108,7 @@ impl<V> Shard<V> {
 
     /// The slot of `id`'s entry, if present.
     fn slot(&self, id: NodeId, hash: u64) -> Option<usize> {
-        Some(slot_of(self.index[self.bucket_of(id, hash)?]))
+        self.find(id, hash).map(|(_, slot)| slot)
     }
 
     fn get(&self, id: NodeId, hash: u64) -> Option<&V> {
@@ -146,9 +153,10 @@ impl<V> Shard<V> {
         None
     }
 
-    fn remove(&mut self, id: NodeId, hash: u64) -> Option<V> {
-        let bucket = self.bucket_of(id, hash)?;
-        let slot = slot_of(self.index[bucket]);
+    /// Removes the entry at `slot`, whose word sits in `bucket` (a
+    /// [`Shard::find`] on this shard or on the one it was copied from:
+    /// a copy keeps every bucket).
+    fn remove_at(&mut self, bucket: usize, slot: usize) -> V {
         self.erase(bucket);
         let (_, value) = self.entries.swap_remove(slot);
         // The last entry moved into `slot`: re-point its word.
@@ -161,7 +169,7 @@ impl<V> Shard<V> {
             }
             self.index[bucket] = word_of(hash, slot);
         }
-        Some(value)
+        value
     }
 
     /// Empties `hole` by backward shift: each later word of the probe
@@ -193,14 +201,16 @@ const DEFAULT_SHARDS: usize = 256;
 /// A mutable, sharded copy-on-write map from [`NodeId`] to `V`.
 ///
 /// See the [module docs](self) for the sharing contract and the shard
-/// layout. `Clone` (and [`CowTable::view`]) cost O(shards); mutations
-/// cost O(len/shards) worst case — only when the touched shard is still
-/// shared, and then it clones that shard's packed `Vec` and index.
-/// Lookups read one entry; [`CowTable::iter`] and
-/// [`CowTable::values`] walk the packed shards in order.
+/// layout. `Clone` (and [`CowTable::view`]) cost one reference bump;
+/// the first write under a clone or a view clones the shard list
+/// (O(shards) reference bumps), and a write costs O(len/shards) worst
+/// case — only when the touched shard is still shared, and then it
+/// clones that shard's packed `Vec` and index. Lookups read one entry;
+/// [`CowTable::iter`] and [`CowTable::values`] walk the packed shards
+/// in order.
 #[derive(Debug, Clone)]
 pub struct CowTable<V> {
-    shards: Vec<Arc<Shard<V>>>,
+    shards: Arc<Vec<Arc<Shard<V>>>>,
     len: usize,
     mask: usize,
 }
@@ -219,7 +229,7 @@ impl<V: Clone> CowTable<V> {
         // into a shard COWs it, so an empty table costs one allocation.
         let empty: Arc<Shard<V>> = Arc::new(Shard::empty());
         CowTable {
-            shards: vec![empty; n],
+            shards: Arc::new(vec![empty; n]),
             len: 0,
             mask: n - 1,
         }
@@ -255,14 +265,22 @@ impl<V: Clone> CowTable<V> {
 
     /// Inserts or replaces the value for `id`, returning the previous
     /// value if any. Copies at most one shard (only if it is shared
-    /// with an outstanding view).
+    /// with an outstanding view), and the shard list if a view shares
+    /// it.
     pub fn insert(&mut self, id: NodeId, value: V) -> Option<V> {
         let (shard, hash) = self.shard_of(id);
-        let prev = Arc::make_mut(&mut self.shards[shard]).insert(id, hash, value);
+        let prev = self.shard_mut(shard).insert(id, hash, value);
         if prev.is_none() {
             self.len += 1;
         }
         prev
+    }
+
+    /// The shard at `shard`, writable: the shard list is cloned first
+    /// if a view or a clone still shares it, and the shard itself if
+    /// anything still shares that.
+    fn shard_mut(&mut self, shard: usize) -> &mut Shard<V> {
+        Arc::make_mut(&mut Arc::make_mut(&mut self.shards)[shard])
     }
 
     /// Mutable access to the value for `id`, if present: one lookup,
@@ -271,19 +289,16 @@ impl<V: Clone> CowTable<V> {
     pub(crate) fn get_mut(&mut self, id: NodeId) -> Option<&mut V> {
         let (shard, hash) = self.shard_of(id);
         let slot = self.shards[shard].slot(id, hash)?;
-        Some(&mut Arc::make_mut(&mut self.shards[shard]).entries[slot].1)
+        Some(&mut self.shard_mut(shard).entries[slot].1)
     }
 
-    /// Removes the value for `id`, returning it if it was present.
-    /// Leaves the shard untouched (and shared) when `id` is absent.
+    /// Removes the value for `id`, returning it if it was present: one
+    /// probe, and nothing copied (or unshared) when `id` is absent.
     pub fn remove(&mut self, id: NodeId) -> Option<V> {
         let (shard, hash) = self.shard_of(id);
-        self.shards[shard].bucket_of(id, hash)?;
-        let prev = Arc::make_mut(&mut self.shards[shard]).remove(id, hash);
-        if prev.is_some() {
-            self.len -= 1;
-        }
-        prev
+        let (bucket, slot) = self.shards[shard].find(id, hash)?;
+        self.len -= 1;
+        Some(self.shard_mut(shard).remove_at(bucket, slot))
     }
 
     /// Iterates every `(id, value)` pair in unspecified order.
@@ -306,15 +321,29 @@ impl<V: Clone> CowTable<V> {
     #[cfg(test)]
     pub(crate) fn shards_shared_with(&self, other: &CowTable<V>) -> usize {
         let shared = |(a, b): &(&Arc<Shard<V>>, &Arc<Shard<V>>)| Arc::ptr_eq(a, b);
-        self.shards.iter().zip(&other.shards).filter(shared).count()
+        self.shards
+            .iter()
+            .zip(other.shards.iter())
+            .filter(shared)
+            .count()
     }
 
-    /// Freezes the current contents into an immutable [`CowView`]:
-    /// O(shards) reference bumps, no record is copied. Later mutations
-    /// of the table never show through the view.
+    /// Where the shard list and each shard live: a write that copied
+    /// either moves its address.
+    #[cfg(test)]
+    pub(crate) fn addresses(&self) -> Vec<usize> {
+        let shards = self.shards.iter().map(|s| Arc::as_ptr(s) as usize);
+        std::iter::once(Arc::as_ptr(&self.shards) as usize)
+            .chain(shards)
+            .collect()
+    }
+
+    /// Freezes the current contents into an immutable [`CowView`]: one
+    /// reference bump, no record is copied. Later mutations of the
+    /// table never show through the view.
     pub fn view(&self) -> CowView<V> {
         CowView {
-            shards: self.shards.clone(),
+            shards: Arc::clone(&self.shards),
             len: self.len,
             mask: self.mask,
         }
@@ -331,7 +360,7 @@ impl<V: Clone> Default for CowTable<V> {
 /// table's shards until the table next writes to them.
 #[derive(Debug, Clone)]
 pub struct CowView<V> {
-    shards: Vec<Arc<Shard<V>>>,
+    shards: Arc<Vec<Arc<Shard<V>>>>,
     len: usize,
     mask: usize,
 }
@@ -421,18 +450,50 @@ mod tests {
         let shared = t
             .shards
             .iter()
-            .zip(&view.shards)
+            .zip(view.shards.iter())
             .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count();
         assert_eq!(shared, 63, "exactly one shard may be copied");
         // Removing an absent id must not copy anything.
         let view2 = t.view();
         t.remove(NodeId::new(1_000_000));
-        assert!(t
-            .shards
-            .iter()
-            .zip(&view2.shards)
-            .all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert!(Arc::ptr_eq(&t.shards, &view2.shards));
+    }
+
+    /// A view is the table's own shard list, one reference bump, and so
+    /// is a clone; the first write under either clones the list once.
+    #[test]
+    fn a_view_shares_the_shard_list() {
+        let mut t: CowTable<u64> = CowTable::with_shards(16);
+        for i in 0..100u64 {
+            t.insert(NodeId::new(i), i);
+        }
+        let view = t.view();
+        assert!(Arc::ptr_eq(&t.shards, &view.shards));
+        assert!(Arc::ptr_eq(&t.shards, &t.clone().shards));
+        t.insert(NodeId::new(7), 70);
+        assert!(!Arc::ptr_eq(&t.shards, &view.shards));
+        let list = Arc::as_ptr(&t.shards);
+        t.insert(NodeId::new(8), 80);
+        t.remove(NodeId::new(9));
+        assert_eq!(Arc::as_ptr(&t.shards), list, "the list is cloned once");
+        assert_eq!((view.get(NodeId::new(7)), view.len()), (Some(&7), 100));
+    }
+
+    /// With no view outstanding a write copies nothing: neither the
+    /// list nor the shard it touches.
+    #[test]
+    fn a_write_with_no_view_held_copies_nothing() {
+        let mut t: CowTable<u64> = CowTable::with_shards(16);
+        for i in 0..100u64 {
+            t.insert(NodeId::new(i), i);
+        }
+        drop(t.view());
+        let before = t.addresses();
+        *t.get_mut(NodeId::new(3)).unwrap() = 30;
+        t.insert(NodeId::new(4), 40);
+        t.remove(NodeId::new(5));
+        assert_eq!(t.addresses(), before);
     }
 
     /// Ids the property test draws from: few enough that removals hit

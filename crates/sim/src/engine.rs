@@ -18,7 +18,8 @@ type Thunk<W> = Box<dyn FnOnce(&mut W, &mut Context<'_, W>)>;
 pub struct Context<'a, W> {
     now: SimTime,
     rng: &'a mut SimRng,
-    pending: Vec<(SimTime, Thunk<W>)>,
+    /// The simulation's buffer, lent to each event in turn.
+    pending: &'a mut Vec<(SimTime, Thunk<W>)>,
 }
 
 impl<'a, W> Context<'a, W> {
@@ -84,6 +85,9 @@ pub struct Simulation<W> {
     queue: EventQueue<Thunk<W>>,
     rng: SimRng,
     executed: u64,
+    /// What the executing event schedules, kept between events so a
+    /// step allocates no buffer of its own.
+    pending: Vec<(SimTime, Thunk<W>)>,
 }
 
 impl<W> Simulation<W> {
@@ -96,6 +100,7 @@ impl<W> Simulation<W> {
             queue: EventQueue::new(),
             rng: SimRng::seed_from(seed),
             executed: 0,
+            pending: Vec::new(),
         }
     }
 
@@ -166,10 +171,10 @@ impl<W> Simulation<W> {
         let mut ctx = Context {
             now: time,
             rng: &mut self.rng,
-            pending: Vec::new(),
+            pending: &mut self.pending,
         };
         thunk(&mut self.world, &mut ctx);
-        for (at, t) in ctx.pending {
+        for (at, t) in self.pending.drain(..) {
             self.queue.push(at, t);
         }
         self.executed += 1;
