@@ -1,6 +1,7 @@
 //! Probe results and the local selection policies (paper §IV-D).
 
 use armada_types::{LocalSelectionPolicy, NodeId, QosRequirement, SimDuration};
+use armada_wire::Response;
 
 /// A probing round is concluded this long after it started, with what
 /// answered by then (dead candidates fail fast, so this rarely fires).
@@ -27,6 +28,28 @@ pub struct ProbeResult {
 }
 
 impl ProbeResult {
+    /// Reads `node`'s answer to `Process_probe()`, the round trip `rtt`
+    /// measured by the driver; `None` if `reply` is not a probe reply.
+    pub fn from_reply(node: NodeId, rtt: SimDuration, reply: &Response) -> Option<ProbeResult> {
+        let &Response::ProbeReply {
+            whatif_us,
+            current_us,
+            attached,
+            seq,
+        } = reply
+        else {
+            return None;
+        };
+        Some(ProbeResult {
+            node,
+            rtt,
+            whatif_proc: SimDuration::from_micros(whatif_us),
+            current_proc: SimDuration::from_micros(current_us),
+            attached_users: attached,
+            seq_num: seq,
+        })
+    }
+
     /// The local-view overhead: `LO = D_prop + D_proc_probing`.
     pub fn lo(&self) -> SimDuration {
         self.rtt + self.whatif_proc

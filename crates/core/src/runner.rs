@@ -5,7 +5,9 @@
 //! join, offload, failover), expressed as events against the [`World`].
 //! Network delays are sampled from `armada-net`; node and client logic
 //! stay in their own crates — this module only wires messages between
-//! them.
+//! them. A node is entered through `enter_node` alone, and its requests
+//! travel as unencoded wire `Request` / `Response` values answered by
+//! [`armada_node::serve`], the dispatcher the live node runs too.
 
 use std::collections::HashSet;
 
@@ -14,10 +16,11 @@ use armada_client::{
     ProbeResult, Verdict, PROBE_TIMEOUT,
 };
 use armada_net::{Addr, Delivery};
-use armada_node::{NodeAction, ProbeReply};
+use armada_node::{serve, EdgeNode, Narrator as NodeNarrator, NodeAction};
 use armada_sim::Context;
 use armada_trace::{u, Severity, Tracer};
 use armada_types::{NodeClass, NodeId, SimDuration, SimTime, UserId};
+use armada_wire::{Request, Response};
 use armada_workload::{Frame, FrameResponse, FRAME_SIZE};
 
 use crate::strategy::Strategy;
@@ -41,11 +44,6 @@ const FRAME_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
 /// The client core's events, stamped with the current virtual time.
 fn narrator<'a>(tracer: &'a Tracer, ctx: &Ctx<'_>) -> Narrator<'a> {
     Narrator::at(tracer, ctx.now().as_micros())
-}
-
-/// The node core's events, stamped with the current virtual time.
-fn node_narrator<'a>(tracer: &'a Tracer, ctx: &Ctx<'_>) -> armada_node::Narrator<'a> {
-    armada_node::Narrator::at(tracer, ctx.now().as_micros())
 }
 
 /// Entry point: a user joins the system.
@@ -218,28 +216,21 @@ fn send_probe(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, node: NodeId, roun
         }
     };
     ctx.schedule_in(d1, move |w, ctx| {
-        let now = ctx.now();
-        if !w.node_is_up(node) {
-            probe_failed(w, ctx, user, node, round);
-            return;
-        }
-        let Some(n) = w.nodes.get_mut(&node) else {
+        let Some(reply) = enter_node(w, ctx, node, |n, now, trace| {
+            serve(n, Request::ProcessProbe, now, trace)
+        }) else {
             probe_failed(w, ctx, user, node, round);
             return;
         };
-        let (reply, actions) = n.process_probe(now);
-        handle_node_actions(w, ctx, node, actions);
-        schedule_node_wakeup(w, ctx, node);
-        match w.net.deliver_one_way(
-            Addr::Node(node),
-            Addr::User(user),
-            now.as_micros(),
-            ctx.rng(),
-        ) {
+        let now_us = ctx.now().as_micros();
+        match w
+            .net
+            .deliver_one_way(Addr::Node(node), Addr::User(user), now_us, ctx.rng())
+        {
             Delivery::Delivered { delay: d2, .. } => {
                 let rtt = d1 + d2;
                 ctx.schedule_in(d2, move |w, ctx| {
-                    probe_reply(w, ctx, user, round, reply, rtt);
+                    probe_reply(w, ctx, user, node, round, rtt, &reply);
                 });
             }
             // Lost reply: discovered by the round timeout.
@@ -249,24 +240,22 @@ fn send_probe(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, node: NodeId, roun
     });
 }
 
+/// The node's answer reaches the client core.
 fn probe_reply(
     w: &mut World,
     ctx: &mut Ctx<'_>,
     user: UserId,
+    node: NodeId,
     round: u64,
-    reply: ProbeReply,
     rtt: SimDuration,
+    reply: &Response,
 ) {
-    let result = ProbeResult {
-        node: reply.node,
-        rtt,
-        whatif_proc: reply.whatif_proc,
-        current_proc: reply.current_proc,
-        attached_users: reply.attached_users,
-        seq_num: reply.seq_num,
-    };
+    let result = ProbeResult::from_reply(node, rtt, reply);
     let client = w.clients.get_mut(&user);
-    if client.is_some_and(|c| c.on_probe_reply(round, result)) {
+    if client
+        .zip(result)
+        .is_some_and(|(c, r)| c.on_probe_reply(round, r))
+    {
         conclude_probe_round(w, ctx, user, round);
     }
 }
@@ -307,25 +296,17 @@ fn attempt_join(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, target: NodeId, 
     {
         Delivery::Delivered { delay: d1, .. } => {
             ctx.schedule_in(d1, move |w, ctx| {
-                let now = ctx.now();
-                let accepted = if w.node_is_up(target) {
-                    match w.nodes.get_mut(&target) {
-                        Some(n) => {
-                            let (res, actions) = n.join(user, seq, now);
-                            node_narrator(&w.tracer, ctx).joined(n, user, res.is_ok());
-                            handle_node_actions(w, ctx, target, actions);
-                            schedule_node_wakeup(w, ctx, target);
-                            res.is_ok()
-                        }
-                        None => false,
-                    }
-                } else {
-                    false
+                let join = Request::Join {
+                    user: user.as_u64(),
+                    seq,
                 };
+                let reply = enter_node(w, ctx, target, |n, now, trace| serve(n, join, now, trace));
+                let accepted = reply == Some(Response::JoinResult { accepted: true });
+                let now_us = ctx.now().as_micros();
                 let d2 = match w.net.deliver_one_way(
                     Addr::Node(target),
                     Addr::User(user),
-                    now.as_micros(),
+                    now_us,
                     ctx.rng(),
                 ) {
                     Delivery::Delivered { delay, .. } => delay,
@@ -386,16 +367,11 @@ fn send_leave(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, node: NodeId) {
     else {
         return; // previous node gone, or the notification was lost
     };
+    let leave = Request::Leave {
+        user: user.as_u64(),
+    };
     ctx.schedule_in(d, move |w, ctx| {
-        if !w.node_is_up(node) {
-            return;
-        }
-        if let Some(n) = w.nodes.get_mut(&node) {
-            let (detached, actions) = n.leave(user, ctx.now());
-            node_narrator(&w.tracer, ctx).left(n, user, detached);
-            handle_node_actions(w, ctx, node, actions);
-            schedule_node_wakeup(w, ctx, node);
-        }
+        enter_node(w, ctx, node, |n, now, trace| serve(n, leave, now, trace));
     });
 }
 
@@ -410,16 +386,11 @@ fn send_unexpected_join(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, node: No
     else {
         return;
     };
+    let attach = Request::UnexpectedJoin {
+        user: user.as_u64(),
+    };
     ctx.schedule_in(d, move |w, ctx| {
-        if !w.node_is_up(node) {
-            return;
-        }
-        if let Some(n) = w.nodes.get_mut(&node) {
-            let actions = n.unexpected_join(user, ctx.now());
-            node_narrator(&w.tracer, ctx).unexpected_join(n, user);
-            handle_node_actions(w, ctx, node, actions);
-            schedule_node_wakeup(w, ctx, node);
-        }
+        enter_node(w, ctx, node, |n, now, trace| serve(n, attach, now, trace));
     });
 }
 
@@ -511,17 +482,30 @@ fn send_frame(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
     }
 }
 
-/// A frame arrives at an edge node.
+/// A frame arrives at an edge node (lost if the node is dead). It is no
+/// wire request: a simulated [`Frame`] carries the instant it left the
+/// client, which the client's latency is measured from.
 fn receive_frame(w: &mut World, ctx: &mut Ctx<'_>, node: NodeId, frame: Frame) {
+    enter_node(w, ctx, node, |n, now, _| (None, n.offload(frame, now)));
+}
+
+/// The one entry into a node's core: if `node` is up, `call` runs
+/// against it at the current virtual time with the node's narrator,
+/// then the actions it returns are carried out and the executor's next
+/// completion is scheduled. The node's answer, if it gave one.
+fn enter_node<F>(w: &mut World, ctx: &mut Ctx<'_>, node: NodeId, call: F) -> Option<Response>
+where
+    F: FnOnce(&mut EdgeNode, SimTime, NodeNarrator<'_>) -> (Option<Response>, Vec<NodeAction>),
+{
     if !w.node_is_up(node) {
-        return; // node died while the frame was in flight: frame lost
+        return None;
     }
-    let Some(n) = w.nodes.get_mut(&node) else {
-        return;
-    };
-    let actions = n.offload(frame, ctx.now());
+    let n = w.nodes.get_mut(&node)?;
+    let trace = NodeNarrator::at(&w.tracer, ctx.now().as_micros());
+    let (response, actions) = call(n, ctx.now(), trace);
     handle_node_actions(w, ctx, node, actions);
     schedule_node_wakeup(w, ctx, node);
+    response
 }
 
 /// A response arrives back at the client.
@@ -544,16 +528,11 @@ pub(crate) fn handle_node_actions(
     for action in actions {
         match action {
             NodeAction::InvokeTestWorkload { after } => {
-                node_narrator(&w.tracer, ctx).whatif_refresh(node, after);
+                NodeNarrator::at(&w.tracer, ctx.now().as_micros()).whatif_refresh(node, after);
                 ctx.schedule_in(after, move |w, ctx| {
-                    if !w.node_is_up(node) {
-                        return;
-                    }
-                    if let Some(n) = w.nodes.get_mut(&node) {
-                        let actions = n.invoke_test_workload(ctx.now());
-                        handle_node_actions(w, ctx, node, actions);
-                        schedule_node_wakeup(w, ctx, node);
-                    }
+                    enter_node(w, ctx, node, |n, now, _| {
+                        (None, n.invoke_test_workload(now))
+                    });
                 });
             }
             NodeAction::Respond(response) => {
@@ -602,20 +581,10 @@ pub(crate) fn schedule_node_wakeup(w: &mut World, ctx: &mut Ctx<'_>, node: NodeI
         return;
     };
     ctx.schedule_at(at, move |w, ctx| {
-        if !w.node_is_up(node) {
-            return;
+        let current = w.nodes.get(&node).and_then(|n| n.next_wakeup(ctx.now()));
+        if current.is_some_and(|(due, _)| due == epoch) {
+            enter_node(w, ctx, node, |n, now, _| (None, n.on_wakeup(epoch, now)));
         }
-        let Some(n) = w.nodes.get(&node) else { return };
-        match n.next_wakeup(ctx.now()) {
-            Some((current_epoch, _)) if current_epoch == epoch => {}
-            _ => return, // stale or idle
-        }
-        let Some(n) = w.nodes.get_mut(&node) else {
-            return;
-        };
-        let actions = n.on_wakeup(epoch, ctx.now());
-        handle_node_actions(w, ctx, node, actions);
-        schedule_node_wakeup(w, ctx, node);
     });
 }
 

@@ -12,7 +12,7 @@ use armada_manager::{admissible_load, CentralManager, CowTable, GlobalSelectionP
 use armada_node::NodeStatus;
 use armada_reactor::{AcceptFactory, Conn, ConnCtx, Handle, Reactor, ReactorConfig, Source};
 use armada_trace::{s, u, Severity, Tracer};
-use armada_types::{Backoff, GeoPoint, NodeId, ShardId, SimDuration, SimTime, SystemConfig};
+use armada_types::{Backoff, GeoPoint, ShardId, SimDuration, SimTime, SystemConfig};
 
 use armada_wire::{
     decode_request, decode_response, Codec, Request, Response, WireNodeStatus, WireSummary,
@@ -97,17 +97,6 @@ impl OverloadPolicy {
     }
 }
 
-/// The registry's form of a status off the wire.
-fn core_status(wire: &WireNodeStatus) -> NodeStatus {
-    NodeStatus {
-        node: NodeId::new(wire.id),
-        class: wire.class,
-        location: wire.location,
-        attached_users: wire.attached_users,
-        load_score: wire.load_score,
-    }
-}
-
 /// The `Error` a write the core refused is answered with: a load it
 /// does not admit, or else a heartbeat from a node it does not know (a
 /// heartbeat carries no listen address, so the node must register).
@@ -118,17 +107,6 @@ fn refusal(wire: &WireNodeStatus) -> Response {
         format!("node {}: load_score {}", wire.id, wire.load_score)
     };
     Response::Error { message }
-}
-
-/// The wire's form of a registry status.
-fn wire_status(status: &NodeStatus) -> WireNodeStatus {
-    WireNodeStatus {
-        id: status.node.as_u64(),
-        class: status.class,
-        location: status.location,
-        attached_users: status.attached_users,
-        load_score: status.load_score,
-    }
 }
 
 /// Sync-link health of one federation peer, kept by the sync rounds.
@@ -521,7 +499,7 @@ fn sync_round(state: &Arc<Mutex<ManagerState>>, peers: &[SocketAddr], handle: &H
         .own_summaries()
         .iter()
         .map(|record| WireSummary {
-            status: wire_status(&record.status),
+            status: record.status.into(),
             listen_addr: st
                 .addrs
                 .get(record.status.node)
@@ -650,7 +628,7 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
             status,
             listen_addr,
         } => {
-            let core = core_status(&status);
+            let core = NodeStatus::from(&status);
             let mut s = lock_recover(state);
             let now = s.now();
             if !s.manager.register(core, now) {
@@ -663,7 +641,7 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
         Request::Heartbeat { status } => {
             let mut s = lock_recover(state);
             let now = s.now();
-            if !s.manager.heartbeat(core_status(&status), now) {
+            if !s.manager.heartbeat(NodeStatus::from(&status), now) {
                 return refusal(&status);
             }
             Response::HeartbeatAck
@@ -699,7 +677,7 @@ fn handle_request(request: Request, state: &Mutex<ManagerState>) -> Response {
                 // The core skips a summary with a load it does not
                 // admit, and one of this manager's own nodes (the
                 // owner's heartbeat is first-hand).
-                let status = core_status(&summary.status);
+                let status = NodeStatus::from(&summary.status);
                 let heard = now - SimDuration::from_micros(summary.age_us);
                 if !s.manager.apply_peer(status, heard) {
                     continue;

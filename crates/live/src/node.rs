@@ -3,26 +3,27 @@
 //!
 //! Everything the paper's node decides (Table I, Algorithm 1, the
 //! what-if cache and its triggers, processor-shared frame execution)
-//! lives in `armada-node`. This file moves bytes and time: it calls
-//! the core method a request names with `Instant` mapped to
-//! [`SimTime`] and interprets the [`NodeAction`]s that come back, as
-//! `armada-core`'s runner does in virtual time. No thread is parked or
-//! spawned per request: waits are reactor timers.
+//! lives in `armada-node`, and so does the step from a request to the
+//! core method it names: [`armada_node::serve`], which the simulator
+//! calls too. This file moves bytes and time: it hands each request to
+//! `serve` with `Instant` mapped to [`SimTime`] and interprets the
+//! [`NodeAction`]s that come back, as `armada-core`'s runner does in
+//! virtual time. No thread is parked or spawned per request: waits are
+//! reactor timers.
 
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use armada_node::{EdgeNode, Narrator, NodeAction};
+use armada_node::{serve, EdgeNode, Narrator, NodeAction};
 use armada_reactor::{
     AcceptFactory, Conn, ConnCtx, ConnId, Handle, Reactor, ReactorConfig, Source, UdpHandler,
 };
 use armada_trace::{u, Severity, Tracer};
 use armada_types::{
-    GeoPoint, HardwareProfile, NodeClass, NodeId, SimDuration, SimTime, SystemConfig, UserId,
+    GeoPoint, HardwareProfile, NodeClass, NodeId, SimDuration, SimTime, SystemConfig,
 };
-use armada_workload::Frame;
 
 use armada_wire::{decode_request, Codec, Request, Response};
 
@@ -157,10 +158,10 @@ impl NodeState {
         });
     }
 
-    /// Every entry into the core: one [`EdgeNode`] method is called at
-    /// a fresh clock reading, its effects are interpreted, the next
-    /// completion is settled, and whatever became answerable is handed
-    /// to `reply`, the core still held.
+    /// Every entry into the core: a request is served, or one
+    /// [`EdgeNode`] method called, at a fresh clock reading, its effects
+    /// are interpreted, the next completion is settled, and whatever
+    /// became answerable is handed to `reply`, the core still held.
     fn drive(
         self: &Arc<Self>,
         handle: &Handle,
@@ -171,7 +172,21 @@ impl NodeState {
         let core = &mut *guard;
         let now = self.now();
         let mut actions = match entry {
-            Entry::Request(request, from) => self.apply(core, request, from, now),
+            Entry::Request(request, from) => {
+                let frame = if let Request::Frame { user, seq, .. } = request {
+                    Some((user, seq))
+                } else {
+                    None
+                };
+                let (response, actions) = serve(&mut core.node, request, now, self.narrator());
+                if let Some(response) = response {
+                    core.due.push((from, response));
+                } else if let Some((user, seq)) = frame {
+                    // Answered by the `Respond` its completion produces.
+                    core.waiting.push((user, seq, from));
+                }
+                actions
+            }
             Entry::Refresh => core.node.invoke_test_workload(now),
             Entry::Wakeup(epoch) => {
                 // The core drops a stale epoch: whatever changed the
@@ -250,60 +265,6 @@ impl NodeState {
         self.drive(handle, entry, |to, response| {
             self.answer(handle, to, response)
         });
-    }
-
-    /// One request, routed to the core method of the same name.
-    fn apply(
-        &self,
-        core: &mut Core,
-        request: Request,
-        from: ReplyTo,
-        now: SimTime,
-    ) -> Vec<NodeAction> {
-        let (response, actions) = match request {
-            Request::RttProbe => (Response::RttPong, Vec::new()),
-            Request::ProcessProbe => {
-                let (reply, actions) = core.node.process_probe(now);
-                let response = Response::ProbeReply {
-                    whatif_us: reply.whatif_proc.as_micros(),
-                    current_us: reply.current_proc.as_micros(),
-                    attached: reply.attached_users,
-                    seq: reply.seq_num,
-                };
-                (response, actions)
-            }
-            Request::Join { user, seq } => {
-                let user = UserId::new(user);
-                let (result, actions) = core.node.join(user, seq, now);
-                let accepted = result.is_ok();
-                self.narrator().joined(&core.node, user, accepted);
-                (Response::JoinResult { accepted }, actions)
-            }
-            Request::UnexpectedJoin { user } => {
-                let user = UserId::new(user);
-                let actions = core.node.unexpected_join(user, now);
-                self.narrator().unexpected_join(&core.node, user);
-                (Response::Ack, actions)
-            }
-            Request::Leave { user } => {
-                let user = UserId::new(user);
-                let (detached, actions) = core.node.leave(user, now);
-                self.narrator().left(&core.node, user, detached);
-                (Response::Ack, actions)
-            }
-            Request::Frame { user, seq, .. } => {
-                // Answered by the `Respond` its completion produces.
-                core.waiting.push((user, seq, from));
-                let frame = Frame::live(UserId::new(user), seq, now);
-                return core.node.offload(frame, now);
-            }
-            other => {
-                let message = format!("node cannot serve {other:?}");
-                (Response::Error { message }, Vec::new())
-            }
-        };
-        core.due.push((from, response));
-        actions
     }
 
     /// Takes a request in: counted in flight, then through the inbound
@@ -455,14 +416,17 @@ impl LiveNode {
         });
         handle.add_listener(listener, factory)?;
 
-        // A datagram wakes the loop and is served like any request, in
-        // its arrival codec and through the same two delay legs — so a
-        // UDP RTT measures the same simulated geography. Corrupt ones
-        // are dropped and none is refused: probes are best-effort and
-        // there is no connection to push back on.
+        // A probe datagram is served like any request, in its arrival
+        // codec and through the same two delay legs — so a UDP RTT
+        // measures the same simulated geography. Probes are best-effort
+        // and never refused; anything else (a join, a frame that the
+        // in-flight bound would push back on) or a corrupt one is dropped.
         let udp_state = Arc::clone(&state);
         let udp_handler: UdpHandler = Box::new(move |datagram, peer, socket, handle| {
-            if let Ok((request, codec)) = decode_request(datagram) {
+            let Ok((request, codec)) = decode_request(datagram) else {
+                return;
+            };
+            if matches!(request, Request::RttProbe | Request::ProcessProbe) {
                 let from = ReplyTo::Udp(Arc::clone(socket), peer, codec);
                 udp_state.admit(handle, request, from, |to, response| {
                     udp_state.answer(handle, to, response);
@@ -908,5 +872,47 @@ mod tests {
             worst < Duration::from_millis(100),
             "evented responder must answer promptly, worst {worst:?}"
         );
+    }
+
+    /// The UDP port answers the two probes only: a join datagram
+    /// attaches nobody, and frame datagrams are neither run nor
+    /// answered, so none slips past the in-flight bound.
+    #[test]
+    fn udp_serves_the_probes_and_drops_everything_else() {
+        let live = LiveNodeConfig {
+            max_in_flight: 1,
+            ..LiveNodeConfig::default()
+        };
+        let (node, addr) =
+            LiveNode::bind_with(config(1, 2, 5.0, 0), live, None, Tracer::disabled()).unwrap();
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        socket
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let send = |request: &Request| {
+            let datagram = armada_wire::Codec::Binary.encode_request(request);
+            socket.send_to(&datagram, addr).unwrap();
+        };
+        send(&Request::Join { user: 7, seq: 0 });
+        for seq in 0..5 {
+            send(&Request::Frame {
+                user: 7,
+                seq,
+                payload_len: 20_000,
+            });
+        }
+        send(&Request::ProcessProbe);
+        let mut buf = [0u8; 2048];
+        let (n, _) = socket.recv_from(&mut buf).unwrap();
+        let (first, _) = decode_response(&buf[..n]).unwrap();
+        assert!(
+            matches!(first, Response::ProbeReply { attached: 0, .. }),
+            "{first:?}"
+        );
+        // Five frames of 5 ms would have been answered by now.
+        assert!(socket.recv_from(&mut buf).is_err(), "nothing else answers");
+        assert_eq!(node.attached_count(), 0);
+        assert_eq!(node.frames_processed(), 0);
+        assert_eq!(node.busy_count(), 0);
     }
 }

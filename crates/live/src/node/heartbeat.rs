@@ -58,16 +58,21 @@ pub(super) struct HbConn {
 }
 
 impl HbConn {
+    /// The node's status; the core's lock is held for the read alone.
+    fn status(&self) -> WireNodeStatus {
+        self.state.core().node.status().into()
+    }
+
     fn register_body(&self) -> Vec<u8> {
         Codec::Binary.encode_request(&Request::Register {
-            status: status_of(&self.state),
+            status: self.status(),
             listen_addr: self.listen_addr.to_string(),
         })
     }
 
     fn heartbeat_body(&self) -> Vec<u8> {
         Codec::Binary.encode_request(&Request::Heartbeat {
-            status: status_of(&self.state),
+            status: self.status(),
         })
     }
 
@@ -185,16 +190,5 @@ impl Conn for HbConn {
         handle.timer_after(delay, move |h| {
             h.connect(manager, HEARTBEAT_RPC_TIMEOUT, Box::new(next));
         });
-    }
-}
-
-fn status_of(state: &NodeState) -> WireNodeStatus {
-    let status = state.core().node.status();
-    WireNodeStatus {
-        id: state.cfg.id,
-        class: status.class,
-        location: status.location,
-        attached_users: status.attached_users,
-        load_score: status.load_score,
     }
 }

@@ -348,31 +348,18 @@ impl Probe {
     /// A pong stamps the RTT and is followed by the process probe, whose
     /// reply completes the result; anything else fails the leg.
     fn on_reply(&mut self, cx: &mut Cx, body: &[u8]) -> Option<()> {
-        match (
-            self.rtt,
-            decode_response(body).map(|(response, _)| response),
-        ) {
+        let response = decode_response(body).map(|(response, _)| response);
+        match (self.rtt, response) {
             (None, Ok(Response::RttPong)) => {
                 self.rtt = Some(self.sent.elapsed());
                 self.send(cx, &Request::ProcessProbe)
             }
-            (
-                Some(rtt),
-                Ok(Response::ProbeReply {
-                    whatif_us,
-                    current_us,
-                    attached,
-                    seq,
-                }),
-            ) => {
-                self.result = Some(ProbeResult {
-                    node: NodeId::new(self.id),
-                    rtt: SimDuration::from_micros(rtt.as_micros() as u64),
-                    whatif_proc: SimDuration::from_micros(whatif_us),
-                    current_proc: SimDuration::from_micros(current_us),
-                    attached_users: attached,
-                    seq_num: seq,
-                });
+            (Some(rtt), Ok(reply)) => {
+                let rtt = SimDuration::from_micros(rtt.as_micros() as u64);
+                self.result = ProbeResult::from_reply(NodeId::new(self.id), rtt, &reply);
+                if self.result.is_none() {
+                    return self.leg_lost(cx, "reply");
+                }
                 self.drop_udp(cx);
                 self.reply_by = None;
                 Some(())

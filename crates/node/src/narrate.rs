@@ -1,7 +1,7 @@
-//! The node's side of the trace, written once: the simulator and the
-//! live runtime call these where an [`EdgeNode`] method returns, with
-//! their own tracer and timestamp, so the two traces of one scenario
-//! agree field for field.
+//! The node's side of the trace, written once: [`crate::serve`] calls
+//! these where an [`EdgeNode`] method returns, and the simulator and the
+//! live runtime hand it their own tracer and timestamp, so the two
+//! traces of one scenario agree field for field.
 
 use armada_trace::{u, Severity, Tracer};
 use armada_types::{NodeId, SimDuration, UserId};

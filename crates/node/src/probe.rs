@@ -1,6 +1,7 @@
 //! Wire-visible probe and status payloads.
 
 use armada_types::{GeoPoint, NodeClass, NodeId, SimDuration};
+use armada_wire::WireNodeStatus;
 
 /// The reply to a `Process_probe()` request (paper §IV-C2).
 ///
@@ -38,4 +39,28 @@ pub struct NodeStatus {
     /// Offered-load estimate in `[0, ∞)`: attached work per core-second.
     /// The manager's resource-availability sorter prefers lower values.
     pub load_score: f64,
+}
+
+impl From<NodeStatus> for WireNodeStatus {
+    fn from(status: NodeStatus) -> Self {
+        WireNodeStatus {
+            id: status.node.as_u64(),
+            class: status.class,
+            location: status.location,
+            attached_users: status.attached_users,
+            load_score: status.load_score,
+        }
+    }
+}
+
+impl From<&WireNodeStatus> for NodeStatus {
+    fn from(wire: &WireNodeStatus) -> Self {
+        NodeStatus {
+            node: NodeId::new(wire.id),
+            class: wire.class,
+            location: wire.location,
+            attached_users: wire.attached_users,
+            load_score: wire.load_score,
+        }
+    }
 }
