@@ -1,43 +1,44 @@
-//! The live client: a blocking-socket driver around one [`EdgeClient`],
-//! the Algorithm 2 core the simulator drives in virtual time. The core
-//! opens, counts and concludes each probing round, ranks, decides
-//! stay-or-switch, keeps and walks the warm backups and paces frames,
-//! walks the manager route under its breakers, remembers the shortlist
-//! degraded mode runs on, names the retry times and writes its own
-//! events; this file owns I/O only — sockets and timeouts, sleeping,
-//! the id → listen-address book, one held link per manager — and the
-//! probe fan-out, the one step with anything to overlap, is
-//! `crate::probe`'s readiness state machine run on the calling thread.
-//! Every other exchange is a plain blocking call. A discovery is one
-//! exchange on the link the client holds to that manager, dialled by
-//! its first discovery and again only once the manager has closed it,
-//! so it costs the one round trip the simulator charges.
+//! The live client: a driver around one [`EdgeClient`], the Algorithm 2
+//! core the simulator drives in virtual time. The core decides
+//! everything — rounds, ranking, stay-or-switch, backups, pacing, the
+//! manager route walk under its breakers, degraded mode, retries — and
+//! writes its own events; this file owns I/O only.
+//!
+//! Every session of every client in the process runs on one
+//! single-thread `armada_reactor::Reactor`, started by the first. A
+//! session is an `async` state machine written as its exchanges follow
+//! one another; the loop polls it after each event for its client (a
+//! connection's callback, a UDP reply, the timer armed for the earliest
+//! deadline it waits on), so nothing blocks or sleeps. A caller crosses
+//! into the loop once per session, and the report crosses back once.
 
-use std::collections::HashMap;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
+use std::future::{poll_fn, Future};
+use std::io::{self, ErrorKind};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
+use std::os::fd::{AsRawFd, RawFd};
+use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use armada_client::{
     ClientDecision, EdgeClient, FailoverDecision, JoinFollowup, ManagerReply, Narrator,
     ProbeResult, Verdict, PROBE_TIMEOUT, RETRY_BACKOFF,
 };
-use armada_reactor::Poller;
-use armada_trace::Tracer;
+use armada_reactor::{Conn, ConnCtx, ConnId, Handle, Reactor, ReactorConfig};
+use armada_trace::{s, u, Severity, Tracer};
 use armada_types::{ClientConfig, GeoPoint, NodeId, SimDuration, SimTime, UserId};
+use armada_wire::{decode_response, Request, Response, WireConfig};
 
-use armada_wire::{read_response_via, write_request_via, Codec, Request, Response, WireConfig};
-
-use crate::probe::{self, Terms};
-
-/// All protocol exchanges time out after this long; a silent peer is a
-/// dead peer. Applied both as the connect timeout and as the socket
-/// read timeout on every connection — a plain `TcpStream::connect` to
-/// an unroutable address can block far longer than any RPC budget.
+/// All protocol exchanges time out after this long (probes aside): a
+/// silent peer is a dead peer.
 pub(crate) const RPC_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Connect/read budget for a mid-session discovery. Kept far below
+/// Connect/reply budget for a mid-session discovery. Kept far below
 /// [`RPC_TIMEOUT`] so a black-holed manager cannot stall the frame
 /// loop for the full RPC budget every probing period.
 const REFRESH_TIMEOUT: Duration = Duration::from_millis(500);
@@ -71,6 +72,24 @@ impl SessionReport {
     }
 }
 
+/// A session started by [`LiveClient::start_session`]: the report it
+/// hands back once it ends.
+#[derive(Debug)]
+pub struct PendingSession(Receiver<io::Result<SessionReport>>);
+
+impl PendingSession {
+    /// Waits for the session to end.
+    ///
+    /// # Errors
+    ///
+    /// As [`LiveClient::run_session_any`]; also fails, at once, if the
+    /// event loop running the session has stopped.
+    pub fn wait(self) -> io::Result<SessionReport> {
+        let stopped = || Err(io::Error::other("the client event loop stopped"));
+        self.0.recv().unwrap_or_else(|_| stopped())
+    }
+}
+
 /// One live application user.
 ///
 /// See the crate-level documentation and the workspace
@@ -79,64 +98,12 @@ impl SessionReport {
 pub struct LiveClient {
     id: u64,
     tracer: Tracer,
-    /// Shared across clones and sessions so the selector's per-node
-    /// history, the breakers and the cached shortlist survive retries and
-    /// manager outages; locked once per session attempt, never per frame.
+    /// Shared by clones and sessions; locked per step, never across a
+    /// wait.
     shared: Arc<Mutex<Shared>>,
-    /// Time base of the core's [`SimTime`].
-    epoch: Instant,
     /// Outbound codec and probe-backend selection.
     wire: WireConfig,
 }
-
-/// What a client's sessions share: the core, where to dial the nodes
-/// of the shortlist it caches (the core deals in ids), the link held to
-/// each manager it has asked, the poller its probe rounds wait on,
-/// made by the first of them, and the buffer every exchange writes its
-/// request and reads its reply through.
-#[derive(Debug)]
-struct Shared {
-    core: EdgeClient,
-    addresses: HashMap<u64, String>,
-    links: HashMap<SocketAddr, ManagerLink>,
-    poller: Option<Box<dyn Poller>>,
-    frame: Vec<u8>,
-}
-
-/// A held connection to one manager, and the budget its reads and
-/// writes are bounded by now.
-#[derive(Debug)]
-struct ManagerLink {
-    stream: TcpStream,
-    timeout: Duration,
-}
-
-impl ManagerLink {
-    fn dial(addr: SocketAddr, timeout: Duration) -> std::io::Result<Self> {
-        let stream = connect_with(addr, timeout)?;
-        Ok(ManagerLink { stream, timeout })
-    }
-
-    /// One exchange bounded by `timeout`; the socket's budget is set
-    /// again only when it differs from the last exchange's.
-    fn rpc(
-        &mut self,
-        timeout: Duration,
-        codec: Codec,
-        request: &Request,
-        frame: &mut Vec<u8>,
-    ) -> std::io::Result<Response> {
-        if self.timeout != timeout {
-            self.stream.set_read_timeout(Some(timeout))?;
-            self.stream.set_write_timeout(Some(timeout))?;
-            self.timeout = timeout;
-        }
-        rpc(&mut self.stream, codec, request, frame)
-    }
-}
-
-/// A session's open connections by node id: serving node and backups.
-pub(crate) type Connections = HashMap<u64, TcpStream>;
 
 impl LiveClient {
     /// Creates a client.
@@ -146,12 +113,19 @@ impl LiveClient {
             tracer: Tracer::disabled(),
             shared: Arc::new(Mutex::new(Shared {
                 core: EdgeClient::new(UserId::new(id), location, config),
+                epoch: Instant::now(),
                 addresses: HashMap::new(),
                 links: HashMap::new(),
-                poller: None,
-                frame: Vec::new(),
+                conns: HashMap::new(),
+                udps: HashMap::new(),
+                serials: 0,
+                outbox: Vec::new(),
+                spare: Vec::new(),
+                task: None,
+                queue: VecDeque::new(),
+                deadline: None,
+                armed: Vec::new(),
             })),
-            epoch: Instant::now(),
             wire: WireConfig::default(),
         }
     }
@@ -178,19 +152,14 @@ impl LiveClient {
 
     /// `true` while discovery is being served from the stale cached
     /// candidate list because every manager is unreachable or
-    /// breaker-gated. (Waits for a session in progress to end.)
+    /// breaker-gated.
     pub fn is_degraded(&self) -> bool {
-        self.shared().core.is_degraded()
+        lock(&self.shared).core.is_degraded()
     }
 
     /// Total circuit-breaker state transitions across all managers.
-    /// (Waits for a session in progress to end.)
     pub fn breaker_transitions(&self) -> u64 {
-        self.shared().core.breaker_transitions()
-    }
-
-    fn shared(&self) -> MutexGuard<'_, Shared> {
-        self.shared.lock().expect("a session panicked mid-attempt")
+        lock(&self.shared).core.breaker_transitions()
     }
 
     /// Runs one full session: discovery → concurrent probing → ranked
@@ -201,11 +170,7 @@ impl LiveClient {
     ///
     /// Fails if the manager is unreachable, no candidate can be probed,
     /// or every candidate dies mid-session.
-    pub fn run_session(
-        &self,
-        manager: SocketAddr,
-        frames: usize,
-    ) -> std::io::Result<SessionReport> {
+    pub fn run_session(&self, manager: SocketAddr, frames: usize) -> io::Result<SessionReport> {
         self.run_session_any(&[manager], frames)
     }
 
@@ -221,19 +186,430 @@ impl LiveClient {
         &self,
         managers: &[SocketAddr],
         frames: usize,
-    ) -> std::io::Result<SessionReport> {
-        // An attempt left with no serving node (a rejected first join,
-        // a round nobody answered, every backup dead) fails; the next
-        // repeats from edge discovery (Algorithm 2, line 14).
+    ) -> io::Result<SessionReport> {
+        self.start_session(managers, frames).wait()
+    }
+
+    /// [`LiveClient::run_session_any`] without the wait: the session is
+    /// handed to the process's client event loop, and this returns at
+    /// once. A client's sessions run one after another, in the order
+    /// they were started.
+    pub fn start_session(&self, managers: &[SocketAddr], frames: usize) -> PendingSession {
+        match client_loop() {
+            Ok(handle) => self.start_on(&handle, managers, frames, wall(PROBE_TIMEOUT)),
+            Err(e) => {
+                let (tx, rx) = mpsc::channel();
+                let _ = tx.send(Err(e));
+                PendingSession(rx)
+            }
+        }
+    }
+
+    /// Starts a session on `handle`'s loop; `budget` bounds each probe's
+    /// connect and in-stream exchange, half of it each UDP exchange.
+    fn start_on(
+        &self,
+        handle: &Handle,
+        managers: &[SocketAddr],
+        frames: usize,
+        budget: Duration,
+    ) -> PendingSession {
+        static KEYS: AtomicU64 = AtomicU64::new(0);
+        let (key, (tx, rx)) = (KEYS.fetch_add(1, Ordering::Relaxed), mpsc::channel());
+        let io = Io {
+            client: Arc::clone(&self.shared),
+            handle: handle.clone(),
+            epoch: lock(&self.shared).epoch,
+            user: self.id,
+            wire: self.wire,
+            tracer: self.tracer.clone(),
+            budget,
+        };
+        let managers = managers.to_vec();
+        let session: Task = Box::pin(async move {
+            let report = io.session(&managers, frames).await;
+            if let Some(reply) = REPLIES.with_borrow_mut(|replies| replies.remove(&key)) {
+                let _ = reply.send(report);
+            }
+        });
+        let client = Arc::clone(&self.shared);
+        handle.timer_after(Duration::ZERO, move |handle| {
+            REPLIES.with_borrow_mut(|replies| replies.insert(key, tx));
+            lock(&client).queue.push_back(session);
+            poll(&client, handle, None);
+        });
+        PendingSession(rx)
+    }
+}
+
+thread_local! {
+    /// Where each session on this loop thread sends its report: a loop
+    /// that dies drops them, so no caller waits for a report forever.
+    static REPLIES: RefCell<HashMap<u64, Sender<io::Result<SessionReport>>>> =
+        RefCell::new(HashMap::new());
+}
+
+/// The process's client event loop, started by the first session.
+fn client_loop() -> io::Result<Handle> {
+    static LOOP: Mutex<Option<Reactor>> = Mutex::new(None);
+    let mut slot = LOOP.lock().unwrap_or_else(PoisonError::into_inner);
+    if slot.is_none() {
+        let one = ReactorConfig {
+            threads: 1,
+            ..ReactorConfig::default()
+        };
+        *slot = Some(Reactor::new(one)?);
+    }
+    Ok(slot.as_ref().expect("started above").handle().clone())
+}
+
+/// The core's durations on the wall clock.
+fn wall(d: SimDuration) -> Duration {
+    Duration::from_micros(d.as_micros())
+}
+
+/// A wall duration as the core's.
+fn sim(d: Duration) -> SimDuration {
+    SimDuration::from_micros(d.as_micros() as u64)
+}
+
+fn lock(client: &Mutex<Shared>) -> MutexGuard<'_, Shared> {
+    client.lock().expect("a session panicked mid-step")
+}
+
+fn protocol_error(message: &str) -> io::Error {
+    io::Error::new(ErrorKind::InvalidData, message)
+}
+
+/// The node streaming this session, or the error that sends the
+/// attempt back to edge discovery.
+fn serving_node(core: &EdgeClient) -> io::Result<u64> {
+    core.current_node()
+        .map(NodeId::as_u64)
+        .ok_or_else(|| protocol_error("no node is serving: re-discover"))
+}
+
+type Task = Pin<Box<dyn Future<Output = ()> + Send>>;
+
+/// What a client's sessions share: the core and its address book, the
+/// connections and what they heard, the sessions and their timers.
+struct Shared {
+    core: EdgeClient,
+    /// The wall instant of the core's `SimTime::ZERO`.
+    epoch: Instant,
+    addresses: HashMap<u64, String>,
+    /// The serial of the link held to each manager.
+    links: HashMap<SocketAddr, u64>,
+    conns: HashMap<u64, Link>,
+    udps: HashMap<RawFd, Leg>,
+    serials: u64,
+    outbox: Vec<(ConnId, Vec<u8>)>,
+    /// A spent reply's buffer, which the next request is encoded into.
+    spare: Vec<u8>,
+    task: Option<Task>,
+    queue: VecDeque<Task>,
+    /// The earliest instant a pending wait names.
+    deadline: Option<Instant>,
+    /// The due times of the loop timers armed and not yet fired.
+    armed: Vec<Instant>,
+}
+
+impl std::fmt::Debug for Shared {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Shared").finish_non_exhaustive()
+    }
+}
+
+/// A connection and what it reported.
+#[derive(Debug, Default)]
+struct Link {
+    /// A node stream, not a manager link.
+    node: bool,
+    /// `None` while the connect is in flight.
+    conn: Option<ConnId>,
+    /// The reply not read yet; `Some(None)` if it did not decode.
+    inbox: Option<Option<Response>>,
+    /// Closed; `Some(true)` if by the peer (end, reset, broken pipe).
+    closed: Option<bool>,
+}
+
+/// A probe's UDP leg: its socket once the loop has named it, and the
+/// reply not read yet (`Some(None)` for a failed receive or decode).
+#[derive(Debug, Default)]
+struct Leg {
+    socket: Option<Arc<UdpSocket>>,
+    inbox: Option<Option<Response>>,
+}
+
+/// Polls `client`'s session after an event (and the next once one
+/// ends); what it sent leaves through `here` when that is its
+/// connection. A timer is armed for the earliest deadline a wait names,
+/// unless one fires by then already; each wait reads the clock itself.
+fn poll(client: &Arc<Mutex<Shared>>, handle: &Handle, mut here: Option<(ConnId, &mut ConnCtx)>) {
+    let mut shared = lock(client);
+    while let Some(mut task) = shared.task.take().or_else(|| shared.queue.pop_front()) {
+        shared.deadline = None;
+        drop(shared);
+        let cx = &mut Context::from_waker(Waker::noop());
+        let pending = task.as_mut().poll(cx).is_pending();
+        shared = lock(client);
+        if pending {
+            shared.task = Some(task);
+            break;
+        }
+    }
+    for (conn, body) in shared.outbox.drain(..) {
+        match &mut here {
+            Some((at, ctx)) if *at == conn => ctx.send(body),
+            _ => handle.send(conn, body),
+        }
+    }
+    let due = shared
+        .deadline
+        .filter(|&due| shared.armed.iter().all(|&at| at > due));
+    let Some(due) = due else { return };
+    shared.armed.push(due);
+    let (client, wait) = (
+        Arc::clone(client),
+        due.saturating_duration_since(Instant::now()),
+    );
+    handle.timer_after(wait, move |handle| {
+        lock(&client).armed.retain(|&at| at != due);
+        poll(&client, handle, None);
+    });
+}
+
+/// The reactor's side of a client connection: each callback records
+/// what it saw and polls the session.
+struct ClientConn {
+    client: Arc<Mutex<Shared>>,
+    serial: u64,
+}
+
+impl ClientConn {
+    /// Hands the connection's record (and the spare buffer) to `note`,
+    /// then polls; a record given up on closes the connection instead.
+    fn event(
+        &self,
+        handle: &Handle,
+        ctx: Option<&mut ConnCtx>,
+        note: impl FnOnce(&mut Link, &mut Vec<u8>),
+    ) {
+        let mut shared = lock(&self.client);
+        let Shared { conns, spare, .. } = &mut *shared;
+        let Some(link) = conns.get_mut(&self.serial) else {
+            return ctx.into_iter().for_each(ConnCtx::close);
+        };
+        note(link, spare);
+        drop(shared);
+        poll(&self.client, handle, ctx.map(|ctx| (ctx.conn_id(), ctx)));
+    }
+}
+
+impl Conn for ClientConn {
+    fn on_connected(&mut self, ctx: &mut ConnCtx) {
+        let (handle, conn) = (ctx.handle().clone(), ctx.conn_id());
+        self.event(&handle, Some(ctx), |link, _| link.conn = Some(conn));
+    }
+
+    fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut ConnCtx) {
+        let reply = decode_response(&frame).ok().map(|(response, _)| response);
+        self.event(&ctx.handle().clone(), Some(ctx), |link, spare| {
+            (link.inbox, *spare) = (Some(reply), frame);
+        });
+    }
+
+    fn on_close(&mut self, err: Option<&io::Error>, handle: &Handle) {
+        use ErrorKind::{BrokenPipe, ConnectionReset, UnexpectedEof};
+        let closed = [UnexpectedEof, ConnectionReset, BrokenPipe];
+        let by_peer = err.is_none_or(|e| closed.contains(&e.kind()));
+        self.event(handle, None, |link, _| link.closed = Some(by_peer));
+    }
+}
+
+/// What a session runs with.
+struct Io {
+    client: Arc<Mutex<Shared>>,
+    handle: Handle,
+    epoch: Instant,
+    user: u64,
+    wire: WireConfig,
+    tracer: Tracer,
+    /// What bounds each probe exchange (see [`LiveClient::start_on`]).
+    budget: Duration,
+}
+
+/// The plumbing: a wait resolves with what its check finds, or `None`.
+impl Io {
+    fn lock(&self) -> MutexGuard<'_, Shared> {
+        lock(&self.client)
+    }
+
+    /// The core's clock: wall microseconds since the epoch, viewed as a
+    /// simulated timestamp (the core is clock-agnostic).
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
+    }
+
+    /// The core's events, stamped with the tracer's wall clock.
+    fn narrator(&self) -> Narrator<'_> {
+        Narrator::at(&self.tracer, self.tracer.now_us())
+    }
+
+    /// One step of the core, now, its events narrated.
+    fn core<T>(&self, step: impl FnOnce(&mut EdgeClient, SimTime, Narrator) -> T) -> T {
+        step(&mut self.lock().core, self.now(), self.narrator())
+    }
+
+    fn wait<'a, T>(
+        &'a self,
+        until: Instant,
+        mut check: impl FnMut(&mut Shared) -> Option<T> + 'a,
+    ) -> impl Future<Output = Option<T>> + 'a {
+        poll_fn(move |_| {
+            let mut shared = self.lock();
+            if let Some(found) = check(&mut shared) {
+                return Poll::Ready(Some(found));
+            }
+            if Instant::now() >= until {
+                return Poll::Ready(None);
+            }
+            shared.deadline = Some(shared.deadline.map_or(until, |due| due.min(until)));
+            Poll::Pending
+        })
+    }
+
+    async fn sleep(&self, pause: Duration) {
+        self.wait(Instant::now() + pause, |_| None::<()>).await;
+    }
+
+    /// Dials `addr` within `timeout`; returns the connection's serial.
+    fn dial(&self, addr: SocketAddr, node: bool, timeout: Duration) -> u64 {
+        let mut shared = self.lock();
+        shared.serials += 1;
+        let (serial, mut link) = (shared.serials, Link::default());
+        link.node = node;
+        shared.conns.insert(serial, link);
+        let client = Arc::clone(&self.client);
+        self.handle
+            .connect(addr, timeout, Box::new(ClientConn { client, serial }));
+        serial
+    }
+
+    /// Whether connection `serial` comes up within `timeout`.
+    async fn connected(&self, serial: u64, timeout: Duration) -> bool {
+        let up = self.wait(Instant::now() + timeout, |shared| {
+            let link = shared.conns.get(&serial)?;
+            link.closed.map(|_| false).or(link.conn.map(|_| true))
+        });
+        up.await == Some(true)
+    }
+
+    /// Closes connection `serial` and forgets it.
+    fn forget(&self, serial: u64) {
+        let mut shared = self.lock();
+        if let Some(conn) = shared.conns.remove(&serial).and_then(|link| link.conn) {
+            self.handle.close(conn);
+        }
+        shared.links.retain(|_, held| *held != serial);
+    }
+
+    /// Queues `request` on connection `serial`; `Err` if it is not up,
+    /// saying whether the peer closed it.
+    fn send(&self, serial: u64, request: &Request) -> Result<(), Option<bool>> {
+        let mut guard = self.lock();
+        let shared = &mut *guard;
+        let link = shared.conns.get(&serial);
+        let (Some(conn), None) = link.map_or((None, None), |l| (l.conn, l.closed)) else {
+            return Err(link.and_then(|l| l.closed));
+        };
+        let mut body = std::mem::take(&mut shared.spare);
+        body.clear();
+        self.wire.codec.encode_request_into(request, &mut body);
+        shared.outbox.push((conn, body));
+        Ok(())
+    }
+
+    /// One exchange on connection `serial` within `timeout`. One that
+    /// fails is forgotten — a late reply must never be taken for the
+    /// next answer — and the error says whether the peer closed it.
+    async fn call(
+        &self,
+        serial: u64,
+        request: &Request,
+        timeout: Duration,
+    ) -> Result<Response, Option<bool>> {
+        let heard = match self.send(serial, request) {
+            Ok(()) => self.wait(Instant::now() + timeout, |shared| {
+                let link = shared.conns.get_mut(&serial)?;
+                let reply = link.inbox.take().map(|reply| reply.ok_or(None));
+                reply.or(link.closed.map(|by_peer| Err(Some(by_peer))))
+            }),
+            Err(closed) => return self.fail(serial, closed),
+        };
+        match heard.await {
+            Some(Ok(reply)) => Ok(reply),
+            late => self.fail(serial, late.and_then(Result::err).flatten()),
+        }
+    }
+
+    fn fail<T>(&self, serial: u64, closed: Option<bool>) -> Result<T, Option<bool>> {
+        self.forget(serial);
+        Err(closed)
+    }
+
+    /// One exchange with `node` over its stream in `conns`.
+    async fn exchange(
+        &self,
+        conns: &mut Streams,
+        node: u64,
+        request: &Request,
+    ) -> Option<Response> {
+        let serial = *conns.get(&node)?;
+        let reply = self.call(serial, request, RPC_TIMEOUT).await;
+        if reply.is_err() {
+            conns.remove(&node);
+        }
+        reply.ok()
+    }
+
+    /// Closes each node stream `conns` lacks; retires every UDP leg.
+    fn sweep(&self, conns: &Streams) {
+        let mut guard = self.lock();
+        let shared = &mut *guard;
+        shared.conns.retain(|serial, link| {
+            let kept = !link.node || conns.values().any(|held| held == serial);
+            if let (false, Some(conn)) = (kept, link.conn) {
+                self.handle.close(conn);
+            }
+            kept
+        });
+        for (fd, _) in shared.udps.drain() {
+            self.handle.remove_udp(fd);
+        }
+    }
+}
+
+/// A session's node streams: the serial of each node's.
+type Streams = HashMap<u64, u64>;
+
+/// The session: Algorithm 2 as the exchanges follow one another.
+impl Io {
+    /// An attempt left with no serving node (a rejected first join, a
+    /// round nobody answered, every backup dead) fails; the next repeats
+    /// from edge discovery (Algorithm 2, line 14).
+    async fn session(&self, managers: &[SocketAddr], frames: usize) -> io::Result<SessionReport> {
         let mut last_err = None;
         for attempt in 0..5u32 {
             if attempt > 0 {
-                std::thread::sleep(RETRY_BACKOFF.delay(attempt - 1, self.id));
+                self.sleep(RETRY_BACKOFF.delay(attempt - 1, self.user))
+                    .await;
             }
-            let mut shared = self.shared();
-            let outcome = self.try_session(&mut shared, managers, frames);
+            let mut conns = Streams::new();
+            let outcome = self.attempt(&mut conns, managers, frames).await;
+            self.sweep(&Streams::new());
             // Ends the attachment, keeps the selector's per-node models.
-            shared.core.detach();
+            self.lock().core.detach();
             match outcome {
                 Ok(report) => return Ok(report),
                 Err(e) => last_err = Some(e),
@@ -243,69 +619,64 @@ impl LiveClient {
     }
 
     /// One discovery → probe → join → stream attempt.
-    fn try_session(
+    async fn attempt(
         &self,
-        shared: &mut Shared,
+        conns: &mut Streams,
         managers: &[SocketAddr],
         frames: usize,
-    ) -> std::io::Result<SessionReport> {
-        let before = shared.core.stats();
-        let mut connections = Connections::new();
-        let probed = self
-            .select(shared, &mut connections, managers, RPC_TIMEOUT)?
-            .iter()
-            .map(|r| {
-                (
-                    r.node.as_u64(),
-                    Duration::from_micros(r.rtt.as_micros()),
-                    r.whatif_proc.as_micros(),
-                )
-            })
-            .collect();
-        let initial_node = serving_node(&shared.core)?;
+    ) -> io::Result<SessionReport> {
+        let (user, before) = (self.user, self.lock().core.stats());
+        let row = |r: &ProbeResult| (r.node.as_u64(), wall(r.rtt), r.whatif_proc.as_micros());
+        let probed = self.select(conns, managers, RPC_TIMEOUT).await?;
+        let probed = probed.iter().map(row).collect();
+        let initial_node = serving_node(&self.lock().core)?;
 
         let mut latencies = Vec::with_capacity(frames);
-        let probing_period = Duration::from_micros(shared.core.config().probing_period.as_micros());
+        let probing_period = wall(self.lock().core.config().probing_period);
         let mut last_probe = Instant::now();
         while latencies.len() < frames {
             // The next round is due `T_probing` after this one
             // concludes: a round that ran to `PROBE_TIMEOUT` must not
             // eat the period.
             if last_probe.elapsed() >= probing_period {
-                self.select(shared, &mut connections, managers, REFRESH_TIMEOUT)?;
+                self.select(conns, managers, REFRESH_TIMEOUT).await?;
                 last_probe = Instant::now();
             }
-            let (core, buf) = (&mut shared.core, &mut shared.frame);
-            let serving = serving_node(core)?;
+            let (serving, seq) = {
+                let mut shared = self.lock();
+                (serving_node(&shared.core)?, shared.core.next_frame_seq())
+            };
             let frame = Request::Frame {
-                user: self.id,
-                seq: core.next_frame_seq(),
+                user,
+                seq,
                 payload_len: 20_000,
             };
             let started = Instant::now();
-            match self.exchange(buf, &mut connections, serving, &frame) {
-                Ok(Response::FrameResult { .. }) => {
+            match self.exchange(conns, serving, &frame).await {
+                Some(Response::FrameResult { .. }) => {
                     let elapsed = started.elapsed();
                     latencies.push(elapsed);
-                    let latency = SimDuration::from_micros(elapsed.as_micros() as u64);
-                    core.on_frame_latency(latency, self.narrator());
-                    std::thread::sleep(Duration::from_micros(core.frame_interval().as_micros()));
+                    let pace = {
+                        let core = &mut self.lock().core;
+                        core.on_frame_latency(sim(elapsed), self.narrator());
+                        wall(core.frame_interval())
+                    };
+                    if !pace.is_zero() {
+                        self.sleep(pace).await;
+                    }
                 }
                 other => {
                     // Shedding or dead, this node no longer serves us.
-                    if matches!(other, Ok(Response::Busy { .. })) {
-                        core.on_busy(NodeId::new(serving), self.now_sim());
+                    if matches!(other, Some(Response::Busy { .. })) {
+                        self.core(|core, now, _| core.on_busy(NodeId::new(serving), now));
                     }
-                    self.fail_over(core, buf, &mut connections, serving)?;
+                    self.fail_over(conns, serving).await?;
                 }
             }
         }
-
-        let core = &mut shared.core;
-        let final_node = serving_node(core)?;
-        let leave = Request::Leave { user: self.id };
-        let _ = self.exchange(&mut shared.frame, &mut connections, final_node, &leave);
-        let stats = core.stats();
+        let (final_node, leave) = (serving_node(&self.lock().core)?, Request::Leave { user });
+        let _ = self.exchange(conns, final_node, &leave).await;
+        let stats = self.lock().core.stats();
         Ok(SessionReport {
             final_node,
             initial_node,
@@ -316,199 +687,96 @@ impl LiveClient {
         })
     }
 
-    /// One pass of Algorithm 2, the same for a session's first round
-    /// and every `T_probing` round: discover, carry the probes of the
-    /// round the core opens (none on an empty shortlist), carry out its
-    /// decision, close what fell out of `current ∪ backups`. Returns the
-    /// probes.
-    fn select(
+    /// One pass of Algorithm 2, for a session's first round and every
+    /// `T_probing` round: discover, probe the round the core opens (none
+    /// on an empty shortlist), carry out its decision. Returns the probes.
+    async fn select(
         &self,
-        shared: &mut Shared,
-        connections: &mut Connections,
+        conns: &mut Streams,
         managers: &[SocketAddr],
         timeout: Duration,
-    ) -> std::io::Result<Vec<ProbeResult>> {
-        // If the whole manager tier is unreachable, degrade to the
-        // last-known candidate list. Mid-session this is also what
-        // notices a manager partition and its recovery while frames
-        // keep flowing to already connected nodes.
-        // (Mid-session the next `T_probing` round is the core's retry.)
-        let shortlist = self.discover(shared, managers, timeout).or_else(|e| {
-            let cached = shared.core.cached_shortlist();
-            cached.map(<[NodeId]>::to_vec).ok_or(e)
-        })?;
-        let Shared {
-            core,
-            addresses,
-            poller,
-            frame,
-            ..
-        } = shared;
+    ) -> io::Result<Vec<ProbeResult>> {
+        // With every manager unreachable, the last-known candidate list:
+        // mid-session, frames keep flowing through a manager partition.
+        let shortlist = match self.discover(managers, timeout).await {
+            Ok(shortlist) => shortlist,
+            Err(e) => {
+                let cached = self.lock().core.cached_shortlist().map(<[NodeId]>::to_vec);
+                cached.ok_or(e)?
+            }
+        };
         // (The serving node is re-probed over its open connection.)
-        let Some((round, nodes)) = core.start_probe_round(shortlist, |_| true, self.narrator())
-        else {
+        let opened = self.core(|core, _, trace| core.start_probe_round(shortlist, |_| true, trace));
+        let Some((round, nodes)) = opened else {
             return Ok(Vec::new());
         };
-        let poller = match poller {
-            Some(poller) => &mut **poller,
-            none => &mut **none.insert(armada_reactor::default_poller()?),
-        };
-        let dial = |node: &NodeId| {
-            let id = node.as_u64();
-            (id, addresses.get(&id).cloned().unwrap_or_default())
-        };
-        let candidates: Vec<(u64, String)> = nodes.iter().map(dial).collect();
-        let timeout = Duration::from_micros(PROBE_TIMEOUT.as_micros());
-        let results = self.probe_round(poller, core, connections, round, &candidates, timeout);
-        // A join is the synchronised `Join` RPC. A re-discovery needs no
-        // action: while a node serves, the next `T_probing` round is the
-        // repeat; with none, [`serving_node`] fails the attempt.
-        let decision = core.conclude_probe_round(round, self.now_sim(), self.narrator());
+        let results = self.probe_round(conns, round, &nodes).await;
+        // A re-discovery needs no action: while a node serves, the next
+        // round repeats it; with none, [`serving_node`] fails the attempt.
+        let decision = self.core(|core, now, trace| core.conclude_probe_round(round, now, trace));
         if let Some(ClientDecision::AttemptJoin { target, seq }) = decision {
-            let join = Request::Join { user: self.id, seq };
-            let reply = self.exchange(frame, connections, target.as_u64(), &join);
-            if matches!(reply, Ok(Response::Busy { .. })) {
-                core.on_busy(target, self.now_sim());
+            let (node, join) = (
+                target.as_u64(),
+                Request::Join {
+                    user: self.user,
+                    seq,
+                },
+            );
+            let reply = self.exchange(conns, node, &join).await;
+            if matches!(reply, Some(Response::Busy { .. })) {
+                self.core(|core, now, _| core.on_busy(target, now));
             }
             // Shed, dead mid-join or out of sequence: the join did not
             // happen, and only the first says anything about the node.
-            let accepted = matches!(reply, Ok(Response::JoinResult { accepted: true }));
-            // (No stale replies: a blocking driver abandons no join.)
-            if let JoinFollowup::SwitchComplete {
-                leave: Some(previous),
-            } = core.on_join_result(target, accepted, self.narrator())
-            {
-                let leave = Request::Leave { user: self.id };
-                let _ = self.exchange(frame, connections, previous.as_u64(), &leave);
+            let accepted = matches!(reply, Some(Response::JoinResult { accepted: true }));
+            let followup = self.core(|core, _, trace| core.on_join_result(target, accepted, trace));
+            if let JoinFollowup::SwitchComplete { leave: Some(left) } = followup {
+                let leave = Request::Leave { user: self.user };
+                let _ = self.exchange(conns, left.as_u64(), &leave).await;
             }
         }
         // Neither serving nor a backup: closed, so open sockets ≤ TopN.
-        connections.retain(|&id, _| {
-            let node = NodeId::new(id);
-            core.current_node() == Some(node) || core.backups().contains(&node)
-        });
+        let kept = {
+            let core = &self.lock().core;
+            let kept = |id: &u64| {
+                let node = NodeId::new(*id);
+                core.current_node() == Some(node) || core.backups().contains(&node)
+            };
+            conns.keys().copied().filter(kept).collect::<Vec<_>>()
+        };
+        conns.retain(|id, _| kept.contains(id));
+        self.sweep(conns);
         Ok(results)
     }
 
-    /// One request/response exchange with `node` over its open
-    /// connection, through `frame`; a node without one fails like a
-    /// dead one.
-    fn exchange(
-        &self,
-        frame: &mut Vec<u8>,
-        connections: &mut Connections,
-        node: u64,
-        request: &Request,
-    ) -> std::io::Result<Response> {
-        match connections.get_mut(&node) {
-            Some(stream) => rpc(stream, self.wire.codec, request, frame),
-            None => Err(protocol_error(format!("no open connection to node {node}"))),
-        }
-    }
-
-    /// The probe fan-out of the core's open round `round`: every probe
-    /// in flight at once, on this thread (`crate::probe`). A candidate
-    /// that answers keeps its connection; a silent one has lost it and
-    /// is reported lost — the live analogue of a heartbeat gap.
-    fn probe_round(
-        &self,
-        poller: &mut dyn Poller,
-        core: &mut EdgeClient,
-        connections: &mut Connections,
-        round: u64,
-        candidates: &[(u64, String)],
-        timeout: Duration,
-    ) -> Vec<ProbeResult> {
-        let terms = Terms {
-            wire: self.wire,
-            timeout,
-            tracer: &self.tracer,
-        };
-        let outcomes = probe::run(poller, terms, connections, candidates);
-        let now = self.now_sim();
-        // (Completion is this loop's end: every outcome is in.)
-        for ((id, _), outcome) in candidates.iter().zip(&outcomes) {
-            match outcome {
-                Some(result) => core.on_probe_reply(round, *result),
-                None => core.on_probe_lost(round, NodeId::new(*id), now),
-            };
-        }
-        outcomes.into_iter().flatten().collect()
-    }
-
-    /// The failure monitor (paper §IV-E): the core promotes the first
-    /// backup whose warm connection answers `Unexpected_join` (which
-    /// cannot be rejected, Table I); with none left the attempt fails.
-    fn fail_over(
-        &self,
-        core: &mut EdgeClient,
-        frame: &mut Vec<u8>,
-        connections: &mut Connections,
-        failed: u64,
-    ) -> std::io::Result<()> {
-        let failed_node = Some(NodeId::new(failed));
-        self.narrator().failure(core.id(), "proactive", failed_node);
-        connections.remove(&failed);
-        let takeover = Request::UnexpectedJoin { user: self.id };
-        let decision = core.on_node_failure(self.now_sim(), |backup| {
-            let id = backup.as_u64();
-            let reply = self.exchange(frame, connections, id, &takeover);
-            let alive = matches!(reply, Ok(Response::Ack));
-            if !alive {
-                connections.remove(&id);
-            }
-            alive
-        });
-        self.narrator().failover(core.id(), failed_node, &decision);
-        match decision {
-            FailoverDecision::SwitchToBackup { .. } => Ok(()),
-            FailoverDecision::Rediscover => {
-                Err(protocol_error("all backups failed simultaneously".into()))
-            }
-        }
-    }
-
     /// Walks the manager route order (home first): the core picks each
-    /// rank its breaker admits and says what the answer means; this
-    /// asks over the held links ([`ask`]), sleeps the pauses and keeps
-    /// the address book. Fails once the route is exhausted (the core's
-    /// cached shortlist is what is left).
-    fn discover(
+    /// rank its breaker admits and says what the answer means; this asks,
+    /// waits out the pauses and keeps the address book.
+    async fn discover(
         &self,
-        shared: &mut Shared,
         managers: &[SocketAddr],
         timeout: Duration,
-    ) -> std::io::Result<Vec<NodeId>> {
-        let Shared {
-            core,
-            addresses,
-            links,
-            frame,
-            ..
-        } = shared;
-        let request = Request::Discover {
-            user: self.id,
-            lat: core.location().lat(),
-            lon: core.location().lon(),
-            top_n: core.config().top_n,
+    ) -> io::Result<Vec<NodeId>> {
+        let request = {
+            let core = &self.lock().core;
+            Request::Discover {
+                user: self.user,
+                lat: core.location().lat(),
+                lon: core.location().lon(),
+                top_n: core.config().top_n,
+            }
         };
         let mut from = 0;
-        while let Some(rank) =
-            core.next_manager(from, managers.len(), self.now_sim(), self.narrator())
-        {
-            let outcome = ask(
-                links,
-                managers[rank],
-                timeout,
-                self.wire.codec,
-                &request,
-                frame,
-            );
-            let reply = match outcome {
+        loop {
+            let next =
+                self.core(|core, now, trace| core.next_manager(from, managers.len(), now, trace));
+            let Some(rank) = next else { break };
+            let reply = match self.ask(managers[rank], &request, timeout).await {
                 Ok(Response::Candidates { nodes }) => {
                     let ids = nodes.iter().map(|(id, _)| NodeId::new(*id)).collect();
                     if !nodes.is_empty() {
                         // (What the core's cached shortlist names.)
+                        let addresses = &mut self.lock().addresses;
                         addresses.clear();
                         addresses.extend(nodes);
                     }
@@ -518,117 +786,235 @@ impl LiveClient {
                 // Dead, unreachable, or answering something else.
                 _ => ManagerReply::Unserved,
             };
-            match core.on_discover(rank, reply, self.now_sim(), self.narrator()) {
+            let verdict = self.core(|core, now, trace| core.on_discover(rank, reply, now, trace));
+            match verdict {
                 Verdict::Probe(shortlist) => return Ok(shortlist),
-                Verdict::Next { pause } => {
-                    std::thread::sleep(Duration::from_micros(pause.as_micros()))
-                }
+                Verdict::Next { pause } => self.sleep(wall(pause)).await,
             }
             from = rank + 1;
         }
-        core.on_route_exhausted(self.now_sim(), self.narrator());
+        self.core(|core, now, trace| core.on_route_exhausted(now, trace));
         Err(protocol_error(
-            "every manager is unreachable or breaker-gated".into(),
+            "every manager is unreachable or breaker-gated",
         ))
     }
 
-    /// The core's clock: wall microseconds since the client's epoch,
-    /// viewed as a simulated timestamp (the core is clock-agnostic).
-    fn now_sim(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
+    /// One `request` over the link held to `manager`, dialled if there
+    /// is none. A held link the manager closed (it restarted) is
+    /// redialled once, so the manager is not counted as failed.
+    async fn ask(
+        &self,
+        manager: SocketAddr,
+        request: &Request,
+        timeout: Duration,
+    ) -> Result<Response, ()> {
+        let held = self.lock().links.get(&manager).copied();
+        if let Some(serial) = held {
+            match self.call(serial, request, timeout).await {
+                Err(Some(true)) => {}
+                reply => return reply.map_err(drop),
+            }
+        }
+        let serial = self.dial(manager, false, timeout);
+        self.lock().links.insert(manager, serial);
+        if !self.connected(serial, timeout).await {
+            self.forget(serial);
+            return Err(());
+        }
+        self.call(serial, request, timeout).await.map_err(drop)
     }
 
-    /// The core's events, stamped with the tracer's wall clock.
-    fn narrator(&self) -> Narrator<'_> {
-        Narrator::at(&self.tracer, self.tracer.now_us())
-    }
-}
-
-/// The node streaming this session, or the error that sends the
-/// attempt back to edge discovery.
-fn serving_node(core: &EdgeClient) -> std::io::Result<u64> {
-    core.current_node()
-        .map(NodeId::as_u64)
-        .ok_or_else(|| protocol_error("no node is serving: re-discover".into()))
-}
-
-/// One `request` to the manager at `manager` over the link `links`
-/// holds to it, dialled if there is none; `timeout` bounds the dial and
-/// every read and write. A held link the manager has closed since its
-/// last exchange (end of stream, reset, broken pipe: it restarted) is
-/// redialled once, so the manager is not counted as failed. A link
-/// that fails any other way is dropped and the call fails: after a
-/// read that timed out, the late reply would be taken for the next
-/// answer.
-fn ask(
-    links: &mut HashMap<SocketAddr, ManagerLink>,
-    manager: SocketAddr,
-    timeout: Duration,
-    codec: Codec,
-    request: &Request,
-    frame: &mut Vec<u8>,
-) -> std::io::Result<Response> {
-    if let Some(link) = links.get_mut(&manager) {
-        match link.rpc(timeout, codec, request, frame) {
-            Ok(reply) => return Ok(reply),
-            Err(e) => {
-                links.remove(&manager);
-                let closed = [
-                    ErrorKind::UnexpectedEof,
-                    ErrorKind::ConnectionReset,
-                    ErrorKind::BrokenPipe,
-                ];
-                if !closed.contains(&e.kind()) {
-                    return Err(e);
-                }
+    /// The failure monitor (paper §IV-E): the core promotes the first
+    /// backup whose warm connection answers `Unexpected_join` (which
+    /// cannot be rejected, Table I); with none left the attempt fails.
+    async fn fail_over(&self, conns: &mut Streams, failed: u64) -> io::Result<()> {
+        let (user, failed_node) = (UserId::new(self.user), Some(NodeId::new(failed)));
+        self.narrator().failure(user, "proactive", failed_node);
+        if let Some(serial) = conns.remove(&failed) {
+            self.forget(serial);
+        }
+        let (at, takeover) = (self.now(), Request::UnexpectedJoin { user: self.user });
+        let backups = self.lock().core.backups().to_vec();
+        let mut alive = None;
+        for backup in backups {
+            let reply = self.exchange(conns, backup.as_u64(), &takeover).await;
+            if matches!(reply, Some(Response::Ack)) {
+                alive = Some(backup);
+                break;
+            }
+            if let Some(serial) = conns.remove(&backup.as_u64()) {
+                self.forget(serial);
+            }
+        }
+        // The core pops the backups before `alive` as dead, exactly as
+        // if it had asked each in turn.
+        let decision = self.core(|core, _, _| core.on_node_failure(at, |b| Some(b) == alive));
+        self.narrator().failover(user, failed_node, &decision);
+        match decision {
+            FailoverDecision::SwitchToBackup { .. } => Ok(()),
+            FailoverDecision::Rediscover => {
+                Err(protocol_error("all backups failed simultaneously"))
             }
         }
     }
-    let mut link = ManagerLink::dial(manager, timeout)?;
-    let reply = link.rpc(timeout, codec, request, frame)?;
-    links.insert(manager, link);
-    Ok(reply)
 }
 
-/// Connects with `timeout` bounding both the TCP handshake and every
-/// subsequent read. A plain `TcpStream::connect` is at the mercy of the
-/// OS connect timeout — minutes against a black-holed address — which
-/// would stall a session far beyond the RPC budget.
-fn connect_with(addr: SocketAddr, timeout: Duration) -> std::io::Result<TcpStream> {
-    bound(TcpStream::connect_timeout(&addr, timeout)?, timeout)
-}
+/// The probe round: every candidate is started before any is waited
+/// for, so dead candidates cost a round one timeout, not one each, and
+/// none costs more than the core's [`PROBE_TIMEOUT`], the round's end.
+impl Io {
+    /// The fan-out of the core's open round `round` over `nodes`. A
+    /// candidate that answers keeps (or gets) its stream in `conns`; a
+    /// silent one has lost it and is reported lost — the live analogue
+    /// of a heartbeat gap.
+    async fn probe_round(
+        &self,
+        conns: &mut Streams,
+        round: u64,
+        nodes: &[NodeId],
+    ) -> Vec<ProbeResult> {
+        let until = Instant::now() + wall(PROBE_TIMEOUT);
+        let mut probes: Vec<_> = nodes
+            .iter()
+            .map(|node| {
+                let (node, open) = (node.as_u64(), conns.remove(&node.as_u64()));
+                let addr = self.lock().addresses.get(&node).cloned();
+                Box::pin(self.probe(node, open, addr))
+            })
+            .collect();
+        let mut outcomes = vec![None; probes.len()];
+        poll_fn(|cx| {
+            for (probe, outcome) in probes.iter_mut().zip(&mut outcomes) {
+                if outcome.is_none() {
+                    if let Poll::Ready(done) = probe.as_mut().poll(cx) {
+                        *outcome = Some(done);
+                    }
+                }
+            }
+            if outcomes.iter().all(Option::is_some) || Instant::now() >= until {
+                return Poll::Ready(());
+            }
+            let mut shared = self.lock();
+            shared.deadline = Some(shared.deadline.map_or(until, |due| due.min(until)));
+            Poll::Pending
+        })
+        .await;
+        drop(probes);
+        let now = self.now();
+        let mut results = Vec::new();
+        for (node, outcome) in nodes.iter().zip(outcomes) {
+            let core = &mut self.lock().core;
+            let Some((result, serial)) = outcome.flatten() else {
+                core.on_probe_lost(round, *node, now);
+                continue;
+            };
+            core.on_probe_reply(round, result);
+            conns.insert(node.as_u64(), serial);
+            results.push(result);
+        }
+        results
+    }
 
-/// Makes a blocking `stream` a connection the exchanges can use: every
-/// read and write bounded by `timeout`, Nagle off.
-pub(crate) fn bound(stream: TcpStream, timeout: Duration) -> std::io::Result<TcpStream> {
-    stream.set_read_timeout(Some(timeout))?;
-    // A stalled/zero-window peer used to block `write_all` forever —
-    // reads were bounded but writes were not.
-    stream.set_write_timeout(Some(timeout))?;
-    stream.set_nodelay(true)?;
-    Ok(stream)
-}
+    /// One candidate: re-probed over its `open` stream, or dialled at
+    /// `addr` with the UDP leg beside the connect — no handshake, no
+    /// Nagle: the RTT is the network's — which falls back in-stream on
+    /// any failure. Its answer counts once its stream is up.
+    async fn probe(
+        &self,
+        node: u64,
+        open: Option<u64>,
+        addr: Option<String>,
+    ) -> Option<(ProbeResult, u64)> {
+        if let Some(serial) = open {
+            return Some((self.probe_stream(serial, node).await?, serial));
+        }
+        let addr = addr?.parse().ok()?;
+        let serial = self.dial(addr, true, self.budget);
+        let mut answer = None;
+        if self.wire.udp_probes {
+            match self.probe_udp(addr, node).await {
+                Ok(result) => answer = Some(result),
+                Err(reason) => {
+                    let fields = || vec![("node", u(node)), ("reason", s(reason))];
+                    self.tracer
+                        .emit(Severity::Debug, "probe.udp.fallback", fields);
+                }
+            }
+        }
+        if !self.connected(serial, self.budget).await {
+            return None;
+        }
+        let result = match answer {
+            Some(result) => result,
+            None => self.probe_stream(serial, node).await?,
+        };
+        Some((result, serial))
+    }
 
-/// One request/response exchange, the request framed in `frame` and
-/// the reply read back into it; the socket read/write timeouts bound
-/// it. The reply may arrive in either codec (servers echo the request
-/// codec, but a mixed-version peer is tolerated).
-fn rpc(
-    stream: &mut TcpStream,
-    codec: Codec,
-    request: &Request,
-    frame: &mut Vec<u8>,
-) -> std::io::Result<Response> {
-    write_request_via(stream, codec, request, frame)?;
-    read_response_via(stream, frame)
-        .map(|(response, _)| response)
-        .map_err(std::io::Error::from)
-}
+    /// The RTT from the `RttProbe`'s send to the read of its pong, then
+    /// the process probe, whose reply completes the result.
+    async fn probe_stream(&self, serial: u64, node: u64) -> Option<ProbeResult> {
+        let sent = Instant::now();
+        let pong = self.call(serial, &Request::RttProbe, self.budget).await;
+        let rtt = sent.elapsed();
+        if !matches!(pong, Ok(Response::RttPong)) {
+            return None;
+        }
+        let reply = self.call(serial, &Request::ProcessProbe, self.budget).await;
+        ProbeResult::from_reply(NodeId::new(node), sim(rtt), &reply.ok()?)
+    }
 
-fn protocol_error(message: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, message)
-}
+    /// [`Io::probe_stream`] over a UDP socket connected to `addr`, each
+    /// exchange within half the budget; `Err` names why it gave way.
+    async fn probe_udp(&self, addr: SocketAddr, node: u64) -> Result<ProbeResult, &'static str> {
+        let (fd, sent) = self.open_udp(addr).map_err(|_| "connect")?;
+        let pong = self.hear(fd).await?;
+        let rtt = sent.elapsed();
+        if !matches!(pong, Response::RttPong) {
+            return Err("reply");
+        }
+        let socket = self.lock().udps.get(&fd).and_then(|leg| leg.socket.clone());
+        let probe = self.wire.codec.encode_request(&Request::ProcessProbe);
+        socket.ok_or("reply")?.send(&probe).map_err(|_| "connect")?;
+        let reply = self.hear(fd).await?;
+        ProbeResult::from_reply(NodeId::new(node), sim(rtt), &reply).ok_or("reply")
+    }
 
+    /// Opens a UDP leg to `addr` and sends its `RttProbe`: the socket
+    /// goes to the loop, its datagrams to the leg's record.
+    fn open_udp(&self, addr: SocketAddr) -> io::Result<(RawFd, Instant)> {
+        let local: SocketAddr = match addr {
+            SocketAddr::V4(_) => (Ipv4Addr::UNSPECIFIED, 0).into(),
+            SocketAddr::V6(_) => (Ipv6Addr::UNSPECIFIED, 0).into(),
+        };
+        let socket = UdpSocket::bind(local)?;
+        socket.connect(addr)?;
+        let probe = self.wire.codec.encode_request(&Request::RttProbe);
+        let sent = Instant::now();
+        socket.send(&probe)?;
+        let fd = socket.as_raw_fd();
+        let client = Arc::clone(&self.client);
+        let handler = move |datagram: &[u8], _, socket: &Arc<UdpSocket>, handle: &Handle| {
+            if let Some(leg) = lock(&client).udps.get_mut(&fd) {
+                let reply = decode_response(datagram).ok().map(|(reply, _)| reply);
+                (leg.socket, leg.inbox) = (Some(Arc::clone(socket)), Some(reply));
+            }
+            poll(&client, handle, None);
+        };
+        self.lock().udps.insert(fd, Leg::default());
+        self.handle
+            .add_udp(socket, Box::new(handler))
+            .inspect_err(|_| drop(self.lock().udps.remove(&fd)))?;
+        Ok((fd, sent))
+    }
+
+    /// The next datagram on leg `fd`, within half the budget.
+    async fn hear(&self, fd: RawFd) -> Result<Response, &'static str> {
+        let until = Instant::now() + self.budget / 2;
+        let heard = self.wait(until, |shared| shared.udps.get_mut(&fd)?.inbox.take());
+        heard.await.ok_or("timeout")?.ok_or("reply")
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,11 +1022,20 @@ mod tests {
     use crate::node::{LiveNode, NodeConfig};
     use armada_client::{BREAKER_COOLDOWN, BREAKER_THRESHOLD};
     use armada_types::{HardwareProfile, NodeClass, SelectorMode};
+    use armada_wire::Codec;
+    use std::net::TcpStream;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Arc;
+
+    /// One blocking exchange, for the tests' own peers.
+    fn exchange(stream: &mut TcpStream, request: &Request) -> io::Result<Response> {
+        armada_wire::write_request(stream, Codec::Binary, request)?;
+        Ok(armada_wire::read_response(stream)
+            .map_err(io::Error::from)?
+            .0)
+    }
 
     fn rpc(stream: &mut TcpStream, request: Request) -> Response {
-        super::rpc(stream, Codec::Binary, &request, &mut Vec::new()).expect("test rpc")
+        exchange(stream, &request).expect("test rpc")
     }
 
     fn node_config(id: u64, cores: u32, frame_ms: f64, delay_ms: u64) -> NodeConfig {
@@ -765,16 +1160,12 @@ mod tests {
                         if stop.load(Ordering::Acquire) {
                             break;
                         }
-                        let r = super::rpc(
-                            &mut s,
-                            Codec::Binary,
-                            &Request::Frame {
-                                user,
-                                seq,
-                                payload_len: 20_000,
-                            },
-                            &mut Vec::new(),
-                        );
+                        let frame = Request::Frame {
+                            user,
+                            seq,
+                            payload_len: 20_000,
+                        };
+                        let r = exchange(&mut s, &frame);
                         if !matches!(r, Ok(Response::FrameResult { .. })) {
                             break;
                         }
@@ -843,27 +1234,38 @@ mod tests {
         assert_eq!(report.latencies.len(), 30);
     }
 
-    /// One probe round of `client`'s core over `candidates`, carried on
-    /// probe I/O of its own.
-    fn probe_round(
+    /// One 1-frame session of `client` against a stand-in manager that
+    /// lists `candidates`, each probe exchange bounded by `budget_ms`:
+    /// its outcome, and how long it took.
+    fn session_over(
         client: &LiveClient,
-        connections: &mut Connections,
         candidates: &[(u64, String)],
-        timeout_ms: u64,
-    ) -> Vec<ProbeResult> {
-        let mut poller = armada_reactor::default_poller().unwrap();
-        let timeout = Duration::from_millis(timeout_ms);
-        let core = &mut client.shared().core;
-        let shortlist = candidates.iter().map(|(id, _)| NodeId::new(*id)).collect();
-        let (round, _) = core
-            .start_probe_round(shortlist, |_| true, client.narrator())
-            .expect("a shortlist opens a round");
-        client.probe_round(&mut *poller, core, connections, round, candidates, timeout)
+        budget_ms: u64,
+    ) -> (io::Result<SessionReport>, Duration) {
+        let listed = candidates.to_vec();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let manager = FakeManager::spawn(listener, move |_, _| Response::Candidates {
+            nodes: listed.clone(),
+        });
+        let started = Instant::now();
+        let budget = Duration::from_millis(budget_ms);
+        let pending = client.start_on(&client_loop().unwrap(), &[manager.addr], 1, budget);
+        let report = pending.wait();
+        (report, started.elapsed())
     }
 
-    fn test_client(wire: WireConfig) -> LiveClient {
-        let config = ClientConfig::default().with_selector(SelectorMode::Predictive);
-        LiveClient::new(1, GeoPoint::new(44.98, -93.26), config).with_wire(wire)
+    fn traced_client(wire: WireConfig, top_n: usize) -> (LiveClient, Arc<Mutex<String>>) {
+        use armada_trace::{MemorySink, Severity};
+        let sink = MemorySink::new();
+        let buffer = sink.buffer();
+        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+        let config = ClientConfig::default()
+            .with_selector(SelectorMode::Predictive)
+            .with_top_n(top_n);
+        let client = LiveClient::new(1, GeoPoint::new(44.98, -93.26), config)
+            .with_wire(wire)
+            .with_tracer(tracer);
+        (client, buffer)
     }
 
     const TCP_PROBES: WireConfig = WireConfig {
@@ -895,8 +1297,15 @@ mod tests {
         }
     }
 
-    /// A node that answers probes in-stream only, its UDP port silent.
-    /// Serves one connection, until the peer closes it.
+    /// A live node that answers at once, at `id`.
+    fn live(id: u64) -> (LiveNode, (u64, String)) {
+        let (node, addr) = LiveNode::bind(node_config(id, 4, 1.0, 0), None).unwrap();
+        (node, (id, addr.to_string()))
+    }
+
+    /// A node that answers in-stream only, its UDP port silent: probes,
+    /// a join, frames and a leave. Serves one connection, until the peer
+    /// closes it.
     fn tcp_only_node() -> (String, std::net::UdpSocket, std::thread::JoinHandle<()>) {
         let (listener, udp, addr) = silent();
         let serve = std::thread::spawn(move || {
@@ -905,12 +1314,18 @@ mod tests {
                 let (request, codec) = armada_wire::decode_request(&body).unwrap();
                 let response = match request {
                     Request::RttProbe => Response::RttPong,
-                    _ => Response::ProbeReply {
+                    Request::ProcessProbe => Response::ProbeReply {
                         whatif_us: 1_000,
                         current_us: 1_000,
                         attached: 0,
                         seq: 0,
                     },
+                    Request::Join { .. } => Response::JoinResult { accepted: true },
+                    Request::Frame { seq, .. } => Response::FrameResult {
+                        seq,
+                        processing_us: 1_000,
+                    },
+                    _ => Response::Ack,
                 };
                 armada_wire::write_frame(&mut stream, &codec.encode_response(&response)).unwrap();
             }
@@ -918,59 +1333,47 @@ mod tests {
         (addr, udp, serve)
     }
 
-    /// Regression: re-probing used to walk the open connections one by
-    /// one, so each dead candidate stalled the round for a full read
-    /// timeout before the next was even tried.
+    /// Regression: re-probing used to walk the candidates one by one, so
+    /// each dead one stalled the round for a full read timeout before
+    /// the next was even tried. Three that accept and never answer —
+    /// over TCP, and over a UDP port that is not there — cost the round
+    /// one budget; the live node beside them is its one result.
     #[test]
-    fn reprobing_dead_candidates_runs_concurrently() {
-        let deads: Vec<_> = (0..3).map(|_| unresponsive()).collect();
-        let mut connections = Connections::new();
-        let mut candidates = Vec::new();
-        for (i, (listener, _)) in deads.iter().enumerate() {
-            let addr = listener.local_addr().unwrap();
-            let stream = connect_with(addr, Duration::from_millis(300)).unwrap();
-            connections.insert(10 + i as u64, stream);
-            candidates.push((10 + i as u64, String::new()));
+    fn dead_candidates_cost_a_round_one_timeout() {
+        for wire in [TCP_PROBES, WireConfig::default()] {
+            let deads: Vec<_> = (0..3).map(|_| unresponsive()).collect();
+            let (_node, live) = live(9);
+            let mut candidates: Vec<_> = (0..3)
+                .map(|i| (10 + i, deads[i as usize].1.clone()))
+                .collect();
+            candidates.push(live);
+            let (client, _) = traced_client(wire, 4);
+            let (report, elapsed) = session_over(&client, &candidates, 300);
+            let report = report.unwrap();
+            let probed: Vec<u64> = report.probed.iter().map(|p| p.0).collect();
+            assert_eq!(probed, [9]);
+            // One after the other the three budgets would stack (≥ 900 ms).
+            assert!(elapsed >= Duration::from_millis(300), "took {elapsed:?}");
+            assert!(elapsed < Duration::from_millis(750), "took {elapsed:?}");
         }
-        let client = test_client(WireConfig::default());
-        let started = Instant::now();
-        let replies = probe_round(&client, &mut connections, &candidates, 300);
-        let elapsed = started.elapsed();
-        assert!(replies.is_empty());
-        assert!(connections.is_empty(), "dead connections must be dropped");
-        // Sequentially the three read timeouts would stack (≥ 900 ms);
-        // concurrently the round pays roughly one.
-        assert!(
-            elapsed < Duration::from_millis(750),
-            "re-probe round took {elapsed:?}, expected ~one timeout"
-        );
     }
 
     /// One live node between a listener that never answers and a closed
-    /// port: the round returns exactly the live node's result and keeps
-    /// exactly its connection, and the core hears of both failures. (The
-    /// listener has no UDP port: its refusal ends that leg at once.)
+    /// port: the round's one result is the live node's, the session
+    /// streams to it, and the core hears of both failures. (The listener
+    /// has no UDP port: its refusal ends that leg at once.)
     #[test]
     fn a_live_node_beside_two_dead_ones_is_the_rounds_one_result() {
-        use armada_trace::{MemorySink, Severity};
-        let sink = MemorySink::new();
-        let buffer = sink.buffer();
-        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
-        let (_node, node_addr) = LiveNode::bind(node_config(2, 4, 10.0, 0), None).unwrap();
+        let (_node, node) = live(2);
         let (_listener, silent) = unresponsive();
-        let candidates = [(1, silent), (2, node_addr.to_string()), (3, closed_port())];
-        let client = test_client(WireConfig::default()).with_tracer(tracer);
-        let mut connections = Connections::new();
-        let started = Instant::now();
-        let results = probe_round(&client, &mut connections, &candidates, 300);
-        let elapsed = started.elapsed();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].node, NodeId::new(2));
-        assert_eq!(connections.keys().collect::<Vec<_>>(), [&2]);
-        // The kept connection is a blocking one again.
-        let kept = connections.get_mut(&2).unwrap();
-        assert_eq!(rpc(kept, Request::RttProbe), Response::RttPong);
-        let (shared, now) = (client.shared(), client.now_sim());
+        let candidates = [(1, silent), node, (3, closed_port())];
+        let (client, buffer) = traced_client(WireConfig::default(), 3);
+        let (report, elapsed) = session_over(&client, &candidates, 300);
+        let report = report.unwrap();
+        let probed: Vec<u64> = report.probed.iter().map(|p| p.0).collect();
+        assert_eq!((probed, report.final_node), (vec![2], 2));
+        let shared = lock(&client.shared);
+        let now = SimTime::from_micros(shared.epoch.elapsed().as_micros() as u64);
         let score = |id| shared.core.selector().unwrap().score(NodeId::new(id), now);
         assert!(score(1) < 1.0 && score(3) < 1.0, "both failures reported");
         assert_eq!(score(2), 1.0, "reliability untouched");
@@ -985,22 +1388,14 @@ mod tests {
 
     /// Three nodes whose UDP port is silent: the UDP legs wait out their
     /// half of the budget together, fall back in-stream together, and
-    /// the round still returns three results — with one trace line each.
+    /// the round still has three results — with one trace line each.
     #[test]
     fn silent_udp_legs_fall_back_in_stream_together() {
-        use armada_trace::{MemorySink, Severity};
-        let sink = MemorySink::new();
-        let buffer = sink.buffer();
-        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
         let nodes: Vec<_> = (0..3).map(|_| tcp_only_node()).collect();
         let candidates: Vec<_> = (0..3).map(|i| (i as u64, nodes[i].0.clone())).collect();
-        let client = test_client(WireConfig::default()).with_tracer(tracer);
-        let mut connections = Connections::new();
-        let started = Instant::now();
-        let results = probe_round(&client, &mut connections, &candidates, 600);
-        let elapsed = started.elapsed();
-        assert_eq!(results.len(), 3);
-        assert_eq!(connections.len(), 3);
+        let (client, buffer) = traced_client(WireConfig::default(), 3);
+        let (report, elapsed) = session_over(&client, &candidates, 600);
+        assert_eq!(report.unwrap().probed.len(), 3);
         // One after the other the three half-budgets would stack (≥ 900 ms).
         assert!(elapsed >= Duration::from_millis(300), "took {elapsed:?}");
         assert!(elapsed < Duration::from_millis(750), "took {elapsed:?}");
@@ -1010,31 +1405,27 @@ mod tests {
             assert_eq!(fallbacks, 3, "{trace}");
             assert_eq!(trace.matches(r#""reason":"timeout""#).count(), 3, "{trace}");
         }
-        drop(connections);
         for (_, _, serve) in nodes {
             serve.join().unwrap();
         }
     }
 
-    /// Regression: `connect` used a plain `TcpStream::connect`, whose
-    /// timeout is the OS default (minutes against a black-holed peer).
+    /// Regression: a probe's connect used a plain `TcpStream::connect`,
+    /// whose timeout is the OS default (minutes against a black-holed
+    /// peer).
     #[test]
-    fn connect_is_bounded_against_unroutable_address() {
+    fn a_probe_dial_is_bounded_against_unroutable_address() {
         // TEST-NET-1 (RFC 5737) is reserved, never assigned, and either
         // rejected immediately or black-holed — both must stay within
-        // the requested bound.
-        // Some sandboxed environments transparently intercept outbound
-        // connects, so the portable property is the time bound itself —
-        // `connect_timeout` guarantees it whether the SYN is answered,
-        // refused, or dropped.
-        let addr: SocketAddr = "192.0.2.1:9".parse().unwrap();
-        let started = Instant::now();
-        let _ = connect_with(addr, Duration::from_millis(400));
-        let elapsed = started.elapsed();
-        assert!(
-            elapsed < Duration::from_secs(2),
-            "connect took {elapsed:?}, expected ≤ the 400 ms bound"
-        );
+        // the requested bound. Some sandboxed environments transparently
+        // intercept outbound connects, so the portable property is the
+        // time bound itself.
+        let (_node, node) = live(1);
+        let candidates = [node, (2, "192.0.2.1:9".to_string())];
+        let (client, _) = traced_client(TCP_PROBES, 2);
+        let (report, elapsed) = session_over(&client, &candidates, 400);
+        assert_eq!(report.unwrap().final_node, 1);
+        assert!(elapsed < Duration::from_secs(2), "took {elapsed:?}");
     }
 
     /// Regression: a node registered over a plain `TcpStream::connect`,
@@ -1052,15 +1443,16 @@ mod tests {
         assert!(elapsed < budget, "bind took {elapsed:?}, budget {budget:?}");
     }
 
+    /// The refusal ends the probe, not the budget.
     #[test]
     fn a_closed_port_fails_fast() {
-        let client = test_client(WireConfig::default());
-        let mut connections = Connections::new();
-        let started = Instant::now();
-        let results = probe_round(&client, &mut connections, &[(7, closed_port())], 2_000);
-        assert!(results.is_empty() && connections.is_empty());
-        // The refusal ends the probe, not the deadline.
-        assert!(started.elapsed() < Duration::from_millis(1_000));
+        for wire in [TCP_PROBES, WireConfig::default()] {
+            let (_node, node) = live(1);
+            let (client, _) = traced_client(wire, 2);
+            let (report, elapsed) = session_over(&client, &[node, (7, closed_port())], 2_000);
+            assert_eq!(report.unwrap().probed.len(), 1);
+            assert!(elapsed < Duration::from_millis(1_000), "took {elapsed:?}");
+        }
     }
 
     /// Accepts nothing and answers nothing: over TCP the probe waits out
@@ -1070,12 +1462,10 @@ mod tests {
     fn an_unresponsive_listener_and_a_silent_udp_port_end_inside_their_budget() {
         for (wire, at_least_ms) in [(TCP_PROBES, 300), (WireConfig::default(), 450)] {
             let (_listener, _udp, addr) = silent();
-            let client = test_client(wire);
-            let mut connections = Connections::new();
-            let started = Instant::now();
-            let results = probe_round(&client, &mut connections, &[(8, addr)], 300);
-            let elapsed = started.elapsed();
-            assert!(results.is_empty() && connections.is_empty());
+            let (_node, node) = live(1);
+            let (client, _) = traced_client(wire, 2);
+            let (report, elapsed) = session_over(&client, &[node, (8, addr)], 300);
+            assert_eq!(report.unwrap().probed.len(), 1);
             assert!(elapsed >= Duration::from_millis(at_least_ms), "{elapsed:?}");
             assert!(elapsed < Duration::from_secs(2), "{elapsed:?}");
         }
@@ -1083,39 +1473,90 @@ mod tests {
 
     /// Regression: the old probe thread `.unwrap()`ed a setsockopt that
     /// rejects a zero timeout, panicking the whole round. A degenerate
-    /// timeout is a miss for each candidate instead.
+    /// budget is a miss for each candidate, and the session fails.
     #[test]
-    fn a_zero_timeout_is_a_per_candidate_miss_not_a_panic() {
+    fn a_zero_budget_is_a_per_candidate_miss_not_a_panic() {
         let (_listener, addr) = unresponsive();
         for wire in [TCP_PROBES, WireConfig::default()] {
-            let client = test_client(wire);
-            let mut connections = Connections::new();
-            let candidates = [(1, addr.clone()), (2, closed_port())];
-            assert!(probe_round(&client, &mut connections, &candidates, 0).is_empty());
-            assert!(connections.is_empty());
+            let (client, _) = traced_client(wire, 2);
+            let (report, _) = session_over(&client, &[(1, addr.clone()), (2, closed_port())], 0);
+            assert_eq!(report.unwrap_err().kind(), ErrorKind::InvalidData);
         }
     }
 
-    /// The probe round takes readiness as a hint only: on the portable
-    /// poller, which reports every socket ready every millisecond, a
-    /// whole session passes — and where UDP answers, nothing falls back.
+    /// Readiness is a hint only: on the portable readiness loop, which
+    /// reports every socket ready every millisecond, a whole session
+    /// passes — and where UDP answers, nothing falls back.
     #[test]
-    fn a_session_on_the_loop_poller_passes() {
-        use armada_trace::{MemorySink, Severity};
-        let sink = MemorySink::new();
-        let buffer = sink.buffer();
-        let tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
+    fn a_session_on_the_portable_loop_passes() {
+        let portable = ReactorConfig {
+            threads: 1,
+            portable: true,
+            ..ReactorConfig::default()
+        };
+        let reactor = Reactor::new(portable).unwrap();
         let (_mgr, mgr_addr) = LiveManager::bind().unwrap();
         let (_n1, _) = LiveNode::bind(node_config(1, 4, 5.0, 1), Some(mgr_addr)).unwrap();
         let (_n2, _) = LiveNode::bind(node_config(2, 4, 5.0, 3), Some(mgr_addr)).unwrap();
-        let config = ClientConfig::default().with_top_n(2);
-        let client = LiveClient::new(9, GeoPoint::new(44.98, -93.26), config).with_tracer(tracer);
-        client.shared().poller = Some(Box::new(armada_reactor::LoopPoller::new()));
-        let report = client.run_session(mgr_addr, 5).unwrap();
+        let (client, buffer) = traced_client(WireConfig::default(), 2);
+        let budget = wall(PROBE_TIMEOUT);
+        let report = client
+            .start_on(reactor.handle(), &[mgr_addr], 5, budget)
+            .wait();
+        let report = report.unwrap();
         assert_eq!(report.initial_node, 1);
         assert_eq!(report.probed.len(), 2);
         assert_eq!(report.latencies.len(), 5);
         assert!(!buffer.lock().unwrap().contains("probe.udp.fallback"));
+    }
+
+    /// A session whose loop stops fails at once: its caller does not
+    /// wait for a report that cannot come.
+    #[test]
+    fn a_stopped_loop_fails_its_session() {
+        let reactor = Reactor::new(ReactorConfig {
+            threads: 1,
+            ..ReactorConfig::default()
+        })
+        .unwrap();
+        // A manager that never answers keeps the session waiting.
+        let (_listener, addr) = unresponsive();
+        let client = LiveClient::new(3, GeoPoint::new(44.98, -93.26), ClientConfig::default());
+        let manager = addr.parse().unwrap();
+        let pending = client.start_on(reactor.handle(), &[manager], 1, wall(PROBE_TIMEOUT));
+        std::thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        drop(reactor);
+        assert!(pending.wait().is_err());
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    /// Sessions started together on one client run one after another,
+    /// each complete, on the one link it holds to its manager.
+    #[test]
+    fn a_clients_sessions_run_in_turn() {
+        let (_n1, n1_addr) = LiveNode::bind(node_config(1, 4, 5.0, 1), None).unwrap();
+        let manager = listing(1, n1_addr);
+        let (client, buffer) = traced_client(WireConfig::default(), 1);
+        let pending: Vec<_> = (0..3)
+            .map(|_| client.start_session(&[manager.addr], 2))
+            .collect();
+        for session in pending {
+            let report = session.wait().unwrap();
+            assert_eq!((report.final_node, report.latencies.len()), (1, 2));
+        }
+        assert_eq!(manager.accepts(), 1, "one dial for three sessions");
+        if cfg!(feature = "trace") {
+            let trace = buffer.lock().unwrap().clone();
+            let events = armada_trace::inspect::parse_jsonl(&trace).unwrap();
+            let kinds: Vec<&str> = events
+                .iter()
+                .map(|e| e.kind.as_str())
+                .filter(|k| matches!(*k, "probe.round.start" | "frame.done"))
+                .collect();
+            let one = ["probe.round.start", "frame.done", "frame.done"];
+            assert_eq!(kinds, one.repeat(3), "the sessions interleaved");
+        }
     }
 
     #[test]
@@ -1311,7 +1752,9 @@ mod tests {
 
     /// The full breaker cycle — closed → open → half-open → closed —
     /// observed through `chaos.breaker.*` trace events against a
-    /// manager that dies and comes back.
+    /// manager behind a link that is cut and healed. The nodes are
+    /// dialled directly, so every session is served: from the cache
+    /// while the manager is unreachable or breaker-gated.
     ///
     /// Asserts on captured trace contents, so it only runs with the
     /// `trace` feature (the default) compiled in.
@@ -1330,32 +1773,33 @@ mod tests {
         let proxy = ChaosProxy::spawn(mgr_addr, LinkFaults::NONE, 12).unwrap();
         let client = LiveClient::new(500, GeoPoint::new(44.98, -93.26), ClientConfig::default())
             .with_tracer(tracer);
-        let managers = [proxy.addr()];
+        let session = || client.run_session(proxy.addr(), 1).expect("served");
 
         // Prime the cache, then cut the link and fail discovery until
         // the breaker opens.
-        let discover = || client.discover(&mut client.shared(), &managers, RPC_TIMEOUT);
-        discover().expect("clean run");
+        session();
+        assert!(!client.is_degraded());
         proxy.set_partitioned(true);
         for _ in 0..BREAKER_THRESHOLD {
-            assert!(discover().is_err());
+            session();
+            assert!(client.is_degraded(), "served from the cache");
         }
+        let opened = r#""kind":"chaos.breaker.open""#;
         assert!(
-            buffer
-                .lock()
-                .unwrap()
-                .contains(r#""kind":"chaos.breaker.open""#),
+            buffer.lock().unwrap().contains(opened),
             "threshold failures must open the breaker"
         );
         // While open, the walk skips the manager without connecting —
         // even though the proxy is healed again, nothing probes it yet.
         proxy.set_partitioned(false);
-        assert!(discover().is_err(), "open breaker gates the only manager");
+        session();
+        assert!(client.is_degraded(), "open breaker gates the only manager");
         // After the cooldown one half-open probe goes through, succeeds
         // against the healed manager, and recloses the breaker.
         let cooldown = Duration::from_micros(BREAKER_COOLDOWN.as_micros());
         std::thread::sleep(cooldown + Duration::from_millis(50));
-        discover().expect("half-open probe against the healed manager");
+        session();
+        assert!(!client.is_degraded(), "the half-open probe was served");
         let trace = buffer.lock().unwrap().clone();
         assert!(
             trace.contains(r#""kind":"chaos.breaker.half_open""#),
@@ -1410,7 +1854,7 @@ mod tests {
         let report = std::thread::scope(|scope| {
             let session = scope.spawn(|| client.run_session(mgr_addr, 12));
             std::thread::sleep(Duration::from_millis(300));
-            let mut link = connect_with(mgr_addr, RPC_TIMEOUT).unwrap();
+            let mut link = TcpStream::connect(mgr_addr).unwrap();
             let status = armada_wire::WireNodeStatus {
                 id: 9,
                 class: NodeClass::Volunteer,
@@ -1457,7 +1901,7 @@ mod tests {
         std::thread::scope(|scope| {
             let session = scope.spawn(|| client.run_session(mgr_addr, 20));
             std::thread::sleep(Duration::from_millis(300));
-            let mut link = connect_with(mgr_addr, RPC_TIMEOUT).unwrap();
+            let mut link = TcpStream::connect(mgr_addr).unwrap();
             let status = armada_wire::WireNodeStatus {
                 id: 9,
                 class: NodeClass::Volunteer,
@@ -1682,34 +2126,36 @@ mod tests {
         assert_eq!((second.accepts(), queries.load(Ordering::Relaxed)), (1, 1));
     }
 
-    /// A held link whose read timed out is dropped: the reply that
+    /// A held link whose reply timed out is dropped: the reply that
     /// arrives late on it is never taken as the answer to the next query.
+    /// The held link's second query — the session's first mid-session
+    /// round — is answered past the refresh budget, and wrongly; the
+    /// round runs on the cached shortlist, and the next discovery dials
+    /// a link of its own.
     #[test]
     fn a_timed_out_link_is_not_reused() {
+        let (_n1, n1_addr) = LiveNode::bind(node_config(1, 4, 5.0, 1), None).unwrap();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        // The held link's second query is answered late, and differently.
-        let manager = FakeManager::spawn(listener, |conn, request| {
+        let manager = FakeManager::spawn(listener, move |conn, request| {
             let node = if (conn, request) == (0, 1) {
-                std::thread::sleep(Duration::from_millis(300));
-                66
+                std::thread::sleep(REFRESH_TIMEOUT + Duration::from_millis(200));
+                (66, "127.0.0.1:9".to_string())
             } else {
-                77
+                (1, n1_addr.to_string())
             };
-            Response::Candidates {
-                nodes: vec![(node, "127.0.0.1:9".into())],
-            }
+            Response::Candidates { nodes: vec![node] }
         });
-        let client = LiveClient::new(16, GeoPoint::new(44.98, -93.26), ClientConfig::default());
-        let managers = [manager.addr];
-        let discover = |timeout| client.discover(&mut client.shared(), &managers, timeout);
-        assert_eq!(discover(RPC_TIMEOUT).unwrap(), [NodeId::new(77)]);
-        assert!(
-            discover(Duration::from_millis(100)).is_err(),
-            "read timed out"
-        );
-        // The late reply has landed on the held link by the next query.
-        std::thread::sleep(Duration::from_millis(400));
-        assert_eq!(discover(RPC_TIMEOUT).unwrap(), [NodeId::new(77)]);
+        let config = ClientConfig::default()
+            .with_top_n(1)
+            .with_probing_period(SimDuration::from_millis(100));
+        let client = LiveClient::new(16, GeoPoint::new(44.98, -93.26), config);
+        for _ in 0..2 {
+            let report = client.run_session(manager.addr, 6).unwrap();
+            assert_eq!((report.final_node, report.failovers), (1, 0));
+            // The late reply has landed on the dropped link by now.
+            std::thread::sleep(Duration::from_millis(400));
+        }
+        assert!(!client.is_degraded(), "the last discovery was answered");
         assert_eq!(manager.accepts(), 2);
     }
 

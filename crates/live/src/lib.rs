@@ -7,8 +7,9 @@
 //! The servers run on `armada-reactor` event loops — a few threads
 //! serve any number of connections, with heartbeats, federation sync
 //! and UDP probes all driven by readiness and timer-wheel deadlines —
-//! and per-node artificial delays stand in for geographic distance when
-//! everything runs on localhost.
+//! and so does every client session of the process, on one loop thread
+//! of its own; per-node artificial delays stand in for geographic
+//! distance when everything runs on localhost.
 //!
 //! The manager is the simulator's manager
 //! (`armada_manager::CentralManager`) on a wall clock, and the node
@@ -32,9 +33,8 @@
 mod client;
 mod manager;
 mod node;
-mod probe;
 
-pub use client::{LiveClient, SessionReport};
+pub use client::{LiveClient, PendingSession, SessionReport};
 pub use manager::{LiveManager, LiveManagerConfig, BUSY_RETRY_MS};
 pub use node::{LiveNode, LiveNodeConfig, NodeConfig};
 // The protocol types moved to `armada-wire`; re-exported so existing

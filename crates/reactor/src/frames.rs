@@ -24,10 +24,6 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// buffer each reactor loop thread reads through.
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
-/// The scratch [`FrameReader::fill_from`] reads through, for callers
-/// whose messages are small (a client awaiting a probe reply).
-const SMALL_CHUNK: usize = 4096;
-
 /// A defect that makes the byte stream unrecoverable (framing is lost;
 /// the connection must close).
 #[derive(Debug)]
@@ -57,7 +53,7 @@ impl From<FrameDefect> for std::io::Error {
     }
 }
 
-/// What one [`FrameReader::fill_from`] call observed.
+/// What one [`FrameReader::fill_via`] call observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fill {
     /// `n` fresh bytes were buffered.
@@ -95,15 +91,6 @@ impl FrameReader {
         self.buf.len() - self.start
     }
 
-    /// Performs one `read` through a small scratch of its own.
-    ///
-    /// # Errors
-    ///
-    /// As [`FrameReader::fill_via`].
-    pub fn fill_from<R: Read + ?Sized>(&mut self, src: &mut R) -> std::io::Result<Fill> {
-        self.fill_via(src, &mut [0u8; SMALL_CHUNK])
-    }
-
     /// Performs one `read` into `scratch` and buffers the bytes it
     /// produced. `WouldBlock` (and every other error) is propagated
     /// untouched, so the caller's readiness loop decides what is
@@ -126,14 +113,14 @@ impl FrameReader {
         Ok(Fill::Bytes(n))
     }
 
-    /// Pops the next complete frame body (prefix stripped), `Ok(None)`
-    /// while the frame is still partial.
+    /// Pops the next complete frame body (prefix stripped) into `spare`'s
+    /// buffer, `Ok(None)` while the frame is still partial.
     ///
     /// # Errors
     ///
     /// [`FrameDefect::Oversize`] for corrupt/hostile prefixes; the
     /// stream has lost framing and must be closed.
-    pub fn pop_frame(&mut self) -> Result<Option<Vec<u8>>, FrameDefect> {
+    pub fn pop_frame(&mut self, spare: &mut Vec<u8>) -> Result<Option<Vec<u8>>, FrameDefect> {
         let avail = &self.buf[self.start..];
         if avail.len() < 4 {
             return Ok(None);
@@ -146,7 +133,9 @@ impl FrameReader {
         if avail.len() < total {
             return Ok(None);
         }
-        let body = avail[4..total].to_vec();
+        let mut body = std::mem::take(spare);
+        body.clear();
+        body.extend_from_slice(&avail[4..total]);
         self.start += total;
         self.compact();
         Ok(Some(body))
@@ -313,16 +302,16 @@ mod tests {
             for chunk in [&stream[..split], &stream[split..]] {
                 let mut src = Cursor::new(chunk.to_vec());
                 loop {
-                    match reader.fill_from(&mut src).unwrap() {
+                    match reader.fill_via(&mut src, &mut [0u8; 4096]).unwrap() {
                         Fill::Eof => break,
                         Fill::Bytes(_) => {}
                     }
-                    while let Some(frame) = reader.pop_frame().unwrap() {
+                    while let Some(frame) = reader.pop_frame(&mut Vec::new()).unwrap() {
                         got.push(frame);
                     }
                 }
             }
-            while let Some(frame) = reader.pop_frame().unwrap() {
+            while let Some(frame) = reader.pop_frame(&mut Vec::new()).unwrap() {
                 got.push(frame);
             }
             assert_eq!(
@@ -340,8 +329,11 @@ mod tests {
         let mut frames = Vec::new();
         for byte in stream {
             let mut src = Cursor::new(vec![byte]);
-            assert_eq!(reader.fill_from(&mut src).unwrap(), Fill::Bytes(1));
-            while let Some(f) = reader.pop_frame().unwrap() {
+            assert_eq!(
+                reader.fill_via(&mut src, &mut [0u8; 4096]).unwrap(),
+                Fill::Bytes(1)
+            );
+            while let Some(f) = reader.pop_frame(&mut Vec::new()).unwrap() {
                 frames.push(f);
             }
         }
@@ -353,9 +345,9 @@ mod tests {
     fn oversize_prefix_is_rejected_before_allocation() {
         let mut reader = FrameReader::new();
         let mut src = Cursor::new(0xFFFF_FFFFu32.to_be_bytes().to_vec());
-        reader.fill_from(&mut src).unwrap();
+        reader.fill_via(&mut src, &mut [0u8; 4096]).unwrap();
         assert!(matches!(
-            reader.pop_frame(),
+            reader.pop_frame(&mut Vec::new()),
             Err(FrameDefect::Oversize {
                 declared: 0xFFFF_FFFF
             })
@@ -416,12 +408,12 @@ mod tests {
             loop {
                 let fill = match round % 2 {
                     0 => reader.fill_via(&mut src, &mut scratch),
-                    _ => reader.fill_from(&mut src),
+                    _ => reader.fill_via(&mut src, &mut [0u8; 4096]),
                 };
                 if fill.unwrap() == Fill::Eof {
                     break;
                 }
-                while let Some(frame) = reader.pop_frame().unwrap() {
+                while let Some(frame) = reader.pop_frame(&mut Vec::new()).unwrap() {
                     got.push(frame);
                 }
             }
@@ -441,14 +433,17 @@ mod tests {
         reader
             .fill_via(&mut Cursor::new(small), &mut scratch)
             .unwrap();
-        assert_eq!(reader.pop_frame().unwrap(), Some(vec![7u8; 12]));
+        assert_eq!(
+            reader.pop_frame(&mut Vec::new()).unwrap(),
+            Some(vec![7u8; 12])
+        );
         assert!(reader.buf.capacity() <= 4096, "{}", reader.buf.capacity());
 
         let body: Vec<u8> = (0..MAX_FRAME_BYTES).map(|i| i as u8).collect();
         let mut src = Cursor::new(wire(&[&body]));
         let mut popped = None;
         while reader.fill_via(&mut src, &mut scratch).unwrap() != Fill::Eof {
-            popped = popped.or(reader.pop_frame().unwrap());
+            popped = popped.or(reader.pop_frame(&mut Vec::new()).unwrap());
         }
         assert_eq!(popped, Some(body));
     }

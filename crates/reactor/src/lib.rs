@@ -3,55 +3,47 @@
 //! This crate gives the live-network layer (armada-live) a way off
 //! thread-per-connection without pulling mio or tokio into an offline
 //! build: a thin epoll shim over raw Linux syscalls (`sys`, the only
-//! unsafe in the crate) behind a portable [`Poller`] trait, plus the
-//! pure machinery an event loop needs — a generational [`Slab`]
-//! connection registry, a hierarchical [`TimerWheel`], and incremental
-//! frame codecs ([`FrameReader`]/[`WriteBuf`]) over armada-wire's
-//! 4-byte length-prefixed format.
+//! unsafe in the crate) behind a portable poller trait, a generational
+//! slab connection registry, a hierarchical timer wheel, and
+//! incremental frame codecs over armada-wire's 4-byte length-prefixed
+//! format. Those parts are the crate's own; what it offers is the
+//! [`Reactor`].
 //!
 //! The [`Reactor`] runs N loop threads (default: one per core); each
 //! owns its poller, wheel, and connections, so there is no shared-state
 //! contention on the hot path. Protocol logic plugs in as [`Conn`]
-//! state machines fed complete frames. An outbound connect is one
-//! [`connect_nonblocking`] finished by [`connect_finished`], the same
-//! pair a client's probe round runs on a poller of its own; the elastic
-//! [`BlockingPool`] dials only what the shim cannot start (IPv6, off
-//! Linux) and runs whatever else a handler must block on, rejoining
-//! through a [`Handle`].
+//! state machines fed complete frames, and as [`UdpHandler`]s fed
+//! datagrams. The live manager, the live node and every live client
+//! session of a process run on reactors: there is no other event loop
+//! in the tree. An outbound connect ([`Handle::connect`]) is a dial on
+//! its loop until it completes; the elastic [`BlockingPool`] dials only
+//! what the shim cannot start (IPv6, off Linux) and runs whatever else
+//! a handler must block on, rejoining through a [`Handle`].
 //!
-//! Set `ARMADA_REACTOR=portable` to swap epoll for the [`LoopPoller`]
+//! Set `ARMADA_REACTOR=portable` to swap epoll for the portable
 //! readiness-loop fallback — same observable behaviour, no epoll
 //! semantics relied upon (CI runs the live suite both ways).
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod frames;
-pub mod poller;
-pub mod pool;
-pub mod reactor;
-pub mod slab;
+mod frames;
+mod poller;
+mod pool;
+mod reactor;
+mod slab;
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 #[allow(unsafe_code)]
-pub(crate) mod sys;
-pub mod timer;
+mod sys;
+mod timer;
 
-pub use frames::{Fill, FrameDefect, FrameReader, WriteBuf, MAX_FRAME_BYTES};
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-pub use poller::EpollPoller;
-pub use poller::{default_poller, portable_default, Event, Interest, LoopPoller, Poller, Waker};
 pub use pool::{BlockingPool, PoolSaturated};
 pub use reactor::{
     AcceptFactory, Conn, ConnCtx, ConnId, Handle, Reactor, ReactorConfig, Source, UdpHandler,
 };
-pub use slab::{Key, Slab};
-pub use timer::{TimerKey, TimerWheel};
 
 /// Starts an outbound TCP connect without waiting for the handshake:
 /// returns the stream, already non-blocking, and whether the connect is
@@ -64,7 +56,7 @@ pub use timer::{TimerKey, TimerWheel};
 /// # Errors
 ///
 /// Socket creation or an immediate connect failure.
-pub fn connect_nonblocking(
+pub(crate) fn connect_nonblocking(
     addr: std::net::SocketAddr,
     timeout: std::time::Duration,
 ) -> std::io::Result<(std::net::TcpStream, bool)> {
@@ -98,7 +90,7 @@ pub(crate) fn connects_in_flight(addr: &std::net::SocketAddr) -> bool {
 ///
 /// The connect failed: the refusal `take_error()` holds, or whatever
 /// else `peer_addr()` reports.
-pub fn connect_finished(stream: &std::net::TcpStream) -> std::io::Result<bool> {
+pub(crate) fn connect_finished(stream: &std::net::TcpStream) -> std::io::Result<bool> {
     if let Some(refused) = stream.take_error()? {
         return Err(refused);
     }

@@ -47,11 +47,6 @@ impl Interest {
         readable: false,
         writable: true,
     };
-    /// Both directions.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 }
 
 /// One readiness notification.
@@ -125,12 +120,6 @@ pub trait Poller: Send {
     fn waker(&self) -> Waker;
 }
 
-impl std::fmt::Debug for dyn Poller {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Poller")
-    }
-}
-
 /// `true` when this build/environment should use the portable poller:
 /// either the epoll shim can't compile here, or the user forced it with
 /// `ARMADA_REACTOR=portable`.
@@ -161,12 +150,6 @@ pub fn make_poller(portable: bool) -> io::Result<Box<dyn Poller>> {
     }
     let _ = portable;
     Ok(Box::new(LoopPoller::new()))
-}
-
-/// Builds the platform's best poller, honouring the
-/// `ARMADA_REACTOR=portable` override.
-pub fn default_poller() -> io::Result<Box<dyn Poller>> {
-    make_poller(portable_default())
 }
 
 // ---------------------------------------------------------------------------
@@ -290,12 +273,6 @@ impl Poller for EpollPoller {
 pub struct LoopPoller {
     tokens: Vec<(u64, Interest)>,
     wake: Arc<(Mutex<bool>, Condvar)>,
-}
-
-impl Default for LoopPoller {
-    fn default() -> Self {
-        LoopPoller::new()
-    }
 }
 
 impl LoopPoller {
@@ -454,7 +431,16 @@ mod tests {
     fn loop_poller_reports_registered_tokens_spuriously() {
         let mut poller = LoopPoller::new();
         poller.register(0, 7, Interest::READ).unwrap();
-        poller.register(0, 8, Interest::BOTH).unwrap();
+        poller
+            .register(
+                0,
+                8,
+                Interest {
+                    readable: true,
+                    writable: true,
+                },
+            )
+            .unwrap();
         let mut events = Vec::new();
         poller
             .wait(&mut events, Some(Duration::from_millis(5)))

@@ -43,6 +43,9 @@ const KIND_LISTENER: u64 = 1;
 const KIND_UDP: u64 = 2;
 const KIND_DIAL: u64 = 3;
 
+/// The largest sent body a connection keeps to read its next into.
+const KEEP_SPARE: usize = 4096;
+
 /// Per-connection outbound backlog bound: a connection whose unflushed
 /// frames would pass it is closed ("outbound backlog exceeded").
 const WRITE_BUFFER_CAP: usize = 8 << 20;
@@ -174,7 +177,9 @@ pub type AcceptFactory =
 
 /// Handles one inbound UDP datagram. Runs on the loop thread — reply
 /// inline via the socket for the fast path, or offload to the pool
-/// (cloning the `Arc`) when a delay must be simulated.
+/// (cloning the `Arc`) when a delay must be simulated. A receive that
+/// fails (on a connected socket: the peer refused an earlier datagram)
+/// is handed over as an empty datagram from the unspecified address.
 pub type UdpHandler = Box<dyn FnMut(&[u8], SocketAddr, &Arc<UdpSocket>, &Handle) + Send>;
 
 type OnceFn = Box<dyn FnOnce(&Handle) + Send>;
@@ -183,6 +188,7 @@ type RepeatFn = Box<dyn FnMut(&Handle) + Send>;
 enum Cmd {
     AddListener(TcpListener, AcceptFactory),
     AddUdp(UdpSocket, UdpHandler),
+    RemoveUdp(RawFd),
     AddConn(Box<dyn Source>, Box<dyn Conn>),
     Dial(TcpStream, Duration, Box<dyn Conn>),
     ConnectFailed(Box<dyn Conn>, io::Error),
@@ -260,16 +266,13 @@ impl Handle {
         self.inner.rr.fetch_add(1, Ordering::Relaxed) % self.inner.senders.len()
     }
 
+    /// Queues `cmd` for loop `idx`, waking it — unless this is that
+    /// loop's own thread, which drains its queue before it next waits.
     fn send_to(&self, idx: usize, cmd: Cmd) {
-        if self.inner.senders[idx].send(cmd).is_ok() {
+        let own = ON_LOOP.get() == Some((Arc::as_ptr(&self.inner).addr(), idx));
+        if self.inner.senders[idx].send(cmd).is_ok() && !own {
             self.inner.wakers[idx].wake();
         }
-    }
-
-    /// Number of event-loop threads.
-    #[must_use]
-    pub fn loops(&self) -> usize {
-        self.inner.senders.len()
     }
 
     /// `true` once [`Handle::shutdown`] has been called.
@@ -320,6 +323,16 @@ impl Handle {
         Ok(())
     }
 
+    /// Takes the UDP socket whose descriptor is `fd` off its loop and
+    /// closes it; its handler runs no more. Call it once per socket, and
+    /// add no UDP socket from another thread meanwhile: once this one is
+    /// closed, `fd` may name the next.
+    pub fn remove_udp(&self, fd: RawFd) {
+        for idx in 0..self.inner.senders.len() {
+            self.send_to(idx, Cmd::RemoveUdp(fd));
+        }
+    }
+
     /// Adopts an established source (must already be non-blocking) with
     /// its state machine; `on_connected` fires once registered.
     pub fn add_source(&self, io: Box<dyn Source>, conn: Box<dyn Conn>) {
@@ -364,7 +377,8 @@ impl Handle {
         self.send_to(id.loop_idx, Cmd::Close(id.key));
     }
 
-    /// Runs `f` on a loop thread after `delay`.
+    /// Runs `f` on a loop thread after `delay`; a zero delay runs it as
+    /// soon as the loop takes the command, not at the next tick.
     pub fn timer_after<F: FnOnce(&Handle) + Send + 'static>(&self, delay: Duration, f: F) {
         self.send_to(self.next_loop(), Cmd::TimerOnce(delay, Box::new(f)));
     }
@@ -489,6 +503,8 @@ impl Drop for Reactor {
 struct Dial {
     stream: TcpStream,
     conn: Box<dyn Conn>,
+    /// The connect's deadline on the wheel, cancelled when it ends.
+    deadline: Option<TimerKey>,
 }
 
 struct Connection {
@@ -496,6 +512,10 @@ struct Connection {
     conn: Box<dyn Conn>,
     reader: FrameReader,
     writer: WriteBuf,
+    /// The last body this connection sent, which its next frame is
+    /// read into: a handler that answers in the request's buffer makes
+    /// a frame cost no allocation.
+    spare: Vec<u8>,
     /// Frames parsed but not yet dispatched (non-empty only while
     /// paused or when a handler closed the connection mid-batch).
     inbox: VecDeque<Vec<u8>>,
@@ -517,8 +537,8 @@ enum TimerTask {
     /// A listener parked on a full fd table re-checks whether it can
     /// accept again.
     AcceptRetry(Key),
-    /// A dial's deadline; never cancelled, it finds a dial that ended
-    /// gone from its slot.
+    /// A dial's deadline, cancelled when the dial ends first: a
+    /// client's probe rounds dial thousands a second.
     DialTimeout(Key),
     Once(OnceFn),
     Every(u64, RepeatFn),
@@ -554,6 +574,11 @@ struct EventLoop {
     progress_timeout: Duration,
 }
 
+thread_local! {
+    /// The loop this thread runs, if any: its reactor and its index.
+    static ON_LOOP: std::cell::Cell<Option<(usize, usize)>> = const { std::cell::Cell::new(None) };
+}
+
 /// Cap on poll sleep so loops periodically notice external state even
 /// with an empty wheel.
 const MAX_POLL: Duration = Duration::from_millis(500);
@@ -587,6 +612,7 @@ impl EventLoop {
     }
 
     fn run(mut self) {
+        ON_LOOP.set(Some((Arc::as_ptr(&self.handle.inner).addr(), self.idx)));
         let mut events: Vec<Event> = Vec::new();
         let mut fired: Vec<(u64, TimerTask)> = Vec::new();
         loop {
@@ -664,12 +690,20 @@ impl EventLoop {
                     self.udps.remove(key);
                 }
             }
+            Cmd::RemoveUdp(fd) => {
+                let owned = |key: &Key| self.udps.get(*key).map(|u| u.0.as_raw_fd()) == Some(fd);
+                if let Some(key) = self.udps.keys().into_iter().find(owned) {
+                    let _ = self.poller.deregister(fd, token(KIND_UDP, key));
+                    self.udps.remove(key);
+                }
+            }
             Cmd::AddConn(io, conn) => self.install_conn(io, conn),
             Cmd::Dial(stream, timeout, conn) => self.start_dial(stream, timeout, conn),
             Cmd::ConnectFailed(mut conn, err) => conn.on_close(Some(&err), &self.handle),
             Cmd::Send(key, body) => self.queue_frame(key, body),
             Cmd::Resume(key) => self.resume(key),
             Cmd::Close(key) => self.request_close(key),
+            Cmd::TimerOnce(delay, f) if delay.is_zero() => f(&self.handle),
             Cmd::TimerOnce(delay, f) => {
                 let deadline = self.deadline(delay);
                 self.wheel.insert(deadline, TimerTask::Once(f));
@@ -702,6 +736,7 @@ impl EventLoop {
             conn,
             reader: FrameReader::new(),
             writer: WriteBuf::new(WRITE_BUFFER_CAP),
+            spare: Vec::new(),
             inbox: VecDeque::new(),
             interest: Interest::READ,
             paused: false,
@@ -728,16 +763,23 @@ impl EventLoop {
             return;
         }
         let fd = stream.as_raw_fd();
-        let key = self.dials.insert(Dial { stream, conn });
-        match self
+        let deadline = None;
+        let key = self.dials.insert(Dial {
+            stream,
+            conn,
+            deadline,
+        });
+        if let Err(e) = self
             .poller
             .register(fd, token(KIND_DIAL, key), Interest::WRITE)
         {
-            Ok(()) => {
-                let deadline = self.deadline(timeout);
-                self.wheel.insert(deadline, TimerTask::DialTimeout(key));
-            }
-            Err(e) => self.end_dial(key, Err(e)),
+            return self.end_dial(key, Err(e));
+        }
+        let timer = self
+            .wheel
+            .insert(self.deadline(timeout), TimerTask::DialTimeout(key));
+        if let Some(dial) = self.dials.get_mut(key) {
+            dial.deadline = Some(timer);
         }
     }
 
@@ -754,9 +796,17 @@ impl EventLoop {
     /// Takes the dial off the poller: a connected stream becomes a
     /// connection, a failed one closes its `Conn`.
     fn end_dial(&mut self, key: Key, outcome: io::Result<()>) {
-        let Some(Dial { stream, mut conn }) = self.dials.remove(key) else {
+        let Some(Dial {
+            stream,
+            mut conn,
+            deadline,
+        }) = self.dials.remove(key)
+        else {
             return;
         };
+        if let Some(timer) = deadline {
+            self.wheel.cancel(timer);
+        }
         let _ = self
             .poller
             .deregister(stream.as_raw_fd(), token(KIND_DIAL, key));
@@ -821,6 +871,9 @@ impl EventLoop {
             };
             let before = c.writer.pending();
             let overflow = c.writer.push_frame(&body).is_err();
+            if body.capacity() <= KEEP_SPARE {
+                c.spare = body;
+            }
             (overflow, before, c.writer.pending())
         };
         self.handle.inner.note_write_delta(before, after);
@@ -903,7 +956,7 @@ impl EventLoop {
                             return;
                         };
                         loop {
-                            match c.reader.pop_frame() {
+                            match c.reader.pop_frame(&mut c.spare) {
                                 Ok(Some(frame)) => {
                                     completed_frame = true;
                                     c.inbox.push_back(frame);
@@ -1150,8 +1203,12 @@ impl EventLoop {
         self.wheel.insert(deadline, TimerTask::AcceptRetry(key));
     }
 
+    /// Serves up to [`MAX_FILLS_PER_EVENT`] datagrams: a socket that is
+    /// fed faster than its handler runs must not starve the loop's other
+    /// sources and timers (polling is level-triggered: what is left
+    /// raises the next event).
     fn udp_ready(&mut self, key: Key) {
-        loop {
+        for _ in 0..MAX_FILLS_PER_EVENT {
             let (n, peer, socket) = {
                 let Some((socket, _)) = self.udps.get_mut(key) else {
                     return;
@@ -1160,7 +1217,7 @@ impl EventLoop {
                     Ok((n, peer)) => (n, peer, Arc::clone(socket)),
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => return,
+                    Err(_) => (0, SocketAddr::from(([0, 0, 0, 0], 0)), Arc::clone(socket)),
                 }
             };
             let handle = self.handle.clone();

@@ -19,18 +19,6 @@ pub struct Key {
 }
 
 impl Key {
-    /// The slot index (dense, reused after removal).
-    #[must_use]
-    pub fn index(self) -> u32 {
-        self.index
-    }
-
-    /// The generation the slot had when this key was issued.
-    #[must_use]
-    pub fn generation(self) -> u32 {
-        self.generation
-    }
-
     /// Packs the key into the low 62 bits of a `u64` (for poller
     /// tokens). Inverse of [`Key::from_bits`].
     #[must_use]
@@ -58,12 +46,6 @@ pub struct Slab<T> {
     slots: Vec<Slot<T>>,
     free: Vec<u32>,
     len: usize,
-}
-
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Slab::new()
-    }
 }
 
 impl<T> Slab<T> {
@@ -204,8 +186,8 @@ mod tests {
         assert_eq!(slab.remove(first), Some(1));
         let second = slab.insert(2u32);
         // Same physical slot, different generation.
-        assert_eq!(first.index(), second.index());
-        assert_ne!(first.generation(), second.generation());
+        assert_eq!(first.index, second.index);
+        assert_ne!(first.generation, second.generation);
         assert_eq!(slab.get(first), None, "stale key must not alias");
         assert_eq!(slab.remove(first), None, "stale remove is a no-op");
         assert_eq!(slab.get(second), Some(&2));

@@ -47,12 +47,6 @@ pub struct TimerWheel<T> {
     overflow: Vec<Key>,
 }
 
-impl<T> Default for TimerWheel<T> {
-    fn default() -> Self {
-        TimerWheel::new()
-    }
-}
-
 impl<T> TimerWheel<T> {
     /// An empty wheel positioned at tick 0.
     #[must_use]
@@ -72,18 +66,6 @@ impl<T> TimerWheel<T> {
     #[must_use]
     pub fn now(&self) -> u64 {
         self.now
-    }
-
-    /// Number of pending (non-cancelled) timers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is scheduled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Schedules `value` to fire once `advance` reaches `deadline`
@@ -246,7 +228,7 @@ mod tests {
         assert_eq!(drain(&mut wheel, 2), vec![]);
         assert_eq!(drain(&mut wheel, 3), vec![(3, "a")]);
         assert_eq!(drain(&mut wheel, 10), vec![(5, "b"), (9, "c")]);
-        assert!(wheel.is_empty());
+        assert!(wheel.entries.is_empty());
     }
 
     /// The satellite contract: a coarse advance (one big jump over many
@@ -306,7 +288,7 @@ mod tests {
         assert_eq!(wheel.cancel(drop1), Some("drop1"));
         assert_eq!(wheel.cancel(drop2), Some("drop2"));
         assert_eq!(wheel.cancel(drop2), None, "double-cancel is a no-op");
-        assert_eq!(wheel.len(), 1);
+        assert_eq!(wheel.entries.len(), 1);
         let fired = drain(&mut wheel, 6000);
         assert_eq!(fired, vec![(100, "keep")]);
         assert_eq!(wheel.cancel(keep), None, "fired timers cannot be cancelled");

@@ -521,3 +521,136 @@ fn timers_never_fire_early_on_a_busy_loop() {
     traffic.join().unwrap();
     reactor.shutdown();
 }
+
+// -- UDP -------------------------------------------------------------------
+
+/// An echo listener and a UDP socket on one loop: every datagram the
+/// socket hears makes its handler send one more to itself, until `stop`.
+fn self_feeding_loop(portable: bool, stop: &Arc<AtomicBool>) -> (Reactor, std::net::SocketAddr) {
+    let (reactor, addr) = echo_reactor(ReactorConfig {
+        threads: 1,
+        portable,
+        ..ReactorConfig::default()
+    });
+    let socket = std::net::UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    let own = socket.local_addr().unwrap();
+    let stop = Arc::clone(stop);
+    let feed = Box::new(
+        move |_: &[u8], _, socket: &Arc<std::net::UdpSocket>, _: &Handle| {
+            if !stop.load(Ordering::SeqCst) {
+                let _ = socket.send_to(b"again", own);
+            }
+        },
+    );
+    reactor.handle().add_udp(socket, feed).unwrap();
+    std::net::UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))
+        .unwrap()
+        .send_to(b"go", own)
+        .unwrap();
+    (reactor, addr)
+}
+
+/// Regression: a UDP socket was read until it would block, so one fed
+/// as fast as its handler runs kept every other source and timer of its
+/// loop waiting, forever. Like a stream, it is read a bounded number of
+/// times an event: a TCP echo on the same one-thread loop is answered.
+#[test]
+fn a_self_feeding_udp_socket_does_not_starve_its_loop() {
+    for portable in [false, true] {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (reactor, addr) = self_feeding_loop(portable, &stop);
+        std::thread::sleep(Duration::from_millis(50));
+        let mut client = TcpStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let started = Instant::now();
+        write_frame(&mut client, b"ping").unwrap();
+        let echoed = read_frame(&mut client);
+        let waited = started.elapsed();
+        // Stopped before the asserts: a starved loop must still drain
+        // and shut down.
+        stop.store(true, Ordering::SeqCst);
+        drop(reactor);
+        assert_eq!(echoed.unwrap(), b"ping", "portable: {portable}");
+        assert!(
+            waited < Duration::from_secs(1),
+            "portable: {portable}, {waited:?}"
+        );
+    }
+}
+
+/// `remove_udp` takes a socket off its loop and closes it: its handler
+/// hears nothing more, and its port is free again.
+#[test]
+fn a_removed_udp_socket_is_closed() {
+    for portable in [false, true] {
+        let reactor = dialling_reactor(portable);
+        let socket = std::net::UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let (addr, fd) = (socket.local_addr().unwrap(), socket.as_raw_fd());
+        let heard = Arc::new(Mutex::new(0));
+        let count = Arc::clone(&heard);
+        let handler = Box::new(
+            move |_: &[u8], _, _: &Arc<std::net::UdpSocket>, _: &Handle| {
+                *count.lock().unwrap() += 1;
+            },
+        );
+        reactor.handle().add_udp(socket, handler).unwrap();
+        let peer = std::net::UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        peer.send_to(b"one", addr).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while *heard.lock().unwrap() == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "portable: {portable}: never heard"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        reactor.handle().remove_udp(fd);
+        let rebound = loop {
+            if let Ok(socket) = std::net::UdpSocket::bind(addr) {
+                break socket;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "portable: {portable}: never closed"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        peer.send_to(b"two", addr).unwrap();
+        let mut buf = [0u8; 8];
+        rebound
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(
+            rebound.recv(&mut buf).unwrap(),
+            3,
+            "the new socket hears it"
+        );
+        assert_eq!(*heard.lock().unwrap(), 1, "portable: {portable}");
+    }
+}
+
+/// A connected socket's failed receive — its peer's port refused the
+/// datagram — reaches the handler as an empty datagram.
+#[test]
+fn a_refused_datagram_reaches_the_handler_empty() {
+    for portable in [false, true] {
+        let reactor = dialling_reactor(portable);
+        let closed = std::net::UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let closed_addr = closed.local_addr().unwrap();
+        drop(closed);
+        let socket = std::net::UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        socket.connect(closed_addr).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let handler = Box::new(
+            move |datagram: &[u8], _, _: &Arc<std::net::UdpSocket>, _: &Handle| {
+                let _ = tx.send(datagram.len());
+            },
+        );
+        socket.send(b"anyone?").unwrap();
+        reactor.handle().add_udp(socket, handler).unwrap();
+        let len = rx.recv_timeout(Duration::from_secs(2));
+        assert_eq!(len, Ok(0), "portable: {portable}");
+    }
+}

@@ -655,7 +655,7 @@ impl ManagerConn {
 
     fn register(&mut self, status: &NodeStatus) {
         let request = Request::Register {
-            status: wire_status(status),
+            status: WireNodeStatus::from(*status),
             listen_addr: listen_addr(status),
         };
         assert_eq!(self.rpc(&request), Response::Registered);
@@ -674,16 +674,6 @@ impl ManagerConn {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-}
-
-fn wire_status(status: &NodeStatus) -> WireNodeStatus {
-    WireNodeStatus {
-        id: status.node.as_u64(),
-        class: status.class,
-        location: status.location,
-        attached_users: status.attached_users,
-        load_score: status.load_score,
     }
 }
 
@@ -824,7 +814,7 @@ fn sync(
     let summaries = peers
         .iter()
         .map(|status| WireSummary {
-            status: wire_status(status),
+            status: WireNodeStatus::from(*status),
             listen_addr: listen_addr(status),
             age_us: age(status).as_micros(),
         })
