@@ -8,6 +8,14 @@ use crate::narrate::Narrator;
 use crate::predict::{PredictionSummary, PredictiveSelector, PredictorParams};
 use crate::probe::{rank_candidates, ProbeResult};
 
+/// How long a client with no serving node waits before it looks again
+/// for one to send its next frame to.
+pub const IDLE_RETRY: SimDuration = SimDuration::from_millis(100);
+
+/// How long a client waits for a frame's acknowledgement before it
+/// reclaims the frame's in-flight slot (the frame or its reply was lost).
+pub const FRAME_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
+
 /// What the client wants to do after a probing round (Algorithm 2,
 /// lines 11–20).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,7 +31,7 @@ pub enum ClientDecision {
         seq: u64,
     },
     /// No candidate survived ranking (e.g. QoS filtering emptied the
-    /// list): restart from edge discovery.
+    /// list): restart from edge discovery at [`EdgeClient::retry_at`].
     Rediscover,
 }
 
@@ -48,7 +56,8 @@ pub enum JoinFollowup {
         leave: Option<NodeId>,
     },
     /// Join rejected (stale sequence number): repeat the probing process
-    /// from the edge-discovery step (Algorithm 2, line 14).
+    /// from the edge-discovery step (Algorithm 2, line 14) at
+    /// [`EdgeClient::retry_at`].
     Rediscover,
     /// The reply raced with a failover or detach that already abandoned
     /// this join attempt; ignore it.
@@ -64,8 +73,8 @@ pub enum FailoverDecision {
         /// The backup taking over.
         target: NodeId,
     },
-    /// All backups are gone too: fall back to full re-discovery (this is
-    /// what the paper counts as a *failure* in Fig. 10).
+    /// All backups are gone too: fall back to full re-discovery, at once
+    /// (this is what the paper counts as a *failure* in Fig. 10).
     Rediscover,
 }
 
@@ -113,7 +122,8 @@ pub struct ClientStats {
 /// );
 /// let (tracer, seven) = (Tracer::disabled(), NodeId::new(7));
 /// let trace = Narrator::at(&tracer, 0);
-/// let (round, probes) = client.start_probe_round(vec![seven], |_| true, trace).unwrap();
+/// let start = client.start_probe_round(vec![seven], |_| true, SimTime::ZERO, trace);
+/// let (round, probes) = start.unwrap();
 /// assert_eq!((round, probes), (1, vec![seven]));
 /// let reply = ProbeResult {
 ///     node: seven,
@@ -227,14 +237,17 @@ impl EdgeClient {
     /// truth; a live driver admits every node) — and writes
     /// `probe.round.start`. Returns the round's id, counting from 1, and
     /// the nodes to probe; `None` on an empty shortlist: no round, and
-    /// the driver backs off. An open round is superseded.
+    /// the next try runs at [`EdgeClient::retry_at`]. An open round is
+    /// superseded.
     pub fn start_probe_round(
         &mut self,
         mut shortlist: Vec<NodeId>,
         is_up: impl FnOnce(NodeId) -> bool,
+        now: SimTime,
         trace: Narrator<'_>,
     ) -> Option<(u64, Vec<NodeId>)> {
         if shortlist.is_empty() {
+            self.missed(false, now);
             return None;
         }
         // Re-probe the serving node as well, so stay-or-switch compares
@@ -290,6 +303,9 @@ impl EdgeClient {
         let (replies, failed) = (open.results.len(), open.failed);
         let decision = self.decide(open.results, now);
         trace.probe_round_done(self, round, replies, failed, &decision);
+        if decision == ClientDecision::Rediscover {
+            self.missed(false, now);
+        }
         Some(decision)
     }
 
@@ -443,6 +459,7 @@ impl EdgeClient {
         &mut self,
         node: NodeId,
         accepted: bool,
+        now: SimTime,
         trace: Narrator<'_>,
     ) -> JoinFollowup {
         if self.pending_join != Some(node) {
@@ -454,8 +471,10 @@ impl EdgeClient {
         if !accepted {
             self.stats.join_rejections += 1;
             trace.join_rejected(self.id, node);
+            self.missed(true, now);
             return JoinFollowup::Rediscover;
         }
+        self.control.attached();
         let previous = self.current;
         if previous.is_some() {
             self.stats.switches += 1;
@@ -499,16 +518,19 @@ impl EdgeClient {
             }
         }
         self.stats.hard_failures += 1;
+        self.control.start_over();
         FailoverDecision::Rediscover
     }
 
     /// Drops the current attachment without consulting backups — the
     /// *reactive* (re-connect) failure handling the paper compares
     /// against: the client stalls until a full re-discovery completes.
+    /// A pending retry is dropped: the caller decides when that runs.
     pub fn detach(&mut self) {
         self.current = None;
         self.pending_join = None;
         self.outstanding = 0;
+        self.control.start_over();
     }
 
     /// Adopts a discovery-produced assignment directly (used by baseline
@@ -587,14 +609,21 @@ mod tests {
     fn lose(c: &mut EdgeClient, id: u64, now: SimTime) {
         let (tracer, node) = (Tracer::disabled(), NodeId::new(id));
         let trace = Narrator::at(&tracer, 0);
-        let (round, _) = c.start_probe_round(vec![node], |_| false, trace).unwrap();
+        let (round, _) = c
+            .start_probe_round(vec![node], |_| false, now, trace)
+            .unwrap();
         assert!(c.on_probe_lost(round, node, now));
         assert!(c.conclude_probe_round(round, now, trace).is_some());
     }
 
     /// The outcome of a `Join()` at `node`, told to `c` untraced.
     fn join(c: &mut EdgeClient, node: NodeId, accepted: bool) -> JoinFollowup {
-        c.on_join_result(node, accepted, Narrator::at(&Tracer::disabled(), 0))
+        c.on_join_result(
+            node,
+            accepted,
+            SimTime::ZERO,
+            Narrator::at(&Tracer::disabled(), 0),
+        )
     }
 
     fn probe(id: u64, rtt_ms: u64, proc_ms: u64, seq: u64) -> ProbeResult {
@@ -1013,7 +1042,9 @@ mod tests {
         let (tracer, buffer) = tracer();
         let trace = Narrator::at(&tracer, 0);
         let mut c = client_with(SelectorMode::Reactive);
-        let (round, probes) = c.start_probe_round(nodes(&[7]), |_| true, trace).unwrap();
+        let (round, probes) = c
+            .start_probe_round(nodes(&[7]), |_| true, SimTime::ZERO, trace)
+            .unwrap();
         assert_eq!((round, probes), (1, nodes(&[7])));
         assert_eq!(c.open_probe_round(), Some(1));
         assert!(c.on_probe_reply(round, reply(7)), "the only probe answered");
@@ -1036,7 +1067,7 @@ mod tests {
         let trace = Narrator::at(&tracer, 0);
         let mut c = client_with(SelectorMode::Predictive);
         let (round, _) = c
-            .start_probe_round(nodes(&[7, 8]), |_| true, trace)
+            .start_probe_round(nodes(&[7, 8]), |_| true, SimTime::ZERO, trace)
             .unwrap();
         assert!(!c.on_probe_reply(round, reply(7)), "one of two answered");
         // The second probe never resolves: the round concludes on its
@@ -1056,9 +1087,11 @@ mod tests {
         let (tracer, buffer) = tracer();
         let trace = Narrator::at(&tracer, 0);
         let mut c = client_with(SelectorMode::Reactive);
-        let (old, _) = c.start_probe_round(nodes(&[7]), |_| true, trace).unwrap();
+        let (old, _) = c
+            .start_probe_round(nodes(&[7]), |_| true, SimTime::ZERO, trace)
+            .unwrap();
         let (new, _) = c
-            .start_probe_round(nodes(&[7, 8]), |_| true, trace)
+            .start_probe_round(nodes(&[7, 8]), |_| true, SimTime::ZERO, trace)
             .unwrap();
         assert_eq!((old, new), (1, 2));
         assert!(!c.on_probe_reply(old, reply(7)), "round 1 is gone");
@@ -1081,12 +1114,17 @@ mod tests {
         let trace = Narrator::at(&tracer, 0);
         let mut c = client_with(SelectorMode::Reactive);
         c.force_attach(NodeId::new(3), Vec::new());
-        assert_eq!(c.start_probe_round(Vec::new(), |_| true, trace), None);
+        assert_eq!(
+            c.start_probe_round(Vec::new(), |_| true, SimTime::ZERO, trace),
+            None
+        );
         assert_eq!(c.open_probe_round(), None);
         assert_eq!(c.stats().probes_sent, 0);
         assert!(buffer.lock().unwrap().is_empty(), "nothing written");
         // The next round is still the first.
-        let (round, _) = c.start_probe_round(nodes(&[7]), |_| true, trace).unwrap();
+        let (round, _) = c
+            .start_probe_round(nodes(&[7]), |_| true, SimTime::ZERO, trace)
+            .unwrap();
         assert_eq!(round, 1);
     }
 
@@ -1096,12 +1134,16 @@ mod tests {
         let trace = Narrator::at(&tracer, 0);
         let mut c = client_with(SelectorMode::Reactive);
         c.force_attach(NodeId::new(3), Vec::new());
-        let (_, probes) = c.start_probe_round(nodes(&[7]), |_| false, trace).unwrap();
+        let (_, probes) = c
+            .start_probe_round(nodes(&[7]), |_| false, SimTime::ZERO, trace)
+            .unwrap();
         assert_eq!(probes, nodes(&[7]), "a node that is down is not probed");
-        let (_, probes) = c.start_probe_round(nodes(&[7]), |_| true, trace).unwrap();
+        let (_, probes) = c
+            .start_probe_round(nodes(&[7]), |_| true, SimTime::ZERO, trace)
+            .unwrap();
         assert_eq!(probes, nodes(&[7, 3]));
         let (_, probes) = c
-            .start_probe_round(nodes(&[3, 7]), |_| true, trace)
+            .start_probe_round(nodes(&[3, 7]), |_| true, SimTime::ZERO, trace)
             .unwrap();
         assert_eq!(probes, nodes(&[3, 7]), "listed once");
         assert_eq!(c.stats().probes_sent, 5);

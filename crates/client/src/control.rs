@@ -1,9 +1,11 @@
 //! The client's control plane: which manager of its route order to ask
 //! next, what each answer means, and what to do when none answers — a
 //! client survives a lost Central Manager on its TopN warm connections
-//! (§IV-E). Clock-agnostic like the rest of the core: the simulator's
-//! single manager is a route of length one walked in virtual time, the
-//! live client walks its shard addresses on the wall clock.
+//! (§IV-E) — and when to go back to discovery after a try that did not
+//! attach (Algorithm 2, line 14). Clock-agnostic like the rest of the
+//! core: the simulator's single manager is a route of length one walked
+//! in virtual time, the live client walks its shard addresses on the
+//! wall clock.
 
 use armada_types::{Backoff, NodeId, SimDuration, SimTime};
 
@@ -19,10 +21,21 @@ pub const BREAKER_THRESHOLD: u32 = 3;
 /// half-open probe through.
 pub const BREAKER_COOLDOWN: SimDuration = SimDuration::from_millis(500);
 
-/// The retry schedule after a failure: capped exponential backoff,
-/// doubling per consecutive failure and jittered deterministically per
-/// client, so colliding clients do not retry in herds.
+/// The route walk's retry schedule: capped exponential backoff, doubling
+/// per consecutive failure and jittered deterministically per client, so
+/// colliding clients do not retry in herds.
 pub const RETRY_BACKOFF: Backoff = Backoff::from_millis(50, 1_000);
+
+/// How long a client waits after a try that did not attach before it
+/// goes back to discovery (Algorithm 2, line 14).
+pub const REDISCOVER_BACKOFF: SimDuration = SimDuration::from_millis(300);
+
+/// Consecutive tries that may fail to attach before a live session gives
+/// up ([`EdgeClient::out_of_tries`]). A join the node turned away never
+/// counts: a lost race shows the node alive and admitting. Simulated
+/// users have no caller to report a failure to, so only the live driver
+/// reads it.
+pub const ATTACH_TRIES: u32 = 5;
 
 /// What came of asking one manager to `Discover`, as the driver saw it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,6 +77,9 @@ pub(crate) struct ControlPlane {
     degraded_since: Option<SimTime>,
     /// Route walks exhausted since a manager last answered.
     failures: u32,
+    /// Tries since the last join that ended without attaching, a
+    /// turned-away join aside.
+    misses: u32,
     /// The one retry, pending or spent, since a manager last answered.
     retry_at: Option<SimTime>,
 }
@@ -74,6 +90,27 @@ impl ControlPlane {
         self.breakers
             .resize(self.breakers.len().max(rank + 1), closed);
         &mut self.breakers[rank]
+    }
+
+    /// Arms the one retry `delay_us` from `now`, or pushes the pending one
+    /// out to it — never in: a try that fails while a retry is pending
+    /// starts no second chain.
+    fn arm(&mut self, now: SimTime, delay_us: u64) -> SimTime {
+        let at = (now + SimDuration::from_micros(delay_us)).max(self.retry_at.unwrap_or(now));
+        self.retry_at = Some(at);
+        at
+    }
+
+    /// A join attached the client: the count of misses starts over.
+    pub(crate) fn attached(&mut self) {
+        self.misses = 0;
+    }
+
+    /// The client lost its node with no backup left, or was detached: it
+    /// goes back to discovery at once, its count of misses started over.
+    pub(crate) fn start_over(&mut self) {
+        self.attached();
+        self.retry_at = None;
     }
 }
 
@@ -146,27 +183,45 @@ impl EdgeClient {
     }
 
     /// No manager of the route served: returns when to walk it again
-    /// (on [`RETRY_BACKOFF`]; a walk that fails while that retry is
-    /// pending pushes it out, none starts a second chain) and, if a
+    /// (on [`RETRY_BACKOFF`], see [`EdgeClient::retry_at`]) and, if a
     /// shortlist was ever cached, enters or extends a degraded episode.
+    /// With nothing cached, no round follows: the try missed.
     pub fn on_route_exhausted(&mut self, now: SimTime, trace: Narrator<'_>) -> SimTime {
         let (user, control) = (self.id, &mut self.control);
         let delay_us = RETRY_BACKOFF.delay_us(control.failures, user.as_u64());
         control.failures = control.failures.saturating_add(1);
-        let retry_at =
-            (now + SimDuration::from_micros(delay_us)).max(control.retry_at.unwrap_or(now));
-        control.retry_at = Some(retry_at);
-        if let Some((shortlist, fetched)) = &control.cache {
-            control.degraded_since.get_or_insert(now);
-            trace.degraded(user, now.saturating_since(*fetched), shortlist.len());
+        let retry_at = control.arm(now, delay_us);
+        match &control.cache {
+            Some((shortlist, fetched)) => {
+                control.degraded_since.get_or_insert(now);
+                trace.degraded(user, now.saturating_since(*fetched), shortlist.len());
+            }
+            None => control.misses += 1,
         }
         retry_at
     }
 
-    /// The retry [`EdgeClient::on_route_exhausted`] last scheduled, until
-    /// a manager answers.
+    /// A try ended without attaching — a shortlist that opened no round,
+    /// a round that found nobody, a join that did not attach
+    /// (`turned_away`: the node said no, which [`ATTACH_TRIES`] does not
+    /// count) — and the next runs [`REDISCOVER_BACKOFF`] later.
+    pub(crate) fn missed(&mut self, turned_away: bool, now: SimTime) {
+        self.control.misses += u32::from(!turned_away);
+        self.control.arm(now, REDISCOVER_BACKOFF.as_micros());
+    }
+
+    /// When the client goes back to discovery: the one retry that an
+    /// exhausted route walk or a try that did not attach schedules,
+    /// pending or spent, until a manager answers. Each driver starts a
+    /// round then. `None`: nothing is pending, a round walks at once.
     pub fn retry_at(&self) -> Option<SimTime> {
         self.control.retry_at
+    }
+
+    /// `true` once [`ATTACH_TRIES`] consecutive tries since the last join
+    /// found nobody to attach to.
+    pub fn out_of_tries(&self) -> bool {
+        self.control.misses >= ATTACH_TRIES
     }
 
     /// The last good shortlist: probing it keeps the warm backups warm
@@ -198,6 +253,7 @@ mod tests {
 
     use super::*;
     use crate::breaker::BreakerState;
+    use crate::{ClientDecision, JoinFollowup, ProbeResult};
 
     const USER: u64 = 9;
 
@@ -396,6 +452,27 @@ mod tests {
         assert!(cached.contains(&("chaos.degraded".to_string(), Some(2))));
     }
 
+    /// The schedule itself: exponential, jittered inside its envelope,
+    /// capped and deterministic per client.
+    #[test]
+    fn retry_backoff_schedule_is_bounded_and_deterministic() {
+        for attempt in 0..8u32 {
+            for client_id in [1u64, 7, 9999] {
+                let d = RETRY_BACKOFF.delay(attempt, client_id);
+                assert!(d >= RETRY_BACKOFF.delay_floor(attempt), "attempt {attempt}");
+                assert!(
+                    d <= RETRY_BACKOFF.delay_ceiling(attempt),
+                    "attempt {attempt}"
+                );
+                assert!(d <= std::time::Duration::from_millis(1_000), "cap violated");
+                assert_eq!(d, RETRY_BACKOFF.delay(attempt, client_id), "deterministic");
+            }
+        }
+        // The envelope really doubles (50, 100, 200, ...) until the cap.
+        let ceiling = |attempt| RETRY_BACKOFF.delay_ceiling(attempt).as_millis();
+        assert_eq!([ceiling(0), ceiling(2), ceiling(30)], [50, 200, 1_000]);
+    }
+
     #[test]
     fn retries_follow_the_backoff_and_merge_into_one() {
         let tracer = Tracer::disabled();
@@ -416,5 +493,132 @@ mod tests {
         let (_, pushed) = failed_walk(&mut c, pending - SimDuration::from_millis(1), trace);
         assert!(pushed >= pending);
         assert_eq!(c.retry_at(), Some(pushed));
+    }
+
+    /// A reply of node `id` carrying sequence number `seq`.
+    fn reply(id: u64, seq: u64) -> ProbeResult {
+        ProbeResult {
+            node: NodeId::new(id),
+            rtt: SimDuration::from_millis(10),
+            whatif_proc: SimDuration::from_millis(20),
+            current_proc: SimDuration::from_millis(20),
+            attached_users: 0,
+            seq_num: seq,
+        }
+    }
+
+    /// A round over node 1 at `now`: answered with `seq`, or lost.
+    fn round(c: &mut EdgeClient, seq: Option<u64>, now: SimTime) -> ClientDecision {
+        let (tracer, one) = (Tracer::disabled(), NodeId::new(1));
+        let trace = Narrator::at(&tracer, 0);
+        let (id, _) = c
+            .start_probe_round(vec![one], |_| false, now, trace)
+            .unwrap();
+        match seq {
+            Some(seq) => assert!(c.on_probe_reply(id, reply(1, seq))),
+            None => assert!(c.on_probe_lost(id, one, now)),
+        }
+        c.conclude_probe_round(id, now, trace).unwrap()
+    }
+
+    /// A round over node 1 at `now` whose join node 1 turns away or takes.
+    fn race(c: &mut EdgeClient, accepted: bool, now: SimTime) -> JoinFollowup {
+        let tracer = Tracer::disabled();
+        let trace = Narrator::at(&tracer, 0);
+        let decision = round(c, Some(0), now);
+        assert!(matches!(decision, ClientDecision::AttemptJoin { .. }));
+        c.on_join_result(NodeId::new(1), accepted, now, trace)
+    }
+
+    /// `at` plus [`REDISCOVER_BACKOFF`].
+    fn after(at: SimTime) -> Option<SimTime> {
+        Some(at + REDISCOVER_BACKOFF)
+    }
+
+    #[test]
+    fn a_lost_race_retries_and_never_counts_toward_giving_up() {
+        let mut c = client();
+        for attempt in 0..2 * ATTACH_TRIES {
+            let now = ms(u64::from(attempt) * 2_000);
+            assert_eq!(race(&mut c, false, now), JoinFollowup::Rediscover);
+            assert_eq!(c.retry_at(), after(now));
+            assert!(!c.out_of_tries(), "a lost race shows the node admitting");
+        }
+        // A client with a node that loses a switch race retries too.
+        let now = ms(30_000);
+        assert!(matches!(
+            race(&mut c, true, now),
+            JoinFollowup::SwitchComplete { .. }
+        ));
+        c.force_attach(NodeId::new(2), Vec::new());
+        assert_eq!(race(&mut c, false, now), JoinFollowup::Rediscover);
+        assert_eq!(c.retry_at(), after(now));
+    }
+
+    #[test]
+    fn an_empty_shortlist_arms_the_retry() {
+        let tracer = Tracer::disabled();
+        let trace = Narrator::at(&tracer, 0);
+        let mut c = client();
+        let empty = c.start_probe_round(Vec::new(), |_| true, ms(10), trace);
+        assert_eq!((empty, c.retry_at()), (None, after(ms(10))));
+        // A shortlist served later drops the retry it answered.
+        c.on_discover(0, ManagerReply::Candidates(Vec::new()), ms(60), trace);
+        assert_eq!(c.retry_at(), None);
+    }
+
+    #[test]
+    fn a_round_with_no_survivor_arms_the_retry() {
+        let mut c = client();
+        assert_eq!(round(&mut c, None, ms(5)), ClientDecision::Rediscover);
+        assert_eq!(c.retry_at(), after(ms(5)));
+        // One pending retry: a second miss before it comes due pushes
+        // it out to the later of the two, never in.
+        assert_eq!(round(&mut c, None, ms(6)), ClientDecision::Rediscover);
+        assert_eq!(c.retry_at(), after(ms(6)));
+        c.on_route_exhausted(ms(7), Narrator::at(&Tracer::disabled(), 0));
+        assert_eq!(c.retry_at(), after(ms(6)), "the walk's own retry is sooner");
+    }
+
+    #[test]
+    fn a_failover_with_no_backup_rediscovers_at_once() {
+        let mut c = client();
+        // A lost race left a retry pending when a node took the client.
+        assert_eq!(race(&mut c, false, ms(0)), JoinFollowup::Rediscover);
+        c.force_attach(NodeId::new(2), Vec::new());
+        assert!(c.retry_at().is_some());
+        let decision = c.on_node_failure(ms(1), |_| true);
+        assert_eq!(decision, crate::FailoverDecision::Rediscover);
+        assert_eq!(c.retry_at(), None, "nothing pending: the round walks now");
+        assert_eq!(round(&mut c, None, ms(2)), ClientDecision::Rediscover);
+        assert_eq!(c.retry_at(), after(ms(2)));
+    }
+
+    #[test]
+    fn a_live_session_gives_up_after_attach_tries_misses_in_a_row() {
+        let tracer = Tracer::disabled();
+        let trace = Narrator::at(&tracer, 0);
+        let mut c = client();
+        // Every way a try can miss, lost races between them.
+        type Miss<'a> = &'a dyn Fn(&mut EdgeClient, SimTime);
+        let misses: [Miss; 3] = [
+            &|c, now| {
+                assert!(c
+                    .start_probe_round(Vec::new(), |_| true, now, trace)
+                    .is_none())
+            },
+            &|c, now| assert_eq!(round(c, None, now), ClientDecision::Rediscover),
+            &|c, now| drop(failed_walk(c, now, trace)),
+        ];
+        for attempt in 0..ATTACH_TRIES {
+            assert!(!c.out_of_tries(), "after {attempt}");
+            let now = ms(u64::from(attempt) * 10_000);
+            misses[attempt as usize % 3](&mut c, now);
+            race(&mut c, false, now + SimDuration::from_millis(5_000));
+        }
+        assert!(c.out_of_tries());
+        // A join starts the count over.
+        race(&mut c, true, ms(100_000));
+        assert!(!c.out_of_tries());
     }
 }

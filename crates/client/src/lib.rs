@@ -14,7 +14,8 @@
 //!   current node, backup list, adaptive frame rate, failover decisions,
 //!   and the control plane: the manager route walk under a
 //!   [`CircuitBreaker`] per rank, degraded mode's cached shortlist, the
-//!   retry schedule; drivers only carry its messages,
+//!   one retry schedule of every way back to discovery and when a live
+//!   session gives up; drivers only carry its messages,
 //! * [`Narrator`] — the client-side trace events, written once, by the core.
 //!
 //! # Examples
@@ -52,7 +53,9 @@ mod probe;
 
 pub use breaker::{BreakerState, CircuitBreaker, Transition};
 pub use client::{ClientDecision, ClientStats, EdgeClient, FailoverDecision, JoinFollowup};
-pub use control::{ManagerReply, Verdict, BREAKER_COOLDOWN, BREAKER_THRESHOLD, RETRY_BACKOFF};
+pub use client::{FRAME_ACK_TIMEOUT, IDLE_RETRY};
+pub use control::{ManagerReply, Verdict, ATTACH_TRIES, BREAKER_COOLDOWN, BREAKER_THRESHOLD};
+pub use control::{REDISCOVER_BACKOFF, RETRY_BACKOFF};
 pub use narrate::Narrator;
 pub use predict::{
     PredictionSummary, PredictiveSelector, PredictorParams, ReliabilityScore, RttForecast,

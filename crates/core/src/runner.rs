@@ -13,7 +13,7 @@ use std::collections::HashSet;
 
 use armada_client::{
     ClientDecision, EdgeClient, FailoverDecision, JoinFollowup, ManagerReply, Narrator,
-    ProbeResult, Verdict, PROBE_TIMEOUT,
+    ProbeResult, Verdict, FRAME_ACK_TIMEOUT, IDLE_RETRY, PROBE_TIMEOUT,
 };
 use armada_net::{Addr, Delivery};
 use armada_node::{serve, EdgeNode, Narrator as NodeNarrator, NodeAction};
@@ -28,18 +28,10 @@ use crate::world::World;
 
 type Ctx<'a> = Context<'a, World>;
 
-/// Backoff before repeating discovery after a rejected join or an empty
-/// candidate list.
-const REDISCOVER_BACKOFF: SimDuration = SimDuration::from_millis(300);
-/// Retry cadence while a client has no serving node.
-const IDLE_RETRY: SimDuration = SimDuration::from_millis(100);
-/// Without a pre-established backup connection, noticing that a server
-/// is gone takes a transport-level timeout before re-discovery can even
-/// begin — the dominant cost of the reactive (re-connect) approach.
+/// A transport timeout, the simulator's model of one: a request whose
+/// reply never comes, or a server gone with no warm backup connection to
+/// notice it by (the reactive approach's dominant cost), takes this long.
 const RECONNECT_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
-/// How long the client waits for a frame acknowledgement before
-/// reclaiming the in-flight slot of a frame lost to fault injection.
-const FRAME_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
 
 /// The client core's events, stamped with the current virtual time.
 fn narrator<'a>(tracer: &'a Tracer, ctx: &Ctx<'_>) -> Narrator<'a> {
@@ -168,12 +160,29 @@ fn route_exhausted(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
     let Some(client) = w.clients.get_mut(&user) else {
         return;
     };
-    let round_due = client.retry_at().is_none();
-    let retry_at = client.on_route_exhausted(ctx.now(), trace);
-    ctx.schedule_at(retry_at, move |w, ctx| start_probe_round(w, ctx, user));
-    let cached = client.cached_shortlist().filter(|_| round_due);
-    if let Some(cached) = cached.map(<[NodeId]>::to_vec) {
+    let before = client.retry_at();
+    client.on_route_exhausted(ctx.now(), trace);
+    let cached = client
+        .cached_shortlist()
+        .filter(|_| before.is_none())
+        .map(<[NodeId]>::to_vec);
+    follow_retry(w, ctx, user, before);
+    if let Some(cached) = cached {
         probe_candidates(w, ctx, user, cached);
+    }
+}
+
+/// A round at the user's one retry, if a core step armed it or moved it
+/// from `before`. A timer whose retry moved since, or was dropped (a
+/// manager answered, the client started over), stands down.
+fn follow_retry(w: &World, ctx: &mut Ctx<'_>, user: UserId, before: Option<SimTime>) {
+    let retry_at = move |w: &World| w.clients.get(&user).and_then(EdgeClient::retry_at);
+    if let Some(at) = retry_at(w).filter(|&at| Some(at) != before) {
+        ctx.schedule_at(at, move |w, ctx| {
+            if retry_at(w) == Some(ctx.now()) {
+                start_probe_round(w, ctx, user);
+            }
+        });
     }
 }
 
@@ -182,14 +191,14 @@ fn route_exhausted(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
 fn probe_candidates(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, shortlist: Vec<NodeId>) {
     let serving = w.clients.get(&user).and_then(EdgeClient::current_node);
     let serving_up = serving.is_some_and(|node| w.node_is_up(node));
-    let trace = narrator(&w.tracer, ctx);
-    let client = w.clients.get_mut(&user);
-    let opened = client.and_then(|c| c.start_probe_round(shortlist, |_| serving_up, trace));
-    let Some((round, candidates)) = opened else {
-        ctx.schedule_in(REDISCOVER_BACKOFF, move |w, ctx| {
-            start_probe_round(w, ctx, user)
-        });
+    let (now, trace) = (ctx.now(), narrator(&w.tracer, ctx));
+    let Some(client) = w.clients.get_mut(&user) else {
         return;
+    };
+    let before = client.retry_at();
+    let Some((round, candidates)) = client.start_probe_round(shortlist, |_| serving_up, now, trace)
+    else {
+        return follow_retry(w, ctx, user, before);
     };
     for node in candidates {
         send_probe(w, ctx, user, node, round);
@@ -271,19 +280,17 @@ fn probe_failed(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, node: NodeId, ro
 /// the decision out. A round concluded already, or superseded, is done.
 fn conclude_probe_round(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, round: u64) {
     let trace = narrator(&w.tracer, ctx);
-    let client = w.clients.get_mut(&user);
-    let Some(decision) = client.and_then(|c| c.conclude_probe_round(round, ctx.now(), trace))
-    else {
+    let Some(client) = w.clients.get_mut(&user) else {
+        return;
+    };
+    let before = client.retry_at();
+    let Some(decision) = client.conclude_probe_round(round, ctx.now(), trace) else {
         return;
     };
     match decision {
         ClientDecision::Stay => ensure_streaming(w, ctx, user),
         ClientDecision::AttemptJoin { target, seq } => attempt_join(w, ctx, user, target, seq),
-        ClientDecision::Rediscover => {
-            ctx.schedule_in(REDISCOVER_BACKOFF, move |w, ctx| {
-                start_probe_round(w, ctx, user)
-            });
-        }
+        ClientDecision::Rediscover => follow_retry(w, ctx, user, before),
     }
 }
 
@@ -340,7 +347,8 @@ fn join_reply(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, target: NodeId, ac
     let Some(client) = w.clients.get_mut(&user) else {
         return;
     };
-    match client.on_join_result(target, accepted, trace) {
+    let before = client.retry_at();
+    match client.on_join_result(target, accepted, ctx.now(), trace) {
         JoinFollowup::SwitchComplete { leave } => {
             if let Some(previous) = leave {
                 send_leave(w, ctx, user, previous);
@@ -348,12 +356,8 @@ fn join_reply(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, target: NodeId, ac
             ensure_streaming(w, ctx, user);
             ensure_periodic_probing(w, ctx, user);
         }
-        JoinFollowup::Rediscover => {
-            // Algorithm 2, line 14: repeat from the edge-discovery step.
-            ctx.schedule_in(REDISCOVER_BACKOFF, move |w, ctx| {
-                start_probe_round(w, ctx, user)
-            });
-        }
+        // Algorithm 2, line 14: repeat from the edge-discovery step.
+        JoinFollowup::Rediscover => follow_retry(w, ctx, user, before),
         JoinFollowup::Stale => {}
     }
 }
@@ -616,34 +620,31 @@ fn handle_node_failure(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
         };
         let decision = client.on_node_failure(now, |n| alive.contains(&n));
         narrator(&w.tracer, ctx).failover(user, failed_node, &decision);
-        match decision {
-            FailoverDecision::SwitchToBackup { target } => {
-                // The connection is pre-established. Frames resume on
-                // the next tick of the send loop.
-                send_unexpected_join(w, ctx, user, target);
-                // The failover consumed a backup: refresh the candidate
-                // list immediately rather than waiting out `T_probing`,
-                // so simultaneous later failures still find warm spares.
-                start_probe_round(w, ctx, user);
-            }
-            FailoverDecision::Rediscover => start_probe_round(w, ctx, user),
+        if let FailoverDecision::SwitchToBackup { target } = decision {
+            // The connection is pre-established. Frames resume on the
+            // next tick of the send loop.
+            send_unexpected_join(w, ctx, user, target);
         }
-    } else if w.strategy.is_client_centric() {
+        // A failover consumed a backup: refresh the candidate list now
+        // rather than waiting out `T_probing`, so simultaneous later
+        // failures still find warm spares. With none left, this is the
+        // re-discovery, at once.
+        start_probe_round(w, ctx, user);
+        return;
+    }
+    if let Some(client) = w.clients.get_mut(&user) {
+        client.detach();
+    }
+    if w.strategy.is_client_centric() {
         // Reactive comparison: no warm backups. The client first has to
         // *notice* the dead server (transport timeout), then stall
         // through a full re-discovery — the downtime of Fig. 4's
         // "re-connect" line.
-        if let Some(client) = w.clients.get_mut(&user) {
-            client.detach();
-        }
         ctx.schedule_in(RECONNECT_TIMEOUT, move |w, ctx| {
             start_probe_round(w, ctx, user)
         });
     } else {
         // Baselines re-assign through the manager.
-        if let Some(client) = w.clients.get_mut(&user) {
-            client.detach();
-        }
         baseline_assign(w, ctx, user);
     }
 }
@@ -910,7 +911,7 @@ mod tests {
         let trace = narrator(&w.tracer, ctx);
         let client = w.clients.get_mut(&USER).unwrap();
         let (round, _) = client
-            .start_probe_round(vec![NODE], |_| true, trace)
+            .start_probe_round(vec![NODE], |_| true, ctx.now(), trace)
             .unwrap();
         assert!(client.on_probe_reply(round, reply), "one probe, one reply");
         client

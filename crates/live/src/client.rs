@@ -1,8 +1,9 @@
 //! The live client: a driver around one [`EdgeClient`], the Algorithm 2
 //! core the simulator drives in virtual time. The core decides
 //! everything — rounds, ranking, stay-or-switch, backups, pacing, the
-//! manager route walk under its breakers, degraded mode, retries — and
-//! writes its own events; this file owns I/O only.
+//! manager route walk under its breakers, degraded mode, when to go back
+//! to discovery and when to give up — and writes its own events; this
+//! file owns I/O only.
 //!
 //! Every session of every client in the process runs on one
 //! single-thread `armada_reactor::Reactor`, started by the first. A
@@ -26,21 +27,22 @@ use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use armada_client::{
-    ClientDecision, EdgeClient, FailoverDecision, JoinFollowup, ManagerReply, Narrator,
-    ProbeResult, Verdict, PROBE_TIMEOUT, RETRY_BACKOFF,
+    ClientDecision, EdgeClient, JoinFollowup, ManagerReply, Narrator, ProbeResult, Verdict,
+    PROBE_TIMEOUT,
 };
 use armada_reactor::{Conn, ConnCtx, ConnId, Handle, Reactor, ReactorConfig};
 use armada_trace::{s, u, Severity, Tracer};
 use armada_types::{ClientConfig, GeoPoint, NodeId, SimDuration, SimTime, UserId};
 use armada_wire::{decode_response, Request, Response, WireConfig};
 
-/// All protocol exchanges time out after this long (probes aside): a
-/// silent peer is a dead peer.
+/// A transport timeout: every protocol exchange (probes aside) gives up
+/// after this long — a silent peer is a dead peer.
 pub(crate) const RPC_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Connect/reply budget for a mid-session discovery. Kept far below
-/// [`RPC_TIMEOUT`] so a black-holed manager cannot stall the frame
-/// loop for the full RPC budget every probing period.
+/// A transport timeout: the connect/reply budget of a discovery once the
+/// session has attached. Kept far below [`RPC_TIMEOUT`] so a black-holed
+/// manager cannot stall the frame loop for the full RPC budget every
+/// probing period.
 const REFRESH_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// What a [`LiveClient`] session measured.
@@ -48,11 +50,12 @@ const REFRESH_TIMEOUT: Duration = Duration::from_millis(500);
 pub struct SessionReport {
     /// Node that served the final frame.
     pub final_node: u64,
-    /// Node selected initially.
+    /// The node the session's first join attached to.
     pub initial_node: u64,
     /// Per-frame end-to-end latencies, in send order.
     pub latencies: Vec<Duration>,
-    /// First-round probing outcomes: `(node_id, rtt, whatif_µs)`.
+    /// The probing outcomes of the round whose join first attached the
+    /// session: `(node_id, rtt, whatif_µs)`.
     pub probed: Vec<(u64, Duration, u64)>,
     /// Failovers to a backup performed mid-session.
     pub failovers: u64,
@@ -228,6 +231,9 @@ impl LiveClient {
         let managers = managers.to_vec();
         let session: Task = Box::pin(async move {
             let report = io.session(&managers, frames).await;
+            // However it ended: streams closed, attachment and retry dropped.
+            io.sweep(&Streams::new());
+            io.lock().core.detach();
             if let Some(reply) = REPLIES.with_borrow_mut(|replies| replies.remove(&key)) {
                 let _ = reply.send(report);
             }
@@ -595,56 +601,48 @@ type Streams = HashMap<u64, u64>;
 
 /// The session: Algorithm 2 as the exchanges follow one another.
 impl Io {
-    /// An attempt left with no serving node (a rejected first join, a
-    /// round nobody answered, every backup dead) fails; the next repeats
-    /// from edge discovery (Algorithm 2, line 14).
+    /// Discover → probe → join → stream, each round when the core names
+    /// it: `T_probing` after the last one ended, and at its retry
+    /// (Algorithm 2, line 14), which a session with no node serving waits
+    /// for. It fails with its last error once the core is out of tries.
     async fn session(&self, managers: &[SocketAddr], frames: usize) -> io::Result<SessionReport> {
-        let mut last_err = None;
-        for attempt in 0..5u32 {
-            if attempt > 0 {
-                self.sleep(RETRY_BACKOFF.delay(attempt - 1, self.user))
-                    .await;
-            }
-            let mut conns = Streams::new();
-            let outcome = self.attempt(&mut conns, managers, frames).await;
-            self.sweep(&Streams::new());
-            // Ends the attachment, keeps the selector's per-node models.
-            self.lock().core.detach();
-            match outcome {
-                Ok(report) => return Ok(report),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.expect("at least one attempt ran"))
-    }
-
-    /// One discovery → probe → join → stream attempt.
-    async fn attempt(
-        &self,
-        conns: &mut Streams,
-        managers: &[SocketAddr],
-        frames: usize,
-    ) -> io::Result<SessionReport> {
-        let (user, before) = (self.user, self.lock().core.stats());
+        let (user, before, conns) = (self.user, self.lock().core.stats(), &mut Streams::new());
         let row = |r: &ProbeResult| (r.node.as_u64(), wall(r.rtt), r.whatif_proc.as_micros());
-        let probed = self.select(conns, managers, RPC_TIMEOUT).await?;
-        let probed = probed.iter().map(row).collect();
-        let initial_node = serving_node(&self.lock().core)?;
-
+        let period = wall(self.lock().core.config().probing_period);
+        // The first attachment: its node, and the probes of its round.
+        let (mut first, mut round_ended) = (None, Instant::now());
         let mut latencies = Vec::with_capacity(frames);
-        let probing_period = wall(self.lock().core.config().probing_period);
-        let mut last_probe = Instant::now();
-        while latencies.len() < frames {
-            // The next round is due `T_probing` after this one
-            // concludes: a round that ran to `PROBE_TIMEOUT` must not
-            // eat the period.
-            if last_probe.elapsed() >= probing_period {
-                self.select(conns, managers, REFRESH_TIMEOUT).await?;
-                last_probe = Instant::now();
-            }
-            let (serving, seq) = {
-                let mut shared = self.lock();
-                (serving_node(&shared.core)?, shared.core.next_frame_seq())
+        while first.is_none() || latencies.len() < frames {
+            // One lock a frame: the next round's time (frames on a degraded
+            // episode's cache keep the period) and the next frame's node.
+            let (due, next) = {
+                let core = &mut self.lock().core;
+                let (serving, degraded) = (core.current_node(), core.is_degraded());
+                let retry = core.retry_at().filter(|_| serving.is_none() || !degraded);
+                let retry = retry.map(|at| self.epoch + Duration::from_micros(at.as_micros()));
+                let due = retry
+                    .into_iter()
+                    .chain(serving.map(|_| round_ended + period));
+                let due = due.min();
+                let serving = serving.filter(|_| due.is_some_and(|due| Instant::now() < due));
+                let next = serving.map(|node| (node.as_u64(), core.next_frame_seq()));
+                (due, next)
+            };
+            let Some((serving, seq)) = next else {
+                let wait = due.map(|due| due.saturating_duration_since(Instant::now()));
+                self.sleep(wait.unwrap_or_default()).await;
+                let timeout = first.as_ref().map_or(RPC_TIMEOUT, |_| REFRESH_TIMEOUT);
+                let round = self.select(conns, managers, timeout).await;
+                round_ended = Instant::now();
+                let core = &self.lock().core;
+                match (serving_node(core), round) {
+                    (Ok(node), Ok(probed)) if first.is_none() => {
+                        first = Some((node, probed.iter().map(row).collect()));
+                    }
+                    (Err(e), round) if core.out_of_tries() => return Err(round.err().unwrap_or(e)),
+                    _ => {}
+                }
+                continue;
             };
             let frame = Request::Frame {
                 user,
@@ -670,13 +668,13 @@ impl Io {
                     if matches!(other, Some(Response::Busy { .. })) {
                         self.core(|core, now, _| core.on_busy(NodeId::new(serving), now));
                     }
-                    self.fail_over(conns, serving).await?;
+                    self.fail_over(conns, serving).await;
                 }
             }
         }
         let (final_node, leave) = (serving_node(&self.lock().core)?, Request::Leave { user });
         let _ = self.exchange(conns, final_node, &leave).await;
-        let stats = self.lock().core.stats();
+        let (stats, (initial_node, probed)) = (self.lock().core.stats(), first.expect("attached"));
         Ok(SessionReport {
             final_node,
             initial_node,
@@ -687,9 +685,9 @@ impl Io {
         })
     }
 
-    /// One pass of Algorithm 2, for a session's first round and every
-    /// `T_probing` round: discover, probe the round the core opens (none
-    /// on an empty shortlist), carry out its decision. Returns the probes.
+    /// One pass of Algorithm 2, for every round of a session: discover,
+    /// probe the round the core opens (none on an empty shortlist), carry
+    /// out its decision. Returns the probes.
     async fn select(
         &self,
         conns: &mut Streams,
@@ -706,15 +704,17 @@ impl Io {
             }
         };
         // (The serving node is re-probed over its open connection.)
-        let opened = self.core(|core, _, trace| core.start_probe_round(shortlist, |_| true, trace));
+        let opened =
+            self.core(|core, now, trace| core.start_probe_round(shortlist, |_| true, now, trace));
         let Some((round, nodes)) = opened else {
             return Ok(Vec::new());
         };
         let results = self.probe_round(conns, round, &nodes).await;
-        // A re-discovery needs no action: while a node serves, the next
-        // round repeats it; with none, [`serving_node`] fails the attempt.
+        // A re-discovery is the core's retry, which the session runs.
         let decision = self.core(|core, now, trace| core.conclude_probe_round(round, now, trace));
+        let mut tried = None;
         if let Some(ClientDecision::AttemptJoin { target, seq }) = decision {
+            tried = Some(target);
             let (node, join) = (
                 target.as_u64(),
                 Request::Join {
@@ -729,18 +729,21 @@ impl Io {
             // Shed, dead mid-join or out of sequence: the join did not
             // happen, and only the first says anything about the node.
             let accepted = matches!(reply, Some(Response::JoinResult { accepted: true }));
-            let followup = self.core(|core, _, trace| core.on_join_result(target, accepted, trace));
+            let followup =
+                self.core(|core, now, trace| core.on_join_result(target, accepted, now, trace));
             if let JoinFollowup::SwitchComplete { leave: Some(left) } = followup {
                 let leave = Request::Leave { user: self.user };
                 let _ = self.exchange(conns, left.as_u64(), &leave).await;
             }
         }
-        // Neither serving nor a backup: closed, so open sockets ≤ TopN.
+        // Neither serving, nor a backup, nor (while none serves) the node
+        // a join just failed at, to be re-probed: closed, so open sockets
+        // stay ≤ TopN.
         let kept = {
             let core = &self.lock().core;
             let kept = |id: &u64| {
                 let node = NodeId::new(*id);
-                core.current_node() == Some(node) || core.backups().contains(&node)
+                core.current_node().or(tried) == Some(node) || core.backups().contains(&node)
             };
             conns.keys().copied().filter(kept).collect::<Vec<_>>()
         };
@@ -826,8 +829,9 @@ impl Io {
 
     /// The failure monitor (paper §IV-E): the core promotes the first
     /// backup whose warm connection answers `Unexpected_join` (which
-    /// cannot be rejected, Table I); with none left the attempt fails.
-    async fn fail_over(&self, conns: &mut Streams, failed: u64) -> io::Result<()> {
+    /// cannot be rejected, Table I); with none left, the session
+    /// rediscovers at once.
+    async fn fail_over(&self, conns: &mut Streams, failed: u64) {
         let (user, failed_node) = (UserId::new(self.user), Some(NodeId::new(failed)));
         self.narrator().failure(user, "proactive", failed_node);
         if let Some(serial) = conns.remove(&failed) {
@@ -850,12 +854,6 @@ impl Io {
         // if it had asked each in turn.
         let decision = self.core(|core, _, _| core.on_node_failure(at, |b| Some(b) == alive));
         self.narrator().failover(user, failed_node, &decision);
-        match decision {
-            FailoverDecision::SwitchToBackup { .. } => Ok(()),
-            FailoverDecision::Rediscover => {
-                Err(protocol_error("all backups failed simultaneously"))
-            }
-        }
     }
 }
 
@@ -1651,32 +1649,6 @@ mod tests {
         stub.join().unwrap();
     }
 
-    /// Satellite for the retry-loop fix: the session retry schedule
-    /// must be exponential, jittered within its envelope, capped, and
-    /// deterministic per client.
-    #[test]
-    fn retry_backoff_schedule_is_bounded_and_deterministic() {
-        for attempt in 0..8u32 {
-            for client_id in [1u64, 7, 9999] {
-                let d = RETRY_BACKOFF.delay(attempt, client_id);
-                assert!(d >= RETRY_BACKOFF.delay_floor(attempt), "attempt {attempt}");
-                assert!(
-                    d <= RETRY_BACKOFF.delay_ceiling(attempt),
-                    "attempt {attempt}"
-                );
-                assert!(d <= Duration::from_millis(1_000), "cap violated");
-                assert_eq!(d, RETRY_BACKOFF.delay(attempt, client_id), "deterministic");
-            }
-        }
-        // The envelope really doubles (50, 100, 200, ...) until the cap.
-        assert_eq!(RETRY_BACKOFF.delay_ceiling(0), Duration::from_millis(50));
-        assert_eq!(RETRY_BACKOFF.delay_ceiling(2), Duration::from_millis(200));
-        assert_eq!(
-            RETRY_BACKOFF.delay_ceiling(30),
-            Duration::from_millis(1_000)
-        );
-    }
-
     /// Degraded mode end to end: a client partitioned from every
     /// manager mid-session keeps streaming, serves later discoveries
     /// from its cached candidate list (`chaos.degraded`), and
@@ -1941,7 +1913,8 @@ mod tests {
 
     /// The simulator's rule: a manager's empty shortlist opens no round
     /// (the serving node alone is not re-probed), and the session keeps
-    /// streaming to its node until a later round has candidates.
+    /// streaming to its node, asking again at the core's retry, until a
+    /// later round has candidates.
     #[cfg(feature = "trace")]
     #[test]
     fn an_empty_shortlist_mid_session_opens_no_round() {
