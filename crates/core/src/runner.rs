@@ -8,6 +8,13 @@
 //! them. A node is entered through `enter_node` alone, and its requests
 //! travel as unencoded wire `Request` / `Response` values answered by
 //! [`armada_node::serve`], the dispatcher the live node runs too.
+//!
+//! The four events of a frame's round trip — the send-loop tick, the
+//! frame reaching its node, the node's executor wake-up and the response
+//! reaching its user — are [`SimEvent`] values, queued unboxed and
+//! dispatched by one `match`; every other step is a scheduled closure.
+//! A node's actions land in one buffer the [`World`] lends each entry
+//! into a node, so a frame's round trip allocates nothing.
 
 use std::collections::HashSet;
 
@@ -17,7 +24,7 @@ use armada_client::{
 };
 use armada_net::{Addr, Delivery};
 use armada_node::{serve, EdgeNode, Narrator as NodeNarrator, NodeAction};
-use armada_sim::Context;
+use armada_sim::{Context, Event, Simulation, Thunk};
 use armada_trace::{u, Severity, Tracer};
 use armada_types::{NodeClass, NodeId, SimDuration, SimTime, UserId};
 use armada_wire::{Request, Response};
@@ -26,7 +33,54 @@ use armada_workload::{Frame, FrameResponse, FRAME_SIZE};
 use crate::strategy::Strategy;
 use crate::world::World;
 
-type Ctx<'a> = Context<'a, World>;
+pub(crate) type Ctx<'a> = Context<'a, World, SimEvent>;
+
+/// The simulation the runner drives.
+pub(crate) type Sim = Simulation<World, SimEvent>;
+
+/// What the runner schedules: a frame's round trip as values, anything
+/// else as a closure.
+pub(crate) enum SimEvent {
+    /// The user's frame loop ticks: send a frame, or wait for a node.
+    SendFrame(UserId),
+    /// A frame reaches a node (lost if the node is dead).
+    FrameArrives { node: NodeId, frame: Frame },
+    /// The node's executor wake-up armed at `epoch`: stale, and
+    /// dropped, if the executor changed since.
+    Wakeup { node: NodeId, epoch: u64 },
+    /// A processed frame's response reaches its user.
+    ResponseArrives(FrameResponse),
+    /// Any other step.
+    Closure(Thunk<World, SimEvent>),
+}
+
+impl Event<World> for SimEvent {
+    fn fire(self, w: &mut World, ctx: &mut Ctx<'_>) {
+        match self {
+            SimEvent::SendFrame(user) => send_frame(w, ctx, user),
+            SimEvent::FrameArrives { node, frame } => {
+                enter_node(w, ctx, node, |n, now, _, actions| {
+                    n.offload(frame, now, actions);
+                    None
+                });
+            }
+            SimEvent::Wakeup { node, epoch } => {
+                if w.nodes.get(&node).is_some_and(|n| n.epoch() == epoch) {
+                    enter_node(w, ctx, node, |n, now, _, actions| {
+                        n.on_wakeup(epoch, now, actions);
+                        None
+                    });
+                }
+            }
+            SimEvent::ResponseArrives(response) => receive_response(w, ctx, response),
+            SimEvent::Closure(f) => f(w, ctx),
+        }
+    }
+
+    fn from_fn(f: Thunk<World, SimEvent>) -> Self {
+        SimEvent::Closure(f)
+    }
+}
 
 /// A transport timeout, the simulator's model of one: a request whose
 /// reply never comes, or a server gone with no warm backup connection to
@@ -225,8 +279,8 @@ fn send_probe(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, node: NodeId, roun
         }
     };
     ctx.schedule_in(d1, move |w, ctx| {
-        let Some(reply) = enter_node(w, ctx, node, |n, now, trace| {
-            serve(n, Request::ProcessProbe, now, trace)
+        let Some(reply) = enter_node(w, ctx, node, |n, now, trace, actions| {
+            serve(n, Request::ProcessProbe, now, trace, actions)
         }) else {
             probe_failed(w, ctx, user, node, round);
             return;
@@ -307,7 +361,9 @@ fn attempt_join(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, target: NodeId, 
                     user: user.as_u64(),
                     seq,
                 };
-                let reply = enter_node(w, ctx, target, |n, now, trace| serve(n, join, now, trace));
+                let reply = enter_node(w, ctx, target, |n, now, trace, actions| {
+                    serve(n, join, now, trace, actions)
+                });
                 let accepted = reply == Some(Response::JoinResult { accepted: true });
                 let now_us = ctx.now().as_micros();
                 let d2 = match w.net.deliver_one_way(
@@ -375,7 +431,9 @@ fn send_leave(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, node: NodeId) {
         user: user.as_u64(),
     };
     ctx.schedule_in(d, move |w, ctx| {
-        enter_node(w, ctx, node, |n, now, trace| serve(n, leave, now, trace));
+        enter_node(w, ctx, node, |n, now, trace, actions| {
+            serve(n, leave, now, trace, actions)
+        });
     });
 }
 
@@ -394,7 +452,9 @@ fn send_unexpected_join(w: &mut World, ctx: &mut Ctx<'_>, user: UserId, node: No
         user: user.as_u64(),
     };
     ctx.schedule_in(d, move |w, ctx| {
-        enter_node(w, ctx, node, |n, now, trace| serve(n, attach, now, trace));
+        enter_node(w, ctx, node, |n, now, trace, actions| {
+            serve(n, attach, now, trace, actions)
+        });
     });
 }
 
@@ -442,14 +502,14 @@ fn send_frame(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
     match client.current_node() {
         None => {
             // Not attached (e.g. reactive recovery in flight): retry soon.
-            ctx.schedule_in(IDLE_RETRY, move |w, ctx| send_frame(w, ctx, user));
+            ctx.schedule(now + IDLE_RETRY, SimEvent::SendFrame(user));
         }
         Some(node) => {
             let interval = client.frame_interval();
             if !client.can_send_frame() {
                 // In-flight window full: drop this frame rather than
                 // queue a backlog (real AR clients skip frames).
-                ctx.schedule_in(interval, move |w, ctx| send_frame(w, ctx, user));
+                ctx.schedule(now + interval, SimEvent::SendFrame(user));
                 return;
             }
             let seq = client.next_frame_seq();
@@ -462,9 +522,9 @@ fn send_frame(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
                 ctx.rng(),
             ) {
                 Delivery::Delivered { delay, duplicate } => {
-                    ctx.schedule_in(delay, move |w, ctx| receive_frame(w, ctx, node, frame));
+                    ctx.schedule(now + delay, SimEvent::FrameArrives { node, frame });
                     if let Some(dup) = duplicate {
-                        ctx.schedule_in(dup, move |w, ctx| receive_frame(w, ctx, node, frame));
+                        ctx.schedule(now + dup, SimEvent::FrameArrives { node, frame });
                     }
                 }
                 Delivery::Dropped => {
@@ -481,33 +541,31 @@ fn send_frame(w: &mut World, ctx: &mut Ctx<'_>, user: UserId) {
                     handle_node_failure(w, ctx, user);
                 }
             }
-            ctx.schedule_in(interval, move |w, ctx| send_frame(w, ctx, user));
+            ctx.schedule(now + interval, SimEvent::SendFrame(user));
         }
     }
 }
 
-/// A frame arrives at an edge node (lost if the node is dead). It is no
-/// wire request: a simulated [`Frame`] carries the instant it left the
-/// client, which the client's latency is measured from.
-fn receive_frame(w: &mut World, ctx: &mut Ctx<'_>, node: NodeId, frame: Frame) {
-    enter_node(w, ctx, node, |n, now, _| (None, n.offload(frame, now)));
-}
-
 /// The one entry into a node's core: if `node` is up, `call` runs
-/// against it at the current virtual time with the node's narrator,
-/// then the actions it returns are carried out and the executor's next
-/// completion is scheduled. The node's answer, if it gave one.
+/// against it at the current virtual time with the node's narrator and
+/// the world's action buffer, then the actions it appended are carried
+/// out and the executor's next completion is scheduled. The node's
+/// answer, if it gave one. A frame enters here too: it is no wire
+/// request, since a simulated [`Frame`] carries the instant it left the
+/// client, which the client's latency is measured from.
 fn enter_node<F>(w: &mut World, ctx: &mut Ctx<'_>, node: NodeId, call: F) -> Option<Response>
 where
-    F: FnOnce(&mut EdgeNode, SimTime, NodeNarrator<'_>) -> (Option<Response>, Vec<NodeAction>),
+    F: FnOnce(&mut EdgeNode, SimTime, NodeNarrator<'_>, &mut Vec<NodeAction>) -> Option<Response>,
 {
     if !w.node_is_up(node) {
         return None;
     }
     let n = w.nodes.get_mut(&node)?;
     let trace = NodeNarrator::at(&w.tracer, ctx.now().as_micros());
-    let (response, actions) = call(n, ctx.now(), trace);
-    handle_node_actions(w, ctx, node, actions);
+    let mut actions = std::mem::take(&mut w.node_actions);
+    let response = call(n, ctx.now(), trace, &mut actions);
+    handle_node_actions(w, ctx, node, &mut actions);
+    w.node_actions = actions;
     schedule_node_wakeup(w, ctx, node);
     response
 }
@@ -522,36 +580,37 @@ fn receive_response(w: &mut World, ctx: &mut Ctx<'_>, response: FrameResponse) {
     w.recorder.record(response.user, now, latency);
 }
 
-/// Interprets node-produced effects.
-pub(crate) fn handle_node_actions(
+/// Interprets node-produced effects, emptying `actions`.
+fn handle_node_actions(
     w: &mut World,
     ctx: &mut Ctx<'_>,
     node: NodeId,
-    actions: Vec<NodeAction>,
+    actions: &mut Vec<NodeAction>,
 ) {
-    for action in actions {
+    for action in actions.drain(..) {
         match action {
             NodeAction::InvokeTestWorkload { after } => {
                 NodeNarrator::at(&w.tracer, ctx.now().as_micros()).whatif_refresh(node, after);
                 ctx.schedule_in(after, move |w, ctx| {
-                    enter_node(w, ctx, node, |n, now, _| {
-                        (None, n.invoke_test_workload(now))
+                    enter_node(w, ctx, node, |n, now, _, actions| {
+                        n.invoke_test_workload(now, actions);
+                        None
                     });
                 });
             }
             NodeAction::Respond(response) => {
-                let size = response.size;
+                let (size, now) = (response.size, ctx.now());
                 match w.net.deliver_message(
                     Addr::Node(node),
                     Addr::User(response.user),
                     size,
-                    ctx.now().as_micros(),
+                    now.as_micros(),
                     ctx.rng(),
                 ) {
                     Delivery::Delivered { delay, duplicate } => {
-                        ctx.schedule_in(delay, move |w, ctx| receive_response(w, ctx, response));
+                        ctx.schedule(now + delay, SimEvent::ResponseArrives(response));
                         if let Some(dup) = duplicate {
-                            ctx.schedule_in(dup, move |w, ctx| receive_response(w, ctx, response));
+                            ctx.schedule(now + dup, SimEvent::ResponseArrives(response));
                         }
                     }
                     Delivery::Dropped => {
@@ -576,20 +635,14 @@ pub(crate) fn handle_node_actions(
     }
 }
 
-/// Schedules the executor's next completion wake-up, dropping stale
-/// epochs without rescheduling (the interaction that changed the epoch
-/// scheduled its own wake-up).
-pub(crate) fn schedule_node_wakeup(w: &mut World, ctx: &mut Ctx<'_>, node: NodeId) {
+/// Schedules the executor's next completion wake-up. A wake-up whose
+/// epoch has passed when it fires is dropped without rescheduling (the
+/// interaction that changed the epoch scheduled its own wake-up).
+fn schedule_node_wakeup(w: &World, ctx: &mut Ctx<'_>, node: NodeId) {
     let Some(n) = w.nodes.get(&node) else { return };
-    let Some((epoch, at)) = n.next_wakeup(ctx.now()) else {
-        return;
-    };
-    ctx.schedule_at(at, move |w, ctx| {
-        let current = w.nodes.get(&node).and_then(|n| n.next_wakeup(ctx.now()));
-        if current.is_some_and(|(due, _)| due == epoch) {
-            enter_node(w, ctx, node, |n, now, _| (None, n.on_wakeup(epoch, now)));
-        }
-    });
+    if let Some((epoch, at)) = n.next_wakeup(ctx.now()) {
+        ctx.schedule(at, SimEvent::Wakeup { node, epoch });
+    }
 }
 
 /// The failure monitor (paper §IV-E): reacts to a dead serving node.
@@ -827,7 +880,6 @@ mod tests {
     use armada_metrics::LatencyRecorder;
     use armada_net::{Endpoint, LatencyModelParams, Network};
     use armada_node::EdgeNode;
-    use armada_sim::Simulation;
     use armada_types::NodeClass::{Cloud, Dedicated, Volunteer};
     use armada_types::{AccessNetwork, GeoPoint, HardwareProfile, SimTime, SystemConfig};
 
@@ -891,6 +943,7 @@ mod tests {
             failure_events: Vec::new(),
             affiliations: IdMap::default(),
             tracer: Default::default(),
+            node_actions: Vec::new(),
         }
     }
 
@@ -926,7 +979,7 @@ mod tests {
     /// that fast.
     #[test]
     fn lost_join_reply_costs_a_transport_timeout() {
-        let mut sim = Simulation::new(tiny_world(), 1);
+        let mut sim = Sim::with_events(tiny_world(), 1);
         sim.schedule_at(SimTime::ZERO, |w: &mut World, ctx| {
             match lone_round(w, ctx, good_probe_result()) {
                 ClientDecision::AttemptJoin { target, seq } => {
@@ -967,7 +1020,7 @@ mod tests {
         let buffer = sink.buffer();
         let mut world = tiny_world();
         world.tracer = Tracer::with_sink(Box::new(sink), Severity::Debug);
-        let mut sim = Simulation::new(world, 4);
+        let mut sim = Sim::with_events(world, 4);
         sim.schedule_at(SimTime::ZERO, |w: &mut World, ctx| {
             let stale = ProbeResult {
                 seq_num: 5,
@@ -1030,7 +1083,7 @@ mod tests {
         let node = w.nodes.get_mut(&NodeId::new(id)).unwrap();
         for _ in 0..users {
             let user = UserId::new(100 + node.attached_count() as u64);
-            node.unexpected_join(user, SimTime::ZERO);
+            node.unexpected_join(user, SimTime::ZERO, &mut Vec::new());
         }
     }
 

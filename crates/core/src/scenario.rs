@@ -8,7 +8,7 @@ use armada_manager::{GlobalSelectionPolicy, Narrator};
 use armada_metrics::LatencyRecorder;
 use armada_net::{Addr, Endpoint};
 use armada_node::EdgeNode;
-use armada_sim::{SimRng, Simulation};
+use armada_sim::SimRng;
 use armada_trace::{s, u, Severity, Tracer};
 use armada_types::{
     AccessNetwork, GeoPoint, HardwareProfile, NodeClass, NodeId, ShardId, SimDuration, SimTime,
@@ -210,10 +210,11 @@ impl Scenario {
                 })
                 .collect(),
             tracer,
+            node_actions: Vec::new(),
         };
 
         // --- Timeline -------------------------------------------------
-        let mut sim = Simulation::new(world, seed);
+        let mut sim = runner::Sim::with_events(world, seed);
         // Manager housekeeping by the core's forgetting rule, run every
         // liveness budget as the live manager runs it.
         let budget = sim.world().managers.shards()[0]
@@ -339,7 +340,7 @@ impl Scenario {
 /// its class, and narrates `chaos.crash` / `chaos.restart` if that
 /// changed anything. A node that never existed, a shard index past the
 /// federation, or a peer already in the requested state is left alone.
-fn crash_peer(w: &mut World, ctx: &mut armada_sim::Context<'_, World>, peer: PeerId, up: bool) {
+fn crash_peer(w: &mut World, ctx: &mut runner::Ctx<'_>, peer: PeerId, up: bool) {
     let now_us = ctx.now().as_micros();
     let narrate = |w: &World| {
         let (severity, kind) = if up {
@@ -392,7 +393,7 @@ fn crash_peer(w: &mut World, ctx: &mut armada_sim::Context<'_, World>, peer: Pee
 /// registration, heartbeats.
 fn churn_node_join(
     w: &mut World,
-    ctx: &mut armada_sim::Context<'_, World>,
+    ctx: &mut runner::Ctx<'_>,
     id: NodeId,
     hw: HardwareProfile,
     location: armada_types::GeoPoint,

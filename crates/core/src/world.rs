@@ -6,7 +6,7 @@ use armada_client::EdgeClient;
 use armada_federation::FederatedCluster;
 use armada_metrics::LatencyRecorder;
 use armada_net::Network;
-use armada_node::EdgeNode;
+use armada_node::{EdgeNode, NodeAction};
 use armada_trace::Tracer;
 use armada_types::{
     ClientConfig, NodeId, SimDuration, SimTime, SystemConfig, U64BuildHasher, UserId,
@@ -55,6 +55,9 @@ pub struct World {
     /// Structured event sink (disabled by default; events are stamped
     /// with virtual time, so traced runs stay deterministic).
     pub(crate) tracer: Tracer,
+    /// The node cores' actions, lent to each entry into a node and
+    /// empty between entries.
+    pub(crate) node_actions: Vec<NodeAction>,
 }
 
 impl World {

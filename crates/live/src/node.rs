@@ -117,6 +117,9 @@ struct Core {
     /// Replies one [`NodeState::drive`] made answerable, held until it
     /// hands them out; empty between entries, its capacity kept.
     due: Vec<Due>,
+    /// The node core's actions, lent to it at each entry; empty between
+    /// entries, its capacity kept.
+    actions: Vec<NodeAction>,
 }
 
 struct NodeState {
@@ -171,23 +174,24 @@ impl NodeState {
         let mut guard = self.core();
         let core = &mut *guard;
         let now = self.now();
-        let mut actions = match entry {
+        let mut actions = std::mem::take(&mut core.actions);
+        match entry {
             Entry::Request(request, from) => {
                 let frame = if let Request::Frame { user, seq, .. } = request {
                     Some((user, seq))
                 } else {
                     None
                 };
-                let (response, actions) = serve(&mut core.node, request, now, self.narrator());
-                if let Some(response) = response {
+                let narrator = self.narrator();
+                if let Some(response) = serve(&mut core.node, request, now, narrator, &mut actions)
+                {
                     core.due.push((from, response));
                 } else if let Some((user, seq)) = frame {
                     // Answered by the `Respond` its completion produces.
                     core.waiting.push((user, seq, from));
                 }
-                actions
             }
-            Entry::Refresh => core.node.invoke_test_workload(now),
+            Entry::Refresh => core.node.invoke_test_workload(now, &mut actions),
             Entry::Wakeup(epoch) => {
                 // The core drops a stale epoch: whatever changed the
                 // ledger armed a timer of its own. A current one that
@@ -195,12 +199,15 @@ impl NodeState {
                 if core.armed == Some(epoch) {
                     core.armed = None;
                 }
-                core.node.on_wakeup(epoch, now)
+                core.node.on_wakeup(epoch, now, &mut actions);
             }
-        };
+        }
+        // The buffer is read in order while a zero-delay refresh appends
+        // its own actions behind the rest.
+        let mut next = 0;
         loop {
-            let mut more = Vec::new();
-            for action in actions {
+            while let Some(action) = actions.get(next).cloned() {
+                next += 1;
                 match action {
                     NodeAction::Respond(done) => {
                         let key = (done.user.as_u64(), done.seq);
@@ -219,7 +226,7 @@ impl NodeState {
                     NodeAction::InvokeTestWorkload { after } => {
                         self.narrator().whatif_refresh(core.node.id(), after);
                         if after.is_zero() {
-                            more.extend(core.node.invoke_test_workload(self.now()));
+                            core.node.invoke_test_workload(self.now(), &mut actions);
                         } else {
                             let state = Arc::clone(self);
                             let after = Duration::from_micros(after.as_micros());
@@ -227,10 +234,6 @@ impl NodeState {
                         }
                     }
                 }
-            }
-            actions = more;
-            if !actions.is_empty() {
-                continue;
             }
             // The ledger's next completion is never answered early and
             // at most one reactor tick late: a reply due within
@@ -252,8 +255,10 @@ impl NodeState {
             while self.now() < at {
                 std::hint::spin_loop();
             }
-            actions = core.node.on_wakeup(epoch, self.now());
+            core.node.on_wakeup(epoch, self.now(), &mut actions);
         }
+        actions.clear();
+        core.actions = actions;
         for (to, response) in core.due.drain(..) {
             reply(to, response);
         }
@@ -389,6 +394,7 @@ impl LiveNode {
                 waiting: Vec::new(),
                 armed: None,
                 due: Vec::new(),
+                actions: Vec::new(),
             }),
             epoch: Instant::now(),
             in_flight: AtomicUsize::new(0),

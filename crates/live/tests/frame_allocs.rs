@@ -1,6 +1,7 @@
-//! The frame path allocates almost nothing: across the client, the
-//! node's reactor loop and its core, one unpaced frame costs at most
-//! four heap allocations, counted over the whole process.
+//! The frame path allocates nothing: across the client, the node's
+//! reactor loop and its core (which appends its actions and completions
+//! to buffers it keeps), an unpaced frame costs no heap allocation,
+//! counted over the whole process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,8 +43,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// The most one frame may allocate, both ends together.
-const PER_FRAME: u64 = 4;
+/// The most a hundred frames may allocate, both ends together: none is
+/// the frame path's own, and one in a hundred leaves room for what
+/// grows with a longer session (a few, counted: 1 to 8 in 2 000).
+const PER_HUNDRED_FRAMES: f64 = 1.0;
 
 /// Allocations the process made while `client` ran one `frames`-frame
 /// session.
@@ -63,7 +66,7 @@ fn session_allocations(client: &LiveClient, manager: std::net::SocketAddr, frame
 /// one of the two sessions is not the frame path, so the least of three
 /// tries is the one judged.
 #[test]
-fn a_frame_allocates_at_most_four_times() {
+fn a_frame_allocates_nothing() {
     let (_manager, manager_addr) = LiveManager::bind().unwrap();
     let node = NodeConfig {
         id: 1,
@@ -89,7 +92,7 @@ fn a_frame_allocates_at_most_four_times() {
         })
         .fold(f64::INFINITY, f64::min);
     assert!(
-        per_frame <= PER_FRAME as f64,
-        "{per_frame:.2} allocations per frame, at most {PER_FRAME} allowed"
+        per_frame * 100.0 <= PER_HUNDRED_FRAMES,
+        "{per_frame:.4} allocations per frame, at most {PER_HUNDRED_FRAMES} per hundred allowed"
     );
 }

@@ -317,9 +317,14 @@ fn frames_share_cores_exactly_as_in_virtual_time() {
         0.25,
     );
     let second = SimTime::from_micros(gap_us);
-    let mut actions = node.offload(Frame::live(UserId::new(1), 0, SimTime::ZERO), SimTime::ZERO);
-    actions.extend(node.offload(Frame::live(UserId::new(2), 0, second), second));
-    actions.extend(node.advance(SimTime::from_secs(1)));
+    let mut actions = Vec::new();
+    node.offload(
+        Frame::live(UserId::new(1), 0, SimTime::ZERO),
+        SimTime::ZERO,
+        &mut actions,
+    );
+    node.offload(Frame::live(UserId::new(2), 0, second), second, &mut actions);
+    node.advance(SimTime::from_secs(1), &mut actions);
     let virtual_time: Vec<(u64, u64)> = actions
         .iter()
         .filter_map(|action| match action {

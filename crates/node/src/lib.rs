@@ -19,8 +19,9 @@
 //! triggers: user join, user leave, and performance-monitor drift.
 //!
 //! The node is pure logic over virtual time: it never blocks or sleeps.
-//! Methods return [`NodeAction`]s (e.g. "invoke the test workload after
-//! 2×RTT") that the scenario runner turns into scheduled events. What a
+//! Methods append [`NodeAction`]s (e.g. "invoke the test workload after
+//! 2×RTT") to a buffer the runtime owns and reuses, and the scenario
+//! runner turns them into scheduled events. What a
 //! node decided is traced by its [`Narrator`]: [`serve`] narrates each
 //! request, and both runtimes narrate the what-if refreshes they carry
 //! out.

@@ -114,15 +114,16 @@ mod tests {
         let (tracer, buffer) = tracer();
         let mut n = node();
         let (user, late) = (UserId::new(7), UserId::new(8));
-        let (accepted, _) = n.join(user, 0, SimTime::ZERO);
+        let actions = &mut Vec::new();
+        let accepted = n.join(user, 0, SimTime::ZERO, actions);
         Narrator::at(&tracer, 10).joined(&n, user, accepted.is_ok());
-        let (refused, _) = n.join(late, 0, SimTime::ZERO);
+        let refused = n.join(late, 0, SimTime::ZERO, actions);
         Narrator::at(&tracer, 20).joined(&n, late, refused.is_ok());
-        n.unexpected_join(late, SimTime::ZERO);
+        n.unexpected_join(late, SimTime::ZERO, actions);
         Narrator::at(&tracer, 30).unexpected_join(&n, late);
-        let (detached, _) = n.leave(user, SimTime::ZERO);
+        let detached = n.leave(user, SimTime::ZERO, actions);
         Narrator::at(&tracer, 40).left(&n, user, detached);
-        let (detached, _) = n.leave(user, SimTime::ZERO);
+        let detached = n.leave(user, SimTime::ZERO, actions);
         Narrator::at(&tracer, 50).left(&n, user, detached);
         Narrator::at(&tracer, 60).whatif_refresh(n.id(), SimDuration::from_millis(40));
         assert_eq!(

@@ -71,10 +71,12 @@ pub struct NodeStats {
 ///     SimDuration::from_millis(40),
 ///     0.25,
 /// );
-/// let (reply, _) = node.process_probe(SimTime::ZERO);
+/// // The node appends the effects it asks for to a buffer its runtime keeps.
+/// let mut actions = Vec::new();
+/// let reply = node.process_probe(SimTime::ZERO, &mut actions);
 /// // Before any measurement the what-if falls back to the base time.
 /// assert_eq!(reply.whatif_proc, SimDuration::from_millis(24));
-/// let (result, actions) = node.join(UserId::new(7), reply.seq_num, SimTime::ZERO);
+/// let result = node.join(UserId::new(7), reply.seq_num, SimTime::ZERO, &mut actions);
 /// assert!(result.is_ok());
 /// assert!(!actions.is_empty()); // schedules the test-workload refresh
 /// ```
@@ -91,6 +93,9 @@ pub struct EdgeNode {
     monitor: PerfMonitor,
     join_refresh_delay: SimDuration,
     stats: NodeStats,
+    /// The executor's completions, lent to it at each step and empty
+    /// between steps.
+    completed: Vec<(QueuedFrame, SimTime)>,
 }
 
 impl EdgeNode {
@@ -120,6 +125,7 @@ impl EdgeNode {
             monitor: PerfMonitor::new(drift_threshold),
             join_refresh_delay,
             stats: NodeStats::default(),
+            completed: Vec::new(),
         }
     }
 
@@ -191,20 +197,23 @@ impl EdgeNode {
     /// Serves a `Process_probe()` request from the what-if cache
     /// (paper §IV-C2): probes are cheap cache reads, never test-workload
     /// invocations.
-    pub fn process_probe(&mut self, now: SimTime) -> (ProbeReply, Vec<NodeAction>) {
-        let actions = self.advance(now);
+    ///
+    /// This and every other method that takes `actions` appends the
+    /// effects it asks for there, in order, behind whatever the buffer
+    /// already holds.
+    pub fn process_probe(&mut self, now: SimTime, actions: &mut Vec<NodeAction>) -> ProbeReply {
+        self.advance(now, actions);
         self.stats.probes_served += 1;
         let fallback = self.hw.base_frame_time();
         let current = self.monitor.current();
         let current = if current.is_zero() { fallback } else { current };
-        let reply = ProbeReply {
+        ProbeReply {
             node: self.id,
             whatif_proc: self.whatif.get(fallback),
             current_proc: current,
             attached_users: self.attached.len(),
             seq_num: self.seq_num,
-        };
-        (reply, actions)
+        }
     }
 
     /// `Join()` — Algorithm 1. Accepts iff `presented_seq` equals the
@@ -220,16 +229,16 @@ impl EdgeNode {
         user: UserId,
         presented_seq: u64,
         now: SimTime,
-    ) -> (Result<(), ArmadaError>, Vec<NodeAction>) {
-        let mut actions = self.advance(now);
+        actions: &mut Vec<NodeAction>,
+    ) -> Result<(), ArmadaError> {
+        self.advance(now, actions);
         if presented_seq != self.seq_num {
             self.stats.joins_rejected += 1;
-            let err = ArmadaError::JoinRejected {
+            return Err(ArmadaError::JoinRejected {
                 node: self.id,
                 presented: presented_seq,
                 current: self.seq_num,
-            };
-            return (Err(err), actions);
+            });
         }
         self.seq_num += 1;
         self.attached.insert(user);
@@ -237,27 +246,26 @@ impl EdgeNode {
         actions.push(NodeAction::InvokeTestWorkload {
             after: self.join_refresh_delay,
         });
-        (Ok(()), actions)
+        Ok(())
     }
 
     /// `Unexpected_join()` — failover attach after the user's serving
     /// node died. Cannot be rejected (paper Table I).
-    pub fn unexpected_join(&mut self, user: UserId, now: SimTime) -> Vec<NodeAction> {
-        let mut actions = self.advance(now);
+    pub fn unexpected_join(&mut self, user: UserId, now: SimTime, actions: &mut Vec<NodeAction>) {
+        self.advance(now, actions);
         self.seq_num += 1;
         self.attached.insert(user);
         self.stats.unexpected_joins += 1;
         actions.push(NodeAction::InvokeTestWorkload {
             after: self.join_refresh_delay,
         });
-        actions
     }
 
     /// `Leave()` — the user departs (switch or finish). Detaching an
     /// attached user (`true`) triggers an immediate test-workload
     /// refresh and a sequence bump; anyone else's leave changes nothing.
-    pub fn leave(&mut self, user: UserId, now: SimTime) -> (bool, Vec<NodeAction>) {
-        let mut actions = self.advance(now);
+    pub fn leave(&mut self, user: UserId, now: SimTime, actions: &mut Vec<NodeAction>) -> bool {
+        self.advance(now, actions);
         let detached = self.attached.remove(&user);
         if detached {
             self.seq_num += 1;
@@ -266,58 +274,42 @@ impl EdgeNode {
                 after: SimDuration::ZERO,
             });
         }
-        (detached, actions)
+        detached
     }
 
     /// Accepts a live frame for processing.
-    pub fn offload(&mut self, frame: Frame, now: SimTime) -> Vec<NodeAction> {
+    pub fn offload(&mut self, frame: Frame, now: SimTime, actions: &mut Vec<NodeAction>) {
         debug_assert!(
             !frame.is_test(),
             "test frames enter via invoke_test_workload"
         );
-        let completed = self.executor.admit(
-            QueuedFrame {
-                frame,
-                admitted: now,
-            },
-            now,
-        );
-        self.handle_completions(completed)
+        self.admit(frame, now, actions);
     }
 
     /// Runs the synthetic test workload, unless a refresh is already in
     /// flight (triggers coalesce).
-    pub fn invoke_test_workload(&mut self, now: SimTime) -> Vec<NodeAction> {
-        let mut actions = self.advance(now);
+    pub fn invoke_test_workload(&mut self, now: SimTime, actions: &mut Vec<NodeAction>) {
+        self.advance(now, actions);
         if !self.whatif.begin_refresh() {
-            return actions;
+            return;
         }
         self.stats.test_invocations += 1;
-        let completed = self.executor.admit(
-            QueuedFrame {
-                frame: Frame::test(now),
-                admitted: now,
-            },
-            now,
-        );
-        actions.extend(self.handle_completions(completed));
-        actions
+        self.admit(Frame::test(now), now, actions);
     }
 
     /// Advances the executor to `now`, harvesting any completions. The
     /// runtime calls this from scheduled wake-ups; `epoch` (from
     /// [`EdgeNode::next_wakeup`]) lets stale wake-ups be ignored.
-    pub fn on_wakeup(&mut self, epoch: u64, now: SimTime) -> Vec<NodeAction> {
-        if epoch != self.executor.epoch() {
-            return Vec::new();
+    pub fn on_wakeup(&mut self, epoch: u64, now: SimTime, actions: &mut Vec<NodeAction>) {
+        if epoch == self.executor.epoch() {
+            self.advance(now, actions);
         }
-        self.advance(now)
     }
 
     /// Advances the executor to `now` unconditionally.
-    pub fn advance(&mut self, now: SimTime) -> Vec<NodeAction> {
-        let completed = self.executor.advance(now);
-        self.handle_completions(completed)
+    pub fn advance(&mut self, now: SimTime, actions: &mut Vec<NodeAction>) {
+        self.executor.advance_into(now, &mut self.completed);
+        self.handle_completions(actions);
     }
 
     /// When the executor next needs a wake-up: `(epoch, time)`.
@@ -325,9 +317,26 @@ impl EdgeNode {
         self.executor.next_completion(now)
     }
 
-    fn handle_completions(&mut self, completed: Vec<(QueuedFrame, SimTime)>) -> Vec<NodeAction> {
-        let mut actions = Vec::new();
-        for (queued, at) in completed {
+    /// The executor's state-change counter: a wake-up armed for another
+    /// epoch is stale (see [`EdgeNode::next_wakeup`]).
+    pub fn epoch(&self) -> u64 {
+        self.executor.epoch()
+    }
+
+    /// Admits `frame` to the executor at `now`, handling what completed
+    /// before it.
+    fn admit(&mut self, frame: Frame, now: SimTime, actions: &mut Vec<NodeAction>) {
+        let queued = QueuedFrame {
+            frame,
+            admitted: now,
+        };
+        self.executor.admit_into(queued, now, &mut self.completed);
+        self.handle_completions(actions);
+    }
+
+    /// Turns the executor's completions into actions, emptying them.
+    fn handle_completions(&mut self, actions: &mut Vec<NodeAction>) {
+        for (queued, at) in self.completed.drain(..) {
             let processing = at.saturating_since(queued.admitted);
             if queued.frame.is_test() {
                 // The what-if measurement: how long one extra frame took
@@ -350,7 +359,6 @@ impl EdgeNode {
                 }
             }
         }
-        actions
     }
 }
 
@@ -383,8 +391,9 @@ mod tests {
     #[test]
     fn join_with_matching_seq_succeeds_and_bumps() {
         let mut n = node();
-        let (reply, _) = n.process_probe(SimTime::ZERO);
-        let (res, actions) = n.join(UserId::new(1), reply.seq_num, SimTime::ZERO);
+        let reply = n.process_probe(SimTime::ZERO, &mut Vec::new());
+        let mut actions = Vec::new();
+        let res = n.join(UserId::new(1), reply.seq_num, SimTime::ZERO, &mut actions);
         assert!(res.is_ok());
         assert_eq!(n.seq_num(), reply.seq_num + 1);
         assert!(n.is_attached(UserId::new(1)));
@@ -397,12 +406,22 @@ mod tests {
     #[test]
     fn join_with_stale_seq_is_rejected() {
         let mut n = node();
-        let (reply, _) = n.process_probe(SimTime::ZERO);
-        let (first, _) = n.join(UserId::new(1), reply.seq_num, SimTime::ZERO);
+        let reply = n.process_probe(SimTime::ZERO, &mut Vec::new());
+        let first = n.join(
+            UserId::new(1),
+            reply.seq_num,
+            SimTime::ZERO,
+            &mut Vec::new(),
+        );
         assert!(first.is_ok());
         // Second client presents the same (now stale) seq — Algorithm 1
         // line 7-8: reject.
-        let (second, _) = n.join(UserId::new(2), reply.seq_num, SimTime::ZERO);
+        let second = n.join(
+            UserId::new(2),
+            reply.seq_num,
+            SimTime::ZERO,
+            &mut Vec::new(),
+        );
         assert!(matches!(second, Err(ArmadaError::JoinRejected { .. })));
         assert!(!n.is_attached(UserId::new(2)));
         assert_eq!(n.stats().joins_rejected, 1);
@@ -412,7 +431,7 @@ mod tests {
     fn unexpected_join_cannot_be_rejected() {
         let mut n = node();
         // No probe, wildly stale view — still attaches.
-        n.unexpected_join(UserId::new(9), SimTime::ZERO);
+        n.unexpected_join(UserId::new(9), SimTime::ZERO, &mut Vec::new());
         assert!(n.is_attached(UserId::new(9)));
         assert_eq!(n.stats().unexpected_joins, 1);
     }
@@ -420,12 +439,17 @@ mod tests {
     #[test]
     fn leave_detaches_and_triggers_refresh() {
         let mut n = node();
-        let (reply, _) = n.process_probe(SimTime::ZERO);
-        n.join(UserId::new(1), reply.seq_num, SimTime::ZERO)
-            .0
-            .unwrap();
+        let reply = n.process_probe(SimTime::ZERO, &mut Vec::new());
+        n.join(
+            UserId::new(1),
+            reply.seq_num,
+            SimTime::ZERO,
+            &mut Vec::new(),
+        )
+        .unwrap();
         let seq = n.seq_num();
-        let (detached, actions) = n.leave(UserId::new(1), SimTime::from_millis(100));
+        let mut actions = Vec::new();
+        let detached = n.leave(UserId::new(1), SimTime::from_millis(100), &mut actions);
         assert!(detached);
         assert!(!n.is_attached(UserId::new(1)));
         assert_eq!(n.seq_num(), seq + 1);
@@ -438,7 +462,8 @@ mod tests {
     fn leave_of_unknown_user_is_a_noop() {
         let mut n = node();
         let seq = n.seq_num();
-        let (detached, actions) = n.leave(UserId::new(42), SimTime::ZERO);
+        let mut actions = Vec::new();
+        let detached = n.leave(UserId::new(42), SimTime::ZERO, &mut actions);
         assert!(!detached);
         assert_eq!(n.seq_num(), seq);
         assert!(actions.is_empty());
@@ -448,12 +473,13 @@ mod tests {
     #[test]
     fn test_workload_measures_and_fills_cache() {
         let mut n = node();
-        n.invoke_test_workload(SimTime::ZERO);
+        n.invoke_test_workload(SimTime::ZERO, &mut Vec::new());
         assert_eq!(n.stats().test_invocations, 1);
         // Idle node: test frame completes after the base 24 ms.
-        let actions = n.advance(SimTime::from_millis(30));
+        let mut actions = Vec::new();
+        n.advance(SimTime::from_millis(30), &mut actions);
         assert!(actions.is_empty(), "test completion is internal");
-        let (reply, _) = n.process_probe(SimTime::from_millis(30));
+        let reply = n.process_probe(SimTime::from_millis(30), &mut Vec::new());
         assert_eq!(reply.whatif_proc, SimDuration::from_millis(24));
     }
 
@@ -461,7 +487,7 @@ mod tests {
     fn probes_do_not_invoke_test_workload() {
         let mut n = node();
         for i in 0..100 {
-            let _ = n.process_probe(SimTime::from_millis(i));
+            n.process_probe(SimTime::from_millis(i), &mut Vec::new());
         }
         assert_eq!(n.stats().probes_served, 100);
         assert_eq!(n.stats().test_invocations, 0, "probes only read the cache");
@@ -470,13 +496,13 @@ mod tests {
     #[test]
     fn concurrent_test_triggers_coalesce() {
         let mut n = node();
-        n.invoke_test_workload(SimTime::ZERO);
-        n.invoke_test_workload(SimTime::ZERO);
-        n.invoke_test_workload(SimTime::from_millis(1));
+        n.invoke_test_workload(SimTime::ZERO, &mut Vec::new());
+        n.invoke_test_workload(SimTime::ZERO, &mut Vec::new());
+        n.invoke_test_workload(SimTime::from_millis(1), &mut Vec::new());
         assert_eq!(n.stats().test_invocations, 1);
         // After completion a new trigger runs again.
-        n.advance(SimTime::from_millis(50));
-        n.invoke_test_workload(SimTime::from_millis(51));
+        n.advance(SimTime::from_millis(50), &mut Vec::new());
+        n.invoke_test_workload(SimTime::from_millis(51), &mut Vec::new());
         assert_eq!(n.stats().test_invocations, 2);
     }
 
@@ -484,8 +510,9 @@ mod tests {
     fn offloaded_frame_comes_back_with_response() {
         let mut n = node();
         let frame = Frame::live(UserId::new(1), 0, SimTime::ZERO);
-        n.offload(frame, SimTime::ZERO);
-        let actions = n.advance(SimTime::from_millis(24));
+        let mut actions = Vec::new();
+        n.offload(frame, SimTime::ZERO, &mut actions);
+        n.advance(SimTime::from_millis(24), &mut actions);
         let responses: Vec<_> = actions
             .iter()
             .filter_map(|a| match a {
@@ -507,12 +534,13 @@ mod tests {
             n.offload(
                 Frame::live(UserId::new(1), seq, SimTime::ZERO),
                 SimTime::ZERO,
+                &mut Vec::new(),
             );
         }
-        n.invoke_test_workload(SimTime::ZERO);
+        n.invoke_test_workload(SimTime::ZERO, &mut Vec::new());
         // Run everything to completion.
-        n.advance(SimTime::from_secs(10));
-        let (reply, _) = n.process_probe(SimTime::from_secs(10));
+        n.advance(SimTime::from_secs(10), &mut Vec::new());
+        let reply = n.process_probe(SimTime::from_secs(10), &mut Vec::new());
         assert!(
             reply.whatif_proc > SimDuration::from_millis(100),
             "what-if under 7-way contention on 2 cores must far exceed 49ms, got {}",
@@ -523,18 +551,26 @@ mod tests {
     #[test]
     fn wakeup_with_stale_epoch_is_ignored() {
         let mut n = node();
-        n.offload(Frame::live(UserId::new(1), 0, SimTime::ZERO), SimTime::ZERO);
+        let mut actions = Vec::new();
+        n.offload(
+            Frame::live(UserId::new(1), 0, SimTime::ZERO),
+            SimTime::ZERO,
+            &mut actions,
+        );
         let (epoch, at) = n.next_wakeup(SimTime::ZERO).unwrap();
+        assert_eq!(epoch, n.epoch());
         // A second frame invalidates the scheduled wake-up.
         n.offload(
             Frame::live(UserId::new(1), 1, SimTime::from_millis(1)),
             SimTime::from_millis(1),
+            &mut actions,
         );
-        let actions = n.on_wakeup(epoch, at);
+        assert_ne!(epoch, n.epoch());
+        n.on_wakeup(epoch, at, &mut actions);
         assert!(actions.is_empty(), "stale epoch must be dropped");
         // The fresh epoch works.
         let (epoch2, at2) = n.next_wakeup(SimTime::from_millis(1)).unwrap();
-        let actions = n.on_wakeup(epoch2, at2);
+        n.on_wakeup(epoch2, at2, &mut actions);
         assert!(!actions.is_empty());
     }
 
@@ -542,25 +578,31 @@ mod tests {
     fn perf_drift_triggers_refresh_and_seq_bump() {
         let mut n = slow_node();
         // Establish a basis via a test workload on the idle node.
-        n.invoke_test_workload(SimTime::ZERO);
-        n.advance(SimTime::from_millis(60));
+        n.invoke_test_workload(SimTime::ZERO, &mut Vec::new());
+        n.advance(SimTime::from_millis(60), &mut Vec::new());
         // Feed steady light traffic to set the EWMA near 49 ms.
         let mut t = SimTime::from_millis(100);
         for seq in 0..10 {
-            n.offload(Frame::live(UserId::new(1), seq, t), t);
+            n.offload(Frame::live(UserId::new(1), seq, t), t, &mut Vec::new());
             t += SimDuration::from_millis(200);
-            n.advance(t);
+            n.advance(t, &mut Vec::new());
         }
         let seq_before = n.seq_num();
         // Now heavy bursts: processing time drifts far above the basis.
         let mut drift_refresh_requested = false;
         for burst in 0..12 {
+            let mut actions = Vec::new();
             for seq in 0..8 {
-                n.offload(Frame::live(UserId::new(2), burst * 8 + seq, t), t);
+                n.offload(
+                    Frame::live(UserId::new(2), burst * 8 + seq, t),
+                    t,
+                    &mut actions,
+                );
             }
             t += SimDuration::from_secs(2);
-            drift_refresh_requested |= n
-                .advance(t)
+            actions.clear();
+            n.advance(t, &mut actions);
+            drift_refresh_requested |= actions
                 .iter()
                 .any(|a| matches!(a, NodeAction::InvokeTestWorkload { .. }));
         }
@@ -576,10 +618,14 @@ mod tests {
         let mut n = node();
         assert_eq!(n.status().attached_users, 0);
         assert_eq!(n.status().load_score, 0.0);
-        let (reply, _) = n.process_probe(SimTime::ZERO);
-        n.join(UserId::new(1), reply.seq_num, SimTime::ZERO)
-            .0
-            .unwrap();
+        let reply = n.process_probe(SimTime::ZERO, &mut Vec::new());
+        n.join(
+            UserId::new(1),
+            reply.seq_num,
+            SimTime::ZERO,
+            &mut Vec::new(),
+        )
+        .unwrap();
         let s = n.status();
         assert_eq!(s.attached_users, 1);
         assert!(s.load_score > 0.0);
@@ -589,7 +635,7 @@ mod tests {
     #[test]
     fn probe_reply_reports_current_proc_fallback_when_no_traffic() {
         let mut n = node();
-        let (reply, _) = n.process_probe(SimTime::ZERO);
+        let reply = n.process_probe(SimTime::ZERO, &mut Vec::new());
         assert_eq!(reply.current_proc, SimDuration::from_millis(24));
         assert_eq!(reply.attached_users, 0);
     }

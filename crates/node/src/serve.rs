@@ -11,58 +11,58 @@ use crate::node::{EdgeNode, NodeAction};
 
 /// Answers one node request at `now`, narrated through `trace`.
 ///
-/// Returns the response, and the actions its runtime must carry out. A
-/// `Frame` has no response yet: it is answered by the
-/// [`NodeAction::Respond`] its completion produces, keyed by the
-/// frame's `(user, seq)`. A manager's request is answered with
-/// [`Response::Error`] and changes nothing.
+/// Returns the response, and appends the actions its runtime must carry
+/// out to `actions`, a buffer the runtime keeps. A `Frame` has no
+/// response yet: it is answered by the [`NodeAction::Respond`] its
+/// completion produces, keyed by the frame's `(user, seq)`. A manager's
+/// request is answered with [`Response::Error`] and changes nothing.
 pub fn serve(
     node: &mut EdgeNode,
     request: Request,
     now: SimTime,
     trace: Narrator<'_>,
-) -> (Option<Response>, Vec<NodeAction>) {
-    let (response, actions) = match request {
-        Request::RttProbe => (Response::RttPong, Vec::new()),
+    actions: &mut Vec<NodeAction>,
+) -> Option<Response> {
+    let response = match request {
+        Request::RttProbe => Response::RttPong,
         Request::ProcessProbe => {
-            let (reply, actions) = node.process_probe(now);
-            let response = Response::ProbeReply {
+            let reply = node.process_probe(now, actions);
+            Response::ProbeReply {
                 whatif_us: reply.whatif_proc.as_micros(),
                 current_us: reply.current_proc.as_micros(),
                 attached: reply.attached_users,
                 seq: reply.seq_num,
-            };
-            (response, actions)
+            }
         }
         Request::Join { user, seq } => {
             let user = UserId::new(user);
-            let (result, actions) = node.join(user, seq, now);
-            let accepted = result.is_ok();
+            let accepted = node.join(user, seq, now, actions).is_ok();
             trace.joined(node, user, accepted);
-            (Response::JoinResult { accepted }, actions)
+            Response::JoinResult { accepted }
         }
         Request::UnexpectedJoin { user } => {
             let user = UserId::new(user);
-            let actions = node.unexpected_join(user, now);
+            node.unexpected_join(user, now, actions);
             trace.unexpected_join(node, user);
-            (Response::Ack, actions)
+            Response::Ack
         }
         Request::Leave { user } => {
             let user = UserId::new(user);
-            let (detached, actions) = node.leave(user, now);
+            let detached = node.leave(user, now, actions);
             trace.left(node, user, detached);
-            (Response::Ack, actions)
+            Response::Ack
         }
         Request::Frame { user, seq, .. } => {
             let frame = Frame::live(UserId::new(user), seq, now);
-            return (None, node.offload(frame, now));
+            node.offload(frame, now, actions);
+            return None;
         }
         other => {
             let message = format!("node cannot serve {other:?}");
-            (Response::Error { message }, Vec::new())
+            Response::Error { message }
         }
     };
-    (Some(response), actions)
+    Some(response)
 }
 
 #[cfg(test)]
@@ -109,7 +109,13 @@ mod tests {
         let mut n = node();
         let mut ask = |request, t_us| {
             let now = SimTime::from_micros(t_us);
-            serve(&mut n, request, now, Narrator::at(&tracer, t_us)).0
+            serve(
+                &mut n,
+                request,
+                now,
+                Narrator::at(&tracer, t_us),
+                &mut Vec::new(),
+            )
         };
         assert_eq!(ask(Request::RttProbe, 10), Some(Response::RttPong));
         let probe = Some(Response::ProbeReply {
@@ -144,10 +150,14 @@ mod tests {
     fn a_manager_request_is_refused_and_changes_nothing() {
         let (tracer, buffer) = tracer();
         let mut n = node();
-        let (reply, _) = n.process_probe(SimTime::ZERO);
-        n.join(UserId::new(7), reply.seq_num, SimTime::ZERO)
-            .0
-            .unwrap();
+        let reply = n.process_probe(SimTime::ZERO, &mut Vec::new());
+        n.join(
+            UserId::new(7),
+            reply.seq_num,
+            SimTime::ZERO,
+            &mut Vec::new(),
+        )
+        .unwrap();
         let manager_requests: Vec<Request> = test_fixtures::all_requests()
             .into_iter()
             .filter(|r| {
@@ -164,7 +174,8 @@ mod tests {
         let (seq, stats) = (n.seq_num(), n.stats());
         for request in manager_requests {
             let now = SimTime::from_millis(1);
-            let (response, actions) = serve(&mut n, request, now, Narrator::at(&tracer, 1));
+            let mut actions = Vec::new();
+            let response = serve(&mut n, request, now, Narrator::at(&tracer, 1), &mut actions);
             assert!(
                 matches!(response, Some(Response::Error { .. })),
                 "{response:?}"
@@ -189,12 +200,13 @@ mod tests {
         };
         let off = Tracer::disabled();
         let trace = Narrator::at(&off, 0);
-        let (response, actions) = serve(&mut n, request, SimTime::ZERO, trace);
+        let mut actions = Vec::new();
+        let response = serve(&mut n, request, SimTime::ZERO, trace, &mut actions);
         assert_eq!(response, None);
         assert!(actions.is_empty());
         let (epoch, at) = n.next_wakeup(SimTime::ZERO).expect("the frame is running");
-        let done: Vec<_> = n
-            .on_wakeup(epoch, at)
+        n.on_wakeup(epoch, at, &mut actions);
+        let done: Vec<_> = actions
             .into_iter()
             .filter_map(|action| match action {
                 NodeAction::Respond(done) => Some((done.user, done.seq)),

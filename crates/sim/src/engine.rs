@@ -5,24 +5,49 @@ use armada_types::{SimDuration, SimTime};
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 
-/// A scheduled unit of work: runs against the world with a scheduling
-/// context.
-type Thunk<W> = Box<dyn FnOnce(&mut W, &mut Context<'_, W>)>;
+/// A closure scheduled as an event: runs against the world with a
+/// scheduling context.
+pub type Thunk<W, E> = Box<dyn FnOnce(&mut W, &mut Context<'_, W, E>)>;
+
+/// The values a [`Simulation`] queues and dispatches.
+///
+/// A world with hot events of its own names them in one type, so they
+/// queue by value and dispatch through one `match`; everything else
+/// still schedules a closure, which [`Event::from_fn`] wraps.
+pub trait Event<W>: Sized {
+    /// Runs the event against `world`.
+    fn fire(self, world: &mut W, ctx: &mut Context<'_, W, Self>);
+
+    /// The event that runs `f`.
+    fn from_fn(f: Thunk<W, Self>) -> Self;
+}
+
+/// The default event: a boxed closure.
+pub struct Boxed<W>(Thunk<W, Boxed<W>>);
+
+impl<W> Event<W> for Boxed<W> {
+    fn fire(self, world: &mut W, ctx: &mut Context<'_, W, Self>) {
+        (self.0)(world, ctx)
+    }
+
+    fn from_fn(f: Thunk<W, Self>) -> Self {
+        Boxed(f)
+    }
+}
 
 /// The scheduling context handed to every executing event.
 ///
 /// Events use it to read the virtual clock, draw deterministic random
-/// numbers and schedule further events. Newly scheduled events are
-/// buffered and merged into the main queue when the current event
-/// finishes.
-pub struct Context<'a, W> {
+/// numbers and schedule further events, which queue behind every event
+/// already scheduled for the same instant.
+pub struct Context<'a, W, E = Boxed<W>> {
     now: SimTime,
     rng: &'a mut SimRng,
-    /// The simulation's buffer, lent to each event in turn.
-    pending: &'a mut Vec<(SimTime, Thunk<W>)>,
+    queue: &'a mut EventQueue<E>,
+    _world: std::marker::PhantomData<fn(&mut W)>,
 }
 
-impl<'a, W> Context<'a, W> {
+impl<'a, W, E: Event<W>> Context<'a, W, E> {
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -34,22 +59,27 @@ impl<'a, W> Context<'a, W> {
         self.rng
     }
 
-    /// Schedules `f` to run at absolute time `at`. Times in the past are
+    /// Schedules `event` at absolute time `at`. Times in the past are
     /// clamped to "immediately after the current event".
+    pub fn schedule(&mut self, at: SimTime, event: E) {
+        self.queue.push(at.max(self.now), event);
+    }
+
+    /// Schedules `f` to run at absolute time `at`, clamped as
+    /// [`Context::schedule`] clamps.
     pub fn schedule_at(
         &mut self,
         at: SimTime,
-        f: impl FnOnce(&mut W, &mut Context<'_, W>) + 'static,
+        f: impl FnOnce(&mut W, &mut Context<'_, W, E>) + 'static,
     ) {
-        let at = at.max(self.now);
-        self.pending.push((at, Box::new(f)));
+        self.schedule(at, E::from_fn(Box::new(f)));
     }
 
     /// Schedules `f` to run `delay` after the current time.
     pub fn schedule_in(
         &mut self,
         delay: SimDuration,
-        f: impl FnOnce(&mut W, &mut Context<'_, W>) + 'static,
+        f: impl FnOnce(&mut W, &mut Context<'_, W, E>) + 'static,
     ) {
         self.schedule_at(self.now + delay, f);
     }
@@ -60,12 +90,12 @@ impl<'a, W> Context<'a, W> {
         &mut self,
         first_delay: SimDuration,
         period: SimDuration,
-        f: impl FnMut(&mut W, &mut Context<'_, W>) -> bool + 'static,
+        f: impl FnMut(&mut W, &mut Context<'_, W, E>) -> bool + 'static,
     ) {
-        fn tick<W>(
-            mut f: impl FnMut(&mut W, &mut Context<'_, W>) -> bool + 'static,
+        fn tick<W, E: Event<W>>(
+            mut f: impl FnMut(&mut W, &mut Context<'_, W, E>) -> bool + 'static,
             period: SimDuration,
-        ) -> impl FnOnce(&mut W, &mut Context<'_, W>) + 'static {
+        ) -> impl FnOnce(&mut W, &mut Context<'_, W, E>) + 'static {
             move |world, ctx| {
                 if f(world, ctx) {
                     ctx.schedule_in(period, tick(f, period));
@@ -76,31 +106,37 @@ impl<'a, W> Context<'a, W> {
     }
 }
 
-/// A deterministic discrete-event simulation over a world type `W`.
+/// A deterministic discrete-event simulation over a world type `W`,
+/// dispatching events of type `E` (boxed closures unless the world
+/// names its own).
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
-pub struct Simulation<W> {
+pub struct Simulation<W, E = Boxed<W>> {
     world: W,
     clock: SimTime,
-    queue: EventQueue<Thunk<W>>,
+    queue: EventQueue<E>,
     rng: SimRng,
     executed: u64,
-    /// What the executing event schedules, kept between events so a
-    /// step allocates no buffer of its own.
-    pending: Vec<(SimTime, Thunk<W>)>,
 }
 
 impl<W> Simulation<W> {
-    /// Creates a simulation over `world`, seeding all randomness from
-    /// `seed`.
+    /// Creates a simulation of closures over `world`, seeding all
+    /// randomness from `seed`.
     pub fn new(world: W, seed: u64) -> Self {
+        Simulation::with_events(world, seed)
+    }
+}
+
+impl<W, E: Event<W>> Simulation<W, E> {
+    /// Creates a simulation of `E` events over `world`, seeding all
+    /// randomness from `seed`.
+    pub fn with_events(world: W, seed: u64) -> Self {
         Simulation {
             world,
             clock: SimTime::ZERO,
             queue: EventQueue::new(),
             rng: SimRng::seed_from(seed),
             executed: 0,
-            pending: Vec::new(),
         }
     }
 
@@ -129,16 +165,16 @@ impl<W> Simulation<W> {
     pub fn schedule_at(
         &mut self,
         at: SimTime,
-        f: impl FnOnce(&mut W, &mut Context<'_, W>) + 'static,
+        f: impl FnOnce(&mut W, &mut Context<'_, W, E>) + 'static,
     ) {
-        self.queue.push(at.max(self.clock), Box::new(f));
+        self.queue.push(at.max(self.clock), E::from_fn(Box::new(f)));
     }
 
     /// Schedules `f` to run `delay` after the current time.
     pub fn schedule_in(
         &mut self,
         delay: SimDuration,
-        f: impl FnOnce(&mut W, &mut Context<'_, W>) + 'static,
+        f: impl FnOnce(&mut W, &mut Context<'_, W, E>) + 'static,
     ) {
         self.schedule_at(self.clock + delay, f);
     }
@@ -148,7 +184,7 @@ impl<W> Simulation<W> {
         &mut self,
         first_delay: SimDuration,
         period: SimDuration,
-        f: impl FnMut(&mut W, &mut Context<'_, W>) -> bool + 'static,
+        f: impl FnMut(&mut W, &mut Context<'_, W, E>) -> bool + 'static,
     ) {
         let start = self.clock;
         self.schedule_at(start + first_delay, move |world, ctx| {
@@ -163,7 +199,12 @@ impl<W> Simulation<W> {
     /// Executes the single earliest pending event, advancing the clock to
     /// its timestamp. Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
-        let Some((time, thunk)) = self.queue.pop() else {
+        self.step_until(SimTime::MAX)
+    }
+
+    /// [`Simulation::step`], if the earliest event is due by `deadline`.
+    fn step_until(&mut self, deadline: SimTime) -> bool {
+        let Some((time, event)) = self.queue.pop_until(deadline) else {
             return false;
         };
         debug_assert!(time >= self.clock, "event queue went backwards");
@@ -171,12 +212,10 @@ impl<W> Simulation<W> {
         let mut ctx = Context {
             now: time,
             rng: &mut self.rng,
-            pending: &mut self.pending,
+            queue: &mut self.queue,
+            _world: std::marker::PhantomData,
         };
-        thunk(&mut self.world, &mut ctx);
-        for (at, t) in self.pending.drain(..) {
-            self.queue.push(at, t);
-        }
+        event.fire(&mut self.world, &mut ctx);
         self.executed += 1;
         true
     }
@@ -194,18 +233,13 @@ impl<W> Simulation<W> {
     /// to exactly `deadline` (even if the queue drained earlier). Pending
     /// later events remain queued.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
+        while self.step_until(deadline) {}
         self.clock = self.clock.max(deadline);
         self.clock
     }
 }
 
-impl<W: std::fmt::Debug> std::fmt::Debug for Simulation<W> {
+impl<W: std::fmt::Debug, E> std::fmt::Debug for Simulation<W, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("now", &self.clock)

@@ -5,8 +5,11 @@
 //! makes every experiment in the paper exactly reproducible from a seed.
 //!
 //! The engine is deliberately small: a virtual clock, a stable event
-//! queue, seeded RNG streams, and an executor that runs boxed closures
-//! against a user-supplied world type `W`.
+//! queue (a radix heap whose payloads sit in a slab), seeded RNG
+//! streams, and an executor that dispatches events against a
+//! user-supplied world type `W`. An event is a boxed closure unless the
+//! world names its own [`Event`] type, whose hot variants then queue by
+//! value.
 //!
 //! # Examples
 //!
@@ -35,6 +38,6 @@ mod engine;
 mod queue;
 mod rng;
 
-pub use engine::{Context, Simulation};
+pub use engine::{Boxed, Context, Event, Simulation, Thunk};
 pub use queue::EventQueue;
 pub use rng::SimRng;

@@ -24,7 +24,8 @@ struct Job<T> {
 /// metadata `T`.
 ///
 /// The owner drives it with virtual time: [`PsExecutor::admit`] new work,
-/// [`PsExecutor::advance`] to collect completions, and
+/// [`PsExecutor::advance`] to collect completions (or their `_into`
+/// forms, which append to a buffer the caller keeps), and
 /// [`PsExecutor::next_completion`] to know when to schedule the next
 /// wake-up. The `epoch` counter increments on every state change so
 /// stale wake-up events can be recognised and dropped.
@@ -83,13 +84,19 @@ impl<T> PsExecutor<T> {
     /// Panics in debug builds if `now` precedes the executor's last
     /// update (time must be monotone).
     pub fn admit(&mut self, tag: T, now: SimTime) -> Vec<(T, SimTime)> {
-        let done = self.advance(now);
+        let mut done = Vec::new();
+        self.admit_into(tag, now, &mut done);
+        done
+    }
+
+    /// [`PsExecutor::admit`], appending the completions to `done`.
+    pub fn admit_into(&mut self, tag: T, now: SimTime, done: &mut Vec<(T, SimTime)>) {
+        self.advance_into(now, done);
         self.jobs.push(Job {
             tag,
             remaining_us: self.base_work_us,
         });
         self.epoch += 1;
-        done
     }
 
     /// Advances virtual time to `now`, applying processor-sharing
@@ -101,8 +108,15 @@ impl<T> PsExecutor<T> {
     ///
     /// Panics in debug builds if `now` precedes the last update.
     pub fn advance(&mut self, now: SimTime) -> Vec<(T, SimTime)> {
+        let mut done = Vec::new();
+        self.advance_into(now, &mut done);
+        done
+    }
+
+    /// [`PsExecutor::advance`], appending the completions to `done`.
+    pub fn advance_into(&mut self, now: SimTime, done: &mut Vec<(T, SimTime)>) {
         debug_assert!(now >= self.last_update, "executor time went backwards");
-        let mut completed = Vec::new();
+        let before = done.len();
         let mut cursor = self.last_update;
         while cursor < now && !self.jobs.is_empty() {
             let rate = self.speed_factor();
@@ -124,7 +138,7 @@ impl<T> PsExecutor<T> {
                 while i < self.jobs.len() {
                     if self.jobs[i].remaining_us <= EPS_US {
                         let job = self.jobs.swap_remove(i);
-                        completed.push((job.tag, boundary));
+                        done.push((job.tag, boundary));
                         self.epoch += 1;
                     } else {
                         i += 1;
@@ -132,7 +146,7 @@ impl<T> PsExecutor<T> {
                 }
                 cursor = boundary;
                 // Guard against zero-length boundaries stalling the loop.
-                if to_boundary_us <= EPS_US && completed.is_empty() {
+                if to_boundary_us <= EPS_US && done.len() == before {
                     break;
                 }
             } else {
@@ -143,7 +157,6 @@ impl<T> PsExecutor<T> {
             }
         }
         self.last_update = now;
-        completed
     }
 
     /// Predicts when the earliest in-flight job will finish, assuming no

@@ -127,11 +127,12 @@ fn join_synchronisation_resolves_selection_conflicts() {
         0.25,
     );
     // Two users probe at the same instant and both pick this node.
-    let (reply_a, _) = node.process_probe(SimTime::ZERO);
-    let (reply_b, _) = node.process_probe(SimTime::ZERO);
+    let actions = &mut Vec::new();
+    let reply_a = node.process_probe(SimTime::ZERO, actions);
+    let reply_b = node.process_probe(SimTime::ZERO, actions);
     assert_eq!(reply_a.seq_num, reply_b.seq_num);
-    let (first, _) = node.join(UserId::new(1), reply_a.seq_num, SimTime::ZERO);
-    let (second, _) = node.join(UserId::new(2), reply_b.seq_num, SimTime::ZERO);
+    let first = node.join(UserId::new(1), reply_a.seq_num, SimTime::ZERO, actions);
+    let second = node.join(UserId::new(2), reply_b.seq_num, SimTime::ZERO, actions);
     assert!(first.is_ok());
     assert!(
         second.is_err(),
